@@ -18,11 +18,6 @@
 #   make speedup-smoke — kernel workload at 4 shards vs 1 must reach a
 #                     1.3x wall-clock speedup (skips on machines with
 #                     fewer than 4 CPUs)
-#   make slo-diff   — the windowed-SLO equivalence gate: -slo-out must be
-#                     byte-identical (whole file) across shard and par counts
-#   make energy-diff — the energy-telemetry equivalence gate: -energy-out
-#                     must be byte-identical (whole file) across shard and
-#                     par counts
 #   make fleet-diff — the fleet-hybrid equivalence gate: a whsim fleet
 #                     run's -obs-out body must be byte-identical across
 #                     shard counts, worker counts, and hot-set orderings
@@ -40,9 +35,9 @@ BENCH_NEW ?= BENCH_5.json
 # machine had fewer than 4 CPUs or GOMAXPROCS).
 EFF_FLOOR ?= 0.4
 
-.PHONY: check vet lint build test test-race fmt bench bench-json bench-diff shard-diff shard-race speedup-smoke slo-diff energy-diff fleet-diff introspect-smoke cover
+.PHONY: check vet lint build test test-race fmt bench bench-json bench-diff shard-diff shard-race speedup-smoke fleet-diff introspect-smoke cover
 
-check: vet lint build test-race fmt shard-diff shard-race speedup-smoke slo-diff energy-diff fleet-diff introspect-smoke
+check: vet lint build test-race fmt shard-diff shard-race speedup-smoke fleet-diff introspect-smoke
 
 vet:
 	$(GO) vet ./...
@@ -102,58 +97,6 @@ shard-diff:
 		echo "shard-diff: exports DIVERGED between shards=1 and shards=4:"; \
 		cmp "$$tmp/s1.body" "$$tmp/s4.body"; exit 1; \
 	fi
-
-# Windowed-SLO equivalence: the -slo-out export carries no shard or
-# parallelism count anywhere (manifest included), so the gate compares
-# whole files across shard counts and ramp parallelism.
-slo-diff:
-	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) build -o "$$tmp/whsim" ./cmd/whsim && \
-	for s in 1 2 4; do \
-		"$$tmp/whsim" -system emb1 -workload websearch -des -measure 20 \
-			-shards $$s -enclosures 4 -boards 2 \
-			-slo-out "$$tmp/slo-s$$s.jsonl" >/dev/null 2>&1 || exit 1; \
-	done && \
-	for p in 1 4; do \
-		"$$tmp/whsim" -system emb1 -workload websearch -des -measure 20 \
-			-par $$p -slo-out "$$tmp/slo-p$$p.jsonl" >/dev/null 2>&1 || exit 1; \
-	done && \
-	ok=1; \
-	for f in slo-s2 slo-s4; do \
-		cmp -s "$$tmp/slo-s1.jsonl" "$$tmp/$$f.jsonl" || { \
-			echo "slo-diff: $$f.jsonl DIVERGED from slo-s1.jsonl:"; \
-			cmp "$$tmp/slo-s1.jsonl" "$$tmp/$$f.jsonl"; ok=0; }; \
-	done; \
-	cmp -s "$$tmp/slo-p1.jsonl" "$$tmp/slo-p4.jsonl" || { \
-		echo "slo-diff: par=4 export DIVERGED from par=1:"; \
-		cmp "$$tmp/slo-p1.jsonl" "$$tmp/slo-p4.jsonl"; ok=0; }; \
-	[ $$ok -eq 1 ] && echo "slo-diff: -slo-out byte-identical across shards 1/2/4 and par 1/4" || exit 1
-
-# Energy equivalence: the -energy-out export carries no shard or
-# parallelism count anywhere (manifest included), so the gate compares
-# whole files across shard counts and ramp parallelism.
-energy-diff:
-	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) build -o "$$tmp/whsim" ./cmd/whsim && \
-	for s in 1 2 4; do \
-		"$$tmp/whsim" -system emb1 -workload websearch -des -measure 20 \
-			-shards $$s -enclosures 4 -boards 2 \
-			-energy-window 1s -energy-out "$$tmp/en-s$$s.jsonl" >/dev/null 2>&1 || exit 1; \
-	done && \
-	for p in 1 4; do \
-		"$$tmp/whsim" -system emb1 -workload websearch -des -measure 20 \
-			-par $$p -energy-window 1s -energy-out "$$tmp/en-p$$p.jsonl" >/dev/null 2>&1 || exit 1; \
-	done && \
-	ok=1; \
-	for f in en-s2 en-s4; do \
-		cmp -s "$$tmp/en-s1.jsonl" "$$tmp/$$f.jsonl" || { \
-			echo "energy-diff: $$f.jsonl DIVERGED from en-s1.jsonl:"; \
-			cmp "$$tmp/en-s1.jsonl" "$$tmp/$$f.jsonl"; ok=0; }; \
-	done; \
-	cmp -s "$$tmp/en-p1.jsonl" "$$tmp/en-p4.jsonl" || { \
-		echo "energy-diff: par=4 export DIVERGED from par=1:"; \
-		cmp "$$tmp/en-p1.jsonl" "$$tmp/en-p4.jsonl"; ok=0; }; \
-	[ $$ok -eq 1 ] && echo "energy-diff: -energy-out byte-identical across shards 1/2/4 and par 1/4" || exit 1
 
 # Fleet-hybrid equivalence: a fleet run (hot racks on the sharded DES,
 # cold racks on the analytic stand-in) must export the same

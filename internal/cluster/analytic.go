@@ -40,12 +40,10 @@ type Result struct {
 	// used to attribute episode blast radius in the export.
 	SLO      *window.Collector
 	SLOParts []*window.Collector
-	// Energy is the merged energy collector of an instrumented DES run
-	// configured with SimOptions.Energy (nil otherwise); EnergyParts are
-	// the per-partition collectors behind it, in the same part order as
-	// SLOParts.
-	Energy      *energy.Collector
-	EnergyParts []*energy.Collector
+	// Energy is the energy view of an instrumented DES run configured
+	// with SimOptions.Energy (nil otherwise), over the merged window
+	// collector: SLO itself when the two widths agree.
+	Energy *energy.Collector
 	// Fleet carries the per-rack breakdown of a FleetTopology run (nil
 	// for single-rack and flat-model runs).
 	Fleet *FleetBreakdown

@@ -83,8 +83,8 @@ type SimOptions struct {
 	ShardDiag obs.Recorder
 
 	// SLOWindowSec, when > 0, turns on the windowed-SLO metrics plane:
-	// the instrumented run additionally folds its request, utilization,
-	// and hit-rate streams into tumbling windows of this width over
+	// the instrumented run additionally folds its request and
+	// utilization streams into tumbling windows of this width over
 	// simulated time (see internal/obs/window), the QoS episode summary
 	// is emitted into Obs, and Result.SLO carries the merged collector.
 	// Windowed collection rides the instrumented replay, so it requires
@@ -93,14 +93,14 @@ type SimOptions struct {
 	SLOWindowSec float64
 
 	// Energy, when non-nil, turns on the time-resolved energy telemetry
-	// plane: the instrumented run folds its utilization and request
-	// streams into tumbling windows of Energy.WidthSec simulated
-	// seconds, derives watts per window from Energy.Model's idle/active
-	// split (see internal/obs/energy), emits the run's energy.* totals
-	// into Obs, and Result.Energy carries the merged collector. Like the
-	// windowed-SLO plane it rides the instrumented replay — it requires
-	// an enabled Obs and never changes the reported result or the
-	// existing export streams.
+	// plane: watts per tumbling window of Energy.WidthSec simulated
+	// seconds, derived from Energy.Model's idle/active split (see
+	// internal/obs/energy) as a view over a window collector — the SLO
+	// plane's own when SLOWindowSec equals the width, a private one
+	// otherwise. The run's energy.* totals are emitted into Obs and
+	// Result.Energy carries the merged view. Like the windowed-SLO plane
+	// it rides the instrumented replay — it requires an enabled Obs and
+	// never changes the reported result or the existing export streams.
 	Energy *energy.Config
 
 	// OnLive, when non-nil, fires once per run just before the
@@ -121,7 +121,7 @@ type LiveHandles struct {
 	// one per enclosure plus the rack-global part for Topology runs).
 	// Only Collector.LiveSummaries is safe concurrently.
 	SLO []*window.Collector
-	// Energy holds the per-partition energy collectors in the same part
+	// Energy holds the per-partition energy views in the same part
 	// order as SLO. Only Collector.LiveWindows is safe concurrently.
 	Energy []*energy.Collector
 	// ShardStats returns the engine's live per-shard counters.
@@ -166,7 +166,7 @@ func (o SimOptions) Normalize() (SimOptions, error) {
 		return o, fmt.Errorf("cluster: invalid SLO window width %g", o.SLOWindowSec)
 	}
 	if o.Energy != nil {
-		if _, err := energy.New(*o.Energy); err != nil {
+		if err := o.Energy.Validate(); err != nil {
 			return o, fmt.Errorf("cluster: %w", err)
 		}
 	}
@@ -211,33 +211,6 @@ func (c Config) memSwapFraction() float64 {
 		return 0
 	}
 	return c.MemSlowdown / (1 + c.MemSlowdown)
-}
-
-// newSLOCollector builds the windowed-SLO collector for one partition
-// of an instrumented run, or nil when the plane is off (SLOWindowSec
-// unset or no enabled recorder to ride). The window inherits the
-// profile's QoS bound and percentile, so a window "violates" exactly
-// when the bound the adaptive driver enforces globally is broken
-// locally in time.
-func newSLOCollector(p workload.Profile, opt SimOptions) (*window.Collector, error) {
-	if opt.SLOWindowSec <= 0 || !obs.On(opt.Obs) {
-		return nil, nil
-	}
-	return window.New(window.Config{
-		WidthSec:      opt.SLOWindowSec,
-		QoSLatencySec: p.QoSLatencySec,
-		QoSPercentile: p.QoSPercentile,
-	})
-}
-
-// newEnergyCollector builds the energy-telemetry collector for one
-// partition of an instrumented run, or nil when the plane is off
-// (Energy unset or no enabled recorder to ride).
-func newEnergyCollector(opt SimOptions) (*energy.Collector, error) {
-	if opt.Energy == nil || !obs.On(opt.Obs) {
-		return nil, nil
-	}
-	return energy.New(*opt.Energy)
 }
 
 // trialOutcome summarizes one closed-loop trial at a fixed client count.
@@ -346,11 +319,7 @@ func (c Config) simulateInteractive(gen workload.Generator, p workload.Profile, 
 		return ctx.run(gen, p, n, opt, seed, nil), seed
 	}
 
-	slo, err := newSLOCollector(p, opt)
-	if err != nil {
-		return Result{}, err
-	}
-	en, err := newEnergyCollector(opt)
+	tel, err := newPlanes(p, opt)
 	if err != nil {
 		return Result{}, err
 	}
@@ -368,42 +337,17 @@ func (c Config) simulateInteractive(gen workload.Generator, p workload.Profile, 
 	// replay re-runs the chosen operating point with the recorder
 	// attached. Same seed, same trajectory: the instrumented replay's
 	// outcome matches the recorded best exactly, so -obs never changes
-	// the reported numbers. The windowed-SLO and energy tees wrap only
-	// this replay — the search stays uninstrumented — so the window
-	// streams are a pure function of the chosen operating point and the
-	// seed.
+	// the reported numbers. The window tee wraps only this replay — the
+	// search stays uninstrumented — so the window streams are a pure
+	// function of the chosen operating point and the seed.
 	replay := func(n int, s uint64) {
 		if !obs.On(opt.Obs) {
 			return
 		}
-		rec := energy.NewTee(window.NewTee(opt.Obs, slo), en)
 		if opt.OnLive != nil {
-			handles := LiveHandles{}
-			if slo != nil {
-				handles.SLO = []*window.Collector{slo}
-			}
-			if en != nil {
-				handles.Energy = []*energy.Collector{en}
-			}
-			opt.OnLive(handles)
+			opt.OnLive(liveHandles(tel))
 		}
-		ctx.run(gen, p, n, opt, s, rec)
-	}
-	// finishSLO seals the collectors at the replay's horizon, reduces
-	// the SLO timeline to QoS episodes and the energy timeline to run
-	// totals, and publishes both into the deterministic stream and the
-	// result.
-	finishSLO := func(res *Result) {
-		if slo != nil {
-			slo.Seal(opt.WarmupSec + opt.MeasureSec)
-			slo.EmitEpisodes(opt.Obs, slo.Episodes())
-			res.SLO = slo
-		}
-		if en != nil {
-			en.Seal(opt.WarmupSec + opt.MeasureSec)
-			en.EmitTotals(opt.Obs)
-			res.Energy = en
-		}
+		ctx.run(gen, p, n, opt, s, tel.tee(opt.Obs))
 	}
 
 	// Exponential ramp: speculative-parallel when allowed, else
@@ -444,7 +388,7 @@ func (c Config) simulateInteractive(gen workload.Generator, p workload.Profile, 
 			Utilization: t.utilization,
 			Clients:     maxInt(1, opt.MaxClients/8),
 		}
-		finishSLO(&res)
+		tel.finish(opt.WarmupSec+opt.MeasureSec, opt.Obs, &res)
 		return res, nil
 	}
 	if firstBad == 0 {
@@ -476,7 +420,7 @@ func (c Config) simulateInteractive(gen workload.Generator, p workload.Profile, 
 		Utilization: best.utilization,
 		Clients:     bestN,
 	}
-	finishSLO(&res)
+	tel.finish(opt.WarmupSec+opt.MeasureSec, opt.Obs, &res)
 	return res, nil
 }
 
@@ -557,15 +501,11 @@ func (c Config) simulateBatch(gen workload.Generator, p workload.Profile, opt Si
 
 	// Batch runs execute exactly once, so they are instrumented inline
 	// (recording observes without perturbing the trajectory).
-	slo, err := newSLOCollector(p, opt)
+	tel, err := newPlanes(p, opt)
 	if err != nil {
 		return Result{}, err
 	}
-	en, err := newEnergyCollector(opt)
-	if err != nil {
-		return Result{}, err
-	}
-	rec := energy.NewTee(window.NewTee(opt.Obs, slo), en)
+	rec := tel.tee(opt.Obs)
 	b.rec = rec
 	b.recording = obs.On(rec)
 	b.gen = gen
@@ -598,14 +538,7 @@ func (c Config) simulateBatch(gen workload.Generator, p workload.Profile, opt Si
 		t.launch()
 	}
 	if b.recording && opt.OnLive != nil {
-		handles := LiveHandles{}
-		if slo != nil {
-			handles.SLO = []*window.Collector{slo}
-		}
-		if en != nil {
-			handles.Energy = []*energy.Collector{en}
-		}
-		opt.OnLive(handles)
+		opt.OnLive(liveHandles(tel))
 	}
 	b.sim.Run(des.Time(math.MaxFloat64))
 	if b.recording {
@@ -632,16 +565,7 @@ func (c Config) simulateBatch(gen workload.Generator, p workload.Profile, opt Si
 		},
 		Clients: concurrency,
 	}
-	if slo != nil {
-		slo.Seal(exec)
-		slo.EmitEpisodes(opt.Obs, slo.Episodes())
-		res.SLO = slo
-	}
-	if en != nil {
-		en.Seal(exec)
-		en.EmitTotals(opt.Obs)
-		res.Energy = en
-	}
+	tel.finish(exec, opt.Obs, &res)
 	return res, nil
 }
 

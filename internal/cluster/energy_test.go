@@ -117,70 +117,74 @@ func TestEnergyFlatUtilizationConditioned(t *testing.T) {
 	}
 }
 
-// TestEnergyFlatParInvariance: the energy export must be byte-identical
-// at any ramp parallelism.
-func TestEnergyFlatParInvariance(t *testing.T) {
-	run := func(par int) []byte {
-		cfg := Config{Server: platform.Desk()}
-		sink := obs.NewSink()
-		res, err := cfg.Simulate(workload.FixedGenerator{P: testProfile()}, SimOptions{
-			Seed: 7, WarmupSec: 2, MeasureSec: 10, MaxClients: 64,
-			Obs: sink, Energy: testEnergyConfig(1, power.DefaultIdleFractions()), Parallelism: par,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return energyExport(t, res)
+// TestEnergySharingChangesNoBytes: whether the energy view reads the
+// SLO collector (same width) or a private one (SLO plane off, or
+// another width) must not change a byte of the energy export, nor of
+// the obs stream outside the SLO plane's own slo.* records. A run that
+// fed, sealed or emitted a shared collector twice would double its
+// request counts or its energy totals and differ here.
+func TestEnergySharingChangesNoBytes(t *testing.T) {
+	batch := batchProfile()
+	batch.JobRequests = 300
+	flat := Config{Server: platform.Desk()}
+	rack := Config{Server: platform.Desk(), MemSlowdown: 0.05}
+	paths := []struct {
+		name string
+		cfg  Config
+		p    workload.Profile
+		opt  func(*obs.Sink) SimOptions
+	}{
+		{"flat-interactive", flat, testProfile(), func(s *obs.Sink) SimOptions {
+			return SimOptions{Seed: 7, WarmupSec: 2, MeasureSec: 10, MaxClients: 64, Obs: s}
+		}},
+		{"flat-batch", flat, batch, func(s *obs.Sink) SimOptions {
+			return SimOptions{Seed: 3, MeasureSec: 1, MaxClients: 16, Obs: s}
+		}},
+		{"rack-shards=1", rack, testProfile(), func(s *obs.Sink) SimOptions { return rackOptions(1, s) }},
+		{"rack-shards=2", rack, testProfile(), func(s *obs.Sink) SimOptions { return rackOptions(2, s) }},
 	}
-	if !bytes.Equal(run(1), run(4)) {
-		t.Error("energy export differs between par 1 and par 4")
+	for _, path := range paths {
+		t.Run(path.name, func(t *testing.T) {
+			var refEnergy, refObs []byte
+			for _, sloSec := range []float64{0, 1, 2} {
+				sink := obs.NewSink()
+				opt := path.opt(sink)
+				opt.SLOWindowSec = sloSec
+				opt.Energy = testEnergyConfig(1, power.DefaultIdleFractions())
+				res, err := path.cfg.Simulate(workload.FixedGenerator{P: path.p}, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if shared := res.SLO != nil && res.Energy.Source() == res.SLO; shared != (sloSec == 1) {
+					t.Errorf("slo=%gs: energy shares the SLO collector = %v", sloSec, shared)
+				}
+				en, obsB := energyExport(t, res), withoutSLO(obsExport(t, sink))
+				if refEnergy == nil {
+					refEnergy, refObs = en, obsB
+					continue
+				}
+				if !bytes.Equal(refEnergy, en) {
+					t.Errorf("slo=%gs: energy export differs from the SLO-off run", sloSec)
+				}
+				if !bytes.Equal(refObs, obsB) {
+					t.Errorf("slo=%gs: obs export (slo.* records aside) differs from the SLO-off run", sloSec)
+				}
+			}
+		})
 	}
 }
 
-// TestEnergyRackShardInvariance is the tentpole acceptance gate: the
-// whole energy export — manifest included — must be byte-identical at
-// every shard count, with the per-enclosure parts merged in enclosure
-// order behind it.
-func TestEnergyRackShardInvariance(t *testing.T) {
-	p := testProfile()
-	run := func(shards int) (Result, []byte) {
-		cfg := Config{Server: platform.Desk(), MemSlowdown: 0.05}
-		sink := obs.NewSink()
-		opt := rackOptions(shards, sink)
-		opt.Energy = testEnergyConfig(1, power.DefaultIdleFractions())
-		res, err := cfg.Simulate(workload.FixedGenerator{P: p}, opt)
-		if err != nil {
-			t.Fatal(err)
+// withoutSLO drops the SLO plane's own records — slo.* counters and
+// histograms, slo_episode events — from an obs JSONL export.
+func withoutSLO(b []byte) []byte {
+	var out []byte
+	for _, line := range bytes.SplitAfter(b, []byte("\n")) {
+		if bytes.Contains(line, []byte(`"name":"slo.`)) || bytes.Contains(line, []byte(`"stream":"slo_episode"`)) {
+			continue
 		}
-		return res, energyExport(t, res)
+		out = append(out, line...)
 	}
-	ref, refExp := run(1)
-	if wantParts := rackTopology(1).Enclosures + 1; len(ref.EnergyParts) != wantParts {
-		t.Fatalf("got %d energy parts, want %d (enclosures + global)", len(ref.EnergyParts), wantParts)
-	}
-	if len(ref.Energy.Windows()) == 0 {
-		t.Fatal("no energy windows collected")
-	}
-	// The rack feeds per-enclosure cpu/net/memblade and global san
-	// utilization into the merged collector.
-	sawCPU, sawSAN := false, false
-	for _, w := range ref.Energy.Windows() {
-		if _, ok := w.Util["cpu"]; ok {
-			sawCPU = true
-		}
-		if _, ok := w.Util["san"]; ok {
-			sawSAN = true
-		}
-	}
-	if !sawCPU || !sawSAN {
-		t.Errorf("merged windows missing drivers: cpu %v san %v", sawCPU, sawSAN)
-	}
-	for _, shards := range []int{2, 4} {
-		_, exp := run(shards)
-		if !bytes.Equal(refExp, exp) {
-			t.Errorf("shards=%d energy export differs from shards=1", shards)
-		}
-	}
+	return out
 }
 
 // TestEnergyBatchFlat: the inline-instrumented batch path seals at the

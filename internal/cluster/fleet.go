@@ -7,8 +7,6 @@ import (
 	"sync"
 
 	"warehousesim/internal/obs"
-	"warehousesim/internal/obs/energy"
-	"warehousesim/internal/obs/window"
 	"warehousesim/internal/stats"
 	"warehousesim/internal/workload"
 )
@@ -301,7 +299,17 @@ func (t *FleetTopology) simulate(c Config, gen workload.Generator, p workload.Pr
 	}
 	res := t.assemble(bd, hot, coldRes)
 
-	if err := t.mergeTelemetry(&res, hot); err != nil {
+	// Telemetry: fold the hot racks' merged collectors, rack id
+	// ascending. The racks already emitted their episode and energy
+	// totals into their own sinks, so the fleet level merges without
+	// re-emitting — re-emission would duplicate streams and break the
+	// manual-composition byte-identity contract. Cold racks have no
+	// event stream and so no telemetry windows.
+	tel := make([]planes, len(hot))
+	for i, h := range hot {
+		tel[i] = planes{slo: h.SLO, en: h.Energy}
+	}
+	if err := mergeTelemetry(&res, tel); err != nil {
 		return Result{}, err
 	}
 	if recording {
@@ -440,45 +448,6 @@ func (t *FleetTopology) assemble(bd *FleetBreakdown, hot, cold []Result) Result 
 	}
 	res.Bottleneck = bottleneckOf(res.Utilization)
 	return res
-}
-
-// mergeTelemetry folds the hot racks' merged SLO and energy collectors
-// into fleet-level collectors, rack id ascending. The racks already
-// emitted their episode and total streams into their own (merged)
-// sinks, so the fleet level merges collectors without re-emitting —
-// re-emission would duplicate streams and break the manual-composition
-// byte-identity contract. Cold racks have no event stream and so no
-// telemetry windows.
-func (t *FleetTopology) mergeTelemetry(res *Result, hot []Result) error {
-	var sloParts []*window.Collector
-	var enParts []*energy.Collector
-	for _, h := range hot {
-		if h.SLO != nil {
-			sloParts = append(sloParts, h.SLO)
-		}
-		if h.Energy != nil {
-			enParts = append(enParts, h.Energy)
-		}
-	}
-	if len(sloParts) > 0 {
-		merged, err := window.New(sloParts[0].Config())
-		if err != nil {
-			return err
-		}
-		merged.MergeFrom(sloParts...)
-		res.SLO = merged
-		res.SLOParts = sloParts
-	}
-	if len(enParts) > 0 {
-		merged, err := energy.New(enParts[0].Config())
-		if err != nil {
-			return err
-		}
-		merged.MergeFrom(enParts...)
-		res.Energy = merged
-		res.EnergyParts = enParts
-	}
-	return nil
 }
 
 // emitFleet records the fleet-level summary streams into the merged

@@ -211,23 +211,18 @@ func TestFleetHotAllMatchesManualComposition(t *testing.T) {
 	// Telemetry planes: fleet-level collectors must equal the manual
 	// per-rack collectors merged in id order.
 	sloParts := make([]*window.Collector, racks)
-	enParts := make([]*energy.Collector, racks)
+	enParts := make([]*window.Collector, racks)
 	for id, r := range manual {
-		sloParts[id], enParts[id] = r.SLO, r.Energy
+		sloParts[id], enParts[id] = r.SLO, r.Energy.Source()
 	}
-	mergedSLO, err := window.New(sloParts[0].Config())
-	if err != nil {
-		t.Fatal(err)
-	}
-	mergedSLO.MergeFrom(sloParts...)
+	mergedSLO := window.Merge(sloParts...)
 	if !bytes.Equal(sloExport(t, fleetRes), sloExport(t, Result{SLO: mergedSLO, SLOParts: sloParts})) {
 		t.Error("fleet SLO export differs from the manual composition")
 	}
-	mergedEn, err := energy.New(enParts[0].Config())
+	mergedEn, err := energy.New(manual[0].Energy.Config(), window.Merge(enParts...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mergedEn.MergeFrom(enParts...)
 	if !bytes.Equal(energyExport(t, fleetRes), energyExport(t, Result{Energy: mergedEn})) {
 		t.Error("fleet energy export differs from the manual composition")
 	}

@@ -55,9 +55,7 @@ import (
 	"warehousesim/internal/des/shard"
 	"warehousesim/internal/fabric"
 	"warehousesim/internal/obs"
-	"warehousesim/internal/obs/energy"
 	"warehousesim/internal/obs/span"
-	"warehousesim/internal/obs/window"
 	"warehousesim/internal/stats"
 	"warehousesim/internal/workload"
 )
@@ -264,14 +262,13 @@ type rackSim struct {
 	encs   []*rackEnclosure
 	boards []*rackBoard // global board order: enclosure-major
 
-	sh0          *shard.Shard
-	san          *des.Resource
-	sanEnt       shard.EntityID
-	aggEnt       shard.EntityID
-	global       *obs.Sink    // rack-global recording part (SAN probes, run counters)
-	globalRec    obs.Recorder // global, tee'd through globalSLO/globalEnergy when windowing
-	globalSLO    *window.Collector
-	globalEnergy *energy.Collector
+	sh0       *shard.Shard
+	san       *des.Resource
+	sanEnt    shard.EntityID
+	aggEnt    shard.EntityID
+	global    *obs.Sink    // rack-global recording part (SAN probes, run counters)
+	globalRec obs.Recorder // global, tee'd into globalTel when windowing
+	globalTel planes
 
 	aggDone   int
 	aggTotal  int
@@ -298,9 +295,8 @@ type rackEnclosure struct {
 
 	recording bool
 	sink      *obs.Sink
-	rec       obs.Recorder // sink, tee'd through slo/energy when windowing
-	slo       *window.Collector
-	energy    *energy.Collector
+	rec       obs.Recorder // sink, tee'd into tel when windowing
+	tel       planes
 	gen       workload.Generator
 	tracer    *span.Tracer
 	evFields  [3]obs.Field
@@ -680,35 +676,16 @@ func buildRack(c Config, topo *ShardedTopology, gen workload.Generator, p worklo
 		if recording {
 			enc.recording = true
 			enc.sink = obs.NewSink()
-			enc.rec = enc.sink
 			enc.gen = workload.Instrument(gen, enc.sink)
-			if opt.SLOWindowSec > 0 {
-				// One window collector per enclosure, fed through a tee
-				// over the enclosure's private part: windows are assigned
-				// by observation time, so the per-enclosure collectors are
-				// the same at every shard count and merge in enclosure
-				// order exactly like the sinks do.
-				enc.slo, err = window.New(window.Config{
-					WidthSec:      opt.SLOWindowSec,
-					QoSLatencySec: p.QoSLatencySec,
-					QoSPercentile: p.QoSPercentile,
-				})
-				if err != nil {
-					return nil, err
-				}
-				enc.rec = window.NewTee(enc.sink, enc.slo)
+			// One set of window planes per enclosure, fed through a tee
+			// over the enclosure's private part: windows are assigned by
+			// observation time, so the per-enclosure collectors are the
+			// same at every shard count and merge in enclosure order
+			// exactly like the sinks do.
+			if enc.tel, err = newPlanes(p, opt); err != nil {
+				return nil, err
 			}
-			if opt.Energy != nil {
-				// Same discipline as the window collectors: one energy
-				// collector per enclosure, windows assigned by observation
-				// time, merged in enclosure order after the run — identical
-				// at every shard count.
-				enc.energy, err = energy.New(*opt.Energy)
-				if err != nil {
-					return nil, err
-				}
-				enc.rec = energy.NewTee(enc.rec, enc.energy)
-			}
+			enc.rec = enc.tel.tee(enc.sink)
 			if opt.TraceEvery > 0 {
 				// Disjoint id bases keep span ids unique across the
 				// per-enclosure tracers.
@@ -736,25 +713,10 @@ func buildRack(c Config, topo *ShardedTopology, gen workload.Generator, p worklo
 	r.san = des.NewResource(r.sh0.Sim, "san", t.SANDisks)
 	if recording {
 		r.global = obs.NewSink()
-		r.globalRec = r.global
-		if opt.SLOWindowSec > 0 {
-			r.globalSLO, err = window.New(window.Config{
-				WidthSec:      opt.SLOWindowSec,
-				QoSLatencySec: p.QoSLatencySec,
-				QoSPercentile: p.QoSPercentile,
-			})
-			if err != nil {
-				return nil, err
-			}
-			r.globalRec = window.NewTee(r.global, r.globalSLO)
+		if r.globalTel, err = newPlanes(p, opt); err != nil {
+			return nil, err
 		}
-		if opt.Energy != nil {
-			r.globalEnergy, err = energy.New(*opt.Energy)
-			if err != nil {
-				return nil, err
-			}
-			r.globalRec = energy.NewTee(r.globalRec, r.globalEnergy)
-		}
+		r.globalRec = r.globalTel.tee(r.global)
 	}
 	return r, nil
 }
@@ -785,32 +747,18 @@ func (r *rackSim) startProbes() {
 	gp.Start()
 }
 
-// sloParts returns the run's window collectors in the canonical merge
-// order — enclosures, then the rack-global part — or nil when the
-// windowed-SLO plane is off.
-func (r *rackSim) sloParts() []*window.Collector {
-	if r.globalSLO == nil {
+// telParts returns the run's window planes in the canonical merge
+// order — enclosures, then the rack-global part — or nil when no
+// windowed plane is on.
+func (r *rackSim) telParts() []planes {
+	if r.globalTel == (planes{}) {
 		return nil
 	}
-	parts := make([]*window.Collector, 0, len(r.encs)+1)
+	parts := make([]planes, 0, len(r.encs)+1)
 	for _, enc := range r.encs {
-		parts = append(parts, enc.slo)
+		parts = append(parts, enc.tel)
 	}
-	return append(parts, r.globalSLO)
-}
-
-// energyParts returns the run's energy collectors in the canonical
-// merge order — enclosures, then the rack-global part — or nil when the
-// energy plane is off.
-func (r *rackSim) energyParts() []*energy.Collector {
-	if r.globalEnergy == nil {
-		return nil
-	}
-	parts := make([]*energy.Collector, 0, len(r.encs)+1)
-	for _, enc := range r.encs {
-		parts = append(parts, enc.energy)
-	}
-	return append(parts, r.globalEnergy)
+	return append(parts, r.globalTel)
 }
 
 // fireOnLive hands the caller the live introspection handles just
@@ -820,59 +768,32 @@ func (r *rackSim) fireOnLive() {
 	if r.opt.OnLive == nil {
 		return
 	}
-	r.opt.OnLive(LiveHandles{
-		SLO:          r.sloParts(),
-		Energy:       r.energyParts(),
-		ShardStats:   r.eng.LiveStats,
-		Shards:       r.eng.Shards(),
-		LookaheadSec: float64(r.eng.Lookahead()),
-	})
+	h := liveHandles(r.telParts()...)
+	h.ShardStats = r.eng.LiveStats
+	h.Shards = r.eng.Shards()
+	h.LookaheadSec = float64(r.eng.Lookahead())
+	r.opt.OnLive(h)
 }
 
-// finishSLO seals every window part at the run's horizon, folds them
-// in the canonical part order (matching finishObs), reduces the merged
-// timeline to QoS episodes, and emits the summary into the merged
-// deterministic sink. Everything emitted is computed from the merged
-// collector, so the export stays byte-identical at any shard count.
-// Call after finishObs.
-func (r *rackSim) finishSLO(horizon float64, res *Result) {
-	parts := r.sloParts()
+// finishTelemetry seals every part's window planes at the run's
+// horizon, folds them in the canonical part order (matching finishObs),
+// and emits the QoS episodes and energy totals of the merged timeline
+// into the merged deterministic sink. Everything emitted is computed
+// from the merged collectors, so the exports stay byte-identical at any
+// shard count. Call after finishObs.
+func (r *rackSim) finishTelemetry(horizon float64, res *Result) error {
+	parts := r.telParts()
 	if parts == nil {
-		return
+		return nil
 	}
-	for _, p := range parts {
-		p.Seal(horizon)
+	for _, pl := range parts {
+		pl.seal(horizon)
 	}
-	merged, err := window.New(parts[0].Config())
-	if err != nil {
-		return // unreachable: the parts were built from this config
+	if err := mergeTelemetry(res, parts); err != nil {
+		return err
 	}
-	merged.MergeFrom(parts...)
-	merged.EmitEpisodes(r.opt.Obs, merged.Episodes(parts...))
-	res.SLO = merged
-	res.SLOParts = parts
-}
-
-// finishEnergy seals every energy part at the run's horizon, folds them
-// in the canonical part order, and emits the run totals into the merged
-// deterministic sink — the same discipline as finishSLO, so the energy
-// export is byte-identical at any shard count. Call after finishObs.
-func (r *rackSim) finishEnergy(horizon float64, res *Result) {
-	parts := r.energyParts()
-	if parts == nil {
-		return
-	}
-	for _, p := range parts {
-		p.Seal(horizon)
-	}
-	merged, err := energy.New(parts[0].Config())
-	if err != nil {
-		return // unreachable: the parts were built from this config
-	}
-	merged.MergeFrom(parts...)
-	merged.EmitTotals(r.opt.Obs)
-	res.Energy = merged
-	res.EnergyParts = parts
+	emitTelemetry(r.opt.Obs, res)
+	return nil
 }
 
 // setupInteractive populates every board with its closed-loop clients
@@ -1020,8 +941,9 @@ func (c Config) rackInteractive(t *ShardedTopology, gen workload.Generator, p wo
 		out.QoSMet = true
 	}
 	r.finishObs(clients)
-	r.finishSLO(opt.WarmupSec+opt.MeasureSec, &out)
-	r.finishEnergy(opt.WarmupSec+opt.MeasureSec, &out)
+	if err := r.finishTelemetry(opt.WarmupSec+opt.MeasureSec, &out); err != nil {
+		return Result{}, err
+	}
 	if r.opt.ShardDiag != nil {
 		r.eng.EmitDiagnostics(r.opt.ShardDiag)
 	}
@@ -1078,7 +1000,8 @@ func (c Config) rackBatch(t *ShardedTopology, gen workload.Generator, p workload
 		Utilization: util,
 		Clients:     clients,
 	}
-	measured.finishSLO(exec, &out)
-	measured.finishEnergy(exec, &out)
+	if err := measured.finishTelemetry(exec, &out); err != nil {
+		return Result{}, err
+	}
 	return out, nil
 }

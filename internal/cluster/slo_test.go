@@ -85,77 +85,6 @@ func TestSLOFlatInteractive(t *testing.T) {
 	}
 }
 
-// TestSLOFlatParInvariance: the windowed export and the obs export
-// (which now carries the slo.* summary) must be byte-identical at any
-// ramp parallelism.
-func TestSLOFlatParInvariance(t *testing.T) {
-	run := func(par int) ([]byte, []byte) {
-		cfg := Config{Server: platform.Desk()}
-		p := testProfile()
-		sink := obs.NewSink()
-		res, err := cfg.Simulate(workload.FixedGenerator{P: p}, SimOptions{
-			Seed: 7, WarmupSec: 2, MeasureSec: 10, MaxClients: 64,
-			Obs: sink, SLOWindowSec: 1, Parallelism: par,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := sink.WriteJSONL(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return sloExport(t, res), buf.Bytes()
-	}
-	slo1, obs1 := run(1)
-	slo4, obs4 := run(4)
-	if !bytes.Equal(slo1, slo4) {
-		t.Error("slo export differs between par 1 and par 4")
-	}
-	if !bytes.Equal(obs1, obs4) {
-		t.Error("obs export differs between par 1 and par 4")
-	}
-}
-
-// TestSLORackShardInvariance is the tentpole acceptance gate: the
-// whole windowed export — manifest included — and the obs export with
-// the slo.* summary folded in must be byte-identical at every shard
-// count, while the merged collector reproduces the per-enclosure
-// parts.
-func TestSLORackShardInvariance(t *testing.T) {
-	p := testProfile()
-	run := func(shards int) (Result, []byte, []byte) {
-		cfg := Config{Server: platform.Desk(), MemSlowdown: 0.05}
-		sink := obs.NewSink()
-		opt := rackOptions(shards, sink)
-		opt.SLOWindowSec = 1
-		res, err := cfg.Simulate(workload.FixedGenerator{P: p}, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := sink.WriteJSONL(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return res, sloExport(t, res), buf.Bytes()
-	}
-	ref, refSLO, refObs := run(1)
-	if wantParts := rackTopology(1).Enclosures + 1; len(ref.SLOParts) != wantParts {
-		t.Fatalf("got %d SLO parts, want %d (enclosures + global)", len(ref.SLOParts), wantParts)
-	}
-	if len(ref.SLO.Windows()) == 0 {
-		t.Fatal("no windows collected")
-	}
-	for _, shards := range []int{2, 4} {
-		_, slo, obsExp := run(shards)
-		if !bytes.Equal(refSLO, slo) {
-			t.Errorf("shards=%d slo export differs from shards=1", shards)
-		}
-		if !bytes.Equal(refObs, obsExp) {
-			t.Errorf("shards=%d obs export differs from shards=1", shards)
-		}
-	}
-}
-
 // TestSLORackLiveHandles: a Topology run hands the introspection
 // server every per-part collector plus the engine's live counters.
 func TestSLORackLiveHandles(t *testing.T) {

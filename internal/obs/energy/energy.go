@@ -1,12 +1,11 @@
-// Package energy provides time-resolved power and energy telemetry
-// over simulated time: tumbling windows (index = floor(t/width), the
-// same partition-independent binning as internal/obs/window) that
-// accumulate per-resource-class utilization and completed-request
-// counts, from which each window derives watts via a utilization-
-// conditioned idle/active split layered on the static power model
-// (power.Breakdown.At), integrates to joules, and reports
+// Package energy derives time-resolved power and energy telemetry from
+// the windowed metrics plane: each sealed window of a window.Collector
+// — its mean utilization per resource class and its completed-request
+// counts — becomes one energy window whose watts come from a
+// utilization-conditioned idle/active split layered on the static
+// power model (power.Breakdown.At), integrated to joules, with
 // energy-per-request, energy-per-QoS-satisfied-request and windowed
-// perf-per-watt. Across windows the collector exposes an
+// perf-per-watt. Across windows the view exposes an
 // energy-proportionality curve — (utilization, watts) points and their
 // least-squares slope — the time-resolved comparison the paper's
 // static activity-factor model (internal/power) cannot make.
@@ -15,20 +14,20 @@
 // 1.0 the utilization term vanishes and each window's watts reproduce
 // power.Breakdown.TotalW() bit-exactly, which the tests pin.
 //
-// Determinism follows the window package's discipline exactly: windows
-// are pure functions of observation time, per-partition collectors
-// merge in a fixed model order (MergeFrom), means are sums-of-sums,
-// and every exported map marshals with sorted keys — so the -energy-out
-// export is byte-identical at any shard or parallelism count.
+// A Collector keeps no per-window state: windows, their means and
+// their merge all belong to the window package (tumbling windows
+// binned by observation time, per-partition collectors merged in a
+// fixed model order, means as sums-of-sums), and every exported map
+// marshals with sorted keys — so the -energy-out export is
+// byte-identical at any shard or parallelism count.
 package energy
 
 import (
 	"fmt"
 	"math"
-	"sort"
-	"sync/atomic"
 
 	"warehousesim/internal/obs"
+	"warehousesim/internal/obs/window"
 	"warehousesim/internal/power"
 )
 
@@ -96,46 +95,26 @@ func (m Model) WattsAt(util map[string]float64) power.Breakdown {
 
 // Config sizes a Collector.
 type Config struct {
-	// WidthSec is the tumbling window width in simulated seconds (> 0).
+	// WidthSec is the tumbling window width in simulated seconds (> 0);
+	// it must equal the width of the window collector the view reads.
 	WidthSec float64
 	// Model derives watts from each window's utilization.
 	Model Model
 }
 
-func (c Config) validate() error {
+// Validate reports invalid configs: a width that is not positive and
+// finite, or an invalid model.
+func (c Config) Validate() error {
 	if !(c.WidthSec > 0) || math.IsInf(c.WidthSec, 0) {
 		return fmt.Errorf("energy: width must be positive and finite, got %g", c.WidthSec)
 	}
 	return c.Model.Validate()
 }
 
-// win is one tumbling window's accumulators: request/violation counts
-// and (sum, count) utilization pairs per observed resource class, so
-// merged means are sums-of-sums.
-type win struct {
-	index      int64
-	requests   int64
-	violations int64
-	utilSum    map[string]float64
-	utilN      map[string]int64
-}
-
-func (w *win) mergeFrom(o *win) {
-	w.requests += o.requests
-	w.violations += o.violations
-	for k, v := range o.utilSum {
-		if w.utilSum == nil {
-			w.utilSum, w.utilN = map[string]float64{}, map[string]int64{}
-		}
-		w.utilSum[k] += v
-		w.utilN[k] += o.utilN[k]
-	}
-}
-
 // Window is the exported view of one sealed window: mean utilization
 // per observed class, the derived power draw per component class and
 // in total, the integrated joules, and the derived energy-efficiency
-// tracks. T1 is clamped to the seal horizon, so the final partial
+// figures. T1 is clamped to the seal horizon, so the final partial
 // window reports its true span.
 type Window struct {
 	Index    int64   `json:"i"`
@@ -195,156 +174,86 @@ type Totals struct {
 	PerfPerWatt          float64 `json:"perf_per_watt"`
 }
 
-// Collector accumulates one partition's energy telemetry. Like
-// window.Collector it is single-threaded — owned by the goroutine of
-// the shard whose entities feed it — except LiveWindows, which readers
-// may call concurrently (sealed summaries publish through an atomic
-// copy-on-write slice).
+// Collector is the energy view of one window.Collector: every method
+// derives its answer from the source's sealed windows when called, so
+// the view is exactly as current as its source — for concurrent
+// readers too, through LiveWindows.
 type Collector struct {
-	cfg     Config
-	cur     *win
-	sealed  []*win
-	horizon float64
-
-	live atomic.Pointer[[]Window]
+	cfg Config
+	src *window.Collector
 }
 
-// New builds a Collector with a validated config.
-func New(cfg Config) (*Collector, error) {
-	if err := cfg.validate(); err != nil {
+// New returns the energy view of src. The config must be valid and its
+// width must be src's, so the energy windows are src's windows.
+func New(cfg Config, src *window.Collector) (*Collector, error) {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Collector{cfg: cfg}, nil
+	if src == nil {
+		return nil, fmt.Errorf("energy: no window collector to read")
+	}
+	if w := src.Config().WidthSec; w != cfg.WidthSec {
+		return nil, fmt.Errorf("energy: width %g differs from the window collector's %g", cfg.WidthSec, w)
+	}
+	return &Collector{cfg: cfg, src: src}, nil
 }
 
-// Config returns the collector's configuration.
+// Config returns the view's configuration.
 func (c *Collector) Config() Config { return c.cfg }
 
-// at returns the open window for time t, sealing the previous one when
-// t crosses a boundary; stale times clamp into the open window.
-func (c *Collector) at(t float64) *win {
-	idx := int64(math.Floor(t / c.cfg.WidthSec))
-	if c.cur == nil {
-		c.cur = &win{index: idx}
-		return c.cur
-	}
-	if idx <= c.cur.index {
-		return c.cur
-	}
-	c.seal()
-	c.cur = &win{index: idx}
-	return c.cur
-}
+// Source returns the window collector the view reads.
+func (c *Collector) Source() *window.Collector { return c.src }
 
-func (c *Collector) seal() {
-	if c.cur == nil {
-		return
+// derive turns window summaries into energy windows: watts from each
+// window's mean utilizations, joules over its horizon-clamped span.
+func (c *Collector) derive(sums []window.Summary) []Window {
+	if sums == nil {
+		return nil
 	}
-	c.sealed = append(c.sealed, c.cur)
-	old := c.live.Load()
-	var next []Window
-	if old != nil {
-		next = append(next, *old...)
-	}
-	next = append(next, c.summarize(c.cur))
-	c.live.Store(&next)
-	c.cur = nil
-}
-
-// ObserveRequest records one completed request at simulated time t.
-func (c *Collector) ObserveRequest(t float64, violation bool) {
-	w := c.at(t)
-	w.requests++
-	if violation {
-		w.violations++
-	}
-}
-
-// SampleUtil records one utilization sample for a resource class
-// ("cpu", "san", ...); the window derives watts from its class means.
-func (c *Collector) SampleUtil(class string, t, util float64) {
-	w := c.at(t)
-	if w.utilSum == nil {
-		w.utilSum, w.utilN = map[string]float64{}, map[string]int64{}
-	}
-	w.utilSum[class] += util
-	w.utilN[class]++
-}
-
-// Seal closes the open window at the end of a run; horizon, when > 0,
-// clamps the final window's T1 so a partial last window integrates its
-// true span.
-func (c *Collector) Seal(horizon float64) {
-	if horizon > 0 && (c.horizon == 0 || horizon < c.horizon) {
-		c.horizon = horizon
-	}
-	c.seal()
-}
-
-func (c *Collector) summarize(w *win) Window {
-	width := c.cfg.WidthSec
-	t0 := float64(w.index) * width
-	t1 := t0 + width
-	if c.horizon > 0 && t1 > c.horizon {
-		t1 = c.horizon
-	}
-	s := Window{
-		Index: w.index, T0: t0, T1: t1,
-		Requests: w.requests, Violations: w.violations,
-	}
-	var util map[string]float64
-	if len(w.utilSum) > 0 {
-		util = make(map[string]float64, len(w.utilSum))
-		for k, sum := range w.utilSum {
-			util[k] = sum / float64(w.utilN[k])
+	out := make([]Window, len(sums))
+	for i, s := range sums {
+		w := Window{
+			Index: s.Index, T0: s.T0, T1: s.T1,
+			Requests: s.Requests, Violations: s.Violations, Util: s.Util,
 		}
-		s.Util = util
-	}
-	b := c.cfg.Model.WattsAt(util)
-	s.WattsByClass = map[string]float64{
-		"cpu": b.CPUW, "memory": b.MemoryW, "disk": b.DiskW, "board": b.BoardW,
-		"fan": b.FanW, "flash": b.FlashW, "switch": b.SwitchW,
-	}
-	s.Watts = b.TotalW()
-	span := t1 - t0
-	if span > 0 {
-		s.Joules = s.Watts * span
-	}
-	if s.Watts > 0 && span > 0 {
-		s.PerfPerWatt = float64(w.requests) / span / s.Watts
-	}
-	if w.requests > 0 {
-		s.JoulesPerRequest = s.Joules / float64(w.requests)
-	}
-	if good := w.requests - w.violations; good > 0 {
-		s.JoulesPerGoodRequest = s.Joules / float64(good)
-	}
-	return s
-}
-
-// Windows returns the sealed windows' summaries in index order.
-func (c *Collector) Windows() []Window {
-	out := make([]Window, len(c.sealed))
-	for i, w := range c.sealed {
-		out[i] = c.summarize(w)
+		b := c.cfg.Model.WattsAt(s.Util)
+		w.WattsByClass = map[string]float64{
+			"cpu": b.CPUW, "memory": b.MemoryW, "disk": b.DiskW, "board": b.BoardW,
+			"fan": b.FanW, "flash": b.FlashW, "switch": b.SwitchW,
+		}
+		w.Watts = b.TotalW()
+		span := w.T1 - w.T0
+		if span > 0 {
+			w.Joules = w.Watts * span
+		}
+		if w.Watts > 0 && span > 0 {
+			w.PerfPerWatt = float64(w.Requests) / span / w.Watts
+		}
+		if w.Requests > 0 {
+			w.JoulesPerRequest = w.Joules / float64(w.Requests)
+		}
+		if good := w.Requests - w.Violations; good > 0 {
+			w.JoulesPerGoodRequest = w.Joules / float64(good)
+		}
+		out[i] = w
 	}
 	return out
 }
 
-// LiveWindows returns the sealed summaries as of the last seal. Unlike
-// every other method it is safe to call concurrently with the owner.
-func (c *Collector) LiveWindows() []Window {
-	if p := c.live.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
+// Windows returns the sealed windows' energy summaries in index order.
+func (c *Collector) Windows() []Window { return c.derive(c.src.Windows()) }
+
+// LiveWindows returns the energy summaries of the source's live
+// windows (window.Collector.LiveSummaries). Unlike every other method
+// it is safe to call concurrently with the source's owner.
+func (c *Collector) LiveWindows() []Window { return c.derive(c.src.LiveSummaries()) }
 
 // Totals aggregates the sealed windows to run level.
-func (c *Collector) Totals() Totals {
+func (c *Collector) Totals() Totals { return c.totals(c.Windows()) }
+
+func (c *Collector) totals(ws []Window) Totals {
 	t := Totals{StaticW: c.cfg.Model.Active.TotalW()}
-	for _, w := range c.sealed {
-		s := c.summarize(w)
+	for _, s := range ws {
 		t.Windows++
 		t.SpanSec += s.T1 - s.T0
 		t.Joules += s.Joules
@@ -370,22 +279,24 @@ func (c *Collector) Totals() Totals {
 // utilization, total watts) point per sealed window, in index order.
 // Windows that never observed a cpu sample are omitted — their 0-util
 // point would be an artifact of probe phase, not of load.
-func (c *Collector) Curve() []CurvePoint {
+func (c *Collector) Curve() []CurvePoint { return curve(c.Windows()) }
+
+func curve(ws []Window) []CurvePoint {
 	var pts []CurvePoint
-	for _, w := range c.sealed {
-		if w.utilN["cpu"] == 0 {
+	for _, w := range ws {
+		if _, ok := w.Util["cpu"]; !ok {
 			continue
 		}
-		s := c.summarize(w)
-		pts = append(pts, CurvePoint{Util: driverUtil(s.Util, "cpu"), Watts: s.Watts})
+		pts = append(pts, CurvePoint{Util: driverUtil(w.Util, "cpu"), Watts: w.Watts})
 	}
 	return pts
 }
 
 // Proportionality fits the curve by least squares. With fewer than two
 // points (or zero utilization variance) the slope and intercept are 0.
-func (c *Collector) Proportionality() Proportionality {
-	pts := c.Curve()
+func (c *Collector) Proportionality() Proportionality { return fit(c.Curve()) }
+
+func fit(pts []CurvePoint) Proportionality {
 	p := Proportionality{Points: len(pts)}
 	if len(pts) == 0 {
 		return p
@@ -414,68 +325,18 @@ func (c *Collector) Proportionality() Proportionality {
 	return p
 }
 
-// MergeFrom folds the parts' sealed windows into c, index-aligned, in
-// argument order. The part order must be fixed by the model (enclosure
-// order, then the rack-global part), never by the partitioning — the
-// same discipline as window.Collector.MergeFrom — so the merged
-// collector is byte-identical at any shard count. Parts must share c's
-// config and be sealed; merging a collector into itself panics.
-func (c *Collector) MergeFrom(parts ...*Collector) {
-	for _, p := range parts {
-		if p == c {
-			panic("energy: Collector.MergeFrom cannot merge a collector into itself")
-		}
-		if p.cfg != c.cfg {
-			panic(fmt.Sprintf("energy: MergeFrom config mismatch: %+v vs %+v", p.cfg, c.cfg))
-		}
-		if p.cur != nil {
-			panic("energy: MergeFrom of an unsealed collector; call Seal first")
-		}
-		if p.horizon > 0 && (c.horizon == 0 || p.horizon < c.horizon) {
-			c.horizon = p.horizon
-		}
-	}
-	byIndex := map[int64]*win{}
-	for _, w := range c.sealed {
-		byIndex[w.index] = w
-	}
-	for _, p := range parts {
-		for _, pw := range p.sealed {
-			w := byIndex[pw.index]
-			if w == nil {
-				w = &win{index: pw.index}
-				byIndex[pw.index] = w
-			}
-			w.mergeFrom(pw)
-		}
-	}
-	indices := make([]int64, 0, len(byIndex))
-	for i := range byIndex {
-		indices = append(indices, i)
-	}
-	sort.Slice(indices, func(a, b int) bool { return indices[a] < indices[b] })
-	c.sealed = c.sealed[:0]
-	for _, i := range indices {
-		c.sealed = append(c.sealed, byIndex[i])
-	}
-	var summaries []Window
-	for _, w := range c.sealed {
-		summaries = append(summaries, c.summarize(w))
-	}
-	c.live.Store(&summaries)
-}
-
 // EmitTotals writes the run-level energy summary into the
 // deterministic recorder stream: energy.* counters and observations
 // plus one "energy_total" event. Everything is computed from the
-// merged collector, so the stream is identical at every shard and
-// parallelism count. Call after Seal/MergeFrom.
+// merged source, so the stream is identical at every shard and
+// parallelism count. Call once the source is sealed and merged.
 func (c *Collector) EmitTotals(rec obs.Recorder) {
 	if !obs.On(rec) {
 		return
 	}
-	t := c.Totals()
-	prop := c.Proportionality()
+	ws := c.Windows()
+	t := c.totals(ws)
+	prop := fit(curve(ws))
 	rec.Count("energy.windows", int64(t.Windows))
 	rec.Observe("energy.joules", t.Joules)
 	rec.Observe("energy.mean_watts", t.MeanW)

@@ -10,6 +10,7 @@ import (
 	"warehousesim/internal/cooling"
 	"warehousesim/internal/cost"
 	"warehousesim/internal/obs"
+	"warehousesim/internal/obs/window"
 	"warehousesim/internal/power"
 )
 
@@ -23,13 +24,27 @@ func testModel() Model {
 	return Model{Active: testActive(), Idle: power.DefaultIdleFractions()}
 }
 
-func mustNew(t *testing.T, cfg Config) *Collector {
+// newWindows builds a window collector of cfg's width, the source a
+// view of cfg reads.
+func newWindows(t *testing.T, cfg Config) *window.Collector {
 	t.Helper()
-	c, err := New(cfg)
+	src, err := window.New(window.Config{WidthSec: cfg.WidthSec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c
+	return src
+}
+
+// newView builds a window collector and the energy view over it; tests
+// feed the collector and read the view.
+func newView(t *testing.T, cfg Config) (*window.Collector, *Collector) {
+	t.Helper()
+	src := newWindows(t, cfg)
+	c, err := New(cfg, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return src, c
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -50,10 +65,23 @@ func TestConfigValidation(t *testing.T) {
 		{"negative-active", Config{WidthSec: 1, Model: Model{Active: power.Breakdown{CPUW: -5}, Idle: power.StaticIdleFractions()}}, false},
 	}
 	for _, tc := range cases {
-		_, err := New(tc.cfg)
+		err := tc.cfg.Validate()
 		if (err == nil) != tc.ok {
-			t.Errorf("%s: New err=%v, want ok=%v", tc.name, err, tc.ok)
+			t.Errorf("%s: Validate err=%v, want ok=%v", tc.name, err, tc.ok)
 		}
+	}
+	// New rejects an invalid config, a missing source, and a source whose
+	// windows are not the config's width.
+	cfg := Config{WidthSec: 1, Model: testModel()}
+	src := newWindows(t, cfg)
+	if _, err := New(Config{WidthSec: 0, Model: testModel()}, src); err == nil {
+		t.Error("New accepted a zero-width config")
+	}
+	if _, err := New(cfg, nil); err == nil {
+		t.Error("New accepted a nil source")
+	}
+	if _, err := New(Config{WidthSec: 2, Model: testModel()}, src); err == nil {
+		t.Error("New accepted a source of another width")
 	}
 }
 
@@ -61,12 +89,12 @@ func TestConfigValidation(t *testing.T) {
 // 1.0, every window's watts equal the static total bit-for-bit, at any
 // utilization.
 func TestStaticDegenerateBitExact(t *testing.T) {
-	c := mustNew(t, Config{WidthSec: 1, Model: Model{Active: testActive(), Idle: power.StaticIdleFractions()}})
-	c.SampleUtil("cpu", 0.5, 0.31)
-	c.SampleUtil("disk", 0.5, 0.92)
-	c.ObserveRequest(1.5, false) // window 1: no util samples at all
-	c.SampleUtil("net", 2.5, 0.11)
-	c.Seal(3)
+	src, c := newView(t, Config{WidthSec: 1, Model: Model{Active: testActive(), Idle: power.StaticIdleFractions()}})
+	src.SampleUtil("cpu", 0.5, 0.31)
+	src.SampleUtil("disk", 0.5, 0.92)
+	src.ObserveLatency(1.5, 0.01, false) // window 1: no util samples at all
+	src.SampleUtil("net", 2.5, 0.11)
+	src.Seal(3)
 
 	static := testActive().TotalW()
 	for _, w := range c.Windows() {
@@ -117,15 +145,15 @@ func TestWattsAtDriverMapping(t *testing.T) {
 }
 
 func TestWindowDerivedMetrics(t *testing.T) {
-	c := mustNew(t, Config{WidthSec: 2, Model: Model{Active: power.Breakdown{CPUW: 100}, Idle: power.IdleFractions{CPU: 0.5}}})
+	src, c := newView(t, Config{WidthSec: 2, Model: Model{Active: power.Breakdown{CPUW: 100}, Idle: power.IdleFractions{CPU: 0.5}}})
 	// Window 0: cpu util mean 0.5 -> 75 W over 2s = 150 J; 3 requests,
 	// 1 violating.
-	c.SampleUtil("cpu", 0.5, 0.4)
-	c.SampleUtil("cpu", 1.5, 0.6)
-	c.ObserveRequest(0.2, false)
-	c.ObserveRequest(0.4, true)
-	c.ObserveRequest(1.9, false)
-	c.Seal(2)
+	src.SampleUtil("cpu", 0.5, 0.4)
+	src.SampleUtil("cpu", 1.5, 0.6)
+	src.ObserveLatency(0.2, 0.01, false)
+	src.ObserveLatency(0.4, 0.01, true)
+	src.ObserveLatency(1.9, 0.01, false)
+	src.Seal(2)
 
 	ws := c.Windows()
 	if len(ws) != 1 {
@@ -147,9 +175,9 @@ func TestWindowDerivedMetrics(t *testing.T) {
 }
 
 func TestSealClampsFinalPartialWindow(t *testing.T) {
-	c := mustNew(t, Config{WidthSec: 10, Model: Model{Active: power.Breakdown{CPUW: 10}, Idle: power.StaticIdleFractions()}})
-	c.ObserveRequest(12, false)
-	c.Seal(15)
+	src, c := newView(t, Config{WidthSec: 10, Model: Model{Active: power.Breakdown{CPUW: 10}, Idle: power.StaticIdleFractions()}})
+	src.ObserveLatency(12, 0.01, false)
+	src.Seal(15)
 	ws := c.Windows()
 	if len(ws) != 1 {
 		t.Fatalf("got %d windows", len(ws))
@@ -163,12 +191,12 @@ func TestSealClampsFinalPartialWindow(t *testing.T) {
 }
 
 func TestTotalsAggregation(t *testing.T) {
-	c := mustNew(t, Config{WidthSec: 1, Model: Model{Active: power.Breakdown{CPUW: 100}, Idle: power.IdleFractions{CPU: 0.5}}})
-	c.SampleUtil("cpu", 0.5, 1) // window 0: 100 W
-	c.ObserveRequest(0.5, false)
-	c.SampleUtil("cpu", 1.5, 0) // window 1: 50 W
-	c.ObserveRequest(1.5, true)
-	c.Seal(2)
+	src, c := newView(t, Config{WidthSec: 1, Model: Model{Active: power.Breakdown{CPUW: 100}, Idle: power.IdleFractions{CPU: 0.5}}})
+	src.SampleUtil("cpu", 0.5, 1) // window 0: 100 W
+	src.ObserveLatency(0.5, 0.01, false)
+	src.SampleUtil("cpu", 1.5, 0) // window 1: 50 W
+	src.ObserveLatency(1.5, 0.01, true)
+	src.Seal(2)
 
 	tot := c.Totals()
 	if tot.Windows != 2 || tot.SpanSec != 2 {
@@ -191,13 +219,13 @@ func TestTotalsAggregation(t *testing.T) {
 func TestProportionalityFit(t *testing.T) {
 	// Fully proportional single-class model: watts = 100*util, so the
 	// fit must recover slope 100, intercept 0.
-	c := mustNew(t, Config{WidthSec: 1, Model: Model{Active: power.Breakdown{CPUW: 100}, Idle: power.IdleFractions{}}})
+	src, c := newView(t, Config{WidthSec: 1, Model: Model{Active: power.Breakdown{CPUW: 100}, Idle: power.IdleFractions{}}})
 	for i, u := range []float64{0.2, 0.4, 0.6, 0.8} {
-		c.SampleUtil("cpu", float64(i)+0.5, u)
+		src.SampleUtil("cpu", float64(i)+0.5, u)
 	}
 	// A cpu-less window must be omitted from the curve.
-	c.SampleUtil("disk", 4.5, 0.9)
-	c.Seal(5)
+	src.SampleUtil("disk", 4.5, 0.9)
+	src.Seal(5)
 
 	pts := c.Curve()
 	if len(pts) != 4 {
@@ -216,14 +244,14 @@ func TestProportionalityFit(t *testing.T) {
 }
 
 func TestProportionalityDegenerateInputs(t *testing.T) {
-	c := mustNew(t, Config{WidthSec: 1, Model: testModel()})
+	src, c := newView(t, Config{WidthSec: 1, Model: testModel()})
 	if p := c.Proportionality(); p.Points != 0 || p.SlopeWPerUtil != 0 {
 		t.Errorf("empty collector fit %+v", p)
 	}
 	// Zero utilization variance: slope stays 0, intercept is the mean.
-	c.SampleUtil("cpu", 0.5, 0.5)
-	c.SampleUtil("cpu", 1.5, 0.5)
-	c.Seal(2)
+	src.SampleUtil("cpu", 0.5, 0.5)
+	src.SampleUtil("cpu", 1.5, 0.5)
+	src.Seal(2)
 	p := c.Proportionality()
 	if p.SlopeWPerUtil != 0 || p.InterceptW <= 0 {
 		t.Errorf("zero-variance fit %+v", p)
@@ -239,23 +267,23 @@ func TestMergeMatchesSingleCollectorByteExact(t *testing.T) {
 	// time-ordered globally (the single collector) and per part.
 	ops := []struct {
 		part int
-		f    func(*Collector)
+		f    func(*window.Collector)
 	}{
-		{0, func(c *Collector) { c.SampleUtil("cpu", 0.25, 0.5) }},
-		{0, func(c *Collector) { c.ObserveRequest(0.5, false) }},
-		{1, func(c *Collector) { c.SampleUtil("cpu", 0.75, 0.7) }},
-		{1, func(c *Collector) { c.ObserveRequest(1.5, true) }},
-		{0, func(c *Collector) { c.SampleUtil("cpu", 2.25, 0.9) }},
-		{1, func(c *Collector) { c.SampleUtil("disk", 2.75, 0.4) }},
+		{0, func(c *window.Collector) { c.SampleUtil("cpu", 0.25, 0.5) }},
+		{0, func(c *window.Collector) { c.ObserveLatency(0.5, 0.01, false) }},
+		{1, func(c *window.Collector) { c.SampleUtil("cpu", 0.75, 0.7) }},
+		{1, func(c *window.Collector) { c.ObserveLatency(1.5, 0.01, true) }},
+		{0, func(c *window.Collector) { c.SampleUtil("cpu", 2.25, 0.9) }},
+		{1, func(c *window.Collector) { c.SampleUtil("disk", 2.75, 0.4) }},
 	}
 
-	single := mustNew(t, cfg)
+	single, singleView := newView(t, cfg)
 	for _, op := range ops {
 		op.f(single)
 	}
 	single.Seal(3)
 
-	p0, p1 := mustNew(t, cfg), mustNew(t, cfg)
+	p0, p1 := newWindows(t, cfg), newWindows(t, cfg)
 	for _, op := range ops {
 		if op.part == 0 {
 			op.f(p0)
@@ -265,11 +293,13 @@ func TestMergeMatchesSingleCollectorByteExact(t *testing.T) {
 	}
 	p0.Seal(3)
 	p1.Seal(3)
-	merged := mustNew(t, cfg)
-	merged.MergeFrom(p0, p1)
+	merged, err := New(cfg, window.Merge(p0, p1))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var a, b bytes.Buffer
-	if err := single.WriteJSONL(&a); err != nil {
+	if err := singleView.WriteJSONL(&a); err != nil {
 		t.Fatal(err)
 	}
 	if err := merged.WriteJSONL(&b); err != nil {
@@ -280,31 +310,11 @@ func TestMergeMatchesSingleCollectorByteExact(t *testing.T) {
 	}
 }
 
-func TestMergePanics(t *testing.T) {
-	cfg := Config{WidthSec: 1, Model: testModel()}
-	expectPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		f()
-	}
-	c := mustNew(t, cfg)
-	expectPanic("self-merge", func() { c.MergeFrom(c) })
-	other := mustNew(t, Config{WidthSec: 2, Model: testModel()})
-	other.Seal(1)
-	expectPanic("config-mismatch", func() { c.MergeFrom(other) })
-	unsealed := mustNew(t, cfg)
-	unsealed.ObserveRequest(0.5, false)
-	expectPanic("unsealed", func() { c.MergeFrom(unsealed) })
-}
-
 func TestExportFormat(t *testing.T) {
-	c := mustNew(t, Config{WidthSec: 1, Model: testModel()})
-	c.SampleUtil("cpu", 0.5, 0.5)
-	c.ObserveRequest(0.5, false)
-	c.Seal(1)
+	src, c := newView(t, Config{WidthSec: 1, Model: testModel()})
+	src.SampleUtil("cpu", 0.5, 0.5)
+	src.ObserveLatency(0.5, 0.01, false)
+	src.Seal(1)
 
 	var buf bytes.Buffer
 	if err := c.WriteJSONL(&buf); err != nil {
@@ -336,12 +346,12 @@ func TestExportFormat(t *testing.T) {
 }
 
 func TestLiveWindowsAndSnapshot(t *testing.T) {
-	c := mustNew(t, Config{WidthSec: 1, Model: testModel()})
+	src, c := newView(t, Config{WidthSec: 1, Model: testModel()})
 	if c.LiveWindows() != nil {
 		t.Error("live windows before any seal")
 	}
-	c.SampleUtil("cpu", 0.5, 0.5)
-	c.SampleUtil("cpu", 1.5, 0.5) // seals window 0
+	src.SampleUtil("cpu", 0.5, 0.5)
+	src.SampleUtil("cpu", 1.5, 0.5) // seals window 0
 	if got := len(c.LiveWindows()); got != 1 {
 		t.Errorf("live windows = %d, want 1", got)
 	}
@@ -360,7 +370,7 @@ func TestLiveWindowsAndSnapshot(t *testing.T) {
 	if err := json.Unmarshal(b, &doc); err != nil {
 		t.Fatal(err)
 	}
-	if doc.Schema != SchemaLive || len(doc.Parts) != 1 || doc.Parts[0].Sealed != 1 {
+	if doc.Schema != SchemaLive || len(doc.Parts) != 1 || doc.Parts[0].Sealed != 1 || len(doc.Parts[0].Windows) != 1 {
 		t.Errorf("snapshot %s", b)
 	}
 	// Zero parts still yields a valid document.
@@ -369,13 +379,66 @@ func TestLiveWindowsAndSnapshot(t *testing.T) {
 	}
 }
 
+// TestLiveReadDuringSeal: a reader polling the source's live summaries
+// and the view's derived live windows while the owner seals must only
+// ever see a growing prefix of complete windows. Run under -race it
+// also checks the publication protocol: the owner appends into spare
+// capacity while readers hold older, shorter views.
+func TestLiveReadDuringSeal(t *testing.T) {
+	src, c := newView(t, Config{WidthSec: 1, Model: testModel()})
+	const n = 400
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		last := 0
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			sums := src.LiveSummaries()
+			if len(sums) < last {
+				t.Errorf("live summaries shrank from %d to %d", last, len(sums))
+				return
+			}
+			for i, s := range sums {
+				if s.Index != int64(i) || s.Requests != 1 {
+					t.Errorf("live summary %d = %+v", i, s)
+					return
+				}
+			}
+			// A reader's append must copy, never write into the
+			// collector's array.
+			_ = append(sums, window.Summary{Index: -1})
+			for i, w := range c.LiveWindows() {
+				if w.Index != int64(i) || w.Requests != 1 || w.Watts <= 0 {
+					t.Errorf("live window %d = %+v", i, w)
+					return
+				}
+			}
+			last = len(sums)
+		}
+	}()
+	for i := 0; i < n; i++ {
+		src.SampleUtil("cpu", float64(i)+0.25, 0.5)
+		src.ObserveLatency(float64(i)+0.5, 0.01, false)
+	}
+	src.Seal(n)
+	close(stop)
+	<-done
+	if got := len(c.LiveWindows()); got != n {
+		t.Errorf("live windows after the final seal = %d, want %d", got, n)
+	}
+}
+
+// TestTeeRouting: the window tee feeds the source, and the view sees
+// exactly the routed request and utilization streams.
 func TestTeeRouting(t *testing.T) {
 	sink := obs.NewSink()
-	c := mustNew(t, Config{WidthSec: 1, Model: testModel()})
-	rec := NewTee(sink, c)
-	if !rec.Enabled() {
-		t.Fatal("tee over a sink should be enabled")
-	}
+	src, c := newView(t, Config{WidthSec: 1, Model: testModel()})
+	rec := window.NewTee(sink, src)
 	rec.Gauge("util.cpu.e0.b1", 0.5, 0.7)
 	rec.Gauge("util.san", 0.5, 0.2)
 	rec.Gauge("latency.p95", 0.5, 0.9) // not a util gauge: ignored
@@ -383,7 +446,7 @@ func TestTeeRouting(t *testing.T) {
 	rec.Observe("latency_sec", 0.01)
 	rec.Event("request", 0.6, obs.F("latency_sec", 0.01), obs.FB("qos_violation", true))
 	rec.Event("probe", 0.6) // not a request event: ignored
-	c.Seal(1)
+	src.Seal(1)
 
 	ws := c.Windows()
 	if len(ws) != 1 {
@@ -398,22 +461,17 @@ func TestTeeRouting(t *testing.T) {
 	if ws[0].Requests != 1 || ws[0].Violations != 1 {
 		t.Errorf("request routing: %+v", ws[0])
 	}
-	// The inner recorder saw the identical stream.
 	if sink.CounterValue("requests") != 1 {
 		t.Error("tee did not forward counters")
-	}
-	// A nil collector returns the inner recorder unchanged.
-	if got := NewTee(sink, nil); got != obs.Recorder(sink) {
-		t.Errorf("NewTee(nil) = %T", got)
 	}
 }
 
 func TestEmitTotals(t *testing.T) {
 	sink := obs.NewSink()
-	c := mustNew(t, Config{WidthSec: 1, Model: testModel()})
-	c.SampleUtil("cpu", 0.5, 0.5)
-	c.ObserveRequest(0.5, false)
-	c.Seal(1)
+	src, c := newView(t, Config{WidthSec: 1, Model: testModel()})
+	src.SampleUtil("cpu", 0.5, 0.5)
+	src.ObserveLatency(0.5, 0.01, false)
+	src.Seal(1)
 	c.EmitTotals(sink)
 	if sink.CounterValue("energy.windows") != 1 {
 		t.Error("energy.windows counter missing")
@@ -432,9 +490,9 @@ func TestEmitTotals(t *testing.T) {
 }
 
 func TestTCORollup(t *testing.T) {
-	c := mustNew(t, Config{WidthSec: 1, Model: Model{Active: power.Breakdown{CPUW: 100}, Idle: power.IdleFractions{CPU: 0.5}}})
-	c.SampleUtil("cpu", 0.5, 0) // 50 W vs static 100 W
-	c.Seal(1)
+	src, c := newView(t, Config{WidthSec: 1, Model: Model{Active: power.Breakdown{CPUW: 100}, Idle: power.IdleFractions{CPU: 0.5}}})
+	src.SampleUtil("cpu", 0.5, 0) // 50 W vs static 100 W
+	src.Seal(1)
 	pc := cost.DefaultPCParams()
 	r, err := c.TCO(pc, cooling.EnclosureFor(cooling.Conventional))
 	if err != nil {

@@ -58,22 +58,24 @@ type curveLine struct {
 func (c *Collector) WriteJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
+	ws := c.Windows()
+	pts := curve(ws)
 	if err := enc.Encode(energyManifest{
 		Type: "energy_manifest", Schema: SchemaEnergy,
 		WidthSec:      c.cfg.WidthSec,
 		StaticWatts:   c.cfg.Model.Active.TotalW(),
 		IdleFractions: idleMap(c.cfg.Model.Idle),
-		Totals:        c.Totals(),
-		Prop:          c.Proportionality(),
+		Totals:        c.totals(ws),
+		Prop:          fit(pts),
 	}); err != nil {
 		return err
 	}
-	for _, s := range c.Windows() {
+	for _, s := range ws {
 		if err := enc.Encode(windowLine{Type: "window", Window: s}); err != nil {
 			return err
 		}
 	}
-	for _, p := range c.Curve() {
+	for _, p := range pts {
 		if err := enc.Encode(curveLine{Type: "curve", CurvePoint: p}); err != nil {
 			return err
 		}
@@ -119,8 +121,9 @@ const liveTail = 32
 
 // LiveSnapshot marshals the parts' recent sealed windows into an
 // immutable JSON document for the introspection server. Safe to call
-// concurrently with the collectors' owners (it only touches
-// LiveWindows). Returns a valid document for zero parts.
+// concurrently with the sources' owners (it only reads their live
+// summaries, and derives just the tail). Returns a valid document for
+// zero parts.
 func LiveSnapshot(parts []*Collector) ([]byte, error) {
 	doc := liveDoc{Schema: SchemaLive, Parts: []livePart{}}
 	for i, c := range parts {
@@ -129,15 +132,16 @@ func LiveSnapshot(parts []*Collector) ([]byte, error) {
 			doc.WidthSec = cfg.WidthSec
 			doc.StaticWatts = cfg.Model.Active.TotalW()
 		}
-		sums := c.LiveWindows()
+		sums := c.src.LiveSummaries()
 		sealed := len(sums)
 		if sealed > liveTail {
 			sums = sums[sealed-liveTail:]
 		}
-		if sums == nil {
-			sums = []Window{}
+		ws := c.derive(sums)
+		if ws == nil {
+			ws = []Window{}
 		}
-		doc.Parts = append(doc.Parts, livePart{Part: i, Sealed: sealed, Windows: sums})
+		doc.Parts = append(doc.Parts, livePart{Part: i, Sealed: sealed, Windows: ws})
 	}
 	return json.Marshal(doc)
 }

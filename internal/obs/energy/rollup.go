@@ -42,7 +42,7 @@ type Rollup struct {
 // factor scaling the cooling terms (the same second-order credit
 // core.Evaluator.EnclosureCoolingCredit applies; pass
 // cooling.EnclosureFor(cooling.Conventional) for the paper's fixed
-// factors). Call after Seal/MergeFrom.
+// factors). Call once the source is sealed and merged.
 func (c *Collector) TCO(pc cost.PCParams, enc cooling.Enclosure) (Rollup, error) {
 	if err := pc.Validate(); err != nil {
 		return Rollup{}, err

@@ -8,32 +8,42 @@ import (
 
 // Tee is an obs.Recorder that forwards everything to an inner recorder
 // unchanged and additionally routes the streams the window model
-// understands into a Collector:
+// understands into its collectors:
 //
 //   - "request" events feed the latency histogram and violation counts
 //     (fields "latency_sec" and "qos_violation", the cluster models'
 //     per-request row);
 //   - "util.<resource>" gauges feed per-resource-class utilization
 //     (the class is the resource name's first dot-separated component,
-//     so "util.cpu.e3.b1" lands in class "cpu");
-//   - "*.hit_rate" gauges feed ratio tracks (the memory-blade and
-//     flash-cache simulators' hit-rate series).
+//     so "util.cpu.e3.b1" lands in class "cpu").
 //
 // Wrapping the recorder instead of instrumenting every call site keeps
 // the window plane a pure stream consumer: recording call sites do not
 // change, the inner recorder sees the exact same sequence, and the
-// deterministic export is untouched.
+// deterministic export is untouched. One tee serves every windowed
+// plane of a partition — the SLO collector and, when the energy plane
+// bins at another width, the collector its view reads (see
+// internal/obs/energy) — so each stream is parsed once however many
+// collectors it feeds.
 type Tee struct {
 	inner obs.Recorder
-	c     *Collector
+	cs    []*Collector
 }
 
-// NewTee wraps inner; a nil collector returns inner unchanged.
-func NewTee(inner obs.Recorder, c *Collector) obs.Recorder {
-	if c == nil {
+// NewTee wraps inner so that every non-nil collector in cs sees the
+// window streams; with none it returns inner unchanged. A collector
+// listed twice is fed twice, so pass a shared collector once.
+func NewTee(inner obs.Recorder, cs ...*Collector) obs.Recorder {
+	var fed []*Collector
+	for _, c := range cs {
+		if c != nil {
+			fed = append(fed, c)
+		}
+	}
+	if len(fed) == 0 {
 		return inner
 	}
-	return &Tee{inner: inner, c: c}
+	return &Tee{inner: inner, cs: fed}
 }
 
 // Enabled implements obs.Recorder.
@@ -45,16 +55,16 @@ func (t *Tee) Count(name string, delta int64) { t.inner.Count(name, delta) }
 // Gauge implements obs.Recorder.
 func (t *Tee) Gauge(name string, at, v float64) {
 	t.inner.Gauge(name, at, v)
-	if rest, ok := strings.CutPrefix(name, "util."); ok {
-		class := rest
-		if i := strings.IndexByte(rest, '.'); i >= 0 {
-			class = rest[:i]
-		}
-		t.c.SampleUtil(class, at, v)
+	rest, ok := strings.CutPrefix(name, "util.")
+	if !ok {
 		return
 	}
-	if strings.HasSuffix(name, ".hit_rate") {
-		t.c.Track(name, at, v)
+	class := rest
+	if i := strings.IndexByte(rest, '.'); i >= 0 {
+		class = rest[:i]
+	}
+	for _, c := range t.cs {
+		c.SampleUtil(class, at, v)
 	}
 }
 
@@ -76,5 +86,7 @@ func (t *Tee) Event(stream string, at float64, fields ...obs.Field) {
 			violation = f.Num != 0
 		}
 	}
-	t.c.ObserveLatency(at, latency, violation)
+	for _, c := range t.cs {
+		c.ObserveLatency(at, latency, violation)
+	}
 }

@@ -1,10 +1,11 @@
 // Package window provides virtual-time windowed SLO metrics: fixed
 // width tumbling windows over simulated time, each holding a
 // log-bucketed latency histogram (p50/p95/p99), request and QoS
-// violation counts, per-resource-class utilization, and named ratio
-// tracks (remote-memory / flash hit rates), plus a QoS episode
-// detector that reduces consecutive violating windows to begin/end
-// events with duration and peak excess.
+// violation counts, and per-resource-class utilization, plus a QoS
+// episode detector that reduces consecutive violating windows to
+// begin/end events with duration and peak excess. It is the
+// simulator's only windowed accumulator: the energy plane
+// (internal/obs/energy) is a derived view over a Collector.
 //
 // Windows are tumbling, not sliding, on purpose: a tumbling window at
 // index floor(t/width) is a pure function of the observation time, so
@@ -56,9 +57,9 @@ func (c Config) validate() error {
 }
 
 // win is one tumbling window's accumulators. Latency lives in an exact
-// mergeable histogram; utilization and tracks keep (sum, count) pairs
-// so merged means are sums-of-sums — order-independent up to the fixed
-// part fold order.
+// mergeable histogram; utilization keeps (sum, count) pairs so merged
+// means are sums-of-sums — order-independent up to the fixed part fold
+// order.
 type win struct {
 	index      int64
 	lat        obs.Hist
@@ -66,8 +67,6 @@ type win struct {
 	violations int64
 	utilSum    map[string]float64
 	utilN      map[string]int64
-	trackSum   map[string]float64
-	trackN     map[string]int64
 }
 
 func newWin(index int64) *win {
@@ -84,13 +83,6 @@ func (w *win) mergeFrom(o *win) {
 		}
 		w.utilSum[k] += v
 		w.utilN[k] += o.utilN[k]
-	}
-	for k, v := range o.trackSum {
-		if w.trackSum == nil {
-			w.trackSum, w.trackN = map[string]float64{}, map[string]int64{}
-		}
-		w.trackSum[k] += v
-		w.trackN[k] += o.trackN[k]
 	}
 }
 
@@ -113,7 +105,6 @@ type Summary struct {
 	QLat      float64            `json:"qos_latency"`
 	Violating bool               `json:"violating"`
 	Util      map[string]float64 `json:"util,omitempty"`
-	Tracks    map[string]float64 `json:"tracks,omitempty"`
 }
 
 func (c *Collector) summarize(w *win) Summary {
@@ -141,26 +132,25 @@ func (c *Collector) summarize(w *win) Summary {
 			s.Util[k] = sum / float64(w.utilN[k])
 		}
 	}
-	if len(w.trackSum) > 0 {
-		s.Tracks = make(map[string]float64, len(w.trackSum))
-		for k, sum := range w.trackSum {
-			s.Tracks[k] = sum / float64(w.trackN[k])
-		}
-	}
 	return s
 }
 
 // Collector accumulates one partition's windowed metrics. It is
 // single-threaded like obs.Sink — owned by the goroutine of the shard
 // whose entities feed it — except for LiveSummaries, which readers on
-// other goroutines may call concurrently with the owner (sealed-window
-// summaries are published through an atomic copy-on-write slice).
+// other goroutines may call concurrently with the owner.
 type Collector struct {
 	cfg     Config
 	cur     *win
 	sealed  []*win
 	horizon float64 // set by Seal; clamps the last window's T1
 
+	// pub holds the summaries published so far, and live a view of it
+	// capped at its length and capacity as of the last seal. The owner
+	// only ever appends, so it never writes an element a published view
+	// covers, and the capped capacity makes a reader's own append copy
+	// instead of writing into pub.
+	pub  []Summary
 	live atomic.Pointer[[]Summary]
 }
 
@@ -201,14 +191,16 @@ func (c *Collector) seal() {
 		return
 	}
 	c.sealed = append(c.sealed, c.cur)
-	old := c.live.Load()
-	var next []Summary
-	if old != nil {
-		next = append(next, *old...)
-	}
-	next = append(next, c.summarize(c.cur))
-	c.live.Store(&next)
+	c.pub = append(c.pub, c.summarize(c.cur))
+	c.publish()
 	c.cur = nil
+}
+
+// publish stores the capped view of pub for live readers.
+func (c *Collector) publish() {
+	n := len(c.pub)
+	view := c.pub[:n:n]
+	c.live.Store(&view)
 }
 
 // ObserveLatency records one completed request at simulated time t.
@@ -230,17 +222,6 @@ func (c *Collector) SampleUtil(class string, t, util float64) {
 	}
 	w.utilSum[class] += util
 	w.utilN[class]++
-}
-
-// Track records one sample of a named ratio track (e.g. a remote
-// memory or flash-cache hit rate); the window reports the mean.
-func (c *Collector) Track(name string, t, v float64) {
-	w := c.at(t)
-	if w.trackSum == nil {
-		w.trackSum, w.trackN = map[string]float64{}, map[string]int64{}
-	}
-	w.trackSum[name] += v
-	w.trackN[name]++
 }
 
 // Seal closes the open window at the end of a run. horizon, when > 0,
@@ -267,11 +248,21 @@ func (c *Collector) Windows() []Summary {
 // LiveSummaries returns the sealed windows' summaries as of the last
 // seal. Unlike every other method it is safe to call concurrently with
 // the owning goroutine — the live-introspection reader's entry point.
+// The returned slice is shared: read it, do not modify its elements.
 func (c *Collector) LiveSummaries() []Summary {
 	if p := c.live.Load(); p != nil {
 		return *p
 	}
 	return nil
+}
+
+// Merge returns a new collector holding the parts folded in argument
+// order (see MergeFrom), with the first part's config. It needs at
+// least one part.
+func Merge(parts ...*Collector) *Collector {
+	c := &Collector{cfg: parts[0].cfg}
+	c.MergeFrom(parts...)
+	return c
 }
 
 // MergeFrom folds the parts' sealed windows into c, index-aligned, in
@@ -318,9 +309,10 @@ func (c *Collector) MergeFrom(parts ...*Collector) {
 	for _, i := range indices {
 		c.sealed = append(c.sealed, byIndex[i])
 	}
-	var summaries []Summary
+	// A fresh array: published views of the old one stay untouched.
+	c.pub = make([]Summary, 0, len(c.sealed))
 	for _, w := range c.sealed {
-		summaries = append(summaries, c.summarize(w))
+		c.pub = append(c.pub, c.summarize(w))
 	}
-	c.live.Store(&summaries)
+	c.publish()
 }

@@ -51,7 +51,6 @@ func TestWindowAccumulationAndSummaries(t *testing.T) {
 	c.ObserveLatency(0.75, 0.020, false)
 	c.SampleUtil("cpu", 0.5, 0.4)
 	c.SampleUtil("cpu", 0.9, 0.6)
-	c.Track("memblade.hit_rate", 0.5, 0.8)
 	c.ObserveLatency(2.25, 0.9, true)
 	c.Seal(2.5)
 
@@ -71,9 +70,6 @@ func TestWindowAccumulationAndSummaries(t *testing.T) {
 	}
 	if got := w0.Util["cpu"]; got != 0.5 {
 		t.Errorf("window 0 cpu util mean = %g, want 0.5", got)
-	}
-	if got := w0.Tracks["memblade.hit_rate"]; got != 0.8 {
-		t.Errorf("window 0 track = %g, want 0.8", got)
 	}
 	w2 := ws[1]
 	if w2.Index != 2 {
@@ -170,8 +166,7 @@ func TestMergeEmptyPart(t *testing.T) {
 	a.ObserveLatency(0.5, 0.25, false)
 	a.Seal(1)
 	empty.Seal(1)
-	out := mustNew(t, cfg)
-	out.MergeFrom(a, empty)
+	out := Merge(a, empty)
 	ws := out.Windows()
 	if len(ws) != 1 || ws[0].Requests != 1 {
 		t.Fatalf("merge with empty part: %+v", ws)
@@ -403,20 +398,23 @@ func TestLiveSnapshot(t *testing.T) {
 
 func TestTeeRouting(t *testing.T) {
 	cfg := Config{WidthSec: 1, QoSLatencySec: 0.1, QoSPercentile: 0.9}
-	c := mustNew(t, cfg)
+	// Two collectors of different widths behind one tee, with a nil
+	// (plane off) in between: both see every routed stream once.
+	c, c2 := mustNew(t, cfg), mustNew(t, Config{WidthSec: 2})
 	sink := obs.NewSink()
-	rec := NewTee(sink, c)
+	rec := NewTee(sink, c, nil, c2)
 	if !rec.Enabled() {
 		t.Fatal("tee over an enabled sink must be enabled")
 	}
 	rec.Count("requests", 1)
 	rec.Observe("latency_sec", 0.25)
 	rec.Gauge("util.cpu.e0.b1", 0.5, 0.75)
-	rec.Gauge("qlen.cpu.e0.b1", 0.5, 3) // not routed
-	rec.Gauge("memblade.hit_rate", 0.5, 0.9)
+	rec.Gauge("qlen.cpu.e0.b1", 0.5, 3)      // not routed
+	rec.Gauge("memblade.hit_rate", 0.5, 0.9) // not routed
 	rec.Event("request", 0.5, obs.F("latency_sec", 0.25), obs.FB("qos_violation", true), obs.FB("measured", true))
 	rec.Event("span", 0.6, obs.F("id", 1)) // not routed
 	c.Seal(1)
+	c2.Seal(1)
 
 	// Inner sink saw everything unchanged.
 	if sink.CounterValue("requests") != 1 || sink.EventCount("request") != 1 || sink.EventCount("span") != 1 {
@@ -425,25 +423,27 @@ func TestTeeRouting(t *testing.T) {
 	if sink.SeriesByName("util.cpu.e0.b1") == nil || sink.SeriesByName("qlen.cpu.e0.b1") == nil {
 		t.Error("tee did not forward gauges")
 	}
-	ws := c.Windows()
-	if len(ws) != 1 {
-		t.Fatalf("windows = %+v", ws)
+	for _, col := range []*Collector{c, c2} {
+		ws := col.Windows()
+		if len(ws) != 1 {
+			t.Fatalf("windows = %+v", ws)
+		}
+		w := ws[0]
+		if w.Requests != 1 || w.Violations != 1 {
+			t.Errorf("request event not routed once: %+v", w)
+		}
+		if got := w.Util["cpu"]; got != 0.75 {
+			t.Errorf("util class routing: cpu = %g, want 0.75 (from util.cpu.e0.b1)", got)
+		}
+		if len(w.Util) != 1 {
+			t.Errorf("non-util gauge leaked into util classes: %v", w.Util)
+		}
 	}
-	w := ws[0]
-	if w.Requests != 1 || w.Violations != 1 {
-		t.Errorf("request event not routed: %+v", w)
-	}
-	if got := w.Util["cpu"]; got != 0.75 {
-		t.Errorf("util class routing: cpu = %g, want 0.75 (from util.cpu.e0.b1)", got)
-	}
-	if _, ok := w.Util["qlen"]; ok {
-		t.Error("qlen gauge leaked into util classes")
-	}
-	if got := w.Tracks["memblade.hit_rate"]; got != 0.9 {
-		t.Errorf("hit-rate track = %g, want 0.9", got)
-	}
-	// NewTee with a nil collector is the identity.
+	// NewTee with no live collector is the identity.
 	if r := NewTee(sink, nil); r != obs.Recorder(sink) {
 		t.Error("NewTee(nil collector) should return the inner recorder")
+	}
+	if r := NewTee(sink); r != obs.Recorder(sink) {
+		t.Error("NewTee() should return the inner recorder")
 	}
 }
