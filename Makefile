@@ -1,8 +1,8 @@
 # Tier-1 gate for warehousesim (documented in ROADMAP.md).
 #
 #   make check   — everything CI runs: vet, lint, build, race tests,
-#                  gofmt, shard-equivalence (sharded kernel must
-#                  reproduce the single-heap export byte-for-byte)
+#                  gofmt, the shard engine's race tests, and the live
+#                  introspection smoke
 #   make lint    — whvet, the repo's own static-invariant suite
 #                  (determinism, allocation, link-boundary; DESIGN.md §11)
 #   make test    — plain tests (the seed tier-1 command)
@@ -11,16 +11,9 @@
 #   make bench-diff — regression-gate BENCH_NEW against BENCH_OLD
 #                     (non-zero exit when ns/op regresses past the
 #                     tolerance or B/op / allocs/op grow at all)
-#   make shard-diff — the shard-equivalence gate on its own
 #   make shard-race — the shard engine's tests under the race detector
 #                     at GOMAXPROCS 1 and 4 (serial schedules hide
 #                     different bugs than parallel ones)
-#   make speedup-smoke — kernel workload at 4 shards vs 1 must reach a
-#                     1.3x wall-clock speedup (skips on machines with
-#                     fewer than 4 CPUs)
-#   make fleet-diff — the fleet-hybrid equivalence gate: a whsim fleet
-#                     run's -obs-out body must be byte-identical across
-#                     shard counts, worker counts, and hot-set orderings
 #   make introspect-smoke — start whsim -http, assert /obs/windows,
 #                     /obs/shards and /obs/energy serve their schemas
 #   make cover      — per-package coverage, with an 80% floor on
@@ -35,14 +28,14 @@ BENCH_NEW ?= BENCH_5.json
 # machine had fewer than 4 CPUs or GOMAXPROCS).
 EFF_FLOOR ?= 0.4
 
-.PHONY: check vet lint build test test-race fmt bench bench-json bench-diff shard-diff shard-race speedup-smoke fleet-diff introspect-smoke cover
+.PHONY: check vet lint build test test-race fmt bench bench-json bench-diff shard-race introspect-smoke cover
 
-check: vet lint build test-race fmt shard-diff shard-race speedup-smoke fleet-diff introspect-smoke
+check: vet lint build test-race fmt shard-race introspect-smoke
 
 vet:
 	$(GO) vet ./...
 
-# whvet statically enforces what the byte-diff gates below only
+# whvet statically enforces what the byte-identity tests only
 # sample: no nondeterminism sources in model code, no unordered map
 # iteration on export paths, net/http only behind the introspect
 # boundary, allocation discipline in //perf:hotpath functions, and the
@@ -66,64 +59,10 @@ test-race:
 shard-race:
 	$(GO) test -race -cpu 1,4 ./internal/des/shard/...
 
-# Wall-clock speedup gate: the compute-dense kernel workload at 4
-# shards must beat 1 shard by 1.3x on a machine with >= 4 CPUs (the
-# gate skips itself, loudly, anywhere it cannot physically pass).
-speedup-smoke:
-	$(GO) run ./cmd/whbench -speedup-smoke
-
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
-
-# Shard-equivalence: a whsim DES run on the sharded kernel must export
-# the same observability record at every shard count. The manifest
-# (line 1) records the configured shard count, so the gate compares the
-# export bodies — every counter, histogram, series sample and event —
-# byte-for-byte.
-shard-diff:
-	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) build -o "$$tmp/whsim" ./cmd/whsim && \
-	"$$tmp/whsim" -system emb1 -workload websearch -des -measure 20 \
-		-shards 1 -enclosures 4 -boards 2 -obs-out "$$tmp/s1.jsonl" >/dev/null && \
-	"$$tmp/whsim" -system emb1 -workload websearch -des -measure 20 \
-		-shards 4 -enclosures 4 -boards 2 -obs-out "$$tmp/s4.jsonl" >/dev/null && \
-	tail -n +2 "$$tmp/s1.jsonl" > "$$tmp/s1.body" && \
-	tail -n +2 "$$tmp/s4.jsonl" > "$$tmp/s4.body" && \
-	if cmp -s "$$tmp/s1.body" "$$tmp/s4.body"; then \
-		echo "shard-diff: shards=1 and shards=4 exports are byte-identical"; \
-	else \
-		echo "shard-diff: exports DIVERGED between shards=1 and shards=4:"; \
-		cmp "$$tmp/s1.body" "$$tmp/s4.body"; exit 1; \
-	fi
-
-# Fleet-hybrid equivalence: a fleet run (hot racks on the sharded DES,
-# cold racks on the analytic stand-in) must export the same
-# observability record at every shard count, every worker count, and
-# every ordering of the same hot set. The manifest (line 1) records the
-# configured shape, so the gate compares export bodies byte-for-byte.
-fleet-diff:
-	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) build -o "$$tmp/whsim" ./cmd/whsim && \
-	base="-system emb1 -workload websearch -des -measure 10 \
-		-racks 12 -enclosures 4 -boards 2"; \
-	"$$tmp/whsim" $$base -hot-set 3,9 -shards 2 \
-		-obs-out "$$tmp/a.jsonl" >/dev/null && \
-	"$$tmp/whsim" $$base -hot-set 9,3 -shards 2 \
-		-obs-out "$$tmp/b.jsonl" >/dev/null && \
-	"$$tmp/whsim" $$base -hot-set 3,9 -shards 1 \
-		-obs-out "$$tmp/c.jsonl" >/dev/null && \
-	"$$tmp/whsim" $$base -hot-set 3,9 -shards 4 -par 4 \
-		-obs-out "$$tmp/d.jsonl" >/dev/null && \
-	for f in a b c d; do tail -n +2 "$$tmp/$$f.jsonl" > "$$tmp/$$f.body"; done && \
-	ok=1; \
-	for f in b c d; do \
-		cmp -s "$$tmp/a.body" "$$tmp/$$f.body" || { \
-			echo "fleet-diff: $$f.jsonl body DIVERGED from a.jsonl:"; \
-			cmp "$$tmp/a.body" "$$tmp/$$f.body"; ok=0; }; \
-	done; \
-	[ $$ok -eq 1 ] && echo "fleet-diff: fleet exports byte-identical across hot-set order, shards 1/2/4, par 4" || exit 1
 
 # Introspection smoke: start whsim with the live endpoints on an
 # ephemeral port, poll /obs/windows, /obs/shards and /obs/energy until

@@ -130,17 +130,21 @@ func kernelEfficiencyAt(doc benchDoc, shards int) *efficiencyPoint {
 	return nil
 }
 
+// effShards is the shard count at which -eff-floor gates the kernel
+// workload's parallel efficiency.
+const effShards = 4
+
 // diffEfficiency handles the parallel-efficiency side of bench-diff.
 // Efficiency figures are only meaningful within one machine
 // fingerprint, so a cross-fingerprint old-vs-new comparison is refused
 // with a clear error rather than reported as a bogus delta. The floor
 // (when > 0) gates the NEW record's own kernel efficiency at
-// smokeShards shards — shards=N vs shards=1 rows of one record are
+// effShards shards — shards=N vs shards=1 rows of one record are
 // fingerprint-matched by construction — and is skipped, loudly, when
 // the recording machine could not physically show a speedup (fewer
 // CPUs or GOMAXPROCS than shards).
 func diffEfficiency(oldDoc, newDoc benchDoc, floor float64) error {
-	oldPt, newPt := kernelEfficiencyAt(oldDoc, smokeShards), kernelEfficiencyAt(newDoc, smokeShards)
+	oldPt, newPt := kernelEfficiencyAt(oldDoc, effShards), kernelEfficiencyAt(newDoc, effShards)
 	if oldPt != nil && newPt != nil {
 		if !sameMachine(oldDoc, newDoc) {
 			fmt.Printf("parallel efficiency: refusing to compare across machine fingerprints (old %s vs new %s): efficiency deltas are meaningless across machines\n",
@@ -150,25 +154,25 @@ func diffEfficiency(oldDoc, newDoc benchDoc, floor float64) error {
 			}
 		} else {
 			fmt.Printf("parallel efficiency (kernel, %d shards): %.2f -> %.2f\n",
-				smokeShards, oldPt.Efficiency, newPt.Efficiency)
+				effShards, oldPt.Efficiency, newPt.Efficiency)
 		}
 	}
 	if floor <= 0 {
 		return nil
 	}
 	if newPt == nil {
-		return fmt.Errorf("bench-diff: -eff-floor %.2f but %s has no kernel efficiency point at %d shards (record it with a current -bench-json)", floor, "the new record", smokeShards)
+		return fmt.Errorf("bench-diff: -eff-floor %.2f but %s has no kernel efficiency point at %d shards (record it with a current -bench-json)", floor, "the new record", effShards)
 	}
-	if newDoc.CPUs < smokeShards || newDoc.GOMAXPROCS < smokeShards {
+	if newDoc.CPUs < effShards || newDoc.GOMAXPROCS < effShards {
 		fmt.Printf("parallel efficiency floor skipped: the new record's machine (%s) cannot run %d shards in parallel\n",
-			fingerprint(newDoc), smokeShards)
+			fingerprint(newDoc), effShards)
 		return nil
 	}
 	if newPt.Efficiency < floor {
 		return fmt.Errorf("bench-diff: kernel parallel efficiency %.2f at %d shards below the %.2f floor (speedup %.2fx)",
-			newPt.Efficiency, smokeShards, floor, newPt.Speedup)
+			newPt.Efficiency, effShards, floor, newPt.Speedup)
 	}
-	fmt.Printf("parallel efficiency floor met: %.2f >= %.2f at %d shards\n", newPt.Efficiency, floor, smokeShards)
+	fmt.Printf("parallel efficiency floor met: %.2f >= %.2f at %d shards\n", newPt.Efficiency, floor, effShards)
 	return nil
 }
 

@@ -195,13 +195,13 @@ func TestEfficiencyCurve(t *testing.T) {
 	}
 }
 
-// effDoc builds a record with a kernel efficiency point at smokeShards.
+// effDoc builds a record with a kernel efficiency point at effShards.
 func effDoc(model string, cpus, maxprocs int, eff float64) benchDoc {
 	d := doc()
 	d.CPUModel, d.CPUs, d.GOMAXPROCS = model, cpus, maxprocs
 	d.ParallelCurve = []efficiencyPoint{{
-		Workload: "kernel", Shards: smokeShards,
-		Speedup: eff * smokeShards, Efficiency: eff,
+		Workload: "kernel", Shards: effShards,
+		Speedup: eff * effShards, Efficiency: eff,
 	}}
 	return d
 }
@@ -224,7 +224,7 @@ func TestDiffEfficiencyFloor(t *testing.T) {
 	if err := diffEfficiency(oldD, newD, 0); err != nil {
 		t.Errorf("floorless diff errored: %v", err)
 	}
-	// The machine cannot run smokeShards in parallel: floor skipped,
+	// The machine cannot run effShards in parallel: floor skipped,
 	// even though the efficiency figure is under it.
 	weak := effDoc("cpu-1", 1, 1, 0.24)
 	if err := diffEfficiency(weak, weak, 0.40); err != nil {

@@ -1,11 +1,7 @@
 package main
 
 import (
-	"fmt"
-	"os"
-	"runtime"
 	"testing"
-	"time"
 
 	"warehousesim/internal/des"
 	"warehousesim/internal/des/shard"
@@ -19,8 +15,8 @@ import (
 // the physics and their parallel efficiency is bounded by it. This
 // workload is the other calibration point: it measures what the
 // engine's synchronization costs when the model itself scales, which
-// is the number the speedup-smoke CI gate and the kernel rows of the
-// parallel-efficiency curve track.
+// is the number the kernel rows of the parallel-efficiency curve (and
+// bench-diff's -eff-floor gate) track.
 //
 // The trajectory is a pure function of the seed and is partition-
 // independent (local timing never depends on cross traffic, and the
@@ -111,62 +107,4 @@ func kernelTrial(shards int, seed uint64) func(*testing.B) {
 			}
 		}
 	}
-}
-
-// smokeShards and smokeFloor are the speedup-smoke contract: on a
-// machine with at least smokeShards CPUs (and GOMAXPROCS), the kernel
-// workload at smokeShards shards must beat one shard by smokeFloor in
-// wall-clock. 1.3x is deliberately far below the ~3x the workload
-// reaches on an unloaded 4-core machine: the gate must not flake on a
-// busy CI runner, it only has to prove the engine parallelizes at all.
-const (
-	smokeShards = 4
-	smokeFloor  = 1.3
-)
-
-// runSpeedupSmoke measures the kernel workload at 1 vs smokeShards
-// shards and enforces the smokeFloor wall-clock speedup — skipping
-// (exit 0, with a message) on machines that cannot physically show
-// one. Each side is best-of-three to shrug off transient load.
-func runSpeedupSmoke(seed uint64) error {
-	if runtime.NumCPU() < smokeShards || runtime.GOMAXPROCS(0) < smokeShards {
-		fmt.Fprintf(os.Stderr, "whbench: speedup-smoke skipped: need >= %d CPUs and GOMAXPROCS, have %d/%d (a %d-shard run cannot beat 1 shard without the cores)\n",
-			smokeShards, runtime.NumCPU(), runtime.GOMAXPROCS(0), smokeShards)
-		return nil
-	}
-	measure := func(shards int) (time.Duration, uint64, error) {
-		best := time.Duration(0)
-		var sum uint64
-		for i := 0; i < 3; i++ {
-			start := time.Now()
-			s, _, err := kernelRun(shards, seed)
-			d := time.Since(start)
-			if err != nil {
-				return 0, 0, err
-			}
-			if best == 0 || d < best {
-				best = d
-			}
-			sum = s
-		}
-		return best, sum, nil
-	}
-	base, baseSum, err := measure(1)
-	if err != nil {
-		return err
-	}
-	par, parSum, err := measure(smokeShards)
-	if err != nil {
-		return err
-	}
-	if baseSum != parSum {
-		return fmt.Errorf("speedup-smoke: checksum diverged across shard counts: %d at 1 shard vs %d at %d shards", baseSum, parSum, smokeShards)
-	}
-	speedup := float64(base) / float64(par)
-	fmt.Fprintf(os.Stderr, "whbench: speedup-smoke: %v at 1 shard, %v at %d shards -> %.2fx (floor %.1fx, %d CPUs)\n",
-		base, par, smokeShards, speedup, smokeFloor, runtime.NumCPU())
-	if speedup < smokeFloor {
-		return fmt.Errorf("speedup-smoke: %.2fx below the %.1fx floor: the sharded kernel is not delivering wall-clock speedup on %d CPUs", speedup, smokeFloor, runtime.NumCPU())
-	}
-	return nil
 }

@@ -2,10 +2,9 @@ package main
 
 import "testing"
 
-// TestKernelRunInvariant: the speedup-smoke workload's checksum and
-// event count are pure functions of the seed — identical at every
-// shard count — so a smoke-gate pass also proves the partitioning
-// did not change the trajectory.
+// TestKernelRunInvariant: the kernel workload's checksum and event
+// count are pure functions of the seed — identical at every shard
+// count — so its KernelTrial bench rows time one trajectory.
 func TestKernelRunInvariant(t *testing.T) {
 	refSum, refFired, err := kernelRun(1, 7)
 	if err != nil {

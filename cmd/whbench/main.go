@@ -35,7 +35,6 @@ func main() {
 	benchDiff := flag.Bool("bench-diff", false, "compare two bench-json records (args: old.json new.json) and exit non-zero on regression")
 	diffThreshold := flag.Float64("diff-threshold", 0.10, "relative ns/op regression tolerance for -bench-diff (B/op and allocs/op must not regress at all)")
 	effFloor := flag.Float64("eff-floor", 0, "with -bench-diff: fail when the new record's kernel parallel efficiency at 4 shards is below this floor (skipped when the recording machine had fewer CPUs or GOMAXPROCS than shards)")
-	speedupSmoke := flag.Bool("speedup-smoke", false, "measure the kernel workload at 1 vs 4 shards and exit non-zero unless wall-clock speedup reaches 1.3x (skips on machines with fewer than 4 CPUs), then exit")
 	parFlag := cliflags.AddPar(flag.CommandLine, runtime.NumCPU(),
 		"worker goroutines for the experiment suite and its internal sweeps (1 = sequential; reports are identical at any value)")
 	httpFlag := cliflags.AddHTTP(flag.CommandLine, "/obs snapshot with per-experiment progress")
@@ -59,13 +58,6 @@ func main() {
 			log.Fatal("-bench-diff needs exactly two arguments: old.json new.json")
 		}
 		if err := runBenchDiff(flag.Arg(0), flag.Arg(1), *diffThreshold, *effFloor); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
-	if *speedupSmoke {
-		if err := runSpeedupSmoke(*seed); err != nil {
 			log.Fatal(err)
 		}
 		return

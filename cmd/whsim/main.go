@@ -61,29 +61,6 @@ func liveShardStats(live cluster.LiveHandles) []shard.LiveStats {
 	return live.ShardStats()
 }
 
-// placementInfo renders the run's placement for the manifest: the
-// strategy name and the enclosure-to-shard assignment (enclosure e
-// went to shard assignment[e]). It normalizes the options the same way
-// Simulate does, so the recorded packing is exactly the one the run
-// used, and the assignment is a pure function of the topology
-// (PlacementOf) — the manifest alone reproduces it.
-func placementInfo(opt cluster.SimOptions) (strategy, assignment string) {
-	n, err := opt.Normalize()
-	if err != nil {
-		return "", ""
-	}
-	t := rackTopoOf(n.Topology)
-	if t == nil {
-		return "", ""
-	}
-	asn := t.PlacementOf()
-	parts := make([]string, len(asn))
-	for e, s := range asn {
-		parts[e] = strconv.Itoa(s)
-	}
-	return t.Placement, strings.Join(parts, ",")
-}
-
 // rackTopoOf returns the per-rack topology behind a Topology value: the
 // rack itself, or a fleet's rack template (which every rack in the
 // fleet instantiates). Nil for the flat model.
@@ -416,9 +393,6 @@ func main() {
 			if rt := rackTopoOf(opts.Topology); rt != nil {
 				dman.Config["shards"] = strconv.Itoa(rt.Shards)
 			}
-			strategy, assignment := placementInfo(opts)
-			dman.Config["placement"] = strategy
-			dman.Config["placement_assignment"] = assignment
 			dman.WallSec = wall.Seconds()
 			diagSink.SetManifest(dman)
 			if err := diagSink.WriteFile(sharding.DiagOut()); err != nil {
@@ -457,9 +431,6 @@ func main() {
 				} else {
 					man.Config["boards_per_enclosure"] = strconv.Itoa(t.BoardsPerEnclosure)
 				}
-				strategy, assignment := placementInfo(opts)
-				man.Config["placement"] = strategy
-				man.Config["placement_assignment"] = assignment
 			}
 			if p.Batch {
 				man.SimTimeSec = res.ExecTime

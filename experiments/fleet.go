@@ -52,9 +52,11 @@ func fleetShapes() []cluster.FleetTopology {
 }
 
 // defaultFleetRack is the per-rack template of the default sweep: a
-// small sharded rack so each hot rack's DES stays cheap.
+// small rack on one shard so each hot rack's DES stays cheap. The
+// sweep's parallelism comes from running hot racks and cells across
+// the worker pool, not from sharding inside a rack.
 func defaultFleetRack() cluster.ShardedTopology {
-	return cluster.ShardedTopology{Enclosures: 2, BoardsPerEnclosure: 2, Shards: 2}
+	return cluster.ShardedTopology{Enclosures: 2, BoardsPerEnclosure: 2, Shards: 1}
 }
 
 // runExtFleet scales the paper's Perf/TCO comparison from one server to

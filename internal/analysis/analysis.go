@@ -5,12 +5,12 @@
 // pinned), plus the loader and runner behind the cmd/whvet
 // multichecker.
 //
-// The byte-identity checks (the shard-diff and fleet-diff gates, the
-// partition-invariance tests) prove determinism for the handful of
-// configurations they sample; the
-// analyzers under internal/analysis/* prove, at the source level, that
-// no call site can violate the invariants those gates check — see
-// DESIGN.md §11 for the invariant catalogue.
+// The byte-identity checks (the partition-invariance tests and CI's
+// export comparisons) prove determinism for the handful of
+// configurations they sample; the analyzers under internal/analysis/*
+// prove, at the source level, that no call site can violate the
+// invariants those checks pin — see DESIGN.md §11 for the invariant
+// catalogue.
 //
 // Legitimate exceptions are annotated in source with
 //

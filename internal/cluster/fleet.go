@@ -58,9 +58,6 @@ type FleetTopology struct {
 	// Balancer selects the routing policy: BalancerWRR ("" or "wrr")
 	// or BalancerLeastLoaded.
 	Balancer string
-	// Shards, when > 0, overrides Rack.Shards — a convenience so CLI
-	// sharding flags apply to the template without spelling it twice.
-	Shards int
 }
 
 // Normalize implements Topology: it validates the fleet shape and fills
@@ -107,13 +104,9 @@ func (t *FleetTopology) Normalize() error {
 	default:
 		return fmt.Errorf("cluster: unknown balancer policy %q (want %q or %q)", t.Balancer, BalancerWRR, BalancerLeastLoaded)
 	}
-	if t.Shards > 0 {
-		t.Rack.Shards = t.Shards
-	}
 	if err := t.Rack.Normalize(); err != nil {
 		return fmt.Errorf("cluster: fleet rack template: %w", err)
 	}
-	t.Shards = t.Rack.Shards
 	return nil
 }
 

@@ -63,7 +63,9 @@ func TestFleetNormalizeValidation(t *testing.T) {
 }
 
 func TestFleetNormalizeDefaults(t *testing.T) {
-	ft := FleetTopology{Racks: 8, HotSet: []int{5, 2}, Rack: fleetTestRack(), Shards: 4}
+	rack := fleetTestRack()
+	rack.Shards = 4
+	ft := FleetTopology{Racks: 8, HotSet: []int{5, 2}, Rack: rack}
 	if err := ft.Normalize(); err != nil {
 		t.Fatal(err)
 	}
@@ -76,8 +78,8 @@ func TestFleetNormalizeDefaults(t *testing.T) {
 	if ft.Balancer != BalancerWRR {
 		t.Errorf("empty balancer not defaulted: %q", ft.Balancer)
 	}
-	if ft.Rack.Shards != 4 || ft.Shards != 4 {
-		t.Errorf("Shards override not applied to template: topo %d rack %d", ft.Shards, ft.Rack.Shards)
+	if ft.Rack.Shards != 4 {
+		t.Errorf("rack template shard count not kept: %d", ft.Rack.Shards)
 	}
 
 	// SimOptions.Normalize works on a clone: the caller's value must
@@ -364,20 +366,27 @@ func TestFleetUnservedViolatesQoS(t *testing.T) {
 	}
 }
 
-// TestFleetPartitionInvariance: the fleet export must be byte-identical
-// at every shard count, every worker count, and every hot-set ordering
-// — the rack discipline (DESIGN.md §6) lifted to fleet scope.
+// TestFleetPartitionInvariance: under either balancer, the fleet
+// export must be byte-identical at every shard count, every worker
+// count, and every hot-set ordering — the rack discipline (DESIGN.md
+// §6) lifted to fleet scope.
 func TestFleetPartitionInvariance(t *testing.T) {
 	cfg := Config{Server: platform.Desk()}
 	p := testProfile()
 	gen := workload.FixedGenerator{P: p}
 	const racks = 100
 
-	run := func(hotSet []int, shards, par int) ([]byte, []byte, []byte, Result) {
+	type exports struct {
+		obs, slo, en []byte
+		res          Result
+	}
+	run := func(balancer string, hotSet []int, shards, par int) exports {
 		t.Helper()
+		rack := fleetTestRack()
+		rack.Shards = shards
 		topo := FleetTopology{
 			Racks: racks, HotSet: append([]int(nil), hotSet...),
-			Rack: fleetTestRack(), Balancer: BalancerLeastLoaded, Shards: shards,
+			Rack: rack, Balancer: balancer,
 		}
 		sink := obs.NewSink()
 		res, err := cfg.Simulate(gen, SimOptions{
@@ -387,36 +396,43 @@ func TestFleetPartitionInvariance(t *testing.T) {
 			Parallelism: par, Topology: &topo,
 		})
 		if err != nil {
-			t.Fatalf("hotSet=%v shards=%d par=%d: %v", hotSet, shards, par, err)
+			t.Fatalf("%s hotSet=%v shards=%d par=%d: %v", balancer, hotSet, shards, par, err)
 		}
-		return obsExport(t, sink), sloExport(t, res), energyExport(t, res), res
+		return exports{obsExport(t, sink), sloExport(t, res), energyExport(t, res), res}
 	}
 
-	baseObs, baseSLO, baseEn, baseRes := run([]int{3, 97}, 2, 1)
+	bases := map[string]exports{}
+	for _, b := range []string{BalancerLeastLoaded, BalancerWRR} {
+		bases[b] = run(b, []int{3, 97}, 2, 1)
+	}
 	for _, v := range []struct {
-		name   string
-		hotSet []int
-		shards int
-		par    int
+		name     string
+		balancer string
+		hotSet   []int
+		shards   int
+		par      int
 	}{
-		{"shards=1", []int{3, 97}, 1, 1},
-		{"shards=4", []int{3, 97}, 4, 1},
-		{"par=4", []int{3, 97}, 2, 4},
-		{"hot-set reversed", []int{97, 3}, 2, 1},
-		{"shards=4 par=4 reversed", []int{97, 3}, 4, 4},
+		{"shards=1", BalancerLeastLoaded, []int{3, 97}, 1, 1},
+		{"shards=4", BalancerLeastLoaded, []int{3, 97}, 4, 1},
+		{"par=4", BalancerLeastLoaded, []int{3, 97}, 2, 4},
+		{"hot-set reversed", BalancerLeastLoaded, []int{97, 3}, 2, 1},
+		{"shards=4 par=4 reversed", BalancerLeastLoaded, []int{97, 3}, 4, 4},
+		{"wrr shards=1", BalancerWRR, []int{3, 97}, 1, 1},
+		{"wrr hot-set reversed", BalancerWRR, []int{97, 3}, 2, 1},
+		{"wrr shards=4 par=4", BalancerWRR, []int{3, 97}, 4, 4},
 	} {
-		gotObs, gotSLO, gotEn, res := run(v.hotSet, v.shards, v.par)
-		if !bytes.Equal(gotObs, baseObs) {
+		base, got := bases[v.balancer], run(v.balancer, v.hotSet, v.shards, v.par)
+		if !bytes.Equal(got.obs, base.obs) {
 			t.Errorf("%s: obs export differs from baseline", v.name)
 		}
-		if !bytes.Equal(gotSLO, baseSLO) {
+		if !bytes.Equal(got.slo, base.slo) {
 			t.Errorf("%s: SLO export differs from baseline", v.name)
 		}
-		if !bytes.Equal(gotEn, baseEn) {
+		if !bytes.Equal(got.en, base.en) {
 			t.Errorf("%s: energy export differs from baseline", v.name)
 		}
-		if res.Throughput != baseRes.Throughput || res.P95Latency != baseRes.P95Latency {
-			t.Errorf("%s: result diverges: tput %g vs %g", v.name, res.Throughput, baseRes.Throughput)
+		if got.res.Throughput != base.res.Throughput || got.res.P95Latency != base.res.P95Latency {
+			t.Errorf("%s: result diverges: tput %g vs %g", v.name, got.res.Throughput, base.res.Throughput)
 		}
 	}
 }

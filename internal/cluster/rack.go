@@ -73,8 +73,7 @@ type ShardedTopology struct {
 	BoardsPerEnclosure int
 	// Boards, when non-empty, gives a heterogeneous rack: Boards[e]
 	// server boards in enclosure e (each >= 1). Its length must equal
-	// Enclosures. Skewed racks are where placement matters — see
-	// Placement.
+	// Enclosures.
 	Boards []int
 	// ClientsPerBoard is the closed-loop client population per board
 	// for interactive workloads; 0 means 4. The rack model measures
@@ -84,25 +83,11 @@ type ShardedTopology struct {
 	// 0 means one disk per enclosure.
 	SANDisks int
 	// Shards is the number of event heaps, each on its own goroutine;
-	// values outside [1, Enclosures] are clamped. Results are
+	// values outside [1, Enclosures] are clamped. Enclosures are split
+	// contiguously across them (shard.PlaceBlock). Results are
 	// byte-identical at every value.
 	Shards int
-	// Placement selects how enclosures are packed onto shards:
-	// PlacementBlock ("" or "block") is the contiguous split,
-	// PlacementBalanced ("balanced") the deterministic LPT bin-packer
-	// weighted by each enclosure's event-generation load (boards ×
-	// clients plus its blade, with the SAN and aggregator pre-loaded
-	// onto shard 0). Results are byte-identical under either; only
-	// wall-clock balance differs.
-	Placement string
 }
-
-// Placement strategy names accepted by ShardedTopology.Placement and
-// the -placement CLI flag.
-const (
-	PlacementBlock    = "block"
-	PlacementBalanced = "balanced"
-)
 
 // Normalize implements Topology: it validates the topology and fills
 // defaulted fields in place. SimOptions.Normalize calls it on a clone,
@@ -167,13 +152,6 @@ func (t ShardedTopology) normalize() (ShardedTopology, error) {
 	if t.SANDisks < 0 {
 		return t, fmt.Errorf("cluster: negative SAN capacity %d", t.SANDisks)
 	}
-	switch t.Placement {
-	case "":
-		t.Placement = PlacementBlock
-	case PlacementBlock, PlacementBalanced:
-	default:
-		return t, fmt.Errorf("cluster: unknown placement %q (want %q or %q)", t.Placement, PlacementBlock, PlacementBalanced)
-	}
 	if t.ClientsPerBoard == 0 {
 		t.ClientsPerBoard = 4
 	}
@@ -208,26 +186,6 @@ func (t ShardedTopology) totalBoards() int {
 		n += b
 	}
 	return n
-}
-
-// PlacementOf returns the enclosure-to-shard assignment the rack model
-// uses for this topology: a pure function of the (normalized) topology
-// alone, so a run manifest that records the topology and the strategy
-// name fully determines the packing. Enclosure weight is its
-// event-generation load — boards × clients per board, plus one for the
-// blade — and shard 0 is pre-loaded with the SAN array (SANDisks) and
-// the batch aggregator, which are pinned there.
-func (t ShardedTopology) PlacementOf() []int {
-	if t.Placement != PlacementBalanced {
-		return shard.PlaceBlock(t.Enclosures, t.Shards)
-	}
-	weights := make([]float64, t.Enclosures)
-	for e := range weights {
-		weights[e] = float64(t.boardsIn(e)*t.ClientsPerBoard + 1)
-	}
-	bias := make([]float64, t.Shards)
-	bias[0] = float64(t.SANDisks + 1)
-	return shard.PlaceBalanced(weights, t.Shards, bias)
 }
 
 // rackSeed derives one entity-scoped RNG seed from the run seed. Pure
@@ -585,12 +543,12 @@ func (r *rackSim) aggChunkDone() {
 // rack's traffic classes. The floor of a pair is the cheapest transport
 // delay of any message the model can post between entities on those
 // shards — so the matrix is a statement about which traffic exists, not
-// about where enclosures landed, and the same matrix is valid under
-// every placement:
+// about where enclosures landed, and the same matrix is valid at every
+// shard count:
 //
 //   - Diagonal: laIntra. Blade swaps are the cheapest same-shard posts
-//     (enclosures are never split, so blade traffic is same-shard under
-//     every placement).
+//     (enclosures are never split, so blade traffic is always
+//     same-shard).
 //   - Batch runs shuffle chunks between arbitrary board pairs and ship
 //     aggregator reports to shard 0, so every off-diagonal pair floors
 //     at laCross (the SAN path also exists but is strictly slower).
@@ -625,9 +583,9 @@ func lookaheadMatrix(shards int, batch bool, laIntra, laSAN, laCross des.Time) [
 // buildRack wires the engine, the entity namespace, and the
 // per-enclosure model state. Entity ids are dense and global:
 // boards 0..N-1 (enclosure-major, heterogeneous racks via prefix
-// sums), blades N..N+E-1, then the SAN and the aggregator. Enclosure e
-// lands on the shard the topology's placement assigns it; the SAN and
-// aggregator live on shard 0.
+// sums), blades N..N+E-1, then the SAN and the aggregator. Enclosures
+// are split contiguously across the shards (shard.PlaceBlock); the SAN
+// and aggregator live on shard 0.
 func buildRack(c Config, topo *ShardedTopology, gen workload.Generator, p workload.Profile, opt SimOptions, recording bool) (*rackSim, error) {
 	t := *topo
 	nBoards := t.totalBoards()
@@ -659,7 +617,7 @@ func buildRack(c Config, topo *ShardedTopology, gen workload.Generator, p worklo
 		aggEnt:    shard.EntityID(nBoards + t.Enclosures + 1),
 	}
 	r.aggDoneFn = r.aggChunkDone
-	placement := t.PlacementOf()
+	placement := shard.PlaceBlock(t.Enclosures, t.Shards)
 	boardBase := 0
 	for e := 0; e < t.Enclosures; e++ {
 		sid := placement[e]

@@ -179,44 +179,20 @@ func TestNormalizeDefaults(t *testing.T) {
 	}
 }
 
-// TestPlacementOf: the enclosure packing is a pure function of the
-// normalized topology — block is the contiguous split, balanced is the
-// LPT packer over board*client weights with the SAN pinned to shard 0
-// repelling work — and a skewed rack is where the two must differ.
-func TestPlacementOf(t *testing.T) {
-	topo := ShardedTopology{
-		Enclosures: 4, Boards: []int{5, 1, 1, 1}, ClientsPerBoard: 2,
-		SANDisks: 4, Shards: 2,
-	}
-	if got := topo.PlacementOf(); !reflect.DeepEqual(got, []int{0, 0, 1, 1}) {
-		t.Errorf("block placement = %v", got)
-	}
-	topo.Placement = PlacementBalanced
-	// Weights 11,3,3,3 against a SAN bias of 5 on shard 0: the giant
-	// goes to the empty shard 1, the small enclosures fill shard 0.
-	if got := topo.PlacementOf(); !reflect.DeepEqual(got, []int{1, 0, 0, 0}) {
-		t.Errorf("balanced placement = %v", got)
-	}
-	for i := 0; i < 3; i++ {
-		if again := topo.PlacementOf(); !reflect.DeepEqual(again, []int{1, 0, 0, 0}) {
-			t.Fatalf("placement not deterministic: %v", again)
-		}
-	}
-}
-
-// TestRackPlacementInvariance is the tentpole acceptance gate in full:
-// a skewed heterogeneous rack (one 5-board enclosure plus three
-// 1-board ones) must produce DeepEqual Results and byte-identical
-// obs, SLO, and energy exports at shards 1/2/4 under both placements.
+// TestRackPlacementInvariance: a skewed heterogeneous rack (one
+// 5-board enclosure plus three 1-board ones) must produce DeepEqual
+// Results and byte-identical obs, SLO, and energy exports at shards
+// 1/2/4 — block placement moves the giant enclosure's neighbors
+// between shards as the count changes.
 func TestRackPlacementInvariance(t *testing.T) {
 	p := testProfile()
-	run := func(shards int, placement string) (Result, []byte, []byte, []byte) {
+	run := func(shards int) (Result, []byte, []byte, []byte) {
 		cfg := Config{Server: platform.Desk(), MemSlowdown: 0.05}
 		sink := obs.NewSink()
 		opt := rackOptions(shards, sink)
 		opt.Topology = &ShardedTopology{
 			Enclosures: 4, Boards: []int{5, 1, 1, 1}, ClientsPerBoard: 2,
-			Shards: shards, Placement: placement,
+			Shards: shards,
 		}
 		opt.SLOWindowSec = 1
 		opt.Energy = testEnergyConfig(1, power.DefaultIdleFractions())
@@ -234,28 +210,23 @@ func TestRackPlacementInvariance(t *testing.T) {
 		res.SLO, res.SLOParts, res.Energy = nil, nil, nil
 		return res, buf.Bytes(), slo, en
 	}
-	ref, refObs, refSLO, refEnergy := run(1, PlacementBlock)
+	ref, refObs, refSLO, refEnergy := run(1)
 	if ref.Throughput <= 0 || ref.Clients != (5+1+1+1)*2 {
 		t.Fatalf("degenerate reference result: %+v", ref)
 	}
-	for _, shards := range []int{1, 2, 4} {
-		for _, placement := range []string{PlacementBlock, PlacementBalanced} {
-			if shards == 1 && placement == PlacementBlock {
-				continue // the reference itself
-			}
-			res, obsB, slo, en := run(shards, placement)
-			if !reflect.DeepEqual(ref, res) {
-				t.Errorf("shards=%d %s: result differs:\n  ref: %+v\n  got: %+v", shards, placement, ref, res)
-			}
-			if !bytes.Equal(refObs, obsB) {
-				t.Errorf("shards=%d %s: obs export differs (%d vs %d bytes)", shards, placement, len(refObs), len(obsB))
-			}
-			if !bytes.Equal(refSLO, slo) {
-				t.Errorf("shards=%d %s: SLO export differs (%d vs %d bytes)", shards, placement, len(refSLO), len(slo))
-			}
-			if !bytes.Equal(refEnergy, en) {
-				t.Errorf("shards=%d %s: energy export differs (%d vs %d bytes)", shards, placement, len(refEnergy), len(en))
-			}
+	for _, shards := range []int{2, 4} {
+		res, obsB, slo, en := run(shards)
+		if !reflect.DeepEqual(ref, res) {
+			t.Errorf("shards=%d: result differs:\n  ref: %+v\n  got: %+v", shards, ref, res)
+		}
+		if !bytes.Equal(refObs, obsB) {
+			t.Errorf("shards=%d: obs export differs (%d vs %d bytes)", shards, len(refObs), len(obsB))
+		}
+		if !bytes.Equal(refSLO, slo) {
+			t.Errorf("shards=%d: SLO export differs (%d vs %d bytes)", shards, len(refSLO), len(slo))
+		}
+		if !bytes.Equal(refEnergy, en) {
+			t.Errorf("shards=%d: energy export differs (%d vs %d bytes)", shards, len(refEnergy), len(en))
 		}
 	}
 }
@@ -268,7 +239,6 @@ func TestNormalizeRejectsBadTopology(t *testing.T) {
 		{Enclosures: 1, BoardsPerEnclosure: 1, SANDisks: -2},
 		{Enclosures: 2, Boards: []int{1}},
 		{Enclosures: 2, Boards: []int{1, 0}},
-		{Enclosures: 1, BoardsPerEnclosure: 1, Placement: "spiral"},
 	} {
 		topo := topo
 		o := SimOptions{Seed: 1, WarmupSec: 1, MeasureSec: 10, MaxClients: 8, Topology: &topo}

@@ -113,14 +113,12 @@ func (h *HTTP) Addr() string { return *h.addr }
 
 // Sharding is the rack-topology flag group: -shards selects the sharded
 // multi-enclosure model (0 keeps the flat single-server model), with
-// -enclosures/-boards/-clients-per-board sizing the rack, -placement
-// choosing the enclosure-to-shard packing, and -shard-diag exporting
-// the engine's synchronization diagnostics.
+// -enclosures/-boards/-clients-per-board sizing the rack and
+// -shard-diag exporting the engine's synchronization diagnostics.
 type Sharding struct {
 	fs                          *flag.FlagSet
 	shards, enclosures, clients *int
 	boards                      *string
-	placement                   *string
 	diagOut                     *string
 }
 
@@ -135,8 +133,6 @@ func AddSharding(fs *flag.FlagSet) *Sharding {
 			"server boards per enclosure (with -shards): one count for a uniform rack, or a comma list like 8,2,2,2 for a skewed one (sets -enclosures from its length unless -enclosures is given)"),
 		clients: fs.Int("clients-per-board", 0,
 			"closed-loop clients per board for interactive rack runs (0 = default provisioning; with -shards)"),
-		placement: fs.String("placement", "",
-			"enclosure-to-shard placement: block (contiguous split, the default) or balanced (deterministic load-aware bin-packing; with -shards)"),
 		diagOut: fs.String("shard-diag", "",
 			"write the shard engine's scheduling-dependent diagnostics (clock skew, mailbox depth) here as JSONL (with -shards)"),
 	}
@@ -211,7 +207,6 @@ func (s *Sharding) RackTemplate() cluster.ShardedTopology {
 		Boards:             list,
 		ClientsPerBoard:    *s.clients,
 		Shards:             *s.shards,
-		Placement:          *s.placement,
 	}
 }
 
@@ -219,16 +214,13 @@ func (s *Sharding) RackTemplate() cluster.ShardedTopology {
 func (s *Sharding) DiagOut() string { return *s.diagOut }
 
 // Validate rejects contradictory combinations instead of silently
-// ignoring them: -shard-diag and -placement configure the shard
-// engine, which only exists when -shards selects the rack model, and a
-// malformed -boards list must fail here rather than surface as a
-// confusing topology error.
+// ignoring them: -shard-diag configures the shard engine, which only
+// exists when -shards selects the rack model, and a malformed -boards
+// list must fail here rather than surface as a confusing topology
+// error.
 func (s *Sharding) Validate() error {
 	if *s.diagOut != "" && !s.Enabled() {
 		return fmt.Errorf("-shard-diag %s needs the sharded rack model: pass -shards N (the flat model has no shard engine to diagnose)", *s.diagOut)
-	}
-	if *s.placement != "" && !s.Enabled() {
-		return fmt.Errorf("-placement %s needs the sharded rack model: pass -shards N (the flat model has nothing to place)", *s.placement)
 	}
 	if _, _, err := parseBoards(*s.boards); err != nil {
 		return err
@@ -240,7 +232,7 @@ func (s *Sharding) Validate() error {
 // fleet model (0 keeps whatever -shards selected), -hot-racks/-hot-set
 // choose which racks run full DES, and -balancer picks the routing
 // policy. The rack flags (-enclosures/-boards/-clients-per-board/
-// -shards/-placement) size the per-rack template.
+// -shards) size the per-rack template.
 type Fleet struct {
 	fs       *flag.FlagSet
 	racks    *int

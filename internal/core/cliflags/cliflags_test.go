@@ -38,8 +38,6 @@ func TestValidateFlagCombinations(t *testing.T) {
 		{"energy-window-alone", []string{"-energy-window", "1s"}, ""},
 		{"shard-diag-without-shards", []string{"-shard-diag", "d.jsonl"}, "needs the sharded rack model"},
 		{"shard-diag-with-shards", []string{"-shards", "2", "-shard-diag", "d.jsonl"}, ""},
-		{"placement-without-shards", []string{"-placement", "balanced"}, "needs the sharded rack model"},
-		{"placement-with-shards", []string{"-shards", "2", "-placement", "balanced"}, ""},
 		{"boards-list", []string{"-shards", "2", "-boards", "8,2,2,2"}, ""},
 		{"boards-garbage", []string{"-shards", "2", "-boards", "many"}, "-boards"},
 		{"boards-list-garbage", []string{"-shards", "2", "-boards", "8,x,2"}, "entry 1"},
@@ -116,14 +114,11 @@ func TestShardingAccessors(t *testing.T) {
 // -enclosures was passed explicitly, which wins (and lets Normalize
 // report the length mismatch).
 func TestShardingBoardsList(t *testing.T) {
-	sh, _, _ := newSet(t, "-shards", "2", "-boards", "8,2,2,2", "-placement", "balanced")
+	sh, _, _ := newSet(t, "-shards", "2", "-boards", "8,2,2,2")
 	topo := sh.Topology()
 	if topo == nil || topo.Enclosures != 4 || len(topo.Boards) != 4 ||
 		topo.Boards[0] != 8 || topo.Boards[3] != 2 || topo.BoardsPerEnclosure != 0 {
 		t.Errorf("list topology %+v", topo)
-	}
-	if topo.Placement != "balanced" {
-		t.Errorf("placement %q not threaded through", topo.Placement)
 	}
 	sh, _, _ = newSet(t, "-shards", "2", "-boards", "8,2", "-enclosures", "3")
 	if topo := sh.Topology(); topo.Enclosures != 3 || len(topo.Boards) != 2 {

@@ -2,16 +2,11 @@ package shard
 
 import "fmt"
 
-// Placement assigns work units (the rack model's enclosures) to
-// shards. Both strategies are pure functions of their inputs — no map
-// iteration, no randomness — so a placement is reproducible from the
-// run manifest alone, and the shard-invariance guarantee extends to
-// "any shard count under any placement".
-//
-// PlaceBlock is the contiguous split the engine used before placement
-// existed: unit u goes to shard u*shards/units, preserving unit order.
-// It is the identity-friendly default and the baseline the balanced
-// packer is compared against.
+// PlaceBlock assigns work units (the rack model's enclosures) to
+// shards with a contiguous split: unit u goes to shard u*shards/units,
+// preserving unit order. It is a pure function of its inputs — no map
+// iteration, no randomness — so the placement is reproducible from the
+// run manifest's unit and shard counts alone.
 func PlaceBlock(units, shards int) []int {
 	if units < 0 || shards <= 0 {
 		panic(fmt.Sprintf("shard: PlaceBlock(%d, %d): need units >= 0 and shards > 0", units, shards))
@@ -21,70 +16,4 @@ func PlaceBlock(units, shards int) []int {
 		asn[u] = u * shards / units
 	}
 	return asn
-}
-
-// PlaceBalanced assigns one shard per unit with a deterministic
-// greedy bin-packer (longest-processing-time): units are considered
-// in decreasing weight (ties broken by increasing unit index) and each
-// goes to the currently least-loaded shard (ties broken by lowest
-// shard index). weights[u] is the unit's event-generation weight — for
-// the rack model, boards × clients per board plus the enclosure's
-// blade. bias, when non-nil, pre-loads shards with work that exists
-// regardless of placement (the SAN array and batch aggregator pinned
-// to shard 0); len(bias) must equal shards.
-//
-// LPT's worst-case makespan is within 4/3 of optimal, which is more
-// than enough headroom for the rack sizes the simulator sweeps; what
-// matters here is that the packing is deterministic and visibly better
-// than PlaceBlock on skewed racks (one giant enclosure plus many small
-// ones lands the giant alone on the emptiest shard instead of sharing
-// a block with its neighbors).
-func PlaceBalanced(weights []float64, shards int, bias []float64) []int {
-	if shards <= 0 {
-		panic(fmt.Sprintf("shard: PlaceBalanced: need shards > 0, got %d", shards))
-	}
-	if bias != nil && len(bias) != shards {
-		panic(fmt.Sprintf("shard: PlaceBalanced: bias has %d entries for %d shards", len(bias), shards))
-	}
-	order := make([]int, len(weights))
-	for i := range order {
-		order[i] = i
-	}
-	// Insertion sort by (weight desc, index asc): n is the enclosure
-	// count, tiny, and the tie-break must be explicit.
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0; j-- {
-			a, b := order[j-1], order[j]
-			if weights[b] > weights[a] || (weights[b] == weights[a] && b < a) {
-				order[j-1], order[j] = b, a
-			} else {
-				break
-			}
-		}
-	}
-	load := make([]float64, shards)
-	copy(load, bias)
-	asn := make([]int, len(weights))
-	for _, u := range order {
-		best := 0
-		for s := 1; s < shards; s++ {
-			if load[s] < load[best] {
-				best = s
-			}
-		}
-		asn[u] = best
-		load[best] += weights[u]
-	}
-	return asn
-}
-
-// Loads folds an assignment back into per-shard load totals — the
-// packer's own quality metric, used by tests and by the placement
-// manifest record.
-func Loads(assignment []int, weights []float64, shards int) []float64 {
-	load := make([]float64, shards)
-	for u, s := range assignment {
-		load[s] += weights[u]
-	}
-	return load
 }

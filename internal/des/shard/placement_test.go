@@ -14,6 +14,10 @@ func TestPlaceBlock(t *testing.T) {
 	if !reflect.DeepEqual(got, []int{0, 0, 1, 1, 2}) {
 		t.Errorf("PlaceBlock(5,3) = %v", got)
 	}
+	// The rack model's 4 enclosures on 2 shards: halves, in order.
+	if got := PlaceBlock(4, 2); !reflect.DeepEqual(got, []int{0, 0, 1, 1}) {
+		t.Errorf("PlaceBlock(4,2) = %v", got)
+	}
 	if got := PlaceBlock(0, 2); len(got) != 0 {
 		t.Errorf("PlaceBlock(0,2) = %v", got)
 	}
@@ -23,69 +27,4 @@ func TestPlaceBlock(t *testing.T) {
 		}
 	}()
 	PlaceBlock(4, 0)
-}
-
-// TestPlaceBalancedSkewed is the packer's reason to exist: one giant
-// enclosure plus many small ones. The block split lands the giant with
-// neighbors on one shard; the balanced packer must put it alone and
-// spread the small ones, cutting the max shard load.
-func TestPlaceBalancedSkewed(t *testing.T) {
-	weights := []float64{90, 10, 10, 10, 10, 10, 10} // 1 giant + 6 small
-	const shards = 4
-	block := Loads(PlaceBlock(len(weights), shards), weights, shards)
-	bal := Loads(PlaceBalanced(weights, shards, nil), weights, shards)
-	maxOf := func(l []float64) float64 {
-		m := l[0]
-		for _, v := range l[1:] {
-			if v > m {
-				m = v
-			}
-		}
-		return m
-	}
-	if maxOf(bal) >= maxOf(block) {
-		t.Errorf("balanced max load %v not below block max load %v (block %v, balanced %v)",
-			maxOf(bal), maxOf(block), block, bal)
-	}
-	// LPT on this instance is exactly optimal: the giant alone (90),
-	// the six small ones spread 2/2/2 over the other shards.
-	if maxOf(bal) != 90 {
-		t.Errorf("balanced max load %v, want the giant alone at 90 (%v)", maxOf(bal), bal)
-	}
-}
-
-// TestPlaceBalancedDeterministic: equal weights exercise every
-// tie-break; the assignment must be the documented (index asc,
-// lowest-shard-first) order and reproduce exactly across calls.
-func TestPlaceBalancedDeterministic(t *testing.T) {
-	weights := []float64{1, 1, 1, 1, 1, 1}
-	a := PlaceBalanced(weights, 4, nil)
-	if !reflect.DeepEqual(a, []int{0, 1, 2, 3, 0, 1}) {
-		t.Errorf("tie-break order = %v, want round-robin by index", a)
-	}
-	for i := 0; i < 5; i++ {
-		if b := PlaceBalanced(weights, 4, nil); !reflect.DeepEqual(a, b) {
-			t.Fatalf("call %d diverged: %v vs %v", i, a, b)
-		}
-	}
-}
-
-// TestPlaceBalancedBias: pre-loaded shards (the SAN and aggregator
-// pinned to shard 0) must repel work until the others catch up.
-func TestPlaceBalancedBias(t *testing.T) {
-	weights := []float64{1, 1, 1}
-	asn := PlaceBalanced(weights, 2, []float64{10, 0})
-	if !reflect.DeepEqual(asn, []int{1, 1, 1}) {
-		t.Errorf("bias ignored: %v, want everything on shard 1", asn)
-	}
-	loads := Loads(asn, weights, 2)
-	if loads[0] != 0 || loads[1] != 3 {
-		t.Errorf("Loads = %v", loads)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("bias length mismatch did not panic")
-		}
-	}()
-	PlaceBalanced(weights, 2, []float64{1})
 }
