@@ -137,7 +137,10 @@ func runAblCBF() (Report, error) {
 
 func runAblFlash() (Report, error) {
 	r := Report{ID: "abl-flash", Title: "Ablation — flash cache size sweep"}
-	ws := flashcache.DiskWorkingSets()["websearch"]
+	ws, err := flashcache.DiskWorkingSet("websearch")
+	if err != nil {
+		return Report{}, err
+	}
 	r.addf("websearch disk-trace read hit rate by flash size:")
 	for _, gb := range []float64{0.25, 0.5, 1, 2, 4} {
 		sim, err := flashcache.New(flashcache.Config{

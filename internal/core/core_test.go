@@ -188,6 +188,15 @@ func TestEvaluateDeterministic(t *testing.T) {
 }
 
 func TestFlashHitRatesPlausible(t *testing.T) {
+	// Table 3 and Figure 5 print from these rates, so a change to the
+	// cache or the disk traces that moves any bit must show here.
+	want := map[string]uint64{
+		"websearch": 0x3fe612596aa95fda, // 0.689739902804827
+		"webmail":   0x3fdf60c6b89a985c, // 0.49028175380442973
+		"ytube":     0x3feb96eb46cc7606, // 0.862172735479988
+		"mapred-wc": 0x3fe03ba0360e49cc, // 0.5072785430696114
+		"mapred-wr": 0x3fd913aa9c52b32f, // 0.3918253447143795
+	}
 	ev := NewEvaluator()
 	for _, p := range workload.SuiteProfiles() {
 		hr, err := ev.flashHitRate(p)
@@ -196,6 +205,10 @@ func TestFlashHitRatesPlausible(t *testing.T) {
 		}
 		if hr < 0 || hr > 1 {
 			t.Fatalf("%s: hit rate %g", p.Name, hr)
+		}
+		if got, ok := want[p.Name]; !ok || math.Float64bits(hr) != got {
+			t.Errorf("%s: hit rate %v (%#x), want %v (%#x)",
+				p.Name, hr, math.Float64bits(hr), math.Float64frombits(want[p.Name]), want[p.Name])
 		}
 	}
 	// Cached: second call must not re-simulate (same value, fast).
@@ -335,5 +348,21 @@ func TestConventionalEnclosureKeepsCatalogFans(t *testing.T) {
 	}
 	if r.Server.FanPowerW != platform.Srvr1().FanPowerW {
 		t.Errorf("conventional resolve changed fan power to %g", r.Server.FanPowerW)
+	}
+}
+
+// BenchmarkN2ClusterConfig lowers N2 onto the five suite profiles with a
+// fresh evaluator per iteration, so every flash hit-rate replay (working
+// set build plus 1 GB cache replay) is paid in full.
+func BenchmarkN2ClusterConfig(b *testing.B) {
+	b.ReportAllocs()
+	profiles := workload.SuiteProfiles()
+	for i := 0; i < b.N; i++ {
+		ev := NewEvaluator()
+		for _, p := range profiles {
+			if _, err := ev.ClusterConfig(NewN2(), p); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }

@@ -53,9 +53,9 @@ func (ev *Evaluator) flashHitRate(p workload.Profile) (float64, error) {
 	if hr, ok := ev.hitRates[p.Name]; ok {
 		return hr, nil
 	}
-	ws, ok := flashcache.DiskWorkingSets()[p.Name]
-	if !ok {
-		return 0, fmt.Errorf("core: no disk working set for workload %q", p.Name)
+	ws, err := flashcache.DiskWorkingSet(p.Name)
+	if err != nil {
+		return 0, err
 	}
 	sim, err := flashcache.New(flashcache.DefaultConfig())
 	if err != nil {

@@ -12,8 +12,8 @@
 package flashcache
 
 import (
-	"container/list"
 	"fmt"
+	"math"
 
 	"warehousesim/internal/obs"
 	"warehousesim/internal/obs/span"
@@ -43,6 +43,9 @@ func (c Config) Validate() error {
 	if c.CacheBytes < int64(c.BlockBytes) {
 		return fmt.Errorf("flashcache: cache smaller than one block")
 	}
+	if blocks := c.CacheBytes / int64(c.BlockBytes); blocks > math.MaxInt32 {
+		return fmt.Errorf("flashcache: %d-block cache exceeds the %d-block table", blocks, math.MaxInt32)
+	}
 	return nil
 }
 
@@ -70,12 +73,9 @@ func (s Stats) ReadHitRate() float64 {
 // Sim is the flash disk-cache simulator: an LRU block cache with a
 // hash-table lookup (as the paper describes) and wear accounting.
 type Sim struct {
-	cfg      Config
-	capacity int
-
-	table *list.List
-	index map[int64]*list.Element
-	stats Stats
+	cfg    Config
+	blocks lru
+	stats  Stats
 
 	// observability (nil when not instrumented)
 	rec         obs.Recorder
@@ -92,16 +92,11 @@ func New(cfg Config) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Sim{
-		cfg:      cfg,
-		capacity: int(cfg.CacheBytes / int64(cfg.BlockBytes)),
-		table:    list.New(),
-		index:    map[int64]*list.Element{},
-	}, nil
+	return &Sim{cfg: cfg, blocks: newLRU(int(cfg.CacheBytes / int64(cfg.BlockBytes)))}, nil
 }
 
 // Capacity returns the cache capacity in blocks.
-func (s *Sim) Capacity() int { return s.capacity }
+func (s *Sim) Capacity() int { return s.blocks.capacity }
 
 // Instrument attaches a recorder: per-op counters
 // ("flashcache.reads/read_hits/writes/write_hits/block_writes/evictions"),
@@ -137,8 +132,7 @@ func (s *Sim) InstrumentSpans(tr *span.Tracer, flashReadSec, diskReadSec float64
 // and installs it (write-allocate). Returns true on a flash hit.
 func (s *Sim) Read(block int64) bool {
 	s.stats.Reads++
-	if el, ok := s.index[block]; ok {
-		s.table.MoveToFront(el)
+	if s.blocks.touch(block) {
 		s.stats.ReadHits++
 		s.observe("flashcache.reads", "flashcache.read_hits", true)
 		s.spanRead("flash", s.flashReadUs)
@@ -167,8 +161,7 @@ func (s *Sim) spanRead(res string, durUs float64) {
 // write buffer; destage to disk happens in the background).
 func (s *Sim) Write(block int64) {
 	s.stats.Writes++
-	if el, ok := s.index[block]; ok {
-		s.table.MoveToFront(el)
+	if s.blocks.touch(block) {
 		s.stats.WriteHits++
 		s.stats.FlashBlockWrites++ // re-program the block
 		s.observe("flashcache.writes", "flashcache.write_hits", true)
@@ -197,17 +190,12 @@ func (s *Sim) observe(opCounter, hitCounter string, hit bool) {
 }
 
 func (s *Sim) install(block int64) {
-	if s.table.Len() >= s.capacity {
-		el := s.table.Back()
-		victim := el.Value.(int64)
-		s.table.Remove(el)
-		delete(s.index, victim)
+	if _, evicted := s.blocks.insert(block); evicted {
 		s.stats.Evictions++
 		if s.rec != nil {
 			s.rec.Count("flashcache.evictions", 1)
 		}
 	}
-	s.index[block] = s.table.PushFront(block)
 	s.stats.FlashBlockWrites++
 	if s.rec != nil {
 		s.rec.Count("flashcache.block_writes", 1)
@@ -219,14 +207,15 @@ func (s *Sim) Stats() Stats { return s.stats }
 
 // Replay runs requests from a disk tracer through the cache.
 func Replay(s *Sim, tr trace.DiskTracer, r *stats.RNG, requests int) Stats {
+	emit := func(block int64, write bool) {
+		if write {
+			s.Write(block)
+		} else {
+			s.Read(block)
+		}
+	}
 	for i := 0; i < requests; i++ {
-		tr.TraceDisk(r, func(block int64, write bool) {
-			if write {
-				s.Write(block)
-			} else {
-				s.Read(block)
-			}
-		})
+		tr.TraceDisk(r, emit)
 	}
 	s.stats.Requests += int64(requests)
 	return s.stats
@@ -249,25 +238,51 @@ func (s *Sim) WearLifetimeYears(flashWritesPerSec float64, f platform.Flash) (fl
 	return seconds / (365.25 * 24 * 3600), nil
 }
 
-// DiskWorkingSets gives, per benchmark, the disk-resident working set
+// diskWorkingSets gives, per benchmark, the disk-resident working set
 // and access skew used to synthesize disk traces for the flash study
 // (derived from Table 1's dataset descriptions: 20 GB websearch dataset,
 // 7 GB mail store, edge-cached video library, 5 GB mapreduce corpus).
+// The columns are trace.NewSyntheticDisk's parameters.
+var diskWorkingSets = []struct {
+	name                      string
+	bytes                     int64
+	skew, run, ops, writeFrac float64
+}{
+	{"websearch", 20e9, 1.05, 12, 2.2, 0.02},
+	{"webmail", 7e9, 0.95, 6, 0.5, 0.25},
+	// Edge video traffic is highly skewed (Gill et al.); the flash
+	// front absorbs most cold-tier reads.
+	{"ytube", 12e9, 1.15, 48, 1.0, 0.01},
+	{"mapred-wc", 5e9, 0.70, 64, 16, 0.05},
+	{"mapred-wr", 5e9, 0.60, 64, 0.5, 0.95},
+}
+
+// DiskWorkingSet builds the synthetic disk trace for one benchmark's
+// working set (see diskWorkingSets), and only that one: each build
+// precomputes a Zipf table over millions of blocks.
+func DiskWorkingSet(name string) (trace.SyntheticDisk, error) {
+	for _, w := range diskWorkingSets {
+		if w.name != name {
+			continue
+		}
+		sd, err := trace.NewSyntheticDisk(w.bytes/4096, w.skew, w.run, w.ops, w.writeFrac)
+		if err != nil {
+			return trace.SyntheticDisk{}, fmt.Errorf("flashcache: %s working set: %w", name, err)
+		}
+		return *sd, nil
+	}
+	return trace.SyntheticDisk{}, fmt.Errorf("flashcache: no disk working set for workload %q", name)
+}
+
+// DiskWorkingSets builds every benchmark's working set, keyed by name.
 func DiskWorkingSets() map[string]trace.SyntheticDisk {
-	mk := func(bytes int64, s, run, ops, wf float64) trace.SyntheticDisk {
-		sd, err := trace.NewSyntheticDisk(bytes/4096, s, run, ops, wf)
+	out := make(map[string]trace.SyntheticDisk, len(diskWorkingSets))
+	for _, w := range diskWorkingSets {
+		sd, err := DiskWorkingSet(w.name)
 		if err != nil {
 			panic(err) // static parameters; cannot fail
 		}
-		return *sd
+		out[w.name] = sd
 	}
-	return map[string]trace.SyntheticDisk{
-		"websearch": mk(20e9, 1.05, 12, 2.2, 0.02),
-		"webmail":   mk(7e9, 0.95, 6, 0.5, 0.25),
-		// Edge video traffic is highly skewed (Gill et al.); the flash
-		// front absorbs most cold-tier reads.
-		"ytube":     mk(12e9, 1.15, 48, 1.0, 0.01),
-		"mapred-wc": mk(5e9, 0.70, 64, 16, 0.05),
-		"mapred-wr": mk(5e9, 0.60, 64, 0.5, 0.95),
-	}
+	return out
 }

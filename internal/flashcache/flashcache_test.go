@@ -28,6 +28,9 @@ func TestConfigValidate(t *testing.T) {
 	if (Config{CacheBytes: 100, BlockBytes: 4096}).Validate() == nil {
 		t.Error("cache smaller than a block accepted")
 	}
+	if (Config{CacheBytes: 1 << 45, BlockBytes: 4096}).Validate() == nil {
+		t.Error("cache past the int32 block table accepted")
+	}
 }
 
 func TestDefaultCapacity(t *testing.T) {
@@ -112,6 +115,19 @@ func TestReplayHitRateGrowsWithCache(t *testing.T) {
 	}
 }
 
+func TestDiskWorkingSetUnknown(t *testing.T) {
+	if _, err := DiskWorkingSet("no-such-workload"); err == nil {
+		t.Fatal("unknown working set accepted")
+	}
+	ws, err := DiskWorkingSet("webmail")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if all := DiskWorkingSets()["webmail"]; ws.Blocks != all.Blocks || ws.WriteFraction != all.WriteFraction {
+		t.Errorf("single build %+v differs from the full set's %+v", ws, all)
+	}
+}
+
 func TestDiskWorkingSetsComplete(t *testing.T) {
 	ws := DiskWorkingSets()
 	for _, name := range []string{"websearch", "webmail", "ytube", "mapred-wc", "mapred-wr"} {
@@ -179,7 +195,7 @@ func TestQuickCacheInvariants(t *testing.T) {
 		}
 		st := s.Stats()
 		return st.ReadHits <= st.Reads && st.WriteHits <= st.Writes &&
-			s.table.Len() <= s.capacity && len(s.index) == s.table.Len()
+			s.blocks.len() <= s.Capacity() && s.blocks.indexed() == s.blocks.len()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
