@@ -9,7 +9,6 @@ import (
 	"warehousesim/internal/des/shard"
 	"warehousesim/internal/obs"
 	"warehousesim/internal/obs/energy"
-	"warehousesim/internal/obs/span"
 	"warehousesim/internal/obs/window"
 	"warehousesim/internal/stats"
 	"warehousesim/internal/workload"
@@ -187,19 +186,23 @@ func (o SimOptions) Normalize() (SimOptions, error) {
 }
 
 // simServer binds the configuration's stations to a DES instance.
+// memFrac is the remote-memory share of cpu service its traced
+// requests carve out as swap spans.
 type simServer struct {
-	sim  *des.Sim
-	cpu  *des.Resource
-	disk *des.Resource
-	net  *des.Resource
+	sim     *des.Sim
+	cpu     *des.Resource
+	disk    *des.Resource
+	net     *des.Resource
+	memFrac float64
 }
 
 func (c Config) newSimServer(sim *des.Sim) *simServer {
 	return &simServer{
-		sim:  sim,
-		cpu:  des.NewResource(sim, "cpu", c.Server.CPU.Cores()),
-		disk: des.NewResource(sim, "disk", 1),
-		net:  des.NewResource(sim, "net", 1),
+		sim:     sim,
+		cpu:     des.NewResource(sim, "cpu", c.Server.CPU.Cores()),
+		disk:    des.NewResource(sim, "disk", 1),
+		net:     des.NewResource(sim, "net", 1),
+		memFrac: c.memSwapFraction(),
 	}
 }
 
@@ -430,23 +433,13 @@ func (c Config) simulateInteractive(gen workload.Generator, p workload.Profile, 
 // lives in reused records so the steady-state task loop allocates
 // nothing.
 type batchRun struct {
-	sim *des.Sim
-	srv *simServer
 	rng stats.RNG
-	gen workload.Generator
+	pop population
 	dm  demandModel
 
 	remaining int
-	done      int
 	total     int
 	finish    des.Time
-
-	rec       obs.Recorder
-	recording bool
-	tracer    *span.Tracer
-	memFrac   float64
-	arrivals  int64
-	evFields  [3]obs.Field
 }
 
 type batchTask struct {
@@ -460,34 +453,18 @@ func (t *batchTask) launch() {
 		return
 	}
 	b.remaining--
-	req := b.gen.Sample(&b.rng)
-	d := b.dm.For(req)
-	if !b.recording {
-		t.flow.serve(d)
-		return
-	}
-	if b.tracer.Sampled(b.arrivals) {
-		t.flow.serveTraced(d, b.tracer, b.arrivals, b.memFrac)
-	} else {
-		t.flow.serve(d)
-	}
-	b.arrivals++
+	t.flow.serve(b.pop.next(&b.rng))
 }
 
-func (t *batchTask) finished(latency float64) {
+func (t *batchTask) finished() {
 	b := t.b
-	if b.recording {
-		b.rec.Count("requests", 1)
-		b.rec.Observe("latency_sec", latency)
-		b.evFields[0] = obs.F("latency_sec", latency)
-		b.evFields[1] = obs.FB("qos_violation", false)
-		b.evFields[2] = obs.FB("measured", true)
-		b.rec.Event("request", float64(b.sim.Now()), b.evFields[:]...)
+	b.pop.done(t.flow.start)
+	if t.flow.traced {
+		t.flow.emitSpans(b.pop.tracer)
 	}
-	b.done++
-	if b.done == b.total {
-		b.finish = b.sim.Now()
-		b.sim.Stop()
+	if b.pop.completed == b.total {
+		b.finish = b.pop.sim.Now()
+		b.pop.sim.Stop()
 		return
 	}
 	t.launch()
@@ -495,28 +472,23 @@ func (t *batchTask) finished(latency float64) {
 
 func (c Config) simulateBatch(gen workload.Generator, p workload.Profile, opt SimOptions) (Result, error) {
 	b := &batchRun{}
-	b.sim = des.NewSim()
-	b.srv = c.newSimServer(b.sim)
+	sim := des.NewSim()
+	srv := c.newSimServer(sim)
 	b.rng.Seed(opt.Seed)
 
 	// Batch runs execute exactly once, so they are instrumented inline
-	// (recording observes without perturbing the trajectory).
+	// (recording observes without perturbing the trajectory). Every task
+	// counts: the whole job is the measurement, and it has no QoS bound.
 	tel, err := newPlanes(p, opt)
 	if err != nil {
 		return Result{}, err
 	}
 	rec := tel.tee(opt.Obs)
-	b.rec = rec
-	b.recording = obs.On(rec)
-	b.gen = gen
-	if b.recording {
-		b.gen = workload.Instrument(gen, rec)
-	}
-	if b.recording && opt.TraceEvery > 0 {
-		b.tracer = span.NewTracer(rec, opt.TraceEvery)
-	}
-	b.memFrac = c.memSwapFraction()
 	b.dm = c.demandModelFor(p)
+	b.pop.sim = sim
+	b.pop.dm = &b.dm
+	b.pop.bind(gen, rec, opt.TraceEvery, 0)
+	b.pop.measuring = true
 	b.remaining = p.JobRequests
 	b.total = p.JobRequests
 
@@ -526,44 +498,42 @@ func (c Config) simulateBatch(gen workload.Generator, p workload.Profile, opt Si
 	}
 
 	var probes *des.Probes
-	if b.recording {
-		probes = des.NewProbes(b.sim, rec, des.Time(opt.ProbeIntervalSec))
-		probes.Watch(b.srv.cpu, b.srv.disk, b.srv.net)
+	if b.pop.recording {
+		probes = des.NewProbes(sim, rec, des.Time(opt.ProbeIntervalSec))
+		probes.Watch(srv.cpu, srv.disk, srv.net)
 		probes.OnTick = opt.OnProbeTick
 		probes.Start()
 	}
 	for i := 0; i < concurrency && i < p.JobRequests; i++ {
 		t := &batchTask{b: b}
-		t.flow.init(b.srv, t.finished)
+		t.flow.init(srv, t.finished)
 		t.launch()
 	}
-	if b.recording && opt.OnLive != nil {
+	if b.pop.recording && opt.OnLive != nil {
 		opt.OnLive(liveHandles(tel))
 	}
-	b.sim.Run(des.Time(math.MaxFloat64))
-	if b.recording {
+	sim.Run(des.Time(math.MaxFloat64))
+	if b.pop.recording {
 		probes.Stop()
-		b.tracer.FlushOpen(float64(b.sim.Now()))
-		rec.Count("des.events", int64(b.sim.Fired()))
+		rec.Count("des.events", int64(sim.Fired()))
 		rec.Count("trial.clients", int64(concurrency))
 	}
-	if b.done != p.JobRequests {
-		return Result{}, fmt.Errorf("cluster: batch job stalled at %d/%d tasks", b.done, p.JobRequests)
+	if b.pop.completed != p.JobRequests {
+		return Result{}, fmt.Errorf("cluster: batch job stalled at %d/%d tasks", b.pop.completed, p.JobRequests)
 	}
 
 	exec := float64(b.finish)
+	util := map[string]float64{
+		"cpu": srv.cpu.Utilization(), "disk": srv.disk.Utilization(), "net": srv.net.Utilization(),
+	}
 	res := Result{
-		Throughput: float64(p.JobRequests) / exec,
-		Perf:       1 / exec,
-		QoSMet:     true,
-		ExecTime:   exec,
-		Bottleneck: bottleneckOf(map[string]float64{
-			"cpu": b.srv.cpu.Utilization(), "disk": b.srv.disk.Utilization(), "net": b.srv.net.Utilization(),
-		}),
-		Utilization: map[string]float64{
-			"cpu": b.srv.cpu.Utilization(), "disk": b.srv.disk.Utilization(), "net": b.srv.net.Utilization(),
-		},
-		Clients: concurrency,
+		Throughput:  float64(p.JobRequests) / exec,
+		Perf:        1 / exec,
+		QoSMet:      true,
+		ExecTime:    exec,
+		Bottleneck:  bottleneckOf(util),
+		Utilization: util,
+		Clients:     concurrency,
 	}
 	tel.finish(exec, opt.Obs, &res)
 	return res, nil

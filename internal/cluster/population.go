@@ -1,0 +1,128 @@
+package cluster
+
+import (
+	"warehousesim/internal/des"
+	"warehousesim/internal/obs"
+	"warehousesim/internal/obs/span"
+	"warehousesim/internal/stats"
+	"warehousesim/internal/workload"
+)
+
+// population is the request lifecycle both engines share: it samples
+// and numbers each request, accounts its completion, records the
+// per-request event stream, and owns the span tracer. The flat trial,
+// the flat batch job and every rack enclosure each own one; their
+// issuers (closed-loop clients, batch task slots) only drive their own
+// station pipeline between next and done, and emit the request's span
+// tree at completion when next said it was sampled.
+type population struct {
+	sim   *des.Sim
+	gen   workload.Generator
+	dm    *demandModel
+	think stats.Exponential
+	// hist is nil for batch jobs, which report execution time instead
+	// of a latency distribution.
+	hist *stats.Histogram
+
+	measuring bool
+	completed int
+	arrivals  int64
+	base      int64 // request numbers and span ids start above base
+
+	// recording state, zeroed for uninstrumented runs.
+	rec       obs.Recorder
+	recording bool
+	qosBound  float64
+	tracer    *span.Tracer
+	evFields  [3]obs.Field // scratch row for the per-request event stream
+}
+
+// bind starts a run: it zeroes the counters and attaches the run's
+// generator and recorder. A live recorder also instruments the
+// generator and, with traceEvery > 0, gets a tracer; span ids and
+// request numbers both start above base, so partitioned models that
+// give each part a disjoint base stay unique after the parts merge.
+// The tracer stays nil otherwise, and every tracer method no-ops on
+// nil, so the untraced path pays one nil check per request.
+func (p *population) bind(gen workload.Generator, rec obs.Recorder, traceEvery, base int64) {
+	p.measuring, p.completed, p.arrivals, p.base = false, 0, 0, base
+	p.gen, p.rec, p.recording, p.tracer = gen, rec, obs.On(rec), nil
+	if p.recording {
+		p.gen = workload.Instrument(gen, rec)
+		if traceEvery > 0 {
+			p.tracer = span.NewTracerAt(rec, traceEvery, base)
+		}
+	}
+}
+
+// wait runs issue after one think time drawn from rng, or at once when
+// the population does not think.
+//
+//perf:hotpath
+func (p *population) wait(rng *stats.RNG, issue des.Action) {
+	if p.think.Mean > 0 {
+		p.sim.Schedule(des.Time(p.think.Sample(rng)), issue)
+		return
+	}
+	issue()
+}
+
+// next samples one request from rng and numbers it: its demands, its
+// request number, and whether the tracer keeps its span tree (sampling
+// goes by arrival index, so it does not depend on base).
+//
+//perf:hotpath
+func (p *population) next(rng *stats.RNG) (d Demands, req int64, traced bool) {
+	d = p.dm.For(p.gen.Sample(rng))
+	traced = p.tracer.Sampled(p.arrivals)
+	req = p.base + p.arrivals
+	p.arrivals++
+	return d, req, traced
+}
+
+// done accounts one request, issued at start, completing now: the
+// latency histogram and completion count inside the measurement
+// window, and with a live recorder the request counters, the latency
+// histogram and the "request" event.
+//
+//perf:hotpath
+func (p *population) done(start des.Time) {
+	now := p.sim.Now()
+	latency := float64(now - start)
+	if p.measuring {
+		p.completed++
+		if p.hist != nil {
+			p.hist.Add(latency)
+		}
+	}
+	if !p.recording {
+		return
+	}
+	violation := p.qosBound > 0 && latency > p.qosBound
+	p.rec.Count("requests", 1)
+	if violation {
+		p.rec.Count("qos_violations", 1)
+	}
+	p.rec.Observe("latency_sec", latency)
+	p.evFields[0] = obs.F("latency_sec", latency)
+	p.evFields[1] = obs.FB("qos_violation", violation)
+	p.evFields[2] = obs.FB("measured", p.measuring)
+	p.rec.Event("request", float64(now), p.evFields[:]...)
+}
+
+// emitStage records the queue and service spans of one station stage
+// of request req under root: submitted at submit, completed at done
+// after svc of service. Queue wait is recovered without touching the
+// resource hot path: FIFO service is non-preemptive, so service began
+// at done-svc and everything between submit and that instant was
+// queueing. With frac > 0, a swap span covering that share of the
+// service is nested under it.
+func emitStage(tr *span.Tracer, root, req int64, res string, submit, done des.Time, svc, frac float64) {
+	end := float64(done)
+	began := end - svc
+	tr.Emit(root, req, span.KindQueue, res, float64(submit), began)
+	sid := tr.Emit(root, req, span.KindService, res, began, end)
+	if frac > 0 {
+		tr.Emit(sid, req, span.KindSwap, "memblade", began, began+svc*frac)
+	}
+}

@@ -244,20 +244,11 @@ type rackEnclosure struct {
 	bladeEnt shard.EntityID
 	blade    *des.Resource // nil when the config has no remote memory
 	boards   []*rackBoard
+	pop      population
 
-	think     stats.Exponential
-	hist      *stats.Histogram
-	completed int
-	measuring bool
-	arrivals  int64
-
-	recording bool
-	sink      *obs.Sink
-	rec       obs.Recorder // sink, tee'd into tel when windowing
-	tel       planes
-	gen       workload.Generator
-	tracer    *span.Tracer
-	evFields  [3]obs.Field
+	sink *obs.Sink
+	rec  obs.Recorder // sink, tee'd into tel when windowing
+	tel  planes
 }
 
 // rackBoard is one server board: its cpu and NIC stations plus the
@@ -282,20 +273,21 @@ type rackBoard struct {
 // same Post discipline with delay la, so the trajectory is a pure
 // function of the model, not of the partitioning.
 type rackFlow struct {
-	b     *rackBoard
-	d     Demands
-	start des.Time
+	b      *rackBoard
+	finish des.Action
+
+	d      Demands
+	start  des.Time
+	req    int64
+	traced bool
 	// stage boundary times, kept for span emission at completion.
 	tCPU, tBlade, tSAN des.Time
-	traced             bool
-	req                int64
-	finish             func()
 
 	afterCPUFn, bladeArriveFn, bladeDoneFn, bladeBackFn des.Action
-	sanArriveFn, sanDoneFn, sanBackFn, netDoneFn        des.Action
+	sanArriveFn, sanDoneFn, sanBackFn                   des.Action
 }
 
-func (f *rackFlow) init(b *rackBoard, finish func()) {
+func (f *rackFlow) init(b *rackBoard, finish des.Action) {
 	f.b = b
 	f.finish = finish
 	f.afterCPUFn = f.afterCPU
@@ -305,11 +297,10 @@ func (f *rackFlow) init(b *rackBoard, finish func()) {
 	f.sanArriveFn = f.sanArrive
 	f.sanDoneFn = f.sanDone
 	f.sanBackFn = f.sanBack
-	f.netDoneFn = f.netDone
 }
 
-func (f *rackFlow) serve(d Demands) {
-	f.d = d
+func (f *rackFlow) serve(d Demands, req int64, traced bool) {
+	f.d, f.req, f.traced = d, req, traced
 	f.start = f.b.enc.sh.Now()
 	f.b.cpu.Submit(des.Time(d.CPUSec*(1-f.b.r.memFrac)), f.afterCPUFn)
 }
@@ -367,87 +358,50 @@ func (f *rackFlow) sanBack() {
 }
 
 func (f *rackFlow) goNet() {
-	f.b.net.Submit(des.Time(f.d.NetSec), f.netDoneFn)
+	f.b.net.Submit(des.Time(f.d.NetSec), f.finish)
 }
 
-func (f *rackFlow) netDone() { f.finish() }
-
-// emitSpans records one completed request's span tree into the
-// enclosure's part. Unlike the flat model, spans are emitted at
-// completion (requests still in flight at the horizon are dropped, not
-// truncated): the pipeline crosses shards, and only at completion is
-// the whole timeline known to the board's shard.
-func (e *rackEnclosure) emitSpans(f *rackFlow, end des.Time) {
-	tr := e.tracer
+// emitSpans records the completed request's span tree into the
+// enclosure's part, the same way the flat reqFlow does: at completion,
+// from the stage boundary times, because only then is the whole
+// timeline — which crosses shards — known to the board's shard. The
+// blade swap is a direct child of the root (it occupies its own
+// station, not cpu service), and the SAN round trip is one storage
+// span.
+func (f *rackFlow) emitSpans(tr *span.Tracer) {
+	b, memFrac := f.b, f.b.r.memFrac
+	end := b.enc.sh.Now()
 	root := tr.Emit(0, f.req, span.KindRequest, "request", float64(f.start), float64(end))
-	local := f.d.CPUSec * (1 - e.r.memFrac)
-	began := float64(f.tCPU) - local
-	tr.Emit(root, f.req, span.KindQueue, f.b.cpu.Name(), float64(f.start), began)
-	tr.Emit(root, f.req, span.KindService, f.b.cpu.Name(), began, float64(f.tCPU))
-	if e.r.memFrac > 0 {
-		tr.Emit(root, f.req, span.KindSwap, e.blade.Name(), float64(f.tCPU), float64(f.tBlade))
+	emitStage(tr, root, f.req, b.cpu.Name(), f.start, f.tCPU, f.d.CPUSec*(1-memFrac), 0)
+	if memFrac > 0 {
+		tr.Emit(root, f.req, span.KindSwap, b.enc.blade.Name(), float64(f.tCPU), float64(f.tBlade))
 	}
 	if f.d.DiskSec > 0 {
-		tr.Emit(root, f.req, span.KindService, "san", float64(f.tBlade), float64(f.tSAN))
+		tr.Emit(root, f.req, span.KindStorage, "san", float64(f.tBlade), float64(f.tSAN))
 	}
-	nb := float64(end) - f.d.NetSec
-	tr.Emit(root, f.req, span.KindQueue, f.b.net.Name(), float64(f.tSAN), nb)
-	tr.Emit(root, f.req, span.KindService, f.b.net.Name(), nb, float64(end))
+	emitStage(tr, root, f.req, b.net.Name(), f.tSAN, end, f.d.NetSec, 0)
 }
 
 // rackClient is one closed-loop client pinned to a board: think, issue,
 // await the pipeline, repeat.
 type rackClient struct {
-	enc  *rackEnclosure
+	pop  *population
 	rng  stats.RNG
 	flow rackFlow
 
 	startFn, issueFn des.Action
 }
 
-func (cl *rackClient) next() {
-	e := cl.enc
-	if e.think.Mean > 0 {
-		e.sh.Sim.Schedule(des.Time(e.think.Sample(&cl.rng)), cl.issueFn)
-		return
-	}
-	cl.issue()
-}
+func (cl *rackClient) start() { cl.pop.wait(&cl.rng, cl.issueFn) }
 
-func (cl *rackClient) issue() {
-	e := cl.enc
-	req := e.gen.Sample(&cl.rng)
-	d := e.r.dm.For(req)
-	cl.flow.traced = e.tracer.Sampled(e.arrivals)
-	cl.flow.req = e.arrivals
-	e.arrivals++
-	cl.flow.serve(d)
-}
+func (cl *rackClient) issue() { cl.flow.serve(cl.pop.next(&cl.rng)) }
 
 func (cl *rackClient) finished() {
-	e := cl.enc
-	end := e.sh.Now()
-	latency := float64(end - cl.flow.start)
-	if e.measuring {
-		e.hist.Add(latency)
-		e.completed++
+	cl.pop.done(cl.flow.start)
+	if cl.flow.traced {
+		cl.flow.emitSpans(cl.pop.tracer)
 	}
-	if e.recording {
-		violation := e.r.p.QoSLatencySec > 0 && latency > e.r.p.QoSLatencySec
-		e.rec.Count("requests", 1)
-		if violation {
-			e.rec.Count("qos_violations", 1)
-		}
-		e.rec.Observe("latency_sec", latency)
-		e.evFields[0] = obs.F("latency_sec", latency)
-		e.evFields[1] = obs.FB("qos_violation", violation)
-		e.evFields[2] = obs.FB("measured", e.measuring)
-		e.rec.Event("request", float64(end), e.evFields[:]...)
-		if cl.flow.traced {
-			e.emitSpans(&cl.flow, end)
-		}
-	}
-	cl.next()
+	cl.pop.wait(&cl.rng, cl.issueFn)
 }
 
 // rackSlot is one batch task slot: it relaunches itself until its board
@@ -464,30 +418,15 @@ func (s *rackSlot) launch() {
 		return
 	}
 	b.remaining--
-	e := b.enc
-	req := e.gen.Sample(&b.rng)
-	d := b.r.dm.For(req)
-	s.flow.traced = e.tracer.Sampled(e.arrivals)
-	s.flow.req = e.arrivals
-	e.arrivals++
-	s.flow.serve(d)
+	s.flow.serve(b.enc.pop.next(&b.rng))
 }
 
 func (s *rackSlot) finished() {
 	b := s.b
-	e := b.enc
-	end := e.sh.Now()
-	if e.recording {
-		latency := float64(end - s.flow.start)
-		e.rec.Count("requests", 1)
-		e.rec.Observe("latency_sec", latency)
-		e.evFields[0] = obs.F("latency_sec", latency)
-		e.evFields[1] = obs.FB("qos_violation", false)
-		e.evFields[2] = obs.FB("measured", true)
-		e.rec.Event("request", float64(end), e.evFields[:]...)
-		if s.flow.traced {
-			e.emitSpans(&s.flow, end)
-		}
+	pop := &b.enc.pop
+	pop.done(s.flow.start)
+	if s.flow.traced {
+		s.flow.emitSpans(pop.tracer)
 	}
 	// Shuffle: ship the task's output chunk to a deterministically
 	// chosen peer board. The slot frees immediately (map-side), so the
@@ -496,7 +435,7 @@ func (s *rackSlot) finished() {
 	ch := &rackChunk{r: b.r, dst: peer, netSec: s.flow.d.NetSec}
 	ch.recvFn = ch.recv
 	ch.sentFn = ch.sent
-	e.sh.Post(b.ent, peer.ent, b.r.laCross, ch.recvFn)
+	b.enc.sh.Post(b.ent, peer.ent, b.r.laCross, ch.recvFn)
 	s.launch()
 }
 
@@ -626,15 +565,10 @@ func buildRack(c Config, topo *ShardedTopology, gen workload.Generator, p worklo
 			idx:      e,
 			sh:       eng.Shard(sid),
 			bladeEnt: shard.EntityID(nBoards + e),
-			think:    stats.Exponential{Mean: p.ThinkTimeSec},
-			hist:     stats.NewLatencyHistogram(),
-			gen:      gen,
 		}
 		eng.Assign(enc.bladeEnt, sid)
 		if recording {
-			enc.recording = true
 			enc.sink = obs.NewSink()
-			enc.gen = workload.Instrument(gen, enc.sink)
 			// One set of window planes per enclosure, fed through a tee
 			// over the enclosure's private part: windows are assigned by
 			// observation time, so the per-enclosure collectors are the
@@ -644,11 +578,19 @@ func buildRack(c Config, topo *ShardedTopology, gen workload.Generator, p worklo
 				return nil, err
 			}
 			enc.rec = enc.tel.tee(enc.sink)
-			if opt.TraceEvery > 0 {
-				// Disjoint id bases keep span ids unique across the
-				// per-enclosure tracers.
-				enc.tracer = span.NewTracerAt(enc.sink, opt.TraceEvery, (int64(e)+1)<<40)
-			}
+		}
+		pop := &enc.pop
+		pop.sim = enc.sh.Sim
+		pop.dm = &r.dm
+		// Disjoint bases keep span ids and request numbers unique across
+		// the per-enclosure populations, at every shard count.
+		pop.bind(gen, enc.rec, opt.TraceEvery, (int64(e)+1)<<40)
+		if p.Batch {
+			pop.measuring = true // the whole job is the measurement
+		} else {
+			pop.think = stats.Exponential{Mean: p.ThinkTimeSec}
+			pop.hist = stats.NewLatencyHistogram()
+			pop.qosBound = p.QoSLatencySec
 		}
 		if r.memFrac > 0 {
 			enc.blade = des.NewResource(enc.sh.Sim, fmt.Sprintf("memblade.e%d", e), 1)
@@ -761,9 +703,9 @@ func (r *rackSim) setupInteractive() {
 		enc := enc
 		for _, bd := range enc.boards {
 			for ci := 0; ci < r.topo.ClientsPerBoard; ci++ {
-				cl := &rackClient{enc: enc}
+				cl := &rackClient{pop: &enc.pop}
 				cl.flow.init(bd, cl.finished)
-				cl.startFn = cl.next
+				cl.startFn = cl.start
 				cl.issueFn = cl.issue
 				cl.rng.Seed(rackSeed(r.opt.Seed, bd.global, ci))
 				// Stagger initial arrivals across one think time, from
@@ -772,7 +714,7 @@ func (r *rackSim) setupInteractive() {
 			}
 		}
 		enc.sh.Sim.Schedule(des.Time(r.opt.WarmupSec), func() {
-			enc.measuring = true
+			enc.pop.measuring = true
 			for _, bd := range enc.boards {
 				bd.cpu.ResetWindow()
 				bd.net.ResetWindow()
@@ -878,8 +820,8 @@ func (c Config) rackInteractive(t *ShardedTopology, gen workload.Generator, p wo
 	hist := stats.NewLatencyHistogram()
 	completed := 0
 	for _, enc := range r.encs {
-		hist.Merge(enc.hist)
-		completed += enc.completed
+		hist.Merge(enc.pop.hist)
+		completed += enc.pop.completed
 	}
 	clients := len(r.boards) * r.topo.ClientsPerBoard
 	util := r.utilization(opt.MeasureSec)

@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"warehousesim/internal/obs"
@@ -17,39 +19,90 @@ func tracedTestOptions(rec obs.Recorder, every int64) SimOptions {
 	return o
 }
 
+// spanCase is one engine shape the span tests drive: the flat server
+// or a 2x2 rack on two shards, with or without remote memory.
+type spanCase struct {
+	name string
+	cfg  Config
+	p    workload.Profile
+	topo *ShardedTopology
+}
+
+func spanCases() []spanCase {
+	var cs []spanCase
+	for _, ms := range []float64{0, 0.2} {
+		cfg := Config{Server: platform.Desk(), MemSlowdown: ms}
+		cs = append(cs,
+			spanCase{fmt.Sprintf("flat/mem%g", ms), cfg, workload.WebsearchProfile(), nil},
+			spanCase{fmt.Sprintf("rack/mem%g", ms), cfg, workload.WebsearchProfile(),
+				&ShardedTopology{Enclosures: 2, BoardsPerEnclosure: 2, Shards: 2}})
+	}
+	return cs
+}
+
+// run simulates the case with the given recorder and trace stride.
+func (c spanCase) run(t *testing.T, rec obs.Recorder, every int64) Result {
+	t.Helper()
+	opt := tracedTestOptions(rec, every)
+	if c.topo != nil {
+		opt.Topology = c.topo
+	}
+	res, err := c.cfg.Simulate(workload.FixedGenerator{P: c.p}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestTracingDoesNotChangeResult extends the observe-don't-perturb rule
 // to span tracing: a traced request must follow the exact trajectory an
-// untraced one would.
+// untraced one would, on the flat server, a flat batch job and the rack.
+// The traced run must match a recorded untraced run, and for
+// interactive runs an unrecorded one too. (An unrecorded flat batch run
+// reports its utilization over the open horizon rather than the job's
+// span — a recording difference ROADMAP.md tracks.)
 func TestTracingDoesNotChangeResult(t *testing.T) {
-	cfg := Config{Server: platform.Desk()}
-	gen := workload.FixedGenerator{P: workload.WebsearchProfile()}
-
-	plain, err := cfg.Simulate(gen, obsTestOptions(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	traced, err := cfg.Simulate(gen, tracedTestOptions(obs.NewSink(), 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Throughput != traced.Throughput || plain.Clients != traced.Clients ||
-		plain.P95Latency != traced.P95Latency || plain.MeanLatency != traced.MeanLatency {
-		t.Fatalf("tracing changed the result:\nplain  %+v\ntraced %+v", plain, traced)
+	batch := workload.MapReduceWCProfile()
+	batch.JobRequests = 200
+	cases := append(spanCases(),
+		spanCase{"flat/batch", Config{Server: platform.Desk(), MemSlowdown: 0.2}, batch, nil},
+		spanCase{"rack/batch", Config{Server: platform.Desk(), MemSlowdown: 0.2}, batch,
+			&ShardedTopology{Enclosures: 2, BoardsPerEnclosure: 2, Shards: 2}})
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			traced := c.run(t, obs.NewSink(), 1)
+			plain := []Result{c.run(t, obs.NewSink(), 0)}
+			if !c.p.Batch {
+				plain = append(plain, c.run(t, nil, 0))
+			}
+			for _, p := range plain {
+				if !reflect.DeepEqual(p, traced) {
+					t.Fatalf("tracing changed the result:\nplain  %+v\ntraced %+v", p, traced)
+				}
+			}
+		})
 	}
 }
 
-// TestSpansReconcileWithLatencies is the acceptance criterion: every
-// completed root span matches a recorded request event — its duration
-// is bit-identical to that request's latency_sec — and the span tree
-// under it tiles the root, so attribution shares sum to 100%.
+// TestSpansReconcileWithLatencies is the acceptance criterion, on both
+// engines: every root span matches a recorded request event — its
+// duration is bit-identical to that request's latency_sec — the direct
+// children of each root tile it (flat swaps nest under cpu service,
+// rack swaps are direct children), every root is its own request in
+// the attribution, and the attribution's shares sum to 100% with SAN
+// time counted as disk.
 func TestSpansReconcileWithLatencies(t *testing.T) {
-	cfg := Config{Server: platform.Desk()}
-	sink := obs.NewSink()
-	if _, err := cfg.Simulate(workload.FixedGenerator{P: workload.WebsearchProfile()},
-		tracedTestOptions(sink, 1)); err != nil {
-		t.Fatal(err)
+	for _, c := range spanCases() {
+		t.Run(c.name, func(t *testing.T) {
+			sink := obs.NewSink()
+			c.run(t, sink, 1)
+			checkSpansReconcile(t, sink)
+		})
 	}
+}
 
+func checkSpansReconcile(t *testing.T, sink *obs.Sink) {
+	t.Helper()
 	// Latency multiset from the request event stream (exact float64 keys:
 	// both numbers come from the same des.Time arithmetic).
 	latencies := map[float64]int{}
@@ -68,31 +121,28 @@ func TestSpansReconcileWithLatencies(t *testing.T) {
 	}
 
 	spans := span.Decoded(sink.Events())
-	var roots, open int
-	childSum := map[int64]float64{} // root span id -> sum of tiling children
-	rootDur := map[int64]float64{}
-	rootID := map[int64]int64{} // req -> root id
+	rootDur := map[int64]float64{} // root span id -> duration
+	var san int
 	for _, s := range spans {
-		if s.Kind == span.KindRequest {
-			if s.Open {
-				open++
-				continue
-			}
-			roots++
-			if latencies[s.Dur] == 0 {
-				t.Fatalf("root span of req %d has dur %g matching no recorded latency", s.Req, s.Dur)
-			}
-			latencies[s.Dur]--
-			rootDur[s.ID] = s.Dur
-			rootID[s.Req] = s.ID
+		if s.Res == "san" {
+			san++
 		}
+		if s.Kind != span.KindRequest {
+			continue
+		}
+		if latencies[s.Dur] == 0 {
+			t.Fatalf("root span of req %d has dur %g matching no recorded latency", s.Req, s.Dur)
+		}
+		latencies[s.Dur]--
+		rootDur[s.ID] = s.Dur
 	}
+	roots := len(rootDur)
 	if roots == 0 {
-		t.Fatal("no completed root spans")
+		t.Fatal("no root spans")
 	}
-	// Queue and service children (direct children of roots) tile the root.
+	childSum := map[int64]float64{}
 	for _, s := range spans {
-		if s.Kind == span.KindQueue || s.Kind == span.KindService {
+		if _, ok := rootDur[s.Parent]; ok {
 			childSum[s.Parent] += s.Dur
 		}
 	}
@@ -103,18 +153,24 @@ func TestSpansReconcileWithLatencies(t *testing.T) {
 	}
 
 	attr := span.Analyze(sink.Events())
-	if attr.Requests != roots || attr.OpenRequests != open {
-		t.Fatalf("attribution saw %d/%d requests, spans have %d/%d", attr.Requests, attr.OpenRequests, roots, open)
+	if attr.Requests != roots {
+		t.Fatalf("attribution saw %d requests, spans have %d roots", attr.Requests, roots)
 	}
-	var shares float64
+	var shares, disk float64
 	for _, r := range attr.Rows {
 		shares += r.Share
+		if r.Category == span.CatDisk {
+			disk = r.Share
+		}
 	}
 	if math.Abs(shares-1) > 1e-9 {
 		t.Fatalf("attribution shares sum to %g, want 1", shares)
 	}
 	if math.Abs(attr.TotalSec-attr.RootSec) > 1e-6*attr.RootSec {
 		t.Fatalf("attributed %g sec but roots lasted %g sec", attr.TotalSec, attr.RootSec)
+	}
+	if san > 0 && disk <= 0 {
+		t.Fatalf("%d SAN spans but disk share %g", san, disk)
 	}
 }
 

@@ -23,118 +23,69 @@ import (
 //
 // Every method mirrors the retired closure bodies statement for
 // statement: the same RNG draw order, the same Submit calls, the same
-// recorder emission order. Same-seed trajectories — and therefore obs,
-// trace, and attribution exports — are byte-identical to the pre-pool
+// recorder emission order. Same-seed trajectories — and therefore obs
+// and attribution exports — are byte-identical to the pre-pool
 // implementation (the cluster and span golden tests pin this).
 
 // reqFlow walks one request through cpu -> disk -> net with bound-once
 // continuations. A flow belongs to exactly one issuer (a closed-loop
 // client or a batch task slot), which owns it for the request's whole
-// lifetime; finish fires at completion with the residence time.
+// lifetime; finish fires at completion.
 type reqFlow struct {
 	srv    *simServer
-	finish func(latency float64)
+	finish des.Action
 
-	d     Demands
-	start des.Time
+	d      Demands
+	start  des.Time
+	req    int64
+	traced bool
+	// stage boundary times, kept for span emission at completion.
+	tCPU, tDisk des.Time
 
-	// traced-request state (set by serveTraced).
-	tracer  *span.Tracer
-	memFrac float64
-	req     int64
-	root    int64
-	submit  float64
-
-	cpuFn, diskFn, netFn    des.Action
-	tcpuFn, tdiskFn, tnetFn des.Action
+	cpuFn, diskFn des.Action
 }
 
-func (f *reqFlow) init(srv *simServer, finish func(latency float64)) {
+func (f *reqFlow) init(srv *simServer, finish des.Action) {
 	f.srv = srv
 	f.finish = finish
 	f.cpuFn = f.cpuDone
 	f.diskFn = f.diskDone
-	f.netFn = f.netDone
-	f.tcpuFn = f.tracedCPUDone
-	f.tdiskFn = f.tracedDiskDone
-	f.tnetFn = f.tracedNetDone
 }
 
-// serve runs one request through cpu -> disk -> net; finish fires with
-// the total residence time.
+// serve runs request req through cpu -> disk -> net; finish fires when
+// the net stage completes.
 //
 //perf:hotpath
-func (f *reqFlow) serve(d Demands) {
-	f.d = d
+func (f *reqFlow) serve(d Demands, req int64, traced bool) {
+	f.d, f.req, f.traced = d, req, traced
 	f.start = f.srv.sim.Now()
 	f.srv.cpu.Submit(des.Time(d.CPUSec), f.cpuFn)
 }
 
 //perf:hotpath
-func (f *reqFlow) cpuDone() { f.srv.disk.Submit(des.Time(f.d.DiskSec), f.diskFn) }
-
-//perf:hotpath
-func (f *reqFlow) diskDone() { f.srv.net.Submit(des.Time(f.d.NetSec), f.netFn) }
-
-//perf:hotpath
-func (f *reqFlow) netDone() { f.finish(float64(f.srv.sim.Now() - f.start)) }
-
-// serveTraced mirrors serve exactly — same Submit calls, same delays,
-// same event ordering, so a traced request follows the trajectory an
-// untraced one would — and additionally records the request's causal
-// span tree: a root request span plus queue/service spans per resource.
-// Queue wait is recovered without touching the resource hot path: FIFO
-// service is non-preemptive, so service started at completion-minus-
-// service and everything between submit and that instant was queueing.
-// memFrac > 0 carves the remote-memory share out of cpu service as a
-// nested swap span (the §3.4 slowdown is folded into CPUSec; the span
-// makes it attributable again).
-//
-//perf:hotpath
-func (f *reqFlow) serveTraced(d Demands, tr *span.Tracer, req int64, memFrac float64) {
-	f.d = d
-	f.tracer = tr
-	f.memFrac = memFrac
-	f.req = req
-	f.start = f.srv.sim.Now()
-	f.root = tr.Begin(0, req, span.KindRequest, "request", float64(f.start))
-	f.submit = float64(f.srv.sim.Now())
-	f.srv.cpu.Submit(des.Time(d.CPUSec), f.tcpuFn)
-}
-
-// emitStage records the queue/service (and optional swap) spans of the
-// stage that just completed on r.
-//
-//perf:hotpath
-func (f *reqFlow) emitStage(r *des.Resource, svc, frac float64) {
-	end := float64(f.srv.sim.Now())
-	began := end - svc
-	f.tracer.Emit(f.root, f.req, span.KindQueue, r.Name(), f.submit, began)
-	sid := f.tracer.Emit(f.root, f.req, span.KindService, r.Name(), began, end)
-	if frac > 0 {
-		f.tracer.Emit(sid, f.req, span.KindSwap, "memblade", began, began+svc*frac)
-	}
+func (f *reqFlow) cpuDone() {
+	f.tCPU = f.srv.sim.Now()
+	f.srv.disk.Submit(des.Time(f.d.DiskSec), f.diskFn)
 }
 
 //perf:hotpath
-func (f *reqFlow) tracedCPUDone() {
-	f.emitStage(f.srv.cpu, f.d.CPUSec, f.memFrac)
-	f.submit = float64(f.srv.sim.Now())
-	f.srv.disk.Submit(des.Time(f.d.DiskSec), f.tdiskFn)
+func (f *reqFlow) diskDone() {
+	f.tDisk = f.srv.sim.Now()
+	f.srv.net.Submit(des.Time(f.d.NetSec), f.finish)
 }
 
-//perf:hotpath
-func (f *reqFlow) tracedDiskDone() {
-	f.emitStage(f.srv.disk, f.d.DiskSec, 0)
-	f.submit = float64(f.srv.sim.Now())
-	f.srv.net.Submit(des.Time(f.d.NetSec), f.tnetFn)
-}
-
-//perf:hotpath
-func (f *reqFlow) tracedNetDone() {
-	f.emitStage(f.srv.net, f.d.NetSec, 0)
-	f.tracer.End(f.root, float64(f.srv.sim.Now()))
-	f.finish(float64(f.srv.sim.Now() - f.start))
+// emitSpans records the completed request's span tree: a root request
+// span plus a queue and a service span per station, with the
+// remote-memory share of cpu service nested under it as a swap span
+// (the §3.4 slowdown is folded into CPUSec; the span makes it
+// attributable again).
+func (f *reqFlow) emitSpans(tr *span.Tracer) {
+	s := f.srv
+	end := s.sim.Now()
+	root := tr.Emit(0, f.req, span.KindRequest, "request", float64(f.start), float64(end))
+	emitStage(tr, root, f.req, s.cpu.Name(), f.start, f.tCPU, f.d.CPUSec, s.memFrac)
+	emitStage(tr, root, f.req, s.disk.Name(), f.tCPU, f.tDisk, f.d.DiskSec, 0)
+	emitStage(tr, root, f.req, s.net.Name(), f.tDisk, end, f.d.NetSec, 0)
 }
 
 // client is one closed-loop client: think, issue, await completion,
@@ -142,95 +93,49 @@ func (f *reqFlow) tracedNetDone() {
 // the embedded RNG per trial, exactly reproducing the retired
 // rng.Split() stream.
 type client struct {
-	t    *trialCtx
+	pop  *population
 	rng  stats.RNG
 	flow reqFlow
 
-	startFn des.Action // the staggered first wake-up (== next)
+	startFn des.Action // the staggered first wake-up (== start)
 	issueFn des.Action
 }
 
 func newClient(t *trialCtx) *client {
-	c := &client{t: t}
-	c.flow.init(t.srv, c.finish)
-	c.startFn = c.next
+	c := &client{pop: &t.pop}
+	c.flow.init(t.srv, c.finished)
+	c.startFn = c.start
 	c.issueFn = c.issue
 	return c
 }
 
 //perf:hotpath
-func (c *client) next() {
-	t := c.t
-	if t.think.Mean > 0 {
-		t.sim.Schedule(des.Time(t.think.Sample(&c.rng)), c.issueFn)
-	} else {
-		c.issue()
-	}
-}
+func (c *client) start() { c.pop.wait(&c.rng, c.issueFn) }
 
 //perf:hotpath
-func (c *client) issue() {
-	t := c.t
-	req := t.gen.Sample(&c.rng)
-	d := t.dm.For(req)
-	if t.tracer.Sampled(t.arrivals) {
-		c.flow.serveTraced(d, t.tracer, t.arrivals, t.memFrac)
-	} else {
-		c.flow.serve(d)
-	}
-	t.arrivals++
-}
+func (c *client) issue() { c.flow.serve(c.pop.next(&c.rng)) }
 
 //perf:hotpath
-func (c *client) finish(latency float64) {
-	t := c.t
-	if t.measuring {
-		t.hist.Add(latency)
-		t.completed++
+func (c *client) finished() {
+	c.pop.done(c.flow.start)
+	if c.flow.traced {
+		c.flow.emitSpans(c.pop.tracer)
 	}
-	if !t.recording {
-		c.next()
-		return
-	}
-	violation := t.qosBound > 0 && latency > t.qosBound
-	t.rec.Count("requests", 1)
-	if violation {
-		t.rec.Count("qos_violations", 1)
-	}
-	t.rec.Observe("latency_sec", latency)
-	t.evFields[0] = obs.F("latency_sec", latency)
-	t.evFields[1] = obs.FB("qos_violation", violation)
-	t.evFields[2] = obs.FB("measured", t.measuring)
-	t.rec.Event("request", float64(t.sim.Now()), t.evFields[:]...)
-	c.next()
+	c.pop.wait(&c.rng, c.issueFn)
 }
 
 // trialCtx owns the reusable simulation state of one adaptive search:
-// the kernel, the server binding, the latency histogram, and the client
-// records. One ctx serves one trial at a time; concurrent trials (the
-// speculative parallel ramp) each use their own ctx.
+// the kernel, the server binding, the request population, and the
+// client records. One ctx serves one trial at a time; concurrent trials
+// (the speculative parallel ramp) each use their own ctx.
 type trialCtx struct {
 	cfg Config
 	sim *des.Sim
 	srv *simServer
 
-	hist    *stats.Histogram
+	pop     population
 	rootRNG stats.RNG
-	think   stats.Exponential
 	dm      demandModel
-	gen     workload.Generator
-
-	measuring bool
-	completed int
-
-	// recording state, zeroed for uninstrumented trials.
-	rec       obs.Recorder
-	recording bool
-	qosBound  float64
-	memFrac   float64
-	arrivals  int64
-	tracer    *span.Tracer
-	evFields  [3]obs.Field // scratch row for the per-request event stream
 
 	clients []*client
 }
@@ -239,7 +144,9 @@ func newTrialCtx(c Config) *trialCtx {
 	t := &trialCtx{cfg: c}
 	t.sim = des.NewSim()
 	t.srv = c.newSimServer(t.sim)
-	t.hist = stats.NewLatencyHistogram()
+	t.pop.sim = t.sim
+	t.pop.dm = &t.dm
+	t.pop.hist = stats.NewLatencyHistogram()
 	return t
 }
 
@@ -253,29 +160,13 @@ func (t *trialCtx) run(gen workload.Generator, p workload.Profile, nClients int,
 	t.srv.cpu.Reset()
 	t.srv.disk.Reset()
 	t.srv.net.Reset()
-	t.hist.Reset()
 	t.rootRNG.Seed(seed)
 	t.dm = t.cfg.demandModelFor(p)
-	t.think = stats.Exponential{Mean: p.ThinkTimeSec}
-	t.measuring = false
-	t.completed = 0
-	t.arrivals = 0
-
-	t.rec = rec
-	t.recording = obs.On(rec)
-	t.gen = gen
-	if t.recording {
-		t.gen = workload.Instrument(gen, rec)
-	}
-	// tracer stays nil unless the run both records and asked for spans;
-	// every tracer method no-ops on nil, so the recording-but-untraced
-	// path pays one nil check per request.
-	t.tracer = nil
-	if t.recording && opt.TraceEvery > 0 {
-		t.tracer = span.NewTracer(rec, opt.TraceEvery)
-	}
-	t.qosBound = p.QoSLatencySec
-	t.memFrac = t.cfg.memSwapFraction()
+	pop := &t.pop
+	pop.hist.Reset()
+	pop.think = stats.Exponential{Mean: p.ThinkTimeSec}
+	pop.qosBound = p.QoSLatencySec
+	pop.bind(gen, rec, opt.TraceEvery, 0)
 
 	for len(t.clients) < nClients {
 		t.clients = append(t.clients, newClient(t))
@@ -289,7 +180,7 @@ func (t *trialCtx) run(gen workload.Generator, p workload.Profile, nClients int,
 	}
 
 	var probes *des.Probes
-	if t.recording {
+	if pop.recording {
 		probes = des.NewProbes(t.sim, rec, des.Time(opt.ProbeIntervalSec))
 		probes.Watch(t.srv.cpu, t.srv.disk, t.srv.net)
 		probes.OnTick = opt.OnProbeTick
@@ -297,24 +188,21 @@ func (t *trialCtx) run(gen workload.Generator, p workload.Profile, nClients int,
 	}
 
 	t.sim.Run(des.Time(opt.WarmupSec))
-	t.measuring = true
+	pop.measuring = true
 	t.srv.cpu.ResetWindow()
 	t.srv.disk.ResetWindow()
 	t.srv.net.ResetWindow()
 	t.sim.Run(des.Time(opt.WarmupSec + opt.MeasureSec))
-	if t.recording {
+	if pop.recording {
 		probes.Stop()
-		// Requests still in flight at the horizon leave their root spans
-		// open; export them truncated rather than dropping them.
-		t.tracer.FlushOpen(float64(t.sim.Now()))
 		rec.Count("des.events", int64(t.sim.Fired()))
 		rec.Count("trial.clients", int64(nClients))
 	}
 
 	out := trialOutcome{
-		throughput:  float64(t.completed) / opt.MeasureSec,
-		meanLatency: t.hist.Mean(),
-		p95Latency:  t.hist.Quantile(p.QoSPercentile),
+		throughput:  float64(pop.completed) / opt.MeasureSec,
+		meanLatency: pop.hist.Mean(),
+		p95Latency:  pop.hist.Quantile(p.QoSPercentile),
 		utilization: map[string]float64{
 			"cpu":  t.srv.cpu.Utilization(),
 			"disk": t.srv.disk.Utilization(),
@@ -322,7 +210,7 @@ func (t *trialCtx) run(gen workload.Generator, p workload.Profile, nClients int,
 		},
 	}
 	if p.QoSLatencySec > 0 {
-		out.qosMet = out.p95Latency <= p.QoSLatencySec && t.hist.Count() > 0
+		out.qosMet = out.p95Latency <= p.QoSLatencySec && pop.hist.Count() > 0
 	} else {
 		out.qosMet = true
 	}

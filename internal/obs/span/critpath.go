@@ -50,11 +50,9 @@ type Row struct {
 // Attribution is the critical-path latency-attribution table built
 // from a run's span stream.
 type Attribution struct {
-	// Requests is the number of completed sampled requests analyzed;
-	// OpenRequests counts root spans truncated at the horizon and
-	// excluded from the table.
-	Requests     int
-	OpenRequests int
+	// Requests is the number of sampled requests analyzed (one per root
+	// span; trees are emitted at completion, so every one is complete).
+	Requests int
 	// TotalSec sums every category (== total attributed time); RootSec
 	// sums the root request spans, for reconciliation: the two agree to
 	// floating-point rounding because children tile their root.
@@ -82,10 +80,10 @@ func categorize(s Span) string {
 	}
 }
 
-// Analyze aggregates a run's span events into the attribution table.
-// Requests whose root span is open (cut off at the horizon) are
-// excluded — their breakdown is incomplete; CBF sub-spans are detail
-// inside their swap parent and are not double-counted.
+// Analyze aggregates a run's span events into the attribution table,
+// one request per root span, grouped by the spans' Req. Spans without
+// a root are skipped; CBF sub-spans are detail inside their swap parent
+// and are not double-counted.
 func Analyze(events []obs.EventRecord) Attribution {
 	spans := Decoded(events)
 
@@ -95,7 +93,6 @@ func Analyze(events []obs.EventRecord) Attribution {
 		cats    map[string]float64
 		rootDur float64
 		hasRoot bool
-		open    bool
 	}
 	reqs := map[int64]*reqAgg{}
 	agg := func(req int64) *reqAgg {
@@ -118,7 +115,6 @@ func Analyze(events []obs.EventRecord) Attribution {
 		case KindRequest:
 			a.hasRoot = true
 			a.rootDur = s.Dur
-			a.open = a.open || s.Open
 		case KindCBF:
 			// detail inside its swap parent; the swap already counts
 		case KindSwap:
@@ -133,7 +129,7 @@ func Analyze(events []obs.EventRecord) Attribution {
 		}
 	}
 
-	// Pass 2: totals and per-request percentile inputs over completed
+	// Pass 2: totals and per-request percentile inputs over rooted
 	// requests, in sorted request order for determinism.
 	ids := make([]int64, 0, len(reqs))
 	for id := range reqs {
@@ -145,10 +141,7 @@ func Analyze(events []obs.EventRecord) Attribution {
 	perReq := map[string][]float64{}
 	for _, id := range ids {
 		a := reqs[id]
-		if a.open || !a.hasRoot {
-			if a.open {
-				out.OpenRequests++
-			}
+		if !a.hasRoot {
 			continue
 		}
 		out.Requests++
@@ -204,11 +197,7 @@ func quantile(sorted []float64, q float64) float64 {
 // String renders the fixed-width table whsim prints.
 func (a Attribution) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "latency attribution (%d requests", a.Requests)
-	if a.OpenRequests > 0 {
-		fmt.Fprintf(&b, ", %d open at horizon excluded", a.OpenRequests)
-	}
-	b.WriteString("):\n")
+	fmt.Fprintf(&b, "latency attribution (%d requests):\n", a.Requests)
 	fmt.Fprintf(&b, "  %-14s %12s %8s %10s %10s %10s\n",
 		"category", "total-sec", "share", "p50-ms", "p95-ms", "p99-ms")
 	for _, r := range a.Rows {

@@ -11,10 +11,11 @@ import (
 
 // emitRequest records one completed request whose children tile the
 // root exactly: queue then service per resource, with swapSec of the
-// cpu service nested as a remote-memory span.
+// cpu service nested as a remote-memory span. The root comes first, as
+// the simulators emit it at completion.
 func emitRequest(tr *Tracer, req int64, start, cpuQ, cpuS, swapSec, diskQ, diskS float64) {
 	t := start
-	root := tr.Begin(0, req, KindRequest, "request", t)
+	root := tr.Emit(0, req, KindRequest, "request", t, t+cpuQ+cpuS+diskQ+diskS)
 	tr.Emit(root, req, KindQueue, "cpu", t, t+cpuQ)
 	t += cpuQ
 	sid := tr.Emit(root, req, KindService, "cpu", t, t+cpuS)
@@ -25,8 +26,6 @@ func emitRequest(tr *Tracer, req int64, start, cpuQ, cpuS, swapSec, diskQ, diskS
 	tr.Emit(root, req, KindQueue, "disk", t, t+diskQ)
 	t += diskQ
 	tr.Emit(root, req, KindService, "disk", t, t+diskS)
-	t += diskS
-	tr.End(root, t)
 }
 
 func TestAnalyzeKnownBreakdown(t *testing.T) {
@@ -39,8 +38,8 @@ func TestAnalyzeKnownBreakdown(t *testing.T) {
 	emitRequest(tr, 1, 100, 2, 8, 2, 4, 7)
 	a := Analyze(sink.Events())
 
-	if a.Requests != 2 || a.OpenRequests != 0 {
-		t.Fatalf("requests = %d open = %d, want 2/0", a.Requests, a.OpenRequests)
+	if a.Requests != 2 {
+		t.Fatalf("requests = %d, want 2", a.Requests)
 	}
 	want := map[string]float64{
 		CatQueue: 10, CatService: 11, CatRemoteMem: 3, CatDisk: 12,
@@ -64,29 +63,13 @@ func TestAnalyzeKnownBreakdown(t *testing.T) {
 	}
 }
 
-func TestAnalyzeExcludesOpenRequests(t *testing.T) {
-	sink := obs.NewSink()
-	tr := NewTracer(sink, 1)
-	emitRequest(tr, 0, 0, 1, 2, 0, 1, 2)
-	tr.Begin(0, 1, KindRequest, "request", 3)
-	tr.FlushOpen(10)
-	a := Analyze(sink.Events())
-	if a.Requests != 1 || a.OpenRequests != 1 {
-		t.Fatalf("requests = %d open = %d, want 1/1", a.Requests, a.OpenRequests)
-	}
-	if math.Abs(a.RootSec-6) > 1e-9 {
-		t.Errorf("root sum %g includes the truncated request, want 6", a.RootSec)
-	}
-}
-
 func TestAnalyzeCBFNotDoubleCounted(t *testing.T) {
 	sink := obs.NewSink()
 	tr := NewTracer(sink, 1)
-	root := tr.Begin(0, 0, KindRequest, "request", 0)
+	root := tr.Emit(0, 0, KindRequest, "request", 0, 4)
 	sid := tr.Emit(root, 0, KindService, "cpu", 0, 4)
 	swap := tr.Emit(sid, 0, KindSwap, "memblade", 0, 1)
 	tr.Emit(swap, 0, KindCBF, "", 0, 0.2) // detail inside the swap
-	tr.End(root, 4)
 	a := Analyze(sink.Events())
 	got := map[string]float64{}
 	for _, r := range a.Rows {
@@ -105,9 +88,9 @@ func TestAnalyzePercentiles(t *testing.T) {
 	tr := NewTracer(sink, 1)
 	// 100 requests with queue time = i ms and nothing else.
 	for i := 0; i < 100; i++ {
-		root := tr.Begin(0, int64(i), KindRequest, "request", float64(i))
-		tr.Emit(root, int64(i), KindQueue, "cpu", float64(i), float64(i)+float64(i)*1e-3)
-		tr.End(root, float64(i)+float64(i)*1e-3)
+		end := float64(i) + float64(i)*1e-3
+		root := tr.Emit(0, int64(i), KindRequest, "request", float64(i), end)
+		tr.Emit(root, int64(i), KindQueue, "cpu", float64(i), end)
 	}
 	a := Analyze(sink.Events())
 	var q Row

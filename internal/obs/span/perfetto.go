@@ -14,10 +14,10 @@ import (
 // loadable in Perfetto (ui.perfetto.dev) or chrome://tracing. Each span
 // becomes one complete ("X") event: ts/dur are the span start/duration
 // scaled to microseconds (the trace-event unit; simulated seconds for
-// DES runs, access-index units for trace replays), tid is the request's
-// arrival index — so Perfetto renders one lane per sampled request with
-// queue/service/swap slices nested under the request slice — and args
-// carry the span/parent IDs for causal navigation.
+// DES runs, access-index units for trace replays), tid is the request
+// number (see Span.Req) — so Perfetto renders one lane per sampled
+// request with queue/service/swap slices nested under the request
+// slice — and args carry the span/parent IDs for causal navigation.
 //
 // The writer is hand-rolled rather than encoding/json-driven so the
 // object key order and number formatting are fixed: two same-seed runs
@@ -47,12 +47,8 @@ func WriteTrace(w io.Writer, src TraceSource) error {
 		if s.Res != "" && s.Res != s.Kind && s.Kind != KindRequest {
 			name = s.Res + "." + s.Kind
 		}
-		fmt.Fprintf(bw, "{\"name\":%s,\"cat\":%s,\"ph\":\"X\",\"ts\":%s,\"dur\":%s,\"pid\":1,\"tid\":%d,\"args\":{\"id\":%d,\"parent\":%d",
+		fmt.Fprintf(bw, "{\"name\":%s,\"cat\":%s,\"ph\":\"X\",\"ts\":%s,\"dur\":%s,\"pid\":1,\"tid\":%d,\"args\":{\"id\":%d,\"parent\":%d}}",
 			quote(name), quote(s.Kind), num(s.Start*1e6), num(s.Dur*1e6), s.Req, s.ID, s.Parent)
-		if s.Open {
-			bw.WriteString(",\"open\":1")
-		}
-		bw.WriteString("}}")
 	}
 	bw.WriteString("\n]}\n")
 	return bw.Flush()

@@ -14,8 +14,9 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // goldenSink builds a tiny fixed span set covering every record shape
-// the exporter emits: nested spans, a swap with CBF detail, an empty
-// resource name, and an open span truncated at the horizon.
+// the exporter emits: nested spans, a swap with CBF detail, and an
+// empty resource name. The root comes first, as the simulators emit it
+// at completion.
 func goldenSink() *obs.Sink {
 	sink := obs.NewSink()
 	man := obs.NewManifest("websearch", "emb1", 7)
@@ -23,14 +24,11 @@ func goldenSink() *obs.Sink {
 	sink.SetManifest(man)
 
 	tr := NewTracer(sink, 1)
-	root := tr.Begin(0, 0, KindRequest, "request", 0.001)
+	root := tr.Emit(0, 0, KindRequest, "request", 0.001, 0.004)
 	tr.Emit(root, 0, KindQueue, "cpu", 0.001, 0.0015)
 	svc := tr.Emit(root, 0, KindService, "cpu", 0.0015, 0.004)
 	swap := tr.Emit(svc, 0, KindSwap, "memblade", 0.0015, 0.002)
 	tr.Emit(swap, 0, KindCBF, "", 0.0015, 0.00155)
-	tr.End(root, 0.004)
-	tr.Begin(0, 1, KindRequest, "request", 0.0035)
-	tr.FlushOpen(0.005)
 	return sink
 }
 
@@ -83,9 +81,9 @@ func TestWriteTraceIsValidJSON(t *testing.T) {
 	if doc.OtherData.Schema != "warehousesim-trace/v1" {
 		t.Errorf("schema = %q", doc.OtherData.Schema)
 	}
-	// Metadata event plus the six spans of goldenSink.
-	if len(doc.TraceEvents) != 7 {
-		t.Fatalf("got %d trace events, want 7", len(doc.TraceEvents))
+	// Metadata event plus the five spans of goldenSink.
+	if len(doc.TraceEvents) != 6 {
+		t.Fatalf("got %d trace events, want 6", len(doc.TraceEvents))
 	}
 	if doc.TraceEvents[0].Ph != "M" {
 		t.Errorf("first event is %q, want process_name metadata", doc.TraceEvents[0].Ph)
@@ -98,21 +96,9 @@ func TestWriteTraceIsValidJSON(t *testing.T) {
 			t.Errorf("span %v has negative dur", e.Args["id"])
 		}
 	}
-	// ts/dur are microseconds: the completed root span is 3 ms = 3000 us.
-	// Roots are emitted at End time, so find it by name.
-	var rootDur float64 = -1
-	for _, e := range doc.TraceEvents {
-		if e.Name == "request" && e.Args["open"] == nil {
-			rootDur = e.Dur
-		}
-	}
-	if rootDur != 3000 {
-		t.Errorf("root dur = %g us, want 3000", rootDur)
-	}
-	// The open span carries the open marker in args.
-	last := doc.TraceEvents[len(doc.TraceEvents)-1]
-	if last.Args["open"] != float64(1) {
-		t.Errorf("horizon-truncated span lacks open marker: %v", last.Args)
+	// ts/dur are microseconds: the root span is 3 ms = 3000 us.
+	if root := doc.TraceEvents[1]; root.Name != "request" || root.Dur != 3000 {
+		t.Errorf("root = %q lasting %g us, want request lasting 3000", root.Name, root.Dur)
 	}
 }
 

@@ -12,7 +12,10 @@
 // behind a pointer check), recording never perturbs the simulation (no
 // RNG draws, no scheduled events), and exports are byte-identical
 // across same-seed runs (deterministic IDs, fixed field order,
-// insertion-ordered emission).
+// insertion-ordered emission). The simulators emit each request's tree
+// at completion, from the stage boundary times they kept, so every
+// exported tree is complete: requests still in flight at the horizon
+// emit nothing.
 //
 // Sampling is deterministic too: a Tracer created with every=N keeps
 // the span tree of every Nth request by arrival index — no coin flips —
@@ -21,8 +24,6 @@
 package span
 
 import (
-	"sort"
-
 	"warehousesim/internal/obs"
 )
 
@@ -50,11 +51,12 @@ const (
 
 // Span is one decoded span record.
 type Span struct {
-	// ID is the tracer-assigned identifier (1-based, dense, in Begin/
-	// Emit order). Parent is the enclosing span's ID, 0 for roots.
+	// ID is the tracer-assigned identifier (1-based, dense, in Emit
+	// order). Parent is the enclosing span's ID, 0 for roots.
 	ID, Parent int64
-	// Req is the arrival index of the request (or access index for the
-	// trace-driven simulators) the span belongs to.
+	// Req numbers the request the span belongs to: its arrival index
+	// (access index for the trace-driven simulators), offset by the
+	// part's base in partitioned models so numbers stay unique.
 	Req int64
 	// Kind is one of the Kind* constants; Res names the resource or
 	// link ("cpu", "disk", "net", "memblade", "flash", "san", ...).
@@ -62,9 +64,6 @@ type Span struct {
 	// Start and Dur are in the run's time axis units (simulated seconds
 	// for DES runs; access index for trace replays).
 	Start, Dur float64
-	// Open marks a span truncated at the measurement horizon by
-	// FlushOpen: Start+Dur is the horizon, not a real completion.
-	Open bool
 }
 
 // End returns the span's end on its time axis.
@@ -79,12 +78,11 @@ type Tracer struct {
 	rec    obs.Recorder
 	every  int64
 	nextID int64
-	open   map[int64]Span
 
 	// buf is the emit scratch buffer: span fields are assembled here and
 	// handed to the Recorder, which must not retain them (see
 	// obs.Recorder) — so steady-state emission allocates nothing.
-	buf [7]obs.Field
+	buf [6]obs.Field
 }
 
 // NewTracer returns a tracer emitting into rec, keeping every Nth
@@ -97,13 +95,14 @@ func NewTracer(rec obs.Recorder, every int64) *Tracer {
 	if every < 1 {
 		every = 1
 	}
-	return &Tracer{rec: rec, every: every, open: map[int64]Span{}}
+	return &Tracer{rec: rec, every: every}
 }
 
 // NewTracerAt is NewTracer with an explicit ID base: the first span
 // gets base+1. Partitioned models (the sharded rack) give each part a
-// tracer with a disjoint base so span IDs stay unique — and identical
-// at every partitioning — after the parts are merged.
+// tracer with a disjoint base — and number its requests from the same
+// base — so span IDs and request numbers stay unique, and identical at
+// every partitioning, after the parts are merged.
 func NewTracerAt(rec obs.Recorder, every, base int64) *Tracer {
 	t := NewTracer(rec, every)
 	if t != nil {
@@ -134,87 +133,19 @@ func (t *Tracer) Sampled(reqIndex int64) bool {
 // tracer). Negative durations from floating-point cancellation clamp
 // to zero; zero-duration spans are kept — they mark instantaneous
 // stages (an empty queue, a zero-byte transfer) that the attribution
-// still wants to see.
+// still wants to see. Field order is fixed (id, parent, req, kind, res,
+// dur) so Decode and the exporters see a stable layout.
 func (t *Tracer) Emit(parent, req int64, kind, res string, start, end float64) int64 {
 	if t == nil {
 		return 0
 	}
 	t.nextID++
-	id := t.nextID
-	t.emit(Span{ID: id, Parent: parent, Req: req, Kind: kind, Res: res,
-		Start: start, Dur: clampDur(start, end)})
-	return id
-}
-
-// Begin opens a span that will be closed by End — used for root
-// request spans whose completion may never come (the run horizon cuts
-// them off; FlushOpen emits what remains). Returns the span ID.
-func (t *Tracer) Begin(parent, req int64, kind, res string, start float64) int64 {
-	if t == nil {
-		return 0
-	}
-	t.nextID++
-	id := t.nextID
-	t.open[id] = Span{ID: id, Parent: parent, Req: req, Kind: kind, Res: res, Start: start}
-	return id
-}
-
-// End closes a span opened by Begin and emits it. Ending an unknown or
-// already-ended ID is a no-op.
-func (t *Tracer) End(id int64, end float64) {
-	if t == nil {
-		return
-	}
-	s, ok := t.open[id]
-	if !ok {
-		return
-	}
-	delete(t.open, id)
-	s.Dur = clampDur(s.Start, end)
-	t.emit(s)
-}
-
-// OpenCount returns the number of spans begun but not yet ended.
-func (t *Tracer) OpenCount() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.open)
-}
-
-// FlushOpen emits every still-open span truncated at horizon and
-// marked open, in ID order so the export stays deterministic. Call it
-// when the measurement window closes with requests still in flight.
-func (t *Tracer) FlushOpen(horizon float64) {
-	if t == nil || len(t.open) == 0 {
-		return
-	}
-	ids := make([]int64, 0, len(t.open))
-	for id := range t.open {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		s := t.open[id]
-		delete(t.open, id)
-		s.Dur = clampDur(s.Start, horizon)
-		s.Open = true
-		t.emit(s)
-	}
-}
-
-// emit writes one span record to the event stream. Field order is
-// fixed (id, parent, req, kind, res, dur, open) so Decode and the
-// exporters see a stable layout.
-func (t *Tracer) emit(s Span) {
-	b := append(t.buf[:0],
-		obs.F("id", float64(s.ID)), obs.F("parent", float64(s.Parent)),
-		obs.F("req", float64(s.Req)), obs.FS("kind", s.Kind), obs.FS("res", s.Res),
-		obs.F("dur", s.Dur))
-	if s.Open {
-		b = append(b, obs.FB("open", true))
-	}
-	t.rec.Event(Stream, s.Start, b...)
+	t.buf = [...]obs.Field{
+		obs.F("id", float64(t.nextID)), obs.F("parent", float64(parent)),
+		obs.F("req", float64(req)), obs.FS("kind", kind), obs.FS("res", res),
+		obs.F("dur", clampDur(start, end))}
+	t.rec.Event(Stream, start, t.buf[:]...)
+	return t.nextID
 }
 
 func clampDur(start, end float64) float64 {
@@ -245,8 +176,6 @@ func Decode(e obs.EventRecord) (s Span, ok bool) {
 			s.Res = f.Str
 		case "dur":
 			s.Dur = f.Num
-		case "open":
-			s.Open = f.Num != 0
 		}
 	}
 	return s, true

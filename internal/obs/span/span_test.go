@@ -20,14 +20,6 @@ func TestNilTracerNoOps(t *testing.T) {
 	if id := tr.Emit(0, 0, KindRequest, "", 0, 1); id != 0 {
 		t.Fatalf("nil Emit returned id %d", id)
 	}
-	if id := tr.Begin(0, 0, KindRequest, "", 0); id != 0 {
-		t.Fatalf("nil Begin returned id %d", id)
-	}
-	tr.End(1, 2)
-	tr.FlushOpen(10)
-	if tr.OpenCount() != 0 {
-		t.Fatal("nil tracer has open spans")
-	}
 }
 
 func TestNewTracerDisabledRecorder(t *testing.T) {
@@ -89,66 +81,6 @@ func TestNegativeDurationClamps(t *testing.T) {
 	tr.Emit(0, 0, KindService, "cpu", 2.0, 2.0-1e-18) // fp cancellation
 	if d := Decoded(sink.Events())[0].Dur; d != 0 {
 		t.Fatalf("negative duration not clamped: %g", d)
-	}
-}
-
-func TestBeginEndLifecycle(t *testing.T) {
-	sink := obs.NewSink()
-	tr := NewTracer(sink, 1)
-	id := tr.Begin(0, 0, KindRequest, "request", 1.0)
-	if tr.OpenCount() != 1 {
-		t.Fatalf("open count = %d, want 1", tr.OpenCount())
-	}
-	if len(sink.Events()) != 0 {
-		t.Fatal("Begin emitted before End")
-	}
-	tr.End(id, 4.0)
-	if tr.OpenCount() != 0 {
-		t.Fatal("span still open after End")
-	}
-	s := Decoded(sink.Events())[0]
-	if s.Dur != 3.0 || s.Open {
-		t.Fatalf("ended span = %+v", s)
-	}
-	// Double-End and unknown-End are no-ops.
-	tr.End(id, 9.0)
-	tr.End(999, 9.0)
-	if len(sink.Events()) != 1 {
-		t.Fatal("re-End emitted again")
-	}
-}
-
-func TestFlushOpenTruncatesInIDOrder(t *testing.T) {
-	sink := obs.NewSink()
-	tr := NewTracer(sink, 1)
-	// Begin three, end the middle one; flush the rest at the horizon.
-	a := tr.Begin(0, 0, KindRequest, "request", 1.0)
-	b := tr.Begin(0, 1, KindRequest, "request", 2.0)
-	c := tr.Begin(0, 2, KindRequest, "request", 3.0)
-	tr.End(b, 4.0)
-	tr.FlushOpen(10.0)
-	if tr.OpenCount() != 0 {
-		t.Fatal("spans still open after FlushOpen")
-	}
-	spans := Decoded(sink.Events())
-	if len(spans) != 3 {
-		t.Fatalf("got %d spans, want 3", len(spans))
-	}
-	// Emission order: b (ended), then a and c in ID order.
-	if spans[0].ID != b || spans[1].ID != a || spans[2].ID != c {
-		t.Fatalf("flush order: %d %d %d, want %d %d %d",
-			spans[0].ID, spans[1].ID, spans[2].ID, b, a, c)
-	}
-	for _, s := range spans[1:] {
-		if !s.Open {
-			t.Fatalf("flushed span %d not marked open", s.ID)
-		}
-		if s.End() != 10.0 {
-			t.Fatalf("flushed span %d ends at %g, want horizon 10", s.ID, s.End())
-		}
-	}
-	if spans[0].Open {
-		t.Fatal("normally-ended span marked open")
 	}
 }
 
