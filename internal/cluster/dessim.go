@@ -146,14 +146,14 @@ func DefaultSimOptions() SimOptions {
 // want the effective values themselves (a CLI echoing the resolved
 // probe interval, a test pinning defaults).
 func (o SimOptions) Normalize() (SimOptions, error) {
-	if o.WarmupSec < 0 || o.MeasureSec <= 0 {
+	if !(o.WarmupSec >= 0) || !(o.MeasureSec > 0) || math.IsInf(o.WarmupSec+o.MeasureSec, 0) {
 		return o, fmt.Errorf("cluster: invalid sim window warmup=%g measure=%g", o.WarmupSec, o.MeasureSec)
 	}
 	if o.MaxClients <= 0 {
 		return o, fmt.Errorf("cluster: MaxClients must be positive, got %d", o.MaxClients)
 	}
-	if o.ProbeIntervalSec < 0 {
-		return o, fmt.Errorf("cluster: negative probe interval %g", o.ProbeIntervalSec)
+	if !(o.ProbeIntervalSec >= 0) || math.IsInf(o.ProbeIntervalSec, 0) {
+		return o, fmt.Errorf("cluster: invalid probe interval %g", o.ProbeIntervalSec)
 	}
 	if o.TraceEvery < 0 {
 		return o, fmt.Errorf("cluster: negative trace sampling stride %d", o.TraceEvery)
@@ -185,27 +185,6 @@ func (o SimOptions) Normalize() (SimOptions, error) {
 	return o, nil
 }
 
-// simServer binds the configuration's stations to a DES instance.
-// memFrac is the remote-memory share of cpu service its traced
-// requests carve out as swap spans.
-type simServer struct {
-	sim     *des.Sim
-	cpu     *des.Resource
-	disk    *des.Resource
-	net     *des.Resource
-	memFrac float64
-}
-
-func (c Config) newSimServer(sim *des.Sim) *simServer {
-	return &simServer{
-		sim:     sim,
-		cpu:     des.NewResource(sim, "cpu", c.Server.CPU.Cores()),
-		disk:    des.NewResource(sim, "disk", 1),
-		net:     des.NewResource(sim, "net", 1),
-		memFrac: c.memSwapFraction(),
-	}
-}
-
 // memSwapFraction is the share of cpu service time attributable to
 // remote-memory page swaps: CPUSec includes the (1 + MemSlowdown)
 // inflation, so the swap share is MemSlowdown/(1+MemSlowdown).
@@ -214,15 +193,6 @@ func (c Config) memSwapFraction() float64 {
 		return 0
 	}
 	return c.MemSlowdown / (1 + c.MemSlowdown)
-}
-
-// trialOutcome summarizes one closed-loop trial at a fixed client count.
-type trialOutcome struct {
-	throughput  float64
-	meanLatency float64
-	p95Latency  float64
-	qosMet      bool
-	utilization map[string]float64
 }
 
 // Simulate measures the configuration's sustained performance on the
@@ -262,7 +232,7 @@ func (c Config) Simulate(gen workload.Generator, opt SimOptions) (Result, error)
 type rampCell struct {
 	n    int
 	seed uint64
-	out  trialOutcome
+	out  Result
 }
 
 // parallelRamp runs the exponential ramp's candidate client counts
@@ -303,7 +273,7 @@ func (c Config) parallelRamp(gen workload.Generator, p workload.Profile, opt Sim
 		wg.Wait()
 		for i := lo; i < hi; i++ {
 			seed = cells[i].seed
-			if !cells[i].out.qosMet {
+			if !cells[i].out.QoSMet {
 				firstBad = cells[i].n
 				return good, lastGood, firstBad, seed
 			}
@@ -317,7 +287,7 @@ func (c Config) parallelRamp(gen workload.Generator, p workload.Profile, opt Sim
 func (c Config) simulateInteractive(gen workload.Generator, p workload.Profile, opt SimOptions) (Result, error) {
 	ctx := newTrialCtx(c)
 	seed := opt.Seed
-	trial := func(n int) (trialOutcome, uint64) {
+	trial := func(n int) (Result, uint64) {
 		seed++
 		return ctx.run(gen, p, n, opt, seed, nil), seed
 	}
@@ -327,14 +297,11 @@ func (c Config) simulateInteractive(gen workload.Generator, p workload.Profile, 
 		return Result{}, err
 	}
 
-	best := trialOutcome{}
-	bestN := 0
+	best := Result{}
 	bestSeed := uint64(0)
-	record := func(n int, t trialOutcome, s uint64) {
-		if t.qosMet && t.throughput > best.throughput {
-			best = t
-			bestN = n
-			bestSeed = s
+	record := func(t Result, s uint64) {
+		if t.QoSMet && t.Throughput > best.Throughput {
+			best, bestSeed = t, s
 		}
 	}
 	// replay re-runs the chosen operating point with the recorder
@@ -361,13 +328,13 @@ func (c Config) simulateInteractive(gen workload.Generator, p workload.Profile, 
 		var good []rampCell
 		good, lastGood, firstBad, seed = c.parallelRamp(gen, p, opt, par)
 		for _, g := range good {
-			record(g.n, g.out, g.seed)
+			record(g.out, g.seed)
 		}
 	} else {
 		for n := 1; n <= opt.MaxClients; {
 			t, s := trial(n)
-			if t.qosMet {
-				record(n, t, s)
+			if t.QoSMet {
+				record(t, s)
 				lastGood = n
 				n *= 2
 			} else {
@@ -379,18 +346,10 @@ func (c Config) simulateInteractive(gen workload.Generator, p workload.Profile, 
 	if lastGood == 0 {
 		// QoS unreachable even with one client: report best effort at a
 		// moderate load, mirroring the analytic path.
-		t, s := trial(maxInt(1, opt.MaxClients/8))
-		replay(maxInt(1, opt.MaxClients/8), s)
-		res := Result{
-			Throughput:  t.throughput,
-			Perf:        t.throughput,
-			QoSMet:      false,
-			MeanLatency: t.meanLatency,
-			P95Latency:  t.p95Latency,
-			Bottleneck:  bottleneckOf(t.utilization),
-			Utilization: t.utilization,
-			Clients:     maxInt(1, opt.MaxClients/8),
-		}
+		n := max(1, opt.MaxClients/8)
+		res, s := trial(n)
+		replay(n, s)
+		res.QoSMet = false
 		tel.finish(opt.WarmupSec+opt.MeasureSec, opt.Obs, &res)
 		return res, nil
 	}
@@ -401,80 +360,32 @@ func (c Config) simulateInteractive(gen workload.Generator, p workload.Profile, 
 	// Binary search between lastGood and firstBad. Each probe depends on
 	// the previous outcome, so this stays sequential at any Parallelism.
 	lo, hi := lastGood, firstBad
-	for hi-lo > maxInt(1, lo/50) {
+	for hi-lo > max(1, lo/50) {
 		mid := (lo + hi) / 2
 		t, s := trial(mid)
-		if t.qosMet {
-			record(mid, t, s)
+		if t.QoSMet {
+			record(t, s)
 			lo = mid
 		} else {
 			hi = mid
 		}
 	}
 
-	replay(bestN, bestSeed)
-	res := Result{
-		Throughput:  best.throughput,
-		Perf:        best.throughput,
-		QoSMet:      true,
-		MeanLatency: best.meanLatency,
-		P95Latency:  best.p95Latency,
-		Bottleneck:  bottleneckOf(best.utilization),
-		Utilization: best.utilization,
-		Clients:     bestN,
-	}
-	tel.finish(opt.WarmupSec+opt.MeasureSec, opt.Obs, &res)
-	return res, nil
+	replay(best.Clients, bestSeed)
+	tel.finish(opt.WarmupSec+opt.MeasureSec, opt.Obs, &best)
+	return best, nil
 }
 
-// batchRun drives one batch job: a fixed set of task slots, each
-// re-launching itself on completion until JobRequests tasks are done.
-// Like the interactive trial engine (see trial.go), all per-task state
-// lives in reused records so the steady-state task loop allocates
-// nothing.
-type batchRun struct {
-	rng stats.RNG
-	pop population
-	dm  demandModel
-
-	remaining int
-	total     int
-	finish    des.Time
-}
-
-type batchTask struct {
-	b    *batchRun
-	flow reqFlow
-}
-
-func (t *batchTask) launch() {
-	b := t.b
-	if b.remaining == 0 {
-		return
-	}
-	b.remaining--
-	t.flow.serve(b.pop.next(&b.rng))
-}
-
-func (t *batchTask) finished() {
-	b := t.b
-	b.pop.done(t.flow.start)
-	if t.flow.traced {
-		t.flow.emitSpans(b.pop.tracer)
-	}
-	if b.pop.completed == b.total {
-		b.finish = b.pop.sim.Now()
-		b.pop.sim.Stop()
-		return
-	}
-	t.launch()
-}
-
+// simulateBatch executes one batch job on the flat board: a fixed set
+// of task slots draws the job's tasks from the board's one stream until
+// JobRequests tasks are done, and the last one stops the sim.
 func (c Config) simulateBatch(gen workload.Generator, p workload.Profile, opt SimOptions) (Result, error) {
-	b := &batchRun{}
 	sim := des.NewSim()
-	srv := c.newSimServer(sim)
+	var pop population
+	dm := c.demandModelFor(p)
+	b := c.flatBoard(sim, &pop)
 	b.rng.Seed(opt.Seed)
+	b.remaining = p.JobRequests
 
 	// Batch runs execute exactly once, so they are instrumented inline
 	// (recording observes without perturbing the trajectory). Every task
@@ -484,13 +395,10 @@ func (c Config) simulateBatch(gen workload.Generator, p workload.Profile, opt Si
 		return Result{}, err
 	}
 	rec := tel.tee(opt.Obs)
-	b.dm = c.demandModelFor(p)
-	b.pop.sim = sim
-	b.pop.dm = &b.dm
-	b.pop.bind(gen, rec, opt.TraceEvery, 0)
-	b.pop.measuring = true
-	b.remaining = p.JobRequests
-	b.total = p.JobRequests
+	pop.sim = sim
+	pop.dm = &dm
+	pop.bind(gen, rec, opt.TraceEvery, 0)
+	pop.measuring = true
 
 	concurrency := opt.BatchConcurrency
 	if concurrency <= 0 {
@@ -498,60 +406,74 @@ func (c Config) simulateBatch(gen workload.Generator, p workload.Profile, opt Si
 	}
 
 	var probes *des.Probes
-	if b.pop.recording {
+	if pop.recording {
 		probes = des.NewProbes(sim, rec, des.Time(opt.ProbeIntervalSec))
-		probes.Watch(srv.cpu, srv.disk, srv.net)
+		probes.Watch(b.cpu, b.disk, b.net)
 		probes.OnTick = opt.OnProbeTick
 		probes.Start()
 	}
-	for i := 0; i < concurrency && i < p.JobRequests; i++ {
-		t := &batchTask{b: b}
-		t.flow.init(srv, t.finished)
-		t.launch()
+	var finish des.Time
+	stopAtEnd := func(*board, Demands) {
+		if pop.completed == p.JobRequests {
+			finish = sim.Now()
+			sim.Stop()
+		}
 	}
-	if b.pop.recording && opt.OnLive != nil {
+	for i := 0; i < concurrency && i < p.JobRequests; i++ {
+		newSlot(b, stopAtEnd).launch()
+	}
+	if pop.recording && opt.OnLive != nil {
 		opt.OnLive(liveHandles(tel))
 	}
 	sim.Run(des.Time(math.MaxFloat64))
-	if b.pop.recording {
+	if pop.recording {
 		probes.Stop()
 		rec.Count("des.events", int64(sim.Fired()))
 		rec.Count("trial.clients", int64(concurrency))
 	}
-	if b.pop.completed != p.JobRequests {
-		return Result{}, fmt.Errorf("cluster: batch job stalled at %d/%d tasks", b.pop.completed, p.JobRequests)
+	if pop.completed != p.JobRequests {
+		return Result{}, fmt.Errorf("cluster: batch job stalled at %d/%d tasks", pop.completed, p.JobRequests)
 	}
 
-	exec := float64(b.finish)
-	util := map[string]float64{
-		"cpu": srv.cpu.Utilization(), "disk": srv.disk.Utilization(), "net": srv.net.Utilization(),
-	}
-	res := Result{
-		Throughput:  float64(p.JobRequests) / exec,
-		Perf:        1 / exec,
-		QoSMet:      true,
-		ExecTime:    exec,
-		Bottleneck:  bottleneckOf(util),
-		Utilization: util,
-		Clients:     concurrency,
-	}
+	exec := float64(finish)
+	res := outcome(p, nil, p.JobRequests, exec, b.utilization(), concurrency)
 	tel.finish(exec, opt.Obs, &res)
 	return res, nil
 }
 
+// outcome is a measured run's Result. An interactive run completed
+// requests over a window of measurement seconds; its latency
+// percentiles and QoS verdict come from hist. A batch run's window is
+// its execution time, and it has no QoS bound.
+func outcome(p workload.Profile, hist *stats.Histogram, completed int, window float64, util map[string]float64, clients int) Result {
+	res := Result{
+		Throughput:  float64(completed) / window,
+		QoSMet:      true,
+		Bottleneck:  bottleneckOf(util),
+		Utilization: util,
+		Clients:     clients,
+	}
+	if p.Batch {
+		res.Perf, res.ExecTime = 1/window, window
+		return res
+	}
+	res.Perf = res.Throughput
+	res.MeanLatency = hist.Mean()
+	res.P95Latency = hist.Quantile(p.QoSPercentile)
+	if p.QoSLatencySec > 0 {
+		res.QoSMet = res.P95Latency <= p.QoSLatencySec && hist.Count() > 0
+	}
+	return res
+}
+
+// bottleneckOf names the busiest station. The memory blade is compared
+// last, so a tie goes to cpu, disk or net as it always has.
 func bottleneckOf(util map[string]float64) string {
 	best, bestU := "", -1.0
-	for _, name := range [...]string{"cpu", "disk", "net"} {
+	for _, name := range [...]string{"cpu", "disk", "net", "memblade"} {
 		if u := util[name]; u > bestU {
 			best, bestU = name, u
 		}
 	}
 	return best
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

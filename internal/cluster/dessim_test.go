@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"warehousesim/internal/platform"
@@ -94,6 +95,57 @@ func TestSimulateRejectsBadOptions(t *testing.T) {
 	}
 }
 
+// FuzzSimOptionsNormalize checks option normalization over generated
+// windows, parallelism, trace strides, SLO widths and topologies: it
+// must never panic, and whatever it accepts must be a fixed point —
+// normalizing the result again changes nothing. kind selects no
+// topology, a rack built from the fuzzed ints, or a fleet of such
+// racks; boards, when non-empty, is the rack's per-enclosure board
+// list and the fleet's hot set.
+func FuzzSimOptionsNormalize(f *testing.F) {
+	f.Add(30.0, 240.0, 4096, 0.0, int64(0), 0, 0.0, uint8(0), 0, 0, 0, 0, 0, 0, []byte(nil))
+	f.Add(30.0, 20.0, 64, 1.0, int64(1), 4, 1.0, uint8(1), 4, 2, 0, 0, 4, 0, []byte(nil))
+	f.Add(0.0, 10.0, 8, 0.5, int64(3), 2, 0.25, uint8(1), 4, 0, 3, 2, 9, 0, []byte{12, 2, 2, 2})
+	f.Add(2.0, 10.0, 32, 0.0, int64(0), 1, 1.0, uint8(2), 4, 2, 0, 0, 2, 200, []byte{17, 141})
+	f.Add(2.0, 10.0, 32, 0.0, int64(0), 1, 0.0, uint8(5), 1, 1, 0, 0, 1, 3, []byte(nil))
+	f.Add(math.NaN(), 10.0, 32, math.NaN(), int64(0), 1, 0.0, uint8(0), 0, 0, 0, 0, 0, 0, []byte(nil))
+	f.Add(0.0, math.Inf(1), 32, math.Inf(1), int64(-1), -1, math.NaN(), uint8(0), 0, 0, 0, 0, 0, 0, []byte(nil))
+	f.Fuzz(func(t *testing.T, warmup, measure float64, maxClients int, probe float64, trace int64, par int,
+		slo float64, kind uint8, encs, perEnc, clients, san, shards, racks int, boards []byte) {
+		o := SimOptions{
+			Seed: 1, WarmupSec: warmup, MeasureSec: measure, MaxClients: maxClients,
+			ProbeIntervalSec: probe, TraceEvery: trace, Parallelism: par, SLOWindowSec: slo,
+		}
+		list := make([]int, len(boards))
+		for i, b := range boards {
+			list[i] = int(int8(b)) // negative entries exercise validation
+		}
+		rack := ShardedTopology{Enclosures: encs, BoardsPerEnclosure: perEnc, ClientsPerBoard: clients, SANDisks: san, Shards: shards}
+		switch kind % 3 {
+		case 1:
+			rack.Boards = list
+			o.Topology = &rack
+		case 2:
+			balancers := [...]string{"", BalancerWRR, BalancerLeastLoaded, "random"}
+			o.Topology = &FleetTopology{Racks: racks, HotRacks: clients, HotSet: list, Rack: rack, Balancer: balancers[kind/3%4]}
+		}
+		got, err := o.Normalize()
+		if err != nil {
+			return
+		}
+		again, err := got.Normalize()
+		if err != nil {
+			t.Fatalf("normalized options rejected on the second pass: %v\n%+v", err, got)
+		}
+		if !reflect.DeepEqual(got, again) {
+			t.Fatalf("normalization is not idempotent:\nonce  %+v\ntwice %+v", got, again)
+		}
+		if o.Topology != nil && got.Topology == o.Topology {
+			t.Fatal("Normalize wrote through the caller's topology")
+		}
+	})
+}
+
 // Cross-validation (DESIGN.md §5): the analytic solver and the DES must
 // agree on sustained throughput within a modest tolerance for both an
 // interactive and a batch workload on several platforms.
@@ -146,10 +198,19 @@ func TestAnalyticMatchesDESBatch(t *testing.T) {
 }
 
 func TestBottleneckOf(t *testing.T) {
-	if got := bottleneckOf(map[string]float64{"cpu": 0.9, "disk": 0.2, "net": 0.1}); got != "cpu" {
-		t.Errorf("bottleneck = %s", got)
-	}
-	if got := bottleneckOf(map[string]float64{"cpu": 0.1, "disk": 0.95, "net": 0.1}); got != "disk" {
-		t.Errorf("bottleneck = %s", got)
+	for _, c := range []struct {
+		util map[string]float64
+		want string
+	}{
+		{map[string]float64{"cpu": 0.9, "disk": 0.2, "net": 0.1}, "cpu"},
+		{map[string]float64{"cpu": 0.1, "disk": 0.95, "net": 0.1}, "disk"},
+		// A rack's memory blade is a station too; on a tie the
+		// board-local stations win.
+		{map[string]float64{"cpu": 0.5, "disk": 0.2, "net": 0.1, "memblade": 0.8}, "memblade"},
+		{map[string]float64{"cpu": 0.8, "disk": 0.2, "net": 0.1, "memblade": 0.8}, "cpu"},
+	} {
+		if got := bottleneckOf(c.util); got != c.want {
+			t.Errorf("bottleneckOf(%v) = %s, want %s", c.util, got, c.want)
+		}
 	}
 }

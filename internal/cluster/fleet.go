@@ -32,6 +32,11 @@ const (
 // quanta before the greedy assignment. Fixed, so routing is reproducible.
 const fleetDemandQuanta = 16
 
+// maxFleetRacks bounds the fleet size. The normalized topology and the
+// per-rack breakdown are materialized per rack, so a larger fleet would
+// exhaust memory before it ran.
+const maxFleetRacks = 1 << 20
+
 // FleetTopology scales the unit of simulation from one rack to a fleet
 // of Racks identical racks behind a load-balancer tier. The HotRacks
 // racks under study run the full sharded DES (rack.go, unchanged as the
@@ -65,6 +70,9 @@ type FleetTopology struct {
 func (t *FleetTopology) Normalize() error {
 	if t.Racks < 1 {
 		return fmt.Errorf("cluster: fleet needs at least one rack, got %d", t.Racks)
+	}
+	if t.Racks > maxFleetRacks {
+		return fmt.Errorf("cluster: fleet of %d racks exceeds the %d-rack limit", t.Racks, maxFleetRacks)
 	}
 	if t.HotRacks < 0 {
 		return fmt.Errorf("cluster: negative hot rack count %d", t.HotRacks)

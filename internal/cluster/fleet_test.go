@@ -39,6 +39,7 @@ func TestFleetNormalizeValidation(t *testing.T) {
 		want string
 	}{
 		{"zero racks", FleetTopology{Rack: rack}, "at least one rack"},
+		{"too many racks", FleetTopology{Racks: maxFleetRacks + 1, Rack: rack}, "rack limit"},
 		{"negative hot", FleetTopology{Racks: 4, HotRacks: -1, Rack: rack}, "negative hot rack count"},
 		{"hot exceeds fleet", FleetTopology{Racks: 2, HotRacks: 3, Rack: rack}, "exceed fleet size"},
 		{"hot-set out of range", FleetTopology{Racks: 4, HotSet: []int{4}, Rack: rack}, "outside fleet"},

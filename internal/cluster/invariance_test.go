@@ -10,14 +10,16 @@ import (
 	"warehousesim/internal/core"
 	"warehousesim/internal/obs"
 	"warehousesim/internal/obs/energy"
+	"warehousesim/internal/obs/span"
 	"warehousesim/internal/platform"
 	"warehousesim/internal/power"
 	"warehousesim/internal/workload"
 )
 
-// exports holds the digests of one run's three deterministic exports,
-// each hashed whole: the obs sink, -slo-out and -energy-out.
-type exports struct{ obs, slo, energy [sha256.Size]byte }
+// exports holds the digests of one run's deterministic outputs, each
+// hashed whole: the obs sink, -slo-out, -energy-out, and for traced
+// runs -trace-out and -attr-out, plus the Result fields whsim prints.
+type exports struct{ obs, slo, energy, trace, attr, result [sha256.Size]byte }
 
 func digest(t *testing.T, write func(io.Writer) error) [sha256.Size]byte {
 	t.Helper()
@@ -60,19 +62,43 @@ func TestEnergyFlatParInvariance(t *testing.T) {
 	checkTelemetryInvariance(t, 0, flatCases())
 }
 
+// TestFlatParSearchTracedInvariance is whsim's parallel-search
+// determinism gate: desk running websearch at seed 7 with 30 s
+// measured, every request traced and 1 s SLO and energy windows, at
+// search parallelism 1 and 4, must also write the same Perfetto trace
+// and attribution CSV and report the same Result.
+func TestFlatParSearchTracedInvariance(t *testing.T) {
+	cases := flatCases()
+	for i := range cases {
+		cases[i].shape = runShape{server: platform.Desk(), seed: 7, measureSec: 30, traceEvery: 1}
+	}
+	checkTelemetryInvariance(t, 1, cases)
+}
+
 // partitionCase is one partitioning of the same run: a rack at some
-// shard count (topo set) or the flat model at some parallelism.
+// shard count (topo set) or the flat model at some parallelism. Every
+// case of one check shares a shape.
 type partitionCase struct {
-	name string
-	topo *cluster.ShardedTopology
-	par  int
+	name  string
+	topo  *cluster.ShardedTopology
+	par   int
+	shape runShape
+}
+
+// runShape is the run a check partitions; the zero shape is emb1 at
+// seed 1 with 20 s measured and tracing off.
+type runShape struct {
+	server     platform.Server
+	seed       uint64
+	measureSec float64
+	traceEvery int64
 }
 
 func rackCases() []partitionCase {
 	var cases []partitionCase
 	for _, shards := range []int{1, 2, 4} {
-		cases = append(cases, partitionCase{fmt.Sprintf("shards=%d", shards),
-			&cluster.ShardedTopology{Enclosures: 4, BoardsPerEnclosure: 2, Shards: shards}, 1})
+		cases = append(cases, partitionCase{name: fmt.Sprintf("shards=%d", shards),
+			topo: &cluster.ShardedTopology{Enclosures: 4, BoardsPerEnclosure: 2, Shards: shards}, par: 1})
 	}
 	return cases
 }
@@ -80,7 +106,7 @@ func rackCases() []partitionCase {
 func flatCases() []partitionCase {
 	var cases []partitionCase
 	for _, par := range []int{1, 4} {
-		cases = append(cases, partitionCase{fmt.Sprintf("par=%d", par), nil, par})
+		cases = append(cases, partitionCase{name: fmt.Sprintf("par=%d", par), par: par})
 	}
 	return cases
 }
@@ -90,8 +116,12 @@ func flatCases() []partitionCase {
 // the first case's byte for byte.
 func checkTelemetryInvariance(t *testing.T, sloSec float64, cases []partitionCase) {
 	t.Helper()
+	shape := cases[0].shape
+	if shape.server.Name == "" {
+		shape = runShape{server: platform.Emb1(), seed: 1, measureSec: 20}
+	}
 	ev := core.NewEvaluator()
-	d := core.BaselineDesign(platform.Emb1())
+	d := core.BaselineDesign(shape.server)
 	p := workload.WebsearchProfile()
 	cfg, err := ev.ClusterConfig(d, p)
 	if err != nil {
@@ -106,7 +136,9 @@ func checkTelemetryInvariance(t *testing.T, sloSec float64, cases []partitionCas
 		t.Run(tc.name, func(t *testing.T) {
 			sink := obs.NewSink()
 			opt := cluster.DefaultSimOptions()
-			opt.MeasureSec = 20
+			opt.Seed = shape.seed
+			opt.MeasureSec = shape.measureSec
+			opt.TraceEvery = shape.traceEvery
 			opt.Parallelism = tc.par
 			opt.Obs = sink
 			opt.SLOWindowSec = sloSec
@@ -146,9 +178,21 @@ func checkTelemetryInvariance(t *testing.T, sloSec float64, cases []partitionCas
 			got := exports{
 				obs:    digest(t, sink.WriteJSONL),
 				energy: digest(t, res.Energy.WriteJSONL),
+				result: digest(t, func(w io.Writer) error {
+					_, err := fmt.Fprintf(w, "%v %d %v %v %v %v %s %v", res.Throughput, res.Clients, res.QoSMet,
+						res.MeanLatency, res.P95Latency, res.ExecTime, res.Bottleneck, res.Utilization)
+					return err
+				}),
 			}
 			if res.SLO != nil {
 				got.slo = digest(t, func(w io.Writer) error { return res.SLO.WriteJSONL(w, res.SLOParts...) })
+			}
+			if shape.traceEvery > 0 {
+				if sink.EventCount("span") == 0 {
+					t.Fatal("traced run recorded no spans")
+				}
+				got.trace = digest(t, func(w io.Writer) error { return span.WriteTrace(w, sink) })
+				got.attr = digest(t, span.Analyze(sink.Events()).WriteCSV)
 			}
 			if ref == nil {
 				ref = &got
@@ -162,6 +206,15 @@ func checkTelemetryInvariance(t *testing.T, sloSec float64, cases []partitionCas
 			}
 			if got.energy != ref.energy {
 				t.Error("energy export differs from the first case")
+			}
+			if got.trace != ref.trace {
+				t.Error("Perfetto trace differs from the first case")
+			}
+			if got.attr != ref.attr {
+				t.Error("attribution CSV differs from the first case")
+			}
+			if got.result != ref.result {
+				t.Errorf("result differs from the first case: %+v", res)
 			}
 		})
 	}

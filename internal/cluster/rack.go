@@ -55,7 +55,6 @@ import (
 	"warehousesim/internal/des/shard"
 	"warehousesim/internal/fabric"
 	"warehousesim/internal/obs"
-	"warehousesim/internal/obs/span"
 	"warehousesim/internal/stats"
 	"warehousesim/internal/workload"
 )
@@ -93,11 +92,34 @@ type ShardedTopology struct {
 // defaulted fields in place. SimOptions.Normalize calls it on a clone,
 // so callers' values are never written through.
 func (t *ShardedTopology) Normalize() error {
-	n, err := t.normalize()
-	if err != nil {
-		return err
+	if t.Enclosures < 1 {
+		return fmt.Errorf("cluster: topology needs at least one enclosure, got %d", t.Enclosures)
 	}
-	*t = n
+	if len(t.Boards) > 0 {
+		if len(t.Boards) != t.Enclosures {
+			return fmt.Errorf("cluster: topology has %d per-enclosure board counts for %d enclosures", len(t.Boards), t.Enclosures)
+		}
+		for e, n := range t.Boards {
+			if n < 1 {
+				return fmt.Errorf("cluster: enclosure %d needs at least one board, got %d", e, n)
+			}
+		}
+	} else if t.BoardsPerEnclosure < 1 {
+		return fmt.Errorf("cluster: topology needs at least one board per enclosure, got %d", t.BoardsPerEnclosure)
+	}
+	if t.ClientsPerBoard < 0 {
+		return fmt.Errorf("cluster: negative clients per board %d", t.ClientsPerBoard)
+	}
+	if t.SANDisks < 0 {
+		return fmt.Errorf("cluster: negative SAN capacity %d", t.SANDisks)
+	}
+	if t.ClientsPerBoard == 0 {
+		t.ClientsPerBoard = 4
+	}
+	if t.SANDisks == 0 {
+		t.SANDisks = t.Enclosures
+	}
+	t.Shards = min(max(t.Shards, 1), t.Enclosures)
 	return nil
 }
 
@@ -128,45 +150,6 @@ func (t *ShardedTopology) simulate(c Config, gen workload.Generator, p workload.
 	return c.rackInteractive(t, gen, p, opt)
 }
 
-// normalize fills defaults and validates; Normalize wraps it (the value
-// form keeps the original copy-in/copy-out shape).
-func (t ShardedTopology) normalize() (ShardedTopology, error) {
-	if t.Enclosures < 1 {
-		return t, fmt.Errorf("cluster: topology needs at least one enclosure, got %d", t.Enclosures)
-	}
-	if len(t.Boards) > 0 {
-		if len(t.Boards) != t.Enclosures {
-			return t, fmt.Errorf("cluster: topology has %d per-enclosure board counts for %d enclosures", len(t.Boards), t.Enclosures)
-		}
-		for e, n := range t.Boards {
-			if n < 1 {
-				return t, fmt.Errorf("cluster: enclosure %d needs at least one board, got %d", e, n)
-			}
-		}
-	} else if t.BoardsPerEnclosure < 1 {
-		return t, fmt.Errorf("cluster: topology needs at least one board per enclosure, got %d", t.BoardsPerEnclosure)
-	}
-	if t.ClientsPerBoard < 0 {
-		return t, fmt.Errorf("cluster: negative clients per board %d", t.ClientsPerBoard)
-	}
-	if t.SANDisks < 0 {
-		return t, fmt.Errorf("cluster: negative SAN capacity %d", t.SANDisks)
-	}
-	if t.ClientsPerBoard == 0 {
-		t.ClientsPerBoard = 4
-	}
-	if t.SANDisks == 0 {
-		t.SANDisks = t.Enclosures
-	}
-	if t.Shards < 1 {
-		t.Shards = 1
-	}
-	if t.Shards > t.Enclosures {
-		t.Shards = t.Enclosures
-	}
-	return t, nil
-}
-
 // boardsIn returns enclosure e's board count, honoring the
 // heterogeneous override.
 func (t ShardedTopology) boardsIn(e int) int {
@@ -186,15 +169,6 @@ func (t ShardedTopology) totalBoards() int {
 		n += b
 	}
 	return n
-}
-
-// rackSeed derives one entity-scoped RNG seed from the run seed. Pure
-// function of (root, ent, idx), so per-client streams are independent
-// of the partitioning and of setup iteration order. The mixing lives
-// in stats.EntitySeed (bit-identical to the splitmix64 finalization
-// this function used to inline), so the constants stay in one place.
-func rackSeed(root uint64, ent, idx int) uint64 {
-	return stats.EntitySeed(root, ent, idx)
 }
 
 // rackSim owns one rack run: the engine, the per-enclosure model state,
@@ -218,7 +192,7 @@ type rackSim struct {
 	recording bool
 
 	encs   []*rackEnclosure
-	boards []*rackBoard // global board order: enclosure-major
+	boards []*board // global board order: enclosure-major
 
 	sh0       *shard.Shard
 	san       *des.Resource
@@ -238,12 +212,10 @@ type rackSim struct {
 // the enclosure's memory blade and its private recording part. All of
 // its state is touched only by events on its shard.
 type rackEnclosure struct {
-	r        *rackSim
-	idx      int
 	sh       *shard.Shard
 	bladeEnt shard.EntityID
 	blade    *des.Resource // nil when the config has no remote memory
-	boards   []*rackBoard
+	boards   []*board
 	pop      population
 
 	sink *obs.Sink
@@ -251,211 +223,35 @@ type rackEnclosure struct {
 	tel  planes
 }
 
-// rackBoard is one server board: its cpu and NIC stations plus the
-// batch-mode task state.
-type rackBoard struct {
-	r      *rackSim
-	enc    *rackEnclosure
-	global int
-	ent    shard.EntityID
-	cpu    *des.Resource
-	net    *des.Resource
-
-	rng       stats.RNG // batch-mode sampling stream
-	remaining int       // batch tasks not yet launched
-}
-
-// rackFlow walks one request through the rack pipeline with bound-once
-// continuations, mirroring the flat model's reqFlow: local cpu, then a
-// memory-blade swap round trip, then a SAN round trip, then the NIC.
-// The blade is enclosure-resident (same shard as its boards on every
-// legal partitioning); the SAN lives on shard 0 — both hops use the
-// same Post discipline with delay la, so the trajectory is a pure
-// function of the model, not of the partitioning.
-type rackFlow struct {
-	b      *rackBoard
-	finish des.Action
-
-	d      Demands
-	start  des.Time
-	req    int64
-	traced bool
-	// stage boundary times, kept for span emission at completion.
-	tCPU, tBlade, tSAN des.Time
-
-	afterCPUFn, bladeArriveFn, bladeDoneFn, bladeBackFn des.Action
-	sanArriveFn, sanDoneFn, sanBackFn                   des.Action
-}
-
-func (f *rackFlow) init(b *rackBoard, finish des.Action) {
-	f.b = b
-	f.finish = finish
-	f.afterCPUFn = f.afterCPU
-	f.bladeArriveFn = f.bladeArrive
-	f.bladeDoneFn = f.bladeDone
-	f.bladeBackFn = f.bladeBack
-	f.sanArriveFn = f.sanArrive
-	f.sanDoneFn = f.sanDone
-	f.sanBackFn = f.sanBack
-}
-
-func (f *rackFlow) serve(d Demands, req int64, traced bool) {
-	f.d, f.req, f.traced = d, req, traced
-	f.start = f.b.enc.sh.Now()
-	f.b.cpu.Submit(des.Time(d.CPUSec*(1-f.b.r.memFrac)), f.afterCPUFn)
-}
-
-func (f *rackFlow) afterCPU() {
-	r := f.b.r
-	f.tCPU = f.b.enc.sh.Now()
-	if r.memFrac > 0 {
-		f.b.enc.sh.Post(f.b.ent, f.b.enc.bladeEnt, r.laIntra, f.bladeArriveFn)
-		return
-	}
-	f.tBlade = f.tCPU
-	f.goSAN()
-}
-
-// bladeArrive..bladeBack run the swap round trip: the remote-memory
-// share of cpu service (the flat model folds it into CPUSec; here it
-// occupies the blade's channel) bracketed by two fabric hops.
-func (f *rackFlow) bladeArrive() {
-	f.b.enc.blade.Submit(des.Time(f.d.CPUSec*f.b.r.memFrac), f.bladeDoneFn)
-}
-
-func (f *rackFlow) bladeDone() {
-	f.b.enc.sh.Post(f.b.enc.bladeEnt, f.b.ent, f.b.r.laIntra, f.bladeBackFn)
-}
-
-func (f *rackFlow) bladeBack() {
-	f.tBlade = f.b.enc.sh.Now()
-	f.goSAN()
-}
-
-func (f *rackFlow) goSAN() {
-	r := f.b.r
-	if f.d.DiskSec > 0 {
-		f.b.enc.sh.Post(f.b.ent, r.sanEnt, r.laSAN, f.sanArriveFn)
-		return
-	}
-	f.tSAN = f.tBlade
-	f.goNet()
-}
-
-func (f *rackFlow) sanArrive() {
-	r := f.b.r
-	r.san.Submit(des.Time(f.d.DiskSec), f.sanDoneFn)
-}
-
-func (f *rackFlow) sanDone() {
-	r := f.b.r
-	r.sh0.Post(r.sanEnt, f.b.ent, r.laSAN, f.sanBackFn)
-}
-
-func (f *rackFlow) sanBack() {
-	f.tSAN = f.b.enc.sh.Now()
-	f.goNet()
-}
-
-func (f *rackFlow) goNet() {
-	f.b.net.Submit(des.Time(f.d.NetSec), f.finish)
-}
-
-// emitSpans records the completed request's span tree into the
-// enclosure's part, the same way the flat reqFlow does: at completion,
-// from the stage boundary times, because only then is the whole
-// timeline — which crosses shards — known to the board's shard. The
-// blade swap is a direct child of the root (it occupies its own
-// station, not cpu service), and the SAN round trip is one storage
-// span.
-func (f *rackFlow) emitSpans(tr *span.Tracer) {
-	b, memFrac := f.b, f.b.r.memFrac
-	end := b.enc.sh.Now()
-	root := tr.Emit(0, f.req, span.KindRequest, "request", float64(f.start), float64(end))
-	emitStage(tr, root, f.req, b.cpu.Name(), f.start, f.tCPU, f.d.CPUSec*(1-memFrac), 0)
-	if memFrac > 0 {
-		tr.Emit(root, f.req, span.KindSwap, b.enc.blade.Name(), float64(f.tCPU), float64(f.tBlade))
-	}
-	if f.d.DiskSec > 0 {
-		tr.Emit(root, f.req, span.KindStorage, "san", float64(f.tBlade), float64(f.tSAN))
-	}
-	emitStage(tr, root, f.req, b.net.Name(), f.tSAN, end, f.d.NetSec, 0)
-}
-
-// rackClient is one closed-loop client pinned to a board: think, issue,
-// await the pipeline, repeat.
-type rackClient struct {
-	pop  *population
-	rng  stats.RNG
-	flow rackFlow
-
-	startFn, issueFn des.Action
-}
-
-func (cl *rackClient) start() { cl.pop.wait(&cl.rng, cl.issueFn) }
-
-func (cl *rackClient) issue() { cl.flow.serve(cl.pop.next(&cl.rng)) }
-
-func (cl *rackClient) finished() {
-	cl.pop.done(cl.flow.start)
-	if cl.flow.traced {
-		cl.flow.emitSpans(cl.pop.tracer)
-	}
-	cl.pop.wait(&cl.rng, cl.issueFn)
-}
-
-// rackSlot is one batch task slot: it relaunches itself until its board
-// runs out of tasks, shipping each finished task's shuffle chunk before
-// picking up the next one.
-type rackSlot struct {
-	b    *rackBoard
-	flow rackFlow
-}
-
-func (s *rackSlot) launch() {
-	b := s.b
-	if b.remaining == 0 {
-		return
-	}
-	b.remaining--
-	s.flow.serve(b.enc.pop.next(&b.rng))
-}
-
-func (s *rackSlot) finished() {
-	b := s.b
-	pop := &b.enc.pop
-	pop.done(s.flow.start)
-	if s.flow.traced {
-		s.flow.emitSpans(pop.tracer)
-	}
-	// Shuffle: ship the task's output chunk to a deterministically
-	// chosen peer board. The slot frees immediately (map-side), so the
-	// chunk carries its own continuation state.
-	peer := b.shufflePeer()
-	ch := &rackChunk{r: b.r, dst: peer, netSec: s.flow.d.NetSec}
+// shuffle is the rack's step after each batch task: it ships the
+// task's output chunk from board b to a deterministically chosen peer
+// board. The slot frees immediately (map-side), so the chunk carries
+// its own continuation state.
+func (r *rackSim) shuffle(b *board, d Demands) {
+	peer := r.shufflePeer(b)
+	ch := &rackChunk{r: r, dst: peer, netSec: d.NetSec}
 	ch.recvFn = ch.recv
 	ch.sentFn = ch.sent
-	b.enc.sh.Post(b.ent, peer.ent, b.r.laCross, ch.recvFn)
-	s.launch()
+	b.sh.Post(b.ent, peer.ent, r.laCross, ch.recvFn)
 }
 
-// shufflePeer picks the destination board for a shuffle chunk from the
-// board's own stream — deterministic per board, never self unless the
+// shufflePeer picks the destination board for a shuffle chunk from
+// b's own stream — deterministic per board, never b itself unless the
 // rack has a single board.
-func (b *rackBoard) shufflePeer() *rackBoard {
-	n := len(b.r.boards)
+func (r *rackSim) shufflePeer(b *board) *board {
+	n := len(r.boards)
 	if n == 1 {
 		return b
 	}
 	k := int(b.rng.Uint64() % uint64(n-1))
-	return b.r.boards[(b.global+1+k)%n]
+	return r.boards[(b.global+1+k)%n]
 }
 
 // rackChunk is one shuffle chunk in flight: received on the peer
 // board's NIC, then reported to the rack-wide aggregator.
 type rackChunk struct {
 	r      *rackSim
-	dst    *rackBoard
+	dst    *board
 	netSec float64
 
 	recvFn, sentFn des.Action
@@ -466,7 +262,7 @@ func (c *rackChunk) recv() {
 }
 
 func (c *rackChunk) sent() {
-	c.dst.enc.sh.Post(c.dst.ent, c.r.aggEnt, c.r.laCross, c.r.aggDoneFn)
+	c.dst.sh.Post(c.dst.ent, c.r.aggEnt, c.r.laCross, c.r.aggDoneFn)
 }
 
 // aggChunkDone runs on shard 0 for every delivered chunk; the last one
@@ -556,13 +352,15 @@ func buildRack(c Config, topo *ShardedTopology, gen workload.Generator, p worklo
 		aggEnt:    shard.EntityID(nBoards + t.Enclosures + 1),
 	}
 	r.aggDoneFn = r.aggChunkDone
+	r.sh0 = eng.Shard(0)
+	eng.Assign(r.sanEnt, 0)
+	eng.Assign(r.aggEnt, 0)
+	r.san = des.NewResource(r.sh0.Sim, "san", t.SANDisks)
 	placement := shard.PlaceBlock(t.Enclosures, t.Shards)
 	boardBase := 0
 	for e := 0; e < t.Enclosures; e++ {
 		sid := placement[e]
 		enc := &rackEnclosure{
-			r:        r,
-			idx:      e,
 			sh:       eng.Shard(sid),
 			bladeEnt: shard.EntityID(nBoards + e),
 		}
@@ -597,20 +395,27 @@ func buildRack(c Config, topo *ShardedTopology, gen workload.Generator, p worklo
 		}
 		for b := 0; b < t.boardsIn(e); b++ {
 			g := boardBase + b
-			bd := &rackBoard{r: r, enc: enc, global: g, ent: shard.EntityID(g)}
+			bd := &board{
+				sim:      enc.sh.Sim,
+				pop:      pop,
+				cpu:      des.NewResource(enc.sh.Sim, fmt.Sprintf("cpu.e%d.b%d", e, b), c.Server.CPU.Cores()),
+				net:      des.NewResource(enc.sh.Sim, fmt.Sprintf("net.e%d.b%d", e, b), 1),
+				disk:     r.san,
+				blade:    enc.blade,
+				bladeEnt: enc.bladeEnt,
+				memFrac:  r.memFrac,
+				sh:       enc.sh,
+				ent:      shard.EntityID(g),
+				global:   g,
+				r:        r,
+			}
 			eng.Assign(bd.ent, sid)
-			bd.cpu = des.NewResource(enc.sh.Sim, fmt.Sprintf("cpu.e%d.b%d", e, b), c.Server.CPU.Cores())
-			bd.net = des.NewResource(enc.sh.Sim, fmt.Sprintf("net.e%d.b%d", e, b), 1)
 			enc.boards = append(enc.boards, bd)
 			r.boards = append(r.boards, bd)
 		}
 		boardBase += t.boardsIn(e)
 		r.encs = append(r.encs, enc)
 	}
-	r.sh0 = eng.Shard(0)
-	eng.Assign(r.sanEnt, 0)
-	eng.Assign(r.aggEnt, 0)
-	r.san = des.NewResource(r.sh0.Sim, "san", t.SANDisks)
 	if recording {
 		r.global = obs.NewSink()
 		if r.globalTel, err = newPlanes(p, opt); err != nil {
@@ -703,11 +508,8 @@ func (r *rackSim) setupInteractive() {
 		enc := enc
 		for _, bd := range enc.boards {
 			for ci := 0; ci < r.topo.ClientsPerBoard; ci++ {
-				cl := &rackClient{pop: &enc.pop}
-				cl.flow.init(bd, cl.finished)
-				cl.startFn = cl.start
-				cl.issueFn = cl.issue
-				cl.rng.Seed(rackSeed(r.opt.Seed, bd.global, ci))
+				cl := newClient(bd)
+				cl.rng.Seed(stats.EntitySeed(r.opt.Seed, bd.global, ci))
 				// Stagger initial arrivals across one think time, from
 				// the client's own stream.
 				enc.sh.Sim.Schedule(des.Time(cl.rng.Float64()*(r.p.ThinkTimeSec+0.01)), cl.startFn)
@@ -739,20 +541,15 @@ func (r *rackSim) setupBatch() int {
 	}
 	n := len(r.boards)
 	r.aggTotal = r.p.JobRequests
+	shuffle := r.shuffle
 	for _, bd := range r.boards {
-		bd.rng.Seed(rackSeed(r.opt.Seed, bd.global, 0))
+		bd.rng.Seed(stats.EntitySeed(r.opt.Seed, bd.global, 0))
 		bd.remaining = r.p.JobRequests / n
 		if bd.global < r.p.JobRequests%n {
 			bd.remaining++
 		}
-		k := slots
-		if k > bd.remaining {
-			k = bd.remaining
-		}
-		for i := 0; i < k; i++ {
-			s := &rackSlot{b: bd}
-			s.flow.init(bd, s.finished)
-			s.launch()
+		for range min(slots, bd.remaining) {
+			newSlot(bd, shuffle).launch()
 		}
 	}
 	if r.recording {
@@ -824,22 +621,7 @@ func (c Config) rackInteractive(t *ShardedTopology, gen workload.Generator, p wo
 		completed += enc.pop.completed
 	}
 	clients := len(r.boards) * r.topo.ClientsPerBoard
-	util := r.utilization(opt.MeasureSec)
-	p95 := hist.Quantile(p.QoSPercentile)
-	out := Result{
-		Throughput:  float64(completed) / opt.MeasureSec,
-		Perf:        float64(completed) / opt.MeasureSec,
-		MeanLatency: hist.Mean(),
-		P95Latency:  p95,
-		Bottleneck:  bottleneckOf(util),
-		Utilization: util,
-		Clients:     clients,
-	}
-	if p.QoSLatencySec > 0 {
-		out.QoSMet = p95 <= p.QoSLatencySec && hist.Count() > 0
-	} else {
-		out.QoSMet = true
-	}
+	out := outcome(p, hist, completed, opt.MeasureSec, r.utilization(opt.MeasureSec), clients)
 	r.finishObs(clients)
 	if err := r.finishTelemetry(opt.WarmupSec+opt.MeasureSec, &out); err != nil {
 		return Result{}, err
@@ -890,16 +672,7 @@ func (c Config) rackBatch(t *ShardedTopology, gen workload.Generator, p workload
 	if opt.ShardDiag != nil {
 		measured.eng.EmitDiagnostics(opt.ShardDiag)
 	}
-	util := measured.utilization(exec)
-	out := Result{
-		Throughput:  float64(p.JobRequests) / exec,
-		Perf:        1 / exec,
-		QoSMet:      true,
-		ExecTime:    exec,
-		Bottleneck:  bottleneckOf(util),
-		Utilization: util,
-		Clients:     clients,
-	}
+	out := outcome(p, nil, p.JobRequests, exec, measured.utilization(exec), clients)
 	if err := measured.finishTelemetry(exec, &out); err != nil {
 		return Result{}, err
 	}
