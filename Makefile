@@ -6,11 +6,10 @@
 #   make lint    — whvet, the repo's own static-invariant suite
 #                  (determinism, allocation, link-boundary; DESIGN.md §11)
 #   make test    — plain tests (the seed tier-1 command)
-#   make bench   — benchmark harness with allocation reporting
-#   make bench-json — machine-readable micro-bench record (BENCH_$(N).json)
-#   make bench-diff — regression-gate BENCH_NEW against BENCH_OLD
-#                     (non-zero exit when ns/op regresses past the
-#                     tolerance or B/op / allocs/op grow at all)
+#   make bench   — every package's benchmarks with allocation reporting
+#                  (timing is whperf's: cmd/whperf/run.sh; the substrate
+#                  benchmarks' allocation bounds are gated by their
+#                  packages' TestAllocBounds under make test/check)
 #   make shard-race — the shard engine's tests under the race detector
 #                     at GOMAXPROCS 1 and 4 (serial schedules hide
 #                     different bugs than parallel ones)
@@ -20,15 +19,8 @@
 #                     internal/obs/...
 
 GO ?= go
-N ?= 5
-BENCH_OLD ?= BENCH_4.json
-BENCH_NEW ?= BENCH_5.json
-# EFF_FLOOR gates the new record's kernel parallel efficiency at 4
-# shards in bench-diff (skipped automatically when the recording
-# machine had fewer than 4 CPUs or GOMAXPROCS).
-EFF_FLOOR ?= 0.4
 
-.PHONY: check vet lint build test test-race fmt bench bench-json bench-diff shard-race introspect-smoke cover
+.PHONY: check vet lint build test test-race fmt bench shard-race introspect-smoke cover
 
 check: vet lint build test-race fmt shard-race introspect-smoke
 
@@ -109,10 +101,4 @@ cover:
 	END { exit bad }'
 
 bench:
-	$(GO) test -bench=. -benchmem -run=NONE .
-
-bench-json:
-	$(GO) run ./cmd/whbench -bench-json BENCH_$(N).json
-
-bench-diff:
-	$(GO) run ./cmd/whbench -bench-diff -eff-floor $(EFF_FLOOR) $(BENCH_OLD) $(BENCH_NEW)
+	$(GO) test -bench=. -benchmem -run=NONE ./...

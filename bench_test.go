@@ -1,25 +1,22 @@
 // Package bench is the benchmark harness required by the reproduction:
 // one testing.B benchmark per paper table and figure (each regenerates
 // the artifact through the experiments registry), plus micro-benchmarks
-// of the core simulators so performance regressions in the substrate are
-// visible.
+// of the workload engines and trace collection. The substrate
+// micro-benchmarks (trials, memory blade, flash cache, Zipf sampler)
+// live in the packages they measure, where an in-package test gates
+// their allocations.
 //
 // Run with:
 //
-//	go test -bench=. -benchmem
+//	go test -bench=. -benchmem ./...
 package bench
 
 import (
 	"testing"
 
 	"warehousesim/experiments"
-	"warehousesim/internal/cluster"
-	"warehousesim/internal/flashcache"
-	"warehousesim/internal/memblade"
-	"warehousesim/internal/platform"
 	"warehousesim/internal/stats"
 	"warehousesim/internal/trace"
-	"warehousesim/internal/workload"
 	"warehousesim/internal/workload/mapreduce"
 	"warehousesim/internal/workload/websearch"
 )
@@ -73,31 +70,7 @@ func BenchmarkExtScaleout(b *testing.B)  { benchExperiment(b, "ext-scaleout") }
 func BenchmarkExtDiurnal(b *testing.B)   { benchExperiment(b, "ext-diurnal") }
 func BenchmarkExtHybrid(b *testing.B)    { benchExperiment(b, "ext-hybrid") }
 
-// --- substrate micro-benchmarks -----------------------------------------
-
-func BenchmarkAnalyticSolve(b *testing.B) {
-	cfg := cluster.Config{Server: platform.Emb1()}
-	p := workload.WebsearchProfile()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := cfg.Analyze(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDESTrial(b *testing.B) {
-	cfg := cluster.Config{Server: platform.Desk()}
-	p := workload.WebsearchProfile()
-	gen := workload.FixedGenerator{P: p}
-	opts := cluster.SimOptions{Seed: 1, WarmupSec: 5, MeasureSec: 20, MaxClients: 64}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := cfg.Simulate(gen, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// --- workload-engine micro-benchmarks -----------------------------------
 
 func BenchmarkSearchQuery(b *testing.B) {
 	ix, err := websearch.Build(websearch.DefaultConfig())
@@ -128,54 +101,6 @@ func BenchmarkMapReduceWordCount(b *testing.B) {
 		if _, err := mapreduce.Run(d, mapreduce.WordCountJob("c", "out")); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkMembladeAccess(b *testing.B) {
-	sim, err := memblade.New(memblade.Config{
-		FootprintPages: 1 << 20, LocalFraction: 0.25, Policy: memblade.LRU, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := stats.NewRNG(2)
-	z, err := stats.NewZipf(1<<20, 0.9)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim.Access(int64(z.Rank(r)), i%5 == 0)
-	}
-}
-
-func BenchmarkFlashCacheOp(b *testing.B) {
-	sim, err := flashcache.New(flashcache.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := stats.NewRNG(3)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		block := r.Int63n(1 << 22)
-		if i%10 == 0 {
-			sim.Write(block)
-		} else {
-			sim.Read(block)
-		}
-	}
-}
-
-func BenchmarkZipfRank(b *testing.B) {
-	z, err := stats.NewZipf(1<<20, 1.0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := stats.NewRNG(4)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		z.Rank(r)
 	}
 }
 

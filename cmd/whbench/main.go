@@ -8,7 +8,6 @@
 //	whbench -exp fig2c   # run one experiment
 //	whbench -list        # list experiment ids
 //	whbench -obs -obs-out suite.jsonl   # record per-experiment streams
-//	whbench -bench-json BENCH.json      # machine-readable micro-bench record
 package main
 
 import (
@@ -31,14 +30,9 @@ func main() {
 	exp := flag.String("exp", "", "experiment id to run (default: all)")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	obsFlags := cliflags.AddObs(flag.CommandLine, "registry-level observability streams", "bench.jsonl")
-	benchJSON := flag.String("bench-json", "", "run the substrate micro-benchmarks and write a warehousesim-bench/v1 JSON record here, then exit")
-	benchDiff := flag.Bool("bench-diff", false, "compare two bench-json records (args: old.json new.json) and exit non-zero on regression")
-	diffThreshold := flag.Float64("diff-threshold", 0.10, "relative ns/op regression tolerance for -bench-diff (B/op and allocs/op must not regress at all)")
-	effFloor := flag.Float64("eff-floor", 0, "with -bench-diff: fail when the new record's kernel parallel efficiency at 4 shards is below this floor (skipped when the recording machine had fewer CPUs or GOMAXPROCS than shards)")
 	parFlag := cliflags.AddPar(flag.CommandLine, runtime.NumCPU(),
 		"worker goroutines for the experiment suite and its internal sweeps (1 = sequential; reports are identical at any value)")
 	httpFlag := cliflags.AddHTTP(flag.CommandLine, "/obs snapshot with per-experiment progress")
-	seed := flag.Uint64("seed", 1, "simulation seed for -bench-json")
 	sharding := cliflags.AddSharding(flag.CommandLine)
 	fleet := cliflags.AddFleet(flag.CommandLine, sharding)
 	profiles := cliflags.AddProfiles(flag.CommandLine)
@@ -51,23 +45,6 @@ func main() {
 	par, err := parFlag.Value()
 	if err != nil {
 		log.Fatal(err)
-	}
-
-	if *benchDiff {
-		if flag.NArg() != 2 {
-			log.Fatal("-bench-diff needs exactly two arguments: old.json new.json")
-		}
-		if err := runBenchDiff(flag.Arg(0), flag.Arg(1), *diffThreshold, *effFloor); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
-	if *benchJSON != "" {
-		if err := writeBenchJSON(*benchJSON, *seed); err != nil {
-			log.Fatal(err)
-		}
-		return
 	}
 
 	stopProfiles, err := profiles.Start()

@@ -370,59 +370,76 @@ func TestFleetUnservedViolatesQoS(t *testing.T) {
 // TestFleetPartitionInvariance: under either balancer, the fleet
 // export must be byte-identical at every shard count, every worker
 // count, and every hot-set ordering — the rack discipline (DESIGN.md
-// §6) lifted to fleet scope.
+// §6) lifted to fleet scope. Two fleets carry the cases: 100 desk
+// racks on a test profile, and the warehouse-scale shape of 200 emb1
+// racks running websearch at whsim's default run options. Cold racks
+// are analytic, so fleet size is nearly free.
 func TestFleetPartitionInvariance(t *testing.T) {
-	cfg := Config{Server: platform.Desk()}
-	p := testProfile()
-	gen := workload.FixedGenerator{P: p}
-	const racks = 100
+	type fleet struct {
+		cfg   Config
+		gen   workload.FixedGenerator
+		racks int
+		opts  SimOptions
+	}
+	warehouse := DefaultSimOptions()
+	warehouse.MeasureSec = 10
+	fleets := map[string]fleet{
+		"desk": {Config{Server: platform.Desk()}, workload.FixedGenerator{P: testProfile()}, 100,
+			SimOptions{Seed: 13, WarmupSec: 2, MeasureSec: 6, MaxClients: 48}},
+		"emb1": {Config{Server: platform.Emb1()}, workload.FixedGenerator{P: workload.WebsearchProfile()}, 200,
+			warehouse},
+	}
 
 	type exports struct {
 		obs, slo, en []byte
 		res          Result
 	}
-	run := func(balancer string, hotSet []int, shards, par int) exports {
+	run := func(name, balancer string, hotSet []int, shards, par int) exports {
 		t.Helper()
+		f := fleets[name]
 		rack := fleetTestRack()
 		rack.Shards = shards
 		topo := FleetTopology{
-			Racks: racks, HotSet: append([]int(nil), hotSet...),
+			Racks: f.racks, HotSet: append([]int(nil), hotSet...),
 			Rack: rack, Balancer: balancer,
 		}
 		sink := obs.NewSink()
-		res, err := cfg.Simulate(gen, SimOptions{
-			Seed: 13, WarmupSec: 2, MeasureSec: 6, MaxClients: 48,
-			Obs: sink, SLOWindowSec: 2,
-			Energy:      testEnergyConfig(2, power.DefaultIdleFractions()),
-			Parallelism: par, Topology: &topo,
-		})
+		opts := f.opts
+		opts.Obs, opts.SLOWindowSec = sink, 2
+		opts.Energy = testEnergyConfig(2, power.DefaultIdleFractions())
+		opts.Parallelism, opts.Topology = par, &topo
+		res, err := f.cfg.Simulate(f.gen, opts)
 		if err != nil {
-			t.Fatalf("%s hotSet=%v shards=%d par=%d: %v", balancer, hotSet, shards, par, err)
+			t.Fatalf("%s %s hotSet=%v shards=%d par=%d: %v", name, balancer, hotSet, shards, par, err)
 		}
 		return exports{obsExport(t, sink), sloExport(t, res), energyExport(t, res), res}
 	}
 
-	bases := map[string]exports{}
-	for _, b := range []string{BalancerLeastLoaded, BalancerWRR} {
-		bases[b] = run(b, []int{3, 97}, 2, 1)
+	bases := map[string]exports{
+		"desk " + BalancerLeastLoaded: run("desk", BalancerLeastLoaded, []int{3, 97}, 2, 1),
+		"desk " + BalancerWRR:         run("desk", BalancerWRR, []int{3, 97}, 2, 1),
+		"emb1 " + BalancerLeastLoaded: run("emb1", BalancerLeastLoaded, []int{17, 141}, 2, 1),
 	}
 	for _, v := range []struct {
 		name     string
+		fleet    string
 		balancer string
 		hotSet   []int
 		shards   int
 		par      int
 	}{
-		{"shards=1", BalancerLeastLoaded, []int{3, 97}, 1, 1},
-		{"shards=4", BalancerLeastLoaded, []int{3, 97}, 4, 1},
-		{"par=4", BalancerLeastLoaded, []int{3, 97}, 2, 4},
-		{"hot-set reversed", BalancerLeastLoaded, []int{97, 3}, 2, 1},
-		{"shards=4 par=4 reversed", BalancerLeastLoaded, []int{97, 3}, 4, 4},
-		{"wrr shards=1", BalancerWRR, []int{3, 97}, 1, 1},
-		{"wrr hot-set reversed", BalancerWRR, []int{97, 3}, 2, 1},
-		{"wrr shards=4 par=4", BalancerWRR, []int{3, 97}, 4, 4},
+		{"shards=1", "desk", BalancerLeastLoaded, []int{3, 97}, 1, 1},
+		{"shards=4", "desk", BalancerLeastLoaded, []int{3, 97}, 4, 1},
+		{"par=4", "desk", BalancerLeastLoaded, []int{3, 97}, 2, 4},
+		{"hot-set reversed", "desk", BalancerLeastLoaded, []int{97, 3}, 2, 1},
+		{"shards=4 par=4 reversed", "desk", BalancerLeastLoaded, []int{97, 3}, 4, 4},
+		{"wrr shards=1", "desk", BalancerWRR, []int{3, 97}, 1, 1},
+		{"wrr hot-set reversed", "desk", BalancerWRR, []int{97, 3}, 2, 1},
+		{"wrr shards=4 par=4", "desk", BalancerWRR, []int{3, 97}, 4, 4},
+		{"emb1 shards=4 par=4 reversed", "emb1", BalancerLeastLoaded, []int{141, 17}, 4, 4},
 	} {
-		base, got := bases[v.balancer], run(v.balancer, v.hotSet, v.shards, v.par)
+		base := bases[v.fleet+" "+v.balancer]
+		got := run(v.fleet, v.balancer, v.hotSet, v.shards, v.par)
 		if !bytes.Equal(got.obs, base.obs) {
 			t.Errorf("%s: obs export differs from baseline", v.name)
 		}
