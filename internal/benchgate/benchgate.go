@@ -7,7 +7,9 @@
 //
 // A bound is the row's last recorded figure v plus an amortization
 // slack of max(v/64, 32) B and max(v/64, 1) allocs per op, so growth
-// fails a row once it passes that slack.
+// fails a row once it passes that slack. Where a row reads higher under
+// -race (the race runtime's goroutine bookkeeping, or a sync.Pool it
+// drops from), v is the -race figure.
 package benchgate
 
 import "testing"

@@ -91,12 +91,12 @@ func BenchmarkShardedTrial8(b *testing.B) { benchShardedTrial(b, 8) }
 func TestAllocBounds(t *testing.T) {
 	benchgate.Check(t, []benchgate.Row{
 		{Name: "AnalyticSolve", Bench: BenchmarkAnalyticSolve, MaxBytes: 448, MaxAllocs: 5},
-		{Name: "DESTrial", Bench: BenchmarkDESTrial, MaxBytes: 24204, MaxAllocs: 464},
-		{Name: "DESTrialObs", Bench: BenchmarkDESTrialObs, MaxBytes: 308363, MaxAllocs: 736},
-		{Name: "DESTrialTraced", Bench: BenchmarkDESTrialTraced, MaxBytes: 2411069, MaxAllocs: 759},
-		{Name: "ShardedTrial", Bench: BenchmarkShardedTrial, MaxBytes: 220224, MaxAllocs: 4551},
-		{Name: "ShardedTrial2", Bench: BenchmarkShardedTrial2, MaxBytes: 261947, MaxAllocs: 4671},
-		{Name: "ShardedTrial4", Bench: BenchmarkShardedTrial4, MaxBytes: 315231, MaxAllocs: 4911},
-		{Name: "ShardedTrial8", Bench: BenchmarkShardedTrial8, MaxBytes: 448631, MaxAllocs: 5597},
+		{Name: "DESTrial", Bench: BenchmarkDESTrial, MaxBytes: 20710, MaxAllocs: 334},
+		{Name: "DESTrialObs", Bench: BenchmarkDESTrialObs, MaxBytes: 305678, MaxAllocs: 606},
+		{Name: "DESTrialTraced", Bench: BenchmarkDESTrialTraced, MaxBytes: 2402647, MaxAllocs: 619},
+		{Name: "ShardedTrial", Bench: BenchmarkShardedTrial, MaxBytes: 211470, MaxAllocs: 3875},
+		{Name: "ShardedTrial2", Bench: BenchmarkShardedTrial2, MaxBytes: 253601, MaxAllocs: 3999},
+		{Name: "ShardedTrial4", Bench: BenchmarkShardedTrial4, MaxBytes: 307896, MaxAllocs: 4247},
+		{Name: "ShardedTrial8", Bench: BenchmarkShardedTrial8, MaxBytes: 441447, MaxAllocs: 4929},
 	})
 }

@@ -39,6 +39,6 @@ func BenchmarkFlashCacheOp(b *testing.B) {
 // benchgate for how a bound is set).
 func TestAllocBounds(t *testing.T) {
 	benchgate.Check(t, []benchgate.Row{
-		{Name: "FlashCacheOp", Bench: BenchmarkFlashCacheOp, MaxBytes: 94, MaxAllocs: 2},
+		{Name: "FlashCacheOp", Bench: BenchmarkFlashCacheOp, MaxBytes: 32, MaxAllocs: 1},
 	})
 }

@@ -50,7 +50,7 @@ func BenchmarkMembladeAccessTraced(b *testing.B) { benchAccess(b, true) }
 // benchgate for how a bound is set).
 func TestAllocBounds(t *testing.T) {
 	benchgate.Check(t, []benchgate.Row{
-		{Name: "MembladeAccess", Bench: BenchmarkMembladeAccess, MaxBytes: 49, MaxAllocs: 1},
-		{Name: "MembladeAccessTraced", Bench: BenchmarkMembladeAccessTraced, MaxBytes: 159, MaxAllocs: 1},
+		{Name: "MembladeAccess", Bench: BenchmarkMembladeAccess, MaxBytes: 47, MaxAllocs: 1},
+		{Name: "MembladeAccessTraced", Bench: BenchmarkMembladeAccessTraced, MaxBytes: 47, MaxAllocs: 1},
 	})
 }

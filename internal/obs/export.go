@@ -42,20 +42,6 @@ type jsonlHist struct {
 	Buckets   []jsonlHistBucket `json:"buckets,omitempty"`
 }
 
-type jsonlSample struct {
-	Type   string  `json:"type"`
-	Series string  `json:"series"`
-	T      float64 `json:"t"`
-	V      float64 `json:"v"`
-}
-
-type jsonlEvent struct {
-	Type   string         `json:"type"`
-	Stream string         `json:"stream"`
-	T      float64        `json:"t"`
-	Fields map[string]any `json:"f,omitempty"`
-}
-
 type jsonlManifest struct {
 	Type string `json:"type"`
 	Manifest
@@ -97,26 +83,26 @@ func (s *Sink) WriteJSONL(w io.Writer) error {
 			return err
 		}
 	}
+	var l jsonlLine
+	var prefix []byte
 	for _, name := range sortedKeys(s.series) {
+		// Every point of a series shares its line up to the time.
+		prefix = appendJSONString(append(prefix[:0], `{"type":"sample","series":`...), name)
+		prefix = append(prefix, `,"t":`...)
 		for _, p := range s.series[name].Points {
-			if err := enc.Encode(jsonlSample{Type: "sample", Series: name, T: p.T, V: p.V}); err != nil {
+			if err := l.sample(prefix, p); err != nil {
+				return fmt.Errorf("series %q point at t=%v: %w", name, p.T, err)
+			}
+			if _, err := bw.Write(l.buf); err != nil {
 				return err
 			}
 		}
 	}
 	for _, e := range s.Events() {
-		rec := jsonlEvent{Type: "event", Stream: e.Stream, T: e.T}
-		if len(e.Fields) > 0 {
-			rec.Fields = make(map[string]any, len(e.Fields))
-			for _, f := range e.Fields {
-				if f.IsStr {
-					rec.Fields[f.Key] = f.Str
-				} else {
-					rec.Fields[f.Key] = f.Num
-				}
-			}
+		if err := l.event(e); err != nil {
+			return fmt.Errorf("%q event at t=%v: %w", e.Stream, e.T, err)
 		}
-		if err := enc.Encode(rec); err != nil {
+		if _, err := bw.Write(l.buf); err != nil {
 			return err
 		}
 	}

@@ -88,6 +88,9 @@ func (s *Sink) MergeFrom(parts ...*Sink) {
 		evs[i] = p.Events()
 		total += len(evs[i])
 	}
+	if s.ring == nil {
+		s.reserveEvents(evs, total)
+	}
 	idx := make([]int, len(parts))
 	for n := 0; n < total; n++ {
 		best := -1
@@ -102,5 +105,37 @@ func (s *Sink) MergeFrom(parts ...*Sink) {
 		e := evs[best][idx[best]]
 		idx[best]++
 		s.Event(e.Stream, e.T, e.Fields...)
+	}
+}
+
+// reserveEvents grows the event slice and the field arena once to hold
+// the records a merge of evs adds, instead of letting them grow their
+// way there. Callers add a few records of their own after the fold (SLO
+// episodes, one line per fleet rack), so both get a 1/64 headroom, the
+// arena's capped at one chunk: it holds those without a regrowth and
+// leaves no more spare than append's growth step or the arena's
+// chunking would. When MaxEvents will drop some of the records, only
+// the slice is sized, to the cap: which records' fields are kept
+// depends on the merge order.
+func (s *Sink) reserveEvents(evs [][]EventRecord, total int) {
+	n := total + total/64
+	if s.MaxEvents > 0 {
+		n = max(min(n, s.MaxEvents-len(s.events)), 0)
+	}
+	if cap(s.events)-len(s.events) < n {
+		s.events = append(make([]EventRecord, 0, len(s.events)+n), s.events...)
+	}
+	if n < total {
+		return
+	}
+	fields := 0
+	for _, part := range evs {
+		for _, e := range part {
+			fields += len(e.Fields)
+		}
+	}
+	fields += min(fields/64, fieldArenaChunk)
+	if cap(s.arena)-len(s.arena) < fields {
+		s.arena = make([]Field, 0, fields)
 	}
 }

@@ -25,6 +25,6 @@ func BenchmarkZipfRank(b *testing.B) {
 // benchgate for how a bound is set).
 func TestAllocBounds(t *testing.T) {
 	benchgate.Check(t, []benchgate.Row{
-		{Name: "ZipfRank", Bench: BenchmarkZipfRank, MaxBytes: 33, MaxAllocs: 1},
+		{Name: "ZipfRank", Bench: BenchmarkZipfRank, MaxBytes: 32, MaxAllocs: 1},
 	})
 }
