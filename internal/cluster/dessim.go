@@ -24,9 +24,6 @@ type SimOptions struct {
 	MeasureSec float64
 	// MaxClients caps the adaptive client driver's search.
 	MaxClients int
-	// BatchConcurrency is the task parallelism for batch jobs (the paper
-	// runs Hadoop with 4 threads per CPU); 0 means 4 x cores.
-	BatchConcurrency int
 
 	// Parallelism is the number of worker goroutines the adaptive
 	// client driver may use to run its ramp trials speculatively (each
@@ -376,6 +373,10 @@ func (c Config) simulateInteractive(gen workload.Generator, p workload.Profile, 
 	return best, nil
 }
 
+// batchSlots is a board's task parallelism for batch jobs: the paper
+// runs Hadoop with 4 threads per CPU core.
+func (c Config) batchSlots() int { return 4 * c.Server.CPU.Cores() }
+
 // simulateBatch executes one batch job on the flat board: a fixed set
 // of task slots draws the job's tasks from the board's one stream until
 // JobRequests tasks are done, and the last one stops the sim.
@@ -400,10 +401,7 @@ func (c Config) simulateBatch(gen workload.Generator, p workload.Profile, opt Si
 	pop.bind(gen, rec, opt.TraceEvery, 0)
 	pop.measuring = true
 
-	concurrency := opt.BatchConcurrency
-	if concurrency <= 0 {
-		concurrency = 4 * c.Server.CPU.Cores() // Hadoop's 4 threads/CPU
-	}
+	concurrency := c.batchSlots()
 
 	var probes *des.Probes
 	if pop.recording {

@@ -103,15 +103,15 @@ func TestSimulateRejectsBadOptions(t *testing.T) {
 // racks; boards, when non-empty, is the rack's per-enclosure board
 // list and the fleet's hot set.
 func FuzzSimOptionsNormalize(f *testing.F) {
-	f.Add(30.0, 240.0, 4096, 0.0, int64(0), 0, 0.0, uint8(0), 0, 0, 0, 0, 0, 0, []byte(nil))
-	f.Add(30.0, 20.0, 64, 1.0, int64(1), 4, 1.0, uint8(1), 4, 2, 0, 0, 4, 0, []byte(nil))
-	f.Add(0.0, 10.0, 8, 0.5, int64(3), 2, 0.25, uint8(1), 4, 0, 3, 2, 9, 0, []byte{12, 2, 2, 2})
-	f.Add(2.0, 10.0, 32, 0.0, int64(0), 1, 1.0, uint8(2), 4, 2, 0, 0, 2, 200, []byte{17, 141})
-	f.Add(2.0, 10.0, 32, 0.0, int64(0), 1, 0.0, uint8(5), 1, 1, 0, 0, 1, 3, []byte(nil))
-	f.Add(math.NaN(), 10.0, 32, math.NaN(), int64(0), 1, 0.0, uint8(0), 0, 0, 0, 0, 0, 0, []byte(nil))
-	f.Add(0.0, math.Inf(1), 32, math.Inf(1), int64(-1), -1, math.NaN(), uint8(0), 0, 0, 0, 0, 0, 0, []byte(nil))
+	f.Add(30.0, 240.0, 4096, 0.0, int64(0), 0, 0.0, uint8(0), 0, 0, 0, 0, 0, []byte(nil))
+	f.Add(30.0, 20.0, 64, 1.0, int64(1), 4, 1.0, uint8(1), 4, 2, 0, 4, 0, []byte(nil))
+	f.Add(0.0, 10.0, 8, 0.5, int64(3), 2, 0.25, uint8(1), 4, 0, 3, 9, 0, []byte{12, 2, 2, 2})
+	f.Add(2.0, 10.0, 32, 0.0, int64(0), 1, 1.0, uint8(2), 4, 2, 0, 2, 200, []byte{17, 141})
+	f.Add(2.0, 10.0, 32, 0.0, int64(0), 1, 0.0, uint8(5), 1, 1, 0, 1, 3, []byte(nil))
+	f.Add(math.NaN(), 10.0, 32, math.NaN(), int64(0), 1, 0.0, uint8(0), 0, 0, 0, 0, 0, []byte(nil))
+	f.Add(0.0, math.Inf(1), 32, math.Inf(1), int64(-1), -1, math.NaN(), uint8(0), 0, 0, 0, 0, 0, []byte(nil))
 	f.Fuzz(func(t *testing.T, warmup, measure float64, maxClients int, probe float64, trace int64, par int,
-		slo float64, kind uint8, encs, perEnc, clients, san, shards, racks int, boards []byte) {
+		slo float64, kind uint8, encs, perEnc, clients, shards, racks int, boards []byte) {
 		o := SimOptions{
 			Seed: 1, WarmupSec: warmup, MeasureSec: measure, MaxClients: maxClients,
 			ProbeIntervalSec: probe, TraceEvery: trace, Parallelism: par, SLOWindowSec: slo,
@@ -120,7 +120,7 @@ func FuzzSimOptionsNormalize(f *testing.F) {
 		for i, b := range boards {
 			list[i] = int(int8(b)) // negative entries exercise validation
 		}
-		rack := ShardedTopology{Enclosures: encs, BoardsPerEnclosure: perEnc, ClientsPerBoard: clients, SANDisks: san, Shards: shards}
+		rack := ShardedTopology{Enclosures: encs, BoardsPerEnclosure: perEnc, ClientsPerBoard: clients, Shards: shards}
 		switch kind % 3 {
 		case 1:
 			rack.Boards = list

@@ -43,7 +43,7 @@ package cluster
 // a deterministically chosen peer board, which receives it on its own
 // NIC and reports to a rack-wide aggregator; the job is done when the
 // aggregator has seen every chunk. Batch jobs end by running the
-// cluster dry — the run-dry exit is deterministic, unlike Stop — and
+// cluster dry — an exit every shard takes in the same round — and
 // a recorded batch run replays with the job's completion time as the
 // horizon so probe timelines are complete.
 
@@ -61,8 +61,9 @@ import (
 
 // ShardedTopology sizes the rack model: Enclosures enclosures of
 // BoardsPerEnclosure boards (each one configured Server), one memory
-// blade per enclosure, and one consolidated SAN array shared by the
-// whole rack, partitioned across Shards event heaps.
+// blade per enclosure, and one consolidated SAN array (one disk per
+// enclosure) shared by the whole rack, partitioned across Shards event
+// heaps.
 type ShardedTopology struct {
 	// Enclosures is the number of enclosures (>= 1); the enclosure is
 	// the partitioning unit.
@@ -78,9 +79,6 @@ type ShardedTopology struct {
 	// for interactive workloads; 0 means 4. The rack model measures
 	// this fixed provisioning directly — there is no adaptive search.
 	ClientsPerBoard int
-	// SANDisks is the service capacity of the consolidated disk array;
-	// 0 means one disk per enclosure.
-	SANDisks int
 	// Shards is the number of event heaps, each on its own goroutine;
 	// values outside [1, Enclosures] are clamped. Enclosures are split
 	// contiguously across them (shard.PlaceBlock). Results are
@@ -110,14 +108,8 @@ func (t *ShardedTopology) Normalize() error {
 	if t.ClientsPerBoard < 0 {
 		return fmt.Errorf("cluster: negative clients per board %d", t.ClientsPerBoard)
 	}
-	if t.SANDisks < 0 {
-		return fmt.Errorf("cluster: negative SAN capacity %d", t.SANDisks)
-	}
 	if t.ClientsPerBoard == 0 {
 		t.ClientsPerBoard = 4
-	}
-	if t.SANDisks == 0 {
-		t.SANDisks = t.Enclosures
 	}
 	t.Shards = min(max(t.Shards, 1), t.Enclosures)
 	return nil
@@ -355,7 +347,7 @@ func buildRack(c Config, topo *ShardedTopology, gen workload.Generator, p worklo
 	r.sh0 = eng.Shard(0)
 	eng.Assign(r.sanEnt, 0)
 	eng.Assign(r.aggEnt, 0)
-	r.san = des.NewResource(r.sh0.Sim, "san", t.SANDisks)
+	r.san = des.NewResource(r.sh0.Sim, "san", t.Enclosures)
 	placement := shard.PlaceBlock(t.Enclosures, t.Shards)
 	boardBase := 0
 	for e := 0; e < t.Enclosures; e++ {
@@ -535,10 +527,7 @@ func (r *rackSim) setupInteractive() {
 // setupBatch splits the job's tasks statically across boards and
 // launches each board's task slots.
 func (r *rackSim) setupBatch() int {
-	slots := r.opt.BatchConcurrency
-	if slots <= 0 {
-		slots = 4 * r.cfg.Server.CPU.Cores() // Hadoop's 4 threads/CPU, per board
-	}
+	slots := r.cfg.batchSlots()
 	n := len(r.boards)
 	r.aggTotal = r.p.JobRequests
 	shuffle := r.shuffle

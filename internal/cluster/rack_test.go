@@ -171,7 +171,7 @@ func TestNormalizeDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	nt := n.Topology.(*ShardedTopology)
-	if nt.Shards != 4 || nt.ClientsPerBoard != 4 || nt.SANDisks != 4 {
+	if nt.Shards != 4 || nt.ClientsPerBoard != 4 {
 		t.Fatalf("topology defaults not applied: %+v", *nt)
 	}
 	if o.Topology.(*ShardedTopology).Shards != 9 {
@@ -236,7 +236,6 @@ func TestNormalizeRejectsBadTopology(t *testing.T) {
 		{Enclosures: 0, BoardsPerEnclosure: 1},
 		{Enclosures: 1, BoardsPerEnclosure: 0},
 		{Enclosures: 1, BoardsPerEnclosure: 1, ClientsPerBoard: -1},
-		{Enclosures: 1, BoardsPerEnclosure: 1, SANDisks: -2},
 		{Enclosures: 2, Boards: []int{1}},
 		{Enclosures: 2, Boards: []int{1, 0}},
 	} {

@@ -11,10 +11,10 @@ import (
 // the single-lookahead fields; version 2 adds the "schema" field
 // itself and moves per-pair lookahead reporting to the companion
 // "shard.lookahead" events. Every v1 field is still emitted with its
-// v1 meaning — lookahead_util is now derived from the tightest closed
-// pair floor rather than the (gone) global scalar, which coincides
-// with it for uniform matrices — so v1 consumers keep working and a
-// consumer that needs the per-pair plane keys on schema >= 2.
+// v1 meaning — lookahead_util is derived from the tightest closed
+// pair floor, which for a uniform matrix is v1's single lookahead — so
+// v1 consumers keep working and a consumer that needs the per-pair
+// plane keys on schema >= 2.
 const summarySchema = 2
 
 // EmitDiagnostics writes the per-shard synchronization diagnostics

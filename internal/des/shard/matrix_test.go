@@ -146,7 +146,7 @@ func TestDeterministicNonUniformMatrix(t *testing.T) {
 	const nodes = 24
 	la := des.Time(1e-4)
 	until := des.Time(0.2)
-	refFP, refFired := runToy(t, 1, nodes, la, until, 0)
+	refFP, refFired := runToy(t, 1, nodes, la, until)
 	for _, shards := range []int{2, 4} {
 		m := mat(shards, 0, la)
 		for i := 0; i < shards; i++ {
@@ -157,7 +157,7 @@ func TestDeterministicNonUniformMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tn := wireToy(t, eng, nodes, la, until)
+		tn := wireToy(t, eng, nodes, la, until, 0)
 		tn.eng.Run(until)
 		if fp := tn.fingerprint(); fp != refFP {
 			t.Errorf("shards=%d non-uniform matrix: fingerprint %x != single-shard %x", shards, fp, refFP)
@@ -181,7 +181,7 @@ func TestMergeDeterminismAdversarial(t *testing.T) {
 	)
 	la := des.Time(1e-3)
 	run := func(shards int) (uint64, uint64) {
-		eng, err := NewEngine(Config{Shards: shards, Entities: senders + 1, Lookahead: la})
+		eng, err := NewEngine(Config{Shards: shards, Entities: senders + 1, LookaheadMatrix: mat(shards, la, la)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,4 +227,41 @@ func TestMergeDeterminismAdversarial(t *testing.T) {
 			t.Errorf("shards=%d: fired %d != single-shard %d", shards, fired, refFired)
 		}
 	}
+}
+
+// FuzzShardDeterminism generalizes the core contract over generated
+// inputs: any shard count from 2 to 8, any node count, any toy-model
+// seed and any per-pair floors in (0, la] must reproduce the
+// single-shard fingerprint and event count. Floor byte b maps to
+// la*(b+1)/256; the bytes cycle over the matrix in row-major order.
+func FuzzShardDeterminism(f *testing.F) {
+	f.Add(uint8(2), uint8(8), uint64(0), []byte(nil))
+	f.Add(uint8(4), uint8(24), uint64(1), []byte{127, 191, 255})
+	f.Add(uint8(7), uint8(5), uint64(42), []byte{0, 255, 64})
+	f.Fuzz(func(t *testing.T, shards, nodes uint8, seed uint64, floors []byte) {
+		const la, until = des.Time(1e-4), des.Time(0.02)
+		n := 2 + int(shards)%7
+		nn := 1 + int(nodes)%32
+		m := mat(n, la, la)
+		if len(floors) > 0 {
+			for k := range n * n {
+				m[k/n][k%n] = la * des.Time(int(floors[k%len(floors)])+1) / 256
+			}
+		}
+		run := func(cfg Config) (uint64, uint64) {
+			eng, err := NewEngine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tn := wireToy(t, eng, nn, la, until, seed)
+			eng.Run(until)
+			return tn.fingerprint(), eng.Fired()
+		}
+		refFP, refFired := run(Config{Shards: 1, Entities: nn, LookaheadMatrix: mat(1, la, la)})
+		fp, fired := run(Config{Shards: n, Entities: nn, LookaheadMatrix: m})
+		if fp != refFP || fired != refFired {
+			t.Fatalf("shards=%d nodes=%d seed=%d: fingerprint %x fired %d, single-shard %x fired %d",
+				n, nn, seed, fp, fired, refFP, refFired)
+		}
+	})
 }

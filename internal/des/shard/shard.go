@@ -9,18 +9,17 @@
 // the lookahead floor of the (source shard, destination shard) pair:
 // Config.LookaheadMatrix, derived by the model from its topology (an
 // intra-enclosure backplane hop is cheaper than a cross-enclosure
-// fabric hop, which is cheaper than a SAN path), or a uniform matrix
-// built from the scalar Config.Lookahead. The engine closes the raw
-// matrix under min-plus (Floyd-Warshall), so a relay through an
+// fabric hop, which is cheaper than a SAN path). The engine closes the
+// raw matrix under min-plus (Floyd-Warshall), so a relay through an
 // intermediate shard never promises more than the sum of its hops.
 //
 // Shards run in lockstep rounds. Each round, every shard sends every
 // peer one batch through a bounded channel mailbox: the cross-shard
 // messages it staged during the window it just executed — sorted by
 // the canonical key — plus its constraint row and its scalar earliest
-// output time (EOT) and stop vote. An empty batch is a pure null
-// message. The row carries one lower bound per destination shard d on
-// when anything from this shard s can still reach d:
+// output time (EOT). An empty batch is a pure null message. The row
+// carries one lower bound per destination shard d on when anything
+// from this shard s can still reach d:
 //
 //	row_s[d] = min( localMin_s + L*[s][d],
 //	                min over k != d of stagedMin_s[k] + L*[k][d],
@@ -45,8 +44,8 @@
 //
 // so the window [committed_d, E_d) is safe for d to execute without
 // further communication — and because every shard computes every E_d
-// from the same rows, the run-dry, final-window and stop exits happen
-// on the same round everywhere: nobody is left blocking on a mailbox,
+// from the same rows, the run-dry and final-window exits happen on the
+// same round everywhere: nobody is left blocking on a mailbox,
 // which is the protocol's deadlock-freedom argument. Windows jump
 // directly to the next real event plus closed lookahead — the classic
 // null-message creep of asynchronous Chandy-Misra cannot happen,
@@ -113,31 +112,22 @@ type Config struct {
 	// Entities is the size of the entity namespace; Post panics on IDs
 	// outside [0, Entities).
 	Entities int
-	// Lookahead is the uniform minimum cross-entity delay L, used when
-	// LookaheadMatrix is nil: every pair (including same-shard posts)
-	// gets this floor. Must be > 0 when Shards > 1 and no matrix is
-	// given — a conservative engine has no safe window at zero
-	// lookahead (see NewEngine).
-	Lookahead des.Time
-	// LookaheadMatrix, when non-nil, gives the per-(src shard, dst
-	// shard) minimum delay floor: Post from a src-shard entity to a
-	// dst-shard entity rejects delays below LookaheadMatrix[src][dst].
-	// It must be Shards x Shards; diagonal entries floor same-shard
-	// posts and may be zero; off-diagonal entries must be > 0 or +Inf
-	// (+Inf marks a pair with no modeled traffic — Post there always
-	// panics, and the pair never throttles a window). Windows are
-	// derived from the min-plus closure of this matrix, so entries
-	// need not satisfy the triangle inequality. When nil, a uniform
-	// matrix is built from Lookahead.
+	// LookaheadMatrix gives the per-(src shard, dst shard) minimum
+	// delay floor: Post from a src-shard entity to a dst-shard entity
+	// rejects delays below LookaheadMatrix[src][dst]. It must be
+	// Shards x Shards; diagonal entries floor same-shard posts and may
+	// be zero; off-diagonal entries must be > 0 or +Inf (+Inf marks a
+	// pair with no modeled traffic — Post there always panics, and the
+	// pair never throttles a window). Windows are derived from the
+	// min-plus closure of this matrix, so entries need not satisfy the
+	// triangle inequality.
 	LookaheadMatrix [][]des.Time
-	// MailboxCap bounds each cross-shard channel in batches. The
-	// lockstep protocol puts at most one batch in flight per channel
-	// per round, so 0 defaults to DefaultMailboxCap purely as slack.
-	MailboxCap int
 }
 
-// DefaultMailboxCap is the default bound of one cross-shard mailbox.
-const DefaultMailboxCap = 4
+// mailboxCap bounds each cross-shard channel in batches. The lockstep
+// protocol puts at most one batch in flight per channel per round, so
+// the bound is only slack.
+const mailboxCap = 4
 
 // diagSampleStride is how many committed windows pass between
 // diagnostic samples (clock skew, mailbox depth). Diagnostics depend
@@ -229,12 +219,10 @@ func (h *msgHeap) pop() message {
 // messages sorted by (arrive, src, seq) — a nil slice is a pure null
 // message — plus the sender's constraint row (ownership transfers with
 // the batch; the receiver copies it out and returns the buffer through
-// the freeRows channel), its scalar earliest output time and its stop
-// vote.
+// the freeRows channel) and its scalar earliest output time.
 type batch struct {
 	eot  des.Time
 	row  []des.Time
-	stop bool
 	msgs []message
 }
 
@@ -260,17 +248,14 @@ type inbox struct {
 }
 
 // Stats summarizes one shard's run for diagnostics. Everything here
-// except Fired (horizon runs only) depends on scheduling and must
-// never feed the deterministic export path.
+// except Fired depends on scheduling and must never feed the
+// deterministic export path.
 type Stats struct {
-	Shard           int
-	Windows         int64   // synchronization rounds committed
-	MsgsSent        int64   // cross-shard messages staged
-	MsgsRecv        int64   // cross-shard messages received
-	Fired           uint64  // events executed by this shard's Sim
-	MaxPendingDepth int     // high-water mark of undelivered messages
-	MaxBatchMsgs    int     // largest single mailbox batch received, in messages
-	MaxSkewSec      float64 // max lead of this shard's clock over the slowest peer
+	Shard    int
+	Windows  int64  // synchronization rounds committed
+	MsgsSent int64  // cross-shard messages staged
+	MsgsRecv int64  // cross-shard messages received
+	Fired    uint64 // events executed by this shard's Sim
 
 	// Wall-clock split of the round loop: BusySec executing the window
 	// (advance), BlockedSec flushing to and waiting on peer mailboxes.
@@ -369,24 +354,21 @@ type Shard struct {
 
 // Engine coordinates the shards of one run.
 type Engine struct {
-	cfg     Config
-	shards  []*Shard
-	owner   []int32
-	seqs    []uint64 // per-entity send sequence, written only by the owning shard
-	raw     [][]des.Time
-	closed  [][]des.Time
-	rt      []des.Time // rt[s] = min round-trip lookahead s -> any k -> s
-	minLA   des.Time
-	stopped atomic.Bool
-	ran     bool
+	shards []*Shard
+	owner  []int32
+	seqs   []uint64 // per-entity send sequence, written only by the owning shard
+	raw    [][]des.Time
+	closed [][]des.Time
+	rt     []des.Time // rt[s] = min round-trip lookahead s -> any k -> s
+	minLA  des.Time
+	ran    bool
 }
 
-// NewEngine builds an engine. Without a matrix it rejects
-// Lookahead <= 0 (or NaN) when Shards > 1; with a matrix it rejects
-// wrong dimensions, NaN or negative entries, and non-positive finite
-// off-diagonal entries: the conservative window is bounded by the
-// pairwise lookahead, so at a zero floor no shard could ever prove any
-// event safe and the engine would deadlock by construction.
+// NewEngine builds an engine. It rejects a lookahead matrix of the
+// wrong dimensions, NaN or negative entries, and zero off-diagonal
+// entries: the conservative window is bounded by the pairwise
+// lookahead, so at a zero floor no shard could ever prove any event
+// safe and the engine would deadlock by construction.
 func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("shard: Shards must be >= 1, got %d", cfg.Shards)
@@ -395,48 +377,26 @@ func NewEngine(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("shard: Entities must be >= 1, got %d", cfg.Entities)
 	}
 	n := cfg.Shards
-	var raw [][]des.Time
-	if cfg.LookaheadMatrix != nil {
-		if len(cfg.LookaheadMatrix) != n {
-			return nil, fmt.Errorf("shard: lookahead matrix has %d rows, want %d", len(cfg.LookaheadMatrix), n)
-		}
-		raw = make([][]des.Time, n)
-		for i, r := range cfg.LookaheadMatrix {
-			if len(r) != n {
-				return nil, fmt.Errorf("shard: lookahead matrix row %d has %d entries, want %d", i, len(r), n)
-			}
-			raw[i] = append([]des.Time(nil), r...)
-			for j, v := range r {
-				f := float64(v)
-				if math.IsNaN(f) || f < 0 {
-					return nil, fmt.Errorf("shard: invalid lookahead %v for pair (%d,%d)", v, i, j)
-				}
-				if i != j && f == 0 {
-					return nil, fmt.Errorf("shard: zero lookahead for cross-shard pair (%d,%d): a conservative engine cannot form a synchronization window at zero lookahead", i, j)
-				}
-			}
-		}
-	} else {
-		la := float64(cfg.Lookahead)
-		if math.IsNaN(la) || la < 0 {
-			return nil, fmt.Errorf("shard: invalid lookahead %v", cfg.Lookahead)
-		}
-		if n > 1 && la <= 0 {
-			return nil, fmt.Errorf("shard: lookahead must be > 0 with %d shards: a conservative engine cannot form a synchronization window at zero lookahead", n)
-		}
-		raw = make([][]des.Time, n)
-		for i := range raw {
-			raw[i] = make([]des.Time, n)
-			for j := range raw[i] {
-				raw[i][j] = cfg.Lookahead
-			}
-		}
+	if len(cfg.LookaheadMatrix) != n {
+		return nil, fmt.Errorf("shard: lookahead matrix has %d rows, want %d", len(cfg.LookaheadMatrix), n)
 	}
-	if cfg.MailboxCap <= 0 {
-		cfg.MailboxCap = DefaultMailboxCap
+	raw := make([][]des.Time, n)
+	for i, r := range cfg.LookaheadMatrix {
+		if len(r) != n {
+			return nil, fmt.Errorf("shard: lookahead matrix row %d has %d entries, want %d", i, len(r), n)
+		}
+		raw[i] = append([]des.Time(nil), r...)
+		for j, v := range r {
+			f := float64(v)
+			if math.IsNaN(f) || f < 0 {
+				return nil, fmt.Errorf("shard: invalid lookahead %v for pair (%d,%d)", v, i, j)
+			}
+			if i != j && f == 0 {
+				return nil, fmt.Errorf("shard: zero lookahead for cross-shard pair (%d,%d): a conservative engine cannot form a synchronization window at zero lookahead", i, j)
+			}
+		}
 	}
 	e := &Engine{
-		cfg:    cfg,
 		owner:  make([]int32, cfg.Entities),
 		seqs:   make([]uint64, cfg.Entities),
 		raw:    raw,
@@ -495,10 +455,10 @@ func NewEngine(cfg Config) (*Engine, error) {
 			}
 			p := &peer{
 				shard:     dst.id,
-				ch:        make(chan batch, cfg.MailboxCap),
+				ch:        make(chan batch, mailboxCap),
 				stagedMin: infTime,
-				freeMsgs:  make(chan []message, cfg.MailboxCap+1),
-				freeRows:  make(chan []des.Time, cfg.MailboxCap+1),
+				freeMsgs:  make(chan []message, mailboxCap+1),
+				freeRows:  make(chan []des.Time, mailboxCap+1),
 			}
 			src.peers = append(src.peers, p)
 			src.peerBy[dst.id] = p
@@ -553,8 +513,7 @@ func (e *Engine) Shard(i int) *Shard { return e.shards[i] }
 
 // Lookahead returns the engine's minimum effective cross-shard
 // lookahead: the smallest finite off-diagonal entry of the closed
-// matrix (the uniform Lookahead when no matrix was given), or the
-// same-shard floor for a single-shard engine.
+// matrix, or the same-shard floor for a single-shard engine.
 func (e *Engine) Lookahead() des.Time { return e.minLA }
 
 // PairLookahead returns the closed (effective) lookahead from shard
@@ -580,20 +539,9 @@ func (e *Engine) Assign(ent EntityID, shard int) {
 // ShardOf returns the shard an entity is assigned to.
 func (e *Engine) ShardOf(ent EntityID) int { return int(e.owner[ent]) }
 
-// Stop asks every shard to halt; the stop vote rides the next round's
-// null messages so all shards break at the same round boundary. Used
-// by batch models once the job's completion time is known; results may
-// only depend on events at or before the stop cause (everything
-// earlier is guaranteed to have executed by the conservative
-// invariant).
-func (e *Engine) Stop() { e.stopped.Store(true) }
-
-// Stopped reports whether Stop has been called.
-func (e *Engine) Stopped() bool { return e.stopped.Load() }
-
-// Fired returns the total events executed across all shards. Only
-// deterministic when the run ended at its horizon or ran dry (not by
-// Stop).
+// Fired returns the total events executed across all shards. Every
+// exit — the horizon or the whole cluster running dry — is a pure
+// function of simulated time, so the count is deterministic.
 func (e *Engine) Fired() uint64 {
 	var n uint64
 	for _, s := range e.shards {
@@ -727,10 +675,10 @@ func (s *Shard) noteSlack(myEOT, e des.Time) {
 
 // Run executes the simulation to the inclusive horizon (events exactly
 // at until still fire, matching des.Sim.Run) and returns when every
-// shard has finished — at the horizon, when the whole cluster runs out
-// of events (a batch job completing), or at the round after Stop. One
-// shard runs inline on the caller's goroutine; more run one goroutine
-// each. Run may be called once per Engine.
+// shard has finished — at the horizon, or when the whole cluster runs
+// out of events (a batch job completing). One shard runs inline on the
+// caller's goroutine; more run one goroutine each. Run may be called
+// once per Engine.
 func (e *Engine) Run(until des.Time) {
 	if e.ran {
 		panic("shard: Engine.Run called twice")
@@ -797,13 +745,6 @@ func (s *Shard) Post(src, dst EntityID, delay des.Time, act des.Action) {
 
 func (s *Shard) pushLocal(m message) {
 	s.local.push(m)
-	s.noteDepth()
-}
-
-func (s *Shard) noteDepth() {
-	if d := len(s.pending) - s.pendHead + len(s.local); d > s.stats.MaxPendingDepth {
-		s.stats.MaxPendingDepth = d
-	}
 }
 
 // localMin is the earliest event this shard could still execute: next
@@ -892,16 +833,15 @@ func (s *Shard) computeRow() {
 
 // run is one shard's side of the lockstep round protocol:
 //
-//	compute the constraint row; flush {sorted staged msgs, row, EOT,
-//	stop vote} to every peer
+//	compute the constraint row; flush {sorted staged msgs, row, EOT}
+//	to every peer
 //	receive one batch from every peer; merge the sorted runs into the
 //	pending run; reduce E_d = min over all rows for every destination
-//	stop, run dry (all EOTs +Inf), or execute the window
-//	[committed, E_self), finishing inclusively at the horizon once
-//	E_self has passed it
+//	run dry (all EOTs +Inf), or execute the window [committed, E_self),
+//	finishing inclusively at the horizon once E_self has passed it
 //
 // Every shard computes every E_d from the same N rows, so all shards
-// take the final/dry/stop exits in the same round: nobody is left
+// take the final/dry exits in the same round: nobody is left
 // blocking on a mailbox, which is the protocol's deadlock-freedom
 // argument (each round sends all batches before receiving any, and a
 // mailbox holds at most one in-flight batch per round). A shard whose
@@ -920,7 +860,6 @@ func (s *Shard) run(until des.Time) {
 		s.computeRow()
 		myEOT := s.eot()
 		s.eots[s.id] = myEOT
-		myStop := s.eng.stopped.Load()
 		for _, p := range s.peers {
 			msgs := p.stage
 			if len(msgs) > 0 {
@@ -940,11 +879,10 @@ func (s *Shard) run(until des.Time) {
 				row = make([]des.Time, n)
 			}
 			copy(row, s.rows[s.id])
-			p.ch <- batch{eot: myEOT, row: row, stop: myStop, msgs: msgs}
+			p.ch <- batch{eot: myEOT, row: row, msgs: msgs}
 			p.stagedMin = infTime
 		}
 		s.clockBits.Store(math.Float64bits(float64(s.Sim.Now())))
-		stop := myStop
 		for i := range s.in {
 			in := &s.in[i]
 			b := <-in.ch
@@ -954,12 +892,8 @@ func (s *Shard) run(until des.Time) {
 			default:
 			}
 			s.eots[in.src] = b.eot
-			stop = stop || b.stop
 			if len(b.msgs) > 0 {
 				s.stats.MsgsRecv += int64(len(b.msgs))
-				if len(b.msgs) > s.stats.MaxBatchMsgs {
-					s.stats.MaxBatchMsgs = len(b.msgs)
-				}
 				s.runs = append(s.runs, b.msgs)
 				s.runIn = append(s.runIn, in)
 			}
@@ -968,10 +902,6 @@ func (s *Shard) run(until des.Time) {
 		now := time.Now()
 		s.blockedNs += now.Sub(last).Nanoseconds()
 		last = now
-		if stop {
-			s.publishLive()
-			return
-		}
 		dry := true
 		for _, e := range s.eots {
 			if !math.IsInf(float64(e), 1) {
@@ -1101,7 +1031,6 @@ func (s *Shard) mergeRuns() {
 	s.pending = buf
 	s.mergeBuf = old[:0]
 	s.pendHead = 0
-	s.noteDepth()
 }
 
 // runSingle is the one-shard fast path: no rounds, no channels — the
@@ -1139,11 +1068,7 @@ func (s *Shard) nextArrival() (des.Time, bool) {
 //
 //perf:hotpath
 func (s *Shard) advance(target des.Time, final bool) {
-	stopCheck := 0
 	for {
-		if stopCheck++; stopCheck&0x3ff == 0 && s.eng.stopped.Load() {
-			return
-		}
 		na, hasNa := s.Sim.PeekNext()
 		if ma, ok := s.nextArrival(); ok {
 			if (ma < target || (final && ma == target)) && (!hasNa || ma <= na) {
@@ -1212,9 +1137,6 @@ func (s *Shard) noteWindow() {
 		if c := des.Time(math.Float64frombits(p.clockBits.Load())); c < minClock {
 			minClock = c
 		}
-	}
-	if skew := float64(s.Sim.Now() - minClock); skew > s.stats.MaxSkewSec {
-		s.stats.MaxSkewSec = skew
 	}
 	if d := len(s.pending) - s.pendHead + len(s.local); d > s.depthSinceS {
 		s.depthSinceS = d

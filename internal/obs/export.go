@@ -61,11 +61,6 @@ func (s *Sink) WriteJSONL(w io.Writer) error {
 			return err
 		}
 	}
-	if s.dropped > 0 {
-		if err := enc.Encode(jsonlCounter{Type: "counter", Name: "obs.dropped_events", Value: s.dropped}); err != nil {
-			return err
-		}
-	}
 	for _, name := range sortedKeys(s.hists) {
 		h := s.hists[name]
 		rec := jsonlHist{
@@ -136,9 +131,6 @@ func (s *Sink) WriteCSV(w io.Writer) error {
 
 	for _, name := range sortedKeys(s.counters) {
 		write("counter", name, "", strconv.FormatInt(s.counters[name], 10), "")
-	}
-	if s.dropped > 0 {
-		write("counter", "obs.dropped_events", "", strconv.FormatInt(s.dropped, 10), "")
 	}
 	for _, name := range sortedKeys(s.hists) {
 		h := s.hists[name]

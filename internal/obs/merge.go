@@ -44,8 +44,7 @@ func (h *Hist) Merge(o *Hist) {
 //     part distinct series names, so this is a move, not an interleave);
 //   - events k-way merge by time, ties broken by part order — each
 //     part's events must be in nondecreasing time order (true for
-//     anything recorded on a simulated clock);
-//   - dropped-event counts add.
+//     anything recorded on a simulated clock).
 //
 // The manifest is left untouched: the coordinator composes it.
 //
@@ -79,7 +78,6 @@ func (s *Sink) MergeFrom(parts ...*Sink) {
 			}
 			dst.Points = append(dst.Points, src.Points...)
 		}
-		s.dropped += p.dropped
 	}
 	// K-way time merge of event streams, stable on part order.
 	evs := make([][]EventRecord, len(parts))
@@ -88,9 +86,7 @@ func (s *Sink) MergeFrom(parts ...*Sink) {
 		evs[i] = p.Events()
 		total += len(evs[i])
 	}
-	if s.ring == nil {
-		s.reserveEvents(evs, total)
-	}
+	s.reserveEvents(evs, total)
 	idx := make([]int, len(parts))
 	for n := 0; n < total; n++ {
 		best := -1
@@ -114,19 +110,11 @@ func (s *Sink) MergeFrom(parts ...*Sink) {
 // episodes, one line per fleet rack), so both get a 1/64 headroom, the
 // arena's capped at one chunk: it holds those without a regrowth and
 // leaves no more spare than append's growth step or the arena's
-// chunking would. When MaxEvents will drop some of the records, only
-// the slice is sized, to the cap: which records' fields are kept
-// depends on the merge order.
+// chunking would.
 func (s *Sink) reserveEvents(evs [][]EventRecord, total int) {
 	n := total + total/64
-	if s.MaxEvents > 0 {
-		n = max(min(n, s.MaxEvents-len(s.events)), 0)
-	}
 	if cap(s.events)-len(s.events) < n {
 		s.events = append(make([]EventRecord, 0, len(s.events)+n), s.events...)
-	}
-	if n < total {
-		return
 	}
 	fields := 0
 	for _, part := range evs {

@@ -203,33 +203,28 @@ func TestMergeFromTieOrder(t *testing.T) {
 }
 
 // TestMergeFromKeepsPriorRecordsAndCap: the merge sizes the event
-// storage once, which must carry the sink's earlier records over
-// intact and, under MaxEvents, keep the first records in merge order
-// and count the rest as dropped.
+// storage's capacity once, which must carry the sink's earlier records
+// over intact and keep the merged records in time order.
 func TestMergeFromKeepsPriorRecordsAndCap(t *testing.T) {
 	a, b := NewSink(), NewSink()
 	for i := 0; i < 3; i++ {
 		a.Event("s", float64(2*i), F("part", 0), F("i", float64(i)))
 		b.Event("s", float64(2*i+1), F("part", 1), F("i", float64(i)))
 	}
-	for _, tc := range []struct{ maxEvents, kept, dropped int }{{0, 7, 0}, {4, 4, 3}} {
-		out := NewSink()
-		out.MaxEvents = tc.maxEvents
-		out.Event("s", -1, F("prior", 1))
-		out.MergeFrom(a, b)
-		evs := out.Events()
-		if len(evs) != tc.kept || out.DroppedEvents() != int64(tc.dropped) {
-			t.Fatalf("MaxEvents %d: kept %d, dropped %d; want %d, %d",
-				tc.maxEvents, len(evs), out.DroppedEvents(), tc.kept, tc.dropped)
-		}
-		if f := evs[0].Fields; len(f) != 1 || f[0] != F("prior", 1) {
-			t.Errorf("MaxEvents %d: prior record's fields became %v", tc.maxEvents, f)
-		}
-		for i, e := range evs[1:] {
-			if e.T != float64(i) || e.Fields[0].Num != float64(i%2) {
-				t.Errorf("MaxEvents %d: record %d at t=%g from part %g, want t=%d from part %d",
-					tc.maxEvents, i+1, e.T, e.Fields[0].Num, i, i%2)
-			}
+	out := NewSink()
+	out.Event("s", -1, F("prior", 1))
+	out.MergeFrom(a, b)
+	evs := out.Events()
+	if len(evs) != 7 {
+		t.Fatalf("kept %d records, want 7", len(evs))
+	}
+	if f := evs[0].Fields; len(f) != 1 || f[0] != F("prior", 1) {
+		t.Errorf("prior record's fields became %v", f)
+	}
+	for i, e := range evs[1:] {
+		if e.T != float64(i) || e.Fields[0].Num != float64(i%2) {
+			t.Errorf("record %d at t=%g from part %g, want t=%d from part %d",
+				i+1, e.T, e.Fields[0].Num, i, i%2)
 		}
 	}
 }

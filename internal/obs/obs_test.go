@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -85,24 +83,6 @@ func TestHistUnderflow(t *testing.T) {
 	}
 	if h.Mean() != 2 || h.Min() != 2 || h.Max() != 2 {
 		t.Fatalf("stats over positives wrong: mean=%g min=%g max=%g", h.Mean(), h.Min(), h.Max())
-	}
-}
-
-func TestSinkEventCapCountsDrops(t *testing.T) {
-	s := NewSink()
-	s.MaxEvents = 2
-	for i := 0; i < 5; i++ {
-		s.Event("req", float64(i))
-	}
-	if len(s.Events()) != 2 || s.DroppedEvents() != 3 {
-		t.Fatalf("events=%d dropped=%d, want 2/3", len(s.Events()), s.DroppedEvents())
-	}
-	var buf bytes.Buffer
-	if err := s.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "obs.dropped_events") {
-		t.Fatal("dropped events must be reported, not silent")
 	}
 }
 

@@ -149,17 +149,6 @@ type Sink struct {
 	// copies fields here; chunking keeps that one bulk append per chunk
 	// instead of one allocation per record.
 	arena []Field
-
-	// MaxEvents caps the total retained event records (0 = unlimited).
-	// Overflow is counted, never silent: see DroppedEvents.
-	MaxEvents int
-	dropped   int64
-
-	// ring, when non-nil, replaces the append-only events slice with a
-	// fixed-capacity ring keeping the most recent records (SetEventRing).
-	ring     []EventRecord
-	ringNext int
-	ringFull bool
 }
 
 // NewSink returns an empty, enabled Sink.
@@ -240,95 +229,25 @@ func (s *Sink) copyFields(fields []Field) []Field {
 	return s.arena[start : start+n : start+n]
 }
 
-// SetEventRing switches event retention to a fixed-capacity ring that
-// keeps the most recent n records, overwriting the oldest; overwritten
-// records count as dropped. Each ring slot owns its field buffer and
-// reuses it on overwrite, so steady-state emission is allocation-free —
-// the right mode for long watch-style runs where only the recent window
-// matters. Must be called before any events are recorded; n <= 0
-// restores the default append-only retention.
-func (s *Sink) SetEventRing(n int) {
-	if len(s.events) > 0 || s.ringTotal() > 0 {
-		panic("obs: SetEventRing after events were recorded")
-	}
-	if n <= 0 {
-		s.ring = nil
-		s.ringNext, s.ringFull = 0, false
-		return
-	}
-	s.ring = make([]EventRecord, n)
-	s.ringNext, s.ringFull = 0, false
-}
-
-func (s *Sink) ringTotal() int {
-	if s.ringFull {
-		return len(s.ring)
-	}
-	return s.ringNext
-}
-
-// retainedEvents counts the currently kept records in either retention
-// mode without assembling the ring.
-func (s *Sink) retainedEvents() int {
-	if s.ring != nil {
-		return s.ringTotal()
-	}
-	return len(s.events)
-}
-
 // Event implements Recorder. Fields are copied (see Recorder), so
 // callers may reuse their field buffers.
 func (s *Sink) Event(stream string, t float64, fields ...Field) {
-	if s.ring != nil {
-		slot := &s.ring[s.ringNext]
-		if s.ringFull {
-			s.dropped++ // the overwritten record
-		}
-		slot.Stream, slot.T = stream, t
-		slot.Fields = append(slot.Fields[:0], fields...)
-		s.ringNext++
-		if s.ringNext == len(s.ring) {
-			s.ringNext = 0
-			s.ringFull = true
-		}
-		return
-	}
-	if s.MaxEvents > 0 && len(s.events) >= s.MaxEvents {
-		s.dropped++
-		return
-	}
 	s.events = append(s.events, EventRecord{Stream: stream, T: t, Fields: s.copyFields(fields)})
 }
 
-// Events returns all retained event records in emission order. In ring
-// mode the slice is assembled oldest-first on each call.
-func (s *Sink) Events() []EventRecord {
-	if s.ring == nil {
-		return s.events
-	}
-	if !s.ringFull {
-		return s.ring[:s.ringNext]
-	}
-	out := make([]EventRecord, 0, len(s.ring))
-	out = append(out, s.ring[s.ringNext:]...)
-	out = append(out, s.ring[:s.ringNext]...)
-	return out
-}
+// Events returns all retained event records in emission order.
+func (s *Sink) Events() []EventRecord { return s.events }
 
 // EventCount returns the number of retained records in a stream.
 func (s *Sink) EventCount(stream string) int {
 	n := 0
-	for _, e := range s.Events() {
+	for _, e := range s.events {
 		if e.Stream == stream {
 			n++
 		}
 	}
 	return n
 }
-
-// DroppedEvents returns how many event records were discarded — by the
-// MaxEvents cap in append mode, or by overwrite in ring mode.
-func (s *Sink) DroppedEvents() int64 { return s.dropped }
 
 func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))

@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
 // TestEventCopiesFields pins the Recorder contract: the fields slice is
 // only valid during the call, so the sink must copy. Emitters (span
@@ -27,81 +24,6 @@ func TestEventCopiesFields(t *testing.T) {
 	}
 	if got := evs[1].Fields[0].Str; got != "second" {
 		t.Fatalf("second event field = %q, want \"second\"", got)
-	}
-}
-
-func TestEventRingKeepsMostRecent(t *testing.T) {
-	s := NewSink()
-	s.SetEventRing(3)
-	for i := 1; i <= 5; i++ {
-		s.Event("w", float64(i), F("i", float64(i)))
-	}
-	evs := s.Events()
-	if len(evs) != 3 {
-		t.Fatalf("ring retained %d events, want 3", len(evs))
-	}
-	for k, want := range []float64{3, 4, 5} {
-		if evs[k].T != want {
-			t.Fatalf("ring order: event %d at t=%g, want %g (oldest-first)", k, evs[k].T, want)
-		}
-	}
-	if got := s.DroppedEvents(); got != 2 {
-		t.Fatalf("DroppedEvents = %d, want 2 overwrites", got)
-	}
-	if got := s.EventCount("w"); got != 3 {
-		t.Fatalf("EventCount = %d, want 3", got)
-	}
-	// The snapshot must report retained (3), not total emitted.
-	snap, err := s.Snapshot(Progress{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snap) == 0 {
-		t.Fatal("empty snapshot")
-	}
-}
-
-func TestEventRingSlotReuseDoesNotCorrupt(t *testing.T) {
-	s := NewSink()
-	s.SetEventRing(2)
-	scratch := make([]Field, 0, 2)
-	for i := 0; i < 10; i++ {
-		scratch = append(scratch[:0], F("i", float64(i)))
-		s.Event("w", float64(i), scratch...)
-	}
-	want := []EventRecord{
-		{Stream: "w", T: 8, Fields: []Field{F("i", 8)}},
-		{Stream: "w", T: 9, Fields: []Field{F("i", 9)}},
-	}
-	got := s.Events()
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("ring contents %+v, want %+v", got, want)
-	}
-}
-
-func TestSetEventRingAfterRecordPanics(t *testing.T) {
-	s := NewSink()
-	s.Event("w", 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetEventRing after recording did not panic")
-		}
-	}()
-	s.SetEventRing(4)
-}
-
-func TestSetEventRingDisable(t *testing.T) {
-	s := NewSink()
-	s.SetEventRing(3)
-	s.SetEventRing(0) // back to append mode before any events
-	for i := 0; i < 5; i++ {
-		s.Event("w", float64(i))
-	}
-	if got := len(s.Events()); got != 5 {
-		t.Fatalf("append mode after SetEventRing(0) retained %d, want 5", got)
-	}
-	if got := s.DroppedEvents(); got != 0 {
-		t.Fatalf("DroppedEvents = %d, want 0", got)
 	}
 }
 

@@ -40,8 +40,7 @@ type histSnapshot struct {
 }
 
 type eventSnapshot struct {
-	Retained int   `json:"retained"`
-	Dropped  int64 `json:"dropped,omitempty"`
+	Retained int `json:"retained"`
 }
 
 // Snapshot marshals the sink's current state plus run progress into an
@@ -56,7 +55,7 @@ func (s *Sink) Snapshot(p Progress) ([]byte, error) {
 	doc := snapshotDoc{
 		Progress: p,
 		Manifest: s.manifest,
-		Events:   eventSnapshot{Retained: s.retainedEvents(), Dropped: s.dropped},
+		Events:   eventSnapshot{Retained: len(s.events)},
 	}
 	if len(s.counters) > 0 {
 		doc.Counters = make(map[string]int64, len(s.counters))

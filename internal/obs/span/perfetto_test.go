@@ -114,3 +114,41 @@ func TestWriteTraceDeterministic(t *testing.T) {
 		t.Fatal("two identical sinks exported different traces")
 	}
 }
+
+// TestFileExportsMatchWriters: the file exporters write exactly what
+// the stream writers do, and report a path they cannot create.
+func TestFileExportsMatchWriters(t *testing.T) {
+	sink := goldenSink()
+	a := Analyze(sink.Events())
+	var trace, csv bytes.Buffer
+	if err := WriteTrace(&trace, sink); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name  string
+		write func(string) error
+		want  []byte
+	}{
+		{"trace.json", func(p string) error { return WriteTraceFile(p, sink) }, trace.Bytes()},
+		{"attr.csv", a.WriteCSVFile, csv.Bytes()},
+	} {
+		path := filepath.Join(dir, tc.name)
+		if err := tc.write(path); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, tc.want) {
+			t.Errorf("%s differs from the stream writer's bytes", tc.name)
+		}
+		if err := tc.write(filepath.Join(dir, "missing", tc.name)); err == nil {
+			t.Errorf("%s: writing under a missing directory succeeded", tc.name)
+		}
+	}
+}

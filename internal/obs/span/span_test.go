@@ -57,8 +57,12 @@ func TestEmitIDsDenseAndDecoded(t *testing.T) {
 	}
 	got := spans[2]
 	want := Span{ID: 3, Parent: 1, Req: 5, Kind: KindService, Res: "cpu", Start: 1.5, Dur: 1.5}
-	if got != want {
-		t.Fatalf("decoded span = %+v, want %+v", got, want)
+	if got != want || got.End() != 3.0 {
+		t.Fatalf("decoded span = %+v ending %g, want %+v ending 3", got, got.End(), want)
+	}
+	// A partitioned model's tracer numbers from its base.
+	if id := NewTracerAt(obs.NewSink(), 1, 1<<40).Emit(0, 0, KindRequest, "request", 0, 1); id != 1<<40+1 {
+		t.Fatalf("first id from base 1<<40 = %d, want base+1", id)
 	}
 }
 
