@@ -17,10 +17,11 @@
 #                     /obs/shards and /obs/energy serve their schemas
 #   make cover      — per-package coverage, with an 80% floor on
 #                     internal/obs/...
+#   make fuzz       — every Fuzz* target in the tree, 10 s each
 
 GO ?= go
 
-.PHONY: check vet lint build test test-race fmt bench shard-race introspect-smoke cover
+.PHONY: check vet lint build test test-race fmt bench shard-race introspect-smoke cover fuzz
 
 check: vet lint build test-race fmt shard-race introspect-smoke
 
@@ -99,6 +100,17 @@ cover:
 			pct = $$(i+1); sub(/%$$/, "", pct); \
 			if (pct + 0 < 80) { printf "cover: %s at %s%% (floor 80%%)\n", $$2, pct; bad = 1 } } } \
 	END { exit bad }'
+
+# go test -fuzz takes one target per run, so find every func Fuzz* in
+# the tree's test files and fuzz each one in its own package for 10 s.
+fuzz:
+	@grep -rl --include='*_test.go' '^func Fuzz' . | sort | while read -r f; do \
+		pkg="./$$(dirname "$${f#./}")"; \
+		for name in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' "$$f"); do \
+			echo "fuzz: $$name in $$pkg"; \
+			$(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime 10s "$$pkg" || exit 1; \
+		done; \
+	done
 
 bench:
 	$(GO) test -bench=. -benchmem -run=NONE ./...

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 
+	"warehousesim/internal/lru"
 	"warehousesim/internal/obs"
 	"warehousesim/internal/obs/span"
 	"warehousesim/internal/platform"
@@ -74,7 +75,7 @@ func (s Stats) ReadHitRate() float64 {
 // hash-table lookup (as the paper describes) and wear accounting.
 type Sim struct {
 	cfg    Config
-	blocks lru
+	blocks lru.Table
 	stats  Stats
 
 	// observability (nil when not instrumented)
@@ -92,11 +93,11 @@ func New(cfg Config) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Sim{cfg: cfg, blocks: newLRU(int(cfg.CacheBytes / int64(cfg.BlockBytes)))}, nil
+	return &Sim{cfg: cfg, blocks: lru.New(int(cfg.CacheBytes / int64(cfg.BlockBytes)))}, nil
 }
 
 // Capacity returns the cache capacity in blocks.
-func (s *Sim) Capacity() int { return s.blocks.capacity }
+func (s *Sim) Capacity() int { return s.blocks.Cap() }
 
 // Instrument attaches a recorder: per-op counters
 // ("flashcache.reads/read_hits/writes/write_hits/block_writes/evictions"),
@@ -132,7 +133,8 @@ func (s *Sim) InstrumentSpans(tr *span.Tracer, flashReadSec, diskReadSec float64
 // and installs it (write-allocate). Returns true on a flash hit.
 func (s *Sim) Read(block int64) bool {
 	s.stats.Reads++
-	if s.blocks.touch(block) {
+	if slot := s.blocks.Find(block); slot >= 0 {
+		s.blocks.Touch(slot)
 		s.stats.ReadHits++
 		s.observe("flashcache.reads", "flashcache.read_hits", true)
 		s.spanRead("flash", s.flashReadUs)
@@ -161,7 +163,8 @@ func (s *Sim) spanRead(res string, durUs float64) {
 // write buffer; destage to disk happens in the background).
 func (s *Sim) Write(block int64) {
 	s.stats.Writes++
-	if s.blocks.touch(block) {
+	if slot := s.blocks.Find(block); slot >= 0 {
+		s.blocks.Touch(slot)
 		s.stats.WriteHits++
 		s.stats.FlashBlockWrites++ // re-program the block
 		s.observe("flashcache.writes", "flashcache.write_hits", true)
@@ -190,7 +193,10 @@ func (s *Sim) observe(opCounter, hitCounter string, hit bool) {
 }
 
 func (s *Sim) install(block int64) {
-	if _, evicted := s.blocks.insert(block); evicted {
+	if s.blocks.Len() < s.blocks.Cap() {
+		s.blocks.Add(block)
+	} else {
+		s.blocks.Replace(s.blocks.Tail(), block)
 		s.stats.Evictions++
 		if s.rec != nil {
 			s.rec.Count("flashcache.evictions", 1)

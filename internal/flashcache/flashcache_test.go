@@ -195,9 +195,31 @@ func TestQuickCacheInvariants(t *testing.T) {
 		}
 		st := s.Stats()
 		return st.ReadHits <= st.Reads && st.WriteHits <= st.Writes &&
-			s.blocks.len() <= s.Capacity() && s.blocks.indexed() == s.blocks.len()
+			s.blocks.Len() <= s.Capacity()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReplaySteadyStateAllocs pins the allocation contract: once the
+// block table has filled, a replay allocates only its one emit closure,
+// however many block operations it runs.
+func TestReplaySteadyStateAllocs(t *testing.T) {
+	s, err := New(Config{CacheBytes: 256 * 4096, BlockBytes: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sd, err := trace.NewSyntheticDisk(4096, 0.8, 4, 2, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := stats.NewRNG(5)
+	Replay(s, sd, r, 2000)
+	if s.blocks.Len() != s.Capacity() {
+		t.Fatalf("warm-up left %d of %d blocks resident", s.blocks.Len(), s.Capacity())
+	}
+	if a := testing.AllocsPerRun(20, func() { Replay(s, sd, r, 500) }); a > 1 {
+		t.Fatalf("replay of 500 requests allocated %g times, want <= 1", a)
 	}
 }

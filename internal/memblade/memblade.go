@@ -23,9 +23,9 @@
 package memblade
 
 import (
-	"container/list"
 	"fmt"
 
+	"warehousesim/internal/lru"
 	"warehousesim/internal/obs"
 	"warehousesim/internal/obs/span"
 	"warehousesim/internal/stats"
@@ -76,8 +76,10 @@ func (c Config) Validate() error {
 	switch {
 	case c.FootprintPages <= 0:
 		return fmt.Errorf("memblade: footprint must be positive")
-	case c.LocalFraction <= 0 || c.LocalFraction > 1:
+	case !(c.LocalFraction > 0 && c.LocalFraction <= 1): // NaN fails both
 		return fmt.Errorf("memblade: local fraction %g outside (0,1]", c.LocalFraction)
+	case c.Policy < LRU || c.Policy > Clock:
+		return fmt.Errorf("memblade: unknown policy %v", c.Policy)
 	}
 	return nil
 }
@@ -111,20 +113,16 @@ func (s Stats) MissesPerRequest() float64 {
 
 // Sim is the two-level memory simulator.
 type Sim struct {
-	cfg      Config
-	capacity int
+	cfg Config
 
-	// Residency structures; which are active depends on the policy.
-	resident map[int64]*list.Element // LRU: page -> list node
-	order    *list.List              // LRU order, front = most recent
-
-	slots   []int64        // Random/Clock: resident pages
-	index   map[int64]int  // Random/Clock: page -> slot
-	refBits []bool         // Clock
-	hand    int            // Clock
-	dirty   map[int64]bool // dirty residents (all policies)
-	rng     *stats.RNG     // Random policy
-	stats   Stats
+	// Residency: every policy keeps local memory in one table and only
+	// picks the victim slot. Dirty and Clock reference bits are per slot.
+	pages lru.Table
+	dirty []bool
+	ref   []bool     // Clock
+	hand  int        // Clock
+	rng   *stats.RNG // Random
+	stats Stats
 
 	// observability (nil when not instrumented)
 	rec         obs.Recorder
@@ -133,37 +131,21 @@ type Sim struct {
 	evBuf       [2]obs.Field // swap-event scratch; valid only during Event (Recorder contract)
 }
 
-// New builds a simulator with cold (empty) local memory.
+// New builds a simulator with cold (empty) local memory; its capacity
+// is the local share of the footprint, at least one page.
 func New(cfg Config) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	capacity := int(float64(cfg.FootprintPages) * cfg.LocalFraction)
-	if capacity < 1 {
-		capacity = 1
-	}
-	s := &Sim{
-		cfg:      cfg,
-		capacity: capacity,
-		dirty:    make(map[int64]bool),
-		rng:      stats.NewRNG(cfg.Seed),
-	}
-	switch cfg.Policy {
-	case LRU:
-		s.resident = make(map[int64]*list.Element, capacity)
-		s.order = list.New()
-	default:
-		s.slots = make([]int64, 0, capacity)
-		s.index = make(map[int64]int, capacity)
-		if cfg.Policy == Clock {
-			s.refBits = make([]bool, 0, capacity)
-		}
-	}
-	return s, nil
+	return &Sim{
+		cfg:   cfg,
+		pages: lru.New(int(float64(cfg.FootprintPages) * cfg.LocalFraction)),
+		rng:   stats.NewRNG(cfg.Seed),
+	}, nil
 }
 
 // Capacity returns the local-memory capacity in pages.
-func (s *Sim) Capacity() int { return s.capacity }
+func (s *Sim) Capacity() int { return s.pages.Cap() }
 
 // Instrument attaches a recorder: every access bumps the
 // "memblade.accesses" / "memblade.misses" / "memblade.writebacks"
@@ -189,43 +171,29 @@ func (s *Sim) Instrument(rec obs.Recorder, sampleEvery int64) {
 // the exclusive swap of §3.4.
 func (s *Sim) Access(page int64, write bool) bool {
 	s.stats.Accesses++
-	hit := false
-	switch s.cfg.Policy {
-	case LRU:
-		if el, ok := s.resident[page]; ok {
-			s.order.MoveToFront(el)
-			hit = true
-		}
-	default:
-		if i, ok := s.index[page]; ok {
-			if s.cfg.Policy == Clock {
-				s.refBits[i] = true
-			}
-			hit = true
-		}
+	slot := s.pages.Find(page)
+	hit := slot >= 0
+	switch {
+	case !hit:
+		s.stats.Misses++
+		slot = s.install(page)
+	case s.cfg.Policy == LRU:
+		s.pages.Touch(slot)
+	case s.cfg.Policy == Clock:
+		s.ref[slot] = true
 	}
-	if hit {
-		if write {
-			s.dirty[page] = true
-		}
-		s.observe(page, write, true)
-		return true
-	}
-
-	s.stats.Misses++
-	s.install(page)
 	if write {
-		s.dirty[page] = true
+		s.dirty[slot] = true
 	}
-	s.observe(page, write, false)
-	if idx := s.stats.Accesses - 1; s.tracer.Sampled(idx) {
+	s.observe(page, write, hit)
+	if idx := s.stats.Accesses - 1; !hit && s.tracer.Sampled(idx) {
 		t := float64(s.stats.Accesses)
 		sid := s.tracer.Emit(0, idx, span.KindSwap, PCIeX4().Name,
 			t, t+PCIeX4().StallPerMissSec*1e6)
 		s.tracer.Emit(sid, idx, span.KindCBF, "",
 			t, t+CBF().StallPerMissSec*1e6)
 	}
-	return false
+	return hit
 }
 
 // InstrumentSpans attaches a causal span tracer: every sampled
@@ -257,61 +225,42 @@ func (s *Sim) observe(page int64, write, hit bool) {
 	}
 }
 
-func (s *Sim) install(page int64) {
+// install puts a missing page in local memory and returns its slot:
+// the next free slot while memory fills, then the victim's, chosen by
+// the policy — the least recently used, a uniform draw, or the first
+// unreferenced slot under the clock hand.
+func (s *Sim) install(page int64) int {
+	if s.pages.Len() < s.pages.Cap() {
+		s.dirty = append(s.dirty, false)
+		if s.cfg.Policy == Clock {
+			s.ref = append(s.ref, true)
+		}
+		return s.pages.Add(page)
+	}
+	var slot int
 	switch s.cfg.Policy {
 	case LRU:
-		if s.order.Len() >= s.capacity {
-			el := s.order.Back()
-			victim := el.Value.(int64)
-			s.order.Remove(el)
-			delete(s.resident, victim)
-			s.evictAccounting(victim)
-		}
-		s.resident[page] = s.order.PushFront(page)
+		slot = s.pages.Tail()
 	case Random:
-		if len(s.slots) >= s.capacity {
-			i := s.rng.Intn(len(s.slots))
-			victim := s.slots[i]
-			delete(s.index, victim)
-			s.evictAccounting(victim)
-			s.slots[i] = page
-			s.index[page] = i
-			return
-		}
-		s.index[page] = len(s.slots)
-		s.slots = append(s.slots, page)
+		slot = s.rng.Intn(s.pages.Len())
 	case Clock:
-		if len(s.slots) >= s.capacity {
-			for {
-				if s.refBits[s.hand] {
-					s.refBits[s.hand] = false
-					s.hand = (s.hand + 1) % len(s.slots)
-					continue
-				}
-				victim := s.slots[s.hand]
-				delete(s.index, victim)
-				s.evictAccounting(victim)
-				s.slots[s.hand] = page
-				s.index[page] = s.hand
-				s.refBits[s.hand] = true
-				s.hand = (s.hand + 1) % len(s.slots)
-				return
-			}
+		for s.ref[s.hand] {
+			s.ref[s.hand] = false
+			s.hand = (s.hand + 1) % len(s.ref)
 		}
-		s.index[page] = len(s.slots)
-		s.slots = append(s.slots, page)
-		s.refBits = append(s.refBits, true)
+		slot = s.hand
+		s.ref[slot] = true
+		s.hand = (s.hand + 1) % len(s.ref)
 	}
-}
-
-func (s *Sim) evictAccounting(victim int64) {
-	if s.dirty[victim] {
+	s.pages.Replace(slot, page)
+	if s.dirty[slot] {
+		s.dirty[slot] = false
 		s.stats.Writebacks++
-		delete(s.dirty, victim)
 		if s.rec != nil {
 			s.rec.Count("memblade.writebacks", 1)
 		}
 	}
+	return slot
 }
 
 // Stats returns the accumulated counters.

@@ -222,46 +222,57 @@ func EncodePages(w io.Writer, t *PageTrace) error {
 	return bw.Flush()
 }
 
-// DecodePages reads a trace written by EncodePages.
+// maxPrealloc caps the room DecodePages reserves from a header's
+// counts. Longer traces grow by append, so a corrupt header cannot
+// demand more memory than the file's body backs.
+const maxPrealloc = 1 << 16
+
+// DecodePages reads a trace written by EncodePages. It rejects a
+// truncated body and request ends that decrease or pass the access
+// count.
 func DecodePages(rd io.Reader) (*PageTrace, error) {
 	br := bufio.NewReader(rd)
 	var magic uint32
 	if err := binary.Read(br, binary.LittleEndian, &magic); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("trace: reading magic: %w", err)
 	}
 	if magic != traceMagic {
 		return nil, fmt.Errorf("trace: bad magic %#x", magic)
 	}
 	nAcc, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("trace: reading access count: %w", err)
 	}
 	nReq, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("trace: reading request count: %w", err)
 	}
 	t := &PageTrace{
-		Accesses:    make([]PageAccess, 0, nAcc),
-		RequestEnds: make([]int, 0, nReq),
+		Accesses:    make([]PageAccess, 0, min(nAcc, maxPrealloc)),
+		RequestEnds: make([]int, 0, min(nReq, maxPrealloc)),
 	}
 	prev := int64(0)
 	for i := uint64(0); i < nAcc; i++ {
 		v, err := binary.ReadUvarint(br)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("trace: reading access %d of %d: %w", i, nAcc, err)
 		}
 		page := prev + unzigzag(uint64(v>>1))
 		t.Accesses = append(t.Accesses, PageAccess{Page: page, Write: v&1 == 1})
 		prev = page
 	}
-	prevEnd := 0
+	prevEnd := uint64(0)
 	for i := uint64(0); i < nReq; i++ {
 		v, err := binary.ReadUvarint(br)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("trace: reading request end %d of %d: %w", i, nReq, err)
 		}
-		prevEnd += int(v)
-		t.RequestEnds = append(t.RequestEnds, prevEnd)
+		if v > nAcc-prevEnd {
+			return nil, fmt.Errorf("trace: request %d ends %d accesses after access %d, past the trace's %d",
+				i, v, prevEnd, nAcc)
+		}
+		prevEnd += v
+		t.RequestEnds = append(t.RequestEnds, int(prevEnd))
 	}
 	return t, nil
 }

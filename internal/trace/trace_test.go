@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -173,6 +174,49 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	if _, err := DecodePages(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty input accepted")
 	}
+}
+
+// FuzzDecodePages feeds DecodePages arbitrary bytes. It must never
+// panic, and any trace it accepts must have request ends inside its
+// accesses and survive EncodePages and a second decode unchanged.
+func FuzzDecodePages(f *testing.F) {
+	sp, err := NewSyntheticPages(1000, 0.9, 5, 0.3, 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := EncodePages(&buf, CollectPages(sp, stats.NewRNG(2), 20)); err != nil {
+		f.Fatal(err)
+	}
+	valid := buf.Bytes()
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2]) // truncated body
+	// A header claiming 2^62 accesses and no requests, with no body.
+	f.Add([]byte{0x52, 0x54, 0x48, 0x57, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := DecodePages(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		prev := 0
+		for i, e := range tr.RequestEnds {
+			if e < prev || e > len(tr.Accesses) {
+				t.Fatalf("request %d ends at %d after %d, with %d accesses", i, e, prev, len(tr.Accesses))
+			}
+			prev = e
+		}
+		var out bytes.Buffer
+		if err := EncodePages(&out, tr); err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodePages(&out)
+		if err != nil {
+			t.Fatalf("re-encoded trace rejected: %v", err)
+		}
+		if !slices.Equal(got.Accesses, tr.Accesses) || !slices.Equal(got.RequestEnds, tr.RequestEnds) {
+			t.Fatalf("round trip changed the trace: %+v, want %+v", got, tr)
+		}
+	})
 }
 
 func TestZigzagRoundTrip(t *testing.T) {
