@@ -91,12 +91,12 @@ func BenchmarkShardedTrial8(b *testing.B) { benchShardedTrial(b, 8) }
 func TestAllocBounds(t *testing.T) {
 	benchgate.Check(t, []benchgate.Row{
 		{Name: "AnalyticSolve", Bench: BenchmarkAnalyticSolve, MaxBytes: 448, MaxAllocs: 5},
-		{Name: "DESTrial", Bench: BenchmarkDESTrial, MaxBytes: 20710, MaxAllocs: 334},
-		{Name: "DESTrialObs", Bench: BenchmarkDESTrialObs, MaxBytes: 305678, MaxAllocs: 606},
-		{Name: "DESTrialTraced", Bench: BenchmarkDESTrialTraced, MaxBytes: 2402647, MaxAllocs: 619},
-		{Name: "ShardedTrial", Bench: BenchmarkShardedTrial, MaxBytes: 211470, MaxAllocs: 3875},
-		{Name: "ShardedTrial2", Bench: BenchmarkShardedTrial2, MaxBytes: 253601, MaxAllocs: 3999},
-		{Name: "ShardedTrial4", Bench: BenchmarkShardedTrial4, MaxBytes: 307896, MaxAllocs: 4247},
-		{Name: "ShardedTrial8", Bench: BenchmarkShardedTrial8, MaxBytes: 441447, MaxAllocs: 4929},
+		{Name: "DESTrial", Bench: BenchmarkDESTrial, MaxBytes: 19133, MaxAllocs: 295},
+		{Name: "DESTrialObs", Bench: BenchmarkDESTrialObs, MaxBytes: 304071, MaxAllocs: 567},
+		{Name: "DESTrialTraced", Bench: BenchmarkDESTrialTraced, MaxBytes: 2400901, MaxAllocs: 580},
+		{Name: "ShardedTrial", Bench: BenchmarkShardedTrial, MaxBytes: 208582, MaxAllocs: 3590},
+		{Name: "ShardedTrial2", Bench: BenchmarkShardedTrial2, MaxBytes: 247560, MaxAllocs: 3711},
+		{Name: "ShardedTrial4", Bench: BenchmarkShardedTrial4, MaxBytes: 301071, MaxAllocs: 3938},
+		{Name: "ShardedTrial8", Bench: BenchmarkShardedTrial8, MaxBytes: 430291, MaxAllocs: 4594},
 	})
 }

@@ -4,25 +4,18 @@
 // The paper evaluated its benchmark suite on the COTSon full-system
 // simulator; this repository substitutes a calibrated queueing simulation
 // (see DESIGN.md §2). The kernel here is deliberately small and
-// allocation-light: a binary-heap event queue with deterministic
-// tie-breaking, plus multi-server resources with FIFO queueing and
-// time-weighted utilization accounting.
+// allocation-light: a 4-ary min-heap of event values with deterministic
+// tie-breaking, whose backing array survives Reset so steady-state
+// scheduling allocates nothing (DESIGN.md §7), plus multi-server
+// resources with FIFO queueing and time-weighted utilization accounting.
 //
 // Models are written in continuation-passing style: an event's action
 // schedules the follow-on events. This avoids goroutine-per-entity
 // simulation, keeps runs single-threaded and reproducible, and lets the
 // benchmark harness simulate hundreds of server-years per wall second.
-//
-// Event records are pooled: once an event fires (or is cancelled) its
-// struct returns to a per-Sim free list and the next Schedule reuses it,
-// so steady-state scheduling allocates nothing. Pooling is invisible to
-// models — handles are generation-stamped, so a stale EventHandle held
-// across a recycle is a safe no-op — and changes neither firing order
-// nor the seq tie-break stream (see DESIGN.md §7 for the invariants).
 package des
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -33,74 +26,47 @@ type Time float64
 // Action is the body of a scheduled event.
 type Action func()
 
-type event struct {
-	at   Time
-	seq  uint64 // FIFO tie-break for simultaneous events
-	act  Action
-	heap int    // index within the heap; -1 once popped or recycled
-	gen  uint32 // bumped on recycle so stale handles can't touch reused slots
+// slot is one queued event. seq counts Schedule calls over the Sim's
+// lifetime, so (at, seq) is a total order, FIFO among simultaneous events.
+type slot struct {
+	at  Time
+	seq uint64
+	act Action
 }
+
+func (a *slot) before(b *slot) bool { return a.at < b.at || a.at == b.at && a.seq < b.seq }
 
 // EventHandle allows a scheduled event to be cancelled. The zero value
 // is valid and cancels nothing.
 type EventHandle struct {
 	s   *Sim
-	ev  *event
-	gen uint32
+	seq uint64
 }
 
-// Cancel removes the event from the queue immediately (O(log n) via its
-// tracked heap index) and recycles its record. Cancelling an
-// already-fired, already-cancelled, or zero handle is a no-op: the
-// generation stamp protects against the underlying record having been
-// reused for a later event.
+// Cancel removes the event from the queue immediately. Cancelling an
+// already-fired, already-cancelled, or zero handle is a no-op: seq is
+// never reused, even across Reset. The event is found by a linear scan,
+// so the heap tracks no positions; models cancel once per run at most.
 func (h EventHandle) Cancel() {
-	ev := h.ev
-	if ev == nil || ev.gen != h.gen || ev.heap < 0 {
+	if h.s == nil {
 		return
 	}
-	heap.Remove(&h.s.events, ev.heap)
-	h.s.recycle(ev)
-}
-
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+	for i := range h.s.events {
+		if h.s.events[i].seq == h.seq {
+			h.s.remove(i)
+			return
+		}
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].heap = i
-	h[j].heap = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.heap = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	ev.heap = -1
-	return ev
 }
 
 // Sim is a single-threaded discrete-event simulator. The zero value is
 // not usable; call NewSim.
 type Sim struct {
 	now     Time
-	events  eventHeap
+	events  []slot // 4-ary min-heap on (at, seq)
 	seq     uint64
 	stopped bool
 	fired   uint64
-	pool    []*event // recycled event records, ready for reuse
 }
 
 // NewSim returns a simulator positioned at time zero.
@@ -115,18 +81,6 @@ func (s *Sim) Now() Time { return s.now }
 // runaway detection).
 func (s *Sim) Fired() uint64 { return s.fired }
 
-// recycle returns an event record to the free list. The action is
-// dropped so the pool never retains model closures, and the generation
-// is bumped so outstanding handles to the old event become inert.
-//
-//perf:hotpath
-func (s *Sim) recycle(ev *event) {
-	ev.act = nil
-	ev.heap = -1
-	ev.gen++
-	s.pool = append(s.pool, ev)
-}
-
 // Schedule runs act after delay (>= 0) of simulated time and returns a
 // handle for cancellation. It panics on negative or NaN delays: those are
 // always model bugs and silently clamping them corrupts results.
@@ -140,26 +94,85 @@ func (s *Sim) Schedule(delay Time, act Action) EventHandle {
 	return s.ScheduleAt(s.now+delay, act)
 }
 
-// ScheduleAt runs act at absolute time at (>= Now).
+// ScheduleAt runs act at absolute time at (>= Now). It panics when at is
+// before Now or NaN.
 //
 //perf:hotpath
 func (s *Sim) ScheduleAt(at Time, act Action) EventHandle {
-	if at < s.now {
-		//whvet:allow hotpath cold panic path: scheduling into the past is a model bug, the guard never fires in a correct run
+	if !(at >= s.now) {
+		//whvet:allow hotpath cold panic path: scheduling into the past (or at NaN) is a model bug, the guard never fires in a correct run
 		panic(fmt.Sprintf("des: event scheduled in the past: %v < now %v", at, s.now))
 	}
-	var ev *event
-	if n := len(s.pool); n > 0 {
-		ev = s.pool[n-1]
-		s.pool[n-1] = nil
-		s.pool = s.pool[:n-1]
-	} else {
-		ev = &event{}
-	}
-	ev.at, ev.seq, ev.act = at, s.seq, act
 	s.seq++
-	heap.Push(&s.events, ev)
-	return EventHandle{s: s, ev: ev, gen: ev.gen}
+	s.events = append(s.events, slot{})
+	s.siftUp(len(s.events)-1, slot{at: at, seq: s.seq, act: act})
+	return EventHandle{s: s, seq: s.seq}
+}
+
+// siftUp places e in the heap by moving the hole at index i towards
+// the root past every parent that e precedes.
+//
+//perf:hotpath
+func (s *Sim) siftUp(i int, e slot) {
+	q := s.events
+	for i > 0 {
+		p := (i - 1) / 4
+		if !e.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = e
+}
+
+// siftDown places e in the heap by moving the hole at index i towards
+// the leaves past every smallest child that precedes e.
+//
+//perf:hotpath
+func (s *Sim) siftDown(i int, e slot) {
+	q := s.events
+	for m := 4*i + 1; m < len(q); m = 4*i + 1 {
+		for j := m + 1; j < min(4*i+5, len(q)); j++ {
+			if q[j].before(&q[m]) {
+				m = j
+			}
+		}
+		if !q[m].before(&e) {
+			break
+		}
+		q[i] = q[m]
+		i = m
+	}
+	q[i] = e
+}
+
+// remove deletes the event at heap index i and returns it. The last
+// slot is cleared so the backing array never retains a closure.
+//
+//perf:hotpath
+func (s *Sim) remove(i int) slot {
+	q := s.events
+	n := len(q) - 1
+	e, last := q[i], q[n]
+	q[n] = slot{}
+	s.events = q[:n]
+	if i < n {
+		if i > 0 && last.before(&q[(i-1)/4]) {
+			s.siftUp(i, last)
+		} else {
+			s.siftDown(i, last)
+		}
+	}
+	return e
+}
+
+// fire pops the earliest event, advances the clock to it and runs it.
+func (s *Sim) fire() {
+	e := s.remove(0)
+	s.now = e.at
+	s.fired++
+	e.act()
 }
 
 // Stop halts Run after the current event completes.
@@ -173,18 +186,12 @@ func (s *Sim) Stop() { s.stopped = true }
 func (s *Sim) Run(until Time) Time {
 	s.stopped = false
 	for len(s.events) > 0 && !s.stopped {
-		ev := s.events[0]
-		if ev.at > until {
+		if s.events[0].at > until {
 			// Advance the clock to the horizon; pending events stay queued.
 			s.now = until
 			return s.now
 		}
-		heap.Pop(&s.events)
-		at, act := ev.at, ev.act
-		s.recycle(ev)
-		s.now = at
-		s.fired++
-		act()
+		s.fire()
 	}
 	if s.now < until && len(s.events) == 0 {
 		s.now = until
@@ -211,35 +218,25 @@ func (s *Sim) PeekNext() (at Time, ok bool) {
 // or returns false when the queue is empty. It is the single-step
 // building block of the sharded kernel's advance loop, which must
 // interleave event execution with message delivery at event
-// granularity; firing order and the seq tie-break stream are identical
-// to Run.
+// granularity; firing order is identical to Run.
 //
 //perf:hotpath
 func (s *Sim) RunNext() bool {
 	if len(s.events) == 0 {
 		return false
 	}
-	ev := s.events[0]
-	heap.Pop(&s.events)
-	at, act := ev.at, ev.act
-	s.recycle(ev)
-	s.now = at
-	s.fired++
-	act()
+	s.fire()
 	return true
 }
 
 // Reset rewinds the simulator to time zero for reuse: pending events are
-// recycled, the clock, sequence counter and fired count restart, and the
-// heap backing array and event pool are retained — so a sequence of
-// trials on one Sim allocates event records only up to the high-water
-// mark of in-flight events.
+// dropped, the clock and fired count restart, and the heap's backing
+// array is retained, so trials on one Sim allocate queue space only up
+// to the high-water mark of pending events. seq is not rewound, so old
+// handles stay inert; firing order depends only on relative seq.
 func (s *Sim) Reset() {
-	for i, ev := range s.events {
-		s.recycle(ev)
-		s.events[i] = nil
-	}
+	clear(s.events)
 	s.events = s.events[:0]
-	s.now, s.seq, s.fired = 0, 0, 0
+	s.now, s.fired = 0, 0
 	s.stopped = false
 }

@@ -130,6 +130,15 @@ func TestNaNDelayPanics(t *testing.T) {
 	NewSim().Schedule(Time(math.NaN()), func() {})
 }
 
+func TestScheduleAtNaNPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ScheduleAt(NaN) did not panic")
+		}
+	}()
+	NewSim().ScheduleAt(Time(math.NaN()), func() {})
+}
+
 func TestSchedulePastPanics(t *testing.T) {
 	s := NewSim()
 	s.Schedule(5, func() {
@@ -201,6 +210,52 @@ func TestResourceQueueStats(t *testing.T) {
 	}
 	if c := r.Completed(); c != 3 {
 		t.Errorf("completed = %d", c)
+	}
+}
+
+// TestResourceFIFOAcrossCompaction keeps a single-server queue long
+// enough, with arrivals interleaved, for its head index to pass half
+// the slice several times, and checks FIFO service, the live QueueLen
+// and the queue-length integral against a hand count.
+func TestResourceFIFOAcrossCompaction(t *testing.T) {
+	s := NewSim()
+	r := NewResource(s, "disk", 1)
+	var served []int
+	submitted := 0
+	submit := func() {
+		id := submitted
+		submitted++
+		r.Submit(1, func() { served = append(served, id) })
+	}
+	for i := 0; i < 9; i++ {
+		submit()
+	}
+	for i := 0; i < 12; i++ {
+		s.Schedule(Time(i)*1.5+0.5, submit)
+	}
+	// Every event falls on a multiple of 0.5 s, so sampling mid-step
+	// sees the queue length that holds over the whole step.
+	integral := 0.0
+	for k := 0; k < 60; k++ {
+		s.Schedule(Time(k)*0.5+0.25, func() {
+			q := r.QueueLen()
+			if want := submitted - len(served) - r.InService(); q != want {
+				t.Fatalf("t=%v: QueueLen = %d, want %d", s.Now(), q, want)
+			}
+			integral += 0.5 * float64(q)
+		})
+	}
+	s.Run(30)
+	if len(served) != submitted || submitted != 21 {
+		t.Fatalf("served %d of %d jobs, want 21", len(served), submitted)
+	}
+	for i, id := range served {
+		if id != i {
+			t.Fatalf("service order %v is not FIFO", served)
+		}
+	}
+	if _, q := r.Integrals(); math.Abs(q-integral) > 1e-9 {
+		t.Errorf("queue integral = %g, hand count %g", q, integral)
 	}
 }
 

@@ -2,10 +2,11 @@ package des
 
 import "testing"
 
-// The kernel pools event records (and Resource pools completion
-// records); these tests pin the invariants the pooling must preserve:
-// eager cancel removal, stale-handle safety across recycling, and
-// Reset-based reuse producing identical trajectories.
+// The kernel reuses its heap's backing array across events and Resets
+// (and Resource pools completion records); these tests pin the
+// invariants that reuse must preserve: eager cancel removal, handles
+// that go inert once their event fires or is cancelled, and Reset-based
+// reuse producing identical trajectories.
 
 func TestCancelRemovesEagerly(t *testing.T) {
 	s := NewSim()
@@ -32,10 +33,10 @@ func TestCancelRemovesEagerly(t *testing.T) {
 func TestStaleHandleCannotTouchRecycledEvent(t *testing.T) {
 	s := NewSim()
 	h := s.Schedule(1, func() {})
-	s.Run(10) // fires; the record returns to the pool
+	s.Run(10) // fires; its heap slot is reused below
 	fired := 0
-	s.Schedule(1, func() { fired++ }) // reuses the pooled record
-	h.Cancel()                        // stale: generation mismatch, must be a no-op
+	s.Schedule(1, func() { fired++ }) // takes the same slot
+	h.Cancel()                        // stale: seq mismatch, must be a no-op
 	if got := s.Pending(); got != 1 {
 		t.Fatalf("Pending after stale Cancel = %d, want 1", got)
 	}
@@ -50,11 +51,24 @@ func TestCancelledThenRescheduledHandleIsStale(t *testing.T) {
 	h := s.Schedule(5, func() { t.Fatal("cancelled event fired") })
 	h.Cancel()
 	ok := false
-	s.Schedule(1, func() { ok = true }) // reuses the cancelled record
+	s.Schedule(1, func() { ok = true }) // takes the cancelled event's slot
 	h.Cancel()                          // stale again
 	s.Run(10)
 	if !ok {
 		t.Fatal("rescheduled event did not fire")
+	}
+}
+
+func TestHandleStaleAcrossReset(t *testing.T) {
+	s := NewSim()
+	h := s.Schedule(1, func() { t.Fatal("event from before Reset fired") })
+	s.Reset()
+	fired := 0
+	s.Schedule(1, func() { fired++ }) // first event of the new epoch
+	h.Cancel()                        // must not match it
+	s.Run(10)
+	if fired != 1 {
+		t.Fatalf("post-Reset event fired %d times, want 1", fired)
 	}
 }
 
@@ -136,18 +150,18 @@ func TestScheduleAllocsAmortizeToZero(t *testing.T) {
 		s.Schedule(1, loop)
 		s.Run(2000)
 	})
-	// The event record is pooled and the heap array is retained across
-	// Reset, so a whole re-run of 1000 events should allocate (almost)
-	// nothing. Allow slack for runtime noise.
+	// The heap array is retained across Reset, so a whole re-run of
+	// 1000 events should allocate (almost) nothing. Allow slack for
+	// runtime noise.
 	if allocs > 4 {
-		t.Fatalf("pooled schedule loop allocated %.0f objects per run, want ~0", allocs)
+		t.Fatalf("schedule loop allocated %.0f objects per run, want ~0", allocs)
 	}
 }
 
 // BenchmarkScheduleCancel measures the cancel-heavy pattern (timers
 // armed and disarmed before firing — the Probes.Stop path, timeout
-// guards). Eager removal keeps the heap free of dead events; pooling
-// keeps the churn allocation-free.
+// guards). Eager removal keeps the heap free of dead events, so the
+// churn reuses one slot and allocates nothing.
 func BenchmarkScheduleCancel(b *testing.B) {
 	s := NewSim()
 	b.ReportAllocs()

@@ -19,7 +19,8 @@ type Resource struct {
 	sim     *Sim
 
 	busy  int
-	queue []pendingJob
+	queue []pendingJob // FIFO of waiting jobs; live from head on
+	head  int
 
 	// time-weighted accounting
 	lastStamp     Time
@@ -38,7 +39,6 @@ type Resource struct {
 type pendingJob struct {
 	service Time
 	done    Action
-	arrived Time
 }
 
 // completion carries one in-service job's completion callback. The act
@@ -58,13 +58,16 @@ func (c *completion) fire() {
 	r.stamp()
 	r.busy--
 	r.completed++
-	if len(r.queue) > 0 {
-		next := r.queue[0]
-		// Shift; queues are short in steady state so O(n) is fine,
-		// and copying avoids retaining the backing array's head.
-		copy(r.queue, r.queue[1:])
-		r.queue[len(r.queue)-1] = pendingJob{}
-		r.queue = r.queue[:len(r.queue)-1]
+	if r.head < len(r.queue) {
+		next := r.queue[r.head]
+		r.queue[r.head] = pendingJob{}
+		if r.head++; 2*r.head >= len(r.queue) {
+			// Compact once the dead head outweighs the live tail, so
+			// each waiting job is moved at most once on average.
+			n := copy(r.queue, r.queue[r.head:])
+			clear(r.queue[n:])
+			r.queue, r.head = r.queue[:n], 0
+		}
 		r.start(next.service, next.done)
 	}
 	if done != nil {
@@ -92,7 +95,7 @@ func (r *Resource) stamp() {
 	dt := float64(now - r.lastStamp)
 	if dt > 0 {
 		r.busyIntegral += dt * float64(r.busy)
-		r.queueIntegral += dt * float64(len(r.queue))
+		r.queueIntegral += dt * float64(r.QueueLen())
 		r.lastStamp = now
 	} else if now > r.lastStamp {
 		r.lastStamp = now
@@ -111,7 +114,7 @@ func (r *Resource) Submit(service Time, done Action) {
 		r.start(service, done)
 		return
 	}
-	r.queue = append(r.queue, pendingJob{service: service, done: done, arrived: r.sim.Now()})
+	r.queue = append(r.queue, pendingJob{service: service, done: done})
 }
 
 func (r *Resource) start(service Time, done Action) {
@@ -134,7 +137,7 @@ func (r *Resource) start(service Time, done Action) {
 func (r *Resource) InService() int { return r.busy }
 
 // QueueLen returns the number of jobs waiting (not in service).
-func (r *Resource) QueueLen() int { return len(r.queue) }
+func (r *Resource) QueueLen() int { return len(r.queue) - r.head }
 
 // Completed returns the number of jobs finished since the last ResetWindow.
 func (r *Resource) Completed() uint64 { return r.completed }
@@ -189,10 +192,8 @@ func (r *Resource) ResetWindow() {
 // kernel was reset are abandoned to the garbage collector; the pool
 // refills lazily.
 func (r *Resource) Reset() {
-	for i := range r.queue {
-		r.queue[i] = pendingJob{}
-	}
-	r.queue = r.queue[:0]
+	clear(r.queue)
+	r.queue, r.head = r.queue[:0], 0
 	r.busy = 0
 	r.lastStamp, r.windowStart = 0, 0
 	r.busyIntegral, r.queueIntegral = 0, 0

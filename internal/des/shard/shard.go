@@ -79,9 +79,9 @@
 // channels (ownership transfers with the batch and returns after the
 // merge), so steady-state rounds allocate nothing.
 //
-// Why conservative and not optimistic: the kernel pools event records
-// and models mutate shared resources in place, so rollback would need
-// full state checkpointing; with lookahead floors in the tens of
+// Why conservative and not optimistic: the kernel drops each event as
+// it fires and models mutate shared resources in place, so rollback
+// would need full state checkpointing; with lookahead floors in the tens of
 // microseconds against sub-microsecond event spacing, conservative
 // windows already batch thousands of events per synchronization round.
 package shard
