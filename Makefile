@@ -4,7 +4,8 @@
 #                  gofmt, the shard engine's race tests, and the live
 #                  introspection smoke
 #   make lint    — whvet, the repo's own static-invariant suite
-#                  (determinism, allocation, link-boundary; DESIGN.md §11)
+#                  (determinism, allocation, link-boundary, test-only
+#                  API; DESIGN.md §11)
 #   make test    — plain tests (the seed tier-1 command)
 #   make bench   — every package's benchmarks with allocation reporting
 #                  (timing is whperf's: cmd/whperf/run.sh; the substrate
@@ -31,9 +32,10 @@ vet:
 # whvet statically enforces what the byte-identity tests only
 # sample: no nondeterminism sources in model code, no unordered map
 # iteration on export paths, net/http only behind the introspect
-# boundary, allocation discipline in //perf:hotpath functions, and the
-# metric-name registry. Findings are suppressed only by reasoned
-# //whvet:allow directives (see DESIGN.md §11).
+# boundary, allocation discipline in //perf:hotpath functions, the
+# metric-name registry, and no exported API that only tests reach.
+# Findings are suppressed only by reasoned //whvet:allow directives
+# (see DESIGN.md §11).
 lint:
 	$(GO) run ./cmd/whvet ./...
 

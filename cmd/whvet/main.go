@@ -6,7 +6,7 @@
 //	whvet -checks nodeterm ./internal/des/...
 //	whvet -json ./...            # machine-readable findings
 //
-// The five checks and their invariants are documented in DESIGN.md
+// The six checks and their invariants are documented in DESIGN.md
 // §11; `whvet -list` prints the registry.
 package main
 

@@ -41,6 +41,12 @@ type Analyzer struct {
 	Doc string
 	// Run inspects one package and reports diagnostics via the Pass.
 	Run func(*Pass) error
+	// Importers marks a check that judges a package by how the rest of
+	// the module uses it: the runner then also loads, as non-roots,
+	// every package under the working directory or in the module that
+	// transitively imports an analyzed one, so a partial run sees every
+	// caller the full run would.
+	Importers bool
 }
 
 // Pass carries everything an Analyzer may inspect about one package:
@@ -69,6 +75,11 @@ type Pass struct {
 	// the load (standard library included), or nil when the path is
 	// unknown. It is the whole-graph complement to Deps.
 	DepsOf func(importPath string) map[string]bool
+	// UsesOf returns the position of every identifier, in any non-test
+	// file of any package in the load, that refers to obj (a method or
+	// field of a generic type is matched through its origin). It is the
+	// whole-load complement to Info.Uses.
+	UsesOf func(obj types.Object) []token.Pos
 
 	report func(Diagnostic)
 }
@@ -83,9 +94,6 @@ type Diagnostic struct {
 	// policy change, not an exception.
 	NoAllow bool
 }
-
-// Report emits d against the pass's analyzer.
-func (p *Pass) Report(d Diagnostic) { p.report(d) }
 
 // Reportf emits a formatted diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {

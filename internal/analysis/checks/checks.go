@@ -1,4 +1,4 @@
-// Package checks is the whvet analyzer registry: the five invariant
+// Package checks is the whvet analyzer registry: the six invariant
 // checks, in the order they report.
 package checks
 
@@ -11,6 +11,7 @@ import (
 	"warehousesim/internal/analysis/nodeterm"
 	"warehousesim/internal/analysis/nohttp"
 	"warehousesim/internal/analysis/obsname"
+	"warehousesim/internal/analysis/testonly"
 )
 
 // All returns the full analyzer suite in registration order.
@@ -21,6 +22,7 @@ func All() []*analysis.Analyzer {
 		nohttp.Analyzer,
 		hotpath.Analyzer,
 		obsname.Analyzer,
+		testonly.Analyzer,
 	}
 }
 

@@ -47,42 +47,46 @@ type listPackage struct {
 	DepOnly    bool
 	GoFiles    []string
 	Imports    []string
+	Deps       []string
+	Module     *struct{ Path string }
 	Error      *struct{ Err string }
 }
 
 // loadPackages lists patterns relative to dir, parses and type-checks
 // every non-standard package, and returns the shared FileSet, the
 // packages in dependency order, and a whole-graph transitive-closure
-// lookup (standard library included).
-func loadPackages(dir string, patterns []string) (*token.FileSet, []*loadedPackage, func(string) map[string]bool, error) {
-	args := append([]string{
-		"list", "-export", "-deps",
-		"-json=ImportPath,Dir,Export,Standard,DepOnly,GoFiles,Imports,Error",
-	}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = dir
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
+// lookup (standard library included). With widen set, every package
+// under dir or in the roots' module that transitively imports a root is
+// loaded too, as a non-root, so checks that count a declaration's
+// callers see all of them on a partial run.
+func loadPackages(dir string, patterns []string, widen bool) (*token.FileSet, []*loadedPackage, func(string) map[string]bool, error) {
+	listArgs := []string{"-export", "-deps", "-json=ImportPath,Dir,Export,Standard,DepOnly,GoFiles,Imports,Module,Error"}
+	listed, err := goList(dir, append(listArgs, patterns...))
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("go list %s: %v\n%s", strings.Join(patterns, " "), err, stderr.String())
+		return nil, nil, nil, err
+	}
+	roots := make(map[string]bool)
+	for _, p := range listed {
+		if !p.DepOnly && !p.Standard {
+			roots[p.ImportPath] = true
+		}
+	}
+	if widen {
+		importers, err := moduleImporters(dir, listed, roots)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		if len(importers) > 0 {
+			listed, err = goList(dir, append(append(listArgs, patterns...), importers...))
+			if err != nil {
+				return nil, nil, nil, err
+			}
+		}
 	}
 
-	var listed []*listPackage
 	byPath := make(map[string]*listPackage)
 	exports := make(map[string]string)
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		p := new(listPackage)
-		if err := dec.Decode(p); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, nil, nil, fmt.Errorf("go list: decoding output: %v", err)
-		}
-		if p.Error != nil {
-			return nil, nil, nil, fmt.Errorf("go list: %s: %s", p.ImportPath, p.Error.Err)
-		}
-		listed = append(listed, p)
+	for _, p := range listed {
 		byPath[p.ImportPath] = p
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
@@ -166,7 +170,7 @@ func loadPackages(dir string, patterns []string) (*token.FileSet, []*loadedPacka
 			pkg:   tp,
 			info:  info,
 			deps:  depsOf(lp.ImportPath),
-			root:  !lp.DepOnly,
+			root:  roots[lp.ImportPath],
 		})
 	}
 	return fset, pkgs, func(path string) map[string]bool {
@@ -175,6 +179,68 @@ func loadPackages(dir string, patterns []string) (*token.FileSet, []*loadedPacka
 		}
 		return depsOf(path)
 	}, nil
+}
+
+// goList runs `go list` with args in dir and decodes its JSON stream.
+func goList(dir string, args []string) ([]*listPackage, error) {
+	cmd := exec.Command("go", append([]string{"list"}, args...)...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
+	}
+	var listed []*listPackage
+	dec := json.NewDecoder(bytes.NewReader(out))
+	for {
+		p := new(listPackage)
+		if err := dec.Decode(p); err == io.EOF {
+			return listed, nil
+		} else if err != nil {
+			return nil, fmt.Errorf("go list: decoding output: %v", err)
+		}
+		if p.Error != nil {
+			return nil, fmt.Errorf("go list: %s: %s", p.ImportPath, p.Error.Err)
+		}
+		listed = append(listed, p)
+	}
+}
+
+// moduleImporters returns the packages under dir and in the roots'
+// module that transitively import a root and are not already in listed.
+// Packages under testdata are outside the module wildcard, so a fixture
+// tree's importers are found by the walk of dir.
+func moduleImporters(dir string, listed []*listPackage, roots map[string]bool) ([]string, error) {
+	have := make(map[string]bool, len(listed))
+	module := ""
+	for _, p := range listed {
+		have[p.ImportPath] = true
+		if roots[p.ImportPath] && p.Module != nil {
+			module = p.Module.Path
+		}
+	}
+	wildcards := []string{"./..."}
+	if module != "" {
+		wildcards = append(wildcards, module+"/...")
+	}
+	all, err := goList(dir, append([]string{"-json=ImportPath,Deps,Error"}, wildcards...))
+	if err != nil {
+		return nil, err
+	}
+	var importers []string
+	for _, p := range all {
+		if have[p.ImportPath] {
+			continue
+		}
+		for _, d := range p.Deps {
+			if roots[d] {
+				importers = append(importers, p.ImportPath)
+				break
+			}
+		}
+	}
+	return importers, nil
 }
 
 type importerFunc func(string) (*types.Package, error)

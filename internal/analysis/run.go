@@ -56,13 +56,30 @@ func Run(opts Options) ([]Finding, error) {
 		}
 	}
 
-	fset, pkgs, depsOf, err := loadPackages(opts.Dir, opts.Patterns)
+	widen := false
+	for _, a := range opts.Analyzers {
+		widen = widen || a.Importers
+	}
+	fset, pkgs, depsOf, err := loadPackages(opts.Dir, opts.Patterns, widen)
 	if err != nil {
 		return nil, err
 	}
 	allPkgs := make(map[string]*types.Package, len(pkgs))
 	for _, p := range pkgs {
 		allPkgs[p.path] = p.pkg
+	}
+	var uses map[types.Object][]token.Pos // built on first UsesOf call
+	usesOf := func(obj types.Object) []token.Pos {
+		if uses == nil {
+			uses = make(map[types.Object][]token.Pos)
+			for _, p := range pkgs {
+				for id, o := range p.info.Uses {
+					o = origin(o)
+					uses[o] = append(uses[o], id.Pos())
+				}
+			}
+		}
+		return uses[origin(obj)]
 	}
 
 	var findings []Finding
@@ -105,6 +122,7 @@ func Run(opts Options) ([]Finding, error) {
 				Deps:     p.deps,
 				AllPkgs:  allPkgs,
 				DepsOf:   depsOf,
+				UsesOf:   usesOf,
 			}
 			pass.report = func(d Diagnostic) {
 				position := fset.Position(d.Pos)
@@ -138,6 +156,18 @@ func Run(opts Options) ([]Finding, error) {
 		return a.Check < b.Check
 	})
 	return findings, nil
+}
+
+// origin maps a method or field of an instantiated generic type to
+// its generic declaration, the object a declaration site defines.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
 }
 
 // DirectiveCheck is the reserved check name malformed //whvet:

@@ -2,6 +2,9 @@ package analysis_test
 
 import (
 	"encoding/json"
+	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"warehousesim/internal/analysis"
@@ -12,6 +15,7 @@ import (
 	"warehousesim/internal/analysis/nodeterm"
 	"warehousesim/internal/analysis/nohttp"
 	"warehousesim/internal/analysis/obsname"
+	"warehousesim/internal/analysis/testonly"
 )
 
 // Every fixture runs with the full KnownChecks registry, the way
@@ -42,6 +46,43 @@ func TestObsname(t *testing.T) {
 	analysistest.Run(t, "obsname", []*analysis.Analyzer{obsname.Analyzer}, checks.Names())
 }
 
+func TestTestonly(t *testing.T) {
+	analysistest.Run(t, "testonly", []*analysis.Analyzer{testonly.Analyzer}, checks.Names())
+}
+
+// TestTestonlyPartialRun: a run over the fixture's root package alone
+// still loads cmd/app, the importer that calls Tick, so it reports for
+// that package exactly what the full run reports. Without the widened
+// load, Tick and the declarations only it reaches would read as
+// test-only.
+func TestTestonlyPartialRun(t *testing.T) {
+	dir, err := filepath.Abs(filepath.Join("testdata", "src", "testonly"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(a *analysis.Analyzer, patterns ...string) []string {
+		t.Helper()
+		findings, err := analysis.Run(analysis.Options{Dir: dir, Patterns: patterns, Analyzers: []*analysis.Analyzer{a}, KnownChecks: checks.Names()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var msgs []string
+		for _, f := range findings {
+			msgs = append(msgs, f.String())
+		}
+		return msgs
+	}
+	full, partial := run(testonly.Analyzer), run(testonly.Analyzer, ".")
+	if len(full) == 0 || !slices.Equal(full, partial) {
+		t.Errorf("partial run reports\n%s\nfull run reports\n%s", strings.Join(partial, "\n"), strings.Join(full, "\n"))
+	}
+	narrow := *testonly.Analyzer
+	narrow.Importers = false
+	if got := strings.Join(run(&narrow, "."), "\n"); !strings.Contains(got, "func Tick") {
+		t.Errorf("without its importers loaded, Tick should read as test-only; got\n%s", got)
+	}
+}
+
 // TestFindingJSONShape pins the field names of the -json schema
 // (warehousesim-whvet/v1): downstream tooling greps these keys the
 // same way it greps whcost -json.
@@ -62,7 +103,7 @@ func TestFindingJSONShape(t *testing.T) {
 // reviewed act (directive grammar and CI docs name them).
 func TestRegistryNames(t *testing.T) {
 	got := checks.Names()
-	want := []string{"nodeterm", "maprange", "nohttp", "hotpath", "obsname"}
+	want := []string{"nodeterm", "maprange", "nohttp", "hotpath", "obsname", "testonly"}
 	if len(got) != len(want) {
 		t.Fatalf("registry = %v, want %v", got, want)
 	}

@@ -112,6 +112,56 @@ func (c Config) stations(p workload.Profile) []station {
 	}
 }
 
+// network is the open queueing network of one configuration on one
+// profile: its stations and the bottleneck that caps its throughput. It
+// is the common model under Analyze and AnalyzeAt.
+type network struct {
+	sts        []station
+	capMin     float64 // bottleneck capacity
+	bottleneck string
+}
+
+// network validates the pair, builds its stations and finds the
+// bottleneck.
+func (c Config) network(p workload.Profile) (network, error) {
+	if err := c.Validate(); err != nil {
+		return network{}, err
+	}
+	if err := p.Validate(); err != nil {
+		return network{}, err
+	}
+	n := network{sts: c.stations(p), capMin: math.Inf(1)}
+	for _, s := range n.sts {
+		if cap := s.capacity(); cap < n.capMin {
+			n.capMin = cap
+			n.bottleneck = s.name
+		}
+	}
+	if math.IsInf(n.capMin, 1) {
+		return network{}, fmt.Errorf("cluster: workload %s has no demand on any station", p.Name)
+	}
+	return n, nil
+}
+
+// respTime is the mean end-to-end response time at arrival rate lambda:
+// the sum of the station response times, +Inf when any is saturated.
+func (n network) respTime(lambda float64) float64 {
+	sum := 0.0
+	for _, s := range n.sts {
+		sum += s.respTime(lambda)
+	}
+	return sum
+}
+
+// utilization is each station's utilization at arrival rate lambda.
+func (n network) utilization(lambda float64) map[string]float64 {
+	u := map[string]float64{}
+	for _, s := range n.sts {
+		u[s.name] = lambda * s.service / float64(s.m)
+	}
+	return u
+}
+
 // qosTailFactor converts a mean response time into the percentile the
 // QoS bound applies to, assuming an approximately exponential response
 // tail (exact for M/M/1; slightly pessimistic for multi-stage pipelines,
@@ -135,50 +185,19 @@ func qosTailFactor(percentile float64) float64 {
 // station response times, and the operating point is the largest arrival
 // rate whose QoS-percentile latency stays within the bound.
 func (c Config) Analyze(p workload.Profile) (Result, error) {
-	if err := c.Validate(); err != nil {
+	n, err := c.network(p)
+	if err != nil {
 		return Result{}, err
 	}
-	if err := p.Validate(); err != nil {
-		return Result{}, err
-	}
-	sts := c.stations(p)
-
-	capMin := math.Inf(1)
-	bottleneck := ""
-	for _, s := range sts {
-		if cap := s.capacity(); cap < capMin {
-			capMin = cap
-			bottleneck = s.name
-		}
-	}
-	if math.IsInf(capMin, 1) {
-		return Result{}, fmt.Errorf("cluster: workload %s has no demand on any station", p.Name)
-	}
-
-	respAt := func(lambda float64) float64 {
-		sum := 0.0
-		for _, s := range sts {
-			sum += s.respTime(lambda)
-		}
-		return sum
-	}
-	utilAt := func(lambda float64) map[string]float64 {
-		u := map[string]float64{}
-		for _, s := range sts {
-			u[s.name] = lambda * s.service / float64(s.m)
-		}
-		return u
-	}
-
-	res := Result{Bottleneck: bottleneck}
+	res := Result{Bottleneck: n.bottleneck}
 
 	if p.Batch || p.QoSLatencySec == 0 {
 		// Batch: the job keeps the machine saturated; throughput is the
 		// bottleneck capacity.
-		lambda := capMin
+		lambda := n.capMin
 		res.Throughput = lambda
 		res.QoSMet = true
-		res.Utilization = utilAt(lambda * 0.999)
+		res.Utilization = n.utilization(lambda * 0.999)
 		if p.Batch {
 			res.ExecTime = float64(p.JobRequests) / lambda
 			res.Perf = 1 / res.ExecTime
@@ -189,25 +208,25 @@ func (c Config) Analyze(p workload.Profile) (Result, error) {
 	}
 
 	tail := qosTailFactor(p.QoSPercentile)
-	zeroLoad := respAt(0)
+	zeroLoad := n.respTime(0)
 	if zeroLoad*tail > p.QoSLatencySec {
 		// QoS unreachable: report best-effort throughput with QoSMet
 		// false, as the client driver would observe.
-		lambda := bestEffortUtil * capMin
+		lambda := bestEffortUtil * n.capMin
 		res.Throughput = lambda
 		res.Perf = lambda
 		res.QoSMet = false
-		res.MeanLatency = respAt(lambda)
+		res.MeanLatency = n.respTime(lambda)
 		res.P95Latency = res.MeanLatency * tail
-		res.Utilization = utilAt(lambda)
+		res.Utilization = n.utilization(lambda)
 		return res, nil
 	}
 
-	// Bisect the largest feasible arrival rate in (0, capMin).
-	lo, hi := 0.0, capMin*(1-1e-9)
+	// Bisect the largest feasible arrival rate in (0, n.capMin).
+	lo, hi := 0.0, n.capMin*(1-1e-9)
 	for i := 0; i < 80; i++ {
 		mid := (lo + hi) / 2
-		if respAt(mid)*tail <= p.QoSLatencySec {
+		if n.respTime(mid)*tail <= p.QoSLatencySec {
 			lo = mid
 		} else {
 			hi = mid
@@ -217,9 +236,9 @@ func (c Config) Analyze(p workload.Profile) (Result, error) {
 	res.Throughput = lambda
 	res.Perf = lambda
 	res.QoSMet = true
-	res.MeanLatency = respAt(lambda)
+	res.MeanLatency = n.respTime(lambda)
 	res.P95Latency = res.MeanLatency * tail
-	res.Utilization = utilAt(lambda)
+	res.Utilization = n.utilization(lambda)
 	return res, nil
 }
 
@@ -234,10 +253,8 @@ func (c Config) Analyze(p workload.Profile) (Result, error) {
 // latencies and QoSMet false rather than an error: an overloaded cold
 // rack is an answer ("this placement violates QoS"), not a misuse.
 func (c Config) AnalyzeAt(p workload.Profile, lambda float64) (Result, error) {
-	if err := c.Validate(); err != nil {
-		return Result{}, err
-	}
-	if err := p.Validate(); err != nil {
+	n, err := c.network(p)
+	if err != nil {
 		return Result{}, err
 	}
 	if p.Batch {
@@ -246,38 +263,16 @@ func (c Config) AnalyzeAt(p workload.Profile, lambda float64) (Result, error) {
 	if lambda < 0 || math.IsNaN(lambda) {
 		return Result{}, fmt.Errorf("cluster: AnalyzeAt needs a non-negative arrival rate, got %v", lambda)
 	}
-	sts := c.stations(p)
-
-	capMin := math.Inf(1)
-	bottleneck := ""
-	for _, s := range sts {
-		if cap := s.capacity(); cap < capMin {
-			capMin = cap
-			bottleneck = s.name
-		}
-	}
-	if math.IsInf(capMin, 1) {
-		return Result{}, fmt.Errorf("cluster: workload %s has no demand on any station", p.Name)
-	}
-
-	res := Result{Bottleneck: bottleneck, Throughput: lambda, Perf: lambda}
-	res.Utilization = map[string]float64{}
-	for _, s := range sts {
-		res.Utilization[s.name] = lambda * s.service / float64(s.m)
-	}
+	res := Result{Bottleneck: n.bottleneck, Throughput: lambda, Perf: lambda, Utilization: n.utilization(lambda)}
 	tail := qosTailFactor(p.QoSPercentile)
-	if lambda >= capMin {
+	if lambda >= n.capMin {
 		res.MeanLatency = math.Inf(1)
 		res.P95Latency = math.Inf(1)
 		res.QoSMet = false
 		return res, nil
 	}
-	sum := 0.0
-	for _, s := range sts {
-		sum += s.respTime(lambda)
-	}
-	res.MeanLatency = sum
-	res.P95Latency = sum * tail
+	res.MeanLatency = n.respTime(lambda)
+	res.P95Latency = res.MeanLatency * tail
 	if p.QoSLatencySec > 0 {
 		// The 1e-9 relative slack keeps a rack loaded exactly at the
 		// Analyze operating point (an 80-step bisection against this same

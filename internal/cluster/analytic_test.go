@@ -283,3 +283,68 @@ func TestValidateRejectsBadQoSPercentile(t *testing.T) {
 		}
 	}
 }
+
+// FuzzAnalyzeAt holds the fleet's analytic stand-in to the
+// operating-point solver over generated QoS-bounded interactive
+// profiles and core counts. AnalyzeAt at Analyze's throughput must
+// reproduce Analyze's QoSMet, latencies and utilization bit for bit, and
+// least-loaded routing of any cold-rack demand must conserve it and
+// never load a rack past its cap. Profiles without a QoS bound are out
+// of scope: Analyze then reports the bottleneck capacity, a load at
+// which AnalyzeAt is saturated by design.
+func FuzzAnalyzeAt(f *testing.F) {
+	f.Add(0.020, 0.5, 100e3, 20e3, 0.5, 0.95, 0.85, uint8(4), uint8(3), uint8(8), 1.25)
+	f.Add(0.002, 0.0, 0.0, 5e3, 0.05, 0.99, 1.0, uint8(0), uint8(0), uint8(1), 0.5)
+	f.Add(0.001, 4.0, 2e6, 0.0, 0.2, 0.9, 0.5, uint8(15), uint8(63), uint8(40), 3.0)
+	f.Add(0.5, 1.0, 1e6, 1e6, 0.01, 0.95, 0.7, uint8(2), uint8(7), uint8(2), 1.0) // QoS unreachable
+	f.Fuzz(func(t *testing.T, cpuSec, diskOps, diskBytes, netBytes, qos, pct, beta float64, cores, cold, boards uint8, load float64) {
+		p := testProfile()
+		p.CPURefSec, p.DiskOps, p.DiskReadBytes, p.NetBytes = cpuSec, diskOps, diskBytes, netBytes
+		p.QoSLatencySec, p.QoSPercentile, p.CoreScalingBeta = qos, pct, beta
+		if !(p.QoSLatencySec > 0) || p.Validate() != nil {
+			return
+		}
+		cfg := Config{Server: platform.Desk()}
+		cfg.Server.CPU.Sockets, cfg.Server.CPU.CoresPerSocket = 1, 1+int(cores%16)
+		ana, err := cfg.Analyze(p)
+		if err != nil {
+			return
+		}
+		at, err := cfg.AnalyzeAt(p, ana.Throughput)
+		if err != nil {
+			t.Fatalf("AnalyzeAt rejected Analyze's own operating point %g: %v", ana.Throughput, err)
+		}
+		same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+		if at.QoSMet != ana.QoSMet || !same(at.MeanLatency, ana.MeanLatency) || !same(at.P95Latency, ana.P95Latency) {
+			t.Fatalf("AnalyzeAt at %g: QoSMet %v mean %v p95 %v; Analyze: QoSMet %v mean %v p95 %v",
+				ana.Throughput, at.QoSMet, at.MeanLatency, at.P95Latency, ana.QoSMet, ana.MeanLatency, ana.P95Latency)
+		}
+		if len(at.Utilization) != len(ana.Utilization) {
+			t.Fatalf("utilization stations %v vs %v", at.Utilization, ana.Utilization)
+		}
+		for k, u := range ana.Utilization {
+			if !same(at.Utilization[k], u) {
+				t.Fatalf("utilization[%s] = %v, Analyze %v", k, at.Utilization[k], u)
+			}
+		}
+
+		n := int(cold % 64)
+		rackCap := ana.Throughput * float64(1+int(boards%64))
+		perRack := rackCap * math.Min(math.Abs(load), 8)
+		if math.IsNaN(perRack) {
+			return
+		}
+		ll := FleetTopology{Balancer: BalancerLeastLoaded}
+		assigned, unserved := ll.routeCold(n, perRack, rackCap)
+		served := 0.0
+		for i, a := range assigned {
+			if a > rackCap+1e-12 {
+				t.Fatalf("rack %d of %d assigned %v above its cap %v", i, n, a, rackCap)
+			}
+			served += a
+		}
+		if want := perRack * float64(n); math.Abs(served+unserved-want) > 1e-9*want {
+			t.Fatalf("%d racks at %v each: served %v + unserved %v != %v", n, perRack, served, unserved, want)
+		}
+	})
+}

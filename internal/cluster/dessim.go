@@ -118,7 +118,7 @@ type LiveHandles struct {
 	// Only Collector.LiveSummaries is safe concurrently.
 	SLO []*window.Collector
 	// Energy holds the per-partition energy views in the same part
-	// order as SLO. Only Collector.LiveWindows is safe concurrently.
+	// order as SLO. Read them concurrently only through energy.LiveSnapshot.
 	Energy []*energy.Collector
 	// ShardStats returns the engine's live per-shard counters.
 	ShardStats func() []shard.LiveStats

@@ -143,6 +143,18 @@ func FuzzSimOptionsNormalize(f *testing.F) {
 		if o.Topology != nil && got.Topology == o.Topology {
 			t.Fatal("Normalize wrote through the caller's topology")
 		}
+		var accepted *ShardedTopology
+		switch topo := got.Topology.(type) {
+		case *ShardedTopology:
+			accepted = topo
+		case *FleetTopology:
+			accepted = &topo.Rack
+		}
+		if accepted != nil {
+			if n := accepted.totalBoards(); n < 1 || n > maxRackBoards {
+				t.Fatalf("accepted a rack of %d boards, outside [1, %d]: %+v", n, maxRackBoards, accepted)
+			}
+		}
 	})
 }
 

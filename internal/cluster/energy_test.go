@@ -52,7 +52,7 @@ func TestEnergyFlatInteractive(t *testing.T) {
 
 	sink := obs.NewSink()
 	opt.Obs = sink
-	opt.Energy = testEnergyConfig(1, power.StaticIdleFractions())
+	opt.Energy = testEnergyConfig(1, power.IdleFractions{CPU: 1, Memory: 1, Disk: 1, Board: 1, Fan: 1, Flash: 1, Switch: 1})
 	var live LiveHandles
 	opt.OnLive = func(h LiveHandles) { live = h }
 	res, err := cfg.Simulate(gen, opt)

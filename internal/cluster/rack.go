@@ -59,6 +59,13 @@ import (
 	"warehousesim/internal/workload"
 )
 
+// maxRackBoards bounds a rack's total board count. buildRack
+// materializes every board with its resources and clients, so a larger
+// rack would exhaust memory before it ran; the densest rack the paper
+// builds (the aggregated-microblade package) holds 1250 systems, an
+// order of magnitude below the cap.
+const maxRackBoards = 1 << 14
+
 // ShardedTopology sizes the rack model: Enclosures enclosures of
 // BoardsPerEnclosure boards (each one configured Server), one memory
 // blade per enclosure, and one consolidated SAN array (one disk per
@@ -104,6 +111,17 @@ func (t *ShardedTopology) Normalize() error {
 		}
 	} else if t.BoardsPerEnclosure < 1 {
 		return fmt.Errorf("cluster: topology needs at least one board per enclosure, got %d", t.BoardsPerEnclosure)
+	}
+	// Count boards without overflow: stop at the first enclosure that
+	// would carry the total past the cap.
+	total := 0
+	for e := 0; e < t.Enclosures; e++ {
+		b := t.boardsIn(e)
+		if b > maxRackBoards-total {
+			return fmt.Errorf("cluster: rack of %d enclosures holds more than %d boards: enclosure %d has %d, after %d in the enclosures before it",
+				t.Enclosures, maxRackBoards, e, b, total)
+		}
+		total += b
 	}
 	if t.ClientsPerBoard < 0 {
 		return fmt.Errorf("cluster: negative clients per board %d", t.ClientsPerBoard)

@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"bytes"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"warehousesim/internal/obs"
@@ -243,6 +245,32 @@ func TestNormalizeRejectsBadTopology(t *testing.T) {
 		o := SimOptions{Seed: 1, WarmupSec: 1, MeasureSec: 10, MaxClients: 8, Topology: &topo}
 		if _, err := o.Normalize(); err == nil {
 			t.Errorf("topology %+v accepted", topo)
+		}
+	}
+}
+
+// TestNormalizeBoundsRackSize: the board count is summed without
+// overflow and capped at maxRackBoards. The first case is whsim's
+// -enclosures 3037000500 -boards 3037000500, whose product used to wrap
+// negative and surface as a shard-engine error.
+func TestNormalizeBoundsRackSize(t *testing.T) {
+	for _, tc := range []struct {
+		topo ShardedTopology
+		want string // error substring; "" means accepted
+	}{
+		{ShardedTopology{Enclosures: 3037000500, BoardsPerEnclosure: 3037000500, Shards: 1}, "rack of 3037000500 enclosures holds more than 16384 boards: enclosure 0 has 3037000500"},
+		{ShardedTopology{Enclosures: 2, Boards: []int{maxRackBoards, math.MaxInt}}, "enclosure 1 has 9223372036854775807, after 16384"},
+		{ShardedTopology{Enclosures: maxRackBoards + 1, BoardsPerEnclosure: 1}, "enclosure 16384 has 1, after 16384"},
+		{ShardedTopology{Enclosures: 128, BoardsPerEnclosure: 128}, ""},
+	} {
+		topo := tc.topo
+		o := SimOptions{Seed: 1, WarmupSec: 1, MeasureSec: 10, MaxClients: 8, Topology: &topo}
+		_, err := o.Normalize()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%d x %d rack rejected: %v", tc.topo.Enclosures, tc.topo.BoardsPerEnclosure, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%d enclosures: error %v, want one containing %q", tc.topo.Enclosures, err, tc.want)
 		}
 	}
 }

@@ -86,7 +86,7 @@ func (d RemoteDisk) WriteTime(ops, bytes float64) float64 {
 // solid-state device — the §4 "flash as a disk replacement" extension.
 // There is no positioning delay; ops pay cell-access latency and bytes
 // pay the device bandwidth (writes include the amortized erase via
-// platform.Flash.WriteTime's write latency).
+// the device's write latency).
 type FlashOnlyDisk struct {
 	Flash platform.Flash
 }

@@ -204,14 +204,3 @@ func (e Enclosure) RoomCoolingFactor() float64 {
 	conv := EnclosureFor(Conventional)
 	return conv.allowedRiseC() / e.allowedRiseC()
 }
-
-// ThermalResistance returns the conduction thermal resistance (K/W) of a
-// spreading path with the given conductivity, length and cross-section —
-// used to verify the claimed 3x conduction improvement of planar heat
-// pipes over copper.
-func ThermalResistance(conductivity, lengthM, areaM2 float64) float64 {
-	if conductivity <= 0 || areaM2 <= 0 {
-		panic(fmt.Sprintf("cooling: invalid resistance spec k=%g A=%g", conductivity, areaM2))
-	}
-	return lengthM / (conductivity * areaM2)
-}

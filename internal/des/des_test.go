@@ -205,7 +205,7 @@ func TestResourceQueueStats(t *testing.T) {
 	}
 	s.Run(6)
 	want := (2.0*2 + 1.0*2) / 6.0
-	if q := r.MeanQueueLen(); math.Abs(q-want) > 1e-9 {
+	if q := meanQueueLen(r); math.Abs(q-want) > 1e-9 {
 		t.Errorf("mean queue len = %g, want %g", q, want)
 	}
 	if c := r.Completed(); c != 3 {
@@ -239,7 +239,7 @@ func TestResourceFIFOAcrossCompaction(t *testing.T) {
 	for k := 0; k < 60; k++ {
 		s.Schedule(Time(k)*0.5+0.25, func() {
 			q := r.QueueLen()
-			if want := submitted - len(served) - r.InService(); q != want {
+			if want := submitted - len(served) - r.busy; q != want {
 				t.Fatalf("t=%v: QueueLen = %d, want %d", s.Now(), q, want)
 			}
 			integral += 0.5 * float64(q)
@@ -401,7 +401,7 @@ func TestQuickResourceInvariants(t *testing.T) {
 		}
 		s.Run(1000)
 		u := r.Utilization()
-		return r.Completed() == uint64(n) && u >= 0 && u <= 1+1e-9 && r.QueueLen() == 0 && r.InService() == 0
+		return r.Completed() == uint64(n) && u >= 0 && u <= 1+1e-9 && r.QueueLen() == 0 && r.busy == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

@@ -119,8 +119,8 @@ func TestResourceResetReuse(t *testing.T) {
 	s.Run(0.5)       // first job in service
 	s.Reset()
 	r.Reset()
-	if r.InService() != 0 || r.QueueLen() != 0 || r.Completed() != 0 {
-		t.Fatalf("Reset left busy=%d queue=%d completed=%d", r.InService(), r.QueueLen(), r.Completed())
+	if r.busy != 0 || r.QueueLen() != 0 || r.Completed() != 0 {
+		t.Fatalf("Reset left busy=%d queue=%d completed=%d", r.busy, r.QueueLen(), r.Completed())
 	}
 	done := 0
 	r.Submit(1, func() { done++ })

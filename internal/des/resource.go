@@ -133,13 +133,12 @@ func (r *Resource) start(service Time, done Action) {
 	r.sim.Schedule(service, c.act)
 }
 
-// InService returns the number of currently busy servers.
-func (r *Resource) InService() int { return r.busy }
-
 // QueueLen returns the number of jobs waiting (not in service).
 func (r *Resource) QueueLen() int { return len(r.queue) - r.head }
 
 // Completed returns the number of jobs finished since the last ResetWindow.
+//
+//whvet:allow testonly cmd/whperf, a separate module the load does not include, counts its resource ops with it
 func (r *Resource) Completed() uint64 { return r.completed }
 
 // Utilization returns the time-averaged fraction of servers busy over the
@@ -151,17 +150,6 @@ func (r *Resource) Utilization() float64 {
 		return 0
 	}
 	return r.busyIntegral / (dt * float64(r.servers))
-}
-
-// MeanQueueLen returns the time-averaged queue length over the current
-// measurement window.
-func (r *Resource) MeanQueueLen() float64 {
-	r.stamp()
-	dt := float64(r.sim.Now() - r.windowStart)
-	if dt <= 0 {
-		return 0
-	}
-	return r.queueIntegral / dt
 }
 
 // Integrals returns the time-weighted busy-server and queue-length

@@ -51,7 +51,7 @@ func TestResetWindowQueueAccounting(t *testing.T) {
 	sim.ScheduleAt(2, func() {})
 	sim.Run(2)
 	// Two jobs waiting for the whole first window.
-	if q := r.MeanQueueLen(); !almost(q, 2) {
+	if q := meanQueueLen(r); !almost(q, 2) {
 		t.Fatalf("queue mean over [0,2] = %g, want 2", q)
 	}
 
@@ -60,7 +60,7 @@ func TestResetWindowQueueAccounting(t *testing.T) {
 	sim.Run(12)
 	// New window [2,12]: 2 waiting on [2,4), 1 on [4,8), 0 after —
 	// integral = 2*2 + 1*4 = 8 over 10 seconds.
-	if q := r.MeanQueueLen(); !almost(q, 0.8) {
+	if q := meanQueueLen(r); !almost(q, 0.8) {
 		t.Fatalf("queue mean over [2,12] = %g, want 0.8", q)
 	}
 	// Utilization: busy the whole window.
@@ -103,4 +103,15 @@ func TestResetWindowRepeated(t *testing.T) {
 	if u := r.Utilization(); u != 0 {
 		t.Fatalf("window 3 utilization = %g, want 0", u)
 	}
+}
+
+// meanQueueLen is the time-averaged queue length over the current
+// measurement window, from the integral the probes difference.
+func meanQueueLen(r *Resource) float64 {
+	_, q := r.Integrals()
+	dt := float64(r.sim.Now() - r.windowStart)
+	if dt <= 0 {
+		return 0
+	}
+	return q / dt
 }

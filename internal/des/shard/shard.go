@@ -519,6 +519,8 @@ func (e *Engine) Lookahead() des.Time { return e.minLA }
 // PairLookahead returns the closed (effective) lookahead from shard
 // src to shard dst: the raw same-shard floor when src == dst, +Inf for
 // pairs with no modeled path.
+//
+//whvet:allow testonly the matrix tests' view of the closed lookahead; retiring the multi-shard kernel deletes it
 func (e *Engine) PairLookahead(src, dst int) des.Time { return e.closed[src][dst] }
 
 // Assign places an entity on a shard. All entities start on shard 0;
@@ -537,6 +539,8 @@ func (e *Engine) Assign(ent EntityID, shard int) {
 }
 
 // ShardOf returns the shard an entity is assigned to.
+//
+//whvet:allow testonly the matrix tests' view of entity placement; retiring the multi-shard kernel deletes it
 func (e *Engine) ShardOf(ent EntityID) int { return int(e.owner[ent]) }
 
 // Fired returns the total events executed across all shards. Every
@@ -698,9 +702,6 @@ func (e *Engine) Run(until des.Time) {
 	}
 	wg.Wait()
 }
-
-// ID returns the shard's index.
-func (s *Shard) ID() int { return s.id }
 
 // Now returns the shard's current simulated time.
 func (s *Shard) Now() des.Time { return s.Sim.Now() }

@@ -27,16 +27,6 @@ func TypicalInternet() Curve {
 	}
 }
 
-// Flat returns a constant curve at the given level — the paper's
-// sustained-load assumption.
-func Flat(level float64) Curve {
-	var c Curve
-	for i := range c {
-		c[i] = level
-	}
-	return c
-}
-
 // Validate reports nonsensical curves.
 func (c Curve) Validate() error {
 	for h, v := range c {

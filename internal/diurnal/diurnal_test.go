@@ -22,7 +22,7 @@ func TestCurves(t *testing.T) {
 		t.Error("no overnight trough")
 	}
 
-	f := Flat(0.8)
+	f := flat(0.8)
 	if err := f.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestCurves(t *testing.T) {
 }
 
 func TestCurveValidate(t *testing.T) {
-	c := Flat(0.5)
+	c := flat(0.5)
 	c[3] = 0
 	if c.Validate() == nil {
 		t.Error("zero hour accepted")
@@ -61,8 +61,8 @@ func TestServerPower(t *testing.T) {
 
 func TestAllOnEnergy(t *testing.T) {
 	sp := ServerPower{IdleW: 150, PeakW: 250}
-	// Flat full load, 10 servers, util 1: 10*250W*24h = 60 kWh.
-	e, err := EnergyKWhPerDay(10, sp, Flat(1), AllOn, 1)
+	// flat full load, 10 servers, util 1: 10*250W*24h = 60 kWh.
+	e, err := EnergyKWhPerDay(10, sp, flat(1), AllOn, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestConsolidationSavesOnDiurnal(t *testing.T) {
 
 func TestConsolidationNoSavingsOnFlatPeak(t *testing.T) {
 	sp := ServerPower{IdleW: 150, PeakW: 250}
-	s, err := SavingsFraction(50, sp, Flat(1), 0.8)
+	s, err := SavingsFraction(50, sp, flat(1), 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,13 +104,13 @@ func TestConsolidationNoSavingsOnFlatPeak(t *testing.T) {
 
 func TestEnergyValidation(t *testing.T) {
 	sp := ServerPower{IdleW: 1, PeakW: 2}
-	if _, err := EnergyKWhPerDay(0, sp, Flat(1), AllOn, 1); err == nil {
+	if _, err := EnergyKWhPerDay(0, sp, flat(1), AllOn, 1); err == nil {
 		t.Error("zero servers accepted")
 	}
-	if _, err := EnergyKWhPerDay(1, sp, Flat(1), AllOn, 0); err == nil {
+	if _, err := EnergyKWhPerDay(1, sp, flat(1), AllOn, 0); err == nil {
 		t.Error("zero utilization accepted")
 	}
-	if _, err := EnergyKWhPerDay(1, sp, Flat(1), Policy(9), 1); err == nil {
+	if _, err := EnergyKWhPerDay(1, sp, flat(1), Policy(9), 1); err == nil {
 		t.Error("unknown policy accepted")
 	}
 }
@@ -138,4 +138,15 @@ func TestQuickConsolidateNeverWorse(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// flat returns a constant curve at the given level — the paper's
+// sustained-load assumption, the reference the savings tests compare
+// diurnal curves against.
+func flat(level float64) Curve {
+	var c Curve
+	for i := range c {
+		c[i] = level
+	}
+	return c
 }

@@ -25,7 +25,7 @@ func BenchmarkFlashCacheOp(b *testing.B) {
 			sim.Read(block)
 		}
 	}
-	for i := 0; sim.blocks.Len() < sim.Capacity(); i++ {
+	for i := 0; sim.blocks.Len() < sim.blocks.Cap(); i++ {
 		op(i)
 	}
 	b.ReportAllocs()

@@ -18,7 +18,6 @@ import (
 	"warehousesim/internal/lru"
 	"warehousesim/internal/obs"
 	"warehousesim/internal/obs/span"
-	"warehousesim/internal/platform"
 	"warehousesim/internal/stats"
 	"warehousesim/internal/trace"
 )
@@ -63,14 +62,6 @@ type Stats struct {
 	Requests         int64
 }
 
-// ReadHitRate returns read hits per read.
-func (s Stats) ReadHitRate() float64 {
-	if s.Reads == 0 {
-		return 0
-	}
-	return float64(s.ReadHits) / float64(s.Reads)
-}
-
 // Sim is the flash disk-cache simulator: an LRU block cache with a
 // hash-table lookup (as the paper describes) and wear accounting.
 type Sim struct {
@@ -94,39 +85,6 @@ func New(cfg Config) (*Sim, error) {
 		return nil, err
 	}
 	return &Sim{cfg: cfg, blocks: lru.New(int(cfg.CacheBytes / int64(cfg.BlockBytes)))}, nil
-}
-
-// Capacity returns the cache capacity in blocks.
-func (s *Sim) Capacity() int { return s.blocks.Cap() }
-
-// Instrument attaches a recorder: per-op counters
-// ("flashcache.reads/read_hits/writes/write_hits/block_writes/evictions"),
-// a "flashcache.miss" event per read miss (the block fetched from the
-// backing disk), and a running read-hit-rate series
-// ("flashcache.read_hit_rate") sampled every sampleEvery operations
-// (0 means 1024) with the op count as the time axis. A nil or disabled
-// recorder detaches.
-func (s *Sim) Instrument(rec obs.Recorder, sampleEvery int64) {
-	if !obs.On(rec) {
-		s.rec = nil
-		return
-	}
-	s.rec = rec
-	if sampleEvery <= 0 {
-		sampleEvery = 1024
-	}
-	s.sampleEvery = sampleEvery
-}
-
-// InstrumentSpans attaches a causal span tracer: every sampled read
-// (sampling by operation index, the tracer's stride) emits a "storage"
-// span — a flash access on a hit, a SAN round-trip to the backing disk
-// on a miss — with the given device latencies as duration, in
-// microseconds on the operation-count time axis. A nil tracer detaches.
-func (s *Sim) InstrumentSpans(tr *span.Tracer, flashReadSec, diskReadSec float64) {
-	s.tracer = tr
-	s.flashReadUs = flashReadSec * 1e6
-	s.diskReadUs = diskReadSec * 1e6
 }
 
 // Read looks a disk block up; a miss fetches it from the backing disk
@@ -227,23 +185,6 @@ func Replay(s *Sim, tr trace.DiskTracer, r *stats.RNG, requests int) Stats {
 	return s.stats
 }
 
-// WearLifetimeYears estimates device lifetime under perfect wear
-// leveling: total program budget (blocks x endurance) divided by the
-// flash write rate. The paper's viability argument is that this exceeds
-// the 3-year depreciation cycle for its workloads.
-func (s *Sim) WearLifetimeYears(flashWritesPerSec float64, f platform.Flash) (float64, error) {
-	if flashWritesPerSec <= 0 {
-		return 0, fmt.Errorf("flashcache: write rate must be positive")
-	}
-	if f.EnduranceWrites <= 0 {
-		return 0, fmt.Errorf("flashcache: flash has no endurance budget")
-	}
-	blocks := f.CapacityGB * 1e9 / float64(s.cfg.BlockBytes)
-	budget := blocks * float64(f.EnduranceWrites)
-	seconds := budget / flashWritesPerSec
-	return seconds / (365.25 * 24 * 3600), nil
-}
-
 // diskWorkingSets gives, per benchmark, the disk-resident working set
 // and access skew used to synthesize disk traces for the flash study
 // (derived from Table 1's dataset descriptions: 20 GB websearch dataset,
@@ -281,6 +222,8 @@ func DiskWorkingSet(name string) (trace.SyntheticDisk, error) {
 }
 
 // DiskWorkingSets builds every benchmark's working set, keyed by name.
+//
+//whvet:allow testonly cmd/whperf, a separate module the load does not include, replays the websearch set from it
 func DiskWorkingSets() map[string]trace.SyntheticDisk {
 	out := make(map[string]trace.SyntheticDisk, len(diskWorkingSets))
 	for _, w := range diskWorkingSets {

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"warehousesim/internal/platform"
 	"warehousesim/internal/stats"
 	"warehousesim/internal/trace"
 )
@@ -38,8 +37,8 @@ func TestDefaultCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Capacity() != (1<<30)/4096 {
-		t.Errorf("capacity = %d", s.Capacity())
+	if s.blocks.Cap() != (1<<30)/4096 {
+		t.Errorf("capacity = %d", s.blocks.Cap())
 	}
 }
 
@@ -55,8 +54,8 @@ func TestReadMissThenHit(t *testing.T) {
 	if st.Reads != 2 || st.ReadHits != 1 {
 		t.Errorf("stats = %+v", st)
 	}
-	if st.ReadHitRate() != 0.5 {
-		t.Errorf("hit rate = %g", st.ReadHitRate())
+	if st.readHitRate() != 0.5 {
+		t.Errorf("hit rate = %g", st.readHitRate())
 	}
 }
 
@@ -104,7 +103,7 @@ func TestReplayHitRateGrowsWithCache(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := stats.NewRNG(3)
-		return Replay(s, sd, r, 20000).ReadHitRate()
+		return Replay(s, sd, r, 20000).readHitRate()
 	}
 	small, large := hitRate(1000), hitRate(20000)
 	if large <= small {
@@ -148,34 +147,6 @@ func TestDiskWorkingSetsComplete(t *testing.T) {
 	}
 }
 
-func TestWearLifetime(t *testing.T) {
-	s, err := New(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fl := platform.FlashCacheDevice()
-	// 1 GB / 4 KB = 262144 blocks x 100k writes = 2.62e10 budget.
-	// At 100 writes/s: 2.62e8 s ~ 8.3 years > 3-year depreciation.
-	years, err := s.WearLifetimeYears(100, fl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if years < 3 {
-		t.Errorf("lifetime %.1f years under the 3-year cycle", years)
-	}
-	if years > 20 {
-		t.Errorf("lifetime %.1f years implausibly long for the formula", years)
-	}
-	if _, err := s.WearLifetimeYears(0, fl); err == nil {
-		t.Error("zero write rate accepted")
-	}
-	bad := fl
-	bad.EnduranceWrites = 0
-	if _, err := s.WearLifetimeYears(1, bad); err == nil {
-		t.Error("zero endurance accepted")
-	}
-}
-
 // Property: hit counters never exceed access counters and cache never
 // exceeds capacity.
 func TestQuickCacheInvariants(t *testing.T) {
@@ -195,7 +166,7 @@ func TestQuickCacheInvariants(t *testing.T) {
 		}
 		st := s.Stats()
 		return st.ReadHits <= st.Reads && st.WriteHits <= st.Writes &&
-			s.blocks.Len() <= s.Capacity()
+			s.blocks.Len() <= s.blocks.Cap()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -216,10 +187,18 @@ func TestReplaySteadyStateAllocs(t *testing.T) {
 	}
 	r := stats.NewRNG(5)
 	Replay(s, sd, r, 2000)
-	if s.blocks.Len() != s.Capacity() {
-		t.Fatalf("warm-up left %d of %d blocks resident", s.blocks.Len(), s.Capacity())
+	if s.blocks.Len() != s.blocks.Cap() {
+		t.Fatalf("warm-up left %d of %d blocks resident", s.blocks.Len(), s.blocks.Cap())
 	}
 	if a := testing.AllocsPerRun(20, func() { Replay(s, sd, r, 500) }); a > 1 {
 		t.Fatalf("replay of 500 requests allocated %g times, want <= 1", a)
 	}
+}
+
+// readHitRate returns read hits per read.
+func (s Stats) readHitRate() float64 {
+	if s.Reads == 0 {
+		return 0
+	}
+	return float64(s.ReadHits) / float64(s.Reads)
 }

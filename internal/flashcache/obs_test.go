@@ -12,7 +12,7 @@ func TestInstrumentedCacheStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := obs.NewSink()
-	s.Instrument(sink, 16)
+	s.instrument(sink, 16)
 
 	// 128 distinct blocks twice: pass one misses, pass two hits the
 	// most-recent 64 and misses the evicted 64.
@@ -49,7 +49,26 @@ func TestInstrumentedCacheStreams(t *testing.T) {
 		t.Fatal("read-hit-rate series missing")
 	}
 	last := hr.Points[len(hr.Points)-1]
-	if want := st.ReadHitRate(); last.V != want {
+	if want := st.readHitRate(); last.V != want {
 		t.Fatalf("final running hit rate %g != stats %g", last.V, want)
 	}
+}
+
+// instrument attaches a recorder: per-op counters
+// ("flashcache.reads/read_hits/writes/write_hits/block_writes/evictions"),
+// a "flashcache.miss" event per read miss (the block fetched from the
+// backing disk), and a running read-hit-rate series
+// ("flashcache.read_hit_rate") sampled every sampleEvery operations
+// (0 means 1024) with the op count as the time axis. A nil or disabled
+// recorder detaches.
+func (s *Sim) instrument(rec obs.Recorder, sampleEvery int64) {
+	if !obs.On(rec) {
+		s.rec = nil
+		return
+	}
+	s.rec = rec
+	if sampleEvery <= 0 {
+		sampleEvery = 1024
+	}
+	s.sampleEvery = sampleEvery
 }

@@ -19,7 +19,7 @@ func spanTestSim(t *testing.T, every int64) (*Sim, *obs.Sink) {
 		t.Fatal(err)
 	}
 	sink := obs.NewSink()
-	s.InstrumentSpans(span.NewTracer(sink, every), testFlashReadSec, testDiskReadSec)
+	s.instrumentSpans(span.NewTracer(sink, every), testFlashReadSec, testDiskReadSec)
 	return s, sink
 }
 
@@ -72,9 +72,20 @@ func TestStorageSpanSampling(t *testing.T) {
 
 func TestSpanTracerDetach(t *testing.T) {
 	s, sink := spanTestSim(t, 1)
-	s.InstrumentSpans(nil, testFlashReadSec, testDiskReadSec)
+	s.instrumentSpans(nil, testFlashReadSec, testDiskReadSec)
 	s.Read(1)
 	if len(sink.Events()) != 0 {
 		t.Fatal("detached tracer still recorded")
 	}
+}
+
+// instrumentSpans attaches a causal span tracer: every sampled read
+// (sampling by operation index, the tracer's stride) emits a "storage"
+// span — a flash access on a hit, a SAN round-trip to the backing disk
+// on a miss — with the given device latencies as duration, in
+// microseconds on the operation-count time axis. A nil tracer detaches.
+func (s *Sim) instrumentSpans(tr *span.Tracer, flashReadSec, diskReadSec float64) {
+	s.tracer = tr
+	s.flashReadUs = flashReadSec * 1e6
+	s.diskReadUs = diskReadSec * 1e6
 }

@@ -33,7 +33,7 @@ func benchAccess(b *testing.B, traced bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for i := 0; sim.Stats().Misses < int64(sim.Capacity()); i++ {
+	for i := 0; sim.stats.Misses < int64(sim.Capacity()); i++ {
 		sim.Access(int64(z.Rank(r)), i%5 == 0)
 	}
 	b.ReportAllocs()

@@ -73,14 +73,6 @@ type EnsembleResult struct {
 	PooledPerServerGB float64
 }
 
-// OverprovisionFactor is per-server / pooled provisioning.
-func (r EnsembleResult) OverprovisionFactor() float64 {
-	if r.PooledPerServerGB == 0 {
-		return 0
-	}
-	return r.PerServerGB / r.PooledPerServerGB
-}
-
 // SavingsFraction is the DRAM the blade avoids buying.
 func (r EnsembleResult) SavingsFraction() float64 {
 	if r.PerServerGB == 0 {

@@ -72,8 +72,8 @@ func TestSimulateEnsembleShowsPoolingWin(t *testing.T) {
 	if res.SavingsFraction() < 0.25 {
 		t.Errorf("pooling savings only %.0f%%", res.SavingsFraction()*100)
 	}
-	if res.OverprovisionFactor() <= 1 {
-		t.Errorf("overprovision factor %g", res.OverprovisionFactor())
+	if res.PerServerGB <= res.PooledPerServerGB {
+		t.Errorf("per-server %g GB not above pooled %g GB", res.PerServerGB, res.PooledPerServerGB)
 	}
 }
 
@@ -108,9 +108,6 @@ func TestSimulateEnsembleDeterministic(t *testing.T) {
 }
 
 func TestEnsembleResultEdgeCases(t *testing.T) {
-	if (EnsembleResult{}).OverprovisionFactor() != 0 {
-		t.Error("zero pooled should return 0 factor")
-	}
 	if (EnsembleResult{}).SavingsFraction() != 0 {
 		t.Error("zero per-server should return 0 savings")
 	}

@@ -263,9 +263,6 @@ func (s *Sim) install(page int64) int {
 	return slot
 }
 
-// Stats returns the accumulated counters.
-func (s *Sim) Stats() Stats { return s.stats }
-
 // Replay runs a page trace through the simulator and returns the stats
 // (requests counted from the trace's boundaries).
 func Replay(s *Sim, t *trace.PageTrace) Stats {

@@ -93,7 +93,7 @@ func TestLRUFullWorkingSetNeverMisses(t *testing.T) {
 			s.Access(p, false)
 		}
 	}
-	if got := s.Stats().Misses; got != 100 {
+	if got := s.stats.Misses; got != 100 {
 		t.Errorf("misses = %d, want 100 (cold only)", got)
 	}
 }
@@ -158,7 +158,7 @@ func TestWritebackAccounting(t *testing.T) {
 	s.Access(2, false) // clean
 	s.Access(3, false) // evicts 1 (dirty) -> writeback
 	s.Access(4, false) // evicts 2 (clean)
-	st := s.Stats()
+	st := s.stats
 	if st.Writebacks != 1 {
 		t.Errorf("writebacks = %d, want 1", st.Writebacks)
 	}
@@ -283,7 +283,7 @@ func TestQuickSimInvariants(t *testing.T) {
 		for i := 0; i < 2000; i++ {
 			s.Access(r.Int63n(footprint), r.Bool(0.3))
 		}
-		st := s.Stats()
+		st := s.stats
 		if st.Misses > st.Accesses || st.Writebacks > st.Misses {
 			return false
 		}

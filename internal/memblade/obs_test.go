@@ -21,7 +21,7 @@ func TestInstrumentedAccessStreams(t *testing.T) {
 			s.Access(p, p%7 == 0)
 		}
 	}
-	st := s.Stats()
+	st := s.stats
 	if got := sink.CounterValue("memblade.accesses"); got != st.Accesses {
 		t.Fatalf("accesses counter %d != stats %d", got, st.Accesses)
 	}

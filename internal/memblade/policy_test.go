@@ -159,7 +159,7 @@ func FuzzMembladePolicies(f *testing.F) {
 					t.Fatalf("%v op %d page %d: hit %v, reference %v", pol, i, page, hit, refHit)
 				}
 			}
-			if st := got.Stats(); st != want.stats {
+			if st := got.stats; st != want.stats {
 				t.Fatalf("%v: stats %+v, reference %+v", pol, st, want.stats)
 			}
 		}

@@ -52,14 +52,14 @@ func TestSwapSpansOnMisses(t *testing.T) {
 			t.Fatalf("unexpected span kind %q", sp.Kind)
 		}
 	}
-	if int64(swaps) != s.Stats().Misses {
-		t.Fatalf("%d swap spans for %d misses", swaps, s.Stats().Misses)
+	if int64(swaps) != s.stats.Misses {
+		t.Fatalf("%d swap spans for %d misses", swaps, s.stats.Misses)
 	}
 	if cbfs != swaps {
 		t.Fatalf("%d cbf children for %d swaps", cbfs, swaps)
 	}
 	// The final access was a hit: no span may carry its index.
-	if lastSwap.Req == s.Stats().Accesses-1 {
+	if lastSwap.Req == s.stats.Accesses-1 {
 		t.Fatal("hit emitted a swap span")
 	}
 }
@@ -75,7 +75,7 @@ func TestCBFNestsInSwap(t *testing.T) {
 	if cbf.Parent != swap.ID {
 		t.Fatalf("cbf parent = %d, swap id = %d", cbf.Parent, swap.ID)
 	}
-	if cbf.End() > swap.End() {
+	if cbf.Start+cbf.Dur > swap.Start+swap.Dur {
 		t.Fatal("cbf outlives its swap: critical block after full page")
 	}
 }

@@ -85,11 +85,6 @@ func (k Metric) String() string {
 	}
 }
 
-// AllMetrics lists the metrics in the paper's presentation order.
-func AllMetrics() []Metric {
-	return []Metric{Perf, PerfPerInf, PerfPerWatt, PerfPerPC, PerfPerTCO}
-}
-
 // Value extracts the chosen metric from a measurement.
 func (m Measurement) Value(k Metric) float64 {
 	switch k {

@@ -39,9 +39,8 @@ type Model struct {
 	// Active is the per-server active-power breakdown, including the
 	// rack-switch share.
 	Active power.Breakdown
-	// Idle is the idle/active split per component class;
-	// power.StaticIdleFractions() (all 1.0) degenerates to the static
-	// model.
+	// Idle is the idle/active split per component class; all 1.0
+	// degenerates to the static model.
 	Idle power.IdleFractions
 }
 
@@ -177,7 +176,7 @@ type Totals struct {
 // Collector is the energy view of one window.Collector: every method
 // derives its answer from the source's sealed windows when called, so
 // the view is exactly as current as its source — for concurrent
-// readers too, through LiveWindows.
+// readers too, through LiveSnapshot.
 type Collector struct {
 	cfg Config
 	src *window.Collector
@@ -242,11 +241,6 @@ func (c *Collector) derive(sums []window.Summary) []Window {
 
 // Windows returns the sealed windows' energy summaries in index order.
 func (c *Collector) Windows() []Window { return c.derive(c.src.Windows()) }
-
-// LiveWindows returns the energy summaries of the source's live
-// windows (window.Collector.LiveSummaries). Unlike every other method
-// it is safe to call concurrently with the source's owner.
-func (c *Collector) LiveWindows() []Window { return c.derive(c.src.LiveSummaries()) }
 
 // Totals aggregates the sealed windows to run level.
 func (c *Collector) Totals() Totals { return c.totals(c.Windows()) }

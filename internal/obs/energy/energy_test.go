@@ -61,8 +61,8 @@ func TestConfigValidation(t *testing.T) {
 		{"nan-width", Config{WidthSec: math.NaN(), Model: testModel()}, false},
 		{"inf-width", Config{WidthSec: math.Inf(1), Model: testModel()}, false},
 		{"bad-idle", Config{WidthSec: 1, Model: Model{Active: testActive(), Idle: badIdle}}, false},
-		{"nan-active", Config{WidthSec: 1, Model: Model{Active: power.Breakdown{CPUW: math.NaN()}, Idle: power.StaticIdleFractions()}}, false},
-		{"negative-active", Config{WidthSec: 1, Model: Model{Active: power.Breakdown{CPUW: -5}, Idle: power.StaticIdleFractions()}}, false},
+		{"nan-active", Config{WidthSec: 1, Model: Model{Active: power.Breakdown{CPUW: math.NaN()}, Idle: staticIdle}}, false},
+		{"negative-active", Config{WidthSec: 1, Model: Model{Active: power.Breakdown{CPUW: -5}, Idle: staticIdle}}, false},
 	}
 	for _, tc := range cases {
 		err := tc.cfg.Validate()
@@ -89,7 +89,7 @@ func TestConfigValidation(t *testing.T) {
 // 1.0, every window's watts equal the static total bit-for-bit, at any
 // utilization.
 func TestStaticDegenerateBitExact(t *testing.T) {
-	src, c := newView(t, Config{WidthSec: 1, Model: Model{Active: testActive(), Idle: power.StaticIdleFractions()}})
+	src, c := newView(t, Config{WidthSec: 1, Model: Model{Active: testActive(), Idle: staticIdle}})
 	src.SampleUtil("cpu", 0.5, 0.31)
 	src.SampleUtil("disk", 0.5, 0.92)
 	src.ObserveLatency(1.5, 0.01, false) // window 1: no util samples at all
@@ -175,7 +175,7 @@ func TestWindowDerivedMetrics(t *testing.T) {
 }
 
 func TestSealClampsFinalPartialWindow(t *testing.T) {
-	src, c := newView(t, Config{WidthSec: 10, Model: Model{Active: power.Breakdown{CPUW: 10}, Idle: power.StaticIdleFractions()}})
+	src, c := newView(t, Config{WidthSec: 10, Model: Model{Active: power.Breakdown{CPUW: 10}, Idle: staticIdle}})
 	src.ObserveLatency(12, 0.01, false)
 	src.Seal(15)
 	ws := c.Windows()
@@ -347,12 +347,12 @@ func TestExportFormat(t *testing.T) {
 
 func TestLiveWindowsAndSnapshot(t *testing.T) {
 	src, c := newView(t, Config{WidthSec: 1, Model: testModel()})
-	if c.LiveWindows() != nil {
+	if c.derive(c.src.LiveSummaries()) != nil {
 		t.Error("live windows before any seal")
 	}
 	src.SampleUtil("cpu", 0.5, 0.5)
 	src.SampleUtil("cpu", 1.5, 0.5) // seals window 0
-	if got := len(c.LiveWindows()); got != 1 {
+	if got := len(c.derive(c.src.LiveSummaries())); got != 1 {
 		t.Errorf("live windows = %d, want 1", got)
 	}
 	b, err := LiveSnapshot([]*Collector{c})
@@ -412,7 +412,7 @@ func TestLiveReadDuringSeal(t *testing.T) {
 			// A reader's append must copy, never write into the
 			// collector's array.
 			_ = append(sums, window.Summary{Index: -1})
-			for i, w := range c.LiveWindows() {
+			for i, w := range c.derive(c.src.LiveSummaries()) {
 				if w.Index != int64(i) || w.Requests != 1 || w.Watts <= 0 {
 					t.Errorf("live window %d = %+v", i, w)
 					return
@@ -428,7 +428,7 @@ func TestLiveReadDuringSeal(t *testing.T) {
 	src.Seal(n)
 	close(stop)
 	<-done
-	if got := len(c.LiveWindows()); got != n {
+	if got := len(c.derive(c.src.LiveSummaries())); got != n {
 		t.Errorf("live windows after the final seal = %d, want %d", got, n)
 	}
 }
@@ -527,3 +527,7 @@ func TestTCORollup(t *testing.T) {
 		t.Error("invalid PC params accepted")
 	}
 }
+
+// staticIdle is the all-1.0 idle split that degenerates to the static
+// power model.
+var staticIdle = power.IdleFractions{CPU: 1, Memory: 1, Disk: 1, Board: 1, Fan: 1, Flash: 1, Switch: 1}

@@ -78,14 +78,6 @@ func (in *Server) PublishEnergy(b []byte) {
 	in.mu.Unlock()
 }
 
-// Latest returns the most recently published snapshot bytes (nil
-// before the first Publish).
-func (in *Server) Latest() []byte {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	return in.snap
-}
-
 // serveDoc writes the latest published document for endpoint, or a 503
 // JSON error body before the first publish.
 func (in *Server) serveDoc(w http.ResponseWriter, endpoint string, read func() []byte) {

@@ -186,6 +186,8 @@ func (s *Sink) Gauge(name string, t, v float64) {
 }
 
 // SeriesByName returns the named time series (nil if absent).
+//
+//whvet:allow testonly cross-package test accessor: tests in six packages read recorded streams through it
 func (s *Sink) SeriesByName(name string) *Series { return s.series[name] }
 
 // SeriesNames returns the recorded series names, sorted.
@@ -202,6 +204,8 @@ func (s *Sink) Observe(name string, v float64) {
 }
 
 // HistByName returns the named histogram (nil if absent).
+//
+//whvet:allow testonly cross-package test accessor: tests in six packages read recorded streams through it
 func (s *Sink) HistByName(name string) *Hist { return s.hists[name] }
 
 // fieldArenaChunk is the allocation granularity of the field arena:
@@ -239,6 +243,8 @@ func (s *Sink) Event(stream string, t float64, fields ...Field) {
 func (s *Sink) Events() []EventRecord { return s.events }
 
 // EventCount returns the number of retained records in a stream.
+//
+//whvet:allow testonly cross-package test accessor: tests in six packages read recorded streams through it
 func (s *Sink) EventCount(stream string) int {
 	n := 0
 	for _, e := range s.events {

@@ -66,9 +66,6 @@ type Span struct {
 	Start, Dur float64
 }
 
-// End returns the span's end on its time axis.
-func (s Span) End() float64 { return s.Start + s.Dur }
-
 // Tracer records completed spans into an obs.Recorder with
 // deterministic IDs and deterministic every-Nth-request sampling. The
 // zero of the type is not used: NewTracer returns nil for a disabled
@@ -109,17 +106,6 @@ func NewTracerAt(rec obs.Recorder, every, base int64) *Tracer {
 		t.nextID = base
 	}
 	return t
-}
-
-// Enabled reports whether the tracer is recording.
-func (t *Tracer) Enabled() bool { return t != nil }
-
-// Every returns the sampling stride (0 on a nil tracer).
-func (t *Tracer) Every() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.every
 }
 
 // Sampled reports whether the request with the given arrival index is

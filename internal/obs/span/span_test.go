@@ -8,12 +8,6 @@ import (
 
 func TestNilTracerNoOps(t *testing.T) {
 	var tr *Tracer
-	if tr.Enabled() {
-		t.Fatal("nil tracer reports enabled")
-	}
-	if tr.Every() != 0 {
-		t.Fatal("nil tracer reports a stride")
-	}
 	if tr.Sampled(0) {
 		t.Fatal("nil tracer samples")
 	}
@@ -57,8 +51,8 @@ func TestEmitIDsDenseAndDecoded(t *testing.T) {
 	}
 	got := spans[2]
 	want := Span{ID: 3, Parent: 1, Req: 5, Kind: KindService, Res: "cpu", Start: 1.5, Dur: 1.5}
-	if got != want || got.End() != 3.0 {
-		t.Fatalf("decoded span = %+v ending %g, want %+v ending 3", got, got.End(), want)
+	if got != want || got.Start+got.Dur != 3.0 {
+		t.Fatalf("decoded span = %+v ending %g, want %+v ending 3", got, got.Start+got.Dur, want)
 	}
 	// A partitioned model's tracer numbers from its base.
 	if id := NewTracerAt(obs.NewSink(), 1, 1<<40).Emit(0, 0, KindRequest, "request", 0, 1); id != 1<<40+1 {

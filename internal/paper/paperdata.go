@@ -12,9 +12,6 @@ package paper
 // Workloads lists the benchmark names in the paper's order.
 var Workloads = []string{"websearch", "webmail", "ytube", "mapred-wc", "mapred-wr"}
 
-// Systems lists the platform names of Table 2 in the paper's order.
-var Systems = []string{"srvr1", "srvr2", "desk", "mobl", "emb1", "emb2"}
-
 // Figure2cPerf is the published relative performance matrix (fraction of
 // srvr1), Figure 2(c) "Perf" block.
 var Figure2cPerf = map[string]map[string]float64{
@@ -79,16 +76,6 @@ var Figure4bSlowdown = map[string]map[string]float64{
 	"cbf":     {"websearch": 0.012, "webmail": 0.001, "ytube": 0.004, "mapred-wc": 0.002, "mapred-wr": 0.002},
 }
 
-// Figure4bSlowdownBounds from the running text (§3.4): "slowdowns of up
-// to 5% for 25%, and 10% for 12.5% local-remote split", and CBF brings
-// those to ~1% and ~2.5%.
-var Figure4bSlowdownBounds = map[string]float64{
-	"pcie-25%":   0.05,
-	"pcie-12.5%": 0.10,
-	"cbf-25%":    0.012,
-	"cbf-12.5%":  0.025,
-}
-
 // Figure4c is the memory-provisioning efficiency table (relative to the
 // no-sharing baseline), Figure 4(c).
 var Figure4c = map[string]map[string]float64{
@@ -117,11 +104,4 @@ var Figure5PerfPerTCO = map[string]map[string]float64{
 	"mapred-wc": {"N1": 2.50, "N2": 4.50},
 	"mapred-wr": {"N1": 2.00, "N2": 3.50},
 	"hmean":     {"N1": 1.50, "N2": 2.00},
-}
-
-// Section36AltBaselines records §3.6's comparison of N2 against srvr2
-// and desk baselines: "average improvements of 1.8-2X", ytube/mapreduce
-// 2.5-4.1X vs srvr2 and 1.7-2.5X vs desk.
-var Section36AltBaselines = map[string]map[string]float64{
-	"hmean-N2": {"srvr2": 1.9, "desk": 1.9},
 }

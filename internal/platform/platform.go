@@ -88,12 +88,6 @@ type Disk struct {
 	Remote        bool // attached via SAN rather than on-board
 }
 
-// AccessTime returns the service time in seconds for a request of size
-// bytes: one average positioning delay plus the transfer time.
-func (d Disk) AccessTime(bytes float64) float64 {
-	return d.AvgAccessMs/1e3 + bytes/(d.BandwidthMBps*1e6)
-}
-
 // Flash describes a NAND flash device used as a disk cache (Table 3a).
 type Flash struct {
 	ReadUs        float64
@@ -106,18 +100,6 @@ type Flash struct {
 	// EnduranceWrites is the per-block write budget before wear-out;
 	// current-technology NAND in the paper wears out after 100k writes.
 	EnduranceWrites int64
-}
-
-// ReadTime returns the flash service time in seconds for reading bytes.
-func (f Flash) ReadTime(bytes float64) float64 {
-	return f.ReadUs/1e6 + bytes/(f.BandwidthMBps*1e6)
-}
-
-// WriteTime returns the flash service time in seconds for writing bytes,
-// charging an amortized erase on every write (pessimistic but simple; the
-// FlashCache paper's FTL hides most erases behind the log).
-func (f Flash) WriteTime(bytes float64) float64 {
-	return f.WriteUs/1e6 + bytes/(f.BandwidthMBps*1e6)
 }
 
 // NIC describes the network interface.

@@ -131,11 +131,12 @@ func TestInOrderPenalty(t *testing.T) {
 
 func TestDiskAccessTime(t *testing.T) {
 	d := Disk72kDesktop()
-	// 4 ms + 7 MB / 70 MB/s = 4 ms + 100 ms.
-	got := d.AccessTime(7e6)
+	// One positioning delay plus the transfer, the service time the
+	// storage models charge: 4 ms + 7 MB / 70 MB/s = 4 ms + 100 ms.
+	got := d.AvgAccessMs/1e3 + 7e6/(d.BandwidthMBps*1e6)
 	want := 0.004 + 0.1
 	if math.Abs(got-want) > 1e-9 {
-		t.Errorf("AccessTime = %g, want %g", got, want)
+		t.Errorf("access time = %g, want %g", got, want)
 	}
 }
 
@@ -161,12 +162,12 @@ func TestFlashMatchesTable3(t *testing.T) {
 		t.Errorf("flash does not match Table 3a: %+v", f)
 	}
 	// 4KB read: 20 µs + 4096/50e6 s ≈ 102 µs.
-	got := f.ReadTime(4096)
+	got := f.ReadUs/1e6 + 4096/(f.BandwidthMBps*1e6)
 	want := 20e-6 + 4096/50e6
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("flash 4K read = %g, want %g", got, want)
 	}
-	if f.WriteTime(4096) <= f.ReadTime(4096) {
+	if f.WriteUs <= f.ReadUs {
 		t.Error("flash writes should be slower than reads")
 	}
 }

@@ -64,13 +64,6 @@ func DefaultIdleFractions() IdleFractions {
 	}
 }
 
-// StaticIdleFractions returns the degenerate split (all 1.0): every
-// component draws its active watts regardless of utilization, which is
-// exactly the static model's assumption.
-func StaticIdleFractions() IdleFractions {
-	return IdleFractions{CPU: 1, Memory: 1, Disk: 1, Board: 1, Fan: 1, Flash: 1, Switch: 1}
-}
-
 // Validate reports fractions outside [0,1].
 func (f IdleFractions) Validate() error {
 	for _, v := range [...]struct {
@@ -157,12 +150,6 @@ func (m Model) ServerConsumed(s platform.Server, rack platform.Rack) Breakdown {
 		b.FlashW = s.Flash.PowerW * af
 	}
 	return b
-}
-
-// RackConsumedW returns total consumed watts for a full rack.
-func (m Model) RackConsumedW(s platform.Server, rack platform.Rack) float64 {
-	per := m.ServerConsumed(s, rack).TotalW()
-	return per * float64(rack.ServersPerRack)
 }
 
 // RackNameplateW returns the rack's maximum operational (nameplate-style)

@@ -99,7 +99,7 @@ func TestIdleFractionsValidate(t *testing.T) {
 	if err := DefaultIdleFractions().Validate(); err != nil {
 		t.Errorf("catalog idle fractions invalid: %v", err)
 	}
-	if err := StaticIdleFractions().Validate(); err != nil {
+	if err := staticIdle.Validate(); err != nil {
 		t.Errorf("static idle fractions invalid: %v", err)
 	}
 	bad := DefaultIdleFractions()
@@ -121,7 +121,7 @@ func TestAtStaticDegenerateBitExact(t *testing.T) {
 	for _, s := range platform.All() {
 		b := DefaultModel().ServerConsumed(s, rack)
 		for _, u := range []Utilizations{{}, {CPU: 0.37, Disk: 0.9, Switch: 1}, {CPU: 1, Memory: 1, Disk: 1, Board: 1, Fan: 1, Flash: 1, Switch: 1}} {
-			if got := b.At(StaticIdleFractions(), u); got != b {
+			if got := b.At(staticIdle, u); got != b {
 				t.Errorf("%s: static degenerate At = %+v, want %+v", s.Name, got, b)
 			}
 		}
@@ -148,11 +148,7 @@ func TestAtInterpolatesIdleToActive(t *testing.T) {
 	}
 }
 
-func TestRackConsumed(t *testing.T) {
-	m := DefaultModel()
-	rack := platform.DefaultRack()
-	per := m.ServerConsumed(platform.Srvr2(), rack).TotalW()
-	if got := m.RackConsumedW(platform.Srvr2(), rack); math.Abs(got-per*40) > 1e-9 {
-		t.Errorf("rack consumed = %g, want %g", got, per*40)
-	}
-}
+// staticIdle is the degenerate split (all 1.0): every component draws
+// its active watts regardless of utilization, the static model's
+// assumption.
+var staticIdle = IdleFractions{CPU: 1, Memory: 1, Disk: 1, Board: 1, Fan: 1, Flash: 1, Switch: 1}

@@ -12,23 +12,6 @@ type Sampler interface {
 	Sample(r *RNG) float64
 }
 
-// Constant is a Sampler that always returns its value. Useful for
-// degenerate distributions and for tests.
-type Constant float64
-
-// Sample implements Sampler.
-func (c Constant) Sample(*RNG) float64 { return float64(c) }
-
-// Uniform samples uniformly from [Lo, Hi).
-type Uniform struct {
-	Lo, Hi float64
-}
-
-// Sample implements Sampler.
-func (u Uniform) Sample(r *RNG) float64 {
-	return u.Lo + (u.Hi-u.Lo)*r.Float64()
-}
-
 // Exponential samples an exponential distribution with the given Mean.
 // It models think times and inter-arrival gaps in the client driver.
 type Exponential struct {
@@ -63,31 +46,6 @@ func LogNormalFromMeanP50(mean, p50 float64) LogNormal {
 	// mean = exp(mu + sigma^2/2)  =>  sigma = sqrt(2 (ln mean - mu)).
 	sigma := math.Sqrt(2 * (math.Log(mean) - mu))
 	return LogNormal{Mu: mu, Sigma: sigma}
-}
-
-// Pareto samples a bounded Pareto distribution with shape Alpha on
-// [Min, Max]. It models heavy-tailed object sizes (video files).
-type Pareto struct {
-	Alpha    float64
-	Min, Max float64
-}
-
-// Sample implements Sampler.
-func (p Pareto) Sample(r *RNG) float64 {
-	if p.Min <= 0 || p.Max <= p.Min {
-		panic(fmt.Sprintf("stats: invalid bounded pareto [%g,%g]", p.Min, p.Max))
-	}
-	u := r.Float64()
-	la := math.Pow(p.Min, p.Alpha)
-	ha := math.Pow(p.Max, p.Alpha)
-	x := math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/p.Alpha)
-	if x < p.Min {
-		x = p.Min
-	}
-	if x > p.Max {
-		x = p.Max
-	}
-	return x
 }
 
 // Empirical samples from a fixed set of (value, weight) points — an
@@ -126,10 +84,6 @@ func NewEmpirical(values, weights []float64) (*Empirical, error) {
 func (e *Empirical) Sample(r *RNG) float64 {
 	return e.values[e.index(r)]
 }
-
-// SampleIndex returns the index of the chosen point, for callers that
-// treat values as category identifiers.
-func (e *Empirical) SampleIndex(r *RNG) int { return e.index(r) }
 
 func (e *Empirical) index(r *RNG) int {
 	u := r.Float64() * e.totalWt

@@ -1,34 +1,52 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 )
 
+// constant is a Sampler that always returns its value: the fixed
+// substitute the Sampler interface exists to admit.
+type constant float64
+
+// Sample implements Sampler.
+func (c constant) Sample(*RNG) float64 { return float64(c) }
+
+// uniform samples uniformly from [Lo, Hi).
+type uniform struct {
+	Lo, Hi float64
+}
+
+// Sample implements Sampler.
+func (u uniform) Sample(r *RNG) float64 {
+	return u.Lo + (u.Hi-u.Lo)*r.Float64()
+}
+
 func TestConstantSampler(t *testing.T) {
 	r := NewRNG(1)
-	c := Constant(4.2)
+	c := constant(4.2)
 	for i := 0; i < 10; i++ {
 		if v := c.Sample(r); v != 4.2 {
-			t.Fatalf("Constant returned %g", v)
+			t.Fatalf("constant returned %g", v)
 		}
 	}
 }
 
 func TestUniformRange(t *testing.T) {
 	r := NewRNG(2)
-	u := Uniform{Lo: 3, Hi: 9}
+	u := uniform{Lo: 3, Hi: 9}
 	var s Summary
 	for i := 0; i < 100000; i++ {
 		v := u.Sample(r)
 		if v < 3 || v >= 9 {
-			t.Fatalf("Uniform out of range: %g", v)
+			t.Fatalf("uniform out of range: %g", v)
 		}
 		s.Add(v)
 	}
 	if m := s.Mean(); math.Abs(m-6) > 0.05 {
-		t.Errorf("Uniform mean %g, want ~6", m)
+		t.Errorf("uniform mean %g, want ~6", m)
 	}
 }
 
@@ -57,7 +75,7 @@ func TestLogNormalFromMeanP50(t *testing.T) {
 	if m := s.Mean(); math.Abs(m-100)/100 > 0.05 {
 		t.Errorf("LogNormal mean %g, want ~100", m)
 	}
-	if med := Percentile(samples, 50); math.Abs(med-40)/40 > 0.05 {
+	if med := percentile(samples, 50); math.Abs(med-40)/40 > 0.05 {
 		t.Errorf("LogNormal median %g, want ~40", med)
 	}
 }
@@ -75,28 +93,53 @@ func TestLogNormalFromMeanP50Panics(t *testing.T) {
 	}
 }
 
+// pareto samples a bounded Pareto distribution with shape Alpha on
+// [Min, Max]: a heavy-tailed sampler the quantile tests exercise.
+type pareto struct {
+	Alpha    float64
+	Min, Max float64
+}
+
+// Sample implements Sampler.
+func (p pareto) Sample(r *RNG) float64 {
+	if p.Min <= 0 || p.Max <= p.Min {
+		panic(fmt.Sprintf("stats: invalid bounded pareto [%g,%g]", p.Min, p.Max))
+	}
+	u := r.Float64()
+	la := math.Pow(p.Min, p.Alpha)
+	ha := math.Pow(p.Max, p.Alpha)
+	x := math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/p.Alpha)
+	if x < p.Min {
+		x = p.Min
+	}
+	if x > p.Max {
+		x = p.Max
+	}
+	return x
+}
+
 func TestParetoBounds(t *testing.T) {
 	r := NewRNG(5)
-	p := Pareto{Alpha: 1.2, Min: 10, Max: 10000}
+	p := pareto{Alpha: 1.2, Min: 10, Max: 10000}
 	for i := 0; i < 100000; i++ {
 		v := p.Sample(r)
 		if v < 10 || v > 10000 {
-			t.Fatalf("Pareto out of bounds: %g", v)
+			t.Fatalf("pareto out of bounds: %g", v)
 		}
 	}
 }
 
 func TestParetoHeavyTail(t *testing.T) {
 	r := NewRNG(6)
-	p := Pareto{Alpha: 1.1, Min: 1, Max: 1e6}
+	p := pareto{Alpha: 1.1, Min: 1, Max: 1e6}
 	samples := make([]float64, 0, 100000)
 	for i := 0; i < 100000; i++ {
 		samples = append(samples, p.Sample(r))
 	}
-	med := Percentile(samples, 50)
-	p99 := Percentile(samples, 99)
+	med := percentile(samples, 50)
+	p99 := percentile(samples, 99)
 	if p99/med < 20 {
-		t.Errorf("Pareto tail too light: p99/median = %g", p99/med)
+		t.Errorf("pareto tail too light: p99/median = %g", p99/med)
 	}
 }
 
@@ -154,7 +197,7 @@ func TestQuickEmpiricalIndex(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := NewRNG(seed)
 		for i := 0; i < 50; i++ {
-			idx := e.SampleIndex(r)
+			idx := e.index(r)
 			if idx < 0 || idx >= 4 {
 				return false
 			}

@@ -85,9 +85,6 @@ func (h *Histogram) Mean() float64 {
 	return h.sum / float64(h.count)
 }
 
-// Max returns the largest observation seen.
-func (h *Histogram) Max() float64 { return h.maxSeen }
-
 // Quantile returns the q-quantile (0 < q <= 1) with intra-bucket linear
 // interpolation. It returns 0 for an empty histogram.
 func (h *Histogram) Quantile(q float64) float64 {
@@ -122,35 +119,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 		seen += c
 	}
 	return h.maxSeen
-}
-
-// FractionAbove returns the fraction of observations strictly greater
-// than threshold (bucket-granular; observations in the bucket containing
-// threshold are apportioned linearly).
-func (h *Histogram) FractionAbove(threshold float64) float64 {
-	if h.count == 0 {
-		return 0
-	}
-	tb := h.bucketOf(threshold)
-	if tb < 0 {
-		return float64(h.count-h.under) / float64(h.count)
-	}
-	var above int64
-	for b := tb + 1; b < len(h.buckets); b++ {
-		above += h.buckets[b]
-	}
-	// Apportion threshold's own bucket.
-	lo := h.bucketLow(tb)
-	hi := lo * h.growth
-	frac := (hi - threshold) / (hi - lo)
-	if frac < 0 {
-		frac = 0
-	}
-	if frac > 1 {
-		frac = 1
-	}
-	part := frac * float64(h.buckets[tb])
-	return (float64(above) + part) / float64(h.count)
 }
 
 // Reset clears all observations while keeping the bucket layout.

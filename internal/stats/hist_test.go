@@ -36,7 +36,7 @@ func TestHistogramQuantileAgainstExact(t *testing.T) {
 		samples = append(samples, v)
 	}
 	for _, q := range []float64{0.5, 0.9, 0.95, 0.99} {
-		exact := Percentile(samples, q*100)
+		exact := percentile(samples, q*100)
 		got := h.Quantile(q)
 		if math.Abs(got-exact)/exact > 0.08 {
 			t.Errorf("q%g: hist=%g exact=%g (err %.1f%%)", q, got, exact,
@@ -56,28 +56,8 @@ func TestHistogramMeanAndCount(t *testing.T) {
 	if m := h.Mean(); math.Abs(m-0.2) > 1e-12 {
 		t.Errorf("mean = %g", m)
 	}
-	if h.Max() != 0.3 {
-		t.Errorf("max = %g", h.Max())
-	}
-}
-
-func TestHistogramFractionAbove(t *testing.T) {
-	h := NewLatencyHistogram()
-	for i := 0; i < 900; i++ {
-		h.Add(0.010)
-	}
-	for i := 0; i < 100; i++ {
-		h.Add(1.0)
-	}
-	got := h.FractionAbove(0.5)
-	if math.Abs(got-0.1) > 0.02 {
-		t.Errorf("FractionAbove(0.5) = %g, want ~0.1", got)
-	}
-	if fa := h.FractionAbove(5); fa != 0 {
-		t.Errorf("FractionAbove(5) = %g, want 0", fa)
-	}
-	if fa := h.FractionAbove(1e-9); math.Abs(fa-1) > 1e-9 {
-		t.Errorf("FractionAbove(~0) = %g, want 1", fa)
+	if h.maxSeen != 0.3 {
+		t.Errorf("max = %g", h.maxSeen)
 	}
 }
 
@@ -105,7 +85,7 @@ func TestHistogramReset(t *testing.T) {
 	h := NewLatencyHistogram()
 	h.Add(0.5)
 	h.Reset()
-	if h.Count() != 0 || h.Mean() != 0 || h.Max() != 0 {
+	if h.Count() != 0 || h.Mean() != 0 || h.maxSeen != 0 {
 		t.Error("reset did not clear state")
 	}
 	if q := h.Quantile(0.95); q != 0 {

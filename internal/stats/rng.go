@@ -58,14 +58,6 @@ func (r *RNG) Uint64() uint64 {
 	return x * 0x2545f4914f6cdd1d
 }
 
-// Split returns a new generator whose stream is derived from, but
-// statistically independent of, the receiver's. It is the supported way
-// to hand child components their own randomness without coupling their
-// consumption rates.
-func (r *RNG) Split() *RNG {
-	return NewRNG(r.Uint64())
-}
-
 // SweepSeed derives the seed for cell index i of a parameter sweep from
 // the sweep's base seed: the index is spread by the golden-ratio
 // constant, xor-folded into the base, and splitmix-mixed (via Seed), so
@@ -76,6 +68,7 @@ func (r *RNG) Split() *RNG {
 // makes cell seeds independent of execution order.
 //
 //whvet:allow nodeterm golden-ratio index spreading is part of the sanctioned derivation substrate (the alternative callers are pointed at)
+//whvet:allow testonly cmd/whperf, a separate module the load does not include, picks its input index with it
 func SweepSeed(base, i uint64) uint64 {
 	var r RNG
 	r.Seed(base ^ (i+1)*0x9e3779b97f4a7c15)
@@ -144,19 +137,6 @@ func (r *RNG) NormFloat64() float64 {
 			return u * math.Sqrt(-2*math.Log(s)/s)
 		}
 	}
-}
-
-// Perm returns a random permutation of [0, n) (Fisher–Yates).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }
 
 // Bool returns true with probability p.

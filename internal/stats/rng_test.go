@@ -109,37 +109,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRNG(5)
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + r.Intn(64)
-		p := r.Perm(n)
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
-func TestSplitIndependence(t *testing.T) {
-	parent := NewRNG(123)
-	child := parent.Split()
-	// Child consumption must not perturb parent determinism.
-	p2 := NewRNG(123)
-	_ = p2.Uint64() // the Split consumed one parent draw
-	for i := 0; i < 100; i++ {
-		child.Uint64()
-	}
-	for i := 0; i < 100; i++ {
-		if parent.Uint64() != p2.Uint64() {
-			t.Fatalf("parent stream perturbed by child at draw %d", i)
-		}
-	}
-}
-
 // Property: every seed yields Float64 values in range.
 func TestQuickFloat64InRange(t *testing.T) {
 	f := func(seed uint64) bool {

@@ -3,12 +3,13 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Summary accumulates count/mean/variance/min/max online (Welford's
-// algorithm) without retaining samples. It backs every resource and
-// latency statistic in the simulators.
+// algorithm) without retaining samples. Tests across the module use it
+// to check sampled moments; no simulator path does.
+//
+//whvet:allow testonly Summary is the test suites' moment accumulator, used by tests in eight packages
 type Summary struct {
 	n        int64
 	mean, m2 float64
@@ -16,6 +17,8 @@ type Summary struct {
 }
 
 // Add records one observation.
+//
+//whvet:allow testonly Summary is the test suites' moment accumulator, used by tests in eight packages
 func (s *Summary) Add(x float64) {
 	s.n++
 	if s.n == 1 {
@@ -35,6 +38,8 @@ func (s *Summary) Add(x float64) {
 
 // Merge folds other into s, as if all of other's observations had been
 // Added to s (Chan et al. parallel variance merge).
+//
+//whvet:allow testonly Summary is the test suites' moment accumulator, used by tests in eight packages
 func (s *Summary) Merge(other Summary) {
 	if other.n == 0 {
 		return
@@ -58,6 +63,8 @@ func (s *Summary) Merge(other Summary) {
 }
 
 // Count returns the number of observations.
+//
+//whvet:allow testonly Summary is the test suites' moment accumulator, used by tests in eight packages
 func (s *Summary) Count() int64 { return s.n }
 
 // Mean returns the running mean (0 when empty).
@@ -75,9 +82,13 @@ func (s *Summary) Var() float64 {
 func (s *Summary) Std() float64 { return math.Sqrt(s.Var()) }
 
 // Min returns the smallest observation (0 when empty).
+//
+//whvet:allow testonly Summary is the test suites' moment accumulator, used by tests in eight packages
 func (s *Summary) Min() float64 { return s.min }
 
 // Max returns the largest observation (0 when empty).
+//
+//whvet:allow testonly Summary is the test suites' moment accumulator, used by tests in eight packages
 func (s *Summary) Max() float64 { return s.max }
 
 // String summarizes for debugging output.
@@ -86,27 +97,13 @@ func (s *Summary) String() string {
 		s.n, s.Mean(), s.Std(), s.min, s.max)
 }
 
-// HarmonicMean returns the harmonic mean of xs. The paper's suite-level
-// "HMean" rows combine per-benchmark throughputs (and reciprocals of
-// execution times) harmonically (§3.2). Zero or negative entries are
-// invalid; the function returns 0 for an empty slice and NaN when any
-// entry is non-positive, so mistakes surface loudly in reports.
-func HarmonicMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	hm, ok := HarmonicMeanOK(xs)
-	if !ok {
-		return math.NaN()
-	}
-	return hm
-}
-
-// HarmonicMeanOK is the checked variant: it reports ok=false instead of
-// NaN for empty input or any non-positive/NaN/Inf entry, so callers
-// building suite tables can omit an undefined row explicitly rather
-// than silently propagating NaN into downstream aggregates (e.g. a
-// measurement whose denominator was zero).
+// HarmonicMeanOK returns the harmonic mean of xs. The paper's
+// suite-level "HMean" rows combine per-benchmark throughputs (and
+// reciprocals of execution times) harmonically (§3.2). It reports
+// ok=false for empty input or any non-positive/NaN/Inf entry, so callers
+// building suite tables omit an undefined row explicitly rather than
+// propagating NaN into downstream aggregates (e.g. a measurement whose
+// denominator was zero).
 func HarmonicMeanOK(xs []float64) (hm float64, ok bool) {
 	if len(xs) == 0 {
 		return 0, false
@@ -119,36 +116,4 @@ func HarmonicMeanOK(xs []float64) (hm float64, ok bool) {
 		sum += 1 / x
 	}
 	return float64(len(xs)) / sum, true
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) of xs using
-// linear interpolation between closest ranks. xs need not be sorted; the
-// function copies and sorts. It returns NaN for empty input.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 100 {
-		p = 100
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return percentileSorted(sorted, p)
-}
-
-func percentileSorted(sorted []float64, p float64) float64 {
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }

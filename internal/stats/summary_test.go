@@ -77,17 +77,11 @@ func TestSummaryMergeEmptyCases(t *testing.T) {
 }
 
 func TestHarmonicMean(t *testing.T) {
-	if hm := HarmonicMean([]float64{1, 1, 1}); math.Abs(hm-1) > 1e-12 {
-		t.Errorf("hmean(1,1,1) = %g", hm)
+	if hm, ok := HarmonicMeanOK([]float64{1, 1, 1}); !ok || math.Abs(hm-1) > 1e-12 {
+		t.Errorf("hmean(1,1,1) = %g, %v", hm, ok)
 	}
-	if hm := HarmonicMean([]float64{2, 6}); math.Abs(hm-3) > 1e-12 {
-		t.Errorf("hmean(2,6) = %g, want 3", hm)
-	}
-	if hm := HarmonicMean(nil); hm != 0 {
-		t.Errorf("hmean(nil) = %g", hm)
-	}
-	if _, ok := HarmonicMeanOK([]float64{2, 6}); !ok {
-		t.Error("HarmonicMeanOK rejected valid input")
+	if hm, ok := HarmonicMeanOK([]float64{2, 6}); !ok || math.Abs(hm-3) > 1e-12 {
+		t.Errorf("hmean(2,6) = %g, %v; want 3", hm, ok)
 	}
 	if _, ok := HarmonicMeanOK(nil); ok {
 		t.Error("HarmonicMeanOK accepted empty input")
@@ -97,26 +91,23 @@ func TestHarmonicMean(t *testing.T) {
 			t.Errorf("HarmonicMeanOK(%v) = %g, want rejection", bad, hm)
 		}
 	}
-	if hm := HarmonicMean([]float64{1, 0}); !math.IsNaN(hm) {
-		t.Errorf("hmean with zero = %g, want NaN", hm)
-	}
 }
 
 func TestPercentile(t *testing.T) {
 	xs := []float64{5, 1, 4, 2, 3}
-	if p := Percentile(xs, 0); p != 1 {
+	if p := percentile(xs, 0); p != 1 {
 		t.Errorf("p0 = %g", p)
 	}
-	if p := Percentile(xs, 100); p != 5 {
+	if p := percentile(xs, 100); p != 5 {
 		t.Errorf("p100 = %g", p)
 	}
-	if p := Percentile(xs, 50); p != 3 {
+	if p := percentile(xs, 50); p != 3 {
 		t.Errorf("p50 = %g", p)
 	}
-	if p := Percentile(xs, 75); p != 4 {
+	if p := percentile(xs, 75); p != 4 {
 		t.Errorf("p75 = %g", p)
 	}
-	if !math.IsNaN(Percentile(nil, 50)) {
+	if !math.IsNaN(percentile(nil, 50)) {
 		t.Error("empty percentile not NaN")
 	}
 	// Input must not be mutated.
@@ -124,9 +115,9 @@ func TestPercentile(t *testing.T) {
 		t.Fatal("unreachable")
 	}
 	orig := []float64{9, 1, 5}
-	Percentile(orig, 50)
+	percentile(orig, 50)
 	if orig[0] != 9 || orig[1] != 1 || orig[2] != 5 {
-		t.Error("Percentile mutated its input")
+		t.Error("percentile mutated its input")
 	}
 }
 
@@ -143,8 +134,8 @@ func TestQuickHarmonicLEArithmetic(t *testing.T) {
 			sum += xs[i]
 		}
 		am := sum / float64(n)
-		hm := HarmonicMean(xs)
-		return hm <= am*(1+1e-12)
+		hm, ok := HarmonicMeanOK(xs)
+		return ok && hm <= am*(1+1e-12)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -177,4 +168,22 @@ func TestQuickSummaryMatchesNaive(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// percentile is the sort-based reference the histogram and
+// distribution tests check quantiles against: the p-th percentile
+// (0 <= p <= 100) of xs by linear interpolation between closest ranks.
+// xs need not be sorted; the function copies and sorts. It returns NaN
+// for empty input.
+func percentile(xs []float64, p float64) float64 {
+	if len(xs) == 0 {
+		return math.NaN()
+	}
+	p = math.Max(0, math.Min(100, p))
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	rank := p / 100 * float64(len(sorted)-1)
+	lo, hi := int(math.Floor(rank)), int(math.Ceil(rank))
+	frac := rank - float64(lo)
+	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }

@@ -73,12 +73,6 @@ func (z *Zipf) hInv(y float64) float64 {
 	return math.Pow(y*(1-z.s), 1/(1-z.s))
 }
 
-// N returns the number of ranks.
-func (z *Zipf) N() int { return z.n }
-
-// S returns the exponent.
-func (z *Zipf) S() float64 { return z.s }
-
 // Rank draws a rank in [0, N), with rank 0 the most popular.
 func (z *Zipf) Rank(r *RNG) int {
 	if z.exact {
@@ -99,39 +93,3 @@ func (z *Zipf) Rank(r *RNG) int {
 
 // Sample implements Sampler, returning the rank as a float64.
 func (z *Zipf) Sample(r *RNG) float64 { return float64(z.Rank(r)) }
-
-// Prob returns the probability of rank k (exact mode only; the
-// approximate mode returns the continuous-density estimate).
-func (z *Zipf) Prob(k int) float64 {
-	if k < 0 || k >= z.n {
-		return 0
-	}
-	if z.exact {
-		if k == 0 {
-			return z.cdf[0]
-		}
-		return z.cdf[k] - z.cdf[k-1]
-	}
-	return (z.h(float64(k)+2) - z.h(float64(k)+1)) / z.hInt
-}
-
-// CoverageRanks returns the smallest number of top ranks whose cumulative
-// probability reaches frac (exact mode). The memory-blade experiments use
-// this to size "hot" working sets, mirroring the paper's observation that
-// 25% of index terms cover most query traffic.
-func (z *Zipf) CoverageRanks(frac float64) int {
-	if !z.exact {
-		// Invert the continuous CDF.
-		y := z.hX1 + frac*z.hInt
-		k := int(z.hInv(y))
-		if k < 1 {
-			k = 1
-		}
-		if k > z.n {
-			k = z.n
-		}
-		return k
-	}
-	i := sort.SearchFloat64s(z.cdf, frac)
-	return i + 1
-}

@@ -66,7 +66,7 @@ func TestZipfMatchesTheory(t *testing.T) {
 		counts[z.Rank(r)]++
 	}
 	for k := 0; k < 20; k++ {
-		want := z.Prob(k)
+		want := z.prob(k)
 		got := float64(counts[k]) / n
 		if math.Abs(got-want) > 0.01 {
 			t.Errorf("rank %d freq %g, want %g", k, got, want)
@@ -81,7 +81,7 @@ func TestZipfProbSumsToOne(t *testing.T) {
 	}
 	sum := 0.0
 	for k := 0; k < 1000; k++ {
-		sum += z.Prob(k)
+		sum += z.prob(k)
 	}
 	if math.Abs(sum-1) > 1e-9 {
 		t.Errorf("probabilities sum to %g", sum)
@@ -98,34 +98,14 @@ func TestZipfApproximateLargeN(t *testing.T) {
 	var s Summary
 	for i := 0; i < 100000; i++ {
 		k := z.Rank(r)
-		if k < 0 || k >= z.N() {
+		if k < 0 || k >= z.n {
 			t.Fatalf("approximate rank %d out of range", k)
 		}
 		s.Add(float64(k))
 	}
 	// With s=1 most mass is at small ranks; mean rank must be far below N/2.
-	if s.Mean() > float64(z.N())/4 {
-		t.Errorf("approximate zipf insufficiently skewed: mean rank %g of N=%d", s.Mean(), z.N())
-	}
-}
-
-func TestZipfCoverageRanks(t *testing.T) {
-	z, err := NewZipf(1000, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k50 := z.CoverageRanks(0.5)
-	k90 := z.CoverageRanks(0.9)
-	if k50 <= 0 || k90 <= k50 || k90 > 1000 {
-		t.Fatalf("coverage ranks unordered: 50%%=%d 90%%=%d", k50, k90)
-	}
-	// Verify that the returned count really covers the fraction.
-	cum := 0.0
-	for k := 0; k < k50; k++ {
-		cum += z.Prob(k)
-	}
-	if cum < 0.5 {
-		t.Errorf("top %d ranks cover only %g", k50, cum)
+	if s.Mean() > float64(z.n)/4 {
+		t.Errorf("approximate zipf insufficiently skewed: mean rank %g of N=%d", s.Mean(), z.n)
 	}
 }
 
@@ -167,4 +147,20 @@ func TestQuickZipfRange(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// prob is the reference the frequency tests check Rank against: the
+// probability of rank k (exact mode only; the
+// approximate mode returns the continuous-density estimate).
+func (z *Zipf) prob(k int) float64 {
+	if k < 0 || k >= z.n {
+		return 0
+	}
+	if z.exact {
+		if k == 0 {
+			return z.cdf[0]
+		}
+		return z.cdf[k] - z.cdf[k-1]
+	}
+	return (z.h(float64(k)+2) - z.h(float64(k)+1)) / z.hInt
 }

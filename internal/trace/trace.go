@@ -31,12 +31,6 @@ type PageTracer interface {
 	TracePages(r *stats.RNG, emit func(page int64, write bool))
 }
 
-// DiskAccess is one block-granularity storage reference.
-type DiskAccess struct {
-	Block int64
-	Write bool
-}
-
 // DiskTracer emits the disk accesses of one request.
 type DiskTracer interface {
 	TraceDisk(r *stats.RNG, emit func(block int64, write bool))

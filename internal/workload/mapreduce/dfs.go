@@ -132,16 +132,6 @@ func (d *DFS) Exists(name string) bool {
 	return ok
 }
 
-// Delete removes a file's namespace entry (chunks become garbage; this
-// toy namenode does not reclaim them).
-func (d *DFS) Delete(name string) error {
-	if _, ok := d.files[name]; !ok {
-		return fmt.Errorf("mapreduce: file %q not found", name)
-	}
-	delete(d.files, name)
-	return nil
-}
-
 // FileChunks returns the chunk count of a file.
 func (d *DFS) FileChunks(name string) (int, error) {
 	ids, ok := d.files[name]
@@ -149,19 +139,6 @@ func (d *DFS) FileChunks(name string) (int, error) {
 		return 0, fmt.Errorf("mapreduce: file %q not found", name)
 	}
 	return len(ids), nil
-}
-
-// FileBytes returns the logical size of a file.
-func (d *DFS) FileBytes(name string) (int64, error) {
-	ids, ok := d.files[name]
-	if !ok {
-		return 0, fmt.Errorf("mapreduce: file %q not found", name)
-	}
-	var total int64
-	for _, id := range ids {
-		total += int64(len(d.chunks[id].data))
-	}
-	return total, nil
 }
 
 // ReadChunk returns the payload of the i-th chunk of a file, plus the
@@ -200,11 +177,4 @@ func (d *DFS) TotalStoredBytes() int64 {
 		total += u
 	}
 	return total
-}
-
-// NodeUsage returns per-datanode stored bytes.
-func (d *DFS) NodeUsage() []int64 {
-	out := make([]int64, len(d.usage))
-	copy(out, d.usage)
-	return out
 }

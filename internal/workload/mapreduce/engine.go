@@ -64,9 +64,6 @@ type JobResult struct {
 	OutputBytes int64
 }
 
-// TotalTasks returns the task count.
-func (r JobResult) TotalTasks() int { return len(r.MapTasks) + len(r.ReduceTasks) }
-
 // Validate reports structural job errors.
 func (j Job) Validate() error {
 	switch {

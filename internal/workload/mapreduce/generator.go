@@ -79,9 +79,6 @@ func newEngine(profile workload.Profile, tasks []TaskStats) (*Engine, error) {
 // Profile implements workload.Generator.
 func (e *Engine) Profile() workload.Profile { return e.profile }
 
-// Tasks exposes the measured task statistics (examples and tests).
-func (e *Engine) Tasks() []TaskStats { return e.tasks }
-
 // Sample implements workload.Generator: the next real task's measured
 // work, scaled onto the calibrated demand means. Tasks are served
 // round-robin so a batch run covers the whole job.

@@ -57,7 +57,7 @@ func TestDFSRoundTrip(t *testing.T) {
 	if err != nil || n != 5 {
 		t.Errorf("chunks = %d, %v; want 5 (5000B / 1KB)", n, err)
 	}
-	sz, err := d.FileBytes("f")
+	sz, err := fileBytes(d, "f")
 	if err != nil || sz != 5000 {
 		t.Errorf("bytes = %d, %v", sz, err)
 	}
@@ -73,22 +73,6 @@ func TestDFSDuplicateCreateFails(t *testing.T) {
 	}
 }
 
-func TestDFSDelete(t *testing.T) {
-	d := smallDFS(t)
-	if err := d.Create("f", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Delete("f"); err != nil {
-		t.Fatal(err)
-	}
-	if d.Exists("f") {
-		t.Fatal("file still exists")
-	}
-	if err := d.Delete("f"); err == nil {
-		t.Fatal("double delete accepted")
-	}
-}
-
 func TestDFSReplication(t *testing.T) {
 	d := smallDFS(t)
 	data := make([]byte, 4096)
@@ -100,7 +84,7 @@ func TestDFSReplication(t *testing.T) {
 		t.Errorf("stored bytes = %d, want 8192", got)
 	}
 	// Placement balances across nodes.
-	for n, u := range d.NodeUsage() {
+	for n, u := range d.usage {
 		if u > 4096 {
 			t.Errorf("node %d overloaded: %d", n, u)
 		}
@@ -160,8 +144,8 @@ func TestWordCountCorrectness(t *testing.T) {
 			t.Errorf("count[%q] = %d, want %d", w, counts[w], n)
 		}
 	}
-	if res.TotalTasks() != 1+3 {
-		t.Errorf("tasks = %d", res.TotalTasks())
+	if n := len(res.MapTasks) + len(res.ReduceTasks); n != 1+3 {
+		t.Errorf("tasks = %d", n)
 	}
 }
 
@@ -215,7 +199,7 @@ func TestGenerateCorpusSizeAndDeterminism(t *testing.T) {
 	if err := GenerateCorpus(d1, "c", cfg); err != nil {
 		t.Fatal(err)
 	}
-	sz, err := d1.FileBytes("c")
+	sz, err := fileBytes(d1, "c")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +246,7 @@ func TestRunWrite(t *testing.T) {
 	// Files must exist with roughly the requested size.
 	for i := 0; i < 5; i++ {
 		name := "w-0000" + strconv.Itoa(i)
-		sz, err := d.FileBytes(name)
+		sz, err := fileBytes(d, name)
 		if err != nil {
 			t.Fatalf("missing %s: %v", name, err)
 		}
@@ -283,12 +267,12 @@ func TestEngineWordCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(e.Tasks()) == 0 {
+	if len(e.tasks) == 0 {
 		t.Fatal("no tasks")
 	}
 	r := stats.NewRNG(3)
 	var cpu, rd stats.Summary
-	for i := 0; i < len(e.Tasks())*3; i++ {
+	for i := 0; i < len(e.tasks)*3; i++ {
 		req := e.Sample(r)
 		cpu.Add(req.CPURefSec)
 		rd.Add(req.DiskReadBytes)
@@ -398,4 +382,10 @@ func TestQuickWordCountConservation(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// fileBytes returns the logical size of a file.
+func fileBytes(d *DFS, name string) (int64, error) {
+	data, err := d.ReadAll(name)
+	return int64(len(data)), err
 }

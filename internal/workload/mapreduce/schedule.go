@@ -37,22 +37,6 @@ func (s ScheduleStats) LocalityRate() float64 {
 	return float64(s.Local) / float64(s.Tasks)
 }
 
-// Imbalance returns MaxLoad/MinLoad (1.0 = perfectly balanced; MinLoad
-// of zero reports +MaxLoad to stay finite and loud).
-func (s ScheduleStats) Imbalance() float64 {
-	if s.MinLoad == 0 {
-		return float64(s.MaxLoad)
-	}
-	return float64(s.MaxLoad) / float64(s.MinLoad)
-}
-
-// ScheduleMapTasks assigns one map task per chunk of the input file to
-// the DFS's datanodes, preferring replica holders subject to a load cap
-// of ceil(tasks/nodes)+1 per node.
-func ScheduleMapTasks(d *DFS, input string) ([]Assignment, ScheduleStats, error) {
-	return ScheduleMapTasksExcluding(d, input, nil)
-}
-
 // ScheduleMapTasksExcluding schedules around unavailable datanodes
 // (failed or drained): their replicas cannot serve reads and they take
 // no tasks. This is where replication earns its keep — with one

@@ -18,7 +18,7 @@ func TestScheduleMapTasksLocality(t *testing.T) {
 	if err := d.Create("in", data); err != nil {
 		t.Fatal(err)
 	}
-	as, st, err := ScheduleMapTasks(d, "in")
+	as, st, err := ScheduleMapTasksExcluding(d, "in", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,8 +31,8 @@ func TestScheduleMapTasksLocality(t *testing.T) {
 		t.Errorf("locality rate %.2f too low", st.LocalityRate())
 	}
 	// Balance: max/min within the cap slack.
-	if st.Imbalance() > 1.5 {
-		t.Errorf("imbalance %.2f (max %d, min %d)", st.Imbalance(), st.MaxLoad, st.MinLoad)
+	if st.MinLoad == 0 || float64(st.MaxLoad) > 1.5*float64(st.MinLoad) {
+		t.Errorf("imbalance: max load %d, min load %d", st.MaxLoad, st.MinLoad)
 	}
 	// Local assignments must actually sit on replica holders.
 	ids := d.files["in"]
@@ -61,7 +61,7 @@ func TestScheduleMapTasksLocality(t *testing.T) {
 
 func TestScheduleMissingFile(t *testing.T) {
 	d := smallDFS(t)
-	if _, _, err := ScheduleMapTasks(d, "none"); err == nil {
+	if _, _, err := ScheduleMapTasksExcluding(d, "none", nil); err == nil {
 		t.Fatal("missing file accepted")
 	}
 }
@@ -75,7 +75,7 @@ func TestScheduleSingleNode(t *testing.T) {
 	if err := d.Create("in", make([]byte, 2048)); err != nil {
 		t.Fatal(err)
 	}
-	_, st, err := ScheduleMapTasks(d, "in")
+	_, st, err := ScheduleMapTasksExcluding(d, "in", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestGrepJobCorrectness(t *testing.T) {
 	if err := d.Create("log", []byte(text)); err != nil {
 		t.Fatal(err)
 	}
-	job, err := GrepJob("log", "matches", `error: \w+`)
+	job, err := grepJob("log", "matches", `error: \w+`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,13 +123,13 @@ func TestGrepJobCorrectness(t *testing.T) {
 }
 
 func TestGrepJobBadPattern(t *testing.T) {
-	if _, err := GrepJob("a", "b", "("); err == nil {
+	if _, err := grepJob("a", "b", "("); err == nil {
 		t.Fatal("invalid regexp accepted")
 	}
 }
 
 func TestTopKReducer(t *testing.T) {
-	r := TopKReducer{Threshold: 3}
+	r := topKReducer{Threshold: 3}
 	var out []KV
 	emit := func(k, v string) { out = append(out, KV{k, v}) }
 	r.Reduce("rare", []string{"1", "1"}, emit)
@@ -154,7 +154,7 @@ func TestGrepOverGeneratedCorpus(t *testing.T) {
 	}
 	// The most popular word "wa" must appear and be counted consistently
 	// with a direct scan.
-	job, err := GrepJob("c", "out", `\bwa\b`)
+	job, err := grepJob("c", "out", `\bwa\b`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestScheduleDeterministic(t *testing.T) {
 		if err := d.Create("in", data); err != nil {
 			t.Fatal(err)
 		}
-		_, st, err := ScheduleMapTasks(d, "in")
+		_, st, err := ScheduleMapTasksExcluding(d, "in", nil)
 		if err != nil {
 			t.Fatal(err)
 		}

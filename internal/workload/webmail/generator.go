@@ -92,9 +92,6 @@ func New(cfg Config, profile workload.Profile) (*Engine, error) {
 // Profile implements workload.Generator.
 func (e *Engine) Profile() workload.Profile { return e.profile }
 
-// Store exposes the underlying spool (examples and tests).
-func (e *Engine) Store() *Store { return e.store }
-
 // Sample implements workload.Generator: advance one session by one
 // action and scale its work onto the calibrated means. Actions whose
 // demand exceeds maxDemandRatio times the mean are paginated into

@@ -88,12 +88,6 @@ func NewSession(store *Store, user int) *Session {
 	return &Session{store: store, user: user, mix: mix}
 }
 
-// User returns the bound account.
-func (s *Session) User() int { return s.user }
-
-// Active reports whether the session is logged in.
-func (s *Session) Active() bool { return s.active }
-
 // Step advances the state machine by one action and returns the work it
 // performed. A logged-out session performs a Login; Logout closes it.
 func (s *Session) Step(r *stats.RNG) ActionWork {

@@ -107,14 +107,14 @@ func TestSessionLifecycle(t *testing.T) {
 	sess := NewSession(s, 1)
 	r := stats.NewRNG(5)
 	w := sess.Step(r)
-	if w.Action != Login || !sess.Active() {
+	if w.Action != Login || !sess.active {
 		t.Fatalf("first step should log in, got %v", w.Action)
 	}
 	// Walk until logout happens, then the next step must be a login.
 	for i := 0; i < 10000; i++ {
 		w = sess.Step(r)
 		if w.Action == Logout {
-			if sess.Active() {
+			if sess.active {
 				t.Fatal("active after logout")
 			}
 			w = sess.Step(r)

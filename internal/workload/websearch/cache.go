@@ -91,6 +91,3 @@ func (c *QueryCache) HitRate() float64 {
 	}
 	return float64(c.hits) / float64(total)
 }
-
-// Len returns the number of cached result sets.
-func (c *QueryCache) Len() int { return c.order.Len() }

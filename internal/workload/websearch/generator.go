@@ -105,9 +105,6 @@ func New(cfg Config, profile workload.Profile) (*Engine, error) {
 // Profile implements workload.Generator.
 func (e *Engine) Profile() workload.Profile { return e.profile }
 
-// Index exposes the underlying index (examples and tests).
-func (e *Engine) Index() *Index { return e.ix }
-
 // SetQueryCache installs a front-end result cache (nil disables). With a
 // cache, popular repeated queries cost almost nothing and the served mix
 // shifts toward the expensive miss tail — the ablation benches study the

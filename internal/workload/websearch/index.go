@@ -182,12 +182,6 @@ func (ix *Index) Docs() int { return ix.cfg.NumDocs }
 // Vocab returns the vocabulary size.
 func (ix *Index) Vocab() int { return ix.cfg.VocabSize }
 
-// PostingLen returns the posting-list length of term t.
-func (ix *Index) PostingLen(t int) int { return len(ix.postings[t]) }
-
-// Cached reports whether term t's posting list is memory-resident.
-func (ix *Index) Cached(t int) bool { return ix.cached[t] }
-
 // PostingBytes returns the on-disk size of term t's posting list
 // (6 bytes per posting: doc id + tf, delta-encoded storage would be
 // smaller but the constant factor is irrelevant to the model).

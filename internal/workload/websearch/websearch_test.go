@@ -42,7 +42,7 @@ func TestBuildDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for tm := 0; tm < a.Vocab(); tm++ {
-		if a.PostingLen(tm) != b.PostingLen(tm) {
+		if len(a.postings[tm]) != len(b.postings[tm]) {
 			t.Fatalf("term %d posting lengths differ", tm)
 		}
 	}
@@ -54,21 +54,21 @@ func TestIndexStatistics(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Zipf corpus: popular terms should have much longer posting lists.
-	if ix.PostingLen(0) <= ix.PostingLen(ix.Vocab()-1) {
+	if len(ix.postings[0]) <= len(ix.postings[ix.Vocab()-1]) {
 		t.Errorf("term 0 postings (%d) not longer than rarest (%d)",
-			ix.PostingLen(0), ix.PostingLen(ix.Vocab()-1))
+			len(ix.postings[0]), len(ix.postings[ix.Vocab()-1]))
 	}
 	// Every posting list length is bounded by the corpus size.
 	for tm := 0; tm < ix.Vocab(); tm++ {
-		if ix.PostingLen(tm) > ix.Docs() {
-			t.Fatalf("term %d has %d postings > %d docs", tm, ix.PostingLen(tm), ix.Docs())
+		if len(ix.postings[tm]) > ix.Docs() {
+			t.Fatalf("term %d has %d postings > %d docs", tm, len(ix.postings[tm]), ix.Docs())
 		}
 	}
 	// Cached terms are the popular prefix.
-	if !ix.Cached(0) {
+	if !ix.cached[0] {
 		t.Error("hottest term not cached")
 	}
-	if ix.Cached(ix.Vocab() - 1) {
+	if ix.cached[ix.Vocab()-1] {
 		t.Error("rarest term cached")
 	}
 }

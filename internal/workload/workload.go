@@ -11,7 +11,6 @@ package workload
 
 import (
 	"fmt"
-	"math"
 
 	"warehousesim/internal/platform"
 	"warehousesim/internal/stats"
@@ -149,12 +148,6 @@ func ReferenceCPU() platform.CPU { return platform.Srvr1().CPU }
 func (p Profile) RelativeCoreSpeed(cpu platform.CPU) float64 {
 	ref := ReferenceCPU().CoreSpeed(p.CacheWorkingSetMB, p.CacheMissPenalty)
 	return cpu.CoreSpeed(p.CacheWorkingSetMB, p.CacheMissPenalty) / ref
-}
-
-// EffectiveCores returns the core-equivalents an m-core CPU contributes
-// under this workload's scaling exponent.
-func (p Profile) EffectiveCores(cores int) float64 {
-	return math.Pow(float64(cores), p.CoreScalingBeta)
 }
 
 // Generator produces the per-request demands for one benchmark. The

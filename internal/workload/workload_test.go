@@ -76,11 +76,11 @@ func TestRelativeCoreSpeedReference(t *testing.T) {
 func TestEffectiveCores(t *testing.T) {
 	p := validProfile()
 	p.CoreScalingBeta = 1
-	if got := p.EffectiveCores(8); got != 8 {
+	if got := p.effectiveCores(8); got != 8 {
 		t.Errorf("beta=1 effective cores = %g", got)
 	}
 	p.CoreScalingBeta = 0.5
-	if got := p.EffectiveCores(4); math.Abs(got-2) > 1e-12 {
+	if got := p.effectiveCores(4); math.Abs(got-2) > 1e-12 {
 		t.Errorf("beta=0.5, 4 cores = %g, want 2", got)
 	}
 }
@@ -133,3 +133,11 @@ type statefulTestGen struct{}
 
 func (statefulTestGen) Profile() Profile            { return validProfile() }
 func (statefulTestGen) Sample(r *stats.RNG) Request { return Request{} }
+
+// effectiveCores returns the core-equivalents an m-core CPU contributes
+// under this workload's scaling exponent: the meaning of
+// CoreScalingBeta, which the cluster model applies as a per-request
+// demand inflation of cores^(1-beta).
+func (p Profile) effectiveCores(cores int) float64 {
+	return math.Pow(float64(cores), p.CoreScalingBeta)
+}

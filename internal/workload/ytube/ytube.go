@@ -140,29 +140,8 @@ func BuildCatalog(cfg Config) (*Catalog, error) {
 	return c, nil
 }
 
-// Videos returns the catalog size.
-func (c *Catalog) Videos() int { return len(c.videos) }
-
-// TotalBytes returns the catalog footprint.
-func (c *Catalog) TotalBytes() int64 { return c.totalBytes }
-
-// Video returns catalog entry v.
-func (c *Catalog) Video(v int) Video { return c.videos[v] }
-
 // Pick draws a video by popularity.
 func (c *Catalog) Pick(r *stats.RNG) int { return c.popularity.Rank(r) }
-
-// CachedBytesFraction reports the achieved cache coverage (may fall
-// slightly below the configured fraction due to whole-video caching).
-func (c *Catalog) CachedBytesFraction() float64 {
-	var cached int64
-	for _, v := range c.videos {
-		if v.Cached {
-			cached += v.Bytes
-		}
-	}
-	return float64(cached) / float64(c.totalBytes)
-}
 
 // viewer is one in-progress streaming session.
 type viewer struct {
@@ -209,9 +188,6 @@ func New(cfg Config, profile workload.Profile) (*Engine, error) {
 	e.meanChunk, e.meanColdBytes, e.meanOps = chunk/n, cold/n, ops/n
 	return e, nil
 }
-
-// Catalog exposes the library (examples and tests).
-func (e *Engine) Catalog() *Catalog { return e.cat }
 
 // step advances viewer i by one chunk and returns (chunkBytes,
 // coldDiskBytes, diskOps).

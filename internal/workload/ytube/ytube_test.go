@@ -42,19 +42,19 @@ func TestCatalogStatistics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cat.Videos() != 2000 {
-		t.Errorf("videos = %d", cat.Videos())
+	if len(cat.videos) != 2000 {
+		t.Errorf("videos = %d", len(cat.videos))
 	}
 	var total int64
-	for v := 0; v < cat.Videos(); v++ {
-		b := cat.Video(v).Bytes
+	for v := 0; v < len(cat.videos); v++ {
+		b := cat.videos[v].Bytes
 		if b < 256e3 || b > 100e6 {
 			t.Fatalf("video %d size %d outside clamp", v, b)
 		}
 		total += b
 	}
-	if total != cat.TotalBytes() {
-		t.Errorf("total bytes mismatch: %d vs %d", total, cat.TotalBytes())
+	if total != cat.totalBytes {
+		t.Errorf("total bytes mismatch: %d vs %d", total, cat.totalBytes)
 	}
 }
 
@@ -63,20 +63,20 @@ func TestCacheCoversHotPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cat.Video(0).Cached {
+	if !cat.videos[0].Cached {
 		t.Error("hottest video not cached")
 	}
-	if cat.Video(cat.Videos() - 1).Cached {
+	if cat.videos[len(cat.videos)-1].Cached {
 		t.Error("coldest video cached")
 	}
-	frac := cat.CachedBytesFraction()
+	frac := cachedBytesFraction(cat)
 	if frac <= 0.2 || frac > 0.30001 {
 		t.Errorf("cached byte fraction %g, want ~0.30", frac)
 	}
 	// Prefix property: no cached video after the first uncached one.
 	seenUncached := false
-	for v := 0; v < cat.Videos(); v++ {
-		if !cat.Video(v).Cached {
+	for v := 0; v < len(cat.videos); v++ {
+		if !cat.videos[v].Cached {
 			seenUncached = true
 		} else if seenUncached {
 			t.Fatal("cache is not a popularity prefix")
@@ -93,7 +93,7 @@ func TestPopularitySkew(t *testing.T) {
 	hot := 0
 	const draws = 20000
 	for i := 0; i < draws; i++ {
-		if cat.Pick(r) < cat.Videos()/10 {
+		if cat.Pick(r) < len(cat.videos)/10 {
 			hot++
 		}
 	}
@@ -216,4 +216,16 @@ func TestQuickSampleNonNegative(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// cachedBytesFraction reports the achieved cache coverage (may fall
+// slightly below the configured fraction due to whole-video caching).
+func cachedBytesFraction(c *Catalog) float64 {
+	var cached int64
+	for _, v := range c.videos {
+		if v.Cached {
+			cached += v.Bytes
+		}
+	}
+	return float64(cached) / float64(c.totalBytes)
 }
