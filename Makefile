@@ -11,9 +11,10 @@
 #                  (timing is whperf's: cmd/whperf/run.sh; the substrate
 #                  benchmarks' allocation bounds are gated by their
 #                  packages' TestAllocBounds under make test/check)
-#   make shard-race — the shard engine's tests under the race detector
-#                     at GOMAXPROCS 1 and 4 (serial schedules hide
-#                     different bugs than parallel ones)
+#   make shard-race — the shard engine's and the fanout pool's tests
+#                     under the race detector at GOMAXPROCS 1 and 4
+#                     (serial schedules hide different bugs than
+#                     parallel ones)
 #   make introspect-smoke — start whsim -http, assert /obs/windows,
 #                     /obs/shards and /obs/energy serve their schemas
 #   make cover      — per-package coverage, with an 80% floor on
@@ -48,11 +49,11 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-# The shard engine is the only package whose correctness depends on
-# goroutine scheduling; -cpu 1,4 runs its race tests under both a
-# serial and a genuinely parallel scheduler.
+# The shard engine and the fanout worker pool are the packages whose
+# correctness depends on goroutine scheduling; -cpu 1,4 runs their race
+# tests under both a serial and a genuinely parallel scheduler.
 shard-race:
-	$(GO) test -race -cpu 1,4 ./internal/des/shard/...
+	$(GO) test -race -cpu 1,4 ./internal/des/shard/... ./internal/fanout/...
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \

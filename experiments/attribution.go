@@ -1,14 +1,12 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 
 	"warehousesim/internal/cluster"
 	"warehousesim/internal/core"
-	"warehousesim/internal/obs"
 	"warehousesim/internal/obs/span"
-	"warehousesim/internal/platform"
-	"warehousesim/internal/workload"
 )
 
 func init() {
@@ -25,53 +23,32 @@ func init() {
 // the spans keep attributable.
 func runExtCritpath() (Report, error) {
 	r := Report{ID: "ext-critpath", Title: "Extension — critical-path latency attribution from causal spans"}
-	designs := []core.Design{
-		core.BaselineDesign(platform.Desk()),
-		core.BaselineDesign(platform.Emb1()),
-		core.NewN2(),
-	}
-	profiles := []workload.Profile{
-		workload.WebsearchProfile(),
-		workload.WebmailProfile(),
-		workload.YtubeProfile(),
-	}
-	ev := core.NewEvaluator()
-
 	r.addf("share of traced request time per category (every request of a")
 	r.addf("seed-9 DES run; shares of one row sum to 100%%):")
 	r.addf("")
 	r.addf("%-11s %-10s %8s %9s %13s %6s %10s", "design", "workload",
 		"queue", "service", "remote-mem", "disk", "p95-ms")
 
-	for _, d := range designs {
-		for _, p := range profiles {
-			cfg, err := ev.ClusterConfig(d, p)
-			if err != nil {
-				return Report{}, err
-			}
-			sink := obs.NewSink()
-			opts := cluster.SimOptions{
-				Seed: 9, WarmupSec: 5, MeasureSec: 30, MaxClients: 512,
-				Obs: sink, TraceEvery: 1,
-			}
-			res, err := cfg.Simulate(workload.FixedGenerator{P: p}, opts)
-			if err != nil {
-				return Report{}, err
-			}
-			attr := span.Analyze(sink.Events())
-			if attr.Requests == 0 {
-				return Report{}, fmt.Errorf("ext-critpath: %s/%s traced no completed requests", d.Name, p.Name)
-			}
-			shares := map[string]float64{}
-			for _, row := range attr.Rows {
-				shares[row.Category] = row.Share
-			}
-			r.addf("%-11s %-10s %7.1f%% %8.1f%% %12.1f%% %5.1f%% %10.2f",
-				d.Name, p.Name,
-				shares[span.CatQueue]*100, shares[span.CatService]*100,
-				shares[span.CatRemoteMem]*100, shares[span.CatDisk]*100,
-				res.P95Latency*1e3)
+	err := planeSweep(&r, func(_ core.Design, o *cluster.SimOptions) error {
+		o.TraceEvery = 1
+		return nil
+	}, func(c *planeCell) (string, error) {
+		attr := span.Analyze(c.sink.Events())
+		if attr.Requests == 0 {
+			return "", errors.New("traced no completed requests")
 		}
+		shares := map[string]float64{}
+		for _, row := range attr.Rows {
+			shares[row.Category] = row.Share
+		}
+		return fmt.Sprintf("%-11s %-10s %7.1f%% %8.1f%% %12.1f%% %5.1f%% %10.2f",
+			c.design.Name, c.profile.Name,
+			shares[span.CatQueue]*100, shares[span.CatService]*100,
+			shares[span.CatRemoteMem]*100, shares[span.CatDisk]*100,
+			c.res.P95Latency*1e3), nil
+	})
+	if err != nil {
+		return Report{}, err
 	}
 	r.addf("")
 	r.addf("reading: queue share rises as the adaptive driver loads a design")

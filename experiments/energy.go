@@ -1,15 +1,13 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 
 	"warehousesim/internal/cluster"
 	"warehousesim/internal/core"
-	"warehousesim/internal/obs"
 	"warehousesim/internal/obs/energy"
-	"warehousesim/internal/platform"
 	"warehousesim/internal/power"
-	"warehousesim/internal/workload"
 )
 
 func init() {
@@ -28,18 +26,6 @@ func init() {
 // driver holds them at higher utilization.
 func runExtEnergy() (Report, error) {
 	r := Report{ID: "ext-energy", Title: "Extension — time-resolved energy: joules/request and proportionality per design"}
-	designs := []core.Design{
-		core.BaselineDesign(platform.Desk()),
-		core.BaselineDesign(platform.Emb1()),
-		core.NewN2(),
-	}
-	profiles := []workload.Profile{
-		workload.WebsearchProfile(),
-		workload.WebmailProfile(),
-		workload.YtubeProfile(),
-	}
-	ev := core.NewEvaluator()
-
 	const windowSec = 2.0
 	r.addf("utilization-conditioned power over %gs tumbling windows (seed-9 DES", windowSec)
 	r.addf("run at each design's adaptive operating point; idle/active split")
@@ -48,39 +34,30 @@ func runExtEnergy() (Report, error) {
 	r.addf("%-11s %-10s %9s %8s %8s %9s %11s %10s", "design", "workload",
 		"static-W", "mean-W", "J/req", "req/J", "slope-W/u", "intcpt-W")
 
-	for _, d := range designs {
-		for _, p := range profiles {
-			cfg, err := ev.ClusterConfig(d, p)
-			if err != nil {
-				return Report{}, err
-			}
-			pb, err := ev.PowerBreakdown(d)
-			if err != nil {
-				return Report{}, err
-			}
-			sink := obs.NewSink()
-			opts := cluster.SimOptions{
-				Seed: 9, WarmupSec: 5, MeasureSec: 30, MaxClients: 512,
-				Obs: sink,
-				Energy: &energy.Config{
-					WidthSec: windowSec,
-					Model:    energy.Model{Active: pb, Idle: power.DefaultIdleFractions()},
-				},
-			}
-			res, err := cfg.Simulate(workload.FixedGenerator{P: p}, opts)
-			if err != nil {
-				return Report{}, err
-			}
-			if res.Energy == nil {
-				return Report{}, fmt.Errorf("ext-energy: %s/%s returned no energy collector", d.Name, p.Name)
-			}
-			t := res.Energy.Totals()
-			prop := res.Energy.Proportionality()
-			r.addf("%-11s %-10s %9.1f %8.1f %8.3f %9.3f %11.1f %10.1f",
-				d.Name, p.Name, t.StaticW, t.MeanW,
-				t.JoulesPerRequest, t.PerfPerWatt,
-				prop.SlopeWPerUtil, prop.InterceptW)
+	ev := core.NewEvaluator()
+	err := planeSweep(&r, func(d core.Design, o *cluster.SimOptions) error {
+		pb, err := ev.PowerBreakdown(d)
+		if err != nil {
+			return err
 		}
+		o.Energy = &energy.Config{
+			WidthSec: windowSec,
+			Model:    energy.Model{Active: pb, Idle: power.DefaultIdleFractions()},
+		}
+		return nil
+	}, func(c *planeCell) (string, error) {
+		if c.res.Energy == nil {
+			return "", errors.New("returned no energy collector")
+		}
+		t := c.res.Energy.Totals()
+		prop := c.res.Energy.Proportionality()
+		return fmt.Sprintf("%-11s %-10s %9.1f %8.1f %8.3f %9.3f %11.1f %10.1f",
+			c.design.Name, c.profile.Name, t.StaticW, t.MeanW,
+			t.JoulesPerRequest, t.PerfPerWatt,
+			prop.SlopeWPerUtil, prop.InterceptW), nil
+	})
+	if err != nil {
+		return Report{}, err
 	}
 	r.addf("")
 	r.addf("reading: static-W is what the paper's flat activity-factor model")

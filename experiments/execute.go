@@ -1,12 +1,13 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"warehousesim/internal/cluster"
+	"warehousesim/internal/fanout"
 	"warehousesim/internal/obs"
 )
 
@@ -85,70 +86,41 @@ func selectEntries(ids []string) ([]entry, error) {
 	return out, nil
 }
 
-// executeEntries is the speculative-but-ordered suite engine behind
-// Execute: workers may compute ahead of the commit point, but nothing
-// observable (report order, recorder contents, error selection,
-// progress calls) depends on completion order, so output is
-// byte-identical to the sequential path at any worker count.
+// executeEntries runs entries through fanout.Ordered: workers may
+// compute ahead of the commit point, but nothing observable (report
+// order, recorder contents, error selection, progress calls) depends on
+// completion order, so output is byte-identical at any worker count. No
+// experiment starts after one fails.
 func executeEntries(entries []entry, rec obs.Recorder, par int, onDone func(SuiteProgress)) ([]Report, error) {
-	if par > len(entries) {
-		par = len(entries)
-	}
-	out := make([]Report, 0, len(entries))
-	commit := func(e entry, r Report, err error) error {
-		recordEntry(e, r, err, rec)
-		if err != nil {
-			return fmt.Errorf("experiments: %s: %w", e.id, err)
-		}
-		out = append(out, r)
-		if onDone != nil {
-			onDone(SuiteProgress{ID: e.id, Index: e.order, Done: len(out), Total: len(entries)})
-		}
-		return nil
-	}
-
-	if par <= 1 {
-		for _, e := range entries {
-			r, err := e.run()
-			if err := commit(e, r, err); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
-
 	type result struct {
 		rep Report
 		err error
 	}
 	results := make([]result, len(entries))
-	ready := make([]chan struct{}, len(entries))
-	next := make(chan int, len(entries))
-	for i := range entries {
-		ready[i] = make(chan struct{})
-		next <- i
+	out := make([]Report, 0, len(entries))
+	err := fanout.Ordered(par, len(entries), func(_, i int) {
+		results[i].rep, results[i].err = entries[i].run()
+	}, func(i int) bool {
+		e, r := entries[i], results[i]
+		recordEntry(e, r.rep, r.err, rec)
+		if r.err != nil {
+			return false
+		}
+		out = append(out, r.rep)
+		if onDone != nil {
+			onDone(SuiteProgress{ID: e.id, Index: e.order, Done: len(out), Total: len(entries)})
+		}
+		return true
+	})
+	// A panic never reaches commit, so it goes unrecorded: its stack
+	// would make the export differ run to run.
+	var pe *fanout.PanicError
+	if errors.As(err, &pe) {
+		results[pe.Index].err = err
 	}
-	close(next)
-	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				r, err := entries[i].run()
-				results[i] = result{rep: r, err: err}
-				close(ready[i])
-			}
-		}()
-	}
-	// On early error the remaining speculative runs are left to drain;
-	// they touch only their own slots.
-	defer wg.Wait()
-
-	for i, e := range entries {
-		<-ready[i]
-		if err := commit(e, results[i].rep, results[i].err); err != nil {
-			return nil, err
+	for i, r := range results {
+		if r.err != nil {
+			return nil, fmt.Errorf("experiments: %s: %w", entries[i].id, r.err)
 		}
 	}
 	return out, nil

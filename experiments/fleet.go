@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 
 	"warehousesim/internal/cluster"
 	"warehousesim/internal/core"
+	"warehousesim/internal/fanout"
 	"warehousesim/internal/obs"
 	"warehousesim/internal/platform"
 	"warehousesim/internal/workload"
@@ -21,6 +23,7 @@ type fleetCell struct {
 	profile  workload.Profile
 	topo     cluster.FleetTopology
 	seed     uint64
+	cfg      cluster.Config
 	tcoUSD   float64 // per server, from the evaluator
 	res      cluster.Result
 	sloViol  int
@@ -81,41 +84,40 @@ func runExtFleet() (Report, error) {
 	shapes := fleetShapes()
 	ev := core.NewEvaluator()
 
+	// The evaluator caches flash hit rates in a map, so every call into
+	// it stays on this goroutine; only the fleet runs fan out.
 	cells := make([]fleetCell, 0, len(shapes)*len(designs)*len(profiles)*len(balancers))
 	for _, shape := range shapes {
 		for _, d := range designs {
 			for _, p := range profiles {
+				cfg, err := ev.ClusterConfig(d, p)
+				if err != nil {
+					return Report{}, err
+				}
+				ms, err := ev.Evaluate(d, []workload.Profile{p})
+				if err != nil {
+					return Report{}, err
+				}
 				for _, b := range balancers {
 					t := shape
 					t.HotSet = append([]int(nil), shape.HotSet...)
 					t.Rack.Boards = append([]int(nil), shape.Rack.Boards...)
 					t.Balancer = b
-					cells = append(cells, fleetCell{design: d, profile: p, topo: t, seed: 11})
+					cells = append(cells, fleetCell{design: d, profile: p, topo: t, seed: 11, cfg: cfg, tcoUSD: ms[0].TCOUSD})
 				}
 			}
 		}
 	}
 
-	runCells(SweepParallelism(), len(cells), func(i int) {
+	err := fanout.Ordered(SweepParallelism(), len(cells), func(_, i int) {
 		c := &cells[i]
-		cfg, err := ev.ClusterConfig(c.design, c.profile)
-		if err != nil {
-			c.err = err
-			return
-		}
-		ms, err := ev.Evaluate(c.design, []workload.Profile{c.profile})
-		if err != nil {
-			c.err = err
-			return
-		}
-		c.tcoUSD = ms[0].TCOUSD
 		topo := c.topo
 		sink := obs.NewSink()
 		opts := cluster.SimOptions{
 			Seed: c.seed, WarmupSec: 5, MeasureSec: 20, MaxClients: 512,
 			Obs: sink, SLOWindowSec: 2, Topology: &topo,
 		}
-		c.res, c.err = cfg.Simulate(workload.FixedGenerator{P: c.profile}, opts)
+		c.res, c.err = c.cfg.Simulate(workload.FixedGenerator{P: c.profile}, opts)
 		if c.err != nil {
 			return
 		}
@@ -127,7 +129,11 @@ func runExtFleet() (Report, error) {
 				}
 			}
 		}
-	})
+	}, func(i int) bool { return cells[i].err == nil })
+	var pe *fanout.PanicError
+	if errors.As(err, &pe) {
+		cells[pe.Index].err = err
+	}
 
 	boards := 0
 	if n := shapes[0].Rack.Enclosures * shapes[0].Rack.BoardsPerEnclosure; n > 0 {

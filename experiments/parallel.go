@@ -1,32 +1,29 @@
 package experiments
 
-import "sync"
-
-// This file is the deterministic parallel sweep engine. Two levels of
-// parallelism compose:
+// Two levels of parallelism compose, both on fanout.Ordered:
 //
 //   - Execute (execute.go) fans whole experiments across a worker pool
 //     and commits their results — reports, registry-level observability,
 //     progress callbacks — strictly in registry order.
-//   - runCells fans the independent (design x profile x trial) cells
-//     INSIDE an experiment (see validate.go) across a pool, with results
-//     written to caller-indexed slots and merged in cell order.
+//   - The cell sweeps INSIDE an experiment (validate, ext-fleet and the
+//     design x profile sweeps of sweep.go) fan their independent cells
+//     across SweepParallelism workers, with results written to
+//     cell-indexed slots and merged in cell order.
 //
-// Both are speculative-but-ordered: workers may compute ahead of the
-// commit point, but nothing observable (report order, recorder
-// contents, error selection) depends on completion order, so output is
-// byte-identical to the sequential path at any worker count. Each cell
-// must be self-contained — own Sim, own RNG, own generator — which
-// every registered experiment already guarantees.
+// Workers may compute ahead of the commit point, but nothing observable
+// (report order, recorder contents, error selection) depends on
+// completion order, so output is byte-identical at any worker count.
+// Each cell must be self-contained — own Sim, own RNG, own generator —
+// which every registered experiment already guarantees.
 
-// SweepParallelism is the worker count experiments use for their
-// internal cell sweeps (runCells callers read it); 1 means sequential.
-// Set it once, before running experiments — it is read concurrently by
-// suite workers and must not change mid-run.
+// sweepParallelism is the worker count experiments use for their
+// internal cell sweeps; 1 means sequential. Set it once, before running
+// experiments — it is read concurrently by suite workers and must not
+// change mid-run.
 var sweepParallelism = 1
 
 // SetSweepParallelism sets the internal-sweep worker count (values < 1
-// clamp to 1). Call before Run/RunAll, never during.
+// clamp to 1). Call before Execute, never during.
 func SetSweepParallelism(n int) {
 	if n < 1 {
 		n = 1
@@ -36,39 +33,6 @@ func SetSweepParallelism(n int) {
 
 // SweepParallelism returns the current internal-sweep worker count.
 func SweepParallelism() int { return sweepParallelism }
-
-// runCells executes n independent cells across min(par, n) workers and
-// returns when all have finished. Cells receive their index and must
-// write results only to their own slot of a caller-owned slice; the
-// caller merges in index order afterwards, which keeps any derived
-// output identical to running the cells sequentially.
-func runCells(par, n int, cell func(i int)) {
-	if par > n {
-		par = n
-	}
-	if par <= 1 {
-		for i := 0; i < n; i++ {
-			cell(i)
-		}
-		return
-	}
-	next := make(chan int, n)
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				cell(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
 
 // SuiteProgress describes one committed experiment of a suite run.
 type SuiteProgress struct {

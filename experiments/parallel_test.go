@@ -5,9 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sync/atomic"
+	"strings"
 	"testing"
 
+	"warehousesim/internal/cluster"
 	"warehousesim/internal/obs"
 )
 
@@ -118,25 +119,39 @@ func TestExecuteParErrorEquivalence(t *testing.T) {
 	}
 }
 
-// TestRunCells: every cell runs exactly once, slot writes land, and the
-// merged view is independent of the worker count.
-func TestRunCells(t *testing.T) {
-	const n = 37
-	for _, par := range []int{1, 3, 64} {
-		out := make([]int, n)
-		var calls atomic.Int64
-		runCells(par, n, func(i int) {
-			calls.Add(1)
-			out[i] = i * i
-		})
-		if calls.Load() != n {
-			t.Fatalf("par=%d: %d cell calls, want %d", par, calls.Load(), n)
+// TestExecutePanicIsAnError: an experiment that panics on a suite
+// worker fails the suite with an error naming it, instead of killing
+// the process, and the experiments before it still commit.
+func TestExecutePanicIsAnError(t *testing.T) {
+	entries := stubEntries(5, -1)
+	entries[2].run = func() (Report, error) { panic("broken experiment") }
+	withStubRegistry(t, entries)
+	got := runSuite(t, 2)
+	if want := "experiments: stub02: panic in item 2: broken experiment"; !strings.HasPrefix(got.err, want) {
+		t.Fatalf("err = %q, want prefix %q", got.err, want)
+	}
+	if len(got.progress) != 2 {
+		t.Fatalf("%d experiments committed before the panic, want 2", len(got.progress))
+	}
+}
+
+// TestCellSweepParMatchesSequential: a cell sweep's report is the same
+// at one and two sweep workers. Under -race it also holds the sweeps to
+// keeping core.Evaluator, whose flash-hit-rate cache is a plain map, on
+// the calling goroutine (N2 cells reach that cache).
+func TestCellSweepParMatchesSequential(t *testing.T) {
+	saved := SweepParallelism()
+	t.Cleanup(func() { SetSweepParallelism(saved) })
+	run := func(par int) string {
+		SetSweepParallelism(par)
+		reps, err := Execute(RunSpec{IDs: []string{"ext-fleet"}, Fleet: &cluster.FleetTopology{Racks: 8, HotRacks: 1}})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i, v := range out {
-			if v != i*i {
-				t.Fatalf("par=%d: slot %d = %d, want %d", par, i, v, i*i)
-			}
-		}
+		return reps[0].String()
+	}
+	if seq, par := run(1), run(2); seq != par {
+		t.Fatalf("ext-fleet at 2 sweep workers:\n%s\nsequential:\n%s", par, seq)
 	}
 }
 

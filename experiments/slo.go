@@ -1,14 +1,12 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 
 	"warehousesim/internal/cluster"
 	"warehousesim/internal/core"
-	"warehousesim/internal/obs"
 	"warehousesim/internal/obs/window"
-	"warehousesim/internal/platform"
-	"warehousesim/internal/workload"
 )
 
 func init() {
@@ -26,18 +24,6 @@ func init() {
 // cluster, which is what an operator's burn-rate alerting sees.
 func runExtSLO() (Report, error) {
 	r := Report{ID: "ext-slo", Title: "Extension — windowed QoS-violation accounting per design"}
-	designs := []core.Design{
-		core.BaselineDesign(platform.Desk()),
-		core.BaselineDesign(platform.Emb1()),
-		core.NewN2(),
-	}
-	profiles := []workload.Profile{
-		workload.WebsearchProfile(),
-		workload.WebmailProfile(),
-		workload.YtubeProfile(),
-	}
-	ev := core.NewEvaluator()
-
 	const windowSec = 2.0
 	r.addf("QoS-violation accounting over %gs tumbling windows (seed-9 DES", windowSec)
 	r.addf("run at each design's adaptive operating point):")
@@ -45,42 +31,34 @@ func runExtSLO() (Report, error) {
 	r.addf("%-11s %-10s %8s %10s %9s %10s %11s", "design", "workload",
 		"windows", "violating", "episodes", "viol-min", "peak-exc-ms")
 
-	for _, d := range designs {
-		for _, p := range profiles {
-			cfg, err := ev.ClusterConfig(d, p)
-			if err != nil {
-				return Report{}, err
-			}
-			sink := obs.NewSink()
-			opts := cluster.SimOptions{
-				Seed: 9, WarmupSec: 5, MeasureSec: 30, MaxClients: 512,
-				Obs: sink, SLOWindowSec: windowSec,
-			}
-			res, err := cfg.Simulate(workload.FixedGenerator{P: p}, opts)
-			if err != nil {
-				return Report{}, err
-			}
-			if res.SLO == nil {
-				return Report{}, fmt.Errorf("ext-slo: %s/%s returned no SLO collector", d.Name, p.Name)
-			}
-			ws := res.SLO.Windows()
-			violating := 0
-			for _, w := range ws {
-				if w.Violating {
-					violating++
-				}
-			}
-			eps := res.SLO.Episodes(res.SLOParts...)
-			peakExcess := 0.0
-			for _, e := range eps {
-				if e.PeakExcessSec > peakExcess {
-					peakExcess = e.PeakExcessSec
-				}
-			}
-			r.addf("%-11s %-10s %8d %10d %9d %10.2f %11.1f",
-				d.Name, p.Name, len(ws), violating, len(eps),
-				window.ViolationSec(eps)/60, peakExcess*1e3)
+	err := planeSweep(&r, func(_ core.Design, o *cluster.SimOptions) error {
+		o.SLOWindowSec = windowSec
+		return nil
+	}, func(c *planeCell) (string, error) {
+		res := &c.res
+		if res.SLO == nil {
+			return "", errors.New("returned no SLO collector")
 		}
+		ws := res.SLO.Windows()
+		violating := 0
+		for _, w := range ws {
+			if w.Violating {
+				violating++
+			}
+		}
+		eps := res.SLO.Episodes(res.SLOParts...)
+		peakExcess := 0.0
+		for _, e := range eps {
+			if e.PeakExcessSec > peakExcess {
+				peakExcess = e.PeakExcessSec
+			}
+		}
+		return fmt.Sprintf("%-11s %-10s %8d %10d %9d %10.2f %11.1f",
+			c.design.Name, c.profile.Name, len(ws), violating, len(eps),
+			window.ViolationSec(eps)/60, peakExcess*1e3), nil
+	})
+	if err != nil {
+		return Report{}, err
 	}
 	r.addf("")
 	r.addf("reading: viol-min is the wall an operator's error budget burns;")

@@ -1,7 +1,11 @@
 package experiments
 
 import (
+	"errors"
+	"fmt"
+
 	"warehousesim/internal/cluster"
+	"warehousesim/internal/fanout"
 	"warehousesim/internal/platform"
 	"warehousesim/internal/workload"
 	"warehousesim/internal/workload/mapreduce"
@@ -73,7 +77,7 @@ func runValidate() (Report, error) {
 		err  error
 	}
 	cells := make([]cellResult, len(profiles)*len(platforms))
-	runCells(SweepParallelism(), len(cells), func(i int) {
+	err := fanout.Ordered(SweepParallelism(), len(cells), func(_, i int) {
 		prof := profiles[i/len(platforms)]
 		if prof.Batch {
 			prof.JobRequests = 400 // keep DES runs short; ratio is scale-free
@@ -99,13 +103,17 @@ func runValidate() (Report, error) {
 			cell += " *"
 		}
 		cells[i].text = cell
-	})
+	}, func(i int) bool { return cells[i].err == nil })
+	var pe *fanout.PanicError
+	if errors.As(err, &pe) {
+		cells[pe.Index].err = err
+	}
 	for pi, p := range profiles {
 		row := pad(p.Name, 11)
 		for si := range platforms {
 			c := cells[pi*len(platforms)+si]
 			if c.err != nil {
-				return Report{}, c.err
+				return Report{}, fmt.Errorf("validate: %s on %s: %w", p.Name, platforms[si].Name, c.err)
 			}
 			row += pad(c.text, 24)
 		}

@@ -18,7 +18,6 @@ var domains = map[string]bool{
 	"energy":      true, // energy telemetry plane (internal/obs/energy)
 	"experiment":  true, // per-experiment event stream
 	"experiments": true, // experiments registry counters
-	"flashcache":  true, // flash-cache simulator
 	"fleet":       true, // fleet hybrid summary streams (internal/cluster/fleet.go)
 	"memblade":    true, // memory-blade simulator
 	"qlen":        true, // per-resource queue-length series (dynamic suffix)

@@ -1,12 +1,14 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"math"
-	"sync"
+	"math/bits"
 
 	"warehousesim/internal/des"
 	"warehousesim/internal/des/shard"
+	"warehousesim/internal/fanout"
 	"warehousesim/internal/obs"
 	"warehousesim/internal/obs/energy"
 	"warehousesim/internal/obs/window"
@@ -32,8 +34,8 @@ type SimOptions struct {
 	// trials reproduce the sequential seed schedule exactly and are
 	// consumed in sequential order, with work beyond the sequential
 	// stopping point discarded. Speculation requires a generator that
-	// advertises workload.IsStateless; stateful generators silently use
-	// the sequential path.
+	// advertises workload.IsStateless; a stateful generator's ramp runs
+	// on one worker.
 	Parallelism int
 
 	// Obs, when non-nil and enabled, receives the observability streams
@@ -223,75 +225,31 @@ func (c Config) Simulate(gen workload.Generator, opt SimOptions) (Result, error)
 	return c.simulateInteractive(gen, p, opt)
 }
 
-// rampCell is one speculative trial of the exponential ramp: the client
-// count, the seed the sequential search would have used for it, and the
-// outcome once run.
-type rampCell struct {
-	n    int
-	seed uint64
-	out  Result
-}
-
-// parallelRamp runs the exponential ramp's candidate client counts
-// (1, 2, 4, ... <= MaxClients) speculatively across par workers, in
-// waves, each candidate with the seed the sequential ramp would have
-// given it (Seed+1, Seed+2, ...). Results are consumed strictly in
-// candidate order and everything after the first QoS failure is
-// discarded, so the returned prefix of good outcomes, the bracket, and
-// the final seed-counter position are exactly what the sequential ramp
-// produces. Trials never record, and each worker owns a private
-// trialCtx, so the only shared state is the generator — which the
-// caller has verified is stateless.
-func (c Config) parallelRamp(gen workload.Generator, p workload.Profile, opt SimOptions, par int) (good []rampCell, lastGood, firstBad int, seed uint64) {
-	var cells []rampCell
-	for n := 1; n <= opt.MaxClients; n *= 2 {
-		cells = append(cells, rampCell{n: n, seed: opt.Seed + uint64(len(cells)) + 1})
-	}
-	ctxs := make([]*trialCtx, par)
-	for w := range ctxs {
-		ctxs[w] = newTrialCtx(c)
-	}
-
-	seed = opt.Seed
-	for lo := 0; lo < len(cells); lo += par {
-		hi := lo + par
-		if hi > len(cells) {
-			hi = len(cells)
-		}
-		var wg sync.WaitGroup
-		for i := lo; i < hi; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				cell := &cells[i]
-				cell.out = ctxs[i-lo].run(gen, p, cell.n, opt, cell.seed, nil)
-			}(i)
-		}
-		wg.Wait()
-		for i := lo; i < hi; i++ {
-			seed = cells[i].seed
-			if !cells[i].out.QoSMet {
-				firstBad = cells[i].n
-				return good, lastGood, firstBad, seed
-			}
-			good = append(good, cells[i])
-			lastGood = cells[i].n
-		}
-	}
-	return good, lastGood, 0, seed
-}
-
 func (c Config) simulateInteractive(gen workload.Generator, p workload.Profile, opt SimOptions) (Result, error) {
-	ctx := newTrialCtx(c)
-	seed := opt.Seed
-	trial := func(n int) (Result, uint64) {
-		seed++
-		return ctx.run(gen, p, n, opt, seed, nil), seed
-	}
-
 	tel, err := newPlanes(p, opt)
 	if err != nil {
 		return Result{}, err
+	}
+
+	// Exponential ramp: candidate i runs 1<<i clients (1, 2, 4, ... <=
+	// MaxClients) with seed Seed+i+1, the seed the sequential counter
+	// draws for it. Only a stateless generator may be sampled by
+	// concurrent trials. Each worker owns a trialCtx; a worker may finish
+	// candidate i+1 before i commits, so speculation needs a result slot
+	// per candidate, while one worker reuses a single slot.
+	dm := c.demandModelFor(p)
+	cands := bits.Len(uint(opt.MaxClients))
+	par := 1
+	if workload.IsStateless(gen) {
+		par = min(opt.Parallelism, cands)
+	}
+	ctxs := make([]*trialCtx, par)
+	for w := range ctxs {
+		ctxs[w] = newTrialCtx(c, dm)
+	}
+	outs := make([]Result, 1)
+	if par > 1 {
+		outs = make([]Result, cands)
 	}
 
 	best := Result{}
@@ -300,6 +258,33 @@ func (c Config) simulateInteractive(gen workload.Generator, p workload.Profile, 
 		if t.QoSMet && t.Throughput > best.Throughput {
 			best, bestSeed = t, s
 		}
+	}
+	lastGood, firstBad := 0, 0
+	seed := opt.Seed
+	err = fanout.Ordered(par, cands, func(w, i int) {
+		outs[i%len(outs)] = ctxs[w].run(gen, p, 1<<i, opt, opt.Seed+uint64(i)+1, nil)
+	}, func(i int) bool {
+		seed = opt.Seed + uint64(i) + 1
+		t := outs[i%len(outs)]
+		if !t.QoSMet {
+			firstBad = 1 << i
+			return false
+		}
+		record(t, seed)
+		lastGood = 1 << i
+		return true
+	})
+	if err != nil {
+		var pe *fanout.PanicError
+		errors.As(err, &pe)
+		return Result{}, fmt.Errorf("cluster: ramp trial at %d clients (seed %d): %w", 1<<pe.Index, opt.Seed+uint64(pe.Index)+1, err)
+	}
+
+	// The binary search and the replay run on the first worker's ctx.
+	ctx := ctxs[0]
+	trial := func(n int) (Result, uint64) {
+		seed++
+		return ctx.run(gen, p, n, opt, seed, nil), seed
 	}
 	// replay re-runs the chosen operating point with the recorder
 	// attached. Same seed, same trajectory: the instrumented replay's
@@ -317,29 +302,6 @@ func (c Config) simulateInteractive(gen workload.Generator, p workload.Profile, 
 		ctx.run(gen, p, n, opt, s, tel.tee(opt.Obs))
 	}
 
-	// Exponential ramp: speculative-parallel when allowed, else
-	// sequential. Both produce the same bracket, best-candidate
-	// bookkeeping, and seed-counter position.
-	lastGood, firstBad := 0, 0
-	if par := opt.Parallelism; par > 1 && workload.IsStateless(gen) {
-		var good []rampCell
-		good, lastGood, firstBad, seed = c.parallelRamp(gen, p, opt, par)
-		for _, g := range good {
-			record(g.out, g.seed)
-		}
-	} else {
-		for n := 1; n <= opt.MaxClients; {
-			t, s := trial(n)
-			if t.QoSMet {
-				record(t, s)
-				lastGood = n
-				n *= 2
-			} else {
-				firstBad = n
-				break
-			}
-		}
-	}
 	if lastGood == 0 {
 		// QoS unreachable even with one client: report best effort at a
 		// moderate load, mirroring the analytic path.

@@ -1,11 +1,12 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
+	"warehousesim/internal/fanout"
 	"warehousesim/internal/obs"
 	"warehousesim/internal/stats"
 	"warehousesim/internal/workload"
@@ -207,29 +208,13 @@ func (t *FleetTopology) simulate(c Config, gen workload.Generator, p workload.Pr
 	hotSinks := make([]*obs.Sink, len(t.HotSet))
 	hotDiags := make([]*obs.Sink, len(t.HotSet))
 	hotErrs := make([]error, len(t.HotSet))
-	par := opt.Parallelism
-	if par > len(t.HotSet) {
-		par = len(t.HotSet)
+	err := fanout.Ordered(opt.Parallelism, len(t.HotSet), func(_, i int) {
+		hot[i], hotErrs[i] = t.runHotRack(c, gen, p, opt, i, hotSinks, hotDiags)
+	}, func(i int) bool { return hotErrs[i] == nil })
+	var pe *fanout.PanicError
+	if errors.As(err, &pe) {
+		hotErrs[pe.Index] = err
 	}
-	if par < 1 {
-		par = 1
-	}
-	var wg sync.WaitGroup
-	idxCh := make(chan int)
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idxCh {
-				hot[i], hotErrs[i] = t.runHotRack(c, gen, p, opt, i, hotSinks, hotDiags)
-			}
-		}()
-	}
-	for i := range t.HotSet {
-		idxCh <- i
-	}
-	close(idxCh)
-	wg.Wait()
 	for i, err := range hotErrs {
 		if err != nil {
 			return Result{}, fmt.Errorf("cluster: fleet hot rack %d: %w", t.HotSet[i], err)

@@ -2,9 +2,12 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
+	"warehousesim/internal/fanout"
 	"warehousesim/internal/obs"
 	"warehousesim/internal/platform"
 	"warehousesim/internal/stats"
@@ -99,6 +102,42 @@ func TestStatefulGeneratorStaysSequential(t *testing.T) {
 	}
 	if seqN != parN {
 		t.Fatalf("stateful generator consumed %d samples under par, %d sequential — parallel path must not engage", parN, seqN)
+	}
+}
+
+// panickingGenerator is a deliberately broken model: a stateless
+// generator whose every Sample panics.
+type panickingGenerator struct{ workload.FixedGenerator }
+
+func (panickingGenerator) Sample(*stats.RNG) workload.Request { panic("broken model") }
+
+// TestModelPanicIsAnError: a model panic on a pool worker comes back as
+// an error naming the ramp trial or the fleet rack it hit, with the
+// panic value, instead of killing the process.
+func TestModelPanicIsAnError(t *testing.T) {
+	cfg := Config{Server: platform.Desk()}
+	gen := panickingGenerator{workload.FixedGenerator{P: workload.WebsearchProfile()}}
+	search := parTestOptions()
+	search.Parallelism = 2
+	fleet := search
+	fleet.Topology = &FleetTopology{Racks: 10, HotSet: []int{3, 7},
+		Rack: ShardedTopology{Enclosures: 2, BoardsPerEnclosure: 2, Shards: 1}}
+	for _, tc := range []struct {
+		name string
+		opt  SimOptions
+		want string
+	}{
+		{"search", search, "cluster: ramp trial at 1 clients (seed 12): panic in item 0: broken model"},
+		{"fleet", fleet, "cluster: fleet hot rack 3: panic in item 0: broken model"},
+	} {
+		_, err := cfg.Simulate(gen, tc.opt)
+		var pe *fanout.PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("%s: err = %v, want a wrapped *fanout.PanicError", tc.name, err)
+		}
+		if !strings.HasPrefix(err.Error(), tc.want) {
+			t.Fatalf("%s: err = %q, want prefix %q", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 // client records. One ctx serves one trial at a time; concurrent trials
 // (the speculative parallel ramp) each use their own ctx.
 type trialCtx struct {
-	cfg Config
 	sim *des.Sim
 	b   *board
 
@@ -29,8 +28,10 @@ type trialCtx struct {
 	clients []*client
 }
 
-func newTrialCtx(c Config) *trialCtx {
-	t := &trialCtx{cfg: c}
+// newTrialCtx builds the ctx for one search of c; dm is c's demand model
+// for the searched profile.
+func newTrialCtx(c Config, dm demandModel) *trialCtx {
+	t := &trialCtx{dm: dm}
 	t.sim = des.NewSim()
 	t.b = c.flatBoard(t.sim, &t.pop)
 	t.pop.sim = t.sim
@@ -50,7 +51,6 @@ func (t *trialCtx) run(gen workload.Generator, p workload.Profile, nClients int,
 	t.b.disk.Reset()
 	t.b.net.Reset()
 	t.rootRNG.Seed(seed)
-	t.dm = t.cfg.demandModelFor(p)
 	pop := &t.pop
 	pop.hist.Reset()
 	pop.think = stats.Exponential{Mean: p.ThinkTimeSec}

@@ -16,8 +16,6 @@ import (
 	"math"
 
 	"warehousesim/internal/lru"
-	"warehousesim/internal/obs"
-	"warehousesim/internal/obs/span"
 	"warehousesim/internal/stats"
 	"warehousesim/internal/trace"
 )
@@ -68,15 +66,6 @@ type Sim struct {
 	cfg    Config
 	blocks lru.Table
 	stats  Stats
-
-	// observability (nil when not instrumented)
-	rec         obs.Recorder
-	sampleEvery int64
-
-	// span tracing (nil tracer = off)
-	tracer      *span.Tracer
-	flashReadUs float64
-	diskReadUs  float64
 }
 
 // New builds an empty cache.
@@ -94,27 +83,10 @@ func (s *Sim) Read(block int64) bool {
 	if slot := s.blocks.Find(block); slot >= 0 {
 		s.blocks.Touch(slot)
 		s.stats.ReadHits++
-		s.observe("flashcache.reads", "flashcache.read_hits", true)
-		s.spanRead("flash", s.flashReadUs)
 		return true
 	}
 	s.install(block)
-	s.observe("flashcache.reads", "flashcache.read_hits", false)
-	if s.rec != nil {
-		s.rec.Event("flashcache.miss", float64(s.stats.Reads+s.stats.Writes),
-			obs.F("block", float64(block)))
-	}
-	s.spanRead("san", s.diskReadUs)
 	return false
-}
-
-// spanRead emits one storage span on the operation-count axis.
-func (s *Sim) spanRead(res string, durUs float64) {
-	ops := s.stats.Reads + s.stats.Writes
-	if idx := ops - 1; s.tracer.Sampled(idx) {
-		t := float64(ops)
-		s.tracer.Emit(0, idx, span.KindStorage, res, t, t+durUs)
-	}
 }
 
 // Write stores a disk block through the flash (the flash acts as a
@@ -125,29 +97,9 @@ func (s *Sim) Write(block int64) {
 		s.blocks.Touch(slot)
 		s.stats.WriteHits++
 		s.stats.FlashBlockWrites++ // re-program the block
-		s.observe("flashcache.writes", "flashcache.write_hits", true)
-		if s.rec != nil {
-			s.rec.Count("flashcache.block_writes", 1)
-		}
 		return
 	}
 	s.install(block)
-	s.observe("flashcache.writes", "flashcache.write_hits", false)
-}
-
-func (s *Sim) observe(opCounter, hitCounter string, hit bool) {
-	if s.rec == nil {
-		return
-	}
-	s.rec.Count(opCounter, 1)
-	if hit {
-		s.rec.Count(hitCounter, 1)
-	}
-	ops := s.stats.Reads + s.stats.Writes
-	if ops%s.sampleEvery == 0 && s.stats.Reads > 0 {
-		s.rec.Gauge("flashcache.read_hit_rate", float64(ops),
-			float64(s.stats.ReadHits)/float64(s.stats.Reads))
-	}
 }
 
 func (s *Sim) install(block int64) {
@@ -156,14 +108,8 @@ func (s *Sim) install(block int64) {
 	} else {
 		s.blocks.Replace(s.blocks.Tail(), block)
 		s.stats.Evictions++
-		if s.rec != nil {
-			s.rec.Count("flashcache.evictions", 1)
-		}
 	}
 	s.stats.FlashBlockWrites++
-	if s.rec != nil {
-		s.rec.Count("flashcache.block_writes", 1)
-	}
 }
 
 // Stats returns the accumulated counters.

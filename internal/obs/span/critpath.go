@@ -22,7 +22,7 @@ import (
 //   - "remote-memory": memory-blade page-swap stalls (swap spans); when
 //     a swap span is nested inside a service span its time moves from
 //     service to remote-memory instead of double-counting
-//   - "disk":          storage-station occupancy and flash/SAN accesses
+//   - "disk":          storage-station occupancy and SAN round trips
 const (
 	CatQueue     = "queue"
 	CatService   = "service"

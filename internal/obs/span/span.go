@@ -1,8 +1,8 @@
 // Package span is the causal-tracing layer on top of internal/obs: a
 // deterministic span model threaded through the request lifecycle —
 // request arrival, per-resource queue wait, service, memory-blade page
-// swap (with critical-block-first sub-spans), flash-cache/SAN access —
-// plus the consumers that turn recorded spans into artifacts: a
+// swap (with critical-block-first sub-spans), SAN round trip — plus the
+// consumers that turn recorded spans into artifacts: a
 // Chrome-trace-event/Perfetto JSON exporter (WriteTrace) and a
 // critical-path latency-attribution analyzer (Analyze).
 //
@@ -45,7 +45,7 @@ const (
 	// KindCBF is the critical-block-first sub-span of a swap: the
 	// faulting access resumes when the needed block arrives.
 	KindCBF = "cbf"
-	// KindStorage is a flash-cache or SAN storage access.
+	// KindStorage is a SAN storage round trip.
 	KindStorage = "storage"
 )
 

@@ -62,9 +62,8 @@ func (r *RNG) Uint64() uint64 {
 // the sweep's base seed: the index is spread by the golden-ratio
 // constant, xor-folded into the base, and splitmix-mixed (via Seed), so
 // cells get decorrelated streams while any (base, i) pair reproduces the
-// same seed forever — the contract the deterministic parallel sweep
-// engine (experiments' runCells) relies on when cells need their own
-// randomness. Deriving from position, not from a shared RNG, is what
+// same seed forever — the contract the experiments' parallel cell
+// sweeps rely on when cells need their own randomness. Deriving from position, not from a shared RNG, is what
 // makes cell seeds independent of execution order.
 //
 //whvet:allow nodeterm golden-ratio index spreading is part of the sanctioned derivation substrate (the alternative callers are pointed at)
