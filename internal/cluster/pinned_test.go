@@ -9,6 +9,7 @@ import (
 	"warehousesim/internal/obs"
 	"warehousesim/internal/obs/span"
 	"warehousesim/internal/platform"
+	"warehousesim/internal/power"
 	"warehousesim/internal/workload"
 )
 
@@ -68,6 +69,102 @@ func TestPinnedTracedExports(t *testing.T) {
 				{"Perfetto trace", c.trace, func(w io.Writer) error { return span.WriteTrace(w, sink) }},
 				{"attribution CSV", c.attr, span.Analyze(sink.Events()).WriteCSV},
 			} {
+				h := sha256.New()
+				if err := d.write(h); err != nil {
+					t.Fatal(err)
+				}
+				if got := hex.EncodeToString(h.Sum(nil)); got != d.want {
+					t.Errorf("%s sha256 = %s, want %s", d.name, got, d.want)
+				}
+			}
+		})
+	}
+}
+
+// TestPinnedPlaneExports pins the windowed-plane exports of fixed-seed
+// flat and rack runs, interactive and batch, in the two ways the energy
+// plane gets its windows: sharing the SLO collector (both planes at one
+// width) and reading a private collector (energy alone). The digests
+// cover the obs export and the -slo-out and -energy-out JSONL bodies,
+// so any change to how requests and probe samples reach the window
+// collectors — which streams, which classes, which windows, in which
+// order — moves at least one of them. The rack rows see every resource
+// class the energy model reads (cpu, net, memblade, san).
+func TestPinnedPlaneExports(t *testing.T) {
+	batch := workload.MapReduceWCProfile()
+	batch.JobRequests = 200
+	cfg := Config{Server: platform.Desk(), MemSlowdown: 0.2}
+	rack := &ShardedTopology{Enclosures: 2, BoardsPerEnclosure: 2, Shards: 2}
+	cases := []struct {
+		name          string
+		p             workload.Profile
+		topo          *ShardedTopology
+		sloSec        float64
+		obs, slo, eng string
+	}{
+		{"flat/interactive/shared", workload.WebsearchProfile(), nil, 1,
+			"90c69792ee4777b7be17a2c4656c5d668818627a20efe6769713d7e1fb73911f",
+			"769525cf300285659c055a6082942e67429e79a9c175b0aa08cbfd11838c3584",
+			"b7e2be2e876d8074adc630af6b8291472c2060129a1dbbcf81ede8f6afc6b189"},
+		{"flat/interactive/energy-only", workload.WebsearchProfile(), nil, 0,
+			"03bcf4faddf89357be96da435b8382ef65928e3a1fb1d33077185172c152a39c",
+			"",
+			"b7e2be2e876d8074adc630af6b8291472c2060129a1dbbcf81ede8f6afc6b189"},
+		{"flat/batch/shared", batch, nil, 1,
+			"c1ff12134dffab10831fec77a1a26f69f2a12650c4a5a011f728d58107e20600",
+			"b7d87296771be1cc8dc6a2ef7528999a74cbce98ce27d5f6d9979dd835643791",
+			"f41432cb87f95f414a824bb3a04b3ff240fb29780f6b93eee7fb6b0fb16ec34e"},
+		{"flat/batch/energy-only", batch, nil, 0,
+			"f236fc88997845b45a0269f193ac6c2c08afa913760c816b8d7f90e9ca4ebc12",
+			"",
+			"f41432cb87f95f414a824bb3a04b3ff240fb29780f6b93eee7fb6b0fb16ec34e"},
+		{"rack/interactive/shared", workload.WebsearchProfile(), rack, 1,
+			"628ea5ee1dc3a0345d35f5e8c25ff9e2d1f57e8e962084a07ef398f08790d902",
+			"aa595717db24b5ce6ad5189eebfc2dd1f75e96f3c4996adefde57ff1631f7fe3",
+			"9ded72c08654df2571ca44f654d16068c9d529c3ab9dfabeed9f69e926bafeeb"},
+		{"rack/interactive/energy-only", workload.WebsearchProfile(), rack, 0,
+			"9a6595f7bf8d21d6c5924bd8fea0175b2d47e755ac7b6e26dd718582b1db78fc",
+			"",
+			"9ded72c08654df2571ca44f654d16068c9d529c3ab9dfabeed9f69e926bafeeb"},
+		{"rack/batch/shared", batch, rack, 1,
+			"3314d0ebe63fe8a04eb4ed17878f7c15568f9fbd2bc0d0234486d232a3fbf710",
+			"1db3fe8dd00fa98738b8de68d006b9ac85c05a917cb6086016a130aad4648c22",
+			"39d4f1cab14a6427636fb737932ae25e38fce8b1cf28c82de81d2fffd643a658"},
+		{"rack/batch/energy-only", batch, rack, 0,
+			"d307e6415ac5379339770184e8d07c4de9bbf35da51d7703f73b59ecbd8e3415",
+			"",
+			"39d4f1cab14a6427636fb737932ae25e38fce8b1cf28c82de81d2fffd643a658"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			sink := obs.NewSink()
+			opt := obsTestOptions(sink)
+			if c.topo != nil {
+				opt.Topology = c.topo
+			}
+			opt.SLOWindowSec = c.sloSec
+			opt.Energy = testEnergyConfig(1, power.DefaultIdleFractions())
+			res, err := cfg.Simulate(workload.FixedGenerator{P: c.p}, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if shared := res.SLO != nil && res.Energy.Source() == res.SLO; shared != (c.sloSec > 0) {
+				t.Fatalf("energy shares the SLO collector = %v, want %v", shared, c.sloSec > 0)
+			}
+			exports := []struct {
+				name, want string
+				write      func(io.Writer) error
+			}{
+				{"obs export", c.obs, sink.WriteJSONL},
+				{"energy export", c.eng, res.Energy.WriteJSONL},
+			}
+			if res.SLO != nil {
+				exports = append(exports, struct {
+					name, want string
+					write      func(io.Writer) error
+				}{"SLO export", c.slo, func(w io.Writer) error { return res.SLO.WriteJSONL(w, res.SLOParts...) }})
+			}
+			for _, d := range exports {
 				h := sha256.New()
 				if err := d.write(h); err != nil {
 					t.Fatal(err)
