@@ -262,7 +262,7 @@ func (c Config) simulateInteractive(gen workload.Generator, p workload.Profile, 
 	lastGood, firstBad := 0, 0
 	seed := opt.Seed
 	err = fanout.Ordered(par, cands, func(w, i int) {
-		outs[i%len(outs)] = ctxs[w].run(gen, p, 1<<i, opt, opt.Seed+uint64(i)+1, nil)
+		outs[i%len(outs)] = ctxs[w].run(gen, p, 1<<i, opt, opt.Seed+uint64(i)+1, nil, planes{})
 	}, func(i int) bool {
 		seed = opt.Seed + uint64(i) + 1
 		t := outs[i%len(outs)]
@@ -284,13 +284,13 @@ func (c Config) simulateInteractive(gen workload.Generator, p workload.Profile, 
 	ctx := ctxs[0]
 	trial := func(n int) (Result, uint64) {
 		seed++
-		return ctx.run(gen, p, n, opt, seed, nil), seed
+		return ctx.run(gen, p, n, opt, seed, nil, planes{}), seed
 	}
 	// replay re-runs the chosen operating point with the recorder
 	// attached. Same seed, same trajectory: the instrumented replay's
 	// outcome matches the recorded best exactly, so -obs never changes
-	// the reported numbers. The window tee wraps only this replay — the
-	// search stays uninstrumented — so the window streams are a pure
+	// the reported numbers. Only this replay feeds the window planes —
+	// the search stays uninstrumented — so the window streams are a pure
 	// function of the chosen operating point and the seed.
 	replay := func(n int, s uint64) {
 		if !obs.On(opt.Obs) {
@@ -299,7 +299,7 @@ func (c Config) simulateInteractive(gen workload.Generator, p workload.Profile, 
 		if opt.OnLive != nil {
 			opt.OnLive(liveHandles(tel))
 		}
-		ctx.run(gen, p, n, opt, s, tel.tee(opt.Obs))
+		ctx.run(gen, p, n, opt, s, opt.Obs, tel)
 	}
 
 	if lastGood == 0 {
@@ -357,19 +357,19 @@ func (c Config) simulateBatch(gen workload.Generator, p workload.Profile, opt Si
 	if err != nil {
 		return Result{}, err
 	}
-	rec := tel.tee(opt.Obs)
 	pop.sim = sim
 	pop.dm = &dm
-	pop.bind(gen, rec, opt.TraceEvery, 0)
+	pop.bind(gen, opt.Obs, tel, opt.TraceEvery, 0)
 	pop.measuring = true
 
 	concurrency := c.batchSlots()
 
 	var probes *des.Probes
 	if pop.recording {
-		probes = des.NewProbes(sim, rec, des.Time(opt.ProbeIntervalSec))
+		probes = des.NewProbes(sim, opt.Obs, des.Time(opt.ProbeIntervalSec))
 		probes.Watch(b.cpu, b.disk, b.net)
 		probes.OnTick = opt.OnProbeTick
+		tel.watch(probes)
 		probes.Start()
 	}
 	var finish des.Time
@@ -388,8 +388,8 @@ func (c Config) simulateBatch(gen workload.Generator, p workload.Profile, opt Si
 	sim.Run(des.Time(math.MaxFloat64))
 	if pop.recording {
 		probes.Stop()
-		rec.Count("des.events", int64(sim.Fired()))
-		rec.Count("trial.clients", int64(concurrency))
+		opt.Obs.Count("des.events", int64(sim.Fired()))
+		opt.Obs.Count("trial.clients", int64(concurrency))
 	}
 	if pop.completed != p.JobRequests {
 		return Result{}, fmt.Errorf("cluster: batch job stalled at %d/%d tasks", pop.completed, p.JobRequests)

@@ -31,6 +31,7 @@ type population struct {
 
 	// recording state, zeroed for uninstrumented runs.
 	rec       obs.Recorder
+	tel       planes
 	recording bool
 	qosBound  float64
 	tracer    *span.Tracer
@@ -38,20 +39,18 @@ type population struct {
 }
 
 // bind starts a run: it zeroes the counters and attaches the run's
-// generator and recorder. A live recorder also instruments the
-// generator and, with traceEvery > 0, gets a tracer; span ids and
-// request numbers both start above base, so partitioned models that
-// give each part a disjoint base stay unique after the parts merge.
-// The tracer stays nil otherwise, and every tracer method no-ops on
-// nil, so the untraced path pays one nil check per request.
-func (p *population) bind(gen workload.Generator, rec obs.Recorder, traceEvery, base int64) {
+// generator, recorder and window planes. With a live recorder every
+// request's demands and completion are recorded, and completions feed
+// tel's collectors; with traceEvery > 0 it also gets a tracer. Span ids
+// and request numbers both start above base, so partitioned models
+// that give each part a disjoint base stay unique after the parts
+// merge. The tracer stays nil otherwise, and every tracer method no-ops
+// on nil, so the untraced path pays one nil check per request.
+func (p *population) bind(gen workload.Generator, rec obs.Recorder, tel planes, traceEvery, base int64) {
 	p.measuring, p.completed, p.arrivals, p.base = false, 0, 0, base
-	p.gen, p.rec, p.recording, p.tracer = gen, rec, obs.On(rec), nil
-	if p.recording {
-		p.gen = workload.Instrument(gen, rec)
-		if traceEvery > 0 {
-			p.tracer = span.NewTracerAt(rec, traceEvery, base)
-		}
+	p.gen, p.rec, p.tel, p.recording, p.tracer = gen, rec, tel, obs.On(rec), nil
+	if p.recording && traceEvery > 0 {
+		p.tracer = span.NewTracerAt(rec, traceEvery, base)
 	}
 }
 
@@ -69,11 +68,23 @@ func (p *population) wait(rng *stats.RNG, issue des.Action) {
 
 // next samples one request from rng and numbers it: its demands, its
 // request number, and whether the tracer keeps its span tree (sampling
-// goes by arrival index, so it does not depend on base).
+// goes by arrival index, so it does not depend on base). A live
+// recorder observes the sampled demand vector into the "demand."
+// histograms; that reads the sample and draws nothing, so recording
+// never changes the request stream.
 //
 //perf:hotpath
 func (p *population) next(rng *stats.RNG) (d Demands, req int64, traced bool) {
-	d = p.dm.For(p.gen.Sample(rng))
+	r := p.gen.Sample(rng)
+	if p.recording {
+		p.rec.Observe("demand.cpu_ref_sec", r.CPURefSec)
+		p.rec.Observe("demand.disk_ops", r.DiskOps)
+		p.rec.Observe("demand.disk_read_bytes", r.DiskReadBytes)
+		p.rec.Observe("demand.disk_write_bytes", r.DiskWriteBytes)
+		p.rec.Observe("demand.net_bytes", r.NetBytes)
+		p.rec.Count("demand.samples", 1)
+	}
+	d = p.dm.For(r)
 	traced = p.tracer.Sampled(p.arrivals)
 	req = p.base + p.arrivals
 	p.arrivals++
@@ -83,7 +94,7 @@ func (p *population) next(rng *stats.RNG) (d Demands, req int64, traced bool) {
 // done accounts one request, issued at start, completing now: the
 // latency histogram and completion count inside the measurement
 // window, and with a live recorder the request counters, the latency
-// histogram and the "request" event.
+// histogram, the "request" event and the window planes.
 //
 //perf:hotpath
 func (p *population) done(start des.Time) {
@@ -108,6 +119,7 @@ func (p *population) done(start des.Time) {
 	p.evFields[1] = obs.FB("qos_violation", violation)
 	p.evFields[2] = obs.FB("measured", p.measuring)
 	p.rec.Event("request", float64(now), p.evFields[:]...)
+	p.tel.observe(float64(now), latency, violation)
 }
 
 // emitStage records the queue and service spans of one station stage

@@ -208,8 +208,7 @@ type rackSim struct {
 	san       *des.Resource
 	sanEnt    shard.EntityID
 	aggEnt    shard.EntityID
-	global    *obs.Sink    // rack-global recording part (SAN probes, run counters)
-	globalRec obs.Recorder // global, tee'd into globalTel when windowing
+	global    *obs.Sink // rack-global recording part (SAN probes, run counters)
 	globalTel planes
 
 	aggDone   int
@@ -229,7 +228,6 @@ type rackEnclosure struct {
 	pop      population
 
 	sink *obs.Sink
-	rec  obs.Recorder // sink, tee'd into tel when windowing
 	tel  planes
 }
 
@@ -375,24 +373,25 @@ func buildRack(c Config, topo *ShardedTopology, gen workload.Generator, p worklo
 			bladeEnt: shard.EntityID(nBoards + e),
 		}
 		eng.Assign(enc.bladeEnt, sid)
+		var rec obs.Recorder // stays nil unrecorded: a nil *obs.Sink reads as on
 		if recording {
 			enc.sink = obs.NewSink()
-			// One set of window planes per enclosure, fed through a tee
-			// over the enclosure's private part: windows are assigned by
+			rec = enc.sink
+			// One set of window planes per enclosure, fed by the
+			// enclosure's population and probes: windows are assigned by
 			// observation time, so the per-enclosure collectors are the
 			// same at every shard count and merge in enclosure order
 			// exactly like the sinks do.
 			if enc.tel, err = newPlanes(p, opt); err != nil {
 				return nil, err
 			}
-			enc.rec = enc.tel.tee(enc.sink)
 		}
 		pop := &enc.pop
 		pop.sim = enc.sh.Sim
 		pop.dm = &r.dm
 		// Disjoint bases keep span ids and request numbers unique across
 		// the per-enclosure populations, at every shard count.
-		pop.bind(gen, enc.rec, opt.TraceEvery, (int64(e)+1)<<40)
+		pop.bind(gen, rec, enc.tel, opt.TraceEvery, (int64(e)+1)<<40)
 		if p.Batch {
 			pop.measuring = true // the whole job is the measurement
 		} else {
@@ -431,7 +430,6 @@ func buildRack(c Config, topo *ShardedTopology, gen workload.Generator, p worklo
 		if r.globalTel, err = newPlanes(p, opt); err != nil {
 			return nil, err
 		}
-		r.globalRec = r.globalTel.tee(r.global)
 	}
 	return r, nil
 }
@@ -445,8 +443,9 @@ func buildRack(c Config, topo *ShardedTopology, gen workload.Generator, p worklo
 func (r *rackSim) startProbes() {
 	iv := des.Time(r.opt.ProbeIntervalSec)
 	for _, enc := range r.encs {
-		pr := des.NewProbes(enc.sh.Sim, enc.rec, iv)
+		pr := des.NewProbes(enc.sh.Sim, enc.sink, iv)
 		pr.OmitKernel = true
+		enc.tel.watch(pr)
 		for _, bd := range enc.boards {
 			pr.Watch(bd.cpu, bd.net)
 		}
@@ -455,8 +454,9 @@ func (r *rackSim) startProbes() {
 		}
 		pr.Start()
 	}
-	gp := des.NewProbes(r.sh0.Sim, r.globalRec, iv)
+	gp := des.NewProbes(r.sh0.Sim, r.global, iv)
 	gp.OmitKernel = true
+	r.globalTel.watch(gp)
 	gp.Watch(r.san)
 	gp.OnTick = r.opt.OnProbeTick
 	gp.Start()

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"warehousesim/internal/des"
 	"warehousesim/internal/obs"
 	"warehousesim/internal/obs/energy"
 	"warehousesim/internal/obs/window"
@@ -11,7 +12,9 @@ import (
 // the energy view, nil when that plane is off. When the energy width
 // equals the SLO width the view reads the SLO collector itself, so
 // every stream is binned once; otherwise (the SLO plane off, or another
-// width) it reads a private collector. Either way one tee feeds them.
+// width) it reads a private collector. The producers feed them typed
+// values: the population each completed request (observe), the probes
+// each utilization sample (sampleUtil).
 type planes struct {
 	slo *window.Collector
 	en  *energy.Collector
@@ -61,15 +64,42 @@ func (pl planes) private() *window.Collector {
 	return pl.en.Source()
 }
 
-// tee wraps inner in the partition's one tee, which feeds each distinct
-// window collector once.
-func (pl planes) tee(inner obs.Recorder) obs.Recorder {
-	return window.NewTee(inner, pl.slo, pl.private())
+// fed lists the distinct window collectors, each once; off planes are
+// nil entries.
+func (pl planes) fed() [2]*window.Collector {
+	return [...]*window.Collector{pl.slo, pl.private()}
+}
+
+// observe feeds one request completing at at to each distinct window
+// collector.
+func (pl planes) observe(at, latency float64, violation bool) {
+	for _, c := range pl.fed() {
+		if c != nil {
+			c.ObserveLatency(at, latency, violation)
+		}
+	}
+}
+
+// sampleUtil feeds one probe utilization sample of a resource class to
+// each distinct window collector.
+func (pl planes) sampleUtil(class string, at, util float64) {
+	for _, c := range pl.fed() {
+		if c != nil {
+			c.SampleUtil(class, at, util)
+		}
+	}
+}
+
+// watch hands pr's utilization samples to the planes when any is on.
+func (pl planes) watch(pr *des.Probes) {
+	if pl != (planes{}) {
+		pr.OnUtil = pl.sampleUtil
+	}
 }
 
 // seal closes each distinct window collector at the run's horizon.
 func (pl planes) seal(horizon float64) {
-	for _, c := range [...]*window.Collector{pl.slo, pl.private()} {
+	for _, c := range pl.fed() {
 		if c != nil {
 			c.Seal(horizon)
 		}

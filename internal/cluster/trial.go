@@ -42,10 +42,11 @@ func newTrialCtx(c Config, dm demandModel) *trialCtx {
 
 // run simulates nClients closed-loop clients and measures sustained
 // throughput and latency percentiles over the measurement window. With a
-// live recorder it also emits the per-request event stream and attaches
-// the kernel/resource timeline probes; recording only observes, so the
-// outcome is identical to an uninstrumented trial at the same seed.
-func (t *trialCtx) run(gen workload.Generator, p workload.Profile, nClients int, opt SimOptions, seed uint64, rec obs.Recorder) Result {
+// live recorder it also emits the per-request event stream, feeds tel's
+// window planes and attaches the kernel/resource timeline probes;
+// recording only observes, so the outcome is identical to an
+// uninstrumented trial at the same seed.
+func (t *trialCtx) run(gen workload.Generator, p workload.Profile, nClients int, opt SimOptions, seed uint64, rec obs.Recorder, tel planes) Result {
 	t.sim.Reset()
 	t.b.cpu.Reset()
 	t.b.disk.Reset()
@@ -55,7 +56,7 @@ func (t *trialCtx) run(gen workload.Generator, p workload.Profile, nClients int,
 	pop.hist.Reset()
 	pop.think = stats.Exponential{Mean: p.ThinkTimeSec}
 	pop.qosBound = p.QoSLatencySec
-	pop.bind(gen, rec, opt.TraceEvery, 0)
+	pop.bind(gen, rec, tel, opt.TraceEvery, 0)
 
 	for len(t.clients) < nClients {
 		t.clients = append(t.clients, newClient(t.b))
@@ -73,6 +74,7 @@ func (t *trialCtx) run(gen workload.Generator, p workload.Profile, nClients int,
 		probes = des.NewProbes(t.sim, rec, des.Time(opt.ProbeIntervalSec))
 		probes.Watch(t.b.cpu, t.b.disk, t.b.net)
 		probes.OnTick = opt.OnProbeTick
+		tel.watch(probes)
 		probes.Start()
 	}
 

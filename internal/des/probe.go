@@ -2,6 +2,7 @@ package des
 
 import (
 	"fmt"
+	"strings"
 
 	"warehousesim/internal/obs"
 )
@@ -16,6 +17,7 @@ import (
 //   - "util.<resource>"     time-weighted busy fraction over the tick
 //   - "qlen.<resource>"     time-weighted queue length over the tick
 //
+// Each utilization sample also goes to OnUtil, typed, when it is set.
 // Probing only ever schedules its own tick events and reads state, so an
 // instrumented run's model trajectory is identical to an uninstrumented
 // one under the same seed — probes observe, they never perturb.
@@ -36,6 +38,13 @@ type Probes struct {
 	// observe-don't-perturb contract the recorder obeys.
 	OnTick func(now float64)
 
+	// OnUtil, when non-nil, receives each watched resource's
+	// utilization sample at every tick, right after its "util." gauge,
+	// with the resource's class: its name up to the first '.', so
+	// "cpu.e3.b1" is class "cpu". It is the windowed planes' utilization
+	// feed, under the same observe-don't-perturb contract as OnTick.
+	OnUtil func(class string, at, util float64)
+
 	// OmitKernel suppresses the kernel-wide gauges (des.heap_depth,
 	// des.events_per_sec), keeping only the per-resource series. The
 	// sharded rack model sets it: heap depth and event rate are
@@ -47,6 +56,7 @@ type Probes struct {
 
 type watchedResource struct {
 	r         *Resource
+	class     string
 	lastBusy  float64
 	lastQueue float64
 }
@@ -64,12 +74,20 @@ func NewProbes(sim *Sim, rec obs.Recorder, interval Time) *Probes {
 }
 
 // Watch adds a resource to the sampled set. Its utilization and
-// queue-length series are named after Resource.Name.
+// queue-length series are named after Resource.Name, and its class
+// (see OnUtil) is worked out here, once.
 func (p *Probes) Watch(resources ...*Resource) {
 	for _, r := range resources {
 		busy, queue := r.Integrals()
-		p.watched = append(p.watched, watchedResource{r: r, lastBusy: busy, lastQueue: queue})
+		p.watched = append(p.watched, watchedResource{r: r, class: resourceClass(r.Name()), lastBusy: busy, lastQueue: queue})
 	}
+}
+
+// resourceClass is the class of a resource named name: the name up to
+// its first '.', or the whole name when it has none.
+func resourceClass(name string) string {
+	class, _, _ := strings.Cut(name, ".")
+	return class
 }
 
 // Start schedules the first tick one interval from now. Starting an
@@ -112,7 +130,11 @@ func (p *Probes) tick() {
 			db, dq = busy, queue
 		}
 		w.lastBusy, w.lastQueue = busy, queue
-		p.rec.Gauge("util."+w.r.Name(), now, db/(dt*float64(w.r.Servers())))
+		util := db / (dt * float64(w.r.Servers()))
+		p.rec.Gauge("util."+w.r.Name(), now, util)
+		if p.OnUtil != nil {
+			p.OnUtil(w.class, now, util)
+		}
 		p.rec.Gauge("qlen."+w.r.Name(), now, dq/dt)
 	}
 

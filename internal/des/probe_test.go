@@ -108,3 +108,64 @@ func TestProbesNilRecorderIsInert(t *testing.T) {
 		t.Fatalf("nil-recorder probes scheduled ticks: fired=%d, want 1", sim.Fired())
 	}
 }
+
+func TestResourceClass(t *testing.T) {
+	for name, want := range map[string]string{
+		"cpu.e0.b1":   "cpu",
+		"memblade.e3": "memblade",
+		"san":         "san",
+		"net":         "net",
+	} {
+		if got := resourceClass(name); got != want {
+			t.Errorf("resourceClass(%q) = %q, want %q", name, got, want)
+		}
+	}
+}
+
+// TestProbesOnUtil: the typed utilization feed sees every watched
+// resource once per tick, classed, with exactly the value of its
+// "util." gauge.
+func TestProbesOnUtil(t *testing.T) {
+	sink := obs.NewSink()
+	sim := NewSim()
+	busy := NewResource(sim, "cpu.e0.b1", 2)
+	idle := NewResource(sim, "san", 1)
+	busy.Submit(1.5, func() {})
+	p := NewProbes(sim, sink, 1)
+	p.Watch(busy, idle)
+	type sample struct {
+		class string
+		at, v float64
+	}
+	var got []sample
+	p.OnUtil = func(class string, at, v float64) { got = append(got, sample{class, at, v}) }
+	p.Start()
+	sim.Run(2.5)
+	want := []sample{{"cpu", 1, 0.5}, {"san", 1, 0}, {"cpu", 2, 0.25}, {"san", 2, 0}}
+	if len(got) != len(want) {
+		t.Fatalf("OnUtil samples = %v, want %v", got, want)
+	}
+	for i, w := range want {
+		if got[i] != w {
+			t.Errorf("sample %d = %v, want %v", i, got[i], w)
+		}
+	}
+	for _, name := range []string{"util.cpu.e0.b1", "util.san"} {
+		class := resourceClass(name[len("util."):])
+		var fed []float64
+		for _, s := range got {
+			if s.class == class {
+				fed = append(fed, s.v)
+			}
+		}
+		pts := sink.SeriesByName(name).Points
+		if len(pts) != len(fed) {
+			t.Fatalf("%s has %d points, OnUtil saw %d", name, len(pts), len(fed))
+		}
+		for i, pt := range pts {
+			if pt.V != fed[i] {
+				t.Errorf("%s point %d = %g, OnUtil saw %g", name, i, pt.V, fed[i])
+			}
+		}
+	}
+}

@@ -433,39 +433,6 @@ func TestLiveReadDuringSeal(t *testing.T) {
 	}
 }
 
-// TestTeeRouting: the window tee feeds the source, and the view sees
-// exactly the routed request and utilization streams.
-func TestTeeRouting(t *testing.T) {
-	sink := obs.NewSink()
-	src, c := newView(t, Config{WidthSec: 1, Model: testModel()})
-	rec := window.NewTee(sink, src)
-	rec.Gauge("util.cpu.e0.b1", 0.5, 0.7)
-	rec.Gauge("util.san", 0.5, 0.2)
-	rec.Gauge("latency.p95", 0.5, 0.9) // not a util gauge: ignored
-	rec.Count("requests", 1)
-	rec.Observe("latency_sec", 0.01)
-	rec.Event("request", 0.6, obs.F("latency_sec", 0.01), obs.FB("qos_violation", true))
-	rec.Event("probe", 0.6) // not a request event: ignored
-	src.Seal(1)
-
-	ws := c.Windows()
-	if len(ws) != 1 {
-		t.Fatalf("got %d windows", len(ws))
-	}
-	if math.Abs(ws[0].Util["cpu"]-0.7) > 1e-12 || math.Abs(ws[0].Util["san"]-0.2) > 1e-12 {
-		t.Errorf("routed util %v", ws[0].Util)
-	}
-	if len(ws[0].Util) != 2 {
-		t.Errorf("non-util gauge leaked into classes: %v", ws[0].Util)
-	}
-	if ws[0].Requests != 1 || ws[0].Violations != 1 {
-		t.Errorf("request routing: %+v", ws[0])
-	}
-	if sink.CounterValue("requests") != 1 {
-		t.Error("tee did not forward counters")
-	}
-}
-
 func TestEmitTotals(t *testing.T) {
 	sink := obs.NewSink()
 	src, c := newView(t, Config{WidthSec: 1, Model: testModel()})

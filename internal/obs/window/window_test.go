@@ -395,55 +395,3 @@ func TestLiveSnapshot(t *testing.T) {
 		t.Errorf("empty snapshot invalid: %s", b)
 	}
 }
-
-func TestTeeRouting(t *testing.T) {
-	cfg := Config{WidthSec: 1, QoSLatencySec: 0.1, QoSPercentile: 0.9}
-	// Two collectors of different widths behind one tee, with a nil
-	// (plane off) in between: both see every routed stream once.
-	c, c2 := mustNew(t, cfg), mustNew(t, Config{WidthSec: 2})
-	sink := obs.NewSink()
-	rec := NewTee(sink, c, nil, c2)
-	if !rec.Enabled() {
-		t.Fatal("tee over an enabled sink must be enabled")
-	}
-	rec.Count("requests", 1)
-	rec.Observe("latency_sec", 0.25)
-	rec.Gauge("util.cpu.e0.b1", 0.5, 0.75)
-	rec.Gauge("qlen.cpu.e0.b1", 0.5, 3)      // not routed
-	rec.Gauge("memblade.hit_rate", 0.5, 0.9) // not routed
-	rec.Event("request", 0.5, obs.F("latency_sec", 0.25), obs.FB("qos_violation", true), obs.FB("measured", true))
-	rec.Event("span", 0.6, obs.F("id", 1)) // not routed
-	c.Seal(1)
-	c2.Seal(1)
-
-	// Inner sink saw everything unchanged.
-	if sink.CounterValue("requests") != 1 || sink.EventCount("request") != 1 || sink.EventCount("span") != 1 {
-		t.Error("tee did not forward to the inner recorder")
-	}
-	if sink.SeriesByName("util.cpu.e0.b1") == nil || sink.SeriesByName("qlen.cpu.e0.b1") == nil {
-		t.Error("tee did not forward gauges")
-	}
-	for _, col := range []*Collector{c, c2} {
-		ws := col.Windows()
-		if len(ws) != 1 {
-			t.Fatalf("windows = %+v", ws)
-		}
-		w := ws[0]
-		if w.Requests != 1 || w.Violations != 1 {
-			t.Errorf("request event not routed once: %+v", w)
-		}
-		if got := w.Util["cpu"]; got != 0.75 {
-			t.Errorf("util class routing: cpu = %g, want 0.75 (from util.cpu.e0.b1)", got)
-		}
-		if len(w.Util) != 1 {
-			t.Errorf("non-util gauge leaked into util classes: %v", w.Util)
-		}
-	}
-	// NewTee with no live collector is the identity.
-	if r := NewTee(sink, nil); r != obs.Recorder(sink) {
-		t.Error("NewTee(nil collector) should return the inner recorder")
-	}
-	if r := NewTee(sink); r != obs.Recorder(sink) {
-		t.Error("NewTee() should return the inner recorder")
-	}
-}
