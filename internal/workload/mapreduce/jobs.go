@@ -81,33 +81,58 @@ func (c CorpusConfig) Validate() error {
 
 // GenerateCorpus writes a synthetic Zipf-worded text file into the DFS.
 func GenerateCorpus(d *DFS, name string, cfg CorpusConfig) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	z, err := stats.NewZipf(cfg.Vocabulary, cfg.ZipfS)
+	w, err := newCorpusWriter(cfg)
 	if err != nil {
 		return err
 	}
-	r := stats.NewRNG(cfg.Seed)
-	var b strings.Builder
-	b.Grow(int(cfg.TotalBytes) + 256)
-	for int64(b.Len()) < cfg.TotalBytes {
-		for w := 0; w < cfg.WordsPerLine; w++ {
-			if w > 0 {
-				b.WriteByte(' ')
-			}
-			b.WriteString(wordOf(z.Rank(r)))
-		}
-		b.WriteByte('\n')
-	}
-	return d.Create(name, []byte(b.String()))
+	data, _ := w.appendLines(make([]byte, 0, int(cfg.TotalBytes)+256), int(cfg.TotalBytes))
+	return d.Create(name, data)
 }
 
-// wordOf renders rank i as a deterministic pseudo-word ("w" + base26).
-func wordOf(i int) string {
+// corpusWriter draws the Zipf-ranked words of a corpus from one seeded
+// stream, so every file it writes continues the same word sequence.
+type corpusWriter struct {
+	z            *stats.Zipf
+	r            *stats.RNG
+	wordsPerLine int
+}
+
+// newCorpusWriter validates cfg and seeds a writer from it.
+func newCorpusWriter(cfg CorpusConfig) (*corpusWriter, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	z, err := stats.NewZipf(cfg.Vocabulary, cfg.ZipfS)
+	if err != nil {
+		return nil, err
+	}
+	return &corpusWriter{z: z, r: stats.NewRNG(cfg.Seed), wordsPerLine: cfg.WordsPerLine}, nil
+}
+
+// appendLines appends whole lines of space-separated words to b until
+// it holds at least n bytes, and returns it with the number of lines
+// appended.
+func (w *corpusWriter) appendLines(b []byte, n int) ([]byte, int64) {
+	lines := int64(0)
+	for len(b) < n {
+		for i := 0; i < w.wordsPerLine; i++ {
+			if i > 0 {
+				b = append(b, ' ')
+			}
+			b = appendWord(b, w.z.Rank(w.r))
+		}
+		b = append(b, '\n')
+		lines++
+	}
+	return b, lines
+}
+
+// appendWord appends rank i as a deterministic pseudo-word ("w" +
+// base26) to b.
+func appendWord(b []byte, i int) []byte {
 	const letters = "abcdefghijklmnopqrstuvwxyz"
 	if i == 0 {
-		return "wa"
+		return append(b, "wa"...)
 	}
 	var buf [16]byte
 	n := len(buf)
@@ -116,7 +141,7 @@ func wordOf(i int) string {
 		buf[n] = letters[i%26]
 		i /= 26
 	}
-	return "w" + string(buf[n:])
+	return append(append(b, 'w'), buf[n:]...)
 }
 
 // WordCountJob builds the paper's mapred-wc job over the given input.
@@ -134,33 +159,22 @@ func WordCountJob(input, output string) Job {
 
 // RunWrite executes the paper's mapred-wr job: tasks generate random
 // words and populate the file system. Each task writes one chunk-sized
-// file; the returned stats mirror JobResult's map tasks.
+// file; the returned stats mirror JobResult's map tasks. cfg is
+// validated as GenerateCorpus validates it.
 func RunWrite(d *DFS, prefix string, tasks int, bytesPerTask int, cfg CorpusConfig) ([]TaskStats, error) {
 	if tasks <= 0 || bytesPerTask <= 0 {
 		return nil, fmt.Errorf("mapreduce: write job needs positive tasks and sizes")
 	}
-	z, err := stats.NewZipf(cfg.Vocabulary, cfg.ZipfS)
+	w, err := newCorpusWriter(cfg)
 	if err != nil {
 		return nil, err
 	}
-	r := stats.NewRNG(cfg.Seed)
 	var out []TaskStats
+	// Create copies what it stores, so one buffer serves every task.
+	buf := make([]byte, 0, bytesPerTask+64)
 	for t := 0; t < tasks; t++ {
-		var b strings.Builder
-		b.Grow(bytesPerTask + 64)
-		records := int64(0)
-		for b.Len() < bytesPerTask {
-			for w := 0; w < cfg.WordsPerLine; w++ {
-				if w > 0 {
-					b.WriteByte(' ')
-				}
-				b.WriteString(wordOf(z.Rank(r)))
-			}
-			b.WriteByte('\n')
-			records++
-		}
+		data, records := w.appendLines(buf[:0], bytesPerTask)
 		name := fmt.Sprintf("%s-%05d", prefix, t)
-		data := []byte(b.String())
 		if err := d.Create(name, data); err != nil {
 			return nil, err
 		}

@@ -217,12 +217,12 @@ func TestGenerateCorpusSizeAndDeterminism(t *testing.T) {
 	}
 }
 
-func TestWordOfDistinct(t *testing.T) {
+func TestAppendWordDistinct(t *testing.T) {
 	seen := map[string]bool{}
 	for i := 0; i < 10000; i++ {
-		w := wordOf(i)
+		w := string(appendWord(nil, i))
 		if seen[w] {
-			t.Fatalf("wordOf(%d) = %q duplicates an earlier word", i, w)
+			t.Fatalf("appendWord(%d) = %q duplicates an earlier word", i, w)
 		}
 		seen[w] = true
 	}
@@ -256,6 +256,11 @@ func TestRunWrite(t *testing.T) {
 	}
 	if _, err := RunWrite(d, "x", 0, 10, cfg); err == nil {
 		t.Error("zero tasks accepted")
+	}
+	bad := cfg
+	bad.WordsPerLine = 0
+	if _, err := RunWrite(d, "y", 1, 10, bad); err == nil {
+		t.Error("invalid corpus config accepted")
 	}
 }
 
@@ -350,7 +355,7 @@ func TestQuickWordCountConservation(t *testing.T) {
 				if w > 0 {
 					b.WriteByte(' ')
 				}
-				b.WriteString(wordOf(r.Intn(50)))
+				b.Write(appendWord(nil, r.Intn(50)))
 				words++
 			}
 			b.WriteByte('\n')
