@@ -3,10 +3,9 @@ package energy
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
-	"os"
 
+	"warehousesim/internal/obs"
 	"warehousesim/internal/power"
 )
 
@@ -84,20 +83,7 @@ func (c *Collector) WriteJSONL(w io.Writer) error {
 }
 
 // WriteFile writes the JSONL export to path.
-func (c *Collector) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("energy: %w", err)
-	}
-	if err := c.WriteJSONL(f); err != nil {
-		f.Close()
-		return fmt.Errorf("energy: write %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("energy: close %s: %w", path, err)
-	}
-	return nil
-}
+func (c *Collector) WriteFile(path string) error { return obs.ExportFile(path, c.WriteJSONL) }
 
 // liveDoc is the /obs/energy snapshot: per-part sealed-window
 // summaries as of the last seal. Live views are per part — the merged

@@ -166,16 +166,22 @@ func packFields(fields []Field) string {
 // WriteFile exports the sink to path, choosing the format from the
 // extension: ".csv" writes CSV, anything else JSONL.
 func (s *Sink) WriteFile(path string) error {
+	write := s.WriteJSONL
+	if strings.EqualFold(filepath.Ext(path), ".csv") {
+		write = s.WriteCSV
+	}
+	return ExportFile(path, write)
+}
+
+// ExportFile creates the file at path, fills it with write and closes
+// it, also when write fails. A failed create, write or close comes back
+// as an error naming the path.
+func ExportFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("obs: %w", err)
 	}
-	var werr error
-	if strings.EqualFold(filepath.Ext(path), ".csv") {
-		werr = s.WriteCSV(f)
-	} else {
-		werr = s.WriteJSONL(f)
-	}
+	werr := write(f)
 	if cerr := f.Close(); werr == nil {
 		werr = cerr
 	}

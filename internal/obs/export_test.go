@@ -3,6 +3,9 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
+	"io/fs"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -110,4 +113,25 @@ func TestWriteFilePicksFormatByExtension(t *testing.T) {
 	}
 	checkFile(t, jl, jlBuf.Bytes())
 	checkFile(t, cs, csBuf.Bytes())
+}
+
+// TestExportFileErrors: a failed create or write comes back as an error
+// naming the path and wrapping the cause, and a failed write still
+// leaves the file closed with what was written before the failure.
+func TestExportFileErrors(t *testing.T) {
+	dir := t.TempDir()
+	missing := filepath.Join(dir, "nope", "run.jsonl")
+	if err := ExportFile(missing, func(io.Writer) error { return nil }); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("create in a missing directory: err = %v, want fs.ErrNotExist", err)
+	}
+	boom := errors.New("boom")
+	path := filepath.Join(dir, "run.jsonl")
+	err := ExportFile(path, func(w io.Writer) error {
+		io.WriteString(w, "partial")
+		return boom
+	})
+	if !errors.Is(err, boom) || !strings.Contains(err.Error(), path) {
+		t.Errorf("failed write: err = %v, want it to wrap boom and name %s", err, path)
+	}
+	checkFile(t, path, []byte("partial"))
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -233,17 +232,4 @@ func (a Attribution) WriteCSV(w io.Writer) error {
 }
 
 // WriteCSVFile exports the table to path.
-func (a Attribution) WriteCSVFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("span: %w", err)
-	}
-	werr := a.WriteCSV(f)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return fmt.Errorf("span: writing %s: %w", path, werr)
-	}
-	return nil
-}
+func (a Attribution) WriteCSVFile(path string) error { return obs.ExportFile(path, a.WriteCSV) }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 
 	"warehousesim/internal/obs"
@@ -56,18 +55,7 @@ func WriteTrace(w io.Writer, src TraceSource) error {
 
 // WriteTraceFile exports the span trace to path.
 func WriteTraceFile(path string, src TraceSource) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("span: %w", err)
-	}
-	werr := WriteTrace(f, src)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return fmt.Errorf("span: writing %s: %w", path, werr)
-	}
-	return nil
+	return obs.ExportFile(path, func(w io.Writer) error { return WriteTrace(w, src) })
 }
 
 // TraceSource is the slice of *obs.Sink the exporters need.

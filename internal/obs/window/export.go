@@ -3,9 +3,9 @@ package window
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
-	"os"
+
+	"warehousesim/internal/obs"
 )
 
 // SchemaSLO identifies the -slo-out JSONL export.
@@ -81,18 +81,7 @@ func (c *Collector) WriteJSONL(w io.Writer, parts ...*Collector) error {
 
 // WriteFile writes the JSONL export to path.
 func (c *Collector) WriteFile(path string, parts ...*Collector) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("window: %w", err)
-	}
-	if err := c.WriteJSONL(f, parts...); err != nil {
-		f.Close()
-		return fmt.Errorf("window: write %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("window: close %s: %w", path, err)
-	}
-	return nil
+	return obs.ExportFile(path, func(w io.Writer) error { return c.WriteJSONL(w, parts...) })
 }
 
 // liveDoc is the /obs/windows snapshot: per-part sealed-window
