@@ -3,8 +3,12 @@ package cliflags
 import (
 	"flag"
 	"io"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
+
+	"warehousesim/internal/cluster"
 )
 
 // newSet builds a quiet FlagSet with every validated group registered,
@@ -129,4 +133,106 @@ func TestShardingBoardsList(t *testing.T) {
 	if topo := sh.Topology(); topo.BoardsPerEnclosure != 6 || topo.Boards != nil {
 		t.Errorf("uniform topology %+v", topo)
 	}
+}
+
+// FuzzRackFlags parses fuzzed rack, fleet and window flag values on a
+// fresh FlagSet with the four validated groups registered, the way the
+// mains do. Validate, Topology and RackTemplate must never panic; a
+// -boards value Validate accepts must round-trip through parseBoards
+// and reach the rack template unchanged; and every topology the groups
+// build is either rejected by SimOptions.Normalize or normalized to a
+// rack within the 16,384-board cap.
+func FuzzRackFlags(f *testing.F) {
+	f.Add("8,2,2,2", "", 1, 0, false, 0, 0, "1s", "1s")
+	f.Add("4,,2", "0", 2, 3, true, 4, 1, "", "500ms")
+	f.Add("99999999999", "", 1, 4, true, 0, 0, "0s", "")
+	f.Add("4", "-1", 1, 2, true, 8, 0, "-1s", "2s")
+	f.Add("16384", "3,9", 0, 1, true, 16, 2, "250ms", "0")
+	f.Fuzz(func(t *testing.T, boards, hotSet string, shards, enclosures int, setEnclosures bool, racks, hotRacks int, sloWindow, energyWindow string) {
+		fs := flag.NewFlagSet("fuzz", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		sh := AddSharding(fs)
+		fl := AddFleet(fs, sh)
+		slo := AddSLO(fs)
+		en := AddEnergy(fs)
+		args := []string{
+			"-boards=" + boards, "-hot-set=" + hotSet, "-shards=" + strconv.Itoa(shards),
+			"-racks=" + strconv.Itoa(racks), "-hot-racks=" + strconv.Itoa(hotRacks),
+			"-slo-window=" + sloWindow, "-energy-window=" + energyWindow,
+		}
+		if setEnclosures {
+			args = append(args, "-enclosures="+strconv.Itoa(enclosures))
+		}
+		if fs.Parse(args) != nil {
+			return // a value the flag package itself rejects
+		}
+		verr := Validate(sh, fl, slo, en)
+		tmpl := sh.RackTemplate()
+		if verr == nil {
+			per, list, err := parseBoards(boards)
+			if err != nil {
+				t.Fatalf("Validate accepted -boards %q that parseBoards rejects: %v", boards, err)
+			}
+			if tmpl.BoardsPerEnclosure != per || !slices.Equal(tmpl.Boards, list) {
+				t.Fatalf("-boards %q parsed as (%d, %v) but the template holds (%d, %v)", boards, per, list, tmpl.BoardsPerEnclosure, tmpl.Boards)
+			}
+			canon := strconv.Itoa(per)
+			if list != nil {
+				parts := make([]string, len(list))
+				for i, n := range list {
+					parts[i] = strconv.Itoa(n)
+				}
+				canon = strings.Join(parts, ",")
+			}
+			per2, list2, err := parseBoards(canon)
+			if err != nil || per2 != per || !slices.Equal(list2, list) {
+				t.Fatalf("-boards %q does not round-trip: %q parses as (%d, %v, %v), want (%d, %v)", boards, canon, per2, list2, err, per, list)
+			}
+		}
+		var topos []cluster.Topology
+		if rack := sh.Topology(); rack != nil {
+			topos = append(topos, rack)
+		}
+		if fleet := fl.Topology(); fleet != nil {
+			topos = append(topos, fleet)
+		}
+		for _, topo := range topos {
+			got, err := cluster.SimOptions{MeasureSec: 1, MaxClients: 1, SLOWindowSec: slo.WindowSec(), Topology: topo}.Normalize()
+			if err != nil {
+				continue
+			}
+			var rack *cluster.ShardedTopology
+			switch nt := got.Topology.(type) {
+			case *cluster.ShardedTopology:
+				rack = nt
+			case *cluster.FleetTopology:
+				rack = &nt.Rack
+			default:
+				t.Fatalf("Normalize returned a %T topology", got.Topology)
+			}
+			if n := boardCount(rack); n < 1 || n > 1<<14 {
+				t.Fatalf("Normalize accepted a rack of %d boards, outside [1, 16384]: %+v", n, rack)
+			}
+		}
+	})
+}
+
+// boardCount is a rack's total board count, saturating one past the
+// 16,384-board cap instead of overflowing.
+func boardCount(t *cluster.ShardedTopology) int {
+	const limit = 1<<14 + 1
+	if len(t.Boards) > 0 {
+		n := 0
+		for _, b := range t.Boards {
+			n = min(n+min(b, limit), limit)
+		}
+		return n
+	}
+	if t.Enclosures < 1 || t.BoardsPerEnclosure < 1 {
+		return 0
+	}
+	if t.BoardsPerEnclosure > limit/t.Enclosures {
+		return limit
+	}
+	return t.Enclosures * t.BoardsPerEnclosure
 }
