@@ -73,8 +73,8 @@ func driverUtil(util map[string]float64, classes ...string) float64 {
 }
 
 // WattsAt maps the observed per-resource-class utilizations (the
-// classes the simulators' "util.<resource>" gauges produce: cpu, disk,
-// net, san, memblade) onto the power model's component classes and
+// classes the simulators' probes feed the window collectors: cpu,
+// disk, net, san, memblade) onto the power model's component classes and
 // returns the utilization-conditioned breakdown. The driver mapping is
 // fixed and documented in DESIGN.md §10: each component interpolates on
 // the utilization of the resource whose activity physically drives it,
