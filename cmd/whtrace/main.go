@@ -72,6 +72,41 @@ func policyFor(name string) (memblade.Policy, error) {
 	}
 }
 
+// generate collects a page trace of requests requests from workload
+// wl's engine and returns it with the workload's footprint in pages.
+func generate(wl string, seed uint64, requests int) (*trace.PageTrace, int64, error) {
+	tracer, p, err := tracerFor(wl)
+	if err != nil {
+		return nil, 0, err
+	}
+	fmt.Printf("tracing %d %s requests...\n", requests, p.Name)
+	return trace.CollectPages(tracer, stats.NewRNG(seed), requests), int64(p.MemFootprintMB * 1e6 / 4096), nil
+}
+
+// instrument attaches a fresh sink to sim's hit/miss streams, sampling
+// the hit-rate series every sampleEvery accesses and span-tracing every
+// traceEvery-th access.
+func instrument(sim *memblade.Sim, sampleEvery, traceEvery int64) *obs.Sink {
+	sink := obs.NewSink()
+	sim.Instrument(sink, sampleEvery)
+	sim.InstrumentSpans(span.NewTracer(sink, traceEvery))
+	return sink
+}
+
+// replayManifest describes a replay of workload wl under cfg. The
+// replay's time axis is the access count, so the manifest reports
+// accesses in SimTimeSec's role and hit/miss streams export exactly
+// like the cluster path's request streams.
+func replayManifest(wl string, cfg memblade.Config, traceEvery int64, st memblade.Stats) obs.Manifest {
+	man := obs.NewManifest(wl, "memblade", cfg.Seed)
+	man.Config["local_fraction"] = strconv.FormatFloat(cfg.LocalFraction, 'g', -1, 64)
+	man.Config["policy"] = cfg.Policy.String()
+	man.Config["footprint_pages"] = strconv.FormatInt(cfg.FootprintPages, 10)
+	man.Config["trace_every"] = strconv.FormatInt(traceEvery, 10)
+	man.SimTimeSec = float64(st.Accesses)
+	return man
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("whtrace: ")
@@ -125,13 +160,10 @@ func main() {
 		footprint = trace.AnalyzePages(tr).MaxPage + 1
 		fmt.Printf("loaded %s: %d requests, %d accesses\n", *in, tr.Requests(), len(tr.Accesses))
 	} else {
-		tracer, p, err := tracerFor(*wl)
+		tr, footprint, err = generate(*wl, *seed, *requests)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("tracing %d %s requests...\n", *requests, p.Name)
-		tr = trace.CollectPages(tracer, stats.NewRNG(*seed), *requests)
-		footprint = int64(p.MemFootprintMB * 1e6 / 4096)
 	}
 
 	if *out != "" {
@@ -163,20 +195,14 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		sim, err := memblade.New(memblade.Config{
-			FootprintPages: footprint,
-			LocalFraction:  *local,
-			Policy:         pol,
-			Seed:           *seed,
-		})
+		cfg := memblade.Config{FootprintPages: footprint, LocalFraction: *local, Policy: pol, Seed: *seed}
+		sim, err := memblade.New(cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
 		var sink *obs.Sink
 		if obsOn {
-			sink = obs.NewSink()
-			sim.Instrument(sink, *sampleEvery)
-			sim.InstrumentSpans(span.NewTracer(sink, *traceEvery))
+			sink = instrument(sim, *sampleEvery, *traceEvery)
 		}
 		start := time.Now()
 		st := memblade.Replay(sim, tr)
@@ -189,15 +215,7 @@ func main() {
 		}
 
 		if sink != nil {
-			// The replay's time axis is the access count, so the manifest
-			// reports accesses in SimTimeSec's role and hit/miss streams
-			// export exactly like the cluster path's request streams.
-			man := obs.NewManifest(*wl, "memblade", *seed)
-			man.Config["local_fraction"] = strconv.FormatFloat(*local, 'g', -1, 64)
-			man.Config["policy"] = pol.String()
-			man.Config["footprint_pages"] = strconv.FormatInt(footprint, 10)
-			man.Config["trace_every"] = strconv.FormatInt(*traceEvery, 10)
-			man.SimTimeSec = float64(st.Accesses)
+			man := replayManifest(*wl, cfg, *traceEvery, st)
 			man.WallSec = wall.Seconds()
 			sink.SetManifest(man)
 
@@ -205,7 +223,7 @@ func main() {
 			if err := sink.WriteFile(out); err != nil {
 				log.Fatal(err)
 			}
-			log.Printf("obs: wrote %s (%d events) in %.2fs wall", out, len(sink.Events()), wall.Seconds())
+			log.Printf("obs: wrote %s (%d events) in %.2fs wall", out, sink.NumEvents(), wall.Seconds())
 			if *traceOut != "" {
 				if err := span.WriteTraceFile(*traceOut, sink); err != nil {
 					log.Fatal(err)

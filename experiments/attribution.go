@@ -33,7 +33,7 @@ func runExtCritpath() (Report, error) {
 		o.TraceEvery = 1
 		return nil
 	}, func(c *planeCell) (string, error) {
-		attr := span.Analyze(c.sink.Events())
+		attr := span.Analyze(c.sink)
 		if attr.Requests == 0 {
 			return "", errors.New("traced no completed requests")
 		}

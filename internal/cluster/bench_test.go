@@ -92,8 +92,8 @@ func TestAllocBounds(t *testing.T) {
 	benchgate.Check(t, []benchgate.Row{
 		{Name: "AnalyticSolve", Bench: BenchmarkAnalyticSolve, MaxBytes: 448, MaxAllocs: 5},
 		{Name: "DESTrial", Bench: BenchmarkDESTrial, MaxBytes: 19133, MaxAllocs: 295},
-		{Name: "DESTrialObs", Bench: BenchmarkDESTrialObs, MaxBytes: 304071, MaxAllocs: 567},
-		{Name: "DESTrialTraced", Bench: BenchmarkDESTrialTraced, MaxBytes: 2400901, MaxAllocs: 580},
+		{Name: "DESTrialObs", Bench: BenchmarkDESTrialObs, MaxBytes: 101700, MaxAllocs: 567},
+		{Name: "DESTrialTraced", Bench: BenchmarkDESTrialTraced, MaxBytes: 834755, MaxAllocs: 580},
 		{Name: "ShardedTrial", Bench: BenchmarkShardedTrial, MaxBytes: 208582, MaxAllocs: 3590},
 		{Name: "ShardedTrial2", Bench: BenchmarkShardedTrial2, MaxBytes: 247560, MaxAllocs: 3711},
 		{Name: "ShardedTrial4", Bench: BenchmarkShardedTrial4, MaxBytes: 301071, MaxAllocs: 3938},

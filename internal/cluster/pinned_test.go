@@ -67,7 +67,7 @@ func TestPinnedTracedExports(t *testing.T) {
 			}{
 				{"obs export", c.obs, sink.WriteJSONL},
 				{"Perfetto trace", c.trace, func(w io.Writer) error { return span.WriteTrace(w, sink) }},
-				{"attribution CSV", c.attr, span.Analyze(sink.Events()).WriteCSV},
+				{"attribution CSV", c.attr, span.Analyze(sink).WriteCSV},
 			} {
 				h := sha256.New()
 				if err := d.write(h); err != nil {

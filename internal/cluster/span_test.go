@@ -120,7 +120,7 @@ func checkSpansReconcile(t *testing.T, sink *obs.Sink) {
 		t.Fatal("no request events recorded")
 	}
 
-	spans := span.Decoded(sink.Events())
+	spans := span.Decoded(sink)
 	rootDur := map[int64]float64{} // root span id -> duration
 	var san int
 	for _, s := range spans {
@@ -152,7 +152,7 @@ func checkSpansReconcile(t *testing.T, sink *obs.Sink) {
 		}
 	}
 
-	attr := span.Analyze(sink.Events())
+	attr := span.Analyze(sink)
 	if attr.Requests != roots {
 		t.Fatalf("attribution saw %d requests, spans have %d roots", attr.Requests, roots)
 	}
@@ -185,7 +185,7 @@ func TestTraceEverySampling(t *testing.T) {
 			tracedTestOptions(sink, every)); err != nil {
 			t.Fatal(err)
 		}
-		return span.Decoded(sink.Events())
+		return span.Decoded(sink)
 	}
 	all, sampled := run(1), run(5)
 	if len(all) == 0 || len(sampled) == 0 {
@@ -224,7 +224,7 @@ func TestTracedExportDeterministic(t *testing.T) {
 		if err := span.WriteTrace(&b, sink); err != nil {
 			t.Fatal(err)
 		}
-		if err := span.Analyze(sink.Events()).WriteCSV(&c); err != nil {
+		if err := span.Analyze(sink).WriteCSV(&c); err != nil {
 			t.Fatal(err)
 		}
 		return a.Bytes(), b.Bytes(), c.Bytes()
@@ -254,7 +254,7 @@ func TestBatchTracing(t *testing.T) {
 	if _, err := cfg.Simulate(workload.FixedGenerator{P: p}, opt); err != nil {
 		t.Fatal(err)
 	}
-	spans := span.Decoded(sink.Events())
+	spans := span.Decoded(sink)
 	if len(spans) == 0 {
 		t.Fatal("batch run recorded no spans")
 	}
@@ -267,7 +267,7 @@ func TestBatchTracing(t *testing.T) {
 	if swaps == 0 {
 		t.Fatal("MemSlowdown > 0 but no swap spans recorded")
 	}
-	attr := span.Analyze(sink.Events())
+	attr := span.Analyze(sink)
 	if attr.Requests == 0 {
 		t.Fatal("attribution analyzed no requests")
 	}

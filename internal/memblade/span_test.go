@@ -29,7 +29,7 @@ func TestSwapSpansOnMisses(t *testing.T) {
 	}
 	s.Access(19, false) // most recently used: a hit, no span
 
-	spans := span.Decoded(sink.Events())
+	spans := span.Decoded(sink)
 	var swaps, cbfs int
 	var lastSwap span.Span
 	for _, sp := range spans {
@@ -67,7 +67,7 @@ func TestSwapSpansOnMisses(t *testing.T) {
 func TestCBFNestsInSwap(t *testing.T) {
 	s, sink := spanTestSim(t, 1)
 	s.Access(42, false)
-	spans := span.Decoded(sink.Events())
+	spans := span.Decoded(sink)
 	if len(spans) != 2 {
 		t.Fatalf("one miss produced %d spans, want 2", len(spans))
 	}
@@ -85,12 +85,12 @@ func TestSwapSpanSampling(t *testing.T) {
 	for page := int64(0); page < 16; page++ {
 		s.Access(page, false) // all misses, access indices 0..15
 	}
-	for _, sp := range span.Decoded(sink.Events()) {
+	for _, sp := range span.Decoded(sink) {
 		if sp.Req%4 != 0 {
 			t.Fatalf("stride-4 tracer kept access index %d", sp.Req)
 		}
 	}
-	if n := len(span.Decoded(sink.Events())); n != 8 { // 4 sampled misses x 2 spans
+	if n := len(span.Decoded(sink)); n != 8 { // 4 sampled misses x 2 spans
 		t.Fatalf("got %d spans, want 8", n)
 	}
 }
@@ -101,7 +101,7 @@ func TestSpansWithoutInstrument(t *testing.T) {
 	s, sink := spanTestSim(t, 1)
 	// Note: Instrument was never called; only InstrumentSpans.
 	s.Access(1, false)
-	if len(span.Decoded(sink.Events())) == 0 {
+	if len(span.Decoded(sink)) == 0 {
 		t.Fatal("tracer without Instrument recorded nothing")
 	}
 	if sink.CounterValue("memblade.accesses") != 0 {

@@ -17,8 +17,7 @@ import (
 
 // jsonlLine builds one sample or event line at a time.
 type jsonlLine struct {
-	buf    []byte  // the line being built, newline included
-	fields []Field // an event's fields in key order
+	buf []byte // the line being built, newline included
 }
 
 // sample builds the line of point p of a series from the series'
@@ -36,28 +35,100 @@ func (l *jsonlLine) sample(prefix []byte, p Point) error {
 	return nil
 }
 
-// event builds the line of e. Its fields form the "f" object the way
-// encoding/json marshals a map: sorted by key, the last of repeated
-// keys winning, and no "f" at all when e has no fields.
-func (l *jsonlLine) event(e EventRecord) error {
-	b := appendJSONString(append(l.buf[:0], `{"type":"event","stream":`...), e.Stream)
-	b, err := appendJSONFloat(append(b, `,"t":`...), e.T)
+// eventLines holds what the event lines of each layout of a sink share,
+// encoded once per export: the line up to the "t" value, and the fields
+// of the "f" object in the order encoding/json marshals a map — sorted
+// by key, the last of repeated keys winning. The byte pieces live back
+// to back in buf.
+type eventLines struct {
+	buf     []byte
+	layouts []lineLayout
+	fields  []lineField
+}
+
+// lineLayout locates one layout's line head in buf and its "f" fields
+// in fields.
+type lineLayout struct {
+	head0, head1     int
+	fields0, fields1 int
+}
+
+// lineField is one member of the "f" object: the value at index at of
+// the event's values, after the `"key":` bytes at buf[key0:key1].
+type lineField struct {
+	at         int
+	str        bool
+	key0, key1 int
+}
+
+// encodeLines returns the line pieces of s's layouts, built in e's
+// buffers where they are large enough.
+func encodeLines(s *Sink, e eventLines) eventLines {
+	size, nfields := 0, 0
+	for i := range s.layouts {
+		l := &s.layouts[i]
+		size += len(`{"type":"event","stream":"","t":`) + len(l.stream)
+		for _, k := range l.keys {
+			size += len(k) + 3
+		}
+		nfields += len(l.keys)
+	}
+	if cap(e.buf) < size {
+		e.buf = make([]byte, 0, size)
+	}
+	if cap(e.layouts) < len(s.layouts) {
+		e.layouts = make([]lineLayout, len(s.layouts))
+	}
+	if cap(e.fields) < nfields {
+		e.fields = make([]lineField, 0, nfields)
+	}
+	e.buf, e.layouts, e.fields = e.buf[:0], e.layouts[:len(s.layouts)], e.fields[:0]
+	for i := range s.layouts {
+		l := &s.layouts[i]
+		ll := &e.layouts[i]
+		ll.head0 = len(e.buf)
+		e.buf = appendJSONString(append(e.buf, `{"type":"event","stream":`...), l.stream)
+		e.buf = append(e.buf, `,"t":`...)
+		ll.head1 = len(e.buf)
+		ll.fields0 = len(e.fields)
+		for j := range l.keys {
+			e.fields = append(e.fields, lineField{at: j})
+		}
+		order := e.fields[ll.fields0:]
+		slices.SortStableFunc(order, func(x, y lineField) int { return strings.Compare(l.keys[x.at], l.keys[y.at]) })
+		kept := ll.fields0
+		for k, f := range order {
+			if k+1 < len(order) && l.keys[order[k+1].at] == l.keys[f.at] {
+				continue // a later field with this key wins
+			}
+			f.str, f.key0 = l.isStr[f.at], len(e.buf)
+			e.buf = append(appendJSONString(e.buf, l.keys[f.at]), ':')
+			f.key1 = len(e.buf)
+			e.fields[kept] = f
+			kept++
+		}
+		e.fields = e.fields[:kept]
+		ll.fields1 = kept
+	}
+	return e
+}
+
+// event builds the line of row r of s, with no "f" at all when the
+// event has no fields.
+func (l *jsonlLine) event(s *Sink, e *eventLines, r eventRow) error {
+	ll := e.layouts[r.layout]
+	b, err := appendJSONFloat(append(l.buf[:0], e.buf[ll.head0:ll.head1]...), r.t)
 	if err != nil {
 		return err
 	}
-	if len(e.Fields) > 0 {
-		l.fields = append(l.fields[:0], e.Fields...)
-		slices.SortStableFunc(l.fields, func(x, y Field) int { return strings.Compare(x.Key, y.Key) })
+	if ll.fields0 < ll.fields1 {
+		vals := s.vals[r.off:]
 		b = append(b, `,"f":{`...)
-		for i, f := range l.fields {
-			if i+1 < len(l.fields) && l.fields[i+1].Key == f.Key {
-				continue // a later field with this key wins
-			}
-			b = appendJSONString(b, f.Key)
-			b = append(b, ':')
-			if f.IsStr {
-				b = appendJSONString(b, f.Str)
-			} else if b, err = appendJSONFloat(b, f.Num); err != nil {
+		for _, f := range e.fields[ll.fields0:ll.fields1] {
+			b = append(b, e.buf[f.key0:f.key1]...)
+			if f.str {
+				b = appendJSONString(b, s.strs[int(vals[f.at])])
+			} else if b, err = appendJSONFloat(b, vals[f.at]); err != nil {
 				return err
 			}
 			b = append(b, ',')

@@ -187,13 +187,42 @@ func BenchmarkSinkMergeFrom(b *testing.B) {
 	}
 }
 
-// TestAllocBounds gates the export and merge benchmarks' allocation
-// figures (see benchgate for how a bound is set). Both handle hundreds
-// of records or more per op, so one allocation per record fails either
-// row.
+// BenchmarkSinkEvent times recording 1000 request-shaped events (three
+// numeric fields) and 1000 span-shaped ones (four numeric fields, two
+// strings) into a fresh sink, through reused field buffers as the
+// emitters pass them.
+func BenchmarkSinkEvent(b *testing.B) {
+	kinds := []string{"request", "queue", "service"}
+	res := []string{"cpu", "disk", "net"}
+	var req [3]Field
+	var sp [6]Field
+	record := func() {
+		s := NewSink()
+		for i := 0; i < 1000; i++ {
+			t := float64(i) * 1e-3
+			req = [...]Field{F("latency_sec", 0.01+t/100), FB("qos_violation", i%50 == 0), FB("measured", i >= 100)}
+			s.Event("request", t, req[:]...)
+			sp = [...]Field{F("id", float64(i+1)), F("parent", float64(i/3)), F("req", float64(i/3)),
+				FS("kind", kinds[i%3]), FS("res", res[i%3]), F("dur", 1.25e-4)}
+			s.Event("span", t, sp[:]...)
+		}
+	}
+	record()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		record()
+	}
+}
+
+// TestAllocBounds gates the recording, export and merge benchmarks'
+// allocation figures (see benchgate for how a bound is set). Each
+// handles hundreds of records or more per op, so one allocation per
+// record fails any row.
 func TestAllocBounds(t *testing.T) {
 	benchgate.Check(t, []benchgate.Row{
 		{Name: "SinkWriteJSONL", Bench: BenchmarkSinkWriteJSONL, MaxBytes: 5422, MaxAllocs: 13},
-		{Name: "SinkMergeFrom", Bench: BenchmarkSinkMergeFrom, MaxBytes: 1447583, MaxAllocs: 29},
+		{Name: "SinkMergeFrom", Bench: BenchmarkSinkMergeFrom, MaxBytes: 324415, MaxAllocs: 29},
+		{Name: "SinkEvent", Bench: BenchmarkSinkEvent, MaxBytes: 330557, MaxAllocs: 29},
 	})
 }

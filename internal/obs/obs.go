@@ -36,8 +36,10 @@ type Recorder interface {
 	// Event appends a structured record at time t to the named stream.
 	// The fields slice is only valid for the duration of the call: hot
 	// paths pass a reused scratch buffer, so an implementation that
-	// retains fields past the call must copy them (Sink copies into an
-	// internal arena).
+	// keeps fields past the call must copy them. Sink stores each event
+	// as a row over an interned layout of its stream and keys, one
+	// float64 per field, with string values as indices into an interned
+	// string table.
 	Event(stream string, t float64, fields ...Field)
 }
 

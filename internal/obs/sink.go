@@ -17,13 +17,6 @@ type Series struct {
 	Points []Point
 }
 
-// EventRecord is one structured event of a stream.
-type EventRecord struct {
-	Stream string
-	T      float64
-	Fields []Field
-}
-
 // histBucketsPerDecade controls histogram resolution: buckets are
 // log-spaced at 5 per decade, covering ~1e-12 .. 1e+12 (values outside
 // clamp into the edge buckets, zeros and negatives into an underflow
@@ -142,13 +135,15 @@ type Sink struct {
 	counters map[string]int64
 	series   map[string]*Series
 	hists    map[string]*Hist
-	events   []EventRecord
 
-	// arena is chunked backing storage for retained event fields. Event
-	// callers may pass reused scratch buffers (see Recorder), so the sink
-	// copies fields here; chunking keeps that one bulk append per chunk
-	// instead of one allocation per record.
-	arena []Field
+	// The event store (see events.go): one row per event, one value per
+	// field, over interned layouts and strings.
+	rows       []eventRow
+	vals       []float64
+	layouts    []eventLayout
+	lastLayout uint32 // the previous event's layout
+	strs       []string
+	strIDs     map[string]uint32
 }
 
 // NewSink returns an empty, enabled Sink.
@@ -207,53 +202,6 @@ func (s *Sink) Observe(name string, v float64) {
 //
 //whvet:allow testonly cross-package test accessor: tests in six packages read recorded streams through it
 func (s *Sink) HistByName(name string) *Hist { return s.hists[name] }
-
-// fieldArenaChunk is the allocation granularity of the field arena:
-// large enough that steady-state event emission amortizes to well under
-// one allocation per record, small enough not to matter for tiny runs.
-const fieldArenaChunk = 4096
-
-// copyFields copies an Event call's fields into the arena and returns a
-// full-slice-expression view, so later arena appends can never alias or
-// overwrite a retained record.
-func (s *Sink) copyFields(fields []Field) []Field {
-	n := len(fields)
-	if n == 0 {
-		return nil
-	}
-	if cap(s.arena)-len(s.arena) < n {
-		size := fieldArenaChunk
-		if n > size {
-			size = n
-		}
-		s.arena = make([]Field, 0, size)
-	}
-	start := len(s.arena)
-	s.arena = append(s.arena, fields...)
-	return s.arena[start : start+n : start+n]
-}
-
-// Event implements Recorder. Fields are copied (see Recorder), so
-// callers may reuse their field buffers.
-func (s *Sink) Event(stream string, t float64, fields ...Field) {
-	s.events = append(s.events, EventRecord{Stream: stream, T: t, Fields: s.copyFields(fields)})
-}
-
-// Events returns all retained event records in emission order.
-func (s *Sink) Events() []EventRecord { return s.events }
-
-// EventCount returns the number of retained records in a stream.
-//
-//whvet:allow testonly cross-package test accessor: tests in six packages read recorded streams through it
-func (s *Sink) EventCount(stream string) int {
-	n := 0
-	for _, e := range s.events {
-		if e.Stream == stream {
-			n++
-		}
-	}
-	return n
-}
 
 func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))

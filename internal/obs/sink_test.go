@@ -27,11 +27,12 @@ func TestEventCopiesFields(t *testing.T) {
 	}
 }
 
-// TestEventArenaDoesNotAlias crosses a chunk boundary and verifies no
-// record's fields were overwritten by later appends.
+// TestEventArenaDoesNotAlias records across several regrowths of the
+// sink's row and value columns and verifies no record's fields were
+// overwritten by later appends.
 func TestEventArenaDoesNotAlias(t *testing.T) {
 	s := NewSink()
-	const n = 3000 // 3000 * 2 fields > fieldArenaChunk
+	const n = 3000 // the columns regrow from 64 rows and 256 values
 	for i := 0; i < n; i++ {
 		s.Event("w", float64(i), F("i", float64(i)), F("j", float64(2*i)))
 	}

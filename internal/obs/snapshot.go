@@ -55,7 +55,7 @@ func (s *Sink) Snapshot(p Progress) ([]byte, error) {
 	doc := snapshotDoc{
 		Progress: p,
 		Manifest: s.manifest,
-		Events:   eventSnapshot{Retained: len(s.events)},
+		Events:   eventSnapshot{Retained: len(s.rows)},
 	}
 	if len(s.counters) > 0 {
 		doc.Counters = make(map[string]int64, len(s.counters))

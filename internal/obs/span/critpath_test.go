@@ -36,7 +36,7 @@ func TestAnalyzeKnownBreakdown(t *testing.T) {
 	//   carve-out, remote-memory 1+2=3, disk service 5+7=12.
 	emitRequest(tr, 0, 0, 1, 6, 1, 3, 5)
 	emitRequest(tr, 1, 100, 2, 8, 2, 4, 7)
-	a := Analyze(sink.Events())
+	a := Analyze(sink)
 
 	if a.Requests != 2 {
 		t.Fatalf("requests = %d, want 2", a.Requests)
@@ -70,7 +70,7 @@ func TestAnalyzeCBFNotDoubleCounted(t *testing.T) {
 	sid := tr.Emit(root, 0, KindService, "cpu", 0, 4)
 	swap := tr.Emit(sid, 0, KindSwap, "memblade", 0, 1)
 	tr.Emit(swap, 0, KindCBF, "", 0, 0.2) // detail inside the swap
-	a := Analyze(sink.Events())
+	a := Analyze(sink)
 	got := map[string]float64{}
 	for _, r := range a.Rows {
 		got[r.Category] = r.TotalSec
@@ -92,7 +92,7 @@ func TestAnalyzePercentiles(t *testing.T) {
 		root := tr.Emit(0, int64(i), KindRequest, "request", float64(i), end)
 		tr.Emit(root, int64(i), KindQueue, "cpu", float64(i), end)
 	}
-	a := Analyze(sink.Events())
+	a := Analyze(sink)
 	var q Row
 	for _, r := range a.Rows {
 		if r.Category == CatQueue {
@@ -111,7 +111,7 @@ func TestAttributionOutputsDeterministic(t *testing.T) {
 		tr := NewTracer(sink, 1)
 		emitRequest(tr, 0, 0, 1, 6, 1, 3, 5)
 		emitRequest(tr, 1, 100, 2, 8, 2, 4, 7)
-		return Analyze(sink.Events())
+		return Analyze(sink)
 	}
 	a, b := mk(), mk()
 	var ca, cb bytes.Buffer

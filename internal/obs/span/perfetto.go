@@ -20,7 +20,8 @@ import (
 //
 // The writer is hand-rolled rather than encoding/json-driven so the
 // object key order and number formatting are fixed: two same-seed runs
-// export byte-identical files (the determinism CI step diffs them).
+// export byte-identical files (the same-seed double-run tests compare
+// them).
 //
 // src is anything that holds recorded events and a manifest — in
 // practice *obs.Sink, accepted via the interface to keep the consumer
@@ -40,7 +41,7 @@ func WriteTrace(w io.Writer, src TraceSource) error {
 	}
 	fmt.Fprintf(bw, "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"name\":%s}}", quote(proc))
 
-	for _, s := range Decoded(src.Events()) {
+	for _, s := range Decoded(src) {
 		bw.WriteString(",\n")
 		name := s.Kind
 		if s.Res != "" && s.Res != s.Kind && s.Kind != KindRequest {
@@ -60,7 +61,7 @@ func WriteTraceFile(path string, src TraceSource) error {
 
 // TraceSource is the slice of *obs.Sink the exporters need.
 type TraceSource interface {
-	Events() []obs.EventRecord
+	EventSource
 	Manifest() obs.Manifest
 }
 

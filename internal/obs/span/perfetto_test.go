@@ -119,7 +119,7 @@ func TestWriteTraceDeterministic(t *testing.T) {
 // the stream writers do, and report a path they cannot create.
 func TestFileExportsMatchWriters(t *testing.T) {
 	sink := goldenSink()
-	a := Analyze(sink.Events())
+	a := Analyze(sink)
 	var trace, csv bytes.Buffer
 	if err := WriteTrace(&trace, sink); err != nil {
 		t.Fatal(err)

@@ -167,13 +167,19 @@ func Decode(e obs.EventRecord) (s Span, ok bool) {
 	return s, true
 }
 
-// Decoded returns all spans recorded in the sink, in emission order.
-func Decoded(events []obs.EventRecord) []Span {
+// EventSource is the slice of *obs.Sink the span readers need: a walk
+// over the recorded events in emission order.
+type EventSource interface {
+	EachEvent(fn func(obs.EventRecord))
+}
+
+// Decoded returns all spans recorded in src, in emission order.
+func Decoded(src EventSource) []Span {
 	var out []Span
-	for _, e := range events {
+	src.EachEvent(func(e obs.EventRecord) {
 		if s, ok := Decode(e); ok {
 			out = append(out, s)
 		}
-	}
+	})
 	return out
 }

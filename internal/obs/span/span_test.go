@@ -45,7 +45,7 @@ func TestEmitIDsDenseAndDecoded(t *testing.T) {
 	if a != 1 || b != 2 || c != 3 {
 		t.Fatalf("ids not dense from 1: %d %d %d", a, b, c)
 	}
-	spans := Decoded(sink.Events())
+	spans := Decoded(sink)
 	if len(spans) != 3 {
 		t.Fatalf("decoded %d spans, want 3", len(spans))
 	}
@@ -64,7 +64,7 @@ func TestZeroDurationSpanKept(t *testing.T) {
 	sink := obs.NewSink()
 	tr := NewTracer(sink, 1)
 	tr.Emit(0, 0, KindQueue, "cpu", 2.0, 2.0) // empty queue: zero wait
-	spans := Decoded(sink.Events())
+	spans := Decoded(sink)
 	if len(spans) != 1 {
 		t.Fatalf("zero-duration span dropped")
 	}
@@ -77,7 +77,7 @@ func TestNegativeDurationClamps(t *testing.T) {
 	sink := obs.NewSink()
 	tr := NewTracer(sink, 1)
 	tr.Emit(0, 0, KindService, "cpu", 2.0, 2.0-1e-18) // fp cancellation
-	if d := Decoded(sink.Events())[0].Dur; d != 0 {
+	if d := Decoded(sink)[0].Dur; d != 0 {
 		t.Fatalf("negative duration not clamped: %g", d)
 	}
 }
@@ -88,7 +88,7 @@ func TestDecodeRejectsOtherStreams(t *testing.T) {
 	if _, ok := Decode(sink.Events()[0]); ok {
 		t.Fatal("Decode accepted a non-span stream")
 	}
-	if n := len(Decoded(sink.Events())); n != 0 {
+	if n := len(Decoded(sink)); n != 0 {
 		t.Fatalf("Decoded returned %d spans from a span-free sink", n)
 	}
 }
