@@ -15,8 +15,9 @@
 #                     under the race detector at GOMAXPROCS 1 and 4
 #                     (serial schedules hide different bugs than
 #                     parallel ones)
-#   make introspect-smoke — start whsim -http, assert /obs/windows,
-#                     /obs/shards and /obs/energy serve their schemas
+#   make introspect-smoke — start whsim -http on a rack, assert
+#                     /obs/windows and /obs/energy serve their schemas
+#                     and the retired /obs/shards answers 404
 #   make cover      — per-package coverage, with an 80% floor on
 #                     internal/obs/...
 #   make fuzz       — every Fuzz* target in the tree, 10 s each
@@ -60,15 +61,16 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# Introspection smoke: start whsim with the live endpoints on an
-# ephemeral port, poll /obs/windows, /obs/shards and /obs/energy until
-# they publish, and assert each serves its schema tag.
+# Introspection smoke: start whsim on a 4x2 rack with the live endpoints
+# on an ephemeral port, poll /obs/windows and /obs/energy until they
+# publish and assert each serves its schema tag, and assert the retired
+# /obs/shards route answers 404.
 introspect-smoke:
 	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"; kill $$pid 2>/dev/null || true' EXIT; \
 	$(GO) build -o "$$tmp/whsim" ./cmd/whsim || exit 1; \
 	: >"$$tmp/log"; \
 	"$$tmp/whsim" -system emb1 -workload websearch -des -measure 600 \
-		-shards 2 -enclosures 4 -boards 2 -slo-window 1s -energy-window 1s \
+		-enclosures 4 -boards 2 -slo-window 1s -energy-window 1s \
 		-http 127.0.0.1:0 >/dev/null 2>"$$tmp/log" & pid=$$!; \
 	addr=""; for i in $$(seq 1 50); do \
 		addr="$$(sed -n 's|.*serving http://\([^ ]*\) .*|\1|p' "$$tmp/log" | head -1)"; \
@@ -80,18 +82,15 @@ introspect-smoke:
 	done; \
 	echo "$$win" | grep -q '"schema":"warehousesim-windows/v1"' || { \
 		echo "introspect-smoke: /obs/windows missing schema: $$win"; exit 1; }; \
-	sh="$$(curl -sf "http://$$addr/obs/shards")" || { echo "introspect-smoke: /obs/shards unreachable"; exit 1; }; \
-	echo "$$sh" | grep -q '"schema":"warehousesim-shards/v1"' || { \
-		echo "introspect-smoke: /obs/shards missing schema: $$sh"; exit 1; }; \
-	echo "$$sh" | grep -q '"shards":2' || { \
-		echo "introspect-smoke: /obs/shards does not report 2 shards: $$sh"; exit 1; }; \
+	code="$$(curl -s -o /dev/null -w '%{http_code}' "http://$$addr/obs/shards")"; \
+	[ "$$code" = 404 ] || { echo "introspect-smoke: /obs/shards answered $$code, want 404"; exit 1; }; \
 	en=""; for i in $$(seq 1 100); do \
 		en="$$(curl -sf "http://$$addr/obs/energy" 2>/dev/null)" && break; sleep 0.2; \
 	done; \
 	echo "$$en" | grep -q '"schema":"warehousesim-energy-live/v1"' || { \
 		echo "introspect-smoke: /obs/energy missing schema: $$en"; exit 1; }; \
 	kill $$pid 2>/dev/null; \
-	echo "introspect-smoke: /obs/windows, /obs/shards and /obs/energy serve their schemas"
+	echo "introspect-smoke: /obs/windows and /obs/energy serve their schemas; /obs/shards is 404"
 
 # Coverage with a floor on the observability packages: the windowed
 # metrics plane is the byte-compared surface, so internal/obs/... must

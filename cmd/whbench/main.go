@@ -33,12 +33,12 @@ func main() {
 	parFlag := cliflags.AddPar(flag.CommandLine, runtime.NumCPU(),
 		"worker goroutines for the experiment suite and its internal sweeps (1 = sequential; reports are identical at any value)")
 	httpFlag := cliflags.AddHTTP(flag.CommandLine, "/obs snapshot with per-experiment progress")
-	sharding := cliflags.AddSharding(flag.CommandLine)
-	fleet := cliflags.AddFleet(flag.CommandLine, sharding)
+	rack := cliflags.AddRack(flag.CommandLine)
+	fleet := cliflags.AddFleet(flag.CommandLine, rack)
 	profiles := cliflags.AddProfiles(flag.CommandLine)
 	flag.Parse()
 
-	if err := cliflags.Validate(sharding, fleet); err != nil {
+	if err := cliflags.Validate(rack, fleet); err != nil {
 		log.Fatal(err)
 	}
 	obsOn := obsFlags.Enabled()

@@ -11,10 +11,10 @@
 //	whsim -system emb1 -workload websearch -des -trace-out run.trace.json -attr-out attr.csv
 //	whsim -system emb1 -workload websearch -des -energy-window 1s -energy-out energy.jsonl
 //	whsim -system emb1 -workload websearch -des -obs -http :6060
+//	whsim -system emb1 -workload websearch -des -enclosures 4 -boards 2   # a rack
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -27,7 +27,6 @@ import (
 	"warehousesim/internal/cooling"
 	"warehousesim/internal/core"
 	"warehousesim/internal/core/cliflags"
-	"warehousesim/internal/des/shard"
 	"warehousesim/internal/metrics"
 	"warehousesim/internal/obs"
 	"warehousesim/internal/obs/energy"
@@ -39,27 +38,6 @@ import (
 	"warehousesim/internal/power"
 	"warehousesim/internal/workload"
 )
-
-// schemaShards versions the /obs/shards live document.
-const schemaShards = "warehousesim-shards/v1"
-
-// shardsDoc is the /obs/shards snapshot: the shard engine's live
-// wall-clock counters. Flat runs serve it with Shards 0 and no stats,
-// so a poller can tell "flat model" from "not published yet" (503).
-type shardsDoc struct {
-	Schema       string            `json:"schema"`
-	Phase        string            `json:"phase"`
-	Shards       int               `json:"shards"`
-	LookaheadSec float64           `json:"lookahead_sec"`
-	Stats        []shard.LiveStats `json:"stats"`
-}
-
-func liveShardStats(live cluster.LiveHandles) []shard.LiveStats {
-	if live.ShardStats == nil {
-		return []shard.LiveStats{}
-	}
-	return live.ShardStats()
-}
 
 // rackTopoOf returns the per-rack topology behind a Topology value: the
 // rack itself, or a fleet's rack template (which every rack in the
@@ -114,7 +92,7 @@ type simFlags struct {
 	obs                    *cliflags.Obs
 	traceOut, attrOut      *string
 	traceEvery             *int64
-	sharding               *cliflags.Sharding
+	rack                   *cliflags.Rack
 	fleet                  *cliflags.Fleet
 	slo                    *cliflags.SLO
 	energy                 *cliflags.Energy
@@ -137,9 +115,9 @@ func addFlags(fs *flag.FlagSet) *simFlags {
 		traceOut:      fs.String("trace-out", "", "write a Perfetto/Chrome trace-event JSON of the run's causal spans here (implies -obs)"),
 		attrOut:       fs.String("attr-out", "", "write the critical-path latency-attribution table as CSV here (implies -obs)"),
 		traceEvery:    fs.Int64("trace-every", 1, "span-sample every Nth request by arrival index (deterministic; 1 = all)"),
-		sharding:      cliflags.AddSharding(fs),
+		rack:          cliflags.AddRack(fs),
 	}
-	f.fleet = cliflags.AddFleet(fs, f.sharding)
+	f.fleet = cliflags.AddFleet(fs, f.rack)
 	f.slo = cliflags.AddSLO(fs)
 	f.energy = cliflags.AddEnergy(fs)
 	f.http = cliflags.AddHTTP(fs, "/obs snapshot")
@@ -152,9 +130,8 @@ func (f *simFlags) tracing() bool { return *f.traceOut != "" || *f.attrOut != ""
 
 // simOptions assembles the DES run's options from the flags, at search
 // parallelism par. When obsOn it records into a fresh sink, returned
-// with the SLO, energy and span planes the flags ask for attached; diag
-// is the shard-diagnostics sink, nil unless -shard-diag names a file.
-func (f *simFlags) simOptions(ev *core.Evaluator, d core.Design, par int, obsOn bool) (opts cluster.SimOptions, sink, diag *obs.Sink, err error) {
+// with the SLO, energy and span planes the flags ask for attached.
+func (f *simFlags) simOptions(ev *core.Evaluator, d core.Design, par int, obsOn bool) (opts cluster.SimOptions, sink *obs.Sink, err error) {
 	opts = cluster.DefaultSimOptions()
 	opts.Seed = *f.seed
 	opts.MeasureSec = *f.measure
@@ -165,15 +142,11 @@ func (f *simFlags) simOptions(ev *core.Evaluator, d core.Design, par int, obsOn 
 	// check in Simulate (see SimOptions.Topology).
 	if ft := f.fleet.Topology(); ft != nil {
 		opts.Topology = ft
-	} else if t := f.sharding.Topology(); t != nil {
+	} else if t := f.rack.Topology(); t != nil {
 		opts.Topology = t
 	}
-	if f.sharding.DiagOut() != "" && opts.Topology != nil {
-		diag = obs.NewSink()
-		opts.ShardDiag = diag
-	}
 	if !obsOn {
-		return opts, nil, diag, nil
+		return opts, nil, nil
 	}
 	sink = obs.NewSink()
 	opts.Obs = sink
@@ -181,7 +154,7 @@ func (f *simFlags) simOptions(ev *core.Evaluator, d core.Design, par int, obsOn 
 	if f.energy.Enabled() {
 		pb, err := ev.PowerBreakdown(d)
 		if err != nil {
-			return opts, nil, nil, err
+			return opts, nil, err
 		}
 		opts.Energy = &energy.Config{
 			WidthSec: f.energy.WindowSec(),
@@ -191,7 +164,7 @@ func (f *simFlags) simOptions(ev *core.Evaluator, d core.Design, par int, obsOn 
 	if f.tracing() {
 		opts.TraceEvery = *f.traceEvery
 	}
-	return opts, sink, diag, nil
+	return opts, sink, nil
 }
 
 // manifest describes the run of p on d under opts that returned res and
@@ -219,7 +192,6 @@ func (f *simFlags) manifest(p workload.Profile, d core.Design, opts cluster.SimO
 		}
 	}
 	if t := rackTopoOf(opts.Topology); t != nil {
-		man.Config["shards"] = strconv.Itoa(t.Shards)
 		man.Config["enclosures"] = strconv.Itoa(t.Enclosures)
 		if bl := boardList(t.Boards); bl != "" {
 			man.Config["boards"] = bl
@@ -243,7 +215,7 @@ func main() {
 	flag.Parse()
 
 	// Flag validation: fail on nonsense, warn on silently-dead flags.
-	if err := cliflags.Validate(f.sharding, f.fleet, f.slo, f.energy); err != nil {
+	if err := cliflags.Validate(f.rack, f.fleet, f.slo, f.energy); err != nil {
 		log.Fatal(err)
 	}
 	if *f.measure <= 0 {
@@ -267,7 +239,7 @@ func main() {
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
 			case "seed", "measure", "probe-interval", "trace-every", "par",
-				"shards", "enclosures", "boards", "clients-per-board", "shard-diag",
+				"enclosures", "boards", "clients-per-board",
 				"racks", "hot-racks", "hot-set", "balancer":
 				log.Printf("warning: -%s has no effect without -des", f.Name)
 			}
@@ -295,14 +267,13 @@ func main() {
 			}
 		})
 	}
-	if !f.sharding.Enabled() && !f.fleet.Enabled() {
-		// -shard-diag without -shards is an error (cliflags.Validate above);
-		// the sizing flags merely default and only warrant a warning. With
-		// -racks they size the fleet's per-rack template instead.
+	if !f.rack.Enabled() && !f.fleet.Enabled() {
+		// -enclosures or -boards selects the rack; -clients-per-board
+		// alone only sizes one, so it warrants a warning. With -racks it
+		// sizes the fleet's per-rack template instead.
 		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "enclosures", "boards", "clients-per-board":
-				log.Printf("warning: -%s has no effect without -shards or -racks", f.Name)
+			if f.Name == "clients-per-board" {
+				log.Print("warning: -clients-per-board has no effect without -enclosures, -boards or -racks")
 			}
 		})
 	}
@@ -312,7 +283,7 @@ func main() {
 		log.Fatal(err)
 	}
 	if intro != nil {
-		log.Printf("introspection: serving http://%s (/obs, /obs/windows, /obs/shards, /obs/energy, /debug/pprof) for the process lifetime", bound)
+		log.Printf("introspection: serving http://%s (/obs, /obs/windows, /obs/energy, /debug/pprof) for the process lifetime", bound)
 		if *f.des {
 			obsOn = true
 		}
@@ -358,7 +329,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		opts, sink, diagSink, err := f.simOptions(ev, d, par, obsOn)
+		opts, sink, err := f.simOptions(ev, d, par, obsOn)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -387,15 +358,6 @@ func main() {
 					if b, err := energy.LiveSnapshot(live.Energy); err == nil {
 						intro.PublishEnergy(b)
 					}
-				}
-				if b, err := json.Marshal(shardsDoc{
-					Schema:       schemaShards,
-					Phase:        phase,
-					Shards:       live.Shards,
-					LookaheadSec: live.LookaheadSec,
-					Stats:        liveShardStats(live),
-				}); err == nil {
-					intro.PublishShards(b)
 				}
 			}
 			// The adaptive search runs uninstrumented (see cluster docs),
@@ -447,7 +409,7 @@ func main() {
 				if err := res.SLO.WriteFile(path, res.SLOParts...); err != nil {
 					log.Fatal(err)
 				}
-				log.Printf("slo: wrote %s (%d windows; byte-identical at any -shards/-par)", path, len(ws))
+				log.Printf("slo: wrote %s (%d windows; byte-identical at any -par)", path, len(ws))
 			}
 		}
 
@@ -465,21 +427,8 @@ func main() {
 				if err := res.Energy.WriteFile(path); err != nil {
 					log.Fatal(err)
 				}
-				log.Printf("energy: wrote %s (%d windows; byte-identical at any -shards/-par)", path, t.Windows)
+				log.Printf("energy: wrote %s (%d windows; byte-identical at any -par)", path, t.Windows)
 			}
-		}
-
-		if diagSink != nil {
-			dman := obs.NewManifest(p.Name, d.Name, *f.seed)
-			if rt := rackTopoOf(opts.Topology); rt != nil {
-				dman.Config["shards"] = strconv.Itoa(rt.Shards)
-			}
-			dman.WallSec = wall.Seconds()
-			diagSink.SetManifest(dman)
-			if err := diagSink.WriteFile(f.sharding.DiagOut()); err != nil {
-				log.Fatal(err)
-			}
-			log.Printf("shard-diag: wrote %s (scheduling-dependent; not byte-stable across runs)", f.sharding.DiagOut())
 		}
 
 		if sink != nil {

@@ -43,7 +43,7 @@ func TestSameSeedDoubleRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts, sink, _, err := f.simOptions(ev, d, par, f.obs.Enabled() || f.tracing())
+		opts, sink, err := f.simOptions(ev, d, par, f.obs.Enabled() || f.tracing())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,7 +7,6 @@ import (
 	"math/bits"
 
 	"warehousesim/internal/des"
-	"warehousesim/internal/des/shard"
 	"warehousesim/internal/fanout"
 	"warehousesim/internal/obs"
 	"warehousesim/internal/obs/energy"
@@ -72,12 +71,13 @@ type SimOptions struct {
 	// must return an untyped nil.
 	Topology Topology
 
-	// ShardDiag, when non-nil and enabled, receives the sharded
-	// engine's per-shard synchronization diagnostics after a Topology
-	// run: clock-skew and mailbox-depth series plus window and message
-	// counters. These depend on goroutine scheduling, so they are kept
-	// separate from Obs — the deterministic export stays byte-identical
-	// at any shard count. Ignored without a Topology.
+	// ShardDiag, when non-nil and enabled, receives the rack engine's
+	// per-shard round-loop diagnostics after a *ShardedTopology run:
+	// window, fired and message counters and the busy/blocked
+	// wall-clock split (see shard.Engine.EmitDiagnostics). These depend
+	// on goroutine scheduling, so they are kept separate from Obs — the
+	// deterministic export stays byte-identical at any shard count.
+	// Ignored without a Topology; a fleet run rejects it.
 	ShardDiag obs.Recorder
 
 	// SLOWindowSec, when > 0, turns on the windowed-SLO metrics plane:
@@ -103,17 +103,15 @@ type SimOptions struct {
 
 	// OnLive, when non-nil, fires once per run just before the
 	// instrumented simulation starts, handing the caller the live
-	// introspection handles: the per-partition window collectors and,
-	// for Topology runs, the shard engine's live counters. The handles
-	// stay valid for the rest of the run; everything reachable through
-	// them is safe to read concurrently with the simulation.
+	// introspection handles: the per-partition window collectors. The
+	// handles stay valid for the rest of the run; everything reachable
+	// through them is safe to read concurrently with the simulation.
 	OnLive func(LiveHandles)
 }
 
 // LiveHandles is what SimOptions.OnLive receives: read-only views that
 // a live introspection server may poll while the run executes. SLO is
-// nil when SLOWindowSec is off; ShardStats is nil for flat (non-
-// Topology) runs.
+// nil when SLOWindowSec is off, Energy when Energy is.
 type LiveHandles struct {
 	// SLO holds the per-partition window collectors (one for flat runs;
 	// one per enclosure plus the rack-global part for Topology runs).
@@ -122,11 +120,6 @@ type LiveHandles struct {
 	// Energy holds the per-partition energy views in the same part
 	// order as SLO. Read them concurrently only through energy.LiveSnapshot.
 	Energy []*energy.Collector
-	// ShardStats returns the engine's live per-shard counters.
-	ShardStats func() []shard.LiveStats
-	// Shards and LookaheadSec describe the engine behind ShardStats.
-	Shards       int
-	LookaheadSec float64
 }
 
 // DefaultSimOptions returns sensible defaults for validation runs.

@@ -184,15 +184,13 @@ func (t *FleetTopology) simulate(c Config, gen workload.Generator, p workload.Pr
 	if opt.TraceEvery > 0 {
 		return Result{}, fmt.Errorf("cluster: span tracing is per-rack (span ids are derived from enclosure indices and would collide across racks); run the rack topology directly to trace")
 	}
+	if opt.ShardDiag != nil {
+		return Result{}, fmt.Errorf("cluster: shard diagnostics describe one rack's engine; run the rack topology directly to collect them")
+	}
 	recording := obs.On(opt.Obs)
 	if recording {
 		if _, ok := opt.Obs.(*obs.Sink); !ok {
 			return Result{}, fmt.Errorf("cluster: fleet runs record into per-rack sinks folded after the run, so Obs must be a *obs.Sink, got %T", opt.Obs)
-		}
-	}
-	if opt.ShardDiag != nil {
-		if _, ok := opt.ShardDiag.(*obs.Sink); !ok {
-			return Result{}, fmt.Errorf("cluster: fleet runs fold per-rack shard diagnostics, so ShardDiag must be a *obs.Sink, got %T", opt.ShardDiag)
 		}
 	}
 	if len(t.HotSet) > 0 && !workload.IsStateless(gen) {
@@ -206,10 +204,9 @@ func (t *FleetTopology) simulate(c Config, gen workload.Generator, p workload.Pr
 	// depends on scheduling.
 	hot := make([]Result, len(t.HotSet))
 	hotSinks := make([]*obs.Sink, len(t.HotSet))
-	hotDiags := make([]*obs.Sink, len(t.HotSet))
 	hotErrs := make([]error, len(t.HotSet))
 	err := fanout.Ordered(opt.Parallelism, len(t.HotSet), func(_, i int) {
-		hot[i], hotErrs[i] = t.runHotRack(c, gen, p, opt, i, hotSinks, hotDiags)
+		hot[i], hotErrs[i] = t.runHotRack(c, gen, p, opt, i, hotSinks)
 	}, func(i int) bool { return hotErrs[i] == nil })
 	var pe *fanout.PanicError
 	if errors.As(err, &pe) {
@@ -222,9 +219,6 @@ func (t *FleetTopology) simulate(c Config, gen workload.Generator, p workload.Pr
 	}
 	if recording {
 		opt.Obs.(*obs.Sink).MergeFrom(hotSinks...)
-	}
-	if opt.ShardDiag != nil {
-		opt.ShardDiag.(*obs.Sink).MergeFrom(hotDiags...)
 	}
 
 	// The balancer's demand model: every rack in the fleet faces the
@@ -306,7 +300,7 @@ func (t *FleetTopology) simulate(c Config, gen workload.Generator, p workload.Pr
 
 // runHotRack runs one hot rack's full DES with a private sink and a
 // rack-scoped seed; i indexes the (sorted) hot set.
-func (t *FleetTopology) runHotRack(c Config, gen workload.Generator, p workload.Profile, opt SimOptions, i int, sinks, diags []*obs.Sink) (Result, error) {
+func (t *FleetTopology) runHotRack(c Config, gen workload.Generator, p workload.Profile, opt SimOptions, i int, sinks []*obs.Sink) (Result, error) {
 	ro := opt
 	ro.Seed = fleetRackSeed(opt.Seed, t.HotSet[i])
 	ro.Topology = nil
@@ -319,11 +313,6 @@ func (t *FleetTopology) runHotRack(c Config, gen workload.Generator, p workload.
 	if obs.On(opt.Obs) {
 		sinks[i] = obs.NewSink()
 		ro.Obs = sinks[i]
-	}
-	ro.ShardDiag = nil
-	if opt.ShardDiag != nil {
-		diags[i] = obs.NewSink()
-		ro.ShardDiag = diags[i]
 	}
 	rack := t.Rack
 	rack.Boards = append([]int(nil), t.Rack.Boards...)

@@ -123,6 +123,11 @@ func TestFleetSimulateRejections(t *testing.T) {
 		t.Errorf("span tracing accepted by fleet: %v", err)
 	}
 	o = opt()
+	o.ShardDiag = obs.NewSink()
+	if _, err := cfg.Simulate(workload.FixedGenerator{P: testProfile()}, o); err == nil || !strings.Contains(err.Error(), "shard diagnostics") {
+		t.Errorf("shard diagnostics accepted by fleet: %v", err)
+	}
+	o = opt()
 	o.Obs = loudRecorder{}
 	if _, err := cfg.Simulate(workload.FixedGenerator{P: testProfile()}, o); err == nil || !strings.Contains(err.Error(), "*obs.Sink") {
 		t.Errorf("non-Sink recorder accepted by fleet: %v", err)

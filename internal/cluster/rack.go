@@ -31,8 +31,9 @@ package cluster
 //   - Probes omit the kernel-wide gauges (heap depth, event rate are
 //     per-shard quantities) and resource series carry enclosure/board
 //     names, so every series is written by exactly one part.
-//   - Engine diagnostics (clock skew, mailbox depth) are scheduling-
-//     dependent and go to SimOptions.ShardDiag, never into Obs.
+//   - Engine diagnostics (round counts, the busy/blocked wall-clock
+//     split) are scheduling-dependent and go to SimOptions.ShardDiag,
+//     never into Obs.
 //
 // Interactive workloads run a fixed closed-loop population
 // (ClientsPerBoard per board) instead of the flat model's adaptive
@@ -87,9 +88,11 @@ type ShardedTopology struct {
 	// this fixed provisioning directly — there is no adaptive search.
 	ClientsPerBoard int
 	// Shards is the number of event heaps, each on its own goroutine;
-	// values outside [1, Enclosures] are clamped. Enclosures are split
-	// contiguously across them (shard.PlaceBlock). Results are
-	// byte-identical at every value.
+	// values outside [1, Enclosures] are clamped, so 0 runs the rack on
+	// one heap. Enclosures are split contiguously across them
+	// (shard.PlaceBlock). Results are byte-identical at every value.
+	// No CLI sets it: more than one heap only slows a rack down
+	// (DESIGN.md §8); whperf's rack workload still times two.
 	Shards int
 }
 
@@ -477,17 +480,11 @@ func (r *rackSim) telParts() []planes {
 }
 
 // fireOnLive hands the caller the live introspection handles just
-// before the engine runs: the per-part window collectors and the shard
-// engine's live counters.
+// before the engine runs: the per-part window collectors.
 func (r *rackSim) fireOnLive() {
-	if r.opt.OnLive == nil {
-		return
+	if r.opt.OnLive != nil {
+		r.opt.OnLive(liveHandles(r.telParts()...))
 	}
-	h := liveHandles(r.telParts()...)
-	h.ShardStats = r.eng.LiveStats
-	h.Shards = r.eng.Shards()
-	h.LookaheadSec = float64(r.eng.Lookahead())
-	r.opt.OnLive(h)
 }
 
 // finishTelemetry seals every part's window planes at the run's

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -107,20 +108,46 @@ func TestRackObsDoesNotChangeResult(t *testing.T) {
 }
 
 // TestRackShardDiag: engine diagnostics land in ShardDiag, not in the
-// byte-compared export.
+// byte-compared export, and a 2-shard run fills every series the
+// benchmark's shard probe reads: for each shard the windows, fired and
+// msgs_sent counters, and a shard.summary event whose busy and blocked
+// wall-clock seconds are not both zero.
 func TestRackShardDiag(t *testing.T) {
 	cfg := Config{Server: platform.Desk()}
 	diag := obs.NewSink()
-	opt := rackOptions(4, nil)
+	opt := rackOptions(2, nil)
 	opt.ShardDiag = diag
 	if _, err := cfg.Simulate(workload.FixedGenerator{P: testProfile()}, opt); err != nil {
 		t.Fatal(err)
 	}
-	if diag.CounterValue("shard.windows.s0") == 0 {
-		t.Fatal("no shard.windows diagnostic recorded")
-	}
-	if diag.CounterValue("shard.fired.s0") == 0 {
-		t.Fatal("no shard.fired diagnostic recorded")
+	wallSec := map[int]float64{}
+	diag.EachEvent(func(e obs.EventRecord) {
+		if e.Stream != "shard.summary" {
+			return
+		}
+		shard := -1
+		var busy, blocked float64
+		for _, f := range e.Fields {
+			switch f.Key {
+			case "shard":
+				shard = int(f.Num)
+			case "busy_sec":
+				busy = f.Num
+			case "blocked_sec":
+				blocked = f.Num
+			}
+		}
+		wallSec[shard] += busy + blocked
+	})
+	for s := 0; s < 2; s++ {
+		for _, name := range []string{"shard.windows", "shard.fired", "shard.msgs_sent"} {
+			if diag.CounterValue(fmt.Sprintf("%s.s%d", name, s)) == 0 {
+				t.Errorf("shard %d: %s.s%d is zero", s, name, s)
+			}
+		}
+		if w, ok := wallSec[s]; !ok || !(w > 0) {
+			t.Errorf("shard %d: shard.summary busy_sec + blocked_sec = %g (present %v), want > 0", s, w, ok)
+		}
 	}
 }
 

@@ -1,12 +1,12 @@
 // Package cliflags centralizes the flag wiring the cmd/* mains share:
 // pprof profile capture, obs recording/export, worker parallelism, the
-// live-introspection HTTP endpoint, the sharded-rack topology, and the
-// hybrid fleet model. Each
-// Add* helper registers its flags on a caller-supplied FlagSet (the
-// mains pass flag.CommandLine) and returns a handle whose methods apply
-// the conventions that every tool previously re-implemented by hand —
-// "-obs-out implies -obs", "-par must be >= 1", "-shards picks the rack
-// model" — so the five binaries cannot drift apart on them.
+// live-introspection HTTP endpoint, the rack topology, and the hybrid
+// fleet model. Each Add* helper registers its flags on a
+// caller-supplied FlagSet (the mains pass flag.CommandLine) and returns
+// a handle whose methods apply the conventions that every tool
+// previously re-implemented by hand — "-obs-out implies -obs", "-par
+// must be >= 1", "-enclosures or -boards picks the rack model" — so the
+// five binaries cannot drift apart on them.
 package cliflags
 
 import (
@@ -111,35 +111,34 @@ func AddHTTP(fs *flag.FlagSet, snapshot string) *HTTP {
 // introspect.ServeAddr from the main.
 func (h *HTTP) Addr() string { return *h.addr }
 
-// Sharding is the rack-topology flag group: -shards selects the sharded
-// multi-enclosure model (0 keeps the flat single-server model), with
-// -enclosures/-boards/-clients-per-board sizing the rack and
-// -shard-diag exporting the engine's synchronization diagnostics.
-type Sharding struct {
-	fs                          *flag.FlagSet
-	shards, enclosures, clients *int
-	boards                      *string
-	diagOut                     *string
+// Rack is the rack-topology flag group: -enclosures and -boards size a
+// rack of enclosures (each with its memory blade, all behind one SAN
+// array), and -clients-per-board its closed-loop population. Passing
+// -enclosures or -boards selects the rack model; with neither, the flat
+// single-server model runs.
+type Rack struct {
+	fs                  *flag.FlagSet
+	enclosures, clients *int
+	boards              *string
 }
 
-// AddSharding registers the rack flags.
-func AddSharding(fs *flag.FlagSet) *Sharding {
-	return &Sharding{
-		fs: fs,
-		shards: fs.Int("shards", 0,
-			"run the sharded multi-enclosure rack model with this many event heaps (0 = flat single-server model; results are identical at every value >= 1)"),
-		enclosures: fs.Int("enclosures", 4, "rack enclosures (with -shards)"),
+// AddRack registers the rack flags.
+func AddRack(fs *flag.FlagSet) *Rack {
+	return &Rack{
+		fs:         fs,
+		enclosures: fs.Int("enclosures", 4, "rack enclosures (selects the rack model; with -racks, sizes each rack)"),
 		boards: fs.String("boards", "4",
-			"server boards per enclosure (with -shards): one count for a uniform rack, or a comma list like 8,2,2,2 for a skewed one (sets -enclosures from its length unless -enclosures is given)"),
+			"server boards per enclosure (selects the rack model; with -racks, sizes each rack): one count for a uniform rack, or a comma list like 8,2,2,2 for a skewed one (sets -enclosures from its length unless -enclosures is given)"),
 		clients: fs.Int("clients-per-board", 0,
-			"closed-loop clients per board for interactive rack runs (0 = default provisioning; with -shards)"),
-		diagOut: fs.String("shard-diag", "",
-			"write the shard engine's scheduling-dependent diagnostics (clock skew, mailbox depth) here as JSONL (with -shards)"),
+			"closed-loop clients per board for interactive rack runs (0 = default provisioning; with -enclosures, -boards or -racks)"),
 	}
 }
 
-// Enabled reports whether the rack model was selected.
-func (s *Sharding) Enabled() bool { return *s.shards > 0 }
+// Enabled reports whether the rack model was selected: -enclosures or
+// -boards appeared on the command line.
+func (r *Rack) Enabled() bool {
+	return r.explicitlySet("enclosures") || r.explicitlySet("boards")
+}
 
 // parseBoards splits the -boards value: a single count means a uniform
 // rack (per > 0, list nil), a comma list a skewed one (list non-nil).
@@ -164,9 +163,9 @@ func parseBoards(v string) (per int, list []int, err error) {
 
 // explicitlySet reports whether the named flag appeared on the command
 // line (as opposed to holding its default).
-func (s *Sharding) explicitlySet(name string) bool {
+func (r *Rack) explicitlySet(name string) bool {
 	set := false
-	s.fs.Visit(func(f *flag.Flag) {
+	r.fs.Visit(func(f *flag.Flag) {
 		if f.Name == name {
 			set = true
 		}
@@ -174,80 +173,68 @@ func (s *Sharding) explicitlySet(name string) bool {
 	return set
 }
 
-// Topology builds the cluster topology, nil when -shards was not
-// given. A comma-list -boards yields a heterogeneous rack and, when
-// -enclosures was not passed explicitly, sizes the rack from the
-// list's length. Topology validation happens in SimOptions.Normalize;
-// -boards syntax errors are caught by Validate.
-func (s *Sharding) Topology() *cluster.ShardedTopology {
-	if !s.Enabled() {
+// Topology builds the rack topology, nil when neither -enclosures nor
+// -boards was given. A comma-list -boards yields a heterogeneous rack
+// and, when -enclosures was not passed explicitly, sizes the rack from
+// the list's length. Topology validation happens in
+// SimOptions.Normalize; -boards syntax errors are caught by Validate.
+func (r *Rack) Topology() *cluster.ShardedTopology {
+	if !r.Enabled() {
 		return nil
 	}
-	t := s.RackTemplate()
+	t := r.RackTemplate()
 	return &t
 }
 
-// RackTemplate builds the rack topology value regardless of whether
-// -shards selected the rack model — the fleet group uses it as the
-// per-rack template, where the rack flags are sizing hints rather than
-// the model selector (a fleet run shards each hot rack with -shards,
-// defaulting to 1 when unset).
-func (s *Sharding) RackTemplate() cluster.ShardedTopology {
-	per, list, err := parseBoards(*s.boards)
+// RackTemplate builds the rack topology value regardless of whether the
+// rack model was selected — the fleet group uses it as the per-rack
+// template, where the rack flags are sizing hints rather than the model
+// selector. The template leaves Shards 0, which normalizes to one event
+// heap.
+func (r *Rack) RackTemplate() cluster.ShardedTopology {
+	per, list, err := parseBoards(*r.boards)
 	if err != nil {
 		per, list = 0, nil // Validate reports the syntax error loudly
 	}
-	encl := *s.enclosures
-	if list != nil && !s.explicitlySet("enclosures") {
+	encl := *r.enclosures
+	if list != nil && !r.explicitlySet("enclosures") {
 		encl = len(list)
 	}
 	return cluster.ShardedTopology{
 		Enclosures:         encl,
 		BoardsPerEnclosure: per,
 		Boards:             list,
-		ClientsPerBoard:    *s.clients,
-		Shards:             *s.shards,
+		ClientsPerBoard:    *r.clients,
 	}
 }
 
-// DiagOut returns the -shard-diag path ("" when unset).
-func (s *Sharding) DiagOut() string { return *s.diagOut }
-
-// Validate rejects contradictory combinations instead of silently
-// ignoring them: -shard-diag configures the shard engine, which only
-// exists when -shards selects the rack model, and a malformed -boards
-// list must fail here rather than surface as a confusing topology
-// error.
-func (s *Sharding) Validate() error {
-	if *s.diagOut != "" && !s.Enabled() {
-		return fmt.Errorf("-shard-diag %s needs the sharded rack model: pass -shards N (the flat model has no shard engine to diagnose)", *s.diagOut)
-	}
-	if _, _, err := parseBoards(*s.boards); err != nil {
-		return err
-	}
-	return nil
+// Validate rejects a malformed -boards list here rather than letting it
+// surface as a confusing topology error.
+func (r *Rack) Validate() error {
+	_, _, err := parseBoards(*r.boards)
+	return err
 }
 
 // Fleet is the fleet-model flag group: -racks selects the hybrid
-// fleet model (0 keeps whatever -shards selected), -hot-racks/-hot-set
-// choose which racks run full DES, and -balancer picks the routing
-// policy. The rack flags (-enclosures/-boards/-clients-per-board/
-// -shards) size the per-rack template.
+// fleet model (0 keeps whatever the rack flags selected),
+// -hot-racks/-hot-set choose which racks run full DES, and -balancer
+// picks the routing policy. The rack flags
+// (-enclosures/-boards/-clients-per-board) size the per-rack template.
 type Fleet struct {
 	fs       *flag.FlagSet
 	racks    *int
 	hot      *int
 	hotSet   *string
 	balancer *string
-	sharding *Sharding
+	rack     *Rack
 }
 
-// AddFleet registers the fleet flags. sharding supplies the per-rack
+// AddFleet registers the fleet flags. rack supplies the per-rack
 // template (and must be registered on the same FlagSet).
-func AddFleet(fs *flag.FlagSet, sharding *Sharding) *Fleet {
+func AddFleet(fs *flag.FlagSet, rack *Rack) *Fleet {
 	return &Fleet{
-		fs:       fs,
-		sharding: sharding,
+		fs:   fs,
+		rack: rack,
 		racks: fs.Int("racks", 0,
 			"run the hybrid fleet model with this many racks (0 = single rack or flat model; hot racks run full DES, cold racks the analytic stand-in)"),
 		hot: fs.Int("hot-racks", 0,
@@ -295,15 +282,15 @@ func (f *Fleet) Topology() *cluster.FleetTopology {
 		Racks:    *f.racks,
 		HotRacks: *f.hot,
 		HotSet:   hotSet,
-		Rack:     f.sharding.RackTemplate(),
+		Rack:     f.rack.RackTemplate(),
 		Balancer: *f.balancer,
 	}
 }
 
 // Validate rejects fleet flags without -racks: -hot-racks, -hot-set,
 // and -balancer configure the fleet's balancer tier, which only exists
-// when -racks selects the fleet model (the same pattern as -shard-diag
-// without -shards). A malformed -hot-set fails here too.
+// when -racks selects the fleet model. A malformed -hot-set fails here
+// too.
 func (f *Fleet) Validate() error {
 	if !f.Enabled() {
 		if *f.hot != 0 {

@@ -11,19 +11,35 @@ import (
 	"warehousesim/internal/cluster"
 )
 
-// newSet builds a quiet FlagSet with every validated group registered,
-// parses args, and returns the groups.
-func newSet(t *testing.T, args ...string) (*Sharding, *SLO, *Energy) {
-	t.Helper()
+// flagGroups is every validated group, registered on one FlagSet the
+// way the mains register them.
+type flagGroups struct {
+	rack   *Rack
+	fleet  *Fleet
+	slo    *SLO
+	energy *Energy
+}
+
+// parseSet builds a quiet FlagSet with every validated group
+// registered and parses args.
+func parseSet(args ...string) (flagGroups, error) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	sh := AddSharding(fs)
-	slo := AddSLO(fs)
-	en := AddEnergy(fs)
-	if err := fs.Parse(args); err != nil {
+	g := flagGroups{rack: AddRack(fs)}
+	g.fleet = AddFleet(fs, g.rack)
+	g.slo = AddSLO(fs)
+	g.energy = AddEnergy(fs)
+	return g, fs.Parse(args)
+}
+
+// newSet is parseSet for arguments that must parse.
+func newSet(t *testing.T, args ...string) (*Rack, *SLO, *Energy) {
+	t.Helper()
+	g, err := parseSet(args...)
+	if err != nil {
 		t.Fatalf("parse %v: %v", args, err)
 	}
-	return sh, slo, en
+	return g.rack, g.slo, g.energy
 }
 
 func TestValidateFlagCombinations(t *testing.T) {
@@ -40,16 +56,19 @@ func TestValidateFlagCombinations(t *testing.T) {
 		{"energy-out-alone", []string{"-energy-out", "e.jsonl"}, "requires -energy-window"},
 		{"energy-out-with-window", []string{"-energy-window", "1s", "-energy-out", "e.jsonl"}, ""},
 		{"energy-window-alone", []string{"-energy-window", "1s"}, ""},
-		{"shard-diag-without-shards", []string{"-shard-diag", "d.jsonl"}, "needs the sharded rack model"},
-		{"shard-diag-with-shards", []string{"-shards", "2", "-shard-diag", "d.jsonl"}, ""},
-		{"boards-list", []string{"-shards", "2", "-boards", "8,2,2,2"}, ""},
-		{"boards-garbage", []string{"-shards", "2", "-boards", "many"}, "-boards"},
-		{"boards-list-garbage", []string{"-shards", "2", "-boards", "8,x,2"}, "entry 1"},
+		// -shards and -shard-diag are gone: both fail to parse.
+		{"shard-diag-without-shards", []string{"-shard-diag", "d.jsonl"}, "not defined: -shard-diag"},
+		{"shard-diag-with-shards", []string{"-shards", "2", "-shard-diag", "d.jsonl"}, "not defined: -shards"},
+		{"boards-list", []string{"-boards", "8,2,2,2"}, ""},
+		{"boards-garbage", []string{"-boards", "many"}, "-boards"},
+		{"boards-list-garbage", []string{"-boards", "8,x,2"}, "entry 1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			sh, slo, en := newSet(t, tc.args...)
-			err := Validate(sh, slo, en)
+			g, err := parseSet(tc.args...)
+			if err == nil {
+				err = Validate(g.rack, g.fleet, g.slo, g.energy)
+			}
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("Validate(%v) = %v, want nil", tc.args, err)
@@ -98,40 +117,114 @@ func TestEnergyAccessors(t *testing.T) {
 	}
 }
 
-func TestShardingAccessors(t *testing.T) {
-	sh, _, _ := newSet(t, "-shards", "2", "-enclosures", "8", "-boards", "2", "-clients-per-board", "3")
-	if !sh.Enabled() {
-		t.Fatal("sharding not enabled")
+func TestRackAccessors(t *testing.T) {
+	rk, _, _ := newSet(t, "-enclosures", "8", "-boards", "2", "-clients-per-board", "3")
+	if !rk.Enabled() {
+		t.Fatal("rack model not selected")
 	}
-	topo := sh.Topology()
-	if topo == nil || topo.Shards != 2 || topo.Enclosures != 8 || topo.BoardsPerEnclosure != 2 || topo.ClientsPerBoard != 3 {
+	topo := rk.Topology()
+	if topo == nil || topo.Shards != 0 || topo.Enclosures != 8 || topo.BoardsPerEnclosure != 2 || topo.ClientsPerBoard != 3 {
 		t.Errorf("topology %+v", topo)
 	}
-	sh, _, _ = newSet(t)
-	if sh.Enabled() || sh.Topology() != nil {
+	rk, _, _ = newSet(t)
+	if rk.Enabled() || rk.Topology() != nil {
 		t.Error("flat model should have nil topology")
 	}
 }
 
-// TestShardingBoardsList: a comma-list -boards yields a heterogeneous
+// TestRackBoardsList: a comma-list -boards yields a heterogeneous
 // topology and sizes -enclosures from the list length — unless
 // -enclosures was passed explicitly, which wins (and lets Normalize
 // report the length mismatch).
-func TestShardingBoardsList(t *testing.T) {
-	sh, _, _ := newSet(t, "-shards", "2", "-boards", "8,2,2,2")
-	topo := sh.Topology()
+func TestRackBoardsList(t *testing.T) {
+	rk, _, _ := newSet(t, "-boards", "8,2,2,2")
+	topo := rk.Topology()
 	if topo == nil || topo.Enclosures != 4 || len(topo.Boards) != 4 ||
 		topo.Boards[0] != 8 || topo.Boards[3] != 2 || topo.BoardsPerEnclosure != 0 {
 		t.Errorf("list topology %+v", topo)
 	}
-	sh, _, _ = newSet(t, "-shards", "2", "-boards", "8,2", "-enclosures", "3")
-	if topo := sh.Topology(); topo.Enclosures != 3 || len(topo.Boards) != 2 {
+	rk, _, _ = newSet(t, "-boards", "8,2", "-enclosures", "3")
+	if topo := rk.Topology(); topo.Enclosures != 3 || len(topo.Boards) != 2 {
 		t.Errorf("explicit -enclosures overridden: %+v", topo)
 	}
 	// Uniform single count: the pre-list behavior, untouched.
-	sh, _, _ = newSet(t, "-shards", "2", "-boards", " 6 ")
-	if topo := sh.Topology(); topo.BoardsPerEnclosure != 6 || topo.Boards != nil {
+	rk, _, _ = newSet(t, "-boards", " 6 ")
+	if topo := rk.Topology(); topo.BoardsPerEnclosure != 6 || topo.Boards != nil {
 		t.Errorf("uniform topology %+v", topo)
+	}
+}
+
+// TestRackModeSelection: the model follows the flags on the command
+// line. No rack or fleet flag runs flat; -enclosures or -boards alone
+// selects the rack (the other keeps its default); a -boards list sizes
+// the enclosures; -racks selects the fleet, whose template leaves
+// Shards 0 for Normalize to resolve to one heap; -shards no longer
+// parses.
+func TestRackModeSelection(t *testing.T) {
+	cases := []struct {
+		name        string
+		args        []string
+		rack, fleet bool
+		enclosures  int
+		boards      []int // per-enclosure board counts
+	}{
+		{name: "flat", args: nil},
+		{name: "clients-only-is-flat", args: []string{"-clients-per-board", "2"}},
+		{name: "enclosures-alone", args: []string{"-enclosures", "3"}, rack: true, enclosures: 3, boards: []int{4, 4, 4}},
+		{name: "boards-alone", args: []string{"-boards", "2"}, rack: true, enclosures: 4, boards: []int{2, 2, 2, 2}},
+		{name: "boards-list", args: []string{"-boards", "8,2,2"}, rack: true, enclosures: 3, boards: []int{8, 2, 2}},
+		{name: "fleet", args: []string{"-racks", "5", "-hot-racks", "1"}, fleet: true, enclosures: 4, boards: []int{4, 4, 4, 4}},
+		{name: "fleet-sized", args: []string{"-racks", "5", "-boards", "2", "-enclosures", "2"}, rack: true, fleet: true, enclosures: 2, boards: []int{2, 2}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g, err := parseSet(tc.args...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := Validate(g.rack, g.fleet, g.slo, g.energy); err != nil {
+				t.Fatal(err)
+			}
+			rack, fleet := g.rack.Topology(), g.fleet.Topology()
+			if (rack != nil) != tc.rack || (fleet != nil) != tc.fleet {
+				t.Fatalf("rack %v fleet %v, want rack %v fleet %v", rack != nil, fleet != nil, tc.rack, tc.fleet)
+			}
+			var topo cluster.Topology
+			switch {
+			case fleet != nil:
+				topo = fleet
+			case rack != nil:
+				topo = rack
+			default:
+				return
+			}
+			got, err := cluster.SimOptions{MeasureSec: 1, MaxClients: 1, Topology: topo}.Normalize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			nr, ok := got.Topology.(*cluster.ShardedTopology)
+			if ft, isFleet := got.Topology.(*cluster.FleetTopology); isFleet {
+				nr, ok = &ft.Rack, true
+			}
+			if !ok {
+				t.Fatalf("Normalize returned a %T topology", got.Topology)
+			}
+			var boards []int
+			for e := 0; e < nr.Enclosures; e++ {
+				if len(nr.Boards) > 0 {
+					boards = append(boards, nr.Boards[e])
+				} else {
+					boards = append(boards, nr.BoardsPerEnclosure)
+				}
+			}
+			if nr.Enclosures != tc.enclosures || !slices.Equal(boards, tc.boards) || nr.Shards != 1 {
+				t.Errorf("normalized rack %d enclosures, boards %v, %d shards; want %d, %v, 1",
+					nr.Enclosures, boards, nr.Shards, tc.enclosures, tc.boards)
+			}
+		})
+	}
+	if _, err := parseSet("-shards", "2"); err == nil || !strings.Contains(err.Error(), "not defined: -shards") {
+		t.Errorf("-shards parsed: %v", err)
 	}
 }
 
@@ -143,20 +236,20 @@ func TestShardingBoardsList(t *testing.T) {
 // build is either rejected by SimOptions.Normalize or normalized to a
 // rack within the 16,384-board cap.
 func FuzzRackFlags(f *testing.F) {
-	f.Add("8,2,2,2", "", 1, 0, false, 0, 0, "1s", "1s")
-	f.Add("4,,2", "0", 2, 3, true, 4, 1, "", "500ms")
-	f.Add("99999999999", "", 1, 4, true, 0, 0, "0s", "")
-	f.Add("4", "-1", 1, 2, true, 8, 0, "-1s", "2s")
-	f.Add("16384", "3,9", 0, 1, true, 16, 2, "250ms", "0")
-	f.Fuzz(func(t *testing.T, boards, hotSet string, shards, enclosures int, setEnclosures bool, racks, hotRacks int, sloWindow, energyWindow string) {
+	f.Add("8,2,2,2", "", 0, false, 0, 0, "1s", "1s")
+	f.Add("4,,2", "0", 3, true, 4, 1, "", "500ms")
+	f.Add("99999999999", "", 4, true, 0, 0, "0s", "")
+	f.Add("4", "-1", 2, true, 8, 0, "-1s", "2s")
+	f.Add("16384", "3,9", 1, true, 16, 2, "250ms", "0")
+	f.Fuzz(func(t *testing.T, boards, hotSet string, enclosures int, setEnclosures bool, racks, hotRacks int, sloWindow, energyWindow string) {
 		fs := flag.NewFlagSet("fuzz", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
-		sh := AddSharding(fs)
+		sh := AddRack(fs)
 		fl := AddFleet(fs, sh)
 		slo := AddSLO(fs)
 		en := AddEnergy(fs)
 		args := []string{
-			"-boards=" + boards, "-hot-set=" + hotSet, "-shards=" + strconv.Itoa(shards),
+			"-boards=" + boards, "-hot-set=" + hotSet,
 			"-racks=" + strconv.Itoa(racks), "-hot-racks=" + strconv.Itoa(hotRacks),
 			"-slo-window=" + sloWindow, "-energy-window=" + energyWindow,
 		}

@@ -27,6 +27,7 @@ type Probes struct {
 	interval Time
 	handle   EventHandle
 	running  bool
+	tickFn   Action // p.tick, bound once so rescheduling allocates nothing
 
 	lastFired uint64
 	watched   []watchedResource
@@ -55,10 +56,11 @@ type Probes struct {
 }
 
 type watchedResource struct {
-	r         *Resource
-	class     string
-	lastBusy  float64
-	lastQueue float64
+	r          *Resource
+	class      string
+	util, qlen string // the gauge names, "util."/"qlen." + Resource.Name
+	lastBusy   float64
+	lastQueue  float64
 }
 
 // NewProbes creates a sampler attached to sim emitting into rec every
@@ -70,16 +72,22 @@ func NewProbes(sim *Sim, rec obs.Recorder, interval Time) *Probes {
 	if rec == nil {
 		rec = obs.Nop{}
 	}
-	return &Probes{sim: sim, rec: rec, interval: interval}
+	p := &Probes{sim: sim, rec: rec, interval: interval}
+	p.tickFn = p.tick
+	return p
 }
 
 // Watch adds a resource to the sampled set. Its utilization and
-// queue-length series are named after Resource.Name, and its class
-// (see OnUtil) is worked out here, once.
+// queue-length series are named after Resource.Name; the names and its
+// class (see OnUtil) are worked out here, once.
 func (p *Probes) Watch(resources ...*Resource) {
 	for _, r := range resources {
 		busy, queue := r.Integrals()
-		p.watched = append(p.watched, watchedResource{r: r, class: resourceClass(r.Name()), lastBusy: busy, lastQueue: queue})
+		p.watched = append(p.watched, watchedResource{
+			r: r, class: resourceClass(r.Name()),
+			util: "util." + r.Name(), qlen: "qlen." + r.Name(),
+			lastBusy: busy, lastQueue: queue,
+		})
 	}
 }
 
@@ -98,7 +106,7 @@ func (p *Probes) Start() {
 	}
 	p.running = true
 	p.lastFired = p.sim.Fired()
-	p.handle = p.sim.Schedule(p.interval, p.tick)
+	p.handle = p.sim.Schedule(p.interval, p.tickFn)
 }
 
 // Stop cancels the pending tick.
@@ -131,16 +139,16 @@ func (p *Probes) tick() {
 		}
 		w.lastBusy, w.lastQueue = busy, queue
 		util := db / (dt * float64(w.r.Servers()))
-		p.rec.Gauge("util."+w.r.Name(), now, util)
+		p.rec.Gauge(w.util, now, util)
 		if p.OnUtil != nil {
 			p.OnUtil(w.class, now, util)
 		}
-		p.rec.Gauge("qlen."+w.r.Name(), now, dq/dt)
+		p.rec.Gauge(w.qlen, now, dq/dt)
 	}
 
 	if p.OnTick != nil {
 		p.OnTick(now)
 	}
 
-	p.handle = p.sim.Schedule(p.interval, p.tick)
+	p.handle = p.sim.Schedule(p.interval, p.tickFn)
 }

@@ -169,3 +169,25 @@ func TestProbesOnUtil(t *testing.T) {
 		}
 	}
 }
+
+// discardRecorder is an enabled recorder that keeps nothing, so an
+// allocation measured through it is the emitter's own.
+type discardRecorder struct{ obs.Nop }
+
+func (discardRecorder) Enabled() bool { return true }
+
+// TestProbeTickAllocatesNothing: a probe tick over watched resources
+// emits its util. and qlen. gauges without allocating — the gauge names
+// are fixed at Watch, so a tick must not build them again.
+func TestProbeTickAllocatesNothing(t *testing.T) {
+	sim := NewSim()
+	cpu := NewResource(sim, "cpu.e0.b0", 2)
+	net := NewResource(sim, "net.e0.b0", 1)
+	p := NewProbes(sim, discardRecorder{}, 1)
+	p.Watch(cpu, net)
+	p.Start()
+	sim.Run(1) // the first tick; the heap holds the next one from here on
+	if allocs := testing.AllocsPerRun(100, func() { sim.Run(sim.Now() + 1) }); allocs != 0 {
+		t.Fatalf("one probe tick over two watched resources allocates %v times, want 0", allocs)
+	}
+}

@@ -90,9 +90,6 @@ func TestMatrixClosure(t *testing.T) {
 	if got := eng.PairLookahead(0, 0); got != 5e-5 {
 		t.Errorf("closed diagonal = %v, want the raw floor 5e-5", got)
 	}
-	if got := eng.Lookahead(); got != 1e-4 {
-		t.Errorf("Lookahead() = %v, want the min finite closed entry 1e-4", got)
-	}
 	// Fully decoupled corner: all off-diagonals +Inf stays +Inf.
 	eng2, err := NewEngine(Config{Shards: 2, Entities: 2, LookaheadMatrix: mat(2, 0, inf())})
 	if err != nil {

@@ -91,11 +91,9 @@ import (
 	"math"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"warehousesim/internal/des"
-	"warehousesim/internal/obs"
 )
 
 // EntityID names one simulated entity (a board, a memory blade, the
@@ -128,12 +126,6 @@ type Config struct {
 // protocol puts at most one batch in flight per channel per round, so
 // the bound is only slack.
 const mailboxCap = 4
-
-// diagSampleStride is how many committed windows pass between
-// diagnostic samples (clock skew, mailbox depth). Diagnostics depend
-// on goroutine scheduling and are deliberately kept out of the
-// deterministic export path; see EmitDiagnostics.
-const diagSampleStride = 64
 
 var infTime = des.Time(math.Inf(1))
 
@@ -251,44 +243,17 @@ type inbox struct {
 // except Fired depends on scheduling and must never feed the
 // deterministic export path.
 type Stats struct {
-	Shard    int
 	Windows  int64  // synchronization rounds committed
 	MsgsSent int64  // cross-shard messages staged
-	MsgsRecv int64  // cross-shard messages received
 	Fired    uint64 // events executed by this shard's Sim
 
 	// Wall-clock split of the round loop: BusySec executing the window
 	// (advance), BlockedSec flushing to and waiting on peer mailboxes.
 	// BusySec/(BusySec+BlockedSec) is the shard's parallel efficiency.
+	// A single-shard engine runs no rounds and reports zero for both.
 	BusySec    float64
 	BlockedSec float64
-	// BindingRounds counts the rounds where this shard's own EOT was the
-	// global minimum — the rounds where it was the one holding everyone
-	// else back. The Slack* fields describe the other rounds: how far
-	// (in simulated seconds) this shard's EOT sat above the binding one.
-	BindingRounds int64
-	SlackMeanSec  float64
-	SlackP50Sec   float64
-	SlackP95Sec   float64
-	SlackMaxSec   float64
-	// MeanWindowSec is the mean committed window width; LookaheadUtil is
-	// the engine's minimum pairwise lookahead over MeanWindowSec, in
-	// (0,1] — near 1 means windows never grow past the conservative
-	// floor (synchronization-bound), near 0 means windows batch far
-	// ahead of it (compute-bound).
-	MeanWindowSec float64
-	LookaheadUtil float64
-	// SentTo[d] is the number of cross-shard messages this shard staged
-	// for destination shard d (the traffic matrix row; SentTo[own] = 0).
-	SentTo []int64
-	// LookaheadSecTo[d] is the closed (effective) lookahead from this
-	// shard to shard d in seconds; +Inf for unreachable pairs and the
-	// raw diagonal floor for d == Shard.
-	LookaheadSecTo []float64
 }
-
-// sample is one diagnostic point (t = committed simulated time).
-type sample struct{ t, v float64 }
 
 // Shard is one partition: a private des.Sim plus the exchange state.
 // All methods must be called from the shard's own goroutine (model
@@ -322,34 +287,11 @@ type Shard struct {
 	rows [][]des.Time // rows[s] = latest constraint row from shard s
 	eots []des.Time   // latest scalar EOT per shard (dry detection)
 
-	clockBits atomic.Uint64 // Float64bits(Sim clock at last flush), for peer skew reads
-
-	stats        Stats
-	winSinceSamp int64
-	depthSinceS  int
-	skewSamples  []sample
-	depthSamples []sample
-
-	// Self-telemetry accumulators (owner goroutine only).
+	// Round-loop diagnostics (owner goroutine only).
+	windows   int64
+	msgsSent  int64
 	busyNs    int64
 	blockedNs int64
-	binding   int64
-	slackHist obs.Hist
-	slackSum  float64
-	slackMax  float64
-	widthSum  float64
-	sentTo    []int64
-
-	// Live mirrors, stored once per committed round for concurrent
-	// readers (Engine.LiveStats). Scheduling-dependent by nature — live
-	// introspection only, never the deterministic export.
-	liveWindows   atomic.Int64
-	liveSent      atomic.Int64
-	liveRecv      atomic.Int64
-	liveFired     atomic.Uint64
-	liveBusyNs    atomic.Int64
-	liveBlockedNs atomic.Int64
-	liveWidthBits atomic.Uint64 // Float64bits(widthSum), for live window-width reads
 }
 
 // Engine coordinates the shards of one run.
@@ -360,7 +302,6 @@ type Engine struct {
 	raw    [][]des.Time
 	closed [][]des.Time
 	rt     []des.Time // rt[s] = min round-trip lookahead s -> any k -> s
-	minLA  des.Time
 	ran    bool
 }
 
@@ -414,25 +355,9 @@ func NewEngine(cfg Config) (*Engine, error) {
 			}
 		}
 	}
-	e.minLA = e.closed[0][0]
-	if n > 1 {
-		e.minLA = infTime
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if i != j && e.closed[i][j] < e.minLA {
-					e.minLA = e.closed[i][j]
-				}
-			}
-		}
-		if math.IsInf(float64(e.minLA), 1) {
-			e.minLA = 0 // fully decoupled shards: no finite pair
-		}
-	}
 	e.shards = make([]*Shard, n)
 	for i := range e.shards {
 		s := &Shard{eng: e, id: i, Sim: des.NewSim()}
-		s.stats.Shard = i
-		s.sentTo = make([]int64, n)
 		s.rows = make([][]des.Time, n)
 		for j := range s.rows {
 			s.rows[j] = make([]des.Time, n)
@@ -505,16 +430,8 @@ func closeMatrix(raw [][]des.Time) [][]des.Time {
 	return d
 }
 
-// Shards returns the partition count.
-func (e *Engine) Shards() int { return len(e.shards) }
-
 // Shard returns partition i.
 func (e *Engine) Shard(i int) *Shard { return e.shards[i] }
-
-// Lookahead returns the engine's minimum effective cross-shard
-// lookahead: the smallest finite off-diagonal entry of the closed
-// matrix, or the same-shard floor for a single-shard engine.
-func (e *Engine) Lookahead() des.Time { return e.minLA }
 
 // PairLookahead returns the closed (effective) lookahead from shard
 // src to shard dst: the raw same-shard floor when src == dst, +Inf for
@@ -554,127 +471,20 @@ func (e *Engine) Fired() uint64 {
 	return n
 }
 
-// ShardStats returns per-shard diagnostics. Call after Run returns.
+// ShardStats returns per-shard diagnostics, indexed by shard. Call
+// after Run returns.
 func (e *Engine) ShardStats() []Stats {
 	out := make([]Stats, len(e.shards))
 	for i, s := range e.shards {
-		s.stats.Fired = s.Sim.Fired()
-		st := s.stats
-		st.BusySec = float64(s.busyNs) / 1e9
-		st.BlockedSec = float64(s.blockedNs) / 1e9
-		st.BindingRounds = s.binding
-		if n := s.slackHist.Count(); n > 0 {
-			st.SlackMeanSec = s.slackSum / float64(n)
-			st.SlackP50Sec = s.slackHist.Quantile(0.50)
-			st.SlackP95Sec = s.slackHist.Quantile(0.95)
-			st.SlackMaxSec = s.slackMax
+		out[i] = Stats{
+			Windows:    s.windows,
+			MsgsSent:   s.msgsSent,
+			Fired:      s.Sim.Fired(),
+			BusySec:    float64(s.busyNs) / 1e9,
+			BlockedSec: float64(s.blockedNs) / 1e9,
 		}
-		if st.Windows > 0 {
-			st.MeanWindowSec = s.widthSum / float64(st.Windows)
-			if st.MeanWindowSec > 0 {
-				st.LookaheadUtil = float64(e.minLA) / st.MeanWindowSec
-				if st.LookaheadUtil > 1 {
-					st.LookaheadUtil = 1
-				}
-			}
-		}
-		st.SentTo = append([]int64(nil), s.sentTo...)
-		st.LookaheadSecTo = make([]float64, len(e.shards))
-		for d := range st.LookaheadSecTo {
-			st.LookaheadSecTo[d] = float64(e.closed[i][d])
-		}
-		out[i] = st
 	}
 	return out
-}
-
-// LiveStats is the subset of Stats safe to read while Run is still
-// going: each shard stores it atomically once per committed round
-// (once at completion on the single-shard fast path). Values lag the
-// shard by at most one round and depend on goroutine scheduling — they
-// feed the live introspection endpoint, never the deterministic
-// export.
-type LiveStats struct {
-	Shard      int     `json:"shard"`
-	Windows    int64   `json:"windows"`
-	MsgsSent   int64   `json:"msgs_sent"`
-	MsgsRecv   int64   `json:"msgs_recv"`
-	Fired      uint64  `json:"fired"`
-	BusySec    float64 `json:"busy_sec"`
-	BlockedSec float64 `json:"blocked_sec"`
-	// LookaheadSecTo[d] is the closed lookahead from this shard to
-	// shard d (static for the run; pairs with no path report -1, since
-	// JSON cannot carry +Inf), and LookaheadUtil is the tightest of
-	// those floors over the shard's mean committed window so far — the
-	// live view of the per-pair utilization the post-run diagnostics
-	// break out pair by pair.
-	LookaheadSecTo []float64 `json:"lookahead_sec_to"`
-	LookaheadUtil  float64   `json:"lookahead_util"`
-}
-
-// LiveStats returns each shard's live counters. Safe to call from any
-// goroutine at any time, including while Run is executing.
-func (e *Engine) LiveStats() []LiveStats {
-	out := make([]LiveStats, len(e.shards))
-	for i, s := range e.shards {
-		ls := LiveStats{
-			Shard:      s.id,
-			Windows:    s.liveWindows.Load(),
-			MsgsSent:   s.liveSent.Load(),
-			MsgsRecv:   s.liveRecv.Load(),
-			Fired:      s.liveFired.Load(),
-			BusySec:    float64(s.liveBusyNs.Load()) / 1e9,
-			BlockedSec: float64(s.liveBlockedNs.Load()) / 1e9,
-		}
-		ls.LookaheadSecTo = make([]float64, len(e.shards))
-		for d := range ls.LookaheadSecTo {
-			if v := float64(e.closed[i][d]); math.IsInf(v, 1) {
-				ls.LookaheadSecTo[d] = -1
-			} else {
-				ls.LookaheadSecTo[d] = v
-			}
-		}
-		if w := ls.Windows; w > 0 {
-			if mean := math.Float64frombits(s.liveWidthBits.Load()) / float64(w); mean > 0 {
-				ls.LookaheadUtil = math.Min(1, float64(e.minLA)/mean)
-			}
-		}
-		out[i] = ls
-	}
-	return out
-}
-
-// publishLive mirrors the owner-goroutine counters into the atomics
-// LiveStats reads. Called once per committed round and at run exit.
-func (s *Shard) publishLive() {
-	s.liveWindows.Store(s.stats.Windows)
-	s.liveSent.Store(s.stats.MsgsSent)
-	s.liveRecv.Store(s.stats.MsgsRecv)
-	s.liveFired.Store(s.Sim.Fired())
-	s.liveBusyNs.Store(s.busyNs)
-	s.liveBlockedNs.Store(s.blockedNs)
-	s.liveWidthBits.Store(math.Float64bits(s.widthSum))
-}
-
-// noteSlack classifies one round's EOT against the global minimum:
-// either this shard was the binding one, or it records how far (in
-// simulated seconds) its own frontier sat above the binding EOT. An
-// infinite own EOT (shard locally dry) carries no information and is
-// skipped.
-func (s *Shard) noteSlack(myEOT, e des.Time) {
-	if math.IsInf(float64(myEOT), 1) {
-		return
-	}
-	slack := float64(myEOT - e)
-	if slack <= 0 {
-		s.binding++
-		return
-	}
-	s.slackHist.Add(slack)
-	s.slackSum += slack
-	if slack > s.slackMax {
-		s.slackMax = slack
-	}
 }
 
 // Run executes the simulation to the inclusive horizon (events exactly
@@ -689,7 +499,10 @@ func (e *Engine) Run(until des.Time) {
 	}
 	e.ran = true
 	if len(e.shards) == 1 {
-		e.shards[0].runSingle(until)
+		// The one-shard fast path: no rounds, no channels — the advance
+		// loop with the same delivery rule, which is exactly the
+		// single-heap kernel.
+		e.shards[0].advance(until, true)
 		return
 	}
 	var wg sync.WaitGroup
@@ -740,8 +553,7 @@ func (s *Shard) Post(src, dst EntityID, delay des.Time, act des.Action) {
 	if m.arrive < p.stagedMin {
 		p.stagedMin = m.arrive
 	}
-	s.stats.MsgsSent++
-	s.sentTo[dst32]++
+	s.msgsSent++
 }
 
 func (s *Shard) pushLocal(m message) {
@@ -767,8 +579,8 @@ func (s *Shard) localMin() des.Time {
 
 // eot is the shard's scalar earliest output time: the earliest event
 // it could still execute or has already staged for a peer. Used for
-// run-dry detection and the slack telemetry; the per-destination
-// window bounds ride the constraint row instead.
+// run-dry detection; the per-destination window bounds ride the
+// constraint row instead.
 func (s *Shard) eot() des.Time {
 	e := s.localMin()
 	for _, p := range s.peers {
@@ -883,7 +695,6 @@ func (s *Shard) run(until des.Time) {
 			p.ch <- batch{eot: myEOT, row: row, msgs: msgs}
 			p.stagedMin = infTime
 		}
-		s.clockBits.Store(math.Float64bits(float64(s.Sim.Now())))
 		for i := range s.in {
 			in := &s.in[i]
 			b := <-in.ch
@@ -894,7 +705,6 @@ func (s *Shard) run(until des.Time) {
 			}
 			s.eots[in.src] = b.eot
 			if len(b.msgs) > 0 {
-				s.stats.MsgsRecv += int64(len(b.msgs))
 				s.runs = append(s.runs, b.msgs)
 				s.runIn = append(s.runIn, in)
 			}
@@ -911,16 +721,8 @@ func (s *Shard) run(until des.Time) {
 			}
 		}
 		if dry {
-			s.publishLive()
 			return // the whole cluster ran dry
 		}
-		binding := infTime
-		for _, e := range s.eots {
-			if e < binding {
-				binding = e
-			}
-		}
-		s.noteSlack(myEOT, binding)
 		myE, allFinal := infTime, true
 		for d := 0; d < n; d++ {
 			ed := infTime
@@ -945,7 +747,6 @@ func (s *Shard) run(until des.Time) {
 				s.advance(until, true)
 				s.busyNs += time.Since(last).Nanoseconds()
 			}
-			s.publishLive()
 			return
 		}
 		if myE > until {
@@ -959,7 +760,6 @@ func (s *Shard) run(until des.Time) {
 			now = time.Now()
 			s.busyNs += now.Sub(last).Nanoseconds()
 			last = now
-			s.publishLive()
 			continue
 		}
 		if myE > s.committed {
@@ -967,12 +767,9 @@ func (s *Shard) run(until des.Time) {
 			now = time.Now()
 			s.busyNs += now.Sub(last).Nanoseconds()
 			last = now
-			s.widthSum += float64(myE - s.committed)
 			s.committed = myE
-			s.stats.Windows++
-			s.noteWindow()
+			s.windows++
 		}
-		s.publishLive()
 	}
 }
 
@@ -1032,19 +829,6 @@ func (s *Shard) mergeRuns() {
 	s.pending = buf
 	s.mergeBuf = old[:0]
 	s.pendHead = 0
-}
-
-// runSingle is the one-shard fast path: no rounds, no channels — the
-// advance loop with the same delivery rule, which is exactly the
-// single-heap kernel. There are no rounds to time, so live counters
-// update once, at completion (all busy, nothing blocked).
-//
-//whvet:allow nodeterm wall clock feeds the busy-nanoseconds diagnostic only; no simulation state reads it
-func (s *Shard) runSingle(until des.Time) {
-	start := time.Now()
-	s.advance(until, true)
-	s.busyNs += time.Since(start).Nanoseconds()
-	s.publishLive()
 }
 
 // nextArrival peeks the earliest undelivered message across the
@@ -1124,31 +908,4 @@ func (s *Shard) popPending() message {
 	s.pending[s.pendHead] = message{} // drop the action so the run retains no closures
 	s.pendHead++
 	return m
-}
-
-// noteWindow records clock-skew and mailbox-depth diagnostics every
-// diagSampleStride windows. The values depend on goroutine scheduling,
-// so they feed EmitDiagnostics, never the deterministic export.
-func (s *Shard) noteWindow() {
-	minClock := infTime
-	for _, p := range s.eng.shards {
-		if p == s {
-			continue
-		}
-		if c := des.Time(math.Float64frombits(p.clockBits.Load())); c < minClock {
-			minClock = c
-		}
-	}
-	if d := len(s.pending) - s.pendHead + len(s.local); d > s.depthSinceS {
-		s.depthSinceS = d
-	}
-	s.winSinceSamp++
-	if s.winSinceSamp < diagSampleStride {
-		return
-	}
-	s.winSinceSamp = 0
-	t := float64(s.committed)
-	s.skewSamples = append(s.skewSamples, sample{t: t, v: float64(s.Sim.Now() - minClock)})
-	s.depthSamples = append(s.depthSamples, sample{t: t, v: float64(s.depthSinceS)})
-	s.depthSinceS = 0
 }

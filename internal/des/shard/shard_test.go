@@ -65,7 +65,7 @@ func buildToy(t *testing.T, nShards, nNodes int, la, until des.Time) *toyNet {
 // random stream, giving the fuzz target a family of distinct histories.
 func wireToy(t *testing.T, eng *Engine, nNodes int, la, until des.Time, seed uint64) *toyNet {
 	t.Helper()
-	nShards := eng.Shards()
+	nShards := len(eng.shards)
 	tn := &toyNet{eng: eng, la: la, until: until}
 	for i := 0; i < nNodes; i++ {
 		id := EntityID(i)
@@ -248,14 +248,17 @@ func TestIdleShardsRelayProgress(t *testing.T) {
 	if count != 128 {
 		t.Fatalf("expected 128 ticks, got %d", count)
 	}
-	for _, st := range eng.ShardStats() {
+	for i, st := range eng.ShardStats() {
 		if st.Windows > 10000 {
-			t.Errorf("shard %d committed %d windows for 100 events: promises are not relaying (lockstep lookahead windows)", st.Shard, st.Windows)
+			t.Errorf("shard %d committed %d windows for 100 events: promises are not relaying (lockstep lookahead windows)", i, st.Windows)
 		}
 	}
 }
 
-// TestShardStats sanity-checks the diagnostics plumbing.
+// TestShardStats sanity-checks the diagnostics plumbing: per-shard
+// fired counts sum to the engine's, a 4-shard run stages cross-shard
+// messages and commits windows, and every shard's round loop records a
+// non-negative, non-zero wall-clock split.
 func TestShardStats(t *testing.T) {
 	tn := buildToy(t, 4, 16, 1e-4, 0.1)
 	tn.eng.Run(0.1)
@@ -265,99 +268,20 @@ func TestShardStats(t *testing.T) {
 	}
 	var fired uint64
 	var sent int64
-	for _, s := range st {
+	for i, s := range st {
 		fired += s.Fired
 		sent += s.MsgsSent
+		if s.Windows == 0 {
+			t.Errorf("shard %d committed no windows", i)
+		}
+		if s.BusySec < 0 || s.BlockedSec < 0 || s.BusySec+s.BlockedSec == 0 {
+			t.Errorf("shard %d wall-clock split busy %g s, blocked %g s", i, s.BusySec, s.BlockedSec)
+		}
 	}
 	if fired != tn.eng.Fired() {
 		t.Errorf("stats fired %d != engine fired %d", fired, tn.eng.Fired())
 	}
 	if sent == 0 {
 		t.Error("no cross-shard messages in a 4-shard run")
-	}
-}
-
-// TestSelfTelemetry checks the round-loop self-telemetry: the wall
-// clock split, EOT slack classification, window-width accounting, the
-// traffic matrix, and the live mirrors.
-func TestSelfTelemetry(t *testing.T) {
-	tn := buildToy(t, 4, 16, 1e-4, 0.1)
-	tn.eng.Run(0.1)
-	st := tn.eng.ShardStats()
-	for _, s := range st {
-		if s.BusySec < 0 || s.BlockedSec < 0 {
-			t.Errorf("shard %d negative wall-clock split: %+v", s.Shard, s)
-		}
-		if s.BusySec+s.BlockedSec == 0 {
-			t.Errorf("shard %d recorded no wall-clock time at all", s.Shard)
-		}
-		if s.Windows > 0 {
-			if s.MeanWindowSec <= 0 {
-				t.Errorf("shard %d committed %d windows but MeanWindowSec = %g", s.Shard, s.Windows, s.MeanWindowSec)
-			}
-			if s.LookaheadUtil <= 0 || s.LookaheadUtil > 1+1e-9 {
-				t.Errorf("shard %d LookaheadUtil = %g outside (0,1]", s.Shard, s.LookaheadUtil)
-			}
-		}
-		if rounds := s.BindingRounds; rounds < 0 {
-			t.Errorf("shard %d negative binding rounds", s.Shard)
-		}
-		if s.SlackMaxSec < s.SlackMeanSec {
-			t.Errorf("shard %d slack max %g < mean %g", s.Shard, s.SlackMaxSec, s.SlackMeanSec)
-		}
-		if len(s.SentTo) != 4 {
-			t.Fatalf("shard %d SentTo has %d entries, want 4", s.Shard, len(s.SentTo))
-		}
-		var rowSum int64
-		for dst, n := range s.SentTo {
-			if dst == s.Shard && n != 0 {
-				t.Errorf("shard %d claims %d messages to itself", s.Shard, n)
-			}
-			rowSum += n
-		}
-		if rowSum != s.MsgsSent {
-			t.Errorf("shard %d traffic row sums to %d, MsgsSent = %d", s.Shard, rowSum, s.MsgsSent)
-		}
-	}
-	// Matrix consistency: everything received was sent. (Sent can exceed
-	// received — messages staged during the final window would arrive
-	// past the horizon and are never flushed.)
-	var sent, recv int64
-	for _, s := range st {
-		sent += s.MsgsSent
-		recv += s.MsgsRecv
-	}
-	if recv > sent || sent == 0 {
-		t.Errorf("traffic matrix unbalanced: sent %d, recv %d", sent, recv)
-	}
-	// Live mirrors converge to the final counters once Run returns.
-	live := tn.eng.LiveStats()
-	if len(live) != 4 {
-		t.Fatalf("want 4 live stats, got %d", len(live))
-	}
-	for i, l := range live {
-		if l.Windows != st[i].Windows || l.Fired != st[i].Fired || l.MsgsSent != st[i].MsgsSent {
-			t.Errorf("live stats diverge from final: live %+v vs %+v", l, st[i])
-		}
-		if l.BusySec <= 0 {
-			t.Errorf("shard %d live busy time not published", i)
-		}
-	}
-}
-
-// TestLiveStatsSingleShard: the one-shard fast path has no rounds, so
-// live counters update once at completion.
-func TestLiveStatsSingleShard(t *testing.T) {
-	tn := buildToy(t, 1, 8, 1e-4, 0.05)
-	tn.eng.Run(0.05)
-	live := tn.eng.LiveStats()
-	if len(live) != 1 {
-		t.Fatalf("want 1 live stat, got %d", len(live))
-	}
-	if live[0].Fired == 0 || live[0].BusySec <= 0 {
-		t.Errorf("single-shard live stats not published at completion: %+v", live[0])
-	}
-	if live[0].BlockedSec != 0 || live[0].MsgsSent != 0 {
-		t.Errorf("single-shard run should have no blocking or cross traffic: %+v", live[0])
 	}
 }

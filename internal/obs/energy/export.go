@@ -27,8 +27,8 @@ func idleMap(f power.IdleFractions) map[string]float64 {
 // energyManifest is the export's first line: the window configuration,
 // the power model, the run totals, and the proportionality fit. It
 // deliberately carries no shard or parallelism count, so the whole
-// file — not just a body — is byte-identical across -shards and -par
-// values at the same seed.
+// file — not just a body — is byte-identical across shard counts and
+// -par values at the same seed.
 type energyManifest struct {
 	Type          string             `json:"type"`
 	Schema        string             `json:"schema"`

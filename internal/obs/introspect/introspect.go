@@ -1,7 +1,7 @@
 // Package introspect serves live run introspection over HTTP: the
 // latest obs snapshot (progress, counters, gauges, histogram summaries)
-// plus the windowed-SLO and shard-telemetry documents, alongside the
-// standard pprof profiling endpoints.
+// plus the windowed-SLO and energy documents, alongside the standard
+// pprof profiling endpoints.
 //
 // It lives apart from package obs on purpose: obs is linked into every
 // simulator and the benchmark harness, and pulling net/http into those
@@ -36,7 +36,6 @@ type Server struct {
 	mu      sync.RWMutex
 	snap    []byte
 	windows []byte
-	shards  []byte
 	energy  []byte
 }
 
@@ -59,14 +58,6 @@ func (in *Server) Publish(b []byte) {
 func (in *Server) PublishWindows(b []byte) {
 	in.mu.Lock()
 	in.windows = b
-	in.mu.Unlock()
-}
-
-// PublishShards replaces the served shard-telemetry document. The
-// caller must not modify b afterwards.
-func (in *Server) PublishShards(b []byte) {
-	in.mu.Lock()
-	in.shards = b
 	in.mu.Unlock()
 }
 
@@ -98,7 +89,6 @@ func (in *Server) serveDoc(w http.ResponseWriter, endpoint string, read func() [
 //	/             index page
 //	/obs          latest snapshot (progress, counters, gauges, hists)
 //	/obs/windows  live windowed-SLO summaries per partition
-//	/obs/shards   live shard-kernel self-telemetry
 //	/obs/energy   live per-partition energy windows (watts, joules)
 //	/debug/pprof  the standard runtime profiling endpoints
 func (in *Server) Handler() http.Handler {
@@ -112,7 +102,6 @@ func (in *Server) Handler() http.Handler {
 		fmt.Fprint(w, "warehousesim live introspection\n\n"+
 			"  /obs           latest obs snapshot (progress, counters, gauges, hists)\n"+
 			"  /obs/windows   live windowed-SLO summaries per partition\n"+
-			"  /obs/shards    live shard-kernel self-telemetry\n"+
 			"  /obs/energy    live per-partition energy windows (watts, joules)\n"+
 			"  /debug/pprof/  runtime profiles (heap, profile, trace, ...)\n")
 	})
@@ -121,9 +110,6 @@ func (in *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("/obs/windows", func(w http.ResponseWriter, r *http.Request) {
 		in.serveDoc(w, "/obs/windows", func() []byte { return in.windows })
-	})
-	mux.HandleFunc("/obs/shards", func(w http.ResponseWriter, r *http.Request) {
-		in.serveDoc(w, "/obs/shards", func() []byte { return in.shards })
 	})
 	mux.HandleFunc("/obs/energy", func(w http.ResponseWriter, r *http.Request) {
 		in.serveDoc(w, "/obs/energy", func() []byte { return in.energy })

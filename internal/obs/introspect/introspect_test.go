@@ -87,15 +87,19 @@ func TestObsEndpointServesLatestSnapshot(t *testing.T) {
 	}
 }
 
-// TestWindowsAndShardsEndpoints: the windowed-SLO and shard-telemetry
-// documents are published and served independently of the snapshot,
-// with the same 503-before-first-publish contract.
+// TestWindowsAndShardsEndpoints: the windowed-SLO and energy documents
+// are published and served independently of the snapshot, with the same
+// 503-before-first-publish contract, and the retired shard-telemetry
+// route answers 404.
 func TestWindowsAndShardsEndpoints(t *testing.T) {
 	in := New()
 	srv := httptest.NewServer(in.Handler())
 	defer srv.Close()
 
-	for _, path := range []string{"/obs/windows", "/obs/shards", "/obs/energy"} {
+	if code, _ := get(t, srv, "/obs/shards"); code != http.StatusNotFound {
+		t.Fatalf("/obs/shards = %d, want 404 (the route is gone)", code)
+	}
+	for _, path := range []string{"/obs/windows", "/obs/energy"} {
 		code, body := get(t, srv, path)
 		if code != http.StatusServiceUnavailable {
 			t.Fatalf("initial %s = %d %q, want 503", path, code, body)
@@ -110,18 +114,9 @@ func TestWindowsAndShardsEndpoints(t *testing.T) {
 	if code != http.StatusOK || !json.Valid(body) {
 		t.Fatalf("/obs/windows after publish = %d %q", code, body)
 	}
-	// /obs and /obs/shards are still unpublished.
+	// /obs is still unpublished.
 	if code, _ := get(t, srv, "/obs"); code != http.StatusServiceUnavailable {
 		t.Fatalf("/obs = %d, want 503 (only windows was published)", code)
-	}
-	if code, _ := get(t, srv, "/obs/shards"); code != http.StatusServiceUnavailable {
-		t.Fatalf("/obs/shards = %d, want 503", code)
-	}
-
-	in.PublishShards([]byte(`{"schema":"warehousesim-shards/v1","shards":2}`))
-	code, body = get(t, srv, "/obs/shards")
-	if code != http.StatusOK || !json.Valid(body) {
-		t.Fatalf("/obs/shards after publish = %d %q", code, body)
 	}
 
 	if code, _ := get(t, srv, "/obs/energy"); code != http.StatusServiceUnavailable {

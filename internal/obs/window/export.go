@@ -16,8 +16,8 @@ const SchemaLive = "warehousesim-windows/v1"
 
 // sloManifest is the export's first line: the window configuration and
 // run totals. It deliberately carries no shard or parallelism count,
-// so the whole file — not just a body — is byte-identical across
-// -shards and -par values at the same seed.
+// so the whole file — not just a body — is byte-identical across shard
+// counts and -par values at the same seed.
 type sloManifest struct {
 	Type             string  `json:"type"`
 	Schema           string  `json:"schema"`
