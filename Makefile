@@ -17,7 +17,8 @@
 #                     parallel ones)
 #   make introspect-smoke — start whsim -http on a rack, assert
 #                     /obs/windows and /obs/energy serve their schemas
-#                     and the retired /obs/shards answers 404
+#                     with every part, and the retired /obs/shards
+#                     answers 404
 #   make cover      — per-package coverage, with an 80% floor on
 #                     internal/obs/...
 #   make fuzz       — every Fuzz* target in the tree, 10 s each
@@ -63,8 +64,9 @@ fmt:
 
 # Introspection smoke: start whsim on a 4x2 rack with the live endpoints
 # on an ephemeral port, poll /obs/windows and /obs/energy until they
-# publish and assert each serves its schema tag, and assert the retired
-# /obs/shards route answers 404.
+# publish, assert each serves its schema tag and lists all 5 parts (4
+# enclosures plus the rack-global part, handed over by OnProbeTick),
+# and assert the retired /obs/shards route answers 404.
 introspect-smoke:
 	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"; kill $$pid 2>/dev/null || true' EXIT; \
 	$(GO) build -o "$$tmp/whsim" ./cmd/whsim || exit 1; \
@@ -82,6 +84,8 @@ introspect-smoke:
 	done; \
 	echo "$$win" | grep -q '"schema":"warehousesim-windows/v1"' || { \
 		echo "introspect-smoke: /obs/windows missing schema: $$win"; exit 1; }; \
+	n="$$(echo "$$win" | grep -o '"part":' | wc -l)"; [ "$$n" -eq 5 ] || { \
+		echo "introspect-smoke: /obs/windows lists $$n parts, want 5 (4 enclosures + rack-global): $$win"; exit 1; }; \
 	code="$$(curl -s -o /dev/null -w '%{http_code}' "http://$$addr/obs/shards")"; \
 	[ "$$code" = 404 ] || { echo "introspect-smoke: /obs/shards answered $$code, want 404"; exit 1; }; \
 	en=""; for i in $$(seq 1 100); do \
@@ -89,8 +93,10 @@ introspect-smoke:
 	done; \
 	echo "$$en" | grep -q '"schema":"warehousesim-energy-live/v1"' || { \
 		echo "introspect-smoke: /obs/energy missing schema: $$en"; exit 1; }; \
+	n="$$(echo "$$en" | grep -o '"part":' | wc -l)"; [ "$$n" -eq 5 ] || { \
+		echo "introspect-smoke: /obs/energy lists $$n parts, want 5 (4 enclosures + rack-global): $$en"; exit 1; }; \
 	kill $$pid 2>/dev/null; \
-	echo "introspect-smoke: /obs/windows and /obs/energy serve their schemas; /obs/shards is 404"
+	echo "introspect-smoke: /obs/windows and /obs/energy serve their schemas with 5 parts each; /obs/shards is 404"
 
 # Coverage with a floor on the observability packages: the windowed
 # metrics plane is the byte-compared surface, so internal/obs/... must

@@ -41,6 +41,9 @@ func main() {
 	if err := cliflags.Validate(rack, fleet); err != nil {
 		log.Fatal(err)
 	}
+	if err := fleet.TemplateOnly(); err != nil {
+		log.Fatal(err)
+	}
 	obsOn := obsFlags.Enabled()
 	par, err := parFlag.Value()
 	if err != nil {

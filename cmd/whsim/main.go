@@ -333,12 +333,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		// OnLive and OnProbeTick both fire on the goroutine driving the
-		// instrumented replay, so `live` needs no locking; the HTTP side
-		// only ever sees published bytes.
+		// OnProbeTick fires on the goroutine driving the instrumented
+		// replay, the one that owns the collectors, so `live` needs no
+		// locking; the last handles it received serve the "done" publish
+		// after the run. The HTTP side only ever sees published bytes.
 		var live cluster.LiveHandles
 		if intro != nil && sink != nil {
-			opts.OnLive = func(h cluster.LiveHandles) { live = h }
 			horizon := opts.WarmupSec + opts.MeasureSec
 			if p.Batch {
 				horizon = 0 // open-ended: the job defines its own end
@@ -363,7 +363,10 @@ func main() {
 			// The adaptive search runs uninstrumented (see cluster docs),
 			// so live progress covers the instrumented replay.
 			pub("search", 0)
-			opts.OnProbeTick = func(simNow float64) { pub("replay", simNow) }
+			opts.OnProbeTick = func(simNow float64, h cluster.LiveHandles) {
+				live = h
+				pub("replay", simNow)
+			}
 			defer func() { pub("done", horizon) }()
 		}
 

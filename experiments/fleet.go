@@ -139,10 +139,10 @@ func runExtFleet() (Report, error) {
 	if n := shapes[0].Rack.Enclosures * shapes[0].Rack.BoardsPerEnclosure; n > 0 {
 		boards = n
 	}
-	r.addf("hybrid fleet sweep: hot racks on full sharded DES, cold racks on")
+	r.addf("hybrid fleet sweep: hot racks on full rack DES, cold racks on")
 	r.addf("the analytic M/M/m stand-in at the balancer's operating point;")
 	r.addf("Perf/TCO prices every server in every rack over 3 years (seed-11")
-	r.addf("runs; exports are byte-identical at any -shards/-par/hot-set order):")
+	r.addf("runs; exports are byte-identical at any -par/hot-set order):")
 	r.addf("")
 	r.addf("%-7s %-10s %6s %4s %-12s %11s %8s %10s %9s %9s", "design", "workload",
 		"racks", "hot", "balancer", "fleet-rps", "qos-ok", "viol-rk", "slo-wnd", "perf/M$")

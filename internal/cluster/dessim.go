@@ -56,9 +56,13 @@ type SimOptions struct {
 	// service — on the "span" event stream of Obs. 0 disables tracing.
 	TraceEvery int64
 	// OnProbeTick, when non-nil, fires after every timeline-probe tick
-	// of an instrumented run with the current simulated time — the
-	// live-introspection publish hook. It must only read.
-	OnProbeTick func(simNow float64)
+	// of an instrumented run with the current simulated time and the
+	// run's live handles — the live-introspection publish hook. It runs
+	// on the goroutine that owns the collectors, so it may read them;
+	// it must not change them. A rack on more than one event heap
+	// rejects it: the hook rides shard 0 and would read the other
+	// shards' collectors off their goroutines.
+	OnProbeTick func(simNow float64, live LiveHandles)
 
 	// Topology, when non-nil, switches Simulate from the flat
 	// single-server model to the implementation's own: *ShardedTopology
@@ -93,32 +97,28 @@ type SimOptions struct {
 	// Energy, when non-nil, turns on the time-resolved energy telemetry
 	// plane: watts per tumbling window of Energy.WidthSec simulated
 	// seconds, derived from Energy.Model's idle/active split (see
-	// internal/obs/energy) as a view over a window collector — the SLO
-	// plane's own when SLOWindowSec equals the width, a private one
-	// otherwise. The run's energy.* totals are emitted into Obs and
-	// Result.Energy carries the merged view. Like the windowed-SLO plane
-	// it rides the instrumented replay — it requires an enabled Obs and
-	// never changes the reported result or the existing export streams.
+	// internal/obs/energy) as a view over the partition's one window
+	// collector, the one the SLO plane reads. Both planes bin into that
+	// collector, so with SLOWindowSec set the widths must be equal. The
+	// run's energy.* totals are emitted into Obs and Result.Energy
+	// carries the merged view. Like the windowed-SLO plane it rides the
+	// instrumented replay — it requires an enabled Obs and never changes
+	// the reported result or the existing export streams.
 	Energy *energy.Config
-
-	// OnLive, when non-nil, fires once per run just before the
-	// instrumented simulation starts, handing the caller the live
-	// introspection handles: the per-partition window collectors. The
-	// handles stay valid for the rest of the run; everything reachable
-	// through them is safe to read concurrently with the simulation.
-	OnLive func(LiveHandles)
 }
 
-// LiveHandles is what SimOptions.OnLive receives: read-only views that
-// a live introspection server may poll while the run executes. SLO is
-// nil when SLOWindowSec is off, Energy when Energy is.
+// LiveHandles is what SimOptions.OnProbeTick receives: each partition's
+// window collector and energy view, in part order, bound once per run.
+// SLO is nil when SLOWindowSec is off, Energy when Energy is. Read them
+// only inside the hook, on the simulating goroutine (window.LiveSnapshot
+// and energy.LiveSnapshot render them); a caller that keeps them reads
+// them again only after Simulate returns.
 type LiveHandles struct {
 	// SLO holds the per-partition window collectors (one for flat runs;
 	// one per enclosure plus the rack-global part for Topology runs).
-	// Only Collector.LiveSummaries is safe concurrently.
 	SLO []*window.Collector
 	// Energy holds the per-partition energy views in the same part
-	// order as SLO. Read them concurrently only through energy.LiveSnapshot.
+	// order as SLO.
 	Energy []*energy.Collector
 }
 
@@ -159,6 +159,9 @@ func (o SimOptions) Normalize() (SimOptions, error) {
 	if o.Energy != nil {
 		if err := o.Energy.Validate(); err != nil {
 			return o, fmt.Errorf("cluster: %w", err)
+		}
+		if o.SLOWindowSec > 0 && o.Energy.WidthSec != o.SLOWindowSec {
+			return o, fmt.Errorf("cluster: energy window %gs differs from the SLO window %gs: both planes read one window collector, so give them one width", o.Energy.WidthSec, o.SLOWindowSec)
 		}
 	}
 	if o.ProbeIntervalSec == 0 {
@@ -289,9 +292,6 @@ func (c Config) simulateInteractive(gen workload.Generator, p workload.Profile, 
 		if !obs.On(opt.Obs) {
 			return
 		}
-		if opt.OnLive != nil {
-			opt.OnLive(liveHandles(tel))
-		}
 		ctx.run(gen, p, n, opt, s, opt.Obs, tel)
 	}
 
@@ -352,7 +352,7 @@ func (c Config) simulateBatch(gen workload.Generator, p workload.Profile, opt Si
 	}
 	pop.sim = sim
 	pop.dm = &dm
-	pop.bind(gen, opt.Obs, tel, opt.TraceEvery, 0)
+	pop.bind(gen, opt.Obs, tel.win, opt.TraceEvery, 0)
 	pop.measuring = true
 
 	concurrency := c.batchSlots()
@@ -361,7 +361,7 @@ func (c Config) simulateBatch(gen workload.Generator, p workload.Profile, opt Si
 	if pop.recording {
 		probes = des.NewProbes(sim, opt.Obs, des.Time(opt.ProbeIntervalSec))
 		probes.Watch(b.cpu, b.disk, b.net)
-		probes.OnTick = opt.OnProbeTick
+		probes.OnTick = onTick(opt.OnProbeTick, tel)
 		tel.watch(probes)
 		probes.Start()
 	}
@@ -374,9 +374,6 @@ func (c Config) simulateBatch(gen workload.Generator, p workload.Profile, opt Si
 	}
 	for i := 0; i < concurrency && i < p.JobRequests; i++ {
 		newSlot(b, stopAtEnd).launch()
-	}
-	if pop.recording && opt.OnLive != nil {
-		opt.OnLive(liveHandles(tel))
 	}
 	sim.Run(des.Time(math.MaxFloat64))
 	if pop.recording {

@@ -5,7 +5,9 @@ import (
 	"reflect"
 	"testing"
 
+	"warehousesim/internal/obs/energy"
 	"warehousesim/internal/platform"
+	"warehousesim/internal/power"
 	"warehousesim/internal/workload"
 )
 
@@ -96,22 +98,26 @@ func TestSimulateRejectsBadOptions(t *testing.T) {
 }
 
 // FuzzSimOptionsNormalize checks option normalization over generated
-// windows, parallelism, trace strides, SLO widths and topologies: it
-// must never panic, and whatever it accepts must be a fixed point —
-// normalizing the result again changes nothing. kind selects no
-// topology, a rack built from the fuzzed ints, or a fleet of such
-// racks; boards, when non-empty, is the rack's per-enclosure board
-// list and the fleet's hot set.
+// windows, parallelism, trace strides, SLO and energy widths and
+// topologies: it must never panic, and whatever it accepts must be a
+// fixed point — normalizing the result again changes nothing. kind
+// selects no topology, a rack built from the fuzzed ints, or a fleet of
+// such racks; boards, when non-empty, is the rack's per-enclosure board
+// list and the fleet's hot set. With energyOn it adds an energy plane
+// of the fuzzed width: accepted options never carry two different
+// positive widths, and an energy plane whose width is valid is
+// accepted whenever the rest is and the SLO plane is off or as wide.
 func FuzzSimOptionsNormalize(f *testing.F) {
-	f.Add(30.0, 240.0, 4096, 0.0, int64(0), 0, 0.0, uint8(0), 0, 0, 0, 0, 0, []byte(nil))
-	f.Add(30.0, 20.0, 64, 1.0, int64(1), 4, 1.0, uint8(1), 4, 2, 0, 4, 0, []byte(nil))
-	f.Add(0.0, 10.0, 8, 0.5, int64(3), 2, 0.25, uint8(1), 4, 0, 3, 9, 0, []byte{12, 2, 2, 2})
-	f.Add(2.0, 10.0, 32, 0.0, int64(0), 1, 1.0, uint8(2), 4, 2, 0, 2, 200, []byte{17, 141})
-	f.Add(2.0, 10.0, 32, 0.0, int64(0), 1, 0.0, uint8(5), 1, 1, 0, 1, 3, []byte(nil))
-	f.Add(math.NaN(), 10.0, 32, math.NaN(), int64(0), 1, 0.0, uint8(0), 0, 0, 0, 0, 0, []byte(nil))
-	f.Add(0.0, math.Inf(1), 32, math.Inf(1), int64(-1), -1, math.NaN(), uint8(0), 0, 0, 0, 0, 0, []byte(nil))
+	f.Add(30.0, 240.0, 4096, 0.0, int64(0), 0, 0.0, uint8(0), 0, 0, 0, 0, 0, []byte(nil), false, 0.0)
+	f.Add(30.0, 20.0, 64, 1.0, int64(1), 4, 1.0, uint8(1), 4, 2, 0, 4, 0, []byte(nil), true, 1.0)
+	f.Add(0.0, 10.0, 8, 0.5, int64(3), 2, 0.25, uint8(1), 4, 0, 3, 9, 0, []byte{12, 2, 2, 2}, true, 0.5)
+	f.Add(2.0, 10.0, 32, 0.0, int64(0), 1, 1.0, uint8(2), 4, 2, 0, 2, 200, []byte{17, 141}, false, 2.0)
+	f.Add(2.0, 10.0, 32, 0.0, int64(0), 1, 0.0, uint8(5), 1, 1, 0, 1, 3, []byte(nil), true, 2.0)
+	f.Add(math.NaN(), 10.0, 32, math.NaN(), int64(0), 1, 0.0, uint8(0), 0, 0, 0, 0, 0, []byte(nil), true, math.NaN())
+	f.Add(0.0, math.Inf(1), 32, math.Inf(1), int64(-1), -1, math.NaN(), uint8(0), 0, 0, 0, 0, 0, []byte(nil), true, math.Inf(1))
+	f.Add(1.0, 10.0, 8, 0.0, int64(0), 1, 1.0, uint8(0), 0, 0, 0, 0, 0, []byte(nil), true, 2.0)
 	f.Fuzz(func(t *testing.T, warmup, measure float64, maxClients int, probe float64, trace int64, par int,
-		slo float64, kind uint8, encs, perEnc, clients, shards, racks int, boards []byte) {
+		slo float64, kind uint8, encs, perEnc, clients, shards, racks int, boards []byte, energyOn bool, energyWidth float64) {
 		o := SimOptions{
 			Seed: 1, WarmupSec: warmup, MeasureSec: measure, MaxClients: maxClients,
 			ProbeIntervalSec: probe, TraceEvery: trace, Parallelism: par, SLOWindowSec: slo,
@@ -129,9 +135,19 @@ func FuzzSimOptionsNormalize(f *testing.F) {
 			balancers := [...]string{"", BalancerWRR, BalancerLeastLoaded, "random"}
 			o.Topology = &FleetTopology{Racks: racks, HotRacks: clients, HotSet: list, Rack: rack, Balancer: balancers[kind/3%4]}
 		}
+		_, restErr := o.Normalize()
+		if energyOn {
+			o.Energy = &energy.Config{WidthSec: energyWidth, Model: energy.Model{Idle: power.DefaultIdleFractions()}}
+		}
 		got, err := o.Normalize()
+		if energyOn && restErr == nil && o.Energy.Validate() == nil && (slo == 0 || slo == energyWidth) && err != nil {
+			t.Fatalf("energy width %g with SLO width %g rejected: %v", energyWidth, slo, err)
+		}
 		if err != nil {
 			return
+		}
+		if got.Energy != nil && got.SLOWindowSec > 0 && got.Energy.WidthSec != got.SLOWindowSec {
+			t.Fatalf("accepted energy width %g beside SLO width %g", got.Energy.WidthSec, got.SLOWindowSec)
 		}
 		again, err := got.Normalize()
 		if err != nil {

@@ -54,7 +54,7 @@ func TestEnergyFlatInteractive(t *testing.T) {
 	opt.Obs = sink
 	opt.Energy = testEnergyConfig(1, power.IdleFractions{CPU: 1, Memory: 1, Disk: 1, Board: 1, Fan: 1, Flash: 1, Switch: 1})
 	var live LiveHandles
-	opt.OnLive = func(h LiveHandles) { live = h }
+	opt.OnProbeTick = func(_ float64, h LiveHandles) { live = h }
 	res, err := cfg.Simulate(gen, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +85,7 @@ func TestEnergyFlatInteractive(t *testing.T) {
 		t.Errorf("totals carry no requests: %+v", tot)
 	}
 	if len(live.Energy) != 1 || live.Energy[0] != res.Energy {
-		t.Errorf("OnLive energy handles = %+v, want the run's single collector", live.Energy)
+		t.Errorf("OnProbeTick energy handles = %+v, want the run's single collector", live.Energy)
 	}
 	if sink.CounterValue("energy.windows") != int64(len(ws)) {
 		t.Errorf("energy.windows counter %d != %d windows", sink.CounterValue("energy.windows"), len(ws))
@@ -117,12 +117,12 @@ func TestEnergyFlatUtilizationConditioned(t *testing.T) {
 	}
 }
 
-// TestEnergySharingChangesNoBytes: whether the energy view reads the
-// SLO collector (same width) or a private one (SLO plane off, or
-// another width) must not change a byte of the energy export, nor of
-// the obs stream outside the SLO plane's own slo.* records. A run that
-// fed, sealed or emitted a shared collector twice would double its
-// request counts or its energy totals and differ here.
+// TestEnergySharingChangesNoBytes: whether the energy view's window
+// collector also serves the SLO plane must not change a byte of the
+// energy export, nor of the obs stream outside the SLO plane's own
+// slo.* records. A run that fed, sealed or emitted the collector twice
+// would double its request counts or its energy totals and differ here.
+// Differing widths are rejected by SimOptions.Normalize.
 func TestEnergySharingChangesNoBytes(t *testing.T) {
 	batch := batchProfile()
 	batch.JobRequests = 300
@@ -146,7 +146,7 @@ func TestEnergySharingChangesNoBytes(t *testing.T) {
 	for _, path := range paths {
 		t.Run(path.name, func(t *testing.T) {
 			var refEnergy, refObs []byte
-			for _, sloSec := range []float64{0, 1, 2} {
+			for _, sloSec := range []float64{0, 1} {
 				sink := obs.NewSink()
 				opt := path.opt(sink)
 				opt.SLOWindowSec = sloSec
@@ -154,9 +154,6 @@ func TestEnergySharingChangesNoBytes(t *testing.T) {
 				res, err := path.cfg.Simulate(workload.FixedGenerator{P: path.p}, opt)
 				if err != nil {
 					t.Fatal(err)
-				}
-				if shared := res.SLO != nil && res.Energy.Source() == res.SLO; shared != (sloSec == 1) {
-					t.Errorf("slo=%gs: energy shares the SLO collector = %v", sloSec, shared)
 				}
 				en, obsB := energyExport(t, res), withoutSLO(obsExport(t, sink))
 				if refEnergy == nil {
@@ -253,5 +250,20 @@ func TestEnergyNormalizeRejectsBadConfig(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("zero-width energy config accepted")
+	}
+	// Both planes read one collector: beside a set SLO width the energy
+	// width must equal it; either plane alone takes any valid width.
+	for _, c := range []struct {
+		slo, energy float64
+		ok          bool
+	}{
+		{0, 2, true}, {1, 1, true}, {0.5, 0.5, true},
+		{1, 2, false}, {2, 1, false}, {1, 0.999, false},
+	} {
+		opt := SimOptions{Seed: 1, MeasureSec: 10, MaxClients: 8, SLOWindowSec: c.slo,
+			Energy: testEnergyConfig(c.energy, power.DefaultIdleFractions())}
+		if _, err := opt.Normalize(); (err == nil) != c.ok {
+			t.Errorf("slo=%gs energy=%gs: Normalize err = %v, want ok=%v", c.slo, c.energy, err, c.ok)
+		}
 	}
 }

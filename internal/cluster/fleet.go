@@ -40,7 +40,7 @@ const maxFleetRacks = 1 << 20
 
 // FleetTopology scales the unit of simulation from one rack to a fleet
 // of Racks identical racks behind a load-balancer tier. The HotRacks
-// racks under study run the full sharded DES (rack.go, unchanged as the
+// racks under study run the full rack DES (rack.go, unchanged as the
 // per-rack engine); the remaining cold racks are stood in by the
 // analytic M/M/m solver (analytic.go) evaluated at the operating point
 // the balancer routes to them. Cold racks never enter the event stream:
@@ -175,7 +175,7 @@ func fleetRackSeed(root uint64, rack int) uint64 {
 	return stats.EntitySeed(root, rack, 0)
 }
 
-// simulate implements Topology: hot racks on the sharded DES, cold
+// simulate implements Topology: hot racks on the full rack DES, cold
 // racks on the analytic stand-in, one merged Result.
 func (t *FleetTopology) simulate(c Config, gen workload.Generator, p workload.Profile, opt SimOptions) (Result, error) {
 	if p.Batch {
@@ -287,7 +287,10 @@ func (t *FleetTopology) simulate(c Config, gen workload.Generator, p workload.Pr
 	// event stream and so no telemetry windows.
 	tel := make([]planes, len(hot))
 	for i, h := range hot {
-		tel[i] = planes{slo: h.SLO, en: h.Energy}
+		tel[i] = planes{win: h.SLO, slo: h.SLO != nil, en: h.Energy}
+		if h.Energy != nil {
+			tel[i].win = h.Energy.Source()
+		}
 	}
 	if err := mergeTelemetry(&res, tel); err != nil {
 		return Result{}, err
@@ -305,9 +308,8 @@ func (t *FleetTopology) runHotRack(c Config, gen workload.Generator, p workload.
 	ro.Seed = fleetRackSeed(opt.Seed, t.HotSet[i])
 	ro.Topology = nil
 	ro.Parallelism = 1
-	// Live hooks are per-run: concurrently running racks would race on
-	// them, so fleet runs don't publish live handles.
-	ro.OnLive = nil
+	// The live hook is per-run: concurrently running racks would race
+	// on it, so fleet runs don't publish live handles.
 	ro.OnProbeTick = nil
 	ro.Obs = nil
 	if obs.On(opt.Obs) {

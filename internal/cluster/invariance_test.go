@@ -37,8 +37,8 @@ func digest(t *testing.T, write func(io.Writer) error) [sha256.Size]byte {
 // windows, as whsim runs it, on a rack of 4 enclosures x 2 boards at
 // shards 1/2/4 or on the flat model at search parallelism 1/4, must
 // export the same obs, SLO and energy bytes in every case. The SLO
-// tests run with 1 s SLO windows (energy shares the SLO collector), the
-// energy tests without them (energy reads its own). Whole files are
+// tests run with 1 s SLO windows (both planes read one collector), the
+// energy tests without them. Whole files are
 // compared: none of the three records a shard or parallelism count.
 
 // TestSLORackShardInvariance: rack shards 1/2/4 with the SLO plane on.
@@ -52,7 +52,7 @@ func TestSLOFlatParInvariance(t *testing.T) {
 }
 
 // TestEnergyRackShardInvariance: rack shards 1/2/4 with the SLO plane
-// off, so energy reads a private collector.
+// off, so the window collector serves energy alone.
 func TestEnergyRackShardInvariance(t *testing.T) {
 	checkTelemetryInvariance(t, 0, rackCases())
 }

@@ -82,9 +82,9 @@ func TestPinnedTracedExports(t *testing.T) {
 }
 
 // TestPinnedPlaneExports pins the windowed-plane exports of fixed-seed
-// flat and rack runs, interactive and batch, in the two ways the energy
-// plane gets its windows: sharing the SLO collector (both planes at one
-// width) and reading a private collector (energy alone). The digests
+// flat and rack runs, interactive and batch, with the energy plane's
+// window collector shared with the SLO plane (both on) and serving
+// energy alone (SLO off). The digests
 // cover the obs export and the -slo-out and -energy-out JSONL bodies,
 // so any change to how requests and probe samples reach the window
 // collectors — which streams, which classes, which windows, in which

@@ -4,6 +4,7 @@ import (
 	"warehousesim/internal/des"
 	"warehousesim/internal/obs"
 	"warehousesim/internal/obs/span"
+	"warehousesim/internal/obs/window"
 	"warehousesim/internal/stats"
 	"warehousesim/internal/workload"
 )
@@ -31,7 +32,7 @@ type population struct {
 
 	// recording state, zeroed for uninstrumented runs.
 	rec       obs.Recorder
-	tel       planes
+	win       *window.Collector // nil when the window planes are off
 	recording bool
 	qosBound  float64
 	tracer    *span.Tracer
@@ -39,16 +40,16 @@ type population struct {
 }
 
 // bind starts a run: it zeroes the counters and attaches the run's
-// generator, recorder and window planes. With a live recorder every
+// generator, recorder and window collector. With a live recorder every
 // request's demands and completion are recorded, and completions feed
-// tel's collectors; with traceEvery > 0 it also gets a tracer. Span ids
-// and request numbers both start above base, so partitioned models
-// that give each part a disjoint base stay unique after the parts
-// merge. The tracer stays nil otherwise, and every tracer method no-ops
+// win when the window planes are on; with traceEvery > 0 it also gets
+// a tracer. Span ids and request numbers both start above base, so
+// partitioned models that give each part a disjoint base stay unique
+// after the parts merge. The tracer stays nil otherwise, and every tracer method no-ops
 // on nil, so the untraced path pays one nil check per request.
-func (p *population) bind(gen workload.Generator, rec obs.Recorder, tel planes, traceEvery, base int64) {
+func (p *population) bind(gen workload.Generator, rec obs.Recorder, win *window.Collector, traceEvery, base int64) {
 	p.measuring, p.completed, p.arrivals, p.base = false, 0, 0, base
-	p.gen, p.rec, p.tel, p.recording, p.tracer = gen, rec, tel, obs.On(rec), nil
+	p.gen, p.rec, p.win, p.recording, p.tracer = gen, rec, win, obs.On(rec), nil
 	if p.recording && traceEvery > 0 {
 		p.tracer = span.NewTracerAt(rec, traceEvery, base)
 	}
@@ -119,7 +120,9 @@ func (p *population) done(start des.Time) {
 	p.evFields[1] = obs.FB("qos_violation", violation)
 	p.evFields[2] = obs.FB("measured", p.measuring)
 	p.rec.Event("request", float64(now), p.evFields[:]...)
-	p.tel.observe(float64(now), latency, violation)
+	if p.win != nil {
+		p.win.ObserveLatency(float64(now), latency, violation)
+	}
 }
 
 // emitStage records the queue and service spans of one station stage

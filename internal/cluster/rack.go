@@ -157,6 +157,9 @@ func (t *ShardedTopology) simulate(c Config, gen workload.Generator, p workload.
 			return Result{}, fmt.Errorf("cluster: rack runs record into per-enclosure sinks folded after the run, so Obs must be a *obs.Sink, got %T", opt.Obs)
 		}
 	}
+	if opt.OnProbeTick != nil && t.Shards > 1 {
+		return Result{}, fmt.Errorf("cluster: OnProbeTick rides shard 0 and would read the other %d shards' collectors off their goroutines; run the rack on one heap to watch it live", t.Shards-1)
+	}
 	if p.Batch {
 		return c.rackBatch(t, gen, p, opt)
 	}
@@ -394,7 +397,7 @@ func buildRack(c Config, topo *ShardedTopology, gen workload.Generator, p worklo
 		pop.dm = &r.dm
 		// Disjoint bases keep span ids and request numbers unique across
 		// the per-enclosure populations, at every shard count.
-		pop.bind(gen, rec, enc.tel, opt.TraceEvery, (int64(e)+1)<<40)
+		pop.bind(gen, rec, enc.tel.win, opt.TraceEvery, (int64(e)+1)<<40)
 		if p.Batch {
 			pop.measuring = true // the whole job is the measurement
 		} else {
@@ -441,8 +444,8 @@ func buildRack(c Config, topo *ShardedTopology, gen workload.Generator, p worklo
 // probes of a recorded run. Kernel gauges are omitted — heap depth and
 // event rate are per-shard quantities — and every resource series name
 // is enclosure/board-scoped, so each series belongs to exactly one
-// part. The live-introspection hook rides the rack-global probes
-// (shard 0).
+// part. The live-introspection hook rides the rack-global probes, on
+// shard 0, which owns every part when the rack runs on one heap.
 func (r *rackSim) startProbes() {
 	iv := des.Time(r.opt.ProbeIntervalSec)
 	for _, enc := range r.encs {
@@ -461,7 +464,7 @@ func (r *rackSim) startProbes() {
 	gp.OmitKernel = true
 	r.globalTel.watch(gp)
 	gp.Watch(r.san)
-	gp.OnTick = r.opt.OnProbeTick
+	gp.OnTick = onTick(r.opt.OnProbeTick, r.telParts()...)
 	gp.Start()
 }
 
@@ -477,14 +480,6 @@ func (r *rackSim) telParts() []planes {
 		parts = append(parts, enc.tel)
 	}
 	return append(parts, r.globalTel)
-}
-
-// fireOnLive hands the caller the live introspection handles just
-// before the engine runs: the per-part window collectors.
-func (r *rackSim) fireOnLive() {
-	if r.opt.OnLive != nil {
-		r.opt.OnLive(liveHandles(r.telParts()...))
-	}
 }
 
 // finishTelemetry seals every part's window planes at the run's
@@ -615,7 +610,6 @@ func (c Config) rackInteractive(t *ShardedTopology, gen workload.Generator, p wo
 		return Result{}, err
 	}
 	r.setupInteractive()
-	r.fireOnLive()
 	r.eng.Run(des.Time(opt.WarmupSec + opt.MeasureSec))
 
 	hist := stats.NewLatencyHistogram()
@@ -647,9 +641,6 @@ func (c Config) rackBatch(t *ShardedTopology, gen workload.Generator, p workload
 		return Result{}, err
 	}
 	slots := r.setupBatch()
-	if !obs.On(opt.Obs) {
-		r.fireOnLive() // no instrumented replay will follow
-	}
 	r.eng.Run(des.Time(math.Inf(1)))
 	if r.aggDone != p.JobRequests {
 		return Result{}, fmt.Errorf("cluster: rack batch job stalled at %d/%d chunks", r.aggDone, p.JobRequests)
@@ -663,7 +654,6 @@ func (c Config) rackBatch(t *ShardedTopology, gen workload.Generator, p workload
 			return Result{}, err
 		}
 		r2.setupBatch()
-		r2.fireOnLive()
 		r2.eng.Run(r.aggFinish)
 		if r2.aggDone != r.aggDone || r2.aggFinish != r.aggFinish {
 			return Result{}, fmt.Errorf("cluster: instrumented rack replay diverged: %d/%d chunks at %v vs %v",

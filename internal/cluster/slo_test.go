@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"warehousesim/internal/obs"
@@ -45,7 +46,7 @@ func TestSLOFlatInteractive(t *testing.T) {
 	opt.Obs = sink
 	opt.SLOWindowSec = 1
 	var live LiveHandles
-	opt.OnLive = func(h LiveHandles) { live = h }
+	opt.OnProbeTick = func(_ float64, h LiveHandles) { live = h }
 	res, err := cfg.Simulate(gen, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +75,7 @@ func TestSLOFlatInteractive(t *testing.T) {
 		t.Errorf("windows missing requests (%d) or cpu utilization (%v)", reqs, sawCPUUtil)
 	}
 	if len(live.SLO) != 1 || live.SLO[0] != res.SLO {
-		t.Errorf("OnLive handles = %+v, want the run's single collector", live)
+		t.Errorf("OnProbeTick handles = %+v, want the run's single collector", live)
 	}
 	// The episode summary lands in the deterministic stream.
 	if sink.CounterValue("slo.windows") != int64(len(ws)) {
@@ -82,25 +83,45 @@ func TestSLOFlatInteractive(t *testing.T) {
 	}
 }
 
-// TestSLORackLiveHandles: a Topology run hands the introspection
-// server every per-part collector.
+// TestSLORackLiveHandles: a rack on one heap hands OnProbeTick every
+// per-part collector, enclosures and the rack-global part, and the hook
+// can render them on the simulating goroutine.
 func TestSLORackLiveHandles(t *testing.T) {
 	cfg := Config{Server: platform.Desk(), MemSlowdown: 0.05}
 	sink := obs.NewSink()
-	opt := rackOptions(2, sink)
+	opt := rackOptions(1, sink)
 	opt.SLOWindowSec = 1
 	var live LiveHandles
-	opt.OnLive = func(h LiveHandles) { live = h }
-	if _, err := cfg.Simulate(workload.FixedGenerator{P: testProfile()}, opt); err != nil {
+	opt.OnProbeTick = func(_ float64, h LiveHandles) {
+		live = h
+		if _, err := window.LiveSnapshot(h.SLO); err != nil {
+			t.Error(err)
+		}
+	}
+	res, err := cfg.Simulate(workload.FixedGenerator{P: testProfile()}, opt)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(live.SLO) != rackTopology(2).Enclosures+1 {
-		t.Errorf("OnLive SLO parts = %d", len(live.SLO))
+	if len(live.SLO) != rackTopology(1).Enclosures+1 {
+		t.Fatalf("OnProbeTick SLO parts = %d, want %d", len(live.SLO), rackTopology(1).Enclosures+1)
 	}
-	// Every part published live summaries the introspection snapshot
-	// can render.
-	if _, err := window.LiveSnapshot(live.SLO); err != nil {
-		t.Fatal(err)
+	for i, c := range live.SLO {
+		if c != res.SLOParts[i] {
+			t.Errorf("live part %d is not the run's part collector", i)
+		}
+	}
+}
+
+// TestRackProbeTickNeedsOneHeap: a rack on two event heaps rejects
+// OnProbeTick, whose reads would cross goroutines.
+func TestRackProbeTickNeedsOneHeap(t *testing.T) {
+	cfg := Config{Server: platform.Desk(), MemSlowdown: 0.05}
+	opt := rackOptions(2, obs.NewSink())
+	opt.SLOWindowSec = 1
+	opt.OnProbeTick = func(float64, LiveHandles) {}
+	_, err := cfg.Simulate(workload.FixedGenerator{P: testProfile()}, opt)
+	if err == nil || !strings.Contains(err.Error(), "OnProbeTick") {
+		t.Fatalf("2-shard rack with OnProbeTick: err = %v, want a rejection", err)
 	}
 }
 

@@ -56,7 +56,7 @@ func (t *trialCtx) run(gen workload.Generator, p workload.Profile, nClients int,
 	pop.hist.Reset()
 	pop.think = stats.Exponential{Mean: p.ThinkTimeSec}
 	pop.qosBound = p.QoSLatencySec
-	pop.bind(gen, rec, tel, opt.TraceEvery, 0)
+	pop.bind(gen, rec, tel.win, opt.TraceEvery, 0)
 
 	for len(t.clients) < nClients {
 		t.clients = append(t.clients, newClient(t.b))
@@ -73,7 +73,7 @@ func (t *trialCtx) run(gen workload.Generator, p workload.Profile, nClients int,
 	if pop.recording {
 		probes = des.NewProbes(t.sim, rec, des.Time(opt.ProbeIntervalSec))
 		probes.Watch(t.b.cpu, t.b.disk, t.b.net)
-		probes.OnTick = opt.OnProbeTick
+		probes.OnTick = onTick(opt.OnProbeTick, tel)
 		tel.watch(probes)
 		probes.Start()
 	}

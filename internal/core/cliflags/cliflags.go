@@ -310,6 +310,23 @@ func (f *Fleet) Validate() error {
 	return nil
 }
 
+// TemplateOnly rejects the rack flags without -racks, for tools with
+// no rack model of their own (whbench): there -enclosures, -boards and
+// -clients-per-board only size the fleet's per-rack template, so
+// without -racks they would be silently ignored. Call it after
+// Validate.
+func (f *Fleet) TemplateOnly() error {
+	if f.Enabled() {
+		return nil
+	}
+	for _, name := range [...]string{"enclosures", "boards", "clients-per-board"} {
+		if f.rack.explicitlySet(name) {
+			return fmt.Errorf("-%s sizes the fleet's racks and needs the fleet model: pass -racks N (this tool runs no single rack)", name)
+		}
+	}
+	return nil
+}
+
 // SLO is the -slo-window/-slo-out pair for the windowed SLO metrics
 // plane.
 type SLO struct {

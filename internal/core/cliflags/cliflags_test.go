@@ -85,6 +85,41 @@ func TestValidateFlagCombinations(t *testing.T) {
 	}
 }
 
+// TestFleetTemplateOnly: in a tool with no rack model of its own the
+// rack flags size only the fleet template, so without -racks they fail.
+func TestFleetTemplateOnly(t *testing.T) {
+	cases := []struct {
+		args    []string
+		wantErr string // substring; "" = valid
+	}{
+		{nil, ""},
+		{[]string{"-enclosures", "3"}, "-enclosures"},
+		{[]string{"-boards", "2"}, "-boards"},
+		{[]string{"-boards", "8,2"}, "-boards"},
+		{[]string{"-clients-per-board", "6"}, "-clients-per-board"},
+		{[]string{"-racks", "10", "-enclosures", "3", "-boards", "2", "-clients-per-board", "6"}, ""},
+		{[]string{"-racks", "10"}, ""},
+	}
+	for _, tc := range cases {
+		g, err := parseSet(tc.args...)
+		if err == nil {
+			err = Validate(g.rack, g.fleet)
+		}
+		if err == nil {
+			err = g.fleet.TemplateOnly()
+		}
+		if tc.wantErr == "" {
+			if err != nil {
+				t.Errorf("%v: %v, want nil", tc.args, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%v: err = %v, want one naming %q", tc.args, err, tc.wantErr)
+		}
+	}
+}
+
 func TestSLOConventions(t *testing.T) {
 	_, slo, _ := newSet(t, "-slo-out", "x.jsonl")
 	if got := slo.WindowSec(); got != 1 {

@@ -175,8 +175,8 @@ type Totals struct {
 
 // Collector is the energy view of one window.Collector: every method
 // derives its answer from the source's sealed windows when called, so
-// the view is exactly as current as its source — for concurrent
-// readers too, through LiveSnapshot.
+// the view is exactly as current as its source. Like the source it is
+// read on the source's owning goroutine.
 type Collector struct {
 	cfg Config
 	src *window.Collector
@@ -206,9 +206,6 @@ func (c *Collector) Source() *window.Collector { return c.src }
 // derive turns window summaries into energy windows: watts from each
 // window's mean utilizations, joules over its horizon-clamped span.
 func (c *Collector) derive(sums []window.Summary) []Window {
-	if sums == nil {
-		return nil
-	}
 	out := make([]Window, len(sums))
 	for i, s := range sums {
 		w := Window{

@@ -347,14 +347,8 @@ func TestExportFormat(t *testing.T) {
 
 func TestLiveWindowsAndSnapshot(t *testing.T) {
 	src, c := newView(t, Config{WidthSec: 1, Model: testModel()})
-	if c.derive(c.src.LiveSummaries()) != nil {
-		t.Error("live windows before any seal")
-	}
 	src.SampleUtil("cpu", 0.5, 0.5)
 	src.SampleUtil("cpu", 1.5, 0.5) // seals window 0
-	if got := len(c.derive(c.src.LiveSummaries())); got != 1 {
-		t.Errorf("live windows = %d, want 1", got)
-	}
 	b, err := LiveSnapshot([]*Collector{c})
 	if err != nil {
 		t.Fatal(err)
@@ -376,60 +370,6 @@ func TestLiveWindowsAndSnapshot(t *testing.T) {
 	// Zero parts still yields a valid document.
 	if b, err = LiveSnapshot(nil); err != nil || !bytes.Contains(b, []byte(SchemaLive)) {
 		t.Errorf("empty snapshot %s, %v", b, err)
-	}
-}
-
-// TestLiveReadDuringSeal: a reader polling the source's live summaries
-// and the view's derived live windows while the owner seals must only
-// ever see a growing prefix of complete windows. Run under -race it
-// also checks the publication protocol: the owner appends into spare
-// capacity while readers hold older, shorter views.
-func TestLiveReadDuringSeal(t *testing.T) {
-	src, c := newView(t, Config{WidthSec: 1, Model: testModel()})
-	const n = 400
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		last := 0
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			sums := src.LiveSummaries()
-			if len(sums) < last {
-				t.Errorf("live summaries shrank from %d to %d", last, len(sums))
-				return
-			}
-			for i, s := range sums {
-				if s.Index != int64(i) || s.Requests != 1 {
-					t.Errorf("live summary %d = %+v", i, s)
-					return
-				}
-			}
-			// A reader's append must copy, never write into the
-			// collector's array.
-			_ = append(sums, window.Summary{Index: -1})
-			for i, w := range c.derive(c.src.LiveSummaries()) {
-				if w.Index != int64(i) || w.Requests != 1 || w.Watts <= 0 {
-					t.Errorf("live window %d = %+v", i, w)
-					return
-				}
-			}
-			last = len(sums)
-		}
-	}()
-	for i := 0; i < n; i++ {
-		src.SampleUtil("cpu", float64(i)+0.25, 0.5)
-		src.ObserveLatency(float64(i)+0.5, 0.01, false)
-	}
-	src.Seal(n)
-	close(stop)
-	<-done
-	if got := len(c.derive(c.src.LiveSummaries())); got != n {
-		t.Errorf("live windows after the final seal = %d, want %d", got, n)
 	}
 }
 

@@ -86,9 +86,9 @@ func (c *Collector) WriteJSONL(w io.Writer) error {
 func (c *Collector) WriteFile(path string) error { return obs.ExportFile(path, c.WriteJSONL) }
 
 // liveDoc is the /obs/energy snapshot: per-part sealed-window
-// summaries as of the last seal. Live views are per part — the merged
-// truth needs the post-run fold — so a watcher follows each
-// partition's recent tail and -energy-out carries the merged record.
+// summaries as of the read. Live views are per part — the merged truth
+// needs the post-run fold — so a watcher follows each partition's
+// recent tail and -energy-out carries the merged record.
 type liveDoc struct {
 	Schema      string     `json:"schema"`
 	WidthSec    float64    `json:"width_sec"`
@@ -106,10 +106,9 @@ type livePart struct {
 const liveTail = 32
 
 // LiveSnapshot marshals the parts' recent sealed windows into an
-// immutable JSON document for the introspection server. Safe to call
-// concurrently with the sources' owners (it only reads their live
-// summaries, and derives just the tail). Returns a valid document for
-// zero parts.
+// immutable JSON document for the introspection server. It runs on the
+// sources' owning goroutine and derives just the tail. Returns a valid
+// document for zero parts.
 func LiveSnapshot(parts []*Collector) ([]byte, error) {
 	doc := liveDoc{Schema: SchemaLive, Parts: []livePart{}}
 	for i, c := range parts {
@@ -118,16 +117,8 @@ func LiveSnapshot(parts []*Collector) ([]byte, error) {
 			doc.WidthSec = cfg.WidthSec
 			doc.StaticWatts = cfg.Model.Active.TotalW()
 		}
-		sums := c.src.LiveSummaries()
-		sealed := len(sums)
-		if sealed > liveTail {
-			sums = sums[sealed-liveTail:]
-		}
-		ws := c.derive(sums)
-		if ws == nil {
-			ws = []Window{}
-		}
-		doc.Parts = append(doc.Parts, livePart{Part: i, Sealed: sealed, Windows: ws})
+		sums, sealed := c.src.Recent(liveTail)
+		doc.Parts = append(doc.Parts, livePart{Part: i, Sealed: sealed, Windows: c.derive(sums)})
 	}
 	return json.Marshal(doc)
 }

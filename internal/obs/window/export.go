@@ -85,7 +85,7 @@ func (c *Collector) WriteFile(path string, parts ...*Collector) error {
 }
 
 // liveDoc is the /obs/windows snapshot: per-part sealed-window
-// summaries as of the last seal. Live views are per part — merged
+// summaries as of the read. Live views are per part — merged
 // percentiles need the histograms, which only the post-run fold sees —
 // so a watcher follows each partition's recent tail and the -slo-out
 // export carries the merged truth.
@@ -108,9 +108,9 @@ type livePart struct {
 const liveTail = 32
 
 // LiveSnapshot marshals the parts' recent sealed windows into an
-// immutable JSON document for the introspection server. Safe to call
-// concurrently with the collectors' owners (it only touches
-// LiveSummaries). Returns a valid document for zero parts.
+// immutable JSON document for the introspection server. Like every
+// Collector method it runs on the parts' owning goroutine. Returns a
+// valid document for zero parts.
 func LiveSnapshot(parts []*Collector) ([]byte, error) {
 	doc := liveDoc{Schema: SchemaLive, Parts: []livePart{}}
 	for i, c := range parts {
@@ -120,14 +120,7 @@ func LiveSnapshot(parts []*Collector) ([]byte, error) {
 			doc.QoSLatencySec = cfg.QoSLatencySec
 			doc.QoSPercentile = cfg.QoSPercentile
 		}
-		sums := c.LiveSummaries()
-		sealed := len(sums)
-		if sealed > liveTail {
-			sums = sums[sealed-liveTail:]
-		}
-		if sums == nil {
-			sums = []Summary{}
-		}
+		sums, sealed := c.Recent(liveTail)
 		doc.Parts = append(doc.Parts, livePart{Part: i, Sealed: sealed, Windows: sums})
 	}
 	return json.Marshal(doc)

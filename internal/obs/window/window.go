@@ -4,8 +4,9 @@
 // violation counts, and per-resource-class utilization, plus a QoS
 // episode detector that reduces consecutive violating windows to
 // begin/end events with duration and peak excess. It is the
-// simulator's only windowed accumulator: the energy plane
-// (internal/obs/energy) is a derived view over a Collector.
+// simulator's only windowed accumulator: each simulated partition
+// keeps one Collector, which the SLO plane reads and the energy plane
+// (internal/obs/energy) views.
 //
 // Windows are tumbling, not sliding, on purpose: a tumbling window at
 // index floor(t/width) is a pure function of the observation time, so
@@ -25,7 +26,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
 
 	"warehousesim/internal/obs"
 )
@@ -136,22 +136,16 @@ func (c *Collector) summarize(w *win) Summary {
 }
 
 // Collector accumulates one partition's windowed metrics. It is
-// single-threaded like obs.Sink — owned by the goroutine of the shard
-// whose entities feed it — except for LiveSummaries, which readers on
-// other goroutines may call concurrently with the owner.
+// single-threaded like obs.Sink: every method, Recent included, runs on
+// the goroutine that feeds it. A live reader reads it from that
+// goroutine (the simulators hand it to SimOptions.OnProbeTick) and
+// publishes bytes, never the collector. Windows are summarized only
+// when read, so sealing one costs no summary.
 type Collector struct {
 	cfg     Config
 	cur     *win
 	sealed  []*win
 	horizon float64 // set by Seal; clamps the last window's T1
-
-	// pub holds the summaries published so far, and live a view of it
-	// capped at its length and capacity as of the last seal. The owner
-	// only ever appends, so it never writes an element a published view
-	// covers, and the capped capacity makes a reader's own append copy
-	// instead of writing into pub.
-	pub  []Summary
-	live atomic.Pointer[[]Summary]
 }
 
 // New builds a Collector; the config is validated (positive width, QoS
@@ -184,23 +178,13 @@ func (c *Collector) at(t float64) *win {
 	return c.cur
 }
 
-// seal moves the open window to the sealed list and publishes its
-// summary to the live view.
+// seal moves the open window to the sealed list.
 func (c *Collector) seal() {
 	if c.cur == nil {
 		return
 	}
 	c.sealed = append(c.sealed, c.cur)
-	c.pub = append(c.pub, c.summarize(c.cur))
-	c.publish()
 	c.cur = nil
-}
-
-// publish stores the capped view of pub for live readers.
-func (c *Collector) publish() {
-	n := len(c.pub)
-	view := c.pub[:n:n]
-	c.live.Store(&view)
 }
 
 // ObserveLatency records one completed request at simulated time t.
@@ -238,22 +222,22 @@ func (c *Collector) Seal(horizon float64) {
 
 // Windows returns the sealed windows' summaries in index order.
 func (c *Collector) Windows() []Summary {
-	out := make([]Summary, len(c.sealed))
-	for i, w := range c.sealed {
-		out[i] = c.summarize(w)
-	}
-	return out
+	tail, _ := c.Recent(len(c.sealed))
+	return tail
 }
 
-// LiveSummaries returns the sealed windows' summaries as of the last
-// seal. Unlike every other method it is safe to call concurrently with
-// the owning goroutine — the live-introspection reader's entry point.
-// The returned slice is shared: read it, do not modify its elements.
-func (c *Collector) LiveSummaries() []Summary {
-	if p := c.live.Load(); p != nil {
-		return *p
+// Recent returns the summaries of the last n sealed windows in index
+// order (all of them when fewer are sealed) and the count of sealed
+// windows. It summarizes only that tail, so a live reader polling it
+// pays for n windows, not for the whole run.
+func (c *Collector) Recent(n int) (tail []Summary, sealed int) {
+	sealed = len(c.sealed)
+	from := max(sealed-max(n, 0), 0)
+	tail = make([]Summary, 0, sealed-from)
+	for _, w := range c.sealed[from:] {
+		tail = append(tail, c.summarize(w))
 	}
-	return nil
+	return tail, sealed
 }
 
 // Merge returns a new collector holding the parts folded in argument
@@ -309,10 +293,4 @@ func (c *Collector) MergeFrom(parts ...*Collector) {
 	for _, i := range indices {
 		c.sealed = append(c.sealed, byIndex[i])
 	}
-	// A fresh array: published views of the old one stay untouched.
-	c.pub = make([]Summary, 0, len(c.sealed))
-	for _, w := range c.sealed {
-		c.pub = append(c.pub, c.summarize(w))
-	}
-	c.publish()
 }

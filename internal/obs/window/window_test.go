@@ -3,8 +3,10 @@ package window
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -281,24 +283,48 @@ func TestEmitEpisodes(t *testing.T) {
 	c.EmitEpisodes(obs.Nop{}, eps)
 }
 
-func TestLiveSummaries(t *testing.T) {
-	c := mustNew(t, Config{WidthSec: 1})
-	if got := c.LiveSummaries(); got != nil {
-		t.Fatalf("live summaries before any seal: %v", got)
+// TestRecent: Recent(n) is the last n entries of Windows() with the
+// sealed count, for every n, on a collector filled window by window and
+// on a merged one.
+func TestRecent(t *testing.T) {
+	check := func(name string, c *Collector) {
+		t.Helper()
+		all := c.Windows()
+		for n := -1; n <= len(all)+1; n++ {
+			tail, sealed := c.Recent(n)
+			want := all[max(len(all)-max(n, 0), 0):]
+			if sealed != len(all) || !reflect.DeepEqual(tail, want) {
+				t.Errorf("%s: Recent(%d) = %+v, %d; want %+v, %d", name, n, tail, sealed, want, len(all))
+			}
+		}
+	}
+	cfg := Config{WidthSec: 1, QoSLatencySec: 0.1, QoSPercentile: 0.9}
+	c := mustNew(t, cfg)
+	if tail, sealed := c.Recent(4); len(tail) != 0 || sealed != 0 {
+		t.Fatalf("Recent before any seal = %v, %d", tail, sealed)
 	}
 	c.ObserveLatency(0.5, 0.1, false)
-	if got := c.LiveSummaries(); len(got) != 0 {
-		t.Fatalf("open window leaked into live view: %v", got)
+	if tail, sealed := c.Recent(4); len(tail) != 0 || sealed != 0 {
+		t.Fatalf("open window leaked into Recent: %v, %d", tail, sealed)
 	}
-	c.ObserveLatency(1.5, 0.1, false) // seals window 0
-	live := c.LiveSummaries()
-	if len(live) != 1 || live[0].Index != 0 || live[0].Requests != 1 {
-		t.Fatalf("live after first seal = %+v", live)
+	for i := 1; i < 5; i++ {
+		c.SampleUtil("cpu", float64(i)+0.25, 0.1*float64(i))
+		c.ObserveLatency(float64(i)+0.5, 0.05*float64(i), i%2 == 0)
+		check(fmt.Sprintf("seal %d", i), c)
 	}
-	c.Seal(2)
-	if got := c.LiveSummaries(); len(got) != 2 {
-		t.Fatalf("live after Seal = %d windows, want 2", len(got))
+	c.Seal(4.75)
+	check("sealed", c)
+	if tail, _ := c.Recent(1); tail[0].T1 != 4.75 {
+		t.Errorf("final window T1 = %g, want the 4.75 horizon", tail[0].T1)
 	}
+	other := mustNew(t, cfg)
+	other.ObserveLatency(2.5, 0.3, true)
+	other.ObserveLatency(3.5, 0.01, false)
+	other.Seal(4.75)
+	m := Merge(c, other)
+	check("merged", m)
+	m.MergeFrom(mustNew(t, cfg))
+	check("merged again", m)
 }
 
 func TestWriteJSONLShape(t *testing.T) {
