@@ -129,8 +129,9 @@ func addFlags(fs *flag.FlagSet) *simFlags {
 func (f *simFlags) tracing() bool { return *f.traceOut != "" || *f.attrOut != "" }
 
 // simOptions assembles the DES run's options from the flags, at search
-// parallelism par. When obsOn it records into a fresh sink, returned
-// with the SLO, energy and span planes the flags ask for attached.
+// parallelism par, and rejects any the simulator would. When obsOn it
+// records into a fresh sink, returned with the SLO, energy and span
+// planes the flags ask for attached.
 func (f *simFlags) simOptions(ev *core.Evaluator, d core.Design, par int, obsOn bool) (opts cluster.SimOptions, sink *obs.Sink, err error) {
 	opts = cluster.DefaultSimOptions()
 	opts.Seed = *f.seed
@@ -145,24 +146,26 @@ func (f *simFlags) simOptions(ev *core.Evaluator, d core.Design, par int, obsOn 
 	} else if t := f.rack.Topology(); t != nil {
 		opts.Topology = t
 	}
-	if !obsOn {
-		return opts, nil, nil
-	}
-	sink = obs.NewSink()
-	opts.Obs = sink
-	opts.SLOWindowSec = f.slo.WindowSec()
-	if f.energy.Enabled() {
-		pb, err := ev.PowerBreakdown(d)
-		if err != nil {
-			return opts, nil, err
+	if obsOn {
+		sink = obs.NewSink()
+		opts.Obs = sink
+		opts.SLOWindowSec = f.slo.WindowSec()
+		if f.energy.Enabled() {
+			pb, err := ev.PowerBreakdown(d)
+			if err != nil {
+				return opts, nil, err
+			}
+			opts.Energy = &energy.Config{
+				WidthSec: f.energy.WindowSec(),
+				Model:    energy.Model{Active: pb, Idle: power.DefaultIdleFractions()},
+			}
 		}
-		opts.Energy = &energy.Config{
-			WidthSec: f.energy.WindowSec(),
-			Model:    energy.Model{Active: pb, Idle: power.DefaultIdleFractions()},
+		if f.tracing() {
+			opts.TraceEvery = *f.traceEvery
 		}
 	}
-	if f.tracing() {
-		opts.TraceEvery = *f.traceEvery
+	if _, err := opts.Normalize(); err != nil {
+		return opts, nil, err
 	}
 	return opts, sink, nil
 }
@@ -309,6 +312,17 @@ func main() {
 	}
 
 	ev := core.NewEvaluator()
+	// Build the DES options first, so a combination the simulator
+	// rejects fails before the analytic lines print.
+	var (
+		opts cluster.SimOptions
+		sink *obs.Sink
+	)
+	if *f.des {
+		if opts, sink, err = f.simOptions(ev, d, par, obsOn); err != nil {
+			log.Fatal(err)
+		}
+	}
 	ms, err := ev.Evaluate(d, []workload.Profile{p})
 	if err != nil {
 		log.Fatal(err)
@@ -326,10 +340,6 @@ func main() {
 
 	if *f.des {
 		cfg, err := ev.ClusterConfig(d, p)
-		if err != nil {
-			log.Fatal(err)
-		}
-		opts, sink, err := f.simOptions(ev, d, par, obsOn)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -5,10 +5,12 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"warehousesim/internal/core"
+	"warehousesim/internal/core/cliflags"
 	"warehousesim/internal/obs/span"
 	"warehousesim/internal/workload"
 )
@@ -84,5 +86,31 @@ func TestSameSeedDoubleRun(t *testing.T) {
 		if !bytes.Equal(a, b) {
 			t.Errorf("%s differs between two same-seed runs", name)
 		}
+	}
+}
+
+// TestSimOptionsRejectsSplitWindows: `whsim -system desk -workload
+// websearch -des -slo-window 1s -energy-window 2s` passes flag
+// validation but asks for two window widths, which the simulator
+// rejects. simOptions, which whsim calls before the analytic lines
+// print, must return that error.
+func TestSimOptionsRejectsSplitWindows(t *testing.T) {
+	fs := flag.NewFlagSet("whsim", flag.ContinueOnError)
+	f := addFlags(fs)
+	err := fs.Parse([]string{"-system", "desk", "-workload", "websearch", "-des",
+		"-slo-window", "1s", "-energy-window", "2s"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cliflags.Validate(f.rack, f.fleet, f.slo, f.energy); err != nil {
+		t.Fatalf("flag validation already rejects the run: %v", err)
+	}
+	d, err := designByName(*f.system)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = f.simOptions(core.NewEvaluator(), d, 1, f.slo.Enabled() || f.energy.Enabled())
+	if err == nil || !strings.Contains(err.Error(), "energy window 2s differs from the SLO window 1s") {
+		t.Fatalf("simOptions error = %v, want the split-width rejection", err)
 	}
 }

@@ -8,6 +8,10 @@
 // tie-breaking, whose backing array survives Reset so steady-state
 // scheduling allocates nothing (DESIGN.md §7), plus multi-server
 // resources with FIFO queueing and time-weighted utilization accounting.
+// The heap orders events by (time, scheduling order); popping picks the
+// earliest of four children by integer borrow arithmetic on that key
+// rather than by compare-and-branch, because which of four random times
+// is earliest is a branch the CPU mispredicts about half the time.
 //
 // Models are written in continuation-passing style: an event's action
 // schedules the follow-on events. This avoids goroutine-per-entity
@@ -18,6 +22,7 @@ package des
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Time is simulated time in seconds since the start of the run.
@@ -34,7 +39,27 @@ type slot struct {
 	act Action
 }
 
+// before reports whether a fires before b: earlier time first, and
+// among equal times the lower seq. This is the heap's one ordering
+// rule. ScheduleAt rejects NaN and stores -0 as +0, so every queued at
+// is +0 or a positive float (+Inf included), whose IEEE-754 bits order
+// as unsigned integers exactly as the values do; the rule is therefore
+// also the unsigned order of the 128-bit key (Float64bits(at), seq),
+// which first evaluates without a branch.
 func (a *slot) before(b *slot) bool { return a.at < b.at || a.at == b.at && a.seq < b.seq }
+
+// first returns 1 when b comes before a and 0 otherwise: the borrow out
+// of the 128-bit subtraction key(b) - key(a), which compiles to SUB/SBB
+// with no branch. It is before's order on the key, for the heap's
+// child selection, where which of four random children is smallest is a
+// coin toss a branch would mispredict.
+//
+//perf:hotpath
+func first(a, b *slot) int {
+	_, borrow := bits.Sub64(b.seq, a.seq, 0)
+	_, borrow = bits.Sub64(math.Float64bits(float64(b.at)), math.Float64bits(float64(a.at)), borrow)
+	return int(borrow)
+}
 
 // EventHandle allows a scheduled event to be cancelled. The zero value
 // is valid and cancels nothing.
@@ -95,7 +120,8 @@ func (s *Sim) Schedule(delay Time, act Action) EventHandle {
 }
 
 // ScheduleAt runs act at absolute time at (>= Now). It panics when at is
-// before Now or NaN.
+// before Now or NaN. A time of -0 is stored as +0, the key's one
+// non-positive float (see before).
 //
 //perf:hotpath
 func (s *Sim) ScheduleAt(at Time, act Action) EventHandle {
@@ -105,7 +131,7 @@ func (s *Sim) ScheduleAt(at Time, act Action) EventHandle {
 	}
 	s.seq++
 	s.events = append(s.events, slot{})
-	s.siftUp(len(s.events)-1, slot{at: at, seq: s.seq, act: act})
+	s.siftUp(len(s.events)-1, slot{at: at + 0, seq: s.seq, act: act})
 	return EventHandle{s: s, seq: s.seq}
 }
 
@@ -127,15 +153,25 @@ func (s *Sim) siftUp(i int, e slot) {
 }
 
 // siftDown places e in the heap by moving the hole at index i towards
-// the leaves past every smallest child that precedes e.
+// the leaves past every smallest child that precedes e. A full group of
+// four children is reduced by first without a branch; the partial last
+// group keeps the compare loop. The stop test stays a branch on before:
+// once the hole is deep it nearly always descends, so it predicts well.
 //
 //perf:hotpath
 func (s *Sim) siftDown(i int, e slot) {
 	q := s.events
 	for m := 4*i + 1; m < len(q); m = 4*i + 1 {
-		for j := m + 1; j < min(4*i+5, len(q)); j++ {
-			if q[j].before(&q[m]) {
-				m = j
+		if m+3 < len(q) {
+			c := q[m : m+4 : m+4]
+			a := first(&c[0], &c[1])
+			b := 2 + first(&c[2], &c[3])
+			m += a + (b-a)*first(&c[a], &c[b])
+		} else {
+			for j := m + 1; j < len(q); j++ {
+				if q[j].before(&q[m]) {
+					m = j
+				}
 			}
 		}
 		if !q[m].before(&e) {

@@ -2,6 +2,7 @@ package des
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -150,6 +151,68 @@ func TestSchedulePastPanics(t *testing.T) {
 		s.ScheduleAt(1, func() {})
 	})
 	s.Run(10)
+}
+
+// TestScheduleAtNegativeZero interleaves events at +0, -0 and 1: all
+// thirty fire in (time, seq) order, the -0 ones among the +0 ones. The
+// heap's child selection orders times by their bits, under which a
+// stored -0 would sort after every positive time.
+func TestScheduleAtNegativeZero(t *testing.T) {
+	s := NewSim()
+	times := []Time{0, Time(math.Copysign(0, -1)), 1}
+	var order, zeros, ones []int
+	for i := 0; i < 30; i++ {
+		s.ScheduleAt(times[i%3], func() { order = append(order, i) })
+		if i%3 == 2 {
+			ones = append(ones, i)
+		} else {
+			zeros = append(zeros, i)
+		}
+	}
+	s.Run(2)
+	if want := append(zeros, ones...); !slices.Equal(order, want) {
+		t.Fatalf("firing order %v, want %v", order, want)
+	}
+}
+
+// TestFirstAgreesWithBefore holds the heap's branch-free selector to
+// before's order on the key's edge cases, each pair in both directions
+// and against itself.
+func TestFirstAgreesWithBefore(t *testing.T) {
+	// A -0 as ScheduleAt stores it.
+	s := NewSim()
+	s.ScheduleAt(Time(math.Copysign(0, -1)), func() {})
+	negZero := s.events[0].at
+	tiny := Time(math.SmallestNonzeroFloat64)
+	inf := Time(math.Inf(1))
+	cases := []struct {
+		name string
+		a, b slot
+	}{
+		{"equal times", slot{at: 3, seq: 1}, slot{at: 3, seq: 2}},
+		{"equal times, later seq first", slot{at: 3, seq: 2}, slot{at: 3, seq: 1}},
+		{"+0 against normalised -0", slot{at: 0, seq: 1}, slot{at: negZero, seq: 2}},
+		{"normalised -0 against +0", slot{at: negZero, seq: 1}, slot{at: 0, seq: 2}},
+		{"+Inf against max float", slot{at: inf, seq: 1}, slot{at: math.MaxFloat64, seq: 2}},
+		{"+Inf against +Inf", slot{at: inf, seq: 2}, slot{at: inf, seq: 1}},
+		{"smallest subnormal against 0", slot{at: tiny, seq: 1}, slot{at: 0, seq: 2}},
+		{"two smallest subnormals", slot{at: tiny, seq: 1}, slot{at: tiny, seq: 2}},
+		{"adjacent floats", slot{at: 1, seq: 1}, slot{at: Time(math.Nextafter(1, 2)), seq: 2}},
+		{"adjacent floats, later seq first", slot{at: Time(math.Nextafter(1, 2)), seq: 1}, slot{at: 1, seq: 2}},
+		{"seq across the low word", slot{at: 1, seq: math.MaxUint64}, slot{at: 1, seq: 0}},
+	}
+	for _, c := range cases {
+		for _, p := range [][2]*slot{{&c.a, &c.b}, {&c.b, &c.a}, {&c.a, &c.a}} {
+			want := 0
+			if p[1].before(p[0]) {
+				want = 1
+			}
+			if got := first(p[0], p[1]); got != want {
+				t.Errorf("%s: first(%v/%d, %v/%d) = %d, before says %d",
+					c.name, p[0].at, p[0].seq, p[1].at, p[1].seq, got, want)
+			}
+		}
+	}
 }
 
 func TestResourceSingleServerSerializes(t *testing.T) {

@@ -2,6 +2,7 @@ package des
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"testing"
 )
@@ -15,9 +16,10 @@ import (
 //	issued: live, cancelled, fired, or from before a Reset)
 //	3: Run(until)   4: RunNext   5: Stop   6: Reset
 //
-// Delays are multiples of 0.25 s, so many events tie. A scheduled
-// event may, when it fires, schedule one child (often at the same
-// instant) or call Stop.
+// Delays are multiples of 0.25 s, so many events tie. ScheduleAt
+// passes -0 for a time of 0 when arg has bit 5 set; the reference model
+// takes it as 0. A scheduled event may, when it fires, schedule one
+// child (often at the same instant) or call Stop.
 func FuzzSimOrder(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 1, 0, 3, 0})                         // three ties at t=0, then Run
 	f.Add([]byte{0, 1, 0, 2, 2, 0, 2, 0, 3, 7, 2, 1})             // cancel, double cancel, stale after firing
@@ -27,6 +29,14 @@ func FuzzSimOrder(f *testing.F) {
 	// A cancel whose replacement slot precedes the hole's parent: remove
 	// must sift up, not down.
 	f.Add([]byte("0808000020200020000800200800002000202008C101090(092109010100010001$02AC0"))
+	// 24 events on four times, -0 among the zeros: past 20 queued, pops
+	// and cancels choose among full four-child groups at depth 2.
+	var deep []byte
+	for k := 0; k < 24; k++ {
+		deep = append(deep, byte(k%2), byte(k/2%4)|0x20)
+	}
+	f.Add(append(slices.Clip(deep), 3, 7))
+	f.Add(append(slices.Clip(deep), 2, 5, 7, 17, 4, 0, 4, 0, 4, 0, 2, 11, 4, 0, 3, 7))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h := &orderHarness{sim: NewSim()}
 		for i := 0; i+1 < len(data) && i < 1024; i += 2 {
@@ -148,8 +158,11 @@ func (h *orderHarness) step(t *testing.T, op, arg byte) {
 	case 1:
 		id := h.newEvent(arg)
 		at := h.sim.Now() + delay
-		h.handles[id] = h.sim.ScheduleAt(at, h.action(id))
 		h.ref.schedule(at, id)
+		if at == 0 && arg&0x20 != 0 {
+			at = Time(math.Copysign(0, -1))
+		}
+		h.handles[id] = h.sim.ScheduleAt(at, h.action(id))
 	case 2, 7:
 		if len(h.handles) == 0 {
 			return

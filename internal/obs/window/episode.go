@@ -43,31 +43,32 @@ func (c *Collector) Episodes(parts ...*Collector) []Episode {
 	var cur *Episode
 	var prevIdx int64
 	for _, w := range c.sealed {
-		s := c.summarize(w)
-		if !s.Violating {
+		qlat, violating := c.qos(w)
+		if !violating {
 			if cur != nil {
 				eps = append(eps, *cur)
 				cur = nil
 			}
 			continue
 		}
+		t0, t1 := c.span(w)
 		if cur != nil && w.index == prevIdx+1 {
-			cur.EndSec = s.T1
+			cur.EndSec = t1
 			cur.Windows++
-			cur.Requests += s.Requests
-			cur.Violations += s.Violations
-			if s.QLat > cur.PeakLatencySec {
-				cur.PeakLatencySec = s.QLat
-				cur.PeakExcessSec = s.QLat - c.cfg.QoSLatencySec
+			cur.Requests += w.requests
+			cur.Violations += w.violations
+			if qlat > cur.PeakLatencySec {
+				cur.PeakLatencySec = qlat
+				cur.PeakExcessSec = qlat - c.cfg.QoSLatencySec
 			}
 		} else {
 			if cur != nil {
 				eps = append(eps, *cur)
 			}
 			cur = &Episode{
-				StartSec: s.T0, EndSec: s.T1, Windows: 1,
-				PeakLatencySec: s.QLat, PeakExcessSec: s.QLat - c.cfg.QoSLatencySec,
-				Requests: s.Requests, Violations: s.Violations,
+				StartSec: t0, EndSec: t1, Windows: 1,
+				PeakLatencySec: qlat, PeakExcessSec: qlat - c.cfg.QoSLatencySec,
+				Requests: w.requests, Violations: w.violations,
 			}
 		}
 		prevIdx = w.index
@@ -75,23 +76,39 @@ func (c *Collector) Episodes(parts ...*Collector) []Episode {
 	if cur != nil {
 		eps = append(eps, *cur)
 	}
+	spans := make([][][2]float64, len(parts))
+	for i, p := range parts {
+		spans[i] = p.violatingSpans()
+	}
 	for i := range eps {
-		eps[i].AffectedParts = affectedParts(eps[i], parts)
+		eps[i].AffectedParts = affectedParts(eps[i], spans)
 	}
 	return eps
 }
 
-// affectedParts counts the partitions with a violating window inside
-// the episode's span.
-func affectedParts(e Episode, parts []*Collector) int {
+// violatingSpans returns the [T0, T1) spans of c's violating windows in
+// index order.
+func (c *Collector) violatingSpans() [][2]float64 {
+	var spans [][2]float64
+	for _, w := range c.sealed {
+		if _, v := c.qos(w); v {
+			t0, t1 := c.span(w)
+			spans = append(spans, [2]float64{t0, t1})
+		}
+	}
+	return spans
+}
+
+// affectedParts counts the partitions, given by their violating
+// windows' spans, with a violating window inside the episode's span.
+func affectedParts(e Episode, parts [][][2]float64) int {
 	if len(parts) == 0 {
 		return 1
 	}
 	n := 0
-	for _, p := range parts {
-		for _, w := range p.sealed {
-			s := p.summarize(w)
-			if s.Violating && s.T0 < e.EndSec && s.T1 > e.StartSec {
+	for _, spans := range parts {
+		for _, s := range spans {
+			if s[0] < e.EndSec && s[1] > e.StartSec {
 				n++
 				break
 			}
@@ -120,7 +137,7 @@ func (c *Collector) EmitEpisodes(rec obs.Recorder, eps []Episode) {
 	}
 	violating := int64(0)
 	for _, w := range c.sealed {
-		if c.summarize(w).Violating {
+		if _, v := c.qos(w); v {
 			violating++
 		}
 	}

@@ -108,12 +108,7 @@ type Summary struct {
 }
 
 func (c *Collector) summarize(w *win) Summary {
-	width := c.cfg.WidthSec
-	t0 := float64(w.index) * width
-	t1 := t0 + width
-	if c.horizon > 0 && t1 > c.horizon {
-		t1 = c.horizon
-	}
+	t0, t1 := c.span(w)
 	s := Summary{
 		Index: w.index, T0: t0, T1: t1,
 		Requests: w.requests, Violations: w.violations,
@@ -122,10 +117,7 @@ func (c *Collector) summarize(w *win) Summary {
 	if span := t1 - t0; span > 0 {
 		s.Throughput = float64(w.requests) / span
 	}
-	if c.cfg.QoSLatencySec > 0 {
-		s.QLat = w.lat.Quantile(c.cfg.QoSPercentile)
-		s.Violating = w.requests > 0 && s.QLat > c.cfg.QoSLatencySec
-	}
+	s.QLat, s.Violating = c.qos(w)
 	if len(w.utilSum) > 0 {
 		s.Util = make(map[string]float64, len(w.utilSum))
 		for k, sum := range w.utilSum {
@@ -133,6 +125,28 @@ func (c *Collector) summarize(w *win) Summary {
 		}
 	}
 	return s
+}
+
+// span returns window w's simulated-time bounds, T1 clamped to the
+// seal horizon.
+func (c *Collector) span(w *win) (t0, t1 float64) {
+	t0 = float64(w.index) * c.cfg.WidthSec
+	t1 = t0 + c.cfg.WidthSec
+	if c.horizon > 0 && t1 > c.horizon {
+		t1 = c.horizon
+	}
+	return t0, t1
+}
+
+// qos returns window w's latency at the QoS percentile and whether it
+// exceeds the bound: Summary's QLat and Violating, computed without the
+// rest of the summary.
+func (c *Collector) qos(w *win) (qlat float64, violating bool) {
+	if c.cfg.QoSLatencySec <= 0 {
+		return 0, false
+	}
+	qlat = w.lat.Quantile(c.cfg.QoSPercentile)
+	return qlat, w.requests > 0 && qlat > c.cfg.QoSLatencySec
 }
 
 // Collector accumulates one partition's windowed metrics. It is
