@@ -113,6 +113,47 @@ func TestStop(t *testing.T) {
 	}
 }
 
+// TestStepInsideAction: an action that steps the Sim with RunNext or
+// Run fires the next event, not itself again: both settle the running
+// event's root first.
+func TestStepInsideAction(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		step func(s *Sim)
+	}{
+		{"RunNext", func(s *Sim) { s.RunNext() }},
+		{"Run", func(s *Sim) { s.Run(2) }},
+	} {
+		s := NewSim()
+		var order []int
+		s.Schedule(1, func() {
+			order = append(order, 1)
+			c.step(s)
+		})
+		s.Schedule(2, func() { order = append(order, 2) })
+		s.Run(10)
+		if !slices.Equal(order, []int{1, 2}) || s.Fired() != 2 {
+			t.Errorf("%s: order %v after %d fired, want [1 2] after 2", c.name, order, s.Fired())
+		}
+	}
+}
+
+// TestResetInsideAction: Reset from an action drops the running event's
+// root with the rest, so the action's return pops nothing and its
+// next event goes in as the only one queued.
+func TestResetInsideAction(t *testing.T) {
+	s := NewSim()
+	fired := false
+	s.Schedule(5, func() {
+		s.Reset()
+		s.Schedule(1, func() { fired = true })
+	})
+	s.Schedule(6, func() { t.Error("event queued before Reset fired") })
+	if end := s.Run(10); !fired || end != 10 || s.Fired() != 1 {
+		t.Fatalf("after Run: fired %v, now %v, Fired %d; want true, 10, 1", fired, end, s.Fired())
+	}
+}
+
 func TestNegativeDelayPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -2,6 +2,7 @@ package des
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"warehousesim/internal/obs"
@@ -50,6 +51,40 @@ func TestProbesEmitTimelines(t *testing.T) {
 		if p.V <= 0 {
 			t.Fatalf("events/sec at t=%g is %g, want > 0", p.T, p.V)
 		}
+	}
+}
+
+// TestPendingExcludesRunningEvent: Pending read inside an action, and
+// the des.heap_depth gauge a probe tick emits, count the events still
+// queued and never the one running, whose slot at the heap root its
+// action may not have taken yet.
+func TestPendingExcludesRunningEvent(t *testing.T) {
+	sim := NewSim()
+	var read []int
+	for _, at := range []Time{1, 2, 3} {
+		sim.ScheduleAt(at, func() { read = append(read, sim.Pending()) })
+	}
+	// The first event reads again after scheduling a successor at 10.
+	sim.ScheduleAt(0.5, func() {
+		read = append(read, sim.Pending())
+		sim.ScheduleAt(10, func() {})
+		read = append(read, sim.Pending())
+	})
+	sink := obs.NewSink()
+	NewProbes(sim, sink, 1.25).Start()
+	sim.Run(4)
+	// Each read also counts the probe's next tick.
+	if want := []int{4, 5, 4, 3, 2}; !slices.Equal(read, want) {
+		t.Errorf("Pending inside actions = %v, want %v", read, want)
+	}
+	// Ticks at 1.25, 2.5 and 3.75 each see the model events left
+	// (2 and 3 and 10, then 3 and 10, then 10), not themselves.
+	var depth []float64
+	for _, p := range sink.SeriesByName("des.heap_depth").Points {
+		depth = append(depth, p.V)
+	}
+	if want := []float64{3, 2, 1}; !slices.Equal(depth, want) {
+		t.Errorf("des.heap_depth = %v, want %v", depth, want)
 	}
 }
 

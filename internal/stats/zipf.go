@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Zipf draws ranks in [0, N) with probability proportional to
@@ -11,13 +10,17 @@ import (
 // popularity (§2.1, after Xie & O'Hallaron) and for YouTube video
 // popularity (after Gill et al.).
 //
-// For moderate N the generator precomputes the CDF and samples by binary
-// search (exact, O(log N) per draw). For very large N it falls back to an
-// approximate inverse-CDF method that avoids the O(N) setup cost.
+// For moderate N the generator precomputes the CDF and samples it
+// exactly through a guide table (Chen and Asau; Devroye, Non-Uniform
+// Random Variate Generation, 1986, §III.2.4): O(1) expected per draw,
+// and the same rank a binary search of the CDF returns. For very large
+// N it falls back to an approximate inverse-CDF method that avoids the
+// O(N) setup cost.
 type Zipf struct {
 	n     int
 	s     float64
 	cdf   []float64 // nil when using the approximate path
+	guide []int32   // guide[j] is the first i with cdf[i]*n >= j, j in 0..n
 	hInt  float64   // integral constant for the approximate path
 	hX1   float64
 	exact bool
@@ -49,6 +52,14 @@ func NewZipf(n int, s float64) (*Zipf, error) {
 			z.cdf[i] *= inv
 		}
 		z.cdf[n-1] = 1 // guard against rounding
+		z.guide = make([]int32, n+1)
+		i := 0
+		for j := range z.guide {
+			for z.cdf[i]*float64(n) < float64(j) {
+				i++
+			}
+			z.guide[j] = int32(i)
+		}
 		return z, nil
 	}
 	// Approximate continuous inversion: treat the PMF as the density
@@ -76,8 +87,7 @@ func (z *Zipf) hInv(y float64) float64 {
 // Rank draws a rank in [0, N), with rank 0 the most popular.
 func (z *Zipf) Rank(r *RNG) int {
 	if z.exact {
-		u := r.Float64()
-		return sort.SearchFloat64s(z.cdf, u)
+		return z.rank(r.Float64())
 	}
 	u := r.Float64()
 	x := z.hInv(z.hX1 + u*z.hInt)
@@ -89,6 +99,18 @@ func (z *Zipf) Rank(r *RNG) int {
 		k = z.n - 1
 	}
 	return k
+}
+
+// rank is the exact path's inverse CDF: the first i with cdf[i] >= u, for
+// u in [0, 1). Float multiplication is monotone, so that i has
+// cdf[i]*n >= u*n >= int(u*n) and the scan, which starts at or before
+// it, stops on it; cdf[n-1] = 1 bounds the scan.
+func (z *Zipf) rank(u float64) int {
+	i := int(z.guide[int(u*float64(z.n))])
+	for z.cdf[i] < u {
+		i++
+	}
+	return i
 }
 
 // Sample implements Sampler, returning the rank as a float64.

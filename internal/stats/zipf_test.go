@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -119,6 +120,39 @@ func TestZipfSamplerInterface(t *testing.T) {
 	if v := z.Sample(r); v < 0 || v >= 10 {
 		t.Fatalf("Sample out of range: %g", v)
 	}
+}
+
+// FuzzZipfRank holds the guide-table inverse CDF to a binary search of
+// the same CDF, for fuzzed n, s and u, and for the uniforms on either
+// side of a fuzz-chosen CDF step and of a guide bucket's edge j/n, where
+// a table off by one would show.
+func FuzzZipfRank(f *testing.F) {
+	f.Add(uint16(1), 1.0, 0.5, uint16(0))
+	f.Add(uint16(10), 1.0, 0.0, uint16(3))
+	f.Add(uint16(257), 0.9, 0.999999, uint16(256))
+	f.Add(uint16(1000), 1.5, 0.3, uint16(7))
+	f.Add(uint16(4096), 0.01, 0.75, uint16(4000))
+	f.Add(uint16(50), 300.0, 0.9, uint16(1))
+	f.Fuzz(func(t *testing.T, n16 uint16, s, u float64, k16 uint16) {
+		n := int(n16)
+		z, err := NewZipf(n, s)
+		if err != nil {
+			return
+		}
+		k := int(k16) % n
+		j := float64(int(k16) % (n + 1))
+		us := []float64{u, math.Mod(math.Abs(u), 1),
+			z.cdf[k], math.Nextafter(z.cdf[k], 0), math.Nextafter(z.cdf[k], 2),
+			j / float64(n), math.Nextafter(j/float64(n), 0), math.Nextafter(j/float64(n), 2)}
+		for _, u := range us {
+			if !(u >= 0 && u < 1) {
+				continue
+			}
+			if got, want := z.rank(u), sort.SearchFloat64s(z.cdf, u); got != want {
+				t.Fatalf("n=%d s=%g: rank(%v) = %d, binary search gives %d", n, s, u, got, want)
+			}
+		}
+	})
 }
 
 // Property: ranks stay in range for arbitrary seeds and a mix of shapes.
