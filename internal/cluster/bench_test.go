@@ -95,8 +95,8 @@ func TestAllocBounds(t *testing.T) {
 		{Name: "DESTrialObs", Bench: BenchmarkDESTrialObs, MaxBytes: 101700, MaxAllocs: 567},
 		{Name: "DESTrialTraced", Bench: BenchmarkDESTrialTraced, MaxBytes: 834755, MaxAllocs: 580},
 		{Name: "ShardedTrial", Bench: BenchmarkShardedTrial, MaxBytes: 208582, MaxAllocs: 3590},
-		{Name: "ShardedTrial2", Bench: BenchmarkShardedTrial2, MaxBytes: 247560, MaxAllocs: 3711},
-		{Name: "ShardedTrial4", Bench: BenchmarkShardedTrial4, MaxBytes: 301071, MaxAllocs: 3938},
-		{Name: "ShardedTrial8", Bench: BenchmarkShardedTrial8, MaxBytes: 430291, MaxAllocs: 4594},
+		{Name: "ShardedTrial2", Bench: BenchmarkShardedTrial2, MaxBytes: 209474, MaxAllocs: 3645},
+		{Name: "ShardedTrial4", Bench: BenchmarkShardedTrial4, MaxBytes: 221511, MaxAllocs: 3774},
+		{Name: "ShardedTrial8", Bench: BenchmarkShardedTrial8, MaxBytes: 249331, MaxAllocs: 4063},
 	})
 }

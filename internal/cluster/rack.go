@@ -346,6 +346,7 @@ func buildRack(c Config, topo *ShardedTopology, gen workload.Generator, p worklo
 		Shards:          t.Shards,
 		Entities:        nBoards + t.Enclosures + 2,
 		LookaheadMatrix: lookaheadMatrix(t.Shards, p.Batch, laIntra, laSAN, laCross),
+		Timed:           opt.ShardDiag != nil,
 	})
 	if err != nil {
 		return nil, err

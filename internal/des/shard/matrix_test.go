@@ -231,10 +231,18 @@ func TestMergeDeterminismAdversarial(t *testing.T) {
 // seed and any per-pair floors in (0, la] must reproduce the
 // single-shard fingerprint and event count. Floor byte b maps to
 // la*(b+1)/256; the bytes cycle over the matrix in row-major order.
+// The sharded engine is timed when seed is odd: the clock must not
+// move the history.
 func FuzzShardDeterminism(f *testing.F) {
 	f.Add(uint8(2), uint8(8), uint64(0), []byte(nil))
 	f.Add(uint8(4), uint8(24), uint64(1), []byte{127, 191, 255})
 	f.Add(uint8(7), uint8(5), uint64(42), []byte{0, 255, 64})
+	// Dense cross-shard traffic: 32 nodes at full floors send non-empty
+	// slabs on consecutive rounds, so staging alternates between the
+	// two slabs and rounds busier than any before grow the one being
+	// refilled.
+	f.Add(uint8(0), uint8(31), uint64(7), []byte(nil))
+	f.Add(uint8(1), uint8(31), uint64(8), []byte{255})
 	f.Fuzz(func(t *testing.T, shards, nodes uint8, seed uint64, floors []byte) {
 		const la, until = des.Time(1e-4), des.Time(0.02)
 		n := 2 + int(shards)%7
@@ -255,7 +263,7 @@ func FuzzShardDeterminism(f *testing.F) {
 			return tn.fingerprint(), eng.Fired()
 		}
 		refFP, refFired := run(Config{Shards: 1, Entities: nn, LookaheadMatrix: mat(1, la, la)})
-		fp, fired := run(Config{Shards: n, Entities: nn, LookaheadMatrix: m})
+		fp, fired := run(Config{Shards: n, Entities: nn, LookaheadMatrix: m, Timed: seed&1 == 1})
 		if fp != refFP || fired != refFired {
 			t.Fatalf("shards=%d nodes=%d seed=%d: fingerprint %x fired %d, single-shard %x fired %d",
 				n, nn, seed, fp, fired, refFP, refFired)

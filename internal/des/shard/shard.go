@@ -75,9 +75,17 @@
 //     partitioning; all other traffic — blade swaps, SAN disk I/O,
 //     shuffle chunks — must use Post.
 //
-// The mailbox slabs and row vectors are recycled through small free
-// channels (ownership transfers with the batch and returns after the
-// merge), so steady-state rounds allocate nothing.
+// Buffers are recycled by the lockstep itself, so steady-state rounds
+// allocate nothing and each link carries one send and one receive per
+// round. Every outbound link keeps two message slabs: a non-empty
+// staging slab is sent and swapped with the spare, and Post fills the
+// other. Every shard keeps two constraint-row buffers and writes round
+// r's row into buffer r mod 2. Both are sound because a shard sends
+// its round r+1 batch only after it has merged (and cleared) the slabs
+// and read the rows it received in round r, and the sender touches
+// those buffers again only after receiving that round r+1 batch: it
+// stages into a slab only while executing a window, and it rewrites a
+// row buffer two rounds later.
 //
 // Why conservative and not optimistic: the kernel drops each event as
 // it fires and models mutate shared resources in place, so rollback
@@ -120,6 +128,10 @@ type Config struct {
 	// min-plus closure of this matrix, so entries need not satisfy the
 	// triangle inequality.
 	LookaheadMatrix [][]des.Time
+	// Timed turns on the round loop's wall-clock split (Stats.BusySec
+	// and BlockedSec). The clock is read a few times per round, so an
+	// engine nobody diagnoses leaves it off.
+	Timed bool
 }
 
 // mailboxCap bounds each cross-shard channel in batches. The lockstep
@@ -209,9 +221,9 @@ func (h *msgHeap) pop() message {
 
 // batch is what travels through a mailbox once per round: zero or more
 // messages sorted by (arrive, src, seq) — a nil slice is a pure null
-// message — plus the sender's constraint row (ownership transfers with
-// the batch; the receiver copies it out and returns the buffer through
-// the freeRows channel) and its scalar earliest output time.
+// message — plus the sender's constraint row and its scalar earliest
+// output time. The receiver may use the slab and the row only until it
+// sends its next batch (see the package doc).
 type batch struct {
 	eot  des.Time
 	row  []des.Time
@@ -219,24 +231,21 @@ type batch struct {
 }
 
 // peer is one outbound link: the staging slab filled by Post, the
-// channel it is flushed into at round boundaries, and the free
-// channels the receiver returns consumed slabs and row buffers on.
+// spare slab it swaps with on a non-empty send, and the channel it is
+// flushed into at round boundaries.
 type peer struct {
 	shard     int
 	ch        chan batch
 	stage     []message
+	spare     []message
 	stagedMin des.Time // earliest arrival among staged messages
-	freeMsgs  chan []message
-	freeRows  chan []des.Time
 }
 
-// inbox is one inbound link: the source shard id, the shared channel,
-// and the same free channels the sender's peer drains for reuse.
+// inbox is one inbound link: the source shard id and the shared
+// channel.
 type inbox struct {
-	src      int
-	ch       chan batch
-	freeMsgs chan []message
-	freeRows chan []des.Time
+	src int
+	ch  chan batch
 }
 
 // Stats summarizes one shard's run for diagnostics. Everything here
@@ -250,7 +259,9 @@ type Stats struct {
 	// Wall-clock split of the round loop: BusySec executing the window
 	// (advance), BlockedSec flushing to and waiting on peer mailboxes.
 	// BusySec/(BusySec+BlockedSec) is the shard's parallel efficiency.
-	// A single-shard engine runs no rounds and reports zero for both.
+	// An engine built without Config.Timed reads no clock and reports
+	// zero for both, as does a single-shard engine, which runs no
+	// rounds.
 	BusySec    float64
 	BlockedSec float64
 }
@@ -276,7 +287,6 @@ type Shard struct {
 	pendHead   int
 	mergeBuf   []message   // ping-pong buffer for the round merge
 	runs       [][]message // received slabs awaiting merge (round scratch)
-	runIn      []*inbox    // slab origin, for returning after the merge
 	srcScratch [][]message // k-way merge cursor scratch
 	local      msgHeap
 
@@ -284,8 +294,9 @@ type Shard struct {
 	peers  []*peer
 	peerBy []*peer // indexed by destination shard id, nil for self
 
-	rows [][]des.Time // rows[s] = latest constraint row from shard s
-	eots []des.Time   // latest scalar EOT per shard (dry detection)
+	rows   [][]des.Time  // rows[s] = latest constraint row from shard s
+	rowBuf [2][]des.Time // this shard's row buffers, by round parity
+	eots   []des.Time    // latest scalar EOT per shard (dry detection)
 
 	// Round-loop diagnostics (owner goroutine only).
 	windows   int64
@@ -302,6 +313,7 @@ type Engine struct {
 	raw    [][]des.Time
 	closed [][]des.Time
 	rt     []des.Time // rt[s] = min round-trip lookahead s -> any k -> s
+	timed  bool
 	ran    bool
 }
 
@@ -342,6 +354,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		seqs:   make([]uint64, cfg.Entities),
 		raw:    raw,
 		closed: closeMatrix(raw),
+		timed:  cfg.Timed,
 	}
 	e.rt = make([]des.Time, n)
 	for i := 0; i < n; i++ {
@@ -359,35 +372,23 @@ func NewEngine(cfg Config) (*Engine, error) {
 	for i := range e.shards {
 		s := &Shard{eng: e, id: i, Sim: des.NewSim()}
 		s.rows = make([][]des.Time, n)
-		for j := range s.rows {
-			s.rows[j] = make([]des.Time, n)
-			for d := range s.rows[j] {
-				s.rows[j][d] = infTime
-			}
-		}
+		s.rowBuf = [2][]des.Time{make([]des.Time, n), make([]des.Time, n)}
 		s.eots = make([]des.Time, n)
 		e.shards[i] = s
 	}
 	// Full mesh of bounded mailboxes: every ordered pair gets one
 	// channel, so null messages flow even between shards that never
-	// exchange model traffic. The free channels run the opposite way,
-	// recycling consumed message slabs and row buffers.
+	// exchange model traffic.
 	for _, src := range e.shards {
 		src.peerBy = make([]*peer, n)
 		for _, dst := range e.shards {
 			if src == dst {
 				continue
 			}
-			p := &peer{
-				shard:     dst.id,
-				ch:        make(chan batch, mailboxCap),
-				stagedMin: infTime,
-				freeMsgs:  make(chan []message, mailboxCap+1),
-				freeRows:  make(chan []des.Time, mailboxCap+1),
-			}
+			p := &peer{shard: dst.id, ch: make(chan batch, mailboxCap), stagedMin: infTime}
 			src.peers = append(src.peers, p)
 			src.peerBy[dst.id] = p
-			dst.in = append(dst.in, inbox{src: src.id, ch: p.ch, freeMsgs: p.freeMsgs, freeRows: p.freeRows})
+			dst.in = append(dst.in, inbox{src: src.id, ch: p.ch})
 		}
 	}
 	return e, nil
@@ -661,58 +662,53 @@ func (s *Shard) computeRow() {
 // horizon window is already done keeps relaying null messages until
 // the exit is global.
 //
-//whvet:allow nodeterm the wall-clock reads feed ShardDiag's busy/blocked telemetry only; simulated time and all results come from the event heap (see DESIGN.md §7)
+//whvet:allow nodeterm the wall clock is read only when Config.Timed is set, for ShardDiag's busy/blocked telemetry; simulated time and all results come from the event heap (see DESIGN.md §8)
 func (s *Shard) run(until des.Time) {
 	n := len(s.eng.shards)
-	// Two wall-clock reads per round split the loop into a blocked
-	// segment (flush + mailbox waits) and a busy segment (window
-	// execution) — with thousands of events per window the overhead is
-	// noise, and the split is the shard's parallel-efficiency signal.
-	last := time.Now()
-	for {
+	// When timed, one clock read per segment splits the loop into a
+	// blocked segment (flush + mailbox waits) and a busy segment
+	// (window execution): the shard's parallel-efficiency signal.
+	timed := s.eng.timed
+	var last time.Time
+	if timed {
+		last = time.Now()
+	}
+	lap := func(acc *int64) {
+		if timed {
+			now := time.Now()
+			*acc += now.Sub(last).Nanoseconds()
+			last = now
+		}
+	}
+	for parity := 0; ; parity ^= 1 {
+		// Receivers read this buffer until they send their next batch,
+		// which this shard receives before it rewrites the buffer two
+		// rounds from now.
+		s.rows[s.id] = s.rowBuf[parity]
 		s.computeRow()
 		myEOT := s.eot()
 		s.eots[s.id] = myEOT
 		for _, p := range s.peers {
-			msgs := p.stage
-			if len(msgs) > 0 {
+			var msgs []message // nil: a pure null message
+			if len(p.stage) > 0 {
+				msgs = p.stage
 				slices.SortFunc(msgs, msgCmp)
-				p.stage = nil
-				select {
-				case p.stage = <-p.freeMsgs:
-				default:
-				}
-			} else {
-				msgs = nil // keep the empty slab, send a pure null message
+				p.stage, p.spare = p.spare[:0], msgs
 			}
-			var row []des.Time
-			select {
-			case row = <-p.freeRows:
-			default:
-				row = make([]des.Time, n)
-			}
-			copy(row, s.rows[s.id])
-			p.ch <- batch{eot: myEOT, row: row, msgs: msgs}
+			p.ch <- batch{eot: myEOT, row: s.rows[s.id], msgs: msgs}
 			p.stagedMin = infTime
 		}
 		for i := range s.in {
 			in := &s.in[i]
 			b := <-in.ch
-			copy(s.rows[in.src], b.row)
-			select {
-			case in.freeRows <- b.row:
-			default:
-			}
+			s.rows[in.src] = b.row
 			s.eots[in.src] = b.eot
 			if len(b.msgs) > 0 {
 				s.runs = append(s.runs, b.msgs)
-				s.runIn = append(s.runIn, in)
 			}
 		}
 		s.mergeRuns()
-		now := time.Now()
-		s.blockedNs += now.Sub(last).Nanoseconds()
-		last = now
+		lap(&s.blockedNs)
 		dry := true
 		for _, e := range s.eots {
 			if !math.IsInf(float64(e), 1) {
@@ -745,7 +741,7 @@ func (s *Shard) run(until des.Time) {
 			// exchange is needed.
 			if !s.doneFinal {
 				s.advance(until, true)
-				s.busyNs += time.Since(last).Nanoseconds()
+				lap(&s.busyNs)
 			}
 			return
 		}
@@ -757,16 +753,12 @@ func (s *Shard) run(until des.Time) {
 				s.advance(until, true)
 				s.doneFinal = true
 			}
-			now = time.Now()
-			s.busyNs += now.Sub(last).Nanoseconds()
-			last = now
+			lap(&s.busyNs)
 			continue
 		}
 		if myE > s.committed {
 			s.advance(myE, false)
-			now = time.Now()
-			s.busyNs += now.Sub(last).Nanoseconds()
-			last = now
+			lap(&s.busyNs)
 			s.committed = myE
 			s.windows++
 		}
@@ -776,8 +768,8 @@ func (s *Shard) run(until des.Time) {
 // mergeRuns folds the round's received slabs and the unconsumed tail
 // of the pending run into one sorted run (a k-way merge over at most
 // Shards sorted sources — keys are unique, so the order is total),
-// then clears and returns the slabs to their senders' free channels.
-// The old pending array becomes the next round's merge buffer, so
+// then clears the slabs so their senders can restage into them. The
+// old pending array becomes the next round's merge buffer, so
 // steady-state rounds allocate nothing.
 //
 //perf:hotpath
@@ -815,17 +807,12 @@ func (s *Shard) mergeRuns() {
 		srcs[best] = srcs[best][1:]
 	}
 	s.srcScratch = srcs[:0]
-	for i, r := range s.runs {
-		clear(r)
-		select {
-		case s.runIn[i].freeMsgs <- r[:0]:
-		default:
-		}
+	for _, r := range s.runs {
+		clear(r) // drop the actions so the sender's slab retains no closures
 	}
 	clear(s.pending[s.pendHead:])
 	old := s.pending
 	s.runs = s.runs[:0]
-	s.runIn = s.runIn[:0]
 	s.pending = buf
 	s.mergeBuf = old[:0]
 	s.pendHead = 0

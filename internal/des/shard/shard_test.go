@@ -49,9 +49,10 @@ type toyNet struct {
 // node self-schedules lattice ticks; every tick posts to a random peer
 // with a lattice-quantized delay, and receivers sometimes schedule a
 // same-time local follow-up — the worst case for ordering stability.
-func buildToy(t *testing.T, nShards, nNodes int, la, until des.Time) *toyNet {
+// timed turns on the round loop's wall-clock split.
+func buildToy(t *testing.T, nShards, nNodes int, la, until des.Time, timed bool) *toyNet {
 	t.Helper()
-	eng, err := NewEngine(Config{Shards: nShards, Entities: nNodes, LookaheadMatrix: mat(nShards, la, la)})
+	eng, err := NewEngine(Config{Shards: nShards, Entities: nNodes, LookaheadMatrix: mat(nShards, la, la), Timed: timed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func (tn *toyNet) fingerprint() uint64 {
 }
 
 func runToy(t *testing.T, nShards, nNodes int, la, until des.Time) (uint64, uint64) {
-	tn := buildToy(t, nShards, nNodes, la, until)
+	tn := buildToy(t, nShards, nNodes, la, until, false)
 	tn.eng.Run(until)
 	return tn.fingerprint(), tn.eng.Fired()
 }
@@ -258,9 +259,9 @@ func TestIdleShardsRelayProgress(t *testing.T) {
 // TestShardStats sanity-checks the diagnostics plumbing: per-shard
 // fired counts sum to the engine's, a 4-shard run stages cross-shard
 // messages and commits windows, and every shard's round loop records a
-// non-negative, non-zero wall-clock split.
+// non-negative, non-zero wall-clock split when the engine is timed.
 func TestShardStats(t *testing.T) {
-	tn := buildToy(t, 4, 16, 1e-4, 0.1)
+	tn := buildToy(t, 4, 16, 1e-4, 0.1, true)
 	tn.eng.Run(0.1)
 	st := tn.eng.ShardStats()
 	if len(st) != 4 {
@@ -283,5 +284,32 @@ func TestShardStats(t *testing.T) {
 	}
 	if sent == 0 {
 		t.Error("no cross-shard messages in a 4-shard run")
+	}
+}
+
+// TestUntimedEngine: the wall clock only feeds diagnostics, so an
+// untimed engine runs the identical history, commits the same windows
+// and sends the same messages as a timed one, and reports no
+// busy/blocked time at all.
+func TestUntimedEngine(t *testing.T) {
+	run := func(timed bool) (uint64, uint64, []Stats) {
+		tn := buildToy(t, 4, 16, 1e-4, 0.1, timed)
+		tn.eng.Run(0.1)
+		return tn.fingerprint(), tn.eng.Fired(), tn.eng.ShardStats()
+	}
+	fpT, firedT, stT := run(true)
+	fpU, firedU, stU := run(false)
+	if fpU != fpT || firedU != firedT {
+		t.Errorf("untimed fingerprint %x fired %d, timed %x fired %d", fpU, firedU, fpT, firedT)
+	}
+	for i := range stU {
+		u, tm := stU[i], stT[i]
+		if u.Fired != tm.Fired || u.Windows != tm.Windows || u.MsgsSent != tm.MsgsSent {
+			t.Errorf("shard %d: untimed fired/windows/msgs %d/%d/%d, timed %d/%d/%d",
+				i, u.Fired, u.Windows, u.MsgsSent, tm.Fired, tm.Windows, tm.MsgsSent)
+		}
+		if u.BusySec != 0 || u.BlockedSec != 0 {
+			t.Errorf("shard %d: untimed engine reports busy %g s, blocked %g s", i, u.BusySec, u.BlockedSec)
+		}
 	}
 }
