@@ -85,14 +85,11 @@ func main() {
 	start := time.Now()
 
 	// One RunSpec covers every call shape: -exp restricts the selection,
-	// -obs attaches the recorder, -par sizes the suite pool, and the
+	// -obs attaches the sink, -par sizes the suite pool, and the
 	// introspection hook rides Progress. Per-experiment progress is
 	// published with the experiment id as the phase; the hook fires on
 	// the commit goroutine, so suite workers never touch the sink.
-	spec := experiments.RunSpec{Parallelism: par}
-	if sink != nil {
-		spec.Recorder = sink
-	}
+	spec := experiments.RunSpec{Recorder: sink, Parallelism: par}
 	if ft := fleet.Topology(); ft != nil {
 		spec.Fleet = ft
 	}

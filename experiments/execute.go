@@ -25,7 +25,7 @@ type RunSpec struct {
 	// Recorder receives registry-level observability — an "experiment"
 	// event plus run/error counters per experiment (see recordEntry).
 	// Nil records nothing.
-	Recorder obs.Recorder
+	Recorder *obs.Sink
 	// Parallelism is the suite-level worker count; values <= 1 run
 	// sequentially. Output is byte-identical at every value: workers
 	// speculate ahead, but reports, recorder contents, and Progress
@@ -91,7 +91,7 @@ func selectEntries(ids []string) ([]entry, error) {
 // order, recorder contents, error selection, progress calls) depends on
 // completion order, so output is byte-identical at any worker count. No
 // experiment starts after one fails.
-func executeEntries(entries []entry, rec obs.Recorder, par int, onDone func(SuiteProgress)) ([]Report, error) {
+func executeEntries(entries []entry, rec *obs.Sink, par int, onDone func(SuiteProgress)) ([]Report, error) {
 	type result struct {
 		rep Report
 		err error

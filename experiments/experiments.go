@@ -78,8 +78,8 @@ func Titles() map[string]string {
 // observability. The event's time axis is the registry order, which is
 // stable across builds — and, in parallel suite runs, the commit order,
 // so recorded streams are identical at any worker count.
-func recordEntry(e entry, r Report, err error, rec obs.Recorder) {
-	if !obs.On(rec) {
+func recordEntry(e entry, r Report, err error, rec *obs.Sink) {
+	if rec == nil {
 		return
 	}
 	rec.Count("experiments.runs", 1)

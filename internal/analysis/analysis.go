@@ -52,8 +52,7 @@ type Analyzer struct {
 // Pass carries everything an Analyzer may inspect about one package:
 // the parsed files (with comments), the type-checked package and its
 // types.Info, the transitive import set, and the full set of
-// type-checked packages in the load (for cross-package type lookups
-// like the obs.Recorder interface).
+// type-checked packages in the load (for cross-package type lookups).
 type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
@@ -69,7 +68,7 @@ type Pass struct {
 	Deps map[string]bool
 	// AllPkgs maps import path -> type-checked package for every
 	// module package in the load (dependencies included), so analyzers
-	// can resolve well-known types such as obs.Recorder.
+	// can resolve declarations across packages.
 	AllPkgs map[string]*types.Package
 	// DepsOf returns the transitive import closure of any package in
 	// the load (standard library included), or nil when the path is
@@ -133,6 +132,36 @@ func SimScope(pkgPath string) bool {
 		return true
 	}
 	return false
+}
+
+// SinkPkg is the import path of the package declaring Sink, the one
+// recorder type. It is a variable so an analysistest fixture can stand
+// in its own package and exercise a call from inside it.
+var SinkPkg = "warehousesim/internal/obs"
+
+// SinkMethod reports whether sel selects a method declared on
+// SinkPkg's Sink, called on a *Sink or promoted through an embedded
+// one. Every recorded stream enters through those methods, so they
+// seed the emission checks (obsname, maprange).
+func (p *Pass) SinkMethod(sel *ast.SelectorExpr) bool {
+	fn, ok := p.Info.Uses[sel.Sel].(*types.Func)
+	if !ok {
+		return false
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
+	}
+	t := recv.Type()
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Name() == "Sink" && obj.Pkg().Path() == SinkPkg
 }
 
 // TypeOf returns the static type of e, or nil.

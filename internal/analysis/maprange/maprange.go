@@ -1,5 +1,5 @@
 // Package maprange flags map iteration in functions that can reach an
-// exporter or Recorder emission — the classic way Go's randomized map
+// exporter or obs.Sink emission — the classic way Go's randomized map
 // iteration order leaks into JSONL/CSV exports and breaks the
 // byte-identical same-seed contract every CI diff gate depends on.
 //
@@ -30,7 +30,7 @@
 //
 // "Can reach an emission" is computed over the package's static call
 // graph: a function is emit-reaching when it (transitively, within the
-// package) calls a method of a type implementing obs.Recorder, any
+// package) calls a method of obs.Sink (inside internal/obs too), any
 // function declared under internal/obs, or an encoding/json or
 // encoding/csv encoder. Cross-package indirection (a helper in another
 // package that emits) is out of reach of a per-package analysis; the
@@ -57,8 +57,6 @@ func run(pass *analysis.Pass) error {
 	if !analysis.SimScope(pass.PkgPath) {
 		return nil
 	}
-
-	recorder := recorderInterface(pass)
 
 	// Pass 1: per-function emit seeds and the intra-package call graph.
 	type funcNode struct {
@@ -87,7 +85,7 @@ func run(pass *analysis.Pass) error {
 				if !ok {
 					return true
 				}
-				if isEmitCall(pass, call, recorder) {
+				if isEmitCall(pass, call) {
 					node.emits = true
 				}
 				if callee := calleeOf(pass, call); callee != nil {
@@ -147,7 +145,7 @@ func run(pass *analysis.Pass) error {
 				return true
 			}
 			pass.Reportf(rng.Pos(),
-				"map iteration order reaches a Recorder/exporter emission from %s; collect the keys into a slice and sort before iterating (keyed writes dst[k]=… and delete-only loops are fine)",
+				"map iteration order reaches a sink/exporter emission from %s; collect the keys into a slice and sort before iterating (keyed writes dst[k]=… and delete-only loops are fine)",
 				fd.Name.Name)
 			return true
 		})
@@ -155,35 +153,18 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// recorderInterface resolves obs.Recorder from the loaded package set;
-// nil when the obs package is not in the load (pure fixture trees).
-func recorderInterface(pass *analysis.Pass) *types.Interface {
-	obsPkg, ok := pass.AllPkgs["warehousesim/internal/obs"]
-	if !ok {
-		return nil
-	}
-	obj := obsPkg.Scope().Lookup("Recorder")
-	if obj == nil {
-		return nil
-	}
-	iface, _ := obj.Type().Underlying().(*types.Interface)
-	return iface
-}
-
-// isEmitCall reports whether call is an emission seed: a method on an
-// obs.Recorder implementation, a call into internal/obs, or a
-// json/csv encode.
-func isEmitCall(pass *analysis.Pass, call *ast.CallExpr, recorder *types.Interface) bool {
+// isEmitCall reports whether call is an emission seed: an obs.Sink
+// method, a call into internal/obs from another package, or a json/csv
+// encode.
+func isEmitCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
-	// Method call on a Recorder implementation?
-	if s, ok := pass.Info.Selections[sel]; ok && recorder != nil {
-		recv := s.Recv()
-		if types.Implements(recv, recorder) || types.Implements(types.NewPointer(recv), recorder) {
-			return true
-		}
+	// An obs.Sink method seeds even inside internal/obs, where the
+	// package clause below does not reach.
+	if pass.SinkMethod(sel) {
+		return true
 	}
 	// Call resolving into internal/obs or an encoder package?
 	if obj := pass.Info.Uses[sel.Sel]; obj != nil && obj.Pkg() != nil {

@@ -1,5 +1,5 @@
 // Package obsname validates every string-literal metric and stream
-// name passed to an obs.Recorder method (Count, Gauge, Observe,
+// name passed to an obs.Sink method (Count, Gauge, Observe,
 // Event) against the repo's registered naming scheme, so a typoed
 // name — "membalde.hit_rate" — fails the build instead of silently
 // creating a parallel, never-compared series in the exports.
@@ -21,7 +21,6 @@ package obsname
 import (
 	"go/ast"
 	"go/constant"
-	"go/types"
 	"strconv"
 	"strings"
 
@@ -31,21 +30,17 @@ import (
 // Analyzer is the obsname check.
 var Analyzer = &analysis.Analyzer{
 	Name: "obsname",
-	Doc:  "Recorder metric/stream names must follow the registered domain.metric scheme",
+	Doc:  "obs.Sink metric/stream names must follow the registered domain.metric scheme",
 	Run:  run,
 }
 
-// nameTakingMethods maps Recorder method names to the index of their
+// nameTakingMethods maps Sink method names to the index of their
 // name argument.
 var nameTakingMethods = map[string]int{
 	"Count": 0, "Gauge": 0, "Observe": 0, "Event": 0,
 }
 
 func run(pass *analysis.Pass) error {
-	recorder := recorderInterface(pass)
-	if recorder == nil {
-		return nil
-	}
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -57,15 +52,7 @@ func run(pass *analysis.Pass) error {
 				return true
 			}
 			argIdx, ok := nameTakingMethods[sel.Sel.Name]
-			if !ok || len(call.Args) <= argIdx {
-				return true
-			}
-			s, ok := pass.Info.Selections[sel]
-			if !ok {
-				return true
-			}
-			recv := s.Recv()
-			if !types.Implements(recv, recorder) && !types.Implements(types.NewPointer(recv), recorder) {
+			if !ok || len(call.Args) <= argIdx || !pass.SinkMethod(sel) {
 				return true
 			}
 			checkName(pass, call.Args[argIdx])
@@ -73,20 +60,6 @@ func run(pass *analysis.Pass) error {
 		})
 	}
 	return nil
-}
-
-// recorderInterface resolves obs.Recorder from the loaded package set.
-func recorderInterface(pass *analysis.Pass) *types.Interface {
-	obsPkg, ok := pass.AllPkgs["warehousesim/internal/obs"]
-	if !ok {
-		return nil
-	}
-	obj := obsPkg.Scope().Lookup("Recorder")
-	if obj == nil {
-		return nil
-	}
-	iface, _ := obj.Type().Underlying().(*types.Interface)
-	return iface
 }
 
 // checkName validates the name argument when it is statically known:

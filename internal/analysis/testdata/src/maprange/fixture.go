@@ -4,6 +4,8 @@ package fixture
 import (
 	"encoding/json"
 	"sort"
+
+	"warehousesim/internal/obs"
 )
 
 // export reaches an emission (json.Marshal), so its map iterations
@@ -81,6 +83,13 @@ func indirect(m map[string]int) {
 func sink(k string, v int) {
 	b, _ := json.Marshal(v)
 	_ = append(b, k...)
+}
+
+// count's only emission is an obs.Sink method call.
+func count(rec *obs.Sink, m map[string]int64) {
+	for k, v := range m { // want maprange:"iteration order"
+		rec.Count("trial."+k, v)
+	}
 }
 
 // allowed shows directive suppression with a recorded justification.

@@ -1,22 +1,13 @@
-// Package fixture exercises the metric-name scheme against a local
-// obs.Recorder implementation (obsname resolves the interface from the
-// real internal/obs package, so implementing it here is the same as
-// implementing it in a model package).
+// Package fixture exercises the metric-name scheme against the real
+// obs.Sink, the one type whose Count/Gauge/Observe/Event names obsname
+// checks.
 package fixture
 
 import "warehousesim/internal/obs"
 
-type rec struct{}
-
-func (rec) Enabled() bool                                       { return true }
-func (rec) Count(name string, delta int64)                      {}
-func (rec) Gauge(name string, t, v float64)                     {}
-func (rec) Observe(name string, v float64)                      {}
-func (rec) Event(stream string, t float64, fields ...obs.Field) {}
-
 const stream = "span"
 
-func emit(r rec, resource string, t float64) {
+func emit(r *obs.Sink, resource string, t float64) {
 	r.Count("trial.completed", 1)
 	r.Count("membalde.hits", 1)   // want obsname:"unregistered domain"
 	r.Count("fresh_bare", 1)      // want obsname:"bare names are closed"
@@ -29,8 +20,8 @@ func emit(r rec, resource string, t float64) {
 	r.Event("request", t)
 }
 
-// notARecorder has the method names but not the interface: its calls
-// are out of scope.
+// notARecorder has the method names but is not a Sink: its calls are
+// out of scope.
 type notARecorder struct{}
 
 func (notARecorder) Count(name string, delta int64) {}

@@ -37,14 +37,14 @@ type SimOptions struct {
 	// on one worker.
 	Parallelism int
 
-	// Obs, when non-nil and enabled, receives the observability streams
-	// of the run: per-request latency/QoS events, resource utilization
-	// and queue-length timelines, kernel event-rate probes, and demand
+	// Obs, when non-nil, receives the observability streams of the run:
+	// per-request latency/QoS events, resource utilization and
+	// queue-length timelines, kernel event-rate probes, and demand
 	// histograms. Recording never changes the reported result: for
 	// interactive workloads the adaptive search runs uninstrumented and
 	// the chosen operating point is replayed once (same seed, identical
-	// trajectory) with the recorder attached.
-	Obs obs.Recorder
+	// trajectory) with the sink attached.
+	Obs *obs.Sink
 	// ProbeIntervalSec is the sampling interval of the timeline probes
 	// in simulated seconds; 0 means 1 s.
 	ProbeIntervalSec float64
@@ -75,14 +75,14 @@ type SimOptions struct {
 	// must return an untyped nil.
 	Topology Topology
 
-	// ShardDiag, when non-nil and enabled, receives the rack engine's
-	// per-shard round-loop diagnostics after a *ShardedTopology run:
-	// window, fired and message counters and the busy/blocked
-	// wall-clock split (see shard.Engine.EmitDiagnostics). These depend
-	// on goroutine scheduling, so they are kept separate from Obs — the
+	// ShardDiag, when non-nil, receives the rack engine's per-shard
+	// round-loop diagnostics after a *ShardedTopology run: window,
+	// fired and message counters and the busy/blocked wall-clock split
+	// (see shard.Engine.EmitDiagnostics). These depend on goroutine
+	// scheduling, so they are kept separate from Obs — the
 	// deterministic export stays byte-identical at any shard count.
 	// Ignored without a Topology; a fleet run rejects it.
-	ShardDiag obs.Recorder
+	ShardDiag *obs.Sink
 
 	// SLOWindowSec, when > 0, turns on the windowed-SLO metrics plane:
 	// the instrumented run additionally folds its request and
@@ -90,8 +90,8 @@ type SimOptions struct {
 	// simulated time (see internal/obs/window), the QoS episode summary
 	// is emitted into Obs, and Result.SLO carries the merged collector.
 	// Windowed collection rides the instrumented replay, so it requires
-	// an enabled Obs and — like Obs itself — never changes the reported
-	// result or the existing export streams.
+	// Obs and — like Obs itself — never changes the reported result or
+	// the existing export streams.
 	SLOWindowSec float64
 
 	// Energy, when non-nil, turns on the time-resolved energy telemetry
@@ -102,8 +102,8 @@ type SimOptions struct {
 	// collector, so with SLOWindowSec set the widths must be equal. The
 	// run's energy.* totals are emitted into Obs and Result.Energy
 	// carries the merged view. Like the windowed-SLO plane it rides the
-	// instrumented replay — it requires an enabled Obs and never changes
-	// the reported result or the existing export streams.
+	// instrumented replay — it requires Obs and never changes the
+	// reported result or the existing export streams.
 	Energy *energy.Config
 }
 
@@ -282,14 +282,14 @@ func (c Config) simulateInteractive(gen workload.Generator, p workload.Profile, 
 		seed++
 		return ctx.run(gen, p, n, opt, seed, nil, planes{}), seed
 	}
-	// replay re-runs the chosen operating point with the recorder
+	// replay re-runs the chosen operating point with the sink
 	// attached. Same seed, same trajectory: the instrumented replay's
 	// outcome matches the recorded best exactly, so -obs never changes
 	// the reported numbers. Only this replay feeds the window planes —
 	// the search stays uninstrumented — so the window streams are a pure
 	// function of the chosen operating point and the seed.
 	replay := func(n int, s uint64) {
-		if !obs.On(opt.Obs) {
+		if opt.Obs == nil {
 			return
 		}
 		ctx.run(gen, p, n, opt, s, opt.Obs, tel)
@@ -358,7 +358,7 @@ func (c Config) simulateBatch(gen workload.Generator, p workload.Profile, opt Si
 	concurrency := c.batchSlots()
 
 	var probes *des.Probes
-	if pop.recording {
+	if pop.rec != nil {
 		probes = des.NewProbes(sim, opt.Obs, des.Time(opt.ProbeIntervalSec))
 		probes.Watch(b.cpu, b.disk, b.net)
 		probes.OnTick = onTick(opt.OnProbeTick, tel)
@@ -376,7 +376,7 @@ func (c Config) simulateBatch(gen workload.Generator, p workload.Profile, opt Si
 		newSlot(b, stopAtEnd).launch()
 	}
 	sim.Run(des.Time(math.MaxFloat64))
-	if pop.recording {
+	if pop.rec != nil {
 		probes.Stop()
 		opt.Obs.Count("des.events", int64(sim.Fired()))
 		opt.Obs.Count("trial.clients", int64(concurrency))

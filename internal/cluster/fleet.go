@@ -187,12 +187,6 @@ func (t *FleetTopology) simulate(c Config, gen workload.Generator, p workload.Pr
 	if opt.ShardDiag != nil {
 		return Result{}, fmt.Errorf("cluster: shard diagnostics describe one rack's engine; run the rack topology directly to collect them")
 	}
-	recording := obs.On(opt.Obs)
-	if recording {
-		if _, ok := opt.Obs.(*obs.Sink); !ok {
-			return Result{}, fmt.Errorf("cluster: fleet runs record into per-rack sinks folded after the run, so Obs must be a *obs.Sink, got %T", opt.Obs)
-		}
-	}
 	if len(t.HotSet) > 0 && !workload.IsStateless(gen) {
 		return Result{}, fmt.Errorf("cluster: hot racks sample the generator concurrently and need workload.IsStateless; %T is stateful", gen)
 	}
@@ -217,8 +211,8 @@ func (t *FleetTopology) simulate(c Config, gen workload.Generator, p workload.Pr
 			return Result{}, fmt.Errorf("cluster: fleet hot rack %d: %w", t.HotSet[i], err)
 		}
 	}
-	if recording {
-		opt.Obs.(*obs.Sink).MergeFrom(hotSinks...)
+	if opt.Obs != nil {
+		opt.Obs.MergeFrom(hotSinks...)
 	}
 
 	// The balancer's demand model: every rack in the fleet faces the
@@ -295,8 +289,8 @@ func (t *FleetTopology) simulate(c Config, gen workload.Generator, p workload.Pr
 	if err := mergeTelemetry(&res, tel); err != nil {
 		return Result{}, err
 	}
-	if recording {
-		t.emitFleet(opt.Obs.(*obs.Sink), res.Fleet)
+	if opt.Obs != nil {
+		t.emitFleet(opt.Obs, res.Fleet)
 	}
 	return res, nil
 }
@@ -311,11 +305,10 @@ func (t *FleetTopology) runHotRack(c Config, gen workload.Generator, p workload.
 	// The live hook is per-run: concurrently running racks would race
 	// on it, so fleet runs don't publish live handles.
 	ro.OnProbeTick = nil
-	ro.Obs = nil
-	if obs.On(opt.Obs) {
+	if opt.Obs != nil {
 		sinks[i] = obs.NewSink()
-		ro.Obs = sinks[i]
 	}
+	ro.Obs = sinks[i]
 	rack := t.Rack
 	rack.Boards = append([]int(nil), t.Rack.Boards...)
 	return rack.simulate(c, gen, p, ro)

@@ -9,7 +9,7 @@ import (
 	"warehousesim/internal/workload"
 )
 
-func obsTestOptions(rec obs.Recorder) SimOptions {
+func obsTestOptions(rec *obs.Sink) SimOptions {
 	return SimOptions{
 		Seed: 11, WarmupSec: 2, MeasureSec: 10, MaxClients: 32,
 		Obs: rec, ProbeIntervalSec: 0.5,

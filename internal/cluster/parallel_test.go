@@ -32,13 +32,13 @@ func parTestOptions() SimOptions {
 	return SimOptions{Seed: 11, WarmupSec: 2, MeasureSec: 10, MaxClients: 64}
 }
 
-func simulateAt(t *testing.T, par int, rec obs.Recorder) Result {
+func simulateAt(t *testing.T, par int, rec *obs.Sink) Result {
 	t.Helper()
 	cfg := Config{Server: platform.Desk()}
 	opt := parTestOptions()
 	opt.Parallelism = par
 	opt.Obs = rec
-	if obs.On(rec) {
+	if rec != nil {
 		opt.TraceEvery = 2
 		opt.ProbeIntervalSec = 0.5
 	}

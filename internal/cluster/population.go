@@ -31,26 +31,25 @@ type population struct {
 	base      int64 // request numbers and span ids start above base
 
 	// recording state, zeroed for uninstrumented runs.
-	rec       obs.Recorder
-	win       *window.Collector // nil when the window planes are off
-	recording bool
-	qosBound  float64
-	tracer    *span.Tracer
-	evFields  [3]obs.Field // scratch row for the per-request event stream
+	rec      *obs.Sink         // nil when the run is not recorded
+	win      *window.Collector // nil when the window planes are off
+	qosBound float64
+	tracer   *span.Tracer
+	evFields [3]obs.Field // scratch row for the per-request event stream
 }
 
 // bind starts a run: it zeroes the counters and attaches the run's
-// generator, recorder and window collector. With a live recorder every
+// generator, sink and window collector. With a non-nil sink every
 // request's demands and completion are recorded, and completions feed
 // win when the window planes are on; with traceEvery > 0 it also gets
 // a tracer. Span ids and request numbers both start above base, so
 // partitioned models that give each part a disjoint base stay unique
 // after the parts merge. The tracer stays nil otherwise, and every tracer method no-ops
 // on nil, so the untraced path pays one nil check per request.
-func (p *population) bind(gen workload.Generator, rec obs.Recorder, win *window.Collector, traceEvery, base int64) {
+func (p *population) bind(gen workload.Generator, rec *obs.Sink, win *window.Collector, traceEvery, base int64) {
 	p.measuring, p.completed, p.arrivals, p.base = false, 0, 0, base
-	p.gen, p.rec, p.win, p.recording, p.tracer = gen, rec, win, obs.On(rec), nil
-	if p.recording && traceEvery > 0 {
+	p.gen, p.rec, p.win, p.tracer = gen, rec, win, nil
+	if rec != nil && traceEvery > 0 {
 		p.tracer = span.NewTracerAt(rec, traceEvery, base)
 	}
 }
@@ -69,15 +68,15 @@ func (p *population) wait(rng *stats.RNG, issue des.Action) {
 
 // next samples one request from rng and numbers it: its demands, its
 // request number, and whether the tracer keeps its span tree (sampling
-// goes by arrival index, so it does not depend on base). A live
-// recorder observes the sampled demand vector into the "demand."
+// goes by arrival index, so it does not depend on base). A non-nil
+// sink observes the sampled demand vector into the "demand."
 // histograms; that reads the sample and draws nothing, so recording
 // never changes the request stream.
 //
 //perf:hotpath
 func (p *population) next(rng *stats.RNG) (d Demands, req int64, traced bool) {
 	r := p.gen.Sample(rng)
-	if p.recording {
+	if p.rec != nil {
 		p.rec.Observe("demand.cpu_ref_sec", r.CPURefSec)
 		p.rec.Observe("demand.disk_ops", r.DiskOps)
 		p.rec.Observe("demand.disk_read_bytes", r.DiskReadBytes)
@@ -94,7 +93,7 @@ func (p *population) next(rng *stats.RNG) (d Demands, req int64, traced bool) {
 
 // done accounts one request, issued at start, completing now: the
 // latency histogram and completion count inside the measurement
-// window, and with a live recorder the request counters, the latency
+// window, and with a non-nil sink the request counters, the latency
 // histogram, the "request" event and the window planes.
 //
 //perf:hotpath
@@ -107,7 +106,7 @@ func (p *population) done(start des.Time) {
 			p.hist.Add(latency)
 		}
 	}
-	if !p.recording {
+	if p.rec == nil {
 		return
 	}
 	violation := p.qosBound > 0 && latency > p.qosBound

@@ -146,16 +146,10 @@ func (t *ShardedTopology) clone() Topology {
 
 // simulate implements Topology: it dispatches the rack model. The
 // generator must be stateless (clients on different shards sample it
-// concurrently), and recording requires a *obs.Sink because the rack
-// records into per-enclosure sinks folded after the run.
+// concurrently).
 func (t *ShardedTopology) simulate(c Config, gen workload.Generator, p workload.Profile, opt SimOptions) (Result, error) {
 	if !workload.IsStateless(gen) {
 		return Result{}, fmt.Errorf("cluster: the sharded rack model samples the generator concurrently across shards and needs workload.IsStateless; %T is stateful", gen)
-	}
-	if obs.On(opt.Obs) {
-		if _, ok := opt.Obs.(*obs.Sink); !ok {
-			return Result{}, fmt.Errorf("cluster: rack runs record into per-enclosure sinks folded after the run, so Obs must be a *obs.Sink, got %T", opt.Obs)
-		}
 	}
 	if opt.OnProbeTick != nil && t.Shards > 1 {
 		return Result{}, fmt.Errorf("cluster: OnProbeTick rides shard 0 and would read the other %d shards' collectors off their goroutines; run the rack on one heap to watch it live", t.Shards-1)
@@ -380,10 +374,8 @@ func buildRack(c Config, topo *ShardedTopology, gen workload.Generator, p worklo
 			bladeEnt: shard.EntityID(nBoards + e),
 		}
 		eng.Assign(enc.bladeEnt, sid)
-		var rec obs.Recorder // stays nil unrecorded: a nil *obs.Sink reads as on
 		if recording {
 			enc.sink = obs.NewSink()
-			rec = enc.sink
 			// One set of window planes per enclosure, fed by the
 			// enclosure's population and probes: windows are assigned by
 			// observation time, so the per-enclosure collectors are the
@@ -398,7 +390,7 @@ func buildRack(c Config, topo *ShardedTopology, gen workload.Generator, p worklo
 		pop.dm = &r.dm
 		// Disjoint bases keep span ids and request numbers unique across
 		// the per-enclosure populations, at every shard count.
-		pop.bind(gen, rec, enc.tel.win, opt.TraceEvery, (int64(e)+1)<<40)
+		pop.bind(gen, enc.sink, enc.tel.win, opt.TraceEvery, (int64(e)+1)<<40)
 		if p.Batch {
 			pop.measuring = true // the whole job is the measurement
 		} else {
@@ -602,11 +594,11 @@ func (r *rackSim) finishObs(clients int) {
 		parts = append(parts, enc.sink)
 	}
 	parts = append(parts, r.global)
-	r.opt.Obs.(*obs.Sink).MergeFrom(parts...)
+	r.opt.Obs.MergeFrom(parts...)
 }
 
 func (c Config) rackInteractive(t *ShardedTopology, gen workload.Generator, p workload.Profile, opt SimOptions) (Result, error) {
-	r, err := buildRack(c, t, gen, p, opt, obs.On(opt.Obs))
+	r, err := buildRack(c, t, gen, p, opt, opt.Obs != nil)
 	if err != nil {
 		return Result{}, err
 	}
@@ -649,7 +641,7 @@ func (c Config) rackBatch(t *ShardedTopology, gen workload.Generator, p workload
 	exec := float64(r.aggFinish)
 
 	measured := r
-	if obs.On(opt.Obs) {
+	if opt.Obs != nil {
 		r2, err := buildRack(c, t, gen, p, opt, true)
 		if err != nil {
 			return Result{}, err

@@ -19,7 +19,7 @@ func rackTopology(shards int) *ShardedTopology {
 	return &ShardedTopology{Enclosures: 4, BoardsPerEnclosure: 2, ClientsPerBoard: 2, Shards: shards}
 }
 
-func rackOptions(shards int, rec obs.Recorder) SimOptions {
+func rackOptions(shards int, rec *obs.Sink) SimOptions {
 	return SimOptions{
 		Seed: 7, WarmupSec: 2, MeasureSec: 10, MaxClients: 64,
 		Obs: rec, ProbeIntervalSec: 0.5, TraceEvery: 50,

@@ -13,7 +13,7 @@ import (
 	"warehousesim/internal/workload"
 )
 
-func tracedTestOptions(rec obs.Recorder, every int64) SimOptions {
+func tracedTestOptions(rec *obs.Sink, every int64) SimOptions {
 	o := obsTestOptions(rec)
 	o.TraceEvery = every
 	return o
@@ -41,7 +41,7 @@ func spanCases() []spanCase {
 }
 
 // run simulates the case with the given recorder and trace stride.
-func (c spanCase) run(t *testing.T, rec obs.Recorder, every int64) Result {
+func (c spanCase) run(t *testing.T, rec *obs.Sink, every int64) Result {
 	t.Helper()
 	opt := tracedTestOptions(rec, every)
 	if c.topo != nil {

@@ -22,14 +22,14 @@ type planes struct {
 }
 
 // newPlanes builds one partition's planes for an instrumented run; both
-// are off when the run has no enabled recorder to ride. The collector
+// are off when the run has no sink to ride. The collector
 // inherits the profile's QoS bound and percentile, so a window
 // "violates" exactly when the bound the adaptive driver enforces
 // globally is broken locally in time. Energy reads no QoS field, so an
 // energy-only run exports the same bytes either way. SimOptions.Normalize
 // has already required equal widths when both planes are on.
 func newPlanes(p workload.Profile, opt SimOptions) (planes, error) {
-	if !obs.On(opt.Obs) || (opt.SLOWindowSec == 0 && opt.Energy == nil) {
+	if opt.Obs == nil || (opt.SLOWindowSec == 0 && opt.Energy == nil) {
 		return planes{}, nil
 	}
 	width := opt.SLOWindowSec
@@ -70,7 +70,7 @@ func (pl planes) seal(horizon float64) {
 
 // finish seals a flat run's planes at its horizon, hangs them on res,
 // and emits their summaries into rec.
-func (pl planes) finish(horizon float64, rec obs.Recorder, res *Result) {
+func (pl planes) finish(horizon float64, rec *obs.Sink, res *Result) {
 	pl.seal(horizon)
 	if pl.slo {
 		res.SLO = pl.win
@@ -125,7 +125,7 @@ func mergeTelemetry(res *Result, parts []planes) error {
 // deterministic stream — QoS episodes (attributed over SLOParts), then
 // energy totals. Both derive from the merged collectors, so the stream
 // is identical at every shard and parallelism count.
-func emitTelemetry(rec obs.Recorder, res *Result) {
+func emitTelemetry(rec *obs.Sink, res *Result) {
 	if res.SLO != nil {
 		res.SLO.EmitEpisodes(rec, res.SLO.Episodes(res.SLOParts...))
 	}

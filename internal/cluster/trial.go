@@ -42,11 +42,11 @@ func newTrialCtx(c Config, dm demandModel) *trialCtx {
 
 // run simulates nClients closed-loop clients and measures sustained
 // throughput and latency percentiles over the measurement window. With a
-// live recorder it also emits the per-request event stream, feeds tel's
+// non-nil sink it also emits the per-request event stream, feeds tel's
 // window planes and attaches the kernel/resource timeline probes;
 // recording only observes, so the outcome is identical to an
 // uninstrumented trial at the same seed.
-func (t *trialCtx) run(gen workload.Generator, p workload.Profile, nClients int, opt SimOptions, seed uint64, rec obs.Recorder, tel planes) Result {
+func (t *trialCtx) run(gen workload.Generator, p workload.Profile, nClients int, opt SimOptions, seed uint64, rec *obs.Sink, tel planes) Result {
 	t.sim.Reset()
 	t.b.cpu.Reset()
 	t.b.disk.Reset()
@@ -70,7 +70,7 @@ func (t *trialCtx) run(gen workload.Generator, p workload.Profile, nClients int,
 	}
 
 	var probes *des.Probes
-	if pop.recording {
+	if pop.rec != nil {
 		probes = des.NewProbes(t.sim, rec, des.Time(opt.ProbeIntervalSec))
 		probes.Watch(t.b.cpu, t.b.disk, t.b.net)
 		probes.OnTick = onTick(opt.OnProbeTick, tel)
@@ -84,7 +84,7 @@ func (t *trialCtx) run(gen workload.Generator, p workload.Profile, nClients int,
 	t.b.disk.ResetWindow()
 	t.b.net.ResetWindow()
 	t.sim.Run(des.Time(opt.WarmupSec + opt.MeasureSec))
-	if pop.recording {
+	if pop.rec != nil {
 		probes.Stop()
 		rec.Count("des.events", int64(t.sim.Fired()))
 		rec.Count("trial.clients", int64(nClients))

@@ -8,7 +8,7 @@ import (
 )
 
 // Probes periodically samples kernel and resource state into an
-// obs.Recorder, producing the utilization / queue-length / event-rate
+// *obs.Sink, producing the utilization / queue-length / event-rate
 // timelines behind every instrumented run:
 //
 //   - "des.heap_depth"      pending events at each tick
@@ -23,7 +23,7 @@ import (
 // one under the same seed — probes observe, they never perturb.
 type Probes struct {
 	sim      *Sim
-	rec      obs.Recorder
+	rec      *obs.Sink
 	interval Time
 	handle   EventHandle
 	running  bool
@@ -36,7 +36,7 @@ type Probes struct {
 	// the current simulated time. It is the live-introspection seam:
 	// the hook may read simulation state and publish snapshots, but it
 	// must never schedule events or sample randomness — the same
-	// observe-don't-perturb contract the recorder obeys.
+	// observe-don't-perturb contract the sink's emitters obey.
 	OnTick func(now float64)
 
 	// OnUtil, when non-nil, receives each watched resource's
@@ -65,12 +65,10 @@ type watchedResource struct {
 
 // NewProbes creates a sampler attached to sim emitting into rec every
 // interval of simulated time. Call Watch to add resources, then Start.
-func NewProbes(sim *Sim, rec obs.Recorder, interval Time) *Probes {
+// A nil rec makes a sampler that never starts.
+func NewProbes(sim *Sim, rec *obs.Sink, interval Time) *Probes {
 	if interval <= 0 {
 		panic(fmt.Sprintf("des: probe interval must be positive, got %v", interval))
-	}
-	if rec == nil {
-		rec = obs.Nop{}
 	}
 	p := &Probes{sim: sim, rec: rec, interval: interval}
 	p.tickFn = p.tick
@@ -101,7 +99,7 @@ func resourceClass(name string) string {
 // Start schedules the first tick one interval from now. Starting an
 // already-running sampler is a no-op.
 func (p *Probes) Start() {
-	if p.running || !obs.On(p.rec) {
+	if p.running || p.rec == nil {
 		return
 	}
 	p.running = true

@@ -17,8 +17,8 @@ import (
 // depends on goroutine scheduling and changes run to run — so they go
 // into a separate diagnostics sink, never into the deterministic
 // export.
-func (e *Engine) EmitDiagnostics(rec obs.Recorder) {
-	if !obs.On(rec) {
+func (e *Engine) EmitDiagnostics(rec *obs.Sink) {
+	if rec == nil {
 		return
 	}
 	for i, st := range e.ShardStats() {

@@ -125,10 +125,10 @@ type Sim struct {
 	stats Stats
 
 	// observability (nil when not instrumented)
-	rec         obs.Recorder
+	rec         *obs.Sink
 	sampleEvery int64
 	tracer      *span.Tracer
-	evBuf       [2]obs.Field // swap-event scratch; valid only during Event (Recorder contract)
+	evBuf       [2]obs.Field // swap-event scratch; valid only during Sink.Event
 }
 
 // New builds a simulator with cold (empty) local memory; its capacity
@@ -147,18 +147,14 @@ func New(cfg Config) (*Sim, error) {
 // Capacity returns the local-memory capacity in pages.
 func (s *Sim) Capacity() int { return s.pages.Cap() }
 
-// Instrument attaches a recorder: every access bumps the
+// Instrument attaches a sink: every access bumps the
 // "memblade.accesses" / "memblade.misses" / "memblade.writebacks"
 // counters, every miss emits a "memblade.swap" event (the page swapped
 // in over the blade interconnect), and the running hit rate is sampled
 // into the "memblade.hit_rate" series every sampleEvery accesses
 // (0 means 1024) with the access count as the time axis — which makes
-// cache warm-up directly visible. A nil or disabled recorder detaches.
-func (s *Sim) Instrument(rec obs.Recorder, sampleEvery int64) {
-	if !obs.On(rec) {
-		s.rec = nil
-		return
-	}
+// cache warm-up directly visible. A nil sink detaches.
+func (s *Sim) Instrument(rec *obs.Sink, sampleEvery int64) {
 	s.rec = rec
 	if sampleEvery <= 0 {
 		sampleEvery = 1024

@@ -321,8 +321,8 @@ func fit(pts []CurvePoint) Proportionality {
 // plus one "energy_total" event. Everything is computed from the
 // merged source, so the stream is identical at every shard and
 // parallelism count. Call once the source is sealed and merged.
-func (c *Collector) EmitTotals(rec obs.Recorder) {
-	if !obs.On(rec) {
+func (c *Collector) EmitTotals(rec *obs.Sink) {
+	if rec == nil {
 		return
 	}
 	ws := c.Windows()

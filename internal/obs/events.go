@@ -105,9 +105,12 @@ func (s *Sink) internStr(v string) uint32 {
 	return id
 }
 
-// Event implements Recorder. The fields are stored, not retained (see
-// Recorder), so callers may reuse their field buffers. A numeric field
-// keeps only its key and Num, a string field only its key and Str.
+// Event appends a structured record at time t to the named stream.
+// The fields slice is valid only during the call: hot paths pass a
+// reused scratch buffer, and the sink copies the values into a row over
+// an interned layout of the stream and keys, one float64 per field. A
+// numeric field keeps only its key and Num, a string field only its key
+// and Str, as an index into an interned string table.
 func (s *Sink) Event(stream string, t float64, fields ...Field) {
 	id := s.layoutFor(stream, fields)
 	if len(s.rows) == cap(s.rows) {

@@ -5,18 +5,6 @@ import (
 	"testing"
 )
 
-func TestOnGuard(t *testing.T) {
-	if On(nil) {
-		t.Fatal("On(nil) must be false")
-	}
-	if On(Nop{}) {
-		t.Fatal("On(Nop{}) must be false")
-	}
-	if !On(NewSink()) {
-		t.Fatal("On(Sink) must be true")
-	}
-}
-
 func TestSinkCounters(t *testing.T) {
 	s := NewSink()
 	s.Count("a", 2)

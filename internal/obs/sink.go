@@ -122,10 +122,16 @@ func (h *Hist) Quantile(q float64) float64 {
 	return h.max
 }
 
-// Sink is the standard in-memory Recorder. It keeps everything it is
-// given — counters, time series, histograms and event streams — and
+// Sink records an instrumented simulation run. It keeps everything it
+// is given — counters, time series, histograms and event streams — and
 // exports them deterministically (sorted names, insertion-ordered
-// points and events) via WriteJSONL / WriteCSV.
+// points and events) via WriteJSONL / WriteCSV. A nil *Sink means the
+// run is not recorded; emitters check for nil before building fields.
+//
+// Recording observes and never perturbs: emitters must not sample
+// randomness or schedule events on the way to a Sink method, so an
+// instrumented run stays trajectory-identical to an uninstrumented one
+// under the same seed.
 //
 // Sink is not safe for concurrent use; the simulators are
 // single-threaded by design.
@@ -146,7 +152,7 @@ type Sink struct {
 	strIDs     map[string]uint32
 }
 
-// NewSink returns an empty, enabled Sink.
+// NewSink returns an empty Sink.
 func NewSink() *Sink {
 	return &Sink{
 		counters: map[string]int64{},
@@ -161,16 +167,15 @@ func (s *Sink) SetManifest(m Manifest) { s.manifest = m }
 // Manifest returns the attached manifest.
 func (s *Sink) Manifest() Manifest { return s.manifest }
 
-// Enabled implements Recorder.
-func (s *Sink) Enabled() bool { return true }
-
-// Count implements Recorder.
+// Count adds delta to the named monotonic counter.
 func (s *Sink) Count(name string, delta int64) { s.counters[name] += delta }
 
 // CounterValue returns the current value of a counter (0 if absent).
 func (s *Sink) CounterValue(name string) int64 { return s.counters[name] }
 
-// Gauge implements Recorder.
+// Gauge appends an instantaneous sample (t, v) to the named time
+// series. t is simulated time (or another monotone axis, e.g. access
+// count for the trace-driven cache simulators).
 func (s *Sink) Gauge(name string, t, v float64) {
 	sr := s.series[name]
 	if sr == nil {
@@ -188,7 +193,7 @@ func (s *Sink) SeriesByName(name string) *Series { return s.series[name] }
 // SeriesNames returns the recorded series names, sorted.
 func (s *Sink) SeriesNames() []string { return sortedKeys(s.series) }
 
-// Observe implements Recorder.
+// Observe adds one observation to the named histogram.
 func (s *Sink) Observe(name string, v float64) {
 	h := s.hists[name]
 	if h == nil {

@@ -2,7 +2,7 @@ package obs
 
 import "testing"
 
-// TestEventCopiesFields pins the Recorder contract: the fields slice is
+// TestEventCopiesFields pins the Event contract: the fields slice is
 // only valid during the call, so the sink must copy. Emitters (span
 // tracer, cluster trial path) reuse scratch buffers across events.
 func TestEventCopiesFields(t *testing.T) {

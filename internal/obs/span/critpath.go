@@ -83,7 +83,7 @@ func categorize(s Span) string {
 // one request per root span, grouped by the spans' Req. Spans without
 // a root are skipped; CBF sub-spans are detail inside their swap parent
 // and are not double-counted.
-func Analyze(src EventSource) Attribution {
+func Analyze(src *obs.Sink) Attribution {
 	spans := Decoded(src)
 
 	// Pass 1: per-request state and the service spans swap time must be

@@ -22,11 +22,7 @@ import (
 // object key order and number formatting are fixed: two same-seed runs
 // export byte-identical files (the same-seed double-run tests compare
 // them).
-//
-// src is anything that holds recorded events and a manifest — in
-// practice *obs.Sink, accepted via the interface to keep the consumer
-// decoupled from the sink's concrete type.
-func WriteTrace(w io.Writer, src TraceSource) error {
+func WriteTrace(w io.Writer, src *obs.Sink) error {
 	bw := bufio.NewWriter(w)
 	m := src.Manifest()
 	fmt.Fprintf(bw, "{\"displayTimeUnit\":\"ms\",\"otherData\":{\"schema\":%s,\"workload\":%s,\"system\":%s,\"seed\":\"%d\"},\"traceEvents\":[\n",
@@ -55,14 +51,8 @@ func WriteTrace(w io.Writer, src TraceSource) error {
 }
 
 // WriteTraceFile exports the span trace to path.
-func WriteTraceFile(path string, src TraceSource) error {
+func WriteTraceFile(path string, src *obs.Sink) error {
 	return obs.ExportFile(path, func(w io.Writer) error { return WriteTrace(w, src) })
-}
-
-// TraceSource is the slice of *obs.Sink the exporters need.
-type TraceSource interface {
-	EventSource
-	Manifest() obs.Manifest
 }
 
 func num(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }

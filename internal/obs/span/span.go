@@ -6,7 +6,7 @@
 // Chrome-trace-event/Perfetto JSON exporter (WriteTrace) and a
 // critical-path latency-attribution analyzer (Analyze).
 //
-// Spans ride the existing obs.Recorder seam as events on the "span"
+// Spans ride the existing *obs.Sink seam as events on the "span"
 // stream, so everything the obs layer guarantees carries over: the
 // disabled path is allocation-free (a nil *Tracer no-ops every method
 // behind a pointer check), recording never perturbs the simulation (no
@@ -66,27 +66,26 @@ type Span struct {
 	Start, Dur float64
 }
 
-// Tracer records completed spans into an obs.Recorder with
+// Tracer records completed spans into an *obs.Sink with
 // deterministic IDs and deterministic every-Nth-request sampling. The
-// zero of the type is not used: NewTracer returns nil for a disabled
-// recorder, and every method no-ops on a nil receiver, so call sites
+// zero of the type is not used: NewTracer returns nil for a nil sink, and every method no-ops on a nil receiver, so call sites
 // need no guards and the disabled path allocates nothing.
 type Tracer struct {
-	rec    obs.Recorder
+	rec    *obs.Sink
 	every  int64
 	nextID int64
 
 	// buf is the emit scratch buffer: span fields are assembled here and
-	// handed to the Recorder, which must not retain them (see
-	// obs.Recorder) — so steady-state emission allocates nothing.
+	// handed to Sink.Event, which does not retain them — so
+	// steady-state emission allocates nothing.
 	buf [6]obs.Field
 }
 
 // NewTracer returns a tracer emitting into rec, keeping every Nth
-// request by arrival index (every <= 1 keeps all). A nil or disabled
-// recorder yields a nil tracer, which is safe to use.
-func NewTracer(rec obs.Recorder, every int64) *Tracer {
-	if !obs.On(rec) {
+// request by arrival index (every <= 1 keeps all). A nil sink yields a
+// nil tracer, which is safe to use.
+func NewTracer(rec *obs.Sink, every int64) *Tracer {
+	if rec == nil {
 		return nil
 	}
 	if every < 1 {
@@ -100,7 +99,7 @@ func NewTracer(rec obs.Recorder, every int64) *Tracer {
 // tracer with a disjoint base — and number its requests from the same
 // base — so span IDs and request numbers stay unique, and identical at
 // every partitioning, after the parts are merged.
-func NewTracerAt(rec obs.Recorder, every, base int64) *Tracer {
+func NewTracerAt(rec *obs.Sink, every, base int64) *Tracer {
 	t := NewTracer(rec, every)
 	if t != nil {
 		t.nextID = base
@@ -167,14 +166,8 @@ func Decode(e obs.EventRecord) (s Span, ok bool) {
 	return s, true
 }
 
-// EventSource is the slice of *obs.Sink the span readers need: a walk
-// over the recorded events in emission order.
-type EventSource interface {
-	EachEvent(fn func(obs.EventRecord))
-}
-
 // Decoded returns all spans recorded in src, in emission order.
-func Decoded(src EventSource) []Span {
+func Decoded(src *obs.Sink) []Span {
 	var out []Span
 	src.EachEvent(func(e obs.EventRecord) {
 		if s, ok := Decode(e); ok {

@@ -131,8 +131,8 @@ func ViolationSec(eps []Episode) float64 {
 // "slo_episode" event per episode. Everything emitted is computed from
 // the merged collector, so the stream is identical at every shard and
 // parallelism count. Call after Seal/MergeFrom.
-func (c *Collector) EmitEpisodes(rec obs.Recorder, eps []Episode) {
-	if !obs.On(rec) {
+func (c *Collector) EmitEpisodes(rec *obs.Sink, eps []Episode) {
+	if rec == nil {
 		return
 	}
 	violating := int64(0)

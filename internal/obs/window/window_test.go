@@ -278,9 +278,8 @@ func TestEmitEpisodes(t *testing.T) {
 	if h := sink.HistByName("slo.episode_sec"); h == nil || h.Count() != 1 {
 		t.Errorf("slo.episode_sec hist = %+v", h)
 	}
-	// Nil/disabled recorders are a no-op.
+	// A nil sink is a no-op.
 	c.EmitEpisodes(nil, eps)
-	c.EmitEpisodes(obs.Nop{}, eps)
 }
 
 // TestRecent: Recent(n) is the last n entries of Windows() with the

@@ -241,14 +241,24 @@ const (
 	bm25B  = 0.75
 )
 
+// better reports whether d ranks above e: the higher score, and on a
+// tie the lower doc id. It is one total order, so the top k it picks
+// do not depend on the order the hits are visited in.
+func (d ScoredDoc) better(e ScoredDoc) bool {
+	if d.Score != e.Score {
+		return d.Score > e.Score
+	}
+	return d.Doc < e.Doc
+}
+
+// hitHeap keeps the best k hits seen so far with the worst at the root.
 type hitHeap []ScoredDoc
 
 func (h hitHeap) Len() int           { return len(h) }
-func (h hitHeap) Less(i, j int) bool { return h[i].Score < h[j].Score }
+func (h hitHeap) Less(i, j int) bool { return h[j].better(h[i]) }
 func (h hitHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
 func (h *hitHeap) Push(x any)        { *h = append(*h, x.(ScoredDoc)) }
 func (h *hitHeap) Pop() any          { old := *h; n := len(old); v := old[n-1]; *h = old[:n-1]; return v }
-func (h hitHeap) worst() float64     { return h[0].Score }
 
 // Search executes the query with term-at-a-time BM25 scoring and returns
 // the top-k documents plus the work statistics.
@@ -284,21 +294,17 @@ func (ix *Index) Search(q Query, k int) ([]ScoredDoc, SearchStats) {
 
 	h := make(hitHeap, 0, k)
 	for doc, score := range acc {
+		d := ScoredDoc{Doc: doc, Score: score}
 		if len(h) < k {
-			heap.Push(&h, ScoredDoc{Doc: doc, Score: score})
-		} else if score > h.worst() {
-			heap.Pop(&h)
-			heap.Push(&h, ScoredDoc{Doc: doc, Score: score})
+			heap.Push(&h, d)
+		} else if d.better(h[0]) {
+			h[0] = d
+			heap.Fix(&h, 0)
 		}
 	}
 	hits := make([]ScoredDoc, len(h))
 	copy(hits, h)
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].Score != hits[j].Score {
-			return hits[i].Score > hits[j].Score
-		}
-		return hits[i].Doc < hits[j].Doc
-	})
+	sort.Slice(hits, func(i, j int) bool { return hits[i].better(hits[j]) })
 	// ~300 bytes of snippet+metadata per hit plus page chrome.
 	st.ResponseBytes = 2048 + 300*len(hits)
 	return hits, st

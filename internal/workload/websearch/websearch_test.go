@@ -142,6 +142,44 @@ func TestTopKIsActuallyTopK(t *testing.T) {
 	}
 }
 
+// TestSearchTiesAreStable: hits that tie on score rank by doc id, so a
+// repeated search returns the same top k, and that top k is the prefix
+// of the full ranking, whatever order the score map is walked in.
+// Single-term queries over short documents tie often.
+func TestSearchTiesAreStable(t *testing.T) {
+	ix, err := Build(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := stats.NewRNG(5)
+	ties := 0
+	for i := 0; i < 40; i++ {
+		q := ix.NewQuery(r)
+		if i%2 == 0 {
+			q.Terms = q.Terms[:1]
+		}
+		all, _ := ix.Search(q, ix.Docs())
+		const k = 5
+		if len(all) > k && all[k].Score == all[k-1].Score {
+			ties++
+		}
+		for rep := 0; rep < 10; rep++ {
+			hits, _ := ix.Search(q, k)
+			if len(hits) != min(k, len(all)) {
+				t.Fatalf("query %v: %d hits, want %d", q.Terms, len(hits), min(k, len(all)))
+			}
+			for j, h := range hits {
+				if h != all[j] {
+					t.Fatalf("query %v repeat %d: hit %d = %+v, full ranking has %+v", q.Terms, rep, j, h, all[j])
+				}
+			}
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no query tied across the top-k boundary; the test checks nothing")
+	}
+}
+
 func TestQueryKeywordCounts(t *testing.T) {
 	ix, err := Build(smallConfig())
 	if err != nil {
