@@ -1,6 +1,7 @@
 // Package obsname validates every string-literal metric and stream
-// name passed to an obs.Sink method (Count, Gauge, Observe,
-// Event) against the repo's registered naming scheme, so a typoed
+// name passed to an obs.Sink method (Count, Gauge, Observe, Event, and
+// the handle getters Counter, Series and Hist) against the repo's
+// registered naming scheme, so a typoed
 // name — "membalde.hit_rate" — fails the build instead of silently
 // creating a parallel, never-compared series in the exports.
 //
@@ -35,9 +36,11 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // nameTakingMethods maps Sink method names to the index of their
-// name argument.
+// name argument. The handle getters are here too, so a name resolved
+// once into a handle meets the same registry as a named call.
 var nameTakingMethods = map[string]int{
 	"Count": 0, "Gauge": 0, "Observe": 0, "Event": 0,
+	"Counter": 0, "Series": 0, "Hist": 0,
 }
 
 func run(pass *analysis.Pass) error {

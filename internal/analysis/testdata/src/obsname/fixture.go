@@ -1,6 +1,6 @@
 // Package fixture exercises the metric-name scheme against the real
-// obs.Sink, the one type whose Count/Gauge/Observe/Event names obsname
-// checks.
+// obs.Sink, the one type whose Count/Gauge/Observe/Event names and
+// Counter/Series/Hist handle names obsname checks.
 package fixture
 
 import "warehousesim/internal/obs"
@@ -18,6 +18,15 @@ func emit(r *obs.Sink, resource string, t float64) {
 	r.Gauge("util"+resource, t, 1)     // want obsname:"literal prefix"
 	r.Event(stream, t)
 	r.Event("request", t)
+
+	r.Counter("trial.completed").Add(1)
+	r.Counter("membalde.hits").Add(1) // want obsname:"unregistered domain"
+	r.Hist("latency_sec").Add(t)
+	r.Hist("Demand.Cpu").Add(t) // want obsname:"lowercase"
+	r.Series("qlen."+resource).Add(t, 1)
+	r.Series("fresh_bare").Add(t, 1)        // want obsname:"bare names are closed"
+	r.Series("qlen"+resource).Add(t, 1)     // want obsname:"literal prefix"
+	r.Series("wattage."+resource).Add(t, 1) // want obsname:"unregistered domain"
 }
 
 // notARecorder has the method names but is not a Sink: its calls are

@@ -111,3 +111,40 @@ func TestBatchSimulateWithObs(t *testing.T) {
 		t.Fatal("batch run recorded no utilization timeline")
 	}
 }
+
+// TestRebindLeavesEarlierSink: a trial ctx run into sink A and then
+// into sink B leaves A exactly as its own run left it, and fills B as
+// a fresh ctx would: bind drops the population's sink handles, so the
+// second run resolves its own. The load violates QoS, so every handle,
+// qos_violations included, is resolved in both runs.
+func TestRebindLeavesEarlierSink(t *testing.T) {
+	cfg := Config{Server: platform.Desk()}
+	p := workload.WebsearchProfile()
+	gen := workload.FixedGenerator{P: p}
+	dm := cfg.demandModelFor(p)
+	opt := obsTestOptions(nil)
+	export := func(s *obs.Sink) []byte {
+		var b bytes.Buffer
+		if err := s.WriteJSONL(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	const clients = 256
+	ctx := newTrialCtx(cfg, dm)
+	a, b := obs.NewSink(), obs.NewSink()
+	ctx.run(gen, p, clients, opt, 5, a, planes{})
+	if a.CounterValue("qos_violations") == 0 {
+		t.Fatalf("no QoS violation at %d clients; the test needs one", clients)
+	}
+	before := export(a)
+	ctx.run(gen, p, clients, opt, 5, b, planes{})
+	if !bytes.Equal(export(a), before) {
+		t.Fatal("the second run wrote into the first run's sink")
+	}
+	fresh := obs.NewSink()
+	newTrialCtx(cfg, dm).run(gen, p, clients, opt, 5, fresh, planes{})
+	if !bytes.Equal(export(b), export(fresh)) {
+		t.Fatal("a rebound ctx's sink differs from a fresh ctx's")
+	}
+}

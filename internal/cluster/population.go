@@ -32,10 +32,23 @@ type population struct {
 
 	// recording state, zeroed for uninstrumented runs.
 	rec      *obs.Sink         // nil when the run is not recorded
+	h        recHandles        // into rec
 	win      *window.Collector // nil when the window planes are off
 	qosBound float64
 	tracer   *span.Tracer
 	evFields [3]obs.Field // scratch row for the per-request event stream
+}
+
+// recHandles are a population's handles into its sink. Each is
+// resolved where it is first written, so the sink gains an entry
+// exactly where a named call would have created one: no export holds
+// an empty "qos_violations" counter of a run that never violated.
+type recHandles struct {
+	demand     [5]*obs.Hist // resolved with samples, by the first request
+	samples    *obs.Counter
+	requests   *obs.Counter // resolved with latency, by the first completion
+	latency    *obs.Hist
+	violations *obs.Counter // resolved by the first QoS violation
 }
 
 // bind starts a run: it zeroes the counters and attaches the run's
@@ -45,10 +58,12 @@ type population struct {
 // a tracer. Span ids and request numbers both start above base, so
 // partitioned models that give each part a disjoint base stay unique
 // after the parts merge. The tracer stays nil otherwise, and every tracer method no-ops
-// on nil, so the untraced path pays one nil check per request.
+// on nil, so the untraced path pays one nil check per request. The
+// previous run's sink handles are dropped, so a rebound population
+// never writes into an earlier sink.
 func (p *population) bind(gen workload.Generator, rec *obs.Sink, win *window.Collector, traceEvery, base int64) {
 	p.measuring, p.completed, p.arrivals, p.base = false, 0, 0, base
-	p.gen, p.rec, p.win, p.tracer = gen, rec, win, nil
+	p.gen, p.rec, p.h, p.win, p.tracer = gen, rec, recHandles{}, win, nil
 	if rec != nil && traceEvery > 0 {
 		p.tracer = span.NewTracerAt(rec, traceEvery, base)
 	}
@@ -77,12 +92,21 @@ func (p *population) wait(rng *stats.RNG, issue des.Action) {
 func (p *population) next(rng *stats.RNG) (d Demands, req int64, traced bool) {
 	r := p.gen.Sample(rng)
 	if p.rec != nil {
-		p.rec.Observe("demand.cpu_ref_sec", r.CPURefSec)
-		p.rec.Observe("demand.disk_ops", r.DiskOps)
-		p.rec.Observe("demand.disk_read_bytes", r.DiskReadBytes)
-		p.rec.Observe("demand.disk_write_bytes", r.DiskWriteBytes)
-		p.rec.Observe("demand.net_bytes", r.NetBytes)
-		p.rec.Count("demand.samples", 1)
+		h := &p.h
+		if h.samples == nil {
+			h.demand = [5]*obs.Hist{
+				p.rec.Hist("demand.cpu_ref_sec"), p.rec.Hist("demand.disk_ops"),
+				p.rec.Hist("demand.disk_read_bytes"), p.rec.Hist("demand.disk_write_bytes"),
+				p.rec.Hist("demand.net_bytes"),
+			}
+			h.samples = p.rec.Counter("demand.samples")
+		}
+		h.demand[0].Add(r.CPURefSec)
+		h.demand[1].Add(r.DiskOps)
+		h.demand[2].Add(r.DiskReadBytes)
+		h.demand[3].Add(r.DiskWriteBytes)
+		h.demand[4].Add(r.NetBytes)
+		h.samples.Add(1)
 	}
 	d = p.dm.For(r)
 	traced = p.tracer.Sampled(p.arrivals)
@@ -110,11 +134,18 @@ func (p *population) done(start des.Time) {
 		return
 	}
 	violation := p.qosBound > 0 && latency > p.qosBound
-	p.rec.Count("requests", 1)
-	if violation {
-		p.rec.Count("qos_violations", 1)
+	h := &p.h
+	if h.requests == nil {
+		h.requests, h.latency = p.rec.Counter("requests"), p.rec.Hist("latency_sec")
 	}
-	p.rec.Observe("latency_sec", latency)
+	h.requests.Add(1)
+	if violation {
+		if h.violations == nil {
+			h.violations = p.rec.Counter("qos_violations")
+		}
+		h.violations.Add(1)
+	}
+	h.latency.Add(latency)
 	p.evFields[0] = obs.F("latency_sec", latency)
 	p.evFields[1] = obs.FB("qos_violation", violation)
 	p.evFields[2] = obs.FB("measured", p.measuring)

@@ -57,7 +57,7 @@ func newPlanes(p workload.Profile, opt SimOptions) (planes, error) {
 // is on.
 func (pl planes) watch(pr *des.Probes) {
 	if pl.win != nil {
-		pr.OnUtil = pl.win.SampleUtil
+		pr.OnUtil = pl.win
 	}
 }
 

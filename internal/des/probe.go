@@ -18,6 +18,9 @@ import (
 //   - "qlen.<resource>"     time-weighted queue length over the tick
 //
 // Each utilization sample also goes to OnUtil, typed, when it is set.
+// The series handles and OnUtil's class ids are resolved at a watched
+// resource's first tick, so a tick looks up no name and a sampler that
+// never ticks adds no series.
 // Probing only ever schedules its own tick events and reads state, so an
 // instrumented run's model trajectory is identical to an uninstrumented
 // one under the same seed — probes observe, they never perturb.
@@ -29,8 +32,9 @@ type Probes struct {
 	running  bool
 	tickFn   Action // p.tick, bound once so rescheduling allocates nothing
 
-	lastFired uint64
-	watched   []watchedResource
+	lastFired   uint64
+	depth, rate *obs.Series // the kernel gauges' handles
+	watched     []watchedResource
 
 	// OnTick, when non-nil, runs at the end of every probe tick with
 	// the current simulated time. It is the live-introspection seam:
@@ -41,10 +45,11 @@ type Probes struct {
 
 	// OnUtil, when non-nil, receives each watched resource's
 	// utilization sample at every tick, right after its "util." gauge,
-	// with the resource's class: its name up to the first '.', so
-	// "cpu.e3.b1" is class "cpu". It is the windowed planes' utilization
-	// feed, under the same observe-don't-perturb contract as OnTick.
-	OnUtil func(class string, at, util float64)
+	// with the id OnUtil gave the resource's class: its name up to the
+	// first '.', so "cpu.e3.b1" is class "cpu". It is the windowed
+	// planes' utilization feed, under the same observe-don't-perturb
+	// contract as OnTick. Set it before Start.
+	OnUtil UtilFeed
 
 	// OmitKernel suppresses the kernel-wide gauges (des.heap_depth,
 	// des.events_per_sec), keeping only the per-resource series. The
@@ -55,10 +60,18 @@ type Probes struct {
 	OmitKernel bool
 }
 
+// UtilFeed takes Probes' utilization samples: Class gives a resource
+// class its id, once per watched resource, and SampleUtil receives
+// every sample of the class by that id.
+type UtilFeed interface {
+	Class(name string) int
+	SampleUtil(class int, at, util float64)
+}
+
 type watchedResource struct {
 	r          *Resource
-	class      string
-	util, qlen string // the gauge names, "util."/"qlen." + Resource.Name
+	util, qlen *obs.Series // nil until the first tick
+	class      int         // OnUtil's id of the class
 	lastBusy   float64
 	lastQueue  float64
 }
@@ -76,16 +89,20 @@ func NewProbes(sim *Sim, rec *obs.Sink, interval Time) *Probes {
 }
 
 // Watch adds a resource to the sampled set. Its utilization and
-// queue-length series are named after Resource.Name; the names and its
-// class (see OnUtil) are worked out here, once.
+// queue-length series are named after Resource.Name.
 func (p *Probes) Watch(resources ...*Resource) {
 	for _, r := range resources {
 		busy, queue := r.Integrals()
-		p.watched = append(p.watched, watchedResource{
-			r: r, class: resourceClass(r.Name()),
-			util: "util." + r.Name(), qlen: "qlen." + r.Name(),
-			lastBusy: busy, lastQueue: queue,
-		})
+		p.watched = append(p.watched, watchedResource{r: r, lastBusy: busy, lastQueue: queue})
+	}
+}
+
+// resolve looks up w's series handles and class id, at its first tick.
+func (p *Probes) resolve(w *watchedResource) {
+	name := w.r.Name()
+	w.util, w.qlen = p.rec.Series("util."+name), p.rec.Series("qlen."+name)
+	if p.OnUtil != nil {
+		w.class = p.OnUtil.Class(resourceClass(name))
 	}
 }
 
@@ -120,14 +137,20 @@ func (p *Probes) tick() {
 	dt := float64(p.interval)
 
 	if !p.OmitKernel {
-		p.rec.Gauge("des.heap_depth", now, float64(p.sim.Pending()))
+		if p.depth == nil {
+			p.depth, p.rate = p.rec.Series("des.heap_depth"), p.rec.Series("des.events_per_sec")
+		}
+		p.depth.Add(now, float64(p.sim.Pending()))
 		fired := p.sim.Fired()
-		p.rec.Gauge("des.events_per_sec", now, float64(fired-p.lastFired)/dt)
+		p.rate.Add(now, float64(fired-p.lastFired)/dt)
 		p.lastFired = fired
 	}
 
 	for i := range p.watched {
 		w := &p.watched[i]
+		if w.util == nil {
+			p.resolve(w)
+		}
 		busy, queue := w.r.Integrals()
 		db, dq := busy-w.lastBusy, queue-w.lastQueue
 		if db < 0 || dq < 0 {
@@ -137,11 +160,11 @@ func (p *Probes) tick() {
 		}
 		w.lastBusy, w.lastQueue = busy, queue
 		util := db / (dt * float64(w.r.Servers()))
-		p.rec.Gauge(w.util, now, util)
+		w.util.Add(now, util)
 		if p.OnUtil != nil {
-			p.OnUtil(w.class, now, util)
+			p.OnUtil.SampleUtil(w.class, now, util)
 		}
-		p.rec.Gauge(w.qlen, now, dq/dt)
+		w.qlen.Add(now, dq/dt)
 	}
 
 	if p.OnTick != nil {

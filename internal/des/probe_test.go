@@ -133,6 +133,25 @@ func TestProbesStop(t *testing.T) {
 	}
 }
 
+// TestProbesBeforeFirstTickAddNoSeries: series are created at the
+// first tick, as the named gauge calls would create them, so a run
+// shorter than one interval exports none.
+func TestProbesBeforeFirstTickAddNoSeries(t *testing.T) {
+	sink := obs.NewSink()
+	sim := NewSim()
+	p := NewProbes(sim, sink, 1)
+	p.Watch(NewResource(sim, "cpu", 1))
+	p.Start()
+	sim.Run(0.5)
+	if names := sink.SeriesNames(); len(names) != 0 {
+		t.Fatalf("series before the first tick: %v", names)
+	}
+	sim.Run(1)
+	if names := sink.SeriesNames(); len(names) != 4 {
+		t.Fatalf("series after the first tick: %v, want the two kernel and two resource gauges", names)
+	}
+}
+
 func TestProbesNilRecorderIsInert(t *testing.T) {
 	sim := NewSim()
 	p := NewProbes(sim, nil, 1)
@@ -168,15 +187,12 @@ func TestProbesOnUtil(t *testing.T) {
 	busy.Submit(1.5, func() {})
 	p := NewProbes(sim, sink, 1)
 	p.Watch(busy, idle)
-	type sample struct {
-		class string
-		at, v float64
-	}
-	var got []sample
-	p.OnUtil = func(class string, at, v float64) { got = append(got, sample{class, at, v}) }
+	feed := &utilLog{}
+	p.OnUtil = feed
 	p.Start()
 	sim.Run(2.5)
-	want := []sample{{"cpu", 1, 0.5}, {"san", 1, 0}, {"cpu", 2, 0.25}, {"san", 2, 0}}
+	got := feed.samples
+	want := []utilSample{{"cpu", 1, 0.5}, {"san", 1, 0}, {"cpu", 2, 0.25}, {"san", 2, 0}}
 	if len(got) != len(want) {
 		t.Fatalf("OnUtil samples = %v, want %v", got, want)
 	}
@@ -205,10 +221,31 @@ func TestProbesOnUtil(t *testing.T) {
 	}
 }
 
+// utilLog is a UtilFeed that logs every sample under its class name.
+type utilLog struct {
+	classes []string
+	samples []utilSample
+}
+
+type utilSample struct {
+	class string
+	at, v float64
+}
+
+func (l *utilLog) Class(name string) int {
+	l.classes = append(l.classes, name)
+	return len(l.classes) - 1
+}
+
+func (l *utilLog) SampleUtil(class int, at, v float64) {
+	l.samples = append(l.samples, utilSample{l.classes[class], at, v})
+}
+
 // TestProbeTickAllocatesNothing: a probe tick over watched resources
-// emits its util. and qlen. gauges without allocating — the gauge names
-// are fixed at Watch, so a tick must not build them again. The sink's
-// amortised series growth stays under one allocation per tick.
+// emits its util. and qlen. gauges without allocating — the series
+// handles are resolved at the first tick, so a later tick builds no
+// name and looks none up. The sink's amortised series growth stays
+// under one allocation per tick.
 func TestProbeTickAllocatesNothing(t *testing.T) {
 	sim := NewSim()
 	cpu := NewResource(sim, "cpu.e0.b0", 2)

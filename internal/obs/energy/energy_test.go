@@ -90,10 +90,10 @@ func TestConfigValidation(t *testing.T) {
 // utilization.
 func TestStaticDegenerateBitExact(t *testing.T) {
 	src, c := newView(t, Config{WidthSec: 1, Model: Model{Active: testActive(), Idle: staticIdle}})
-	src.SampleUtil("cpu", 0.5, 0.31)
-	src.SampleUtil("disk", 0.5, 0.92)
+	src.SampleUtil(src.Class("cpu"), 0.5, 0.31)
+	src.SampleUtil(src.Class("disk"), 0.5, 0.92)
 	src.ObserveLatency(1.5, 0.01, false) // window 1: no util samples at all
-	src.SampleUtil("net", 2.5, 0.11)
+	src.SampleUtil(src.Class("net"), 2.5, 0.11)
 	src.Seal(3)
 
 	static := testActive().TotalW()
@@ -148,8 +148,8 @@ func TestWindowDerivedMetrics(t *testing.T) {
 	src, c := newView(t, Config{WidthSec: 2, Model: Model{Active: power.Breakdown{CPUW: 100}, Idle: power.IdleFractions{CPU: 0.5}}})
 	// Window 0: cpu util mean 0.5 -> 75 W over 2s = 150 J; 3 requests,
 	// 1 violating.
-	src.SampleUtil("cpu", 0.5, 0.4)
-	src.SampleUtil("cpu", 1.5, 0.6)
+	src.SampleUtil(src.Class("cpu"), 0.5, 0.4)
+	src.SampleUtil(src.Class("cpu"), 1.5, 0.6)
 	src.ObserveLatency(0.2, 0.01, false)
 	src.ObserveLatency(0.4, 0.01, true)
 	src.ObserveLatency(1.9, 0.01, false)
@@ -192,9 +192,9 @@ func TestSealClampsFinalPartialWindow(t *testing.T) {
 
 func TestTotalsAggregation(t *testing.T) {
 	src, c := newView(t, Config{WidthSec: 1, Model: Model{Active: power.Breakdown{CPUW: 100}, Idle: power.IdleFractions{CPU: 0.5}}})
-	src.SampleUtil("cpu", 0.5, 1) // window 0: 100 W
+	src.SampleUtil(src.Class("cpu"), 0.5, 1) // window 0: 100 W
 	src.ObserveLatency(0.5, 0.01, false)
-	src.SampleUtil("cpu", 1.5, 0) // window 1: 50 W
+	src.SampleUtil(src.Class("cpu"), 1.5, 0) // window 1: 50 W
 	src.ObserveLatency(1.5, 0.01, true)
 	src.Seal(2)
 
@@ -221,10 +221,10 @@ func TestProportionalityFit(t *testing.T) {
 	// fit must recover slope 100, intercept 0.
 	src, c := newView(t, Config{WidthSec: 1, Model: Model{Active: power.Breakdown{CPUW: 100}, Idle: power.IdleFractions{}}})
 	for i, u := range []float64{0.2, 0.4, 0.6, 0.8} {
-		src.SampleUtil("cpu", float64(i)+0.5, u)
+		src.SampleUtil(src.Class("cpu"), float64(i)+0.5, u)
 	}
 	// A cpu-less window must be omitted from the curve.
-	src.SampleUtil("disk", 4.5, 0.9)
+	src.SampleUtil(src.Class("disk"), 4.5, 0.9)
 	src.Seal(5)
 
 	pts := c.Curve()
@@ -249,8 +249,8 @@ func TestProportionalityDegenerateInputs(t *testing.T) {
 		t.Errorf("empty collector fit %+v", p)
 	}
 	// Zero utilization variance: slope stays 0, intercept is the mean.
-	src.SampleUtil("cpu", 0.5, 0.5)
-	src.SampleUtil("cpu", 1.5, 0.5)
+	src.SampleUtil(src.Class("cpu"), 0.5, 0.5)
+	src.SampleUtil(src.Class("cpu"), 1.5, 0.5)
 	src.Seal(2)
 	p := c.Proportionality()
 	if p.SlopeWPerUtil != 0 || p.InterceptW <= 0 {
@@ -269,12 +269,12 @@ func TestMergeMatchesSingleCollectorByteExact(t *testing.T) {
 		part int
 		f    func(*window.Collector)
 	}{
-		{0, func(c *window.Collector) { c.SampleUtil("cpu", 0.25, 0.5) }},
+		{0, func(c *window.Collector) { c.SampleUtil(c.Class("cpu"), 0.25, 0.5) }},
 		{0, func(c *window.Collector) { c.ObserveLatency(0.5, 0.01, false) }},
-		{1, func(c *window.Collector) { c.SampleUtil("cpu", 0.75, 0.7) }},
+		{1, func(c *window.Collector) { c.SampleUtil(c.Class("cpu"), 0.75, 0.7) }},
 		{1, func(c *window.Collector) { c.ObserveLatency(1.5, 0.01, true) }},
-		{0, func(c *window.Collector) { c.SampleUtil("cpu", 2.25, 0.9) }},
-		{1, func(c *window.Collector) { c.SampleUtil("disk", 2.75, 0.4) }},
+		{0, func(c *window.Collector) { c.SampleUtil(c.Class("cpu"), 2.25, 0.9) }},
+		{1, func(c *window.Collector) { c.SampleUtil(c.Class("disk"), 2.75, 0.4) }},
 	}
 
 	single, singleView := newView(t, cfg)
@@ -312,7 +312,7 @@ func TestMergeMatchesSingleCollectorByteExact(t *testing.T) {
 
 func TestExportFormat(t *testing.T) {
 	src, c := newView(t, Config{WidthSec: 1, Model: testModel()})
-	src.SampleUtil("cpu", 0.5, 0.5)
+	src.SampleUtil(src.Class("cpu"), 0.5, 0.5)
 	src.ObserveLatency(0.5, 0.01, false)
 	src.Seal(1)
 
@@ -347,8 +347,8 @@ func TestExportFormat(t *testing.T) {
 
 func TestLiveWindowsAndSnapshot(t *testing.T) {
 	src, c := newView(t, Config{WidthSec: 1, Model: testModel()})
-	src.SampleUtil("cpu", 0.5, 0.5)
-	src.SampleUtil("cpu", 1.5, 0.5) // seals window 0
+	src.SampleUtil(src.Class("cpu"), 0.5, 0.5)
+	src.SampleUtil(src.Class("cpu"), 1.5, 0.5) // seals window 0
 	b, err := LiveSnapshot([]*Collector{c})
 	if err != nil {
 		t.Fatal(err)
@@ -376,7 +376,7 @@ func TestLiveWindowsAndSnapshot(t *testing.T) {
 func TestEmitTotals(t *testing.T) {
 	sink := obs.NewSink()
 	src, c := newView(t, Config{WidthSec: 1, Model: testModel()})
-	src.SampleUtil("cpu", 0.5, 0.5)
+	src.SampleUtil(src.Class("cpu"), 0.5, 0.5)
 	src.ObserveLatency(0.5, 0.01, false)
 	src.Seal(1)
 	c.EmitTotals(sink)
@@ -398,7 +398,7 @@ func TestEmitTotals(t *testing.T) {
 
 func TestTCORollup(t *testing.T) {
 	src, c := newView(t, Config{WidthSec: 1, Model: Model{Active: power.Breakdown{CPUW: 100}, Idle: power.IdleFractions{CPU: 0.5}}})
-	src.SampleUtil("cpu", 0.5, 0) // 50 W vs static 100 W
+	src.SampleUtil(src.Class("cpu"), 0.5, 0) // 50 W vs static 100 W
 	src.Seal(1)
 	pc := cost.DefaultPCParams()
 	r, err := c.TCO(pc, cooling.EnclosureFor(cooling.Conventional))

@@ -57,7 +57,7 @@ func (s *Sink) WriteJSONL(w io.Writer) error {
 		return err
 	}
 	for _, name := range sortedKeys(s.counters) {
-		if err := enc.Encode(jsonlCounter{Type: "counter", Name: name, Value: s.counters[name]}); err != nil {
+		if err := enc.Encode(jsonlCounter{Type: "counter", Name: name, Value: s.counters[name].n}); err != nil {
 			return err
 		}
 	}
@@ -141,7 +141,7 @@ func (s *Sink) WriteCSV(w io.Writer) error {
 	write("manifest", "run", "", "", packFields(manifest))
 
 	for _, name := range sortedKeys(s.counters) {
-		write("counter", name, "", strconv.FormatInt(s.counters[name], 10), "")
+		write("counter", name, "", strconv.FormatInt(s.counters[name].n, 10), "")
 	}
 	for _, name := range sortedKeys(s.hists) {
 		h := s.hists[name]

@@ -218,9 +218,10 @@ func BenchmarkSinkEvent(b *testing.B) {
 // TestAllocBounds gates the recording, export and merge benchmarks'
 // allocation figures (see benchgate for how a bound is set). Each
 // handles hundreds of records or more per op, so one allocation per
-// record fails any row.
+// record fails any row; a histogram observation allocates nothing.
 func TestAllocBounds(t *testing.T) {
 	benchgate.Check(t, []benchgate.Row{
+		{Name: "HistAdd", Bench: BenchmarkHistAdd, MaxBytes: 0, MaxAllocs: 0},
 		{Name: "SinkWriteJSONL", Bench: BenchmarkSinkWriteJSONL, MaxBytes: 5422, MaxAllocs: 13},
 		{Name: "SinkMergeFrom", Bench: BenchmarkSinkMergeFrom, MaxBytes: 324415, MaxAllocs: 29},
 		{Name: "SinkEvent", Bench: BenchmarkSinkEvent, MaxBytes: 330557, MaxAllocs: 29},

@@ -57,25 +57,17 @@ func (s *Sink) MergeFrom(parts ...*Sink) {
 		}
 	}
 	for _, p := range parts {
-		for name, v := range p.counters {
-			s.counters[name] += v
+		//whvet:allow maprange counters add per key, so the order the names are visited in cannot reach the result
+		for name, c := range p.counters {
+			s.Counter(name).Add(c.n)
 		}
-		//whvet:allow maprange Hist.Merge is bucket-wise addition, so per-key merge order cannot reach the result; the local dst just caches the lazily created entry
+		//whvet:allow maprange Hist.Merge is bucket-wise addition, so per-key merge order cannot reach the result
 		for name, h := range p.hists {
-			dst := s.hists[name]
-			if dst == nil {
-				dst = &Hist{Name: name}
-				s.hists[name] = dst
-			}
-			dst.Merge(h)
+			s.Hist(name).Merge(h)
 		}
 		//whvet:allow maprange each name's points append in part order whatever order the names are visited in
 		for name, src := range p.series {
-			dst := s.series[name]
-			if dst == nil {
-				dst = &Series{Name: name}
-				s.series[name] = dst
-			}
+			dst := s.Series(name)
 			dst.Points = append(dst.Points, src.Points...)
 		}
 	}

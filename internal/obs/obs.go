@@ -3,14 +3,19 @@
 // streams kept by one in-memory store, *Sink, plus a run Manifest
 // describing the measurement conditions and JSONL/CSV exporters.
 //
-// The package is deliberately zero-dependency (stdlib only) so that any
-// simulator layer — the DES kernel, the cluster models, the memory-blade
-// and flash-cache simulators, the workload engines — can accept a
-// *Sink without import cycles.
+// The package imports only the standard library and the stdlib-only
+// leaf package bucket, so that any simulator layer — the DES kernel,
+// the cluster models, the memory-blade and flash-cache simulators, the
+// workload engines — can accept a *Sink without import cycles.
 //
 // A nil *Sink means "not recording": hot paths guard emission with
 // rec != nil, so a disabled run costs one pointer check and allocates
-// nothing, since Field construction sits behind the guard.
+// nothing, since Field construction sits behind the guard. A recorded
+// hot path resolves each counter, histogram and series it writes into
+// a handle once (Sink.Counter, Sink.Hist, Sink.Series), where it is
+// first written, and adds through the handle, so a recorded request or
+// probe tick looks up no name; a histogram finds its bucket in a table,
+// not by a logarithm.
 package obs
 
 // Field is one key/value pair of an event record. Values are either

@@ -3,6 +3,8 @@ package obs
 import (
 	"math"
 	"sort"
+
+	"warehousesim/internal/bucket"
 )
 
 // Point is one sample of a time series.
@@ -11,11 +13,22 @@ type Point struct {
 	V float64
 }
 
-// Series is an append-only time series.
+// Series is an append-only time series. Sink.Series hands out a
+// series as a handle.
 type Series struct {
 	Name   string
 	Points []Point
 }
+
+// Add appends the sample (t, v): Sink.Gauge without the name lookup.
+func (sr *Series) Add(t, v float64) { sr.Points = append(sr.Points, Point{T: t, V: v}) }
+
+// Counter is a monotonic counter of a Sink, handed out by
+// Sink.Counter.
+type Counter struct{ n int64 }
+
+// Add adds delta to the counter: Sink.Count without the name lookup.
+func (c *Counter) Add(delta int64) { c.n += delta }
 
 // histBucketsPerDecade controls histogram resolution: buckets are
 // log-spaced at 5 per decade, covering ~1e-12 .. 1e+12 (values outside
@@ -30,7 +43,8 @@ const (
 
 // Hist is a fixed-layout log-bucketed histogram with exact count, sum,
 // min and max. It retains no samples, so recording is O(1) and the
-// memory footprint is constant regardless of run length.
+// memory footprint is constant regardless of run length. Sink.Hist
+// hands out a sink's histogram as a handle.
 type Hist struct {
 	Name      string
 	count     int64
@@ -40,17 +54,20 @@ type Hist struct {
 	buckets   [histBuckets]int64
 }
 
-func histIndex(v float64) int {
-	e := math.Log10(v)
-	i := int(math.Floor((e - histMinExp) * histBucketsPerDecade))
-	if i < 0 {
-		i = 0
-	}
-	if i >= histBuckets {
-		i = histBuckets - 1
-	}
-	return i
+// histTable looks up the layout's buckets; it is derived once, here,
+// from histLayout, so Add takes no logarithm.
+var histTable = bucket.New(histBuckets, histLayout)
+
+// histLayout defines the layout: the bucket of a positive value by its
+// decimal logarithm, clamped into the edge buckets. Only the build of
+// histTable evaluates it.
+func histLayout(v float64) int {
+	i := int(math.Floor((math.Log10(v) - histMinExp) * histBucketsPerDecade))
+	return min(max(i, 0), histBuckets-1)
 }
+
+// histIndex returns the bucket of v > 0; +Inf lands in the top bucket.
+func histIndex(v float64) int { return histTable.Index(v) }
 
 // histUpperBound returns the inclusive upper bound of bucket i.
 func histUpperBound(i int) float64 {
@@ -138,7 +155,7 @@ func (h *Hist) Quantile(q float64) float64 {
 type Sink struct {
 	manifest Manifest
 
-	counters map[string]int64
+	counters map[string]*Counter
 	series   map[string]*Series
 	hists    map[string]*Hist
 
@@ -155,7 +172,7 @@ type Sink struct {
 // NewSink returns an empty Sink.
 func NewSink() *Sink {
 	return &Sink{
-		counters: map[string]int64{},
+		counters: map[string]*Counter{},
 		series:   map[string]*Series{},
 		hists:    map[string]*Hist{},
 	}
@@ -167,23 +184,46 @@ func (s *Sink) SetManifest(m Manifest) { s.manifest = m }
 // Manifest returns the attached manifest.
 func (s *Sink) Manifest() Manifest { return s.manifest }
 
+// Counter returns the handle of the named counter, creating it at
+// zero when absent. A created counter is exported even if nothing is
+// added to it, so resolve a handle where its first delta is added, as
+// Count does. The handle stays valid for the sink's lifetime.
+func (s *Sink) Counter(name string) *Counter {
+	c := s.counters[name]
+	if c == nil {
+		c = &Counter{}
+		s.counters[name] = c
+	}
+	return c
+}
+
 // Count adds delta to the named monotonic counter.
-func (s *Sink) Count(name string, delta int64) { s.counters[name] += delta }
+func (s *Sink) Count(name string, delta int64) { s.Counter(name).Add(delta) }
 
 // CounterValue returns the current value of a counter (0 if absent).
-func (s *Sink) CounterValue(name string) int64 { return s.counters[name] }
+func (s *Sink) CounterValue(name string) int64 {
+	if c := s.counters[name]; c != nil {
+		return c.n
+	}
+	return 0
+}
 
-// Gauge appends an instantaneous sample (t, v) to the named time
-// series. t is simulated time (or another monotone axis, e.g. access
-// count for the trace-driven cache simulators).
-func (s *Sink) Gauge(name string, t, v float64) {
+// Series returns the handle of the named time series, creating it
+// empty when absent. Like Counter, resolve it where its first point is
+// added.
+func (s *Sink) Series(name string) *Series {
 	sr := s.series[name]
 	if sr == nil {
 		sr = &Series{Name: name}
 		s.series[name] = sr
 	}
-	sr.Points = append(sr.Points, Point{T: t, V: v})
+	return sr
 }
+
+// Gauge appends an instantaneous sample (t, v) to the named time
+// series. t is simulated time (or another monotone axis, e.g. access
+// count for the trace-driven cache simulators).
+func (s *Sink) Gauge(name string, t, v float64) { s.Series(name).Add(t, v) }
 
 // SeriesByName returns the named time series (nil if absent).
 //
@@ -193,15 +233,20 @@ func (s *Sink) SeriesByName(name string) *Series { return s.series[name] }
 // SeriesNames returns the recorded series names, sorted.
 func (s *Sink) SeriesNames() []string { return sortedKeys(s.series) }
 
-// Observe adds one observation to the named histogram.
-func (s *Sink) Observe(name string, v float64) {
+// Hist returns the handle of the named histogram, creating it empty
+// when absent. Like Counter, resolve it where its first observation is
+// added.
+func (s *Sink) Hist(name string) *Hist {
 	h := s.hists[name]
 	if h == nil {
 		h = &Hist{Name: name}
 		s.hists[name] = h
 	}
-	h.Add(v)
+	return h
 }
+
+// Observe adds one observation to the named histogram.
+func (s *Sink) Observe(name string, v float64) { s.Hist(name).Add(v) }
 
 // HistByName returns the named histogram (nil if absent).
 //

@@ -59,8 +59,8 @@ func (s *Sink) Snapshot(p Progress) ([]byte, error) {
 	}
 	if len(s.counters) > 0 {
 		doc.Counters = make(map[string]int64, len(s.counters))
-		for k, v := range s.counters {
-			doc.Counters[k] = v
+		for k, c := range s.counters {
+			doc.Counters[k] = c.n
 		}
 	}
 	if len(s.series) > 0 {

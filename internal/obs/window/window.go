@@ -17,8 +17,9 @@
 // window's contents depend on when it is evaluated, which is a
 // wall-clock notion the deterministic export must not see.
 //
-// Like package obs, this package is stdlib-only so any simulator layer
-// can feed a Collector without import cycles; the latency histograms
+// Like package obs, this package imports nothing of the simulator
+// beyond obs, so any simulator layer can feed a Collector without
+// import cycles; the latency histograms
 // reuse obs.Hist, whose fixed bucket layout makes window merges exact.
 package window
 
@@ -65,24 +66,38 @@ type win struct {
 	lat        obs.Hist
 	requests   int64
 	violations int64
-	utilSum    map[string]float64
-	utilN      map[string]int64
+	util       []utilSum // by the collector's class id
+}
+
+// utilSum is one resource class's utilization samples in a window; a
+// class with n == 0 had none there.
+type utilSum struct {
+	sum float64
+	n   int64
 }
 
 func newWin(index int64) *win {
 	return &win{index: index}
 }
 
-func (w *win) mergeFrom(o *win) {
+// addUtil adds n samples summing to sum to class, one of classes ids.
+func (w *win) addUtil(class, classes int, sum float64, n int64) {
+	if class >= len(w.util) {
+		w.util = append(w.util, make([]utilSum, classes-len(w.util))...)
+	}
+	w.util[class].sum += sum
+	w.util[class].n += n
+}
+
+// mergeFrom folds o into w; ids maps o's class ids to w's, of classes.
+func (w *win) mergeFrom(o *win, ids []int, classes int) {
 	w.lat.Merge(&o.lat)
 	w.requests += o.requests
 	w.violations += o.violations
-	for k, v := range o.utilSum {
-		if w.utilSum == nil {
-			w.utilSum, w.utilN = map[string]float64{}, map[string]int64{}
+	for k, u := range o.util {
+		if u.n > 0 {
+			w.addUtil(ids[k], classes, u.sum, u.n)
 		}
-		w.utilSum[k] += v
-		w.utilN[k] += o.utilN[k]
 	}
 }
 
@@ -118,10 +133,12 @@ func (c *Collector) summarize(w *win) Summary {
 		s.Throughput = float64(w.requests) / span
 	}
 	s.QLat, s.Violating = c.qos(w)
-	if len(w.utilSum) > 0 {
-		s.Util = make(map[string]float64, len(w.utilSum))
-		for k, sum := range w.utilSum {
-			s.Util[k] = sum / float64(w.utilN[k])
+	for id, u := range w.util {
+		if u.n > 0 {
+			if s.Util == nil {
+				s.Util = make(map[string]float64, len(w.util))
+			}
+			s.Util[c.classes[id]] = u.sum / float64(u.n)
 		}
 	}
 	return s
@@ -160,6 +177,9 @@ type Collector struct {
 	cur     *win
 	sealed  []*win
 	horizon float64 // set by Seal; clamps the last window's T1
+
+	classes  []string       // resource class names by id
+	classIDs map[string]int // and their ids
 }
 
 // New builds a Collector; the config is validated (positive width, QoS
@@ -211,15 +231,26 @@ func (c *Collector) ObserveLatency(t, latencySec float64, violation bool) {
 	}
 }
 
-// SampleUtil records one utilization sample for a resource class
-// ("cpu", "net", ...); the window reports the mean of its samples.
-func (c *Collector) SampleUtil(class string, t, util float64) {
-	w := c.at(t)
-	if w.utilSum == nil {
-		w.utilSum, w.utilN = map[string]float64{}, map[string]int64{}
+// Class returns the id of a resource class ("cpu", "net", ...),
+// assigning the next one when the class is new. A feed resolves each
+// of its classes once and samples by id.
+func (c *Collector) Class(name string) int {
+	id, ok := c.classIDs[name]
+	if !ok {
+		if c.classIDs == nil {
+			c.classIDs = map[string]int{}
+		}
+		id = len(c.classes)
+		c.classes = append(c.classes, name)
+		c.classIDs[name] = id
 	}
-	w.utilSum[class] += util
-	w.utilN[class]++
+	return id
+}
+
+// SampleUtil records one utilization sample for the resource class of
+// id class (see Class); the window reports the mean of its samples.
+func (c *Collector) SampleUtil(class int, t, util float64) {
+	c.at(t).addUtil(class, len(c.classes), util, 1)
 }
 
 // Seal closes the open window at the end of a run. horizon, when > 0,
@@ -289,13 +320,17 @@ func (c *Collector) MergeFrom(parts ...*Collector) {
 		byIndex[w.index] = w
 	}
 	for _, p := range parts {
+		ids := make([]int, len(p.classes))
+		for i, name := range p.classes {
+			ids[i] = c.Class(name)
+		}
 		for _, pw := range p.sealed {
 			w := byIndex[pw.index]
 			if w == nil {
 				w = newWin(pw.index)
 				byIndex[pw.index] = w
 			}
-			w.mergeFrom(pw)
+			w.mergeFrom(pw, ids, len(c.classes))
 		}
 	}
 	indices := make([]int64, 0, len(byIndex))

@@ -51,8 +51,8 @@ func TestWindowAccumulationAndSummaries(t *testing.T) {
 	// Window 0: two fast requests; window 2: one slow (violating).
 	c.ObserveLatency(0.25, 0.010, false)
 	c.ObserveLatency(0.75, 0.020, false)
-	c.SampleUtil("cpu", 0.5, 0.4)
-	c.SampleUtil("cpu", 0.9, 0.6)
+	c.SampleUtil(c.Class("cpu"), 0.5, 0.4)
+	c.SampleUtil(c.Class("cpu"), 0.9, 0.6)
 	c.ObserveLatency(2.25, 0.9, true)
 	c.Seal(2.5)
 
@@ -116,7 +116,7 @@ func TestMergeMatchesSingle(t *testing.T) {
 				dst = parts[o.part]
 			}
 			dst.ObserveLatency(o.t, o.lat, o.lat > cfg.QoSLatencySec)
-			dst.SampleUtil("cpu", o.t, o.lat*0.5)
+			dst.SampleUtil(dst.Class("cpu"), o.t, o.lat*0.5)
 		}
 		if !split {
 			single.Seal(4)
@@ -139,6 +139,34 @@ func TestMergeMatchesSingle(t *testing.T) {
 	}
 	if !bytes.Equal(wb.Bytes(), gb.Bytes()) {
 		t.Errorf("merged export differs from single-collector export:\n--- single\n%s\n--- merged\n%s", wb.String(), gb.String())
+	}
+}
+
+// TestMergeMapsClassIDs: parts that met their classes in different
+// orders hold different ids for them; the merge folds each class by
+// name, into a collector that already holds a window and ids of its
+// own.
+func TestMergeMapsClassIDs(t *testing.T) {
+	cfg := Config{WidthSec: 1}
+	a, b, dst := mustNew(t, cfg), mustNew(t, cfg), mustNew(t, cfg)
+	a.SampleUtil(a.Class("net"), 0.5, 0.25)
+	a.SampleUtil(a.Class("cpu"), 0.5, 0.5)
+	b.SampleUtil(b.Class("cpu"), 0.5, 0.75)
+	b.SampleUtil(b.Class("disk"), 1.5, 0.125)
+	dst.SampleUtil(dst.Class("disk"), 2.5, 1)
+	for _, c := range []*Collector{a, b, dst} {
+		c.Seal(3)
+	}
+	dst.MergeFrom(a, b)
+	want := []map[string]float64{{"net": 0.25, "cpu": 0.625}, {"disk": 0.125}, {"disk": 1}}
+	ws := dst.Windows()
+	if len(ws) != len(want) {
+		t.Fatalf("merged %d windows, want %d", len(ws), len(want))
+	}
+	for i, w := range ws {
+		if !reflect.DeepEqual(w.Util, want[i]) {
+			t.Errorf("window %d util = %v, want %v", i, w.Util, want[i])
+		}
 	}
 }
 
@@ -307,7 +335,7 @@ func TestRecent(t *testing.T) {
 		t.Fatalf("open window leaked into Recent: %v, %d", tail, sealed)
 	}
 	for i := 1; i < 5; i++ {
-		c.SampleUtil("cpu", float64(i)+0.25, 0.1*float64(i))
+		c.SampleUtil(c.Class("cpu"), float64(i)+0.25, 0.1*float64(i))
 		c.ObserveLatency(float64(i)+0.5, 0.05*float64(i), i%2 == 0)
 		check(fmt.Sprintf("seal %d", i), c)
 	}

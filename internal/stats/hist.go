@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
+
+	"warehousesim/internal/bucket"
 )
 
 // Histogram is a log-scaled latency histogram. Buckets grow
@@ -14,9 +17,9 @@ import (
 type Histogram struct {
 	min     float64
 	growth  float64
-	logG    float64
+	table   *bucket.Table // shared by every histogram of the layout
 	buckets []int64
-	under   int64 // observations below min
+	under   int64 // observations below min, and NaN
 	count   int64
 	sum     float64
 	maxSeen float64
@@ -31,9 +34,51 @@ func NewHistogram(min float64, growth float64, nbuckets int) *Histogram {
 	return &Histogram{
 		min:     min,
 		growth:  growth,
-		logG:    math.Log(growth),
+		table:   tableOf(layout{min, growth, nbuckets}),
 		buckets: make([]int64, nbuckets),
 	}
+}
+
+// layout identifies a bucket layout: its first bound, growth factor and
+// bucket count.
+type layout struct {
+	min, growth float64
+	n           int
+}
+
+// tables holds one bucket table per layout, built on the layout's
+// first use: a run makes one histogram per trial, all of one layout.
+var tables struct {
+	sync.Mutex
+	m map[layout]*bucket.Table
+}
+
+// tableOf returns l's table, building it on the layout's first use.
+func tableOf(l layout) *bucket.Table {
+	tables.Lock()
+	defer tables.Unlock()
+	t := tables.m[l]
+	if t == nil {
+		if tables.m == nil {
+			tables.m = map[layout]*bucket.Table{}
+		}
+		t = bucket.New(l.n, l.bucketOf)
+		tables.m[l] = t
+	}
+	return t
+}
+
+// bucketOf defines the layout: bucket b holds [min·growth^b,
+// min·growth^(b+1)) by the natural logarithm, the top bucket everything
+// above, bucket 0 everything below. A value whose ratio to min
+// overflows is above every bucket. Only the build of the layout's
+// table evaluates it.
+func (l layout) bucketOf(x float64) int {
+	r := x / l.min
+	if math.IsInf(r, 1) {
+		return l.n - 1
+	}
+	return min(max(int(math.Log(r)/math.Log(l.growth)), 0), l.n-1)
 }
 
 // NewLatencyHistogram returns a histogram tuned for request latencies in
@@ -42,15 +87,14 @@ func NewLatencyHistogram() *Histogram {
 	return NewHistogram(10e-6, 1.05, 400)
 }
 
+// bucketOf returns the bucket of x, or -1 for the underflow bucket,
+// which holds values below min and NaN. Values too large for the
+// layout, +Inf included, land in the top bucket.
 func (h *Histogram) bucketOf(x float64) int {
-	if x < h.min {
+	if !(x >= h.min) {
 		return -1
 	}
-	b := int(math.Log(x/h.min) / h.logG)
-	if b >= len(h.buckets) {
-		b = len(h.buckets) - 1
-	}
-	return b
+	return h.table.Index(x)
 }
 
 // bucketLow returns the lower bound of bucket b.
@@ -58,8 +102,9 @@ func (h *Histogram) bucketLow(b int) float64 {
 	return h.min * math.Pow(h.growth, float64(b))
 }
 
-// Add records one observation (negative values are clamped to 0 and
-// counted in the underflow bucket).
+// Add records one observation. Values below min, negatives and NaN
+// count in the underflow bucket; values above the top bucket's bound,
+// +Inf included, count in the top bucket.
 func (h *Histogram) Add(x float64) {
 	h.count++
 	h.sum += x

@@ -1,9 +1,10 @@
 package mapreduce
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
 )
 
 // KV is one key/value pair.
@@ -137,7 +138,7 @@ func Run(d *DFS, job Job) (JobResult, error) {
 	for p := 0; p < job.ReduceTasks; p++ {
 		st := TaskStats{Kind: "reduce", Node: -1}
 		part := partitions[p]
-		sort.SliceStable(part, func(i, j int) bool { return part[i].Key < part[j].Key })
+		slices.SortStableFunc(part, byKey)
 		for _, kv := range part {
 			st.InputBytes += int64(len(kv.Key) + len(kv.Value) + 2)
 		}
@@ -167,9 +168,13 @@ func Run(d *DFS, job Job) (JobResult, error) {
 	return res, nil
 }
 
+// byKey orders records by key; the sorts are stable, so records of one
+// key keep their emission order.
+func byKey(a, b KV) int { return cmp.Compare(a.Key, b.Key) }
+
 // combine groups map output by key and runs the combiner per group.
 func combine(in []KV, c Combiner) []KV {
-	sort.SliceStable(in, func(i, j int) bool { return in[i].Key < in[j].Key })
+	slices.SortStableFunc(in, byKey)
 	var out []KV
 	emit := func(k, v string) { out = append(out, KV{k, v}) }
 	for i := 0; i < len(in); {
