@@ -17,8 +17,8 @@
 #                     parallel ones)
 #   make introspect-smoke — start whsim -http on a rack, assert
 #                     /obs/windows and /obs/energy serve their schemas
-#                     with every part, and the retired /obs/shards
-#                     answers 404
+#                     with every part, /obs counts requests mid-run, and
+#                     the retired /obs/shards answers 404
 #   make cover      — per-package coverage, with an 80% floor on
 #                     internal/obs/...
 #   make fuzz       — every Fuzz* target in the tree, 10 s each
@@ -66,7 +66,9 @@ fmt:
 # on an ephemeral port, poll /obs/windows and /obs/energy until they
 # publish, assert each serves its schema tag and lists all 5 parts (4
 # enclosures plus the rack-global part, handed over by OnProbeTick),
-# and assert the retired /obs/shards route answers 404.
+# assert /obs lists a "requests" counter while the run is still in its
+# replay phase (read from the parts' sinks before they fold), and
+# assert the retired /obs/shards route answers 404.
 introspect-smoke:
 	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"; kill $$pid 2>/dev/null || true' EXIT; \
 	$(GO) build -o "$$tmp/whsim" ./cmd/whsim || exit 1; \
@@ -95,8 +97,14 @@ introspect-smoke:
 		echo "introspect-smoke: /obs/energy missing schema: $$en"; exit 1; }; \
 	n="$$(echo "$$en" | grep -o '"part":' | wc -l)"; [ "$$n" -eq 5 ] || { \
 		echo "introspect-smoke: /obs/energy lists $$n parts, want 5 (4 enclosures + rack-global): $$en"; exit 1; }; \
+	live=""; for i in $$(seq 1 100); do \
+		live="$$(curl -sf "http://$$addr/obs" 2>/dev/null)"; \
+		echo "$$live" | grep -q '"requests":' && break; sleep 0.2; \
+	done; \
+	echo "$$live" | grep -q '"phase":"replay"' && echo "$$live" | grep -q '"requests":' || { \
+		echo "introspect-smoke: /obs lists no requests counter mid-run: $$live"; exit 1; }; \
 	kill $$pid 2>/dev/null; \
-	echo "introspect-smoke: /obs/windows and /obs/energy serve their schemas with 5 parts each; /obs/shards is 404"
+	echo "introspect-smoke: /obs/windows and /obs/energy serve their schemas with 5 parts each; /obs counts requests mid-run; /obs/shards is 404"
 
 # Coverage with a floor on the observability packages: the windowed
 # metrics plane is the byte-compared surface, so internal/obs/... must

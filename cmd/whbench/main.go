@@ -100,9 +100,9 @@ func main() {
 	}
 	if intro != nil {
 		pub := func(phase string, done, total int) {
-			if b, err := sink.Snapshot(obs.Progress{
+			if b, err := obs.Snapshot(obs.Progress{
 				Phase: phase, SimTimeSec: float64(done), HorizonSec: float64(total),
-			}); err == nil {
+			}, sink); err == nil {
 				intro.Publish(b)
 			}
 		}

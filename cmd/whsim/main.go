@@ -344,9 +344,13 @@ func main() {
 			log.Fatal(err)
 		}
 		// OnProbeTick fires on the goroutine driving the instrumented
-		// replay, the one that owns the collectors, so `live` needs no
+		// replay, the one that owns the parts, so `live` needs no
 		// locking; the last handles it received serve the "done" publish
-		// after the run. The HTTP side only ever sees published bytes.
+		// after the run. /obs reads the run's sink, whose manifest heads
+		// the document, with every part sink that is not the sink
+		// itself: a rack's parts fold into it only when the run ends, so
+		// "done" reads it alone. The HTTP side only ever sees published
+		// bytes.
 		var live cluster.LiveHandles
 		if intro != nil && sink != nil {
 			horizon := opts.WarmupSec + opts.MeasureSec
@@ -354,9 +358,15 @@ func main() {
 				horizon = 0 // open-ended: the job defines its own end
 			}
 			pub := func(phase string, simNow float64) {
-				if b, err := sink.Snapshot(obs.Progress{
+				sinks := []*obs.Sink{sink}
+				for _, s := range live.Obs {
+					if s != sink {
+						sinks = append(sinks, s)
+					}
+				}
+				if b, err := obs.Snapshot(obs.Progress{
 					Phase: phase, SimTimeSec: simNow, HorizonSec: horizon,
-				}); err == nil {
+				}, sinks...); err == nil {
 					intro.Publish(b)
 				}
 				if len(live.SLO) > 0 {
@@ -377,7 +387,10 @@ func main() {
 				live = h
 				pub("replay", simNow)
 			}
-			defer func() { pub("done", horizon) }()
+			defer func() {
+				live.Obs = nil
+				pub("done", horizon)
+			}()
 		}
 
 		start := time.Now()
@@ -408,21 +421,15 @@ func main() {
 		}
 
 		if res.SLO != nil {
-			ws := res.SLO.Windows()
-			violating := 0
-			for _, w := range ws {
-				if w.Violating {
-					violating++
-				}
-			}
+			sealed, violating := res.SLO.Counts()
 			eps := res.SLO.Episodes(res.SLOParts...)
 			fmt.Printf("  slo: %d windows of %gs, %d violating, %d episodes, %.2f violation-minutes\n",
-				len(ws), opts.SLOWindowSec, violating, len(eps), window.ViolationSec(eps)/60)
+				sealed, opts.SLOWindowSec, violating, len(eps), window.ViolationSec(eps)/60)
 			if path := f.slo.OutPath(); path != "" {
 				if err := res.SLO.WriteFile(path, res.SLOParts...); err != nil {
 					log.Fatal(err)
 				}
-				log.Printf("slo: wrote %s (%d windows; byte-identical at any -par)", path, len(ws))
+				log.Printf("slo: wrote %s (%d windows; byte-identical at any -par)", path, sealed)
 			}
 		}
 

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -98,8 +97,9 @@ func executeEntries(entries []entry, rec *obs.Sink, par int, onDone func(SuitePr
 	}
 	results := make([]result, len(entries))
 	out := make([]Report, 0, len(entries))
-	err := fanout.Ordered(par, len(entries), func(_, i int) {
+	i, err := fanout.Ordered(par, len(entries), func(_, i int) error {
 		results[i].rep, results[i].err = entries[i].run()
+		return nil
 	}, func(i int) bool {
 		e, r := entries[i], results[i]
 		recordEntry(e, r.rep, r.err, rec)
@@ -112,16 +112,14 @@ func executeEntries(entries []entry, rec *obs.Sink, par int, onDone func(SuitePr
 		}
 		return true
 	})
-	// A panic never reaches commit, so it goes unrecorded: its stack
-	// would make the export differ run to run.
-	var pe *fanout.PanicError
-	if errors.As(err, &pe) {
-		results[pe.Index].err = err
-	}
-	for i, r := range results {
-		if r.err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", entries[i].id, r.err)
+	// Ordered stops at the first failed entry: a panic, which never
+	// reaches commit and so goes unrecorded (its stack would make the
+	// export differ run to run), or an error its commit recorded.
+	if i < len(entries) {
+		if err == nil {
+			err = results[i].err
 		}
+		return nil, fmt.Errorf("experiments: %s: %w", entries[i].id, err)
 	}
 	return out, nil
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 
 	"warehousesim/internal/cluster"
@@ -28,7 +27,6 @@ type fleetCell struct {
 	res      cluster.Result
 	sloViol  int
 	sloTotal int
-	err      error
 }
 
 // fleetShapes returns the fleet configurations the sweep covers: the
@@ -109,7 +107,7 @@ func runExtFleet() (Report, error) {
 		}
 	}
 
-	err := fanout.Ordered(SweepParallelism(), len(cells), func(_, i int) {
+	i, err := fanout.Ordered(SweepParallelism(), len(cells), func(_, i int) (err error) {
 		c := &cells[i]
 		topo := c.topo
 		sink := obs.NewSink()
@@ -117,22 +115,15 @@ func runExtFleet() (Report, error) {
 			Seed: c.seed, WarmupSec: 5, MeasureSec: 20, MaxClients: 512,
 			Obs: sink, SLOWindowSec: 2, Topology: &topo,
 		}
-		c.res, c.err = c.cfg.Simulate(workload.FixedGenerator{P: c.profile}, opts)
-		if c.err != nil {
-			return
+		if c.res, err = c.cfg.Simulate(workload.FixedGenerator{P: c.profile}, opts); err == nil && c.res.SLO != nil {
+			c.sloTotal, c.sloViol = c.res.SLO.Counts()
 		}
-		if c.res.SLO != nil {
-			for _, w := range c.res.SLO.Windows() {
-				c.sloTotal++
-				if w.Violating {
-					c.sloViol++
-				}
-			}
-		}
-	}, func(i int) bool { return cells[i].err == nil })
-	var pe *fanout.PanicError
-	if errors.As(err, &pe) {
-		cells[pe.Index].err = err
+		return err
+	}, nil)
+	if err != nil {
+		c := &cells[i]
+		return Report{}, fmt.Errorf("ext-fleet: %s/%s racks=%d %s: %w",
+			c.design.Name, c.profile.Name, c.topo.Racks, c.topo.Balancer, err)
 	}
 
 	boards := 0
@@ -148,10 +139,6 @@ func runExtFleet() (Report, error) {
 		"racks", "hot", "balancer", "fleet-rps", "qos-ok", "viol-rk", "slo-wnd", "perf/M$")
 	for i := range cells {
 		c := &cells[i]
-		if c.err != nil {
-			return Report{}, fmt.Errorf("ext-fleet: %s/%s racks=%d %s: %w",
-				c.design.Name, c.profile.Name, c.topo.Racks, c.topo.Balancer, c.err)
-		}
 		fb := c.res.Fleet
 		if fb == nil {
 			return Report{}, fmt.Errorf("ext-fleet: %s/%s returned no fleet breakdown", c.design.Name, c.profile.Name)

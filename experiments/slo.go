@@ -39,13 +39,7 @@ func runExtSLO() (Report, error) {
 		if res.SLO == nil {
 			return "", errors.New("returned no SLO collector")
 		}
-		ws := res.SLO.Windows()
-		violating := 0
-		for _, w := range ws {
-			if w.Violating {
-				violating++
-			}
-		}
+		sealed, violating := res.SLO.Counts()
 		eps := res.SLO.Episodes(res.SLOParts...)
 		peakExcess := 0.0
 		for _, e := range eps {
@@ -54,7 +48,7 @@ func runExtSLO() (Report, error) {
 			}
 		}
 		return fmt.Sprintf("%-11s %-10s %8d %10d %9d %10.2f %11.1f",
-			c.design.Name, c.profile.Name, len(ws), violating, len(eps),
+			c.design.Name, c.profile.Name, sealed, violating, len(eps),
 			window.ViolationSec(eps)/60, peakExcess*1e3), nil
 	})
 	if err != nil {

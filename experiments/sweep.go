@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 
 	"warehousesim/internal/cluster"
@@ -61,23 +60,18 @@ func planeSweep(r *Report, plane func(d core.Design, opts *cluster.SimOptions) e
 	}
 
 	rows := make([]string, len(cells))
-	errs := make([]error, len(cells))
-	err := fanout.Ordered(SweepParallelism(), len(cells), func(_, i int) {
+	i, err := fanout.Ordered(SweepParallelism(), len(cells), func(_, i int) (err error) {
 		c := cells[i] // a copy, so the sink and result die with the row
 		c.sink = obs.NewSink()
 		c.opts.Obs = c.sink
-		if c.res, errs[i] = c.cfg.Simulate(workload.FixedGenerator{P: c.profile}, c.opts); errs[i] == nil {
-			rows[i], errs[i] = row(&c)
+		if c.res, err = c.cfg.Simulate(workload.FixedGenerator{P: c.profile}, c.opts); err != nil {
+			return err
 		}
-	}, func(i int) bool { return errs[i] == nil })
-	var pe *fanout.PanicError
-	if errors.As(err, &pe) {
-		errs[pe.Index] = err
-	}
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("%s/%s: %w", cells[i].design.Name, cells[i].profile.Name, err)
-		}
+		rows[i], err = row(&c)
+		return err
+	}, nil)
+	if err != nil {
+		return fmt.Errorf("%s/%s: %w", cells[i].design.Name, cells[i].profile.Name, err)
 	}
 	r.Lines = append(r.Lines, rows...)
 	return nil

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 
 	"warehousesim/internal/cluster"
@@ -72,12 +71,8 @@ func runValidate() (Report, error) {
 	// fresh Sim, fixed seed — so the grid fans across the sweep engine's
 	// workers and merges in cell order (byte-identical to sequential).
 	profiles := workload.SuiteProfiles()
-	type cellResult struct {
-		text string
-		err  error
-	}
-	cells := make([]cellResult, len(profiles)*len(platforms))
-	err := fanout.Ordered(SweepParallelism(), len(cells), func(_, i int) {
+	cells := make([]string, len(profiles)*len(platforms))
+	i, err := fanout.Ordered(SweepParallelism(), len(cells), func(_, i int) error {
 		prof := profiles[i/len(platforms)]
 		if prof.Batch {
 			prof.JobRequests = 400 // keep DES runs short; ratio is scale-free
@@ -85,37 +80,29 @@ func runValidate() (Report, error) {
 		cfg := cluster.Config{Server: platforms[i%len(platforms)]}
 		ana, err := cfg.Analyze(prof)
 		if err != nil {
-			cells[i].err = err
-			return
+			return err
 		}
 		gen, err := validationGenerator(prof)
 		if err != nil {
-			cells[i].err = err
-			return
+			return err
 		}
 		sim, err := cfg.Simulate(gen, opts)
 		if err != nil {
-			cells[i].err = err
-			return
+			return err
 		}
-		cell := ratioX(sim.Perf / ana.Perf)
+		cells[i] = ratioX(sim.Perf / ana.Perf)
 		if sim.QoSMet != ana.QoSMet {
-			cell += " *"
+			cells[i] += " *"
 		}
-		cells[i].text = cell
-	}, func(i int) bool { return cells[i].err == nil })
-	var pe *fanout.PanicError
-	if errors.As(err, &pe) {
-		cells[pe.Index].err = err
+		return nil
+	}, nil)
+	if err != nil {
+		return Report{}, fmt.Errorf("validate: %s on %s: %w", profiles[i/len(platforms)].Name, platforms[i%len(platforms)].Name, err)
 	}
 	for pi, p := range profiles {
 		row := pad(p.Name, 11)
 		for si := range platforms {
-			c := cells[pi*len(platforms)+si]
-			if c.err != nil {
-				return Report{}, fmt.Errorf("validate: %s on %s: %w", p.Name, platforms[si].Name, c.err)
-			}
-			row += pad(c.text, 24)
+			row += pad(cells[pi*len(platforms)+si], 24)
 		}
 		r.Lines = append(r.Lines, row)
 	}

@@ -6,6 +6,7 @@ import (
 	"warehousesim/internal/benchgate"
 	"warehousesim/internal/obs"
 	"warehousesim/internal/platform"
+	"warehousesim/internal/power"
 	"warehousesim/internal/workload"
 )
 
@@ -81,6 +82,31 @@ func benchShardedTrial(b *testing.B, shards int) {
 	}
 }
 
+// BenchmarkRackRecorded times one recorded 4x2 rack run: an obs sink
+// plus 1 s SLO and energy windows, so every part's sink and collector
+// and their fold are on the measured path.
+func BenchmarkRackRecorded(b *testing.B) {
+	cfg := Config{Server: platform.Desk()}
+	gen := workload.FixedGenerator{P: workload.WebsearchProfile()}
+	en := testEnergyConfig(1, power.DefaultIdleFractions())
+	run := func() {
+		opts := SimOptions{
+			Seed: 1, WarmupSec: 2, MeasureSec: 10, MaxClients: 512,
+			Topology: &ShardedTopology{Enclosures: 4, BoardsPerEnclosure: 2},
+			Obs:      obs.NewSink(), SLOWindowSec: 1, Energy: en,
+		}
+		if _, err := cfg.Simulate(gen, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+}
+
 func BenchmarkShardedTrial(b *testing.B)  { benchShardedTrial(b, 1) }
 func BenchmarkShardedTrial2(b *testing.B) { benchShardedTrial(b, 2) }
 func BenchmarkShardedTrial4(b *testing.B) { benchShardedTrial(b, 4) }
@@ -98,5 +124,6 @@ func TestAllocBounds(t *testing.T) {
 		{Name: "ShardedTrial2", Bench: BenchmarkShardedTrial2, MaxBytes: 209474, MaxAllocs: 3645},
 		{Name: "ShardedTrial4", Bench: BenchmarkShardedTrial4, MaxBytes: 221511, MaxAllocs: 3774},
 		{Name: "ShardedTrial8", Bench: BenchmarkShardedTrial8, MaxBytes: 249331, MaxAllocs: 4063},
+		{Name: "RackRecorded", Bench: BenchmarkRackRecorded, MaxBytes: 265224, MaxAllocs: 1373},
 	})
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -108,12 +107,16 @@ type SimOptions struct {
 }
 
 // LiveHandles is what SimOptions.OnProbeTick receives: each partition's
-// window collector and energy view, in part order, bound once per run.
-// SLO is nil when SLOWindowSec is off, Energy when Energy is. Read them
-// only inside the hook, on the simulating goroutine (window.LiveSnapshot
-// and energy.LiveSnapshot render them); a caller that keeps them reads
-// them again only after Simulate returns.
+// sink, window collector and energy view, in part order, bound once per
+// run. SLO is nil when SLOWindowSec is off, Energy when Energy is. Read
+// them only inside the hook, on the simulating goroutine (obs.Snapshot,
+// window.LiveSnapshot and energy.LiveSnapshot render them); a caller
+// that keeps them reads them again only after Simulate returns.
 type LiveHandles struct {
+	// Obs holds the per-partition sinks: SimOptions.Obs itself for a
+	// flat run; for a Topology run the parts' own sinks, which fold
+	// into Obs only when the run ends.
+	Obs []*obs.Sink
 	// SLO holds the per-partition window collectors (one for flat runs;
 	// one per enclosure plus the rack-global part for Topology runs).
 	SLO []*window.Collector
@@ -222,7 +225,7 @@ func (c Config) Simulate(gen workload.Generator, opt SimOptions) (Result, error)
 }
 
 func (c Config) simulateInteractive(gen workload.Generator, p workload.Profile, opt SimOptions) (Result, error) {
-	tel, err := newPlanes(p, opt)
+	pt, err := newPart(opt.Obs, p, opt)
 	if err != nil {
 		return Result{}, err
 	}
@@ -257,8 +260,9 @@ func (c Config) simulateInteractive(gen workload.Generator, p workload.Profile, 
 	}
 	lastGood, firstBad := 0, 0
 	seed := opt.Seed
-	err = fanout.Ordered(par, cands, func(w, i int) {
-		outs[i%len(outs)] = ctxs[w].run(gen, p, 1<<i, opt, opt.Seed+uint64(i)+1, nil, planes{})
+	i, err := fanout.Ordered(par, cands, func(w, i int) error {
+		outs[i%len(outs)] = ctxs[w].run(gen, p, 1<<i, opt, opt.Seed+uint64(i)+1, part{})
+		return nil
 	}, func(i int) bool {
 		seed = opt.Seed + uint64(i) + 1
 		t := outs[i%len(outs)]
@@ -271,16 +275,14 @@ func (c Config) simulateInteractive(gen workload.Generator, p workload.Profile, 
 		return true
 	})
 	if err != nil {
-		var pe *fanout.PanicError
-		errors.As(err, &pe)
-		return Result{}, fmt.Errorf("cluster: ramp trial at %d clients (seed %d): %w", 1<<pe.Index, opt.Seed+uint64(pe.Index)+1, err)
+		return Result{}, fmt.Errorf("cluster: ramp trial at %d clients (seed %d): %w", 1<<i, opt.Seed+uint64(i)+1, err)
 	}
 
 	// The binary search and the replay run on the first worker's ctx.
 	ctx := ctxs[0]
 	trial := func(n int) (Result, uint64) {
 		seed++
-		return ctx.run(gen, p, n, opt, seed, nil, planes{}), seed
+		return ctx.run(gen, p, n, opt, seed, part{}), seed
 	}
 	// replay re-runs the chosen operating point with the sink
 	// attached. Same seed, same trajectory: the instrumented replay's
@@ -289,10 +291,10 @@ func (c Config) simulateInteractive(gen workload.Generator, p workload.Profile, 
 	// the search stays uninstrumented — so the window streams are a pure
 	// function of the chosen operating point and the seed.
 	replay := func(n int, s uint64) {
-		if opt.Obs == nil {
+		if pt.rec == nil {
 			return
 		}
-		ctx.run(gen, p, n, opt, s, opt.Obs, tel)
+		ctx.run(gen, p, n, opt, s, pt)
 	}
 
 	if lastGood == 0 {
@@ -302,8 +304,7 @@ func (c Config) simulateInteractive(gen workload.Generator, p workload.Profile, 
 		res, s := trial(n)
 		replay(n, s)
 		res.QoSMet = false
-		tel.finish(opt.WarmupSec+opt.MeasureSec, opt.Obs, &res)
-		return res, nil
+		return res, fold(opt.Obs, &res, opt.WarmupSec+opt.MeasureSec, true, pt)
 	}
 	if firstBad == 0 {
 		firstBad = opt.MaxClients + 1
@@ -324,8 +325,7 @@ func (c Config) simulateInteractive(gen workload.Generator, p workload.Profile, 
 	}
 
 	replay(best.Clients, bestSeed)
-	tel.finish(opt.WarmupSec+opt.MeasureSec, opt.Obs, &best)
-	return best, nil
+	return best, fold(opt.Obs, &best, opt.WarmupSec+opt.MeasureSec, true, pt)
 }
 
 // batchSlots is a board's task parallelism for batch jobs: the paper
@@ -346,25 +346,17 @@ func (c Config) simulateBatch(gen workload.Generator, p workload.Profile, opt Si
 	// Batch runs execute exactly once, so they are instrumented inline
 	// (recording observes without perturbing the trajectory). Every task
 	// counts: the whole job is the measurement, and it has no QoS bound.
-	tel, err := newPlanes(p, opt)
+	pt, err := newPart(opt.Obs, p, opt)
 	if err != nil {
 		return Result{}, err
 	}
 	pop.sim = sim
 	pop.dm = &dm
-	pop.bind(gen, opt.Obs, tel.win, opt.TraceEvery, 0)
+	pop.bind(gen, pt, opt.TraceEvery, 0)
 	pop.measuring = true
 
 	concurrency := c.batchSlots()
-
-	var probes *des.Probes
-	if pop.rec != nil {
-		probes = des.NewProbes(sim, opt.Obs, des.Time(opt.ProbeIntervalSec))
-		probes.Watch(b.cpu, b.disk, b.net)
-		probes.OnTick = onTick(opt.OnProbeTick, tel)
-		tel.watch(probes)
-		probes.Start()
-	}
+	probes := pt.probe(sim, opt.ProbeIntervalSec, true, onTick(opt.OnProbeTick, pt), b.cpu, b.disk, b.net)
 	var finish des.Time
 	stopAtEnd := func(*board, Demands) {
 		if pop.completed == p.JobRequests {
@@ -376,7 +368,7 @@ func (c Config) simulateBatch(gen workload.Generator, p workload.Profile, opt Si
 		newSlot(b, stopAtEnd).launch()
 	}
 	sim.Run(des.Time(math.MaxFloat64))
-	if pop.rec != nil {
+	if pt.rec != nil {
 		probes.Stop()
 		opt.Obs.Count("des.events", int64(sim.Fired()))
 		opt.Obs.Count("trial.clients", int64(concurrency))
@@ -387,8 +379,7 @@ func (c Config) simulateBatch(gen workload.Generator, p workload.Profile, opt Si
 
 	exec := float64(finish)
 	res := outcome(p, nil, p.JobRequests, exec, b.utilization(), concurrency)
-	tel.finish(exec, opt.Obs, &res)
-	return res, nil
+	return res, fold(opt.Obs, &res, exec, true, pt)
 }
 
 // outcome is a measured run's Result. An interactive run completed

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -192,27 +191,18 @@ func (t *FleetTopology) simulate(c Config, gen workload.Generator, p workload.Pr
 	}
 
 	// Hot racks: one full rack DES each, every rack seeded from its id
-	// alone and recording into a private sink, fanned across the fleet's
-	// workers. Per-rack results land by index, sinks merge in id order,
-	// and the first error in id order wins — nothing about the outcome
-	// depends on scheduling.
+	// alone and recording into a private part, fanned across the
+	// fleet's workers. Per-rack results land by index, parts fold in id
+	// order, and the first error in id order wins — nothing about the
+	// outcome depends on scheduling.
 	hot := make([]Result, len(t.HotSet))
-	hotSinks := make([]*obs.Sink, len(t.HotSet))
-	hotErrs := make([]error, len(t.HotSet))
-	err := fanout.Ordered(opt.Parallelism, len(t.HotSet), func(_, i int) {
-		hot[i], hotErrs[i] = t.runHotRack(c, gen, p, opt, i, hotSinks)
-	}, func(i int) bool { return hotErrs[i] == nil })
-	var pe *fanout.PanicError
-	if errors.As(err, &pe) {
-		hotErrs[pe.Index] = err
-	}
-	for i, err := range hotErrs {
-		if err != nil {
-			return Result{}, fmt.Errorf("cluster: fleet hot rack %d: %w", t.HotSet[i], err)
-		}
-	}
-	if opt.Obs != nil {
-		opt.Obs.MergeFrom(hotSinks...)
+	parts := make([]part, len(t.HotSet))
+	i, err := fanout.Ordered(opt.Parallelism, len(t.HotSet), func(_, i int) (err error) {
+		hot[i], parts[i], err = t.runHotRack(c, gen, p, opt, i)
+		return err
+	}, nil)
+	if err != nil {
+		return Result{}, fmt.Errorf("cluster: fleet hot rack %d: %w", t.HotSet[i], err)
 	}
 
 	// The balancer's demand model: every rack in the fleet faces the
@@ -273,20 +263,12 @@ func (t *FleetTopology) simulate(c Config, gen workload.Generator, p workload.Pr
 	}
 	res := t.assemble(bd, hot, coldRes)
 
-	// Telemetry: fold the hot racks' merged collectors, rack id
-	// ascending. The racks already emitted their episode and energy
-	// totals into their own sinks, so the fleet level merges without
-	// re-emitting — re-emission would duplicate streams and break the
-	// manual-composition byte-identity contract. Cold racks have no
-	// event stream and so no telemetry windows.
-	tel := make([]planes, len(hot))
-	for i, h := range hot {
-		tel[i] = planes{win: h.SLO, slo: h.SLO != nil, en: h.Energy}
-		if h.Energy != nil {
-			tel[i].win = h.Energy.Source()
-		}
-	}
-	if err := mergeTelemetry(&res, tel); err != nil {
+	// Fold the hot racks' parts, rack id ascending. The racks already
+	// emitted their episode and energy totals into their own sinks, so
+	// the fleet folds without re-emitting — re-emission would duplicate
+	// streams and break the manual-composition byte-identity contract.
+	// Cold racks have no event stream and so no parts.
+	if err := fold(opt.Obs, &res, 0, false, parts...); err != nil {
 		return Result{}, err
 	}
 	if opt.Obs != nil {
@@ -295,9 +277,11 @@ func (t *FleetTopology) simulate(c Config, gen workload.Generator, p workload.Pr
 	return res, nil
 }
 
-// runHotRack runs one hot rack's full DES with a private sink and a
-// rack-scoped seed; i indexes the (sorted) hot set.
-func (t *FleetTopology) runHotRack(c Config, gen workload.Generator, p workload.Profile, opt SimOptions, i int, sinks []*obs.Sink) (Result, error) {
+// runHotRack runs one hot rack's full DES with a rack-scoped seed; i
+// indexes the (sorted) hot set. A recorded fleet gives the rack a
+// private sink, and the rack comes back as the fleet's part: that sink
+// with the rack's folded collector and energy view.
+func (t *FleetTopology) runHotRack(c Config, gen workload.Generator, p workload.Profile, opt SimOptions, i int) (Result, part, error) {
 	ro := opt
 	ro.Seed = fleetRackSeed(opt.Seed, t.HotSet[i])
 	ro.Topology = nil
@@ -305,13 +289,19 @@ func (t *FleetTopology) runHotRack(c Config, gen workload.Generator, p workload.
 	// The live hook is per-run: concurrently running racks would race
 	// on it, so fleet runs don't publish live handles.
 	ro.OnProbeTick = nil
+	var pt part
 	if opt.Obs != nil {
-		sinks[i] = obs.NewSink()
+		pt.rec = obs.NewSink()
 	}
-	ro.Obs = sinks[i]
+	ro.Obs = pt.rec
 	rack := t.Rack
 	rack.Boards = append([]int(nil), t.Rack.Boards...)
-	return rack.simulate(c, gen, p, ro)
+	res, err := rack.simulate(c, gen, p, ro)
+	pt.win, pt.slo, pt.en = res.SLO, res.SLO != nil, res.Energy
+	if res.Energy != nil {
+		pt.win = res.Energy.Source()
+	}
+	return res, pt, err
 }
 
 // routeCold distributes the cold racks' aggregate demand (perRack times

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"warehousesim/internal/obs"
@@ -133,18 +134,58 @@ func TestRebindLeavesEarlierSink(t *testing.T) {
 	const clients = 256
 	ctx := newTrialCtx(cfg, dm)
 	a, b := obs.NewSink(), obs.NewSink()
-	ctx.run(gen, p, clients, opt, 5, a, planes{})
+	ctx.run(gen, p, clients, opt, 5, part{rec: a})
 	if a.CounterValue("qos_violations") == 0 {
 		t.Fatalf("no QoS violation at %d clients; the test needs one", clients)
 	}
 	before := export(a)
-	ctx.run(gen, p, clients, opt, 5, b, planes{})
+	ctx.run(gen, p, clients, opt, 5, part{rec: b})
 	if !bytes.Equal(export(a), before) {
 		t.Fatal("the second run wrote into the first run's sink")
 	}
 	fresh := obs.NewSink()
-	newTrialCtx(cfg, dm).run(gen, p, clients, opt, 5, fresh, planes{})
+	newTrialCtx(cfg, dm).run(gen, p, clients, opt, 5, part{rec: fresh})
 	if !bytes.Equal(export(b), export(fresh)) {
 		t.Fatal("a rebound ctx's sink differs from a fresh ctx's")
+	}
+}
+
+// TestRackLiveSinks: a 2x2 rack's OnProbeTick hands over every part's
+// sink, the enclosures' then the rack-global one, so a live reader sees
+// the run's requests mid-run, before the parts fold into Obs at its end.
+func TestRackLiveSinks(t *testing.T) {
+	cfg := Config{Server: platform.Desk()}
+	sink := obs.NewSink()
+	opt := obsTestOptions(sink)
+	opt.Topology = &ShardedTopology{Enclosures: 2, BoardsPerEnclosure: 2}
+	horizon := opt.WarmupSec + opt.MeasureSec
+	mid := int64(-1)
+	opt.OnProbeTick = func(now float64, h LiveHandles) {
+		if len(h.Obs) != 3 {
+			t.Fatalf("OnProbeTick sinks = %d, want 3 (2 enclosures + rack-global)", len(h.Obs))
+		}
+		if mid >= 0 || now < horizon/2 {
+			return
+		}
+		raw, err := obs.Snapshot(obs.Progress{}, h.Obs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			Counters map[string]int64 `json:"counters"`
+		}
+		if err := json.Unmarshal(raw, &doc); err != nil {
+			t.Fatal(err)
+		}
+		mid = doc.Counters["requests"]
+		if n := sink.CounterValue("requests"); n != 0 {
+			t.Errorf("Obs holds %d requests mid-run; the parts should fold into it only at the end", n)
+		}
+	}
+	if _, err := cfg.Simulate(workload.FixedGenerator{P: workload.WebsearchProfile()}, opt); err != nil {
+		t.Fatal(err)
+	}
+	if final := sink.CounterValue("requests"); mid <= 0 || mid >= final {
+		t.Fatalf("live requests mid-run = %d, want in (0, %d), the run's total", mid, final)
 	}
 }

@@ -52,20 +52,20 @@ type recHandles struct {
 }
 
 // bind starts a run: it zeroes the counters and attaches the run's
-// generator, sink and window collector. With a non-nil sink every
-// request's demands and completion are recorded, and completions feed
-// win when the window planes are on; with traceEvery > 0 it also gets
-// a tracer. Span ids and request numbers both start above base, so
-// partitioned models that give each part a disjoint base stay unique
-// after the parts merge. The tracer stays nil otherwise, and every tracer method no-ops
-// on nil, so the untraced path pays one nil check per request. The
-// previous run's sink handles are dropped, so a rebound population
-// never writes into an earlier sink.
-func (p *population) bind(gen workload.Generator, rec *obs.Sink, win *window.Collector, traceEvery, base int64) {
+// generator and recording part. When pt records, every request's
+// demands and completion go to its sink, and completions feed its
+// window collector when a window plane is on; with traceEvery > 0 it
+// also gets a tracer. Span ids and request numbers both start above
+// base, so partitioned models that give each part a disjoint base stay
+// unique after the parts merge. The tracer stays nil otherwise, and
+// every tracer method no-ops on nil, so the untraced path pays one nil
+// check per request. The previous run's sink handles are dropped, so a
+// rebound population never writes into an earlier sink.
+func (p *population) bind(gen workload.Generator, pt part, traceEvery, base int64) {
 	p.measuring, p.completed, p.arrivals, p.base = false, 0, 0, base
-	p.gen, p.rec, p.h, p.win, p.tracer = gen, rec, recHandles{}, win, nil
-	if rec != nil && traceEvery > 0 {
-		p.tracer = span.NewTracerAt(rec, traceEvery, base)
+	p.gen, p.rec, p.h, p.win, p.tracer = gen, pt.rec, recHandles{}, pt.win, nil
+	if pt.rec != nil && traceEvery > 0 {
+		p.tracer = span.NewTracerAt(pt.rec, traceEvery, base)
 	}
 }
 

@@ -24,13 +24,19 @@ package cluster
 //   - All randomness is derived per client/board from (Seed, global
 //     entity id, index) — never from a shared stream whose draw order
 //     could depend on the partitioning.
-//   - Recording is per-enclosure into private obs.Sinks at EVERY shard
-//     count, folded in enclosure order afterwards (obs.Sink.MergeFrom),
-//     so float accumulation order and event interleaving never depend
-//     on how enclosures were packed onto shards.
+//   - Recording is per part at EVERY shard count: one recording part
+//     (telemetry.go) per enclosure, then the rack-global part, each
+//     with a private obs.Sink and, when a plane is on, its own window
+//     collector and energy view. fold merges them in that part order
+//     after the run, so float accumulation order and event
+//     interleaving never depend on how enclosures were packed onto
+//     shards.
 //   - Probes omit the kernel-wide gauges (heap depth, event rate are
 //     per-shard quantities) and resource series carry enclosure/board
 //     names, so every series is written by exactly one part.
+//   - The live hook rides the rack-global part's probes on shard 0 and
+//     hands over every part's sink and collectors, so a rack on one
+//     heap can be watched mid-run before its parts fold.
 //   - Engine diagnostics (round counts, the busy/blocked wall-clock
 //     split) are scheduling-dependent and go to SimOptions.ShardDiag,
 //     never into Obs.
@@ -189,27 +195,28 @@ func (t ShardedTopology) totalBoards() int {
 // enclosure (blade swaps), laSAN for the storage path, laCross for
 // board-to-board fabric traffic (shuffle chunks, aggregator reports).
 type rackSim struct {
-	cfg       Config
-	topo      ShardedTopology
-	p         workload.Profile
-	opt       SimOptions
-	eng       *shard.Engine
-	laIntra   des.Time
-	laSAN     des.Time
-	laCross   des.Time
-	memFrac   float64
-	dm        demandModel
-	recording bool
+	cfg     Config
+	topo    ShardedTopology
+	p       workload.Profile
+	opt     SimOptions
+	eng     *shard.Engine
+	laIntra des.Time
+	laSAN   des.Time
+	laCross des.Time
+	memFrac float64
+	dm      demandModel
 
 	encs   []*rackEnclosure
 	boards []*board // global board order: enclosure-major
+	// parts are the recording parts of a recorded run, nil otherwise:
+	// one per enclosure, then the rack-global part (SAN probes, run
+	// counters).
+	parts []part
 
-	sh0       *shard.Shard
-	san       *des.Resource
-	sanEnt    shard.EntityID
-	aggEnt    shard.EntityID
-	global    *obs.Sink // rack-global recording part (SAN probes, run counters)
-	globalTel planes
+	sh0    *shard.Shard
+	san    *des.Resource
+	sanEnt shard.EntityID
+	aggEnt shard.EntityID
 
 	aggDone   int
 	aggTotal  int
@@ -218,17 +225,14 @@ type rackSim struct {
 }
 
 // rackEnclosure is one enclosure: a shard-resident group of boards plus
-// the enclosure's memory blade and its private recording part. All of
-// its state is touched only by events on its shard.
+// the enclosure's memory blade. All of its state, its recording part
+// included, is touched only by events on its shard.
 type rackEnclosure struct {
 	sh       *shard.Shard
 	bladeEnt shard.EntityID
 	blade    *des.Resource // nil when the config has no remote memory
 	boards   []*board
 	pop      population
-
-	sink *obs.Sink
-	tel  planes
 }
 
 // shuffle is the rack's step after each batch task: it ships the
@@ -346,19 +350,21 @@ func buildRack(c Config, topo *ShardedTopology, gen workload.Generator, p worklo
 		return nil, err
 	}
 	r := &rackSim{
-		cfg:       c,
-		topo:      t,
-		p:         p,
-		opt:       opt,
-		eng:       eng,
-		laIntra:   laIntra,
-		laSAN:     laSAN,
-		laCross:   laCross,
-		memFrac:   c.memSwapFraction(),
-		dm:        c.demandModelFor(p),
-		recording: recording,
-		sanEnt:    shard.EntityID(nBoards + t.Enclosures),
-		aggEnt:    shard.EntityID(nBoards + t.Enclosures + 1),
+		cfg:     c,
+		topo:    t,
+		p:       p,
+		opt:     opt,
+		eng:     eng,
+		laIntra: laIntra,
+		laSAN:   laSAN,
+		laCross: laCross,
+		memFrac: c.memSwapFraction(),
+		dm:      c.demandModelFor(p),
+		sanEnt:  shard.EntityID(nBoards + t.Enclosures),
+		aggEnt:  shard.EntityID(nBoards + t.Enclosures + 1),
+	}
+	if recording {
+		r.parts = make([]part, 0, t.Enclosures+1)
 	}
 	r.aggDoneFn = r.aggChunkDone
 	r.sh0 = eng.Shard(0)
@@ -374,23 +380,22 @@ func buildRack(c Config, topo *ShardedTopology, gen workload.Generator, p worklo
 			bladeEnt: shard.EntityID(nBoards + e),
 		}
 		eng.Assign(enc.bladeEnt, sid)
+		// The enclosure's part is fed by its population and probes:
+		// windows are assigned by observation time, so the part is the
+		// same at every shard count.
+		var pt part
 		if recording {
-			enc.sink = obs.NewSink()
-			// One set of window planes per enclosure, fed by the
-			// enclosure's population and probes: windows are assigned by
-			// observation time, so the per-enclosure collectors are the
-			// same at every shard count and merge in enclosure order
-			// exactly like the sinks do.
-			if enc.tel, err = newPlanes(p, opt); err != nil {
+			if pt, err = newPart(obs.NewSink(), p, opt); err != nil {
 				return nil, err
 			}
+			r.parts = append(r.parts, pt)
 		}
 		pop := &enc.pop
 		pop.sim = enc.sh.Sim
 		pop.dm = &r.dm
 		// Disjoint bases keep span ids and request numbers unique across
 		// the per-enclosure populations, at every shard count.
-		pop.bind(gen, enc.sink, enc.tel.win, opt.TraceEvery, (int64(e)+1)<<40)
+		pop.bind(gen, pt, opt.TraceEvery, (int64(e)+1)<<40)
 		if p.Batch {
 			pop.measuring = true // the whole job is the measurement
 		} else {
@@ -425,75 +430,34 @@ func buildRack(c Config, topo *ShardedTopology, gen workload.Generator, p worklo
 		r.encs = append(r.encs, enc)
 	}
 	if recording {
-		r.global = obs.NewSink()
-		if r.globalTel, err = newPlanes(p, opt); err != nil {
+		global, err := newPart(obs.NewSink(), p, opt)
+		if err != nil {
 			return nil, err
 		}
+		r.parts = append(r.parts, global)
 	}
 	return r, nil
 }
 
-// startProbes attaches the per-enclosure and rack-global timeline
-// probes of a recorded run. Kernel gauges are omitted — heap depth and
-// event rate are per-shard quantities — and every resource series name
-// is enclosure/board-scoped, so each series belongs to exactly one
-// part. The live-introspection hook rides the rack-global probes, on
-// shard 0, which owns every part when the rack runs on one heap.
+// startProbes starts every part's timeline probes: each enclosure's
+// over its boards' stations and its blade, the rack-global part's over
+// the SAN. Every resource series name is enclosure/board-scoped, so
+// each series belongs to exactly one part. The live-introspection hook
+// rides the rack-global probes, on shard 0, which owns every part when
+// the rack runs on one heap.
 func (r *rackSim) startProbes() {
-	iv := des.Time(r.opt.ProbeIntervalSec)
-	for _, enc := range r.encs {
-		pr := des.NewProbes(enc.sh.Sim, enc.sink, iv)
-		pr.OmitKernel = true
-		enc.tel.watch(pr)
+	iv := r.opt.ProbeIntervalSec
+	for e, enc := range r.encs {
+		res := make([]*des.Resource, 0, 2*len(enc.boards)+1)
 		for _, bd := range enc.boards {
-			pr.Watch(bd.cpu, bd.net)
+			res = append(res, bd.cpu, bd.net)
 		}
 		if enc.blade != nil {
-			pr.Watch(enc.blade)
+			res = append(res, enc.blade)
 		}
-		pr.Start()
+		r.parts[e].probe(enc.sh.Sim, iv, false, nil, res...)
 	}
-	gp := des.NewProbes(r.sh0.Sim, r.global, iv)
-	gp.OmitKernel = true
-	r.globalTel.watch(gp)
-	gp.Watch(r.san)
-	gp.OnTick = onTick(r.opt.OnProbeTick, r.telParts()...)
-	gp.Start()
-}
-
-// telParts returns the run's window planes in the canonical merge
-// order — enclosures, then the rack-global part — or nil when no
-// windowed plane is on.
-func (r *rackSim) telParts() []planes {
-	if r.globalTel == (planes{}) {
-		return nil
-	}
-	parts := make([]planes, 0, len(r.encs)+1)
-	for _, enc := range r.encs {
-		parts = append(parts, enc.tel)
-	}
-	return append(parts, r.globalTel)
-}
-
-// finishTelemetry seals every part's window planes at the run's
-// horizon, folds them in the canonical part order (matching finishObs),
-// and emits the QoS episodes and energy totals of the merged timeline
-// into the merged deterministic sink. Everything emitted is computed
-// from the merged collectors, so the exports stay byte-identical at any
-// shard count. Call after finishObs.
-func (r *rackSim) finishTelemetry(horizon float64, res *Result) error {
-	parts := r.telParts()
-	if parts == nil {
-		return nil
-	}
-	for _, pl := range parts {
-		pl.seal(horizon)
-	}
-	if err := mergeTelemetry(res, parts); err != nil {
-		return err
-	}
-	emitTelemetry(r.opt.Obs, res)
-	return nil
+	r.parts[len(r.encs)].probe(r.sh0.Sim, iv, false, onTick(r.opt.OnProbeTick, r.parts...), r.san)
 }
 
 // setupInteractive populates every board with its closed-loop clients
@@ -522,7 +486,7 @@ func (r *rackSim) setupInteractive() {
 		})
 	}
 	r.sh0.Sim.Schedule(des.Time(r.opt.WarmupSec), func() { r.san.ResetWindow() })
-	if r.recording {
+	if r.parts != nil {
 		r.startProbes()
 	}
 }
@@ -544,7 +508,7 @@ func (r *rackSim) setupBatch() int {
 			newSlot(bd, shuffle).launch()
 		}
 	}
-	if r.recording {
+	if r.parts != nil {
 		r.startProbes()
 	}
 	return slots
@@ -580,21 +544,21 @@ func (r *rackSim) utilization(windowSec float64) map[string]float64 {
 	return util
 }
 
-// finishObs folds the per-enclosure parts plus the rack-global part
-// into the caller's sink, in enclosure order — the same fold at every
-// shard count, so the export is byte-identical at any Shards value.
-func (r *rackSim) finishObs(clients int) {
-	if !r.recording {
-		return
+// finish counts the run's events and clients into the rack-global part
+// and folds every part into the caller's sink and res, enclosures then
+// the global part — the same fold at every shard count, so the exports
+// are byte-identical at any Shards value. The engine's diagnostics go
+// to ShardDiag, apart from the deterministic stream.
+func (r *rackSim) finish(clients int, horizon float64, res *Result) error {
+	if r.parts != nil {
+		global := r.parts[len(r.encs)].rec
+		global.Count("des.events", int64(r.eng.Fired()))
+		global.Count("trial.clients", int64(clients))
 	}
-	r.global.Count("des.events", int64(r.eng.Fired()))
-	r.global.Count("trial.clients", int64(clients))
-	parts := make([]*obs.Sink, 0, len(r.encs)+1)
-	for _, enc := range r.encs {
-		parts = append(parts, enc.sink)
+	if r.opt.ShardDiag != nil {
+		r.eng.EmitDiagnostics(r.opt.ShardDiag)
 	}
-	parts = append(parts, r.global)
-	r.opt.Obs.MergeFrom(parts...)
+	return fold(r.opt.Obs, res, horizon, true, r.parts...)
 }
 
 func (c Config) rackInteractive(t *ShardedTopology, gen workload.Generator, p workload.Profile, opt SimOptions) (Result, error) {
@@ -613,12 +577,8 @@ func (c Config) rackInteractive(t *ShardedTopology, gen workload.Generator, p wo
 	}
 	clients := len(r.boards) * r.topo.ClientsPerBoard
 	out := outcome(p, hist, completed, opt.MeasureSec, r.utilization(opt.MeasureSec), clients)
-	r.finishObs(clients)
-	if err := r.finishTelemetry(opt.WarmupSec+opt.MeasureSec, &out); err != nil {
+	if err := r.finish(clients, opt.WarmupSec+opt.MeasureSec, &out); err != nil {
 		return Result{}, err
-	}
-	if r.opt.ShardDiag != nil {
-		r.eng.EmitDiagnostics(r.opt.ShardDiag)
 	}
 	return out, nil
 }
@@ -655,12 +615,8 @@ func (c Config) rackBatch(t *ShardedTopology, gen workload.Generator, p workload
 		measured = r2
 	}
 	clients := slots * len(r.boards)
-	measured.finishObs(clients)
-	if opt.ShardDiag != nil {
-		measured.eng.EmitDiagnostics(opt.ShardDiag)
-	}
 	out := outcome(p, nil, p.JobRequests, exec, measured.utilization(exec), clients)
-	if err := measured.finishTelemetry(exec, &out); err != nil {
+	if err := measured.finish(clients, exec, &out); err != nil {
 		return Result{}, err
 	}
 	return out, nil

@@ -8,29 +8,34 @@ import (
 	"warehousesim/internal/workload"
 )
 
-// planes is one partition's windowed telemetry: one window collector
-// (nil when both planes are off), read by the SLO plane when slo is set
-// and viewed by the energy plane en when that is on. Every stream is
-// binned once, on the goroutine that owns the partition. The producers
-// feed the collector typed values: the population each completed
-// request (population.bind), the probes each utilization sample
-// (watch).
-type planes struct {
-	win *window.Collector
+// part is one partition's recording, the unit every recorded run is
+// built, probed and folded in: the sink it writes and, when a window
+// plane is on, its window collector (read by the SLO plane when slo is
+// set) and its energy view. A flat run has one part, whose sink is
+// SimOptions.Obs itself; a rack has one per enclosure, then the
+// rack-global part; a fleet folds its hot racks' results as parts.
+// Every stream is binned once, on the goroutine that owns the part:
+// its population feeds the collector each completed request
+// (population.bind), its probes each utilization sample (probe).
+type part struct {
+	rec *obs.Sink         // nil when the run is not recorded
+	win *window.Collector // nil when both planes are off
 	slo bool
 	en  *energy.Collector
 }
 
-// newPlanes builds one partition's planes for an instrumented run; both
-// are off when the run has no sink to ride. The collector
-// inherits the profile's QoS bound and percentile, so a window
-// "violates" exactly when the bound the adaptive driver enforces
+// newPart builds a part recording into rec with the window planes opt
+// turns on; a nil rec records nothing, so no plane rides it. The
+// collector inherits the profile's QoS bound and percentile, so a
+// window "violates" exactly when the bound the adaptive driver enforces
 // globally is broken locally in time. Energy reads no QoS field, so an
-// energy-only run exports the same bytes either way. SimOptions.Normalize
-// has already required equal widths when both planes are on.
-func newPlanes(p workload.Profile, opt SimOptions) (planes, error) {
-	if opt.Obs == nil || (opt.SLOWindowSec == 0 && opt.Energy == nil) {
-		return planes{}, nil
+// energy-only run exports the same bytes either way.
+// SimOptions.Normalize has already required equal widths when both
+// planes are on.
+func newPart(rec *obs.Sink, p workload.Profile, opt SimOptions) (part, error) {
+	pt := part{rec: rec}
+	if rec == nil || (opt.SLOWindowSec == 0 && opt.Energy == nil) {
+		return pt, nil
 	}
 	width := opt.SLOWindowSec
 	if opt.Energy != nil {
@@ -42,94 +47,109 @@ func newPlanes(p workload.Profile, opt SimOptions) (planes, error) {
 		QoSPercentile: p.QoSPercentile,
 	})
 	if err != nil {
-		return planes{}, err
+		return part{}, err
 	}
-	pl := planes{win: win, slo: opt.SLOWindowSec > 0}
+	pt.win, pt.slo = win, opt.SLOWindowSec > 0
 	if opt.Energy != nil {
-		if pl.en, err = energy.New(*opt.Energy, win); err != nil {
-			return planes{}, err
+		if pt.en, err = energy.New(*opt.Energy, win); err != nil {
+			return part{}, err
 		}
 	}
-	return pl, nil
+	return pt, nil
 }
 
-// watch hands pr's utilization samples to the collector when a plane
-// is on.
-func (pl planes) watch(pr *des.Probes) {
-	if pl.win != nil {
-		pr.OnUtil = pl.win
+// probe starts the part's timeline probes on sim over res, every
+// interval simulated seconds, with the part's collector as their
+// utilization feed and tick as their per-tick hook, and returns them.
+// kernel adds the kernel-wide gauges; rack parts leave them out, since
+// heap depth and event rate are per-shard quantities. A part that
+// records nothing starts none and returns nil.
+func (pt part) probe(sim *des.Sim, interval float64, kernel bool, tick func(float64), res ...*des.Resource) *des.Probes {
+	if pt.rec == nil {
+		return nil
 	}
-}
-
-// seal closes the collector at the run's horizon.
-func (pl planes) seal(horizon float64) {
-	if pl.win != nil {
-		pl.win.Seal(horizon)
+	pr := des.NewProbes(sim, pt.rec, des.Time(interval))
+	pr.OmitKernel = !kernel
+	pr.OnTick = tick
+	if pt.win != nil {
+		pr.OnUtil = pt.win
 	}
+	pr.Watch(res...)
+	pr.Start()
+	return pr
 }
 
-// finish seals a flat run's planes at its horizon, hangs them on res,
-// and emits their summaries into rec.
-func (pl planes) finish(horizon float64, rec *obs.Sink, res *Result) {
-	pl.seal(horizon)
-	if pl.slo {
-		res.SLO = pl.win
-	}
-	res.Energy = pl.en
-	emitTelemetry(rec, res)
-}
-
-// onTick binds SimOptions.OnProbeTick to the run's partitions, in part
+// onTick binds SimOptions.OnProbeTick to the run's parts, in part
 // order; nil when no hook is set.
-func onTick(hook func(float64, LiveHandles), parts ...planes) func(float64) {
+func onTick(hook func(float64, LiveHandles), parts ...part) func(float64) {
 	if hook == nil {
 		return nil
 	}
-	var live LiveHandles
-	for _, pl := range parts {
-		if pl.slo {
-			live.SLO = append(live.SLO, pl.win)
+	live := LiveHandles{Obs: make([]*obs.Sink, len(parts))}
+	for i, pt := range parts {
+		live.Obs[i] = pt.rec
+		if pt.slo {
+			live.SLO = append(live.SLO, pt.win)
 		}
-		if pl.en != nil {
-			live.Energy = append(live.Energy, pl.en)
+		if pt.en != nil {
+			live.Energy = append(live.Energy, pt.en)
 		}
 	}
 	return func(now float64) { hook(now, live) }
 }
 
-// mergeTelemetry folds sealed per-partition planes, in the given
-// model-fixed order, into one collector: res.SLO (with the parts as
-// res.SLOParts) when the SLO plane is on, and the source of res.Energy
-// when energy is.
-func mergeTelemetry(res *Result, parts []planes) error {
-	if len(parts) == 0 || parts[0].win == nil {
-		return nil
+// fold is the one fold of a partitioned recording. It seals the parts
+// at horizon and folds them, in the model-fixed order given, into rec
+// and res: the sinks merge into rec, the collectors into res.SLO (with
+// the parts as res.SLOParts) when the SLO plane is on and into the
+// source of res.Energy when energy is. A lone part that records into
+// rec is its own fold, so SLOParts stays nil. With emit, fold then
+// writes the QoS episodes (attributed over SLOParts) and the energy
+// totals into rec. Everything it emits derives from the folded
+// collectors, so the stream is identical at every shard and
+// parallelism count. A fleet folds rack results that were sealed and
+// emitted already, so it passes no horizon and no emit.
+func fold(rec *obs.Sink, res *Result, horizon float64, emit bool, parts ...part) error {
+	for _, pt := range parts {
+		if pt.win != nil {
+			pt.win.Seal(horizon)
+		}
 	}
-	wins := make([]*window.Collector, len(parts))
-	for i, pl := range parts {
-		wins[i] = pl.win
+	if len(parts) == 1 && parts[0].rec == rec {
+		if parts[0].slo {
+			res.SLO = parts[0].win
+		}
+		res.Energy = parts[0].en
+	} else if len(parts) > 0 {
+		if rec != nil {
+			sinks := make([]*obs.Sink, len(parts))
+			for i, pt := range parts {
+				sinks[i] = pt.rec
+			}
+			rec.MergeFrom(sinks...)
+		}
+		if parts[0].win != nil {
+			wins := make([]*window.Collector, len(parts))
+			for i, pt := range parts {
+				wins[i] = pt.win
+			}
+			merged := window.Merge(wins...)
+			if parts[0].slo {
+				res.SLO, res.SLOParts = merged, wins
+			}
+			if parts[0].en != nil {
+				var err error
+				if res.Energy, err = energy.New(parts[0].en.Config(), merged); err != nil {
+					return err
+				}
+			}
+		}
 	}
-	merged := window.Merge(wins...)
-	if parts[0].slo {
-		res.SLO, res.SLOParts = merged, wins
-	}
-	if parts[0].en == nil {
-		return nil
-	}
-	var err error
-	res.Energy, err = energy.New(parts[0].en.Config(), merged)
-	return err
-}
-
-// emitTelemetry writes a result's windowed summaries into the
-// deterministic stream — QoS episodes (attributed over SLOParts), then
-// energy totals. Both derive from the merged collectors, so the stream
-// is identical at every shard and parallelism count.
-func emitTelemetry(rec *obs.Sink, res *Result) {
-	if res.SLO != nil {
+	if emit && res.SLO != nil {
 		res.SLO.EmitEpisodes(rec, res.SLO.Episodes(res.SLOParts...))
 	}
-	if res.Energy != nil {
+	if emit && res.Energy != nil {
 		res.Energy.EmitTotals(rec)
 	}
+	return nil
 }

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"warehousesim/internal/des"
-	"warehousesim/internal/obs"
 	"warehousesim/internal/stats"
 	"warehousesim/internal/workload"
 )
@@ -41,12 +40,12 @@ func newTrialCtx(c Config, dm demandModel) *trialCtx {
 }
 
 // run simulates nClients closed-loop clients and measures sustained
-// throughput and latency percentiles over the measurement window. With a
-// non-nil sink it also emits the per-request event stream, feeds tel's
-// window planes and attaches the kernel/resource timeline probes;
-// recording only observes, so the outcome is identical to an
-// uninstrumented trial at the same seed.
-func (t *trialCtx) run(gen workload.Generator, p workload.Profile, nClients int, opt SimOptions, seed uint64, rec *obs.Sink, tel planes) Result {
+// throughput and latency percentiles over the measurement window. A
+// recording part also gets the per-request event stream, its window
+// planes and the kernel/resource timeline probes; recording only
+// observes, so the outcome is identical to an uninstrumented trial at
+// the same seed.
+func (t *trialCtx) run(gen workload.Generator, p workload.Profile, nClients int, opt SimOptions, seed uint64, pt part) Result {
 	t.sim.Reset()
 	t.b.cpu.Reset()
 	t.b.disk.Reset()
@@ -56,7 +55,7 @@ func (t *trialCtx) run(gen workload.Generator, p workload.Profile, nClients int,
 	pop.hist.Reset()
 	pop.think = stats.Exponential{Mean: p.ThinkTimeSec}
 	pop.qosBound = p.QoSLatencySec
-	pop.bind(gen, rec, tel.win, opt.TraceEvery, 0)
+	pop.bind(gen, pt, opt.TraceEvery, 0)
 
 	for len(t.clients) < nClients {
 		t.clients = append(t.clients, newClient(t.b))
@@ -69,13 +68,11 @@ func (t *trialCtx) run(gen workload.Generator, p workload.Profile, nClients int,
 		t.sim.Schedule(des.Time(t.rootRNG.Float64()*(p.ThinkTimeSec+0.01)), cl.startFn)
 	}
 
+	// The search's trials record nothing, so only the replay binds the
+	// live hook.
 	var probes *des.Probes
-	if pop.rec != nil {
-		probes = des.NewProbes(t.sim, rec, des.Time(opt.ProbeIntervalSec))
-		probes.Watch(t.b.cpu, t.b.disk, t.b.net)
-		probes.OnTick = onTick(opt.OnProbeTick, tel)
-		tel.watch(probes)
-		probes.Start()
+	if pt.rec != nil {
+		probes = pt.probe(t.sim, opt.ProbeIntervalSec, true, onTick(opt.OnProbeTick, pt), t.b.cpu, t.b.disk, t.b.net)
 	}
 
 	t.sim.Run(des.Time(opt.WarmupSec))
@@ -84,10 +81,10 @@ func (t *trialCtx) run(gen workload.Generator, p workload.Profile, nClients int,
 	t.b.disk.ResetWindow()
 	t.b.net.ResetWindow()
 	t.sim.Run(des.Time(opt.WarmupSec + opt.MeasureSec))
-	if pop.rec != nil {
+	if pt.rec != nil {
 		probes.Stop()
-		rec.Count("des.events", int64(t.sim.Fired()))
-		rec.Count("trial.clients", int64(nClients))
+		pt.rec.Count("des.events", int64(t.sim.Fired()))
+		pt.rec.Count("trial.clients", int64(nClients))
 	}
 
 	return outcome(p, pop.hist, pop.completed, opt.MeasureSec, t.b.utilization(), nClients)

@@ -88,9 +88,15 @@ func NewProbes(sim *Sim, rec *obs.Sink, interval Time) *Probes {
 	return p
 }
 
-// Watch adds a resource to the sampled set. Its utilization and
-// queue-length series are named after Resource.Name.
+// Watch adds resources to the sampled set, growing it once per call.
+// Their utilization and queue-length series are named after
+// Resource.Name.
 func (p *Probes) Watch(resources ...*Resource) {
+	if n := len(p.watched) + len(resources); n > cap(p.watched) {
+		w := make([]watchedResource, len(p.watched), n)
+		copy(w, p.watched)
+		p.watched = w
+	}
 	for _, r := range resources {
 		busy, queue := r.Integrals()
 		p.watched = append(p.watched, watchedResource{r: r, lastBusy: busy, lastQueue: queue})

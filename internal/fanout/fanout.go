@@ -30,26 +30,30 @@ func (e *PanicError) Error() string {
 // returned. Items start in index order on up to workers goroutines; w in
 // [0, workers) names the goroutine running the item, so a caller can
 // keep per-worker scratch. run must write its result only where commit
-// reads it for the same i; the commit point orders the two.
+// reads it for the same i; the commit point orders the two. A nil
+// commit accepts every item.
 //
 // Workers take the next index as soon as they are free — lookahead is
 // not capped — so a worker never idles behind a slow item at the commit
 // point. A false commit stops new starts: Ordered waits for the items
-// already running, discards them uncommitted, and returns nil. With
-// workers <= 1 everything runs inline, interleaving run(0, i) and
-// commit(i).
+// already running, discards them uncommitted, and returns (i, nil) for
+// the item whose commit said stop. With workers <= 1 everything runs
+// inline, interleaving run(0, i) and commit(i).
 //
-// A panic in run(w, i) is recovered. When the commit point reaches i,
-// Ordered stops as after a false commit and returns a *PanicError for i;
-// panics past an earlier stop are never reported.
-func Ordered(workers, n int, run func(w, i int), commit func(i int) bool) error {
-	outcome := func(i int) *PanicError { return try(run, 0, i) }
+// An item fails when its run returns an error or panics; a panic is
+// recovered as a *PanicError. When the commit point reaches a failed
+// item, Ordered stops as after a false commit, without committing it,
+// and returns its index and error: the first failure in index order,
+// whatever order the workers finished in. Failures past an earlier stop
+// are never reported. When every item commits it returns (n, nil).
+func Ordered(workers, n int, run func(w, i int) error, commit func(i int) bool) (int, error) {
+	outcome := func(i int) error { return try(run, 0, i) }
 	if workers = min(workers, n); workers > 1 {
 		// done[i] carries item i's outcome; its one-slot buffer lets a
 		// worker finish an item the commit loop will never read.
-		done := make([]chan *PanicError, n)
+		done := make([]chan error, n)
 		for i := range done {
-			done[i] = make(chan *PanicError, 1)
+			done[i] = make(chan error, 1)
 		}
 		var next atomic.Int64
 		var stop atomic.Bool
@@ -67,26 +71,25 @@ func Ordered(workers, n int, run func(w, i int), commit func(i int) bool) error 
 			stop.Store(true)
 			wg.Wait()
 		}()
-		outcome = func(i int) *PanicError { return <-done[i] }
+		outcome = func(i int) error { return <-done[i] }
 	}
 	for i := 0; i < n; i++ {
-		if perr := outcome(i); perr != nil {
-			return perr
+		if err := outcome(i); err != nil {
+			return i, err
 		}
-		if !commit(i) {
-			return nil
+		if commit != nil && !commit(i) {
+			return i, nil
 		}
 	}
-	return nil
+	return n, nil
 }
 
 // try calls run(w, i), turning a panic into a *PanicError.
-func try(run func(w, i int), w, i int) (perr *PanicError) {
+func try(run func(w, i int) error, w, i int) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			perr = &PanicError{Index: i, Value: v, Stack: debug.Stack()}
+			err = &PanicError{Index: i, Value: v, Stack: debug.Stack()}
 		}
 	}()
-	run(w, i)
-	return nil
+	return run(w, i)
 }

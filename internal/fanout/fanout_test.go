@@ -2,6 +2,7 @@ package fanout
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -17,12 +18,13 @@ func TestOrderedCommitsInOrder(t *testing.T) {
 		out := make([]int, n)
 		var runs atomic.Int64
 		var committed []int
-		err := Ordered(workers, n, func(w, i int) {
+		stopped, err := Ordered(workers, n, func(w, i int) error {
 			if w < 0 || w >= max(1, min(workers, n)) {
 				t.Errorf("workers=%d: item %d ran on worker %d", workers, i, w)
 			}
 			runs.Add(1)
 			out[i] = i * i
+			return nil
 		}, func(i int) bool {
 			if out[i] != i*i {
 				t.Errorf("workers=%d: commit %d saw slot %d", workers, i, out[i])
@@ -30,8 +32,8 @@ func TestOrderedCommitsInOrder(t *testing.T) {
 			committed = append(committed, i)
 			return true
 		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+		if stopped != n || err != nil {
+			t.Fatalf("workers=%d: stopped at %d with %v, want %d and no error", workers, stopped, err, n)
 		}
 		if runs.Load() != n {
 			t.Fatalf("workers=%d: %d runs, want %d", workers, runs.Load(), n)
@@ -52,12 +54,12 @@ func TestOrderedCommitsInOrder(t *testing.T) {
 func TestOrderedInlineStopsAtFalseCommit(t *testing.T) {
 	const n, k = 20, 6
 	var ran, commits int
-	err := Ordered(1, n, func(_, _ int) { ran++ }, func(i int) bool {
+	stopped, err := Ordered(1, n, func(_, _ int) error { ran++; return nil }, func(i int) bool {
 		commits++
 		return i != k
 	})
-	if err != nil {
-		t.Fatal(err)
+	if stopped != k || err != nil {
+		t.Fatalf("stopped at %d with %v, want %d and no error", stopped, err, k)
 	}
 	if ran != k+1 || commits != k+1 {
 		t.Fatalf("ran %d items and %d commits, want %d of each", ran, commits, k+1)
@@ -77,13 +79,14 @@ func TestOrderedStopBoundsStarts(t *testing.T) {
 		stopped := make(chan struct{})
 		var past atomic.Int64
 		last := -1
-		err := Ordered(workers, n, func(_, i int) {
+		_, err := Ordered(workers, n, func(_, i int) error {
 			if i > k {
 				past.Add(1)
 				// Hold speculative work until the stop has landed, so
 				// each worker holds at most one item past k.
 				<-stopped
 			}
+			return nil
 		}, func(i int) bool {
 			last = i
 			if i == k {
@@ -111,14 +114,18 @@ func TestOrderedPanicBecomesError(t *testing.T) {
 	const n, bad = 50, 7
 	for _, workers := range []int{1, 4} {
 		last := -1
-		err := Ordered(workers, n, func(_, i int) {
+		failed, err := Ordered(workers, n, func(_, i int) error {
 			if i == bad {
 				panic("broken model")
 			}
+			return nil
 		}, func(i int) bool {
 			last = i
 			return true
 		})
+		if failed != bad {
+			t.Fatalf("workers=%d: failed item %d, want %d", workers, failed, bad)
+		}
 		var pe *PanicError
 		if !errors.As(err, &pe) {
 			t.Fatalf("workers=%d: err = %v, want *PanicError", workers, err)
@@ -139,13 +146,66 @@ func TestOrderedPanicBecomesError(t *testing.T) {
 // false commit is discarded with the rest of that work.
 func TestOrderedPanicPastStopIgnored(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		err := Ordered(workers, 10, func(_, i int) {
+		_, err := Ordered(workers, 10, func(_, i int) error {
 			if i == 5 {
 				panic("past the stop")
 			}
+			return nil
 		}, func(i int) bool { return i < 2 })
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
+		}
+	}
+}
+
+// TestOrderedReturnsFirstFailure: the first failed item in index order
+// comes back with its index, error or panic, whichever finished first,
+// and no item at or past it commits. A nil commit accepts every item.
+func TestOrderedReturnsFirstFailure(t *testing.T) {
+	const n = 40
+	errAt := func(i int) error { return fmt.Errorf("item %d broke", i) }
+	for _, workers := range []int{1, 4} {
+		for _, tc := range []struct {
+			name   string
+			run    func(_, i int) error
+			failed int
+			want   string
+		}{
+			{"error before panic", func(_, i int) error {
+				switch i {
+				case 9:
+					return errAt(i)
+				case 30:
+					panic("later")
+				}
+				return nil
+			}, 9, "item 9 broke"},
+			{"panic before error", func(_, i int) error {
+				switch i {
+				case 9:
+					// Finish last, so an error behind it is ready first.
+					time.Sleep(20 * time.Millisecond)
+					panic("first")
+				case 10, 11:
+					return errAt(i)
+				}
+				return nil
+			}, 9, "panic in item 9: first"},
+		} {
+			last := -1
+			failed, err := Ordered(workers, n, tc.run, func(i int) bool {
+				last = i
+				return true
+			})
+			if failed != tc.failed || err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+				t.Fatalf("workers=%d %s: item %d failed with %v, want item %d with %q", workers, tc.name, failed, err, tc.failed, tc.want)
+			}
+			if last != tc.failed-1 {
+				t.Fatalf("workers=%d %s: last commit %d, want %d", workers, tc.name, last, tc.failed-1)
+			}
+		}
+		if stopped, err := Ordered(workers, n, func(_, _ int) error { return nil }, nil); stopped != n || err != nil {
+			t.Fatalf("workers=%d: nil commit stopped at %d with %v, want %d and no error", workers, stopped, err, n)
 		}
 	}
 }

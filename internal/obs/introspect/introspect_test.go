@@ -49,7 +49,7 @@ func TestObsEndpointServesLatestSnapshot(t *testing.T) {
 	sink.Gauge("util.cpu", 1.0, 0.5)
 	sink.Gauge("util.cpu", 2.0, 0.75)
 	sink.Observe("latency_sec", 0.010)
-	snap, err := sink.Snapshot(obs.Progress{Phase: "replay", SimTimeSec: 30, HorizonSec: 120})
+	snap, err := obs.Snapshot(obs.Progress{Phase: "replay", SimTimeSec: 30, HorizonSec: 120}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}

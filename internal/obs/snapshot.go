@@ -43,37 +43,57 @@ type eventSnapshot struct {
 	Retained int `json:"retained"`
 }
 
-// Snapshot marshals the sink's current state plus run progress into an
-// immutable JSON document for the introspection server. It must be
-// called from the simulation goroutine (the sink is single-threaded);
-// the returned bytes are safe to hand to introspect.Server.Publish,
-// which the HTTP handlers read concurrently.
-func (s *Sink) Snapshot(p Progress) ([]byte, error) {
+// Snapshot marshals the current state of one or more sinks plus run
+// progress into an immutable JSON document for the introspection
+// server. The manifest is the first sink's; the rest reads the sinks as
+// one: counters add, histograms merge, each gauge series gives its last
+// point (a later sink's, where two sinks hold the same name) and
+// retained events add. A partitioned run passes the sinks its parts
+// record into, which fold into one only when the run ends. It must be
+// called from the goroutine that owns the sinks (a sink is
+// single-threaded); the returned bytes are safe to hand to
+// introspect.Server.Publish, which the HTTP handlers read concurrently.
+func Snapshot(p Progress, sinks ...*Sink) ([]byte, error) {
 	if p.HorizonSec > 0 {
 		p.Fraction = p.SimTimeSec / p.HorizonSec
 	}
-	doc := snapshotDoc{
-		Progress: p,
-		Manifest: s.manifest,
-		Events:   eventSnapshot{Retained: len(s.rows)},
+	doc := snapshotDoc{Progress: p}
+	if len(sinks) > 0 {
+		doc.Manifest = sinks[0].manifest
 	}
-	if len(s.counters) > 0 {
-		doc.Counters = make(map[string]int64, len(s.counters))
+	var hists map[string]*Hist
+	for _, s := range sinks {
+		doc.Events.Retained += len(s.rows)
 		for k, c := range s.counters {
-			doc.Counters[k] = c.n
+			if doc.Counters == nil {
+				doc.Counters = make(map[string]int64, len(s.counters))
+			}
+			doc.Counters[k] += c.n
 		}
-	}
-	if len(s.series) > 0 {
-		doc.Gauges = make(map[string]Point, len(s.series))
 		for k, sr := range s.series {
 			if n := len(sr.Points); n > 0 {
+				if doc.Gauges == nil {
+					doc.Gauges = make(map[string]Point, len(s.series))
+				}
 				doc.Gauges[k] = sr.Points[n-1]
 			}
 		}
-	}
-	if len(s.hists) > 0 {
-		doc.Hists = make(map[string]histSnapshot, len(s.hists))
+		//whvet:allow maprange Hist.Merge is bucket-wise addition, so per-key merge order cannot reach the result
 		for k, h := range s.hists {
+			if hists == nil {
+				hists = make(map[string]*Hist, len(s.hists))
+			}
+			m := hists[k]
+			if m == nil {
+				m = &Hist{}
+				hists[k] = m
+			}
+			m.Merge(h)
+		}
+	}
+	if len(hists) > 0 {
+		doc.Hists = make(map[string]histSnapshot, len(hists))
+		for k, h := range hists {
 			doc.Hists[k] = histSnapshot{
 				Count: h.Count(), Mean: h.Mean(), Min: h.Min(), Max: h.Max(),
 				P50: h.Quantile(0.50), P95: h.Quantile(0.95), P99: h.Quantile(0.99),

@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
+	"runtime"
 	"testing"
 )
 
@@ -22,7 +24,7 @@ func TestSnapshotDocument(t *testing.T) {
 	s.Event("w", 1, F("i", 1))
 	s.Event("w", 2)
 
-	raw, err := s.Snapshot(Progress{Phase: "replay", SimTimeSec: 30, HorizonSec: 120})
+	raw, err := Snapshot(Progress{Phase: "replay", SimTimeSec: 30, HorizonSec: 120}, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +70,7 @@ func TestSnapshotDocument(t *testing.T) {
 	}
 
 	// Without a horizon the fraction is unknown and omitted.
-	raw, err = NewSink().Snapshot(Progress{Phase: "search", SimTimeSec: 5})
+	raw, err = Snapshot(Progress{Phase: "search", SimTimeSec: 5}, NewSink())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,5 +80,88 @@ func TestSnapshotDocument(t *testing.T) {
 	}
 	if doc.Progress.Fraction != 0 || doc.Progress.HorizonSec != 0 {
 		t.Errorf("open-ended progress = %+v, want no horizon or fraction", doc.Progress)
+	}
+}
+
+// TestSnapshotOneSinkBytes pins the document of one sink byte for byte,
+// so reading several sinks costs a one-sink reader nothing.
+func TestSnapshotOneSinkBytes(t *testing.T) {
+	s := NewSink()
+	s.SetManifest(NewManifest("websearch", "emb1", 7))
+	s.Count("req", 3)
+	s.Count("req", 2)
+	s.Gauge("util", 1, 0.25)
+	s.Gauge("util", 2, 0.75)
+	for _, v := range []float64{1, 2, 4} {
+		s.Observe("lat", v)
+	}
+	s.Observe("zero", 0)
+	s.Event("w", 1, F("i", 1))
+	s.Event("w", 2)
+	raw, err := Snapshot(Progress{Phase: "replay", SimTimeSec: 30, HorizonSec: 120}, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `{"progress":{"phase":"replay","sim_time_sec":30,"horizon_sec":120,"fraction":0.25},` +
+		`"manifest":{"schema":"warehousesim-obs/v1","workload":"websearch","system":"emb1","seed":7,"go_version":"` + runtime.Version() + `","sim_time_sec":0},` +
+		`"counters":{"req":5},"gauges":{"util":{"T":2,"V":0.75}},` +
+		`"hists":{"lat":{"count":3,"mean":2.3333333333333335,"min":1,"max":4,"p50":2.511886431509583,"p95":4,"p99":4},` +
+		`"zero":{"count":1,"mean":0,"min":0,"max":0,"p50":0,"p95":0,"p99":0}},"events":{"retained":2}}`
+	if string(raw) != want {
+		t.Fatalf("one-sink snapshot\n got %s\nwant %s", raw, want)
+	}
+}
+
+// TestSnapshotReadsSinksAsOne: a snapshot of several sinks is the
+// snapshot of their merge under the first sink's manifest — counters
+// add, histograms merge, a series shared by two sinks shows the later
+// one's last point, and retained events add — and reading them leaves
+// every sink as it was.
+func TestSnapshotReadsSinksAsOne(t *testing.T) {
+	a, b := NewSink(), NewSink()
+	a.SetManifest(NewManifest("websearch", "emb1", 7))
+	a.Count("requests", 4)
+	b.Count("requests", 3)
+	b.Count("qos_violations", 1)
+	a.Gauge("util.cpu.e0.b0", 1, 0.5)
+	b.Gauge("util.cpu.e1.b0", 1, 0.25)
+	a.Gauge("shared", 2, 1)
+	b.Gauge("shared", 1, 2)
+	for _, v := range []float64{0.01, 0.02, 0.5} {
+		a.Observe("latency_sec", v)
+	}
+	b.Observe("latency_sec", 0.03)
+	b.Observe("demand.net_bytes", 1500)
+	a.Event("request", 1)
+	b.Event("request", 2)
+	b.Event("request", 3)
+	before := map[*Sink][]byte{}
+	for _, s := range []*Sink{a, b} {
+		raw, err := Snapshot(Progress{}, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before[s] = raw
+	}
+
+	p := Progress{Phase: "replay", SimTimeSec: 3, HorizonSec: 12}
+	got, err := Snapshot(p, a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged := NewSink()
+	merged.SetManifest(a.Manifest())
+	merged.MergeFrom(a, b)
+	want, err := Snapshot(p, merged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("snapshot of two sinks\n got %s\nwant the merged sink's %s", got, want)
+	}
+	for _, s := range []*Sink{a, b} {
+		if raw, _ := Snapshot(Progress{}, s); !bytes.Equal(raw, before[s]) {
+			t.Fatalf("reading the sinks together changed one:\n got %s\nwant %s", raw, before[s])
+		}
 	}
 }

@@ -135,14 +135,9 @@ func (c *Collector) EmitEpisodes(rec *obs.Sink, eps []Episode) {
 	if rec == nil {
 		return
 	}
-	violating := int64(0)
-	for _, w := range c.sealed {
-		if _, v := c.qos(w); v {
-			violating++
-		}
-	}
-	rec.Count("slo.windows", int64(len(c.sealed)))
-	rec.Count("slo.windows_violating", violating)
+	sealed, violating := c.Counts()
+	rec.Count("slo.windows", int64(sealed))
+	rec.Count("slo.windows_violating", int64(violating))
 	rec.Count("slo.episodes", int64(len(eps)))
 	for _, e := range eps {
 		rec.Observe("slo.episode_sec", e.DurationSec())

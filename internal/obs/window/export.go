@@ -51,12 +51,7 @@ func (c *Collector) WriteJSONL(w io.Writer, parts ...*Collector) error {
 	enc := json.NewEncoder(bw)
 	eps := c.Episodes(parts...)
 	sums := c.Windows()
-	violating := 0
-	for _, s := range sums {
-		if s.Violating {
-			violating++
-		}
-	}
+	_, violating := c.Counts()
 	if err := enc.Encode(sloManifest{
 		Type: "slo_manifest", Schema: SchemaSLO,
 		WidthSec: c.cfg.WidthSec, QoSLatencySec: c.cfg.QoSLatencySec,

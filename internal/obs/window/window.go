@@ -271,6 +271,18 @@ func (c *Collector) Windows() []Summary {
 	return tail
 }
 
+// Counts returns how many windows are sealed and how many of them
+// violate the QoS bound, by the test Summary.Violating reports, without
+// summarizing any window.
+func (c *Collector) Counts() (sealed, violating int) {
+	for _, w := range c.sealed {
+		if _, v := c.qos(w); v {
+			violating++
+		}
+	}
+	return len(c.sealed), violating
+}
+
 // Recent returns the summaries of the last n sealed windows in index
 // order (all of them when fewer are sealed) and the count of sealed
 // windows. It summarizes only that tail, so a live reader polling it
