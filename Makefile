@@ -11,10 +11,10 @@
 #                  (timing is whperf's: cmd/whperf/run.sh; the substrate
 #                  benchmarks' allocation bounds are gated by their
 #                  packages' TestAllocBounds under make test/check)
-#   make shard-race — the shard engine's and the fanout pool's tests
-#                     under the race detector at GOMAXPROCS 1 and 4
-#                     (serial schedules hide different bugs than
-#                     parallel ones)
+#   make shard-race — the shard engine's and the fanout pool's tests,
+#                     and internal/obs's chunked-export tests, under the
+#                     race detector at GOMAXPROCS 1 and 4 (serial
+#                     schedules hide different bugs than parallel ones)
 #   make introspect-smoke — start whsim -http on a rack, assert
 #                     /obs/windows and /obs/energy serve their schemas
 #                     with every part, /obs counts requests mid-run, and
@@ -51,11 +51,13 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-# The shard engine and the fanout worker pool are the packages whose
-# correctness depends on goroutine scheduling; -cpu 1,4 runs their race
-# tests under both a serial and a genuinely parallel scheduler.
+# The shard engine, the fanout worker pool and the obs export's chunked
+# formatting are the code whose correctness depends on goroutine
+# scheduling; -cpu 1,4 runs their race tests under both a serial and a
+# genuinely parallel scheduler.
 shard-race:
 	$(GO) test -race -cpu 1,4 ./internal/des/shard/... ./internal/fanout/...
+	$(GO) test -race -cpu 1,4 -run 'WriteJSONLChunk' ./internal/obs
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \

@@ -47,11 +47,26 @@ func (e *PanicError) Error() string {
 // whatever order the workers finished in. Failures past an earlier stop
 // are never reported. When every item commits it returns (n, nil).
 func Ordered(workers, n int, run func(w, i int) error, commit func(i int) bool) (int, error) {
+	return Window(workers, n, n, run, commit)
+}
+
+// Window is Ordered with its lookahead capped at ahead items: item i
+// starts only after commit(i-ahead) has returned, so at most ahead
+// items are running or waiting to commit at once. A caller may
+// therefore give each item the slot i%ahead of a ring of ahead buffers,
+// which no two items touch at once. At most ahead workers run; with
+// ahead <= 1 everything runs inline. Ordered is Window with ahead = n.
+// Stops and failures behave as Ordered documents.
+func Window(workers, ahead, n int, run func(w, i int) error, commit func(i int) bool) (int, error) {
 	outcome := func(i int) error { return try(run, 0, i) }
-	if workers = min(workers, n); workers > 1 {
-		// done[i] carries item i's outcome; its one-slot buffer lets a
-		// worker finish an item the commit loop will never read.
-		done := make([]chan error, n)
+	workers = min(workers, ahead, n)
+	free := tokens(workers, ahead, n)
+	if workers > 1 {
+		// done[i%len(done)] carries item i's outcome; its one-slot
+		// buffer lets a worker finish an item the commit loop will never
+		// read. Item i reuses the slot of item i-ahead only once that
+		// item's outcome has been read, since its commit came first.
+		done := make([]chan error, min(ahead, n))
 		for i := range done {
 			done[i] = make(chan error, 1)
 		}
@@ -62,16 +77,28 @@ func Ordered(workers, n int, run func(w, i int) error, commit func(i int) bool) 
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for i := int(next.Add(1) - 1); i < n && !stop.Load(); i = int(next.Add(1) - 1) {
-					done[i] <- try(run, w, i)
+				for {
+					if free != nil {
+						if _, ok := <-free; !ok {
+							return // stopped while waiting for a token
+						}
+					}
+					i := int(next.Add(1) - 1)
+					if i >= n || stop.Load() {
+						return
+					}
+					done[i%len(done)] <- try(run, w, i)
 				}
 			}()
 		}
 		defer func() {
 			stop.Store(true)
+			if free != nil {
+				close(free)
+			}
 			wg.Wait()
 		}()
-		outcome = func(i int) error { return <-done[i] }
+		outcome = func(i int) error { return <-done[i%len(done)] }
 	}
 	for i := 0; i < n; i++ {
 		if err := outcome(i); err != nil {
@@ -80,8 +107,27 @@ func Ordered(workers, n int, run func(w, i int) error, commit func(i int) bool) 
 		if commit != nil && !commit(i) {
 			return i, nil
 		}
+		if free != nil {
+			free <- struct{}{}
+		}
 	}
 	return n, nil
+}
+
+// tokens returns the lookahead tokens of a Window whose workers run
+// items in parallel and whose lookahead is capped, or nil: a worker
+// takes one before it claims an index, and the commit loop returns one
+// after each commit, so no item starts more than ahead past the commit
+// point.
+func tokens(workers, ahead, n int) chan struct{} {
+	if workers <= 1 || ahead >= n {
+		return nil
+	}
+	free := make(chan struct{}, ahead)
+	for range ahead {
+		free <- struct{}{}
+	}
+	return free
 }
 
 // try calls run(w, i), turning a panic into a *PanicError.

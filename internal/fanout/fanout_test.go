@@ -209,3 +209,106 @@ func TestOrderedReturnsFirstFailure(t *testing.T) {
 		}
 	}
 }
+
+// TestWindowBoundsLookahead: no item starts more than ahead past the
+// commit point, at any worker count, and every item still commits once
+// and in order. The commit loop publishes how many items have committed
+// after each commit returns; an item that starts while fewer than
+// i-ahead+1 have committed broke the bound. The high-water mark of
+// started-but-uncommitted items must also reach the bound where there
+// are workers enough to fill it, or an idle pool would pass.
+func TestWindowBoundsLookahead(t *testing.T) {
+	const n = 200
+	for _, workers := range []int{2, 3, 8} {
+		for _, ahead := range []int{1, 2, 3, 5, n} {
+			var committed, running, high atomic.Int64
+			var order []int
+			stopped, err := Window(workers, ahead, n, func(_, i int) error {
+				if c := committed.Load(); int64(i) >= c+int64(ahead) {
+					t.Errorf("workers=%d ahead=%d: item %d started with %d committed", workers, ahead, i, c)
+				}
+				r := running.Add(1)
+				for h := high.Load(); r > h && !high.CompareAndSwap(h, r); h = high.Load() {
+				}
+				if i%7 == 0 {
+					time.Sleep(100 * time.Microsecond) // let later items pile up behind a slow one
+				}
+				return nil
+			}, func(i int) bool {
+				running.Add(-1)
+				order = append(order, i)
+				committed.Store(int64(i + 1))
+				return true
+			})
+			if stopped != n || err != nil {
+				t.Fatalf("workers=%d ahead=%d: stopped at %d with %v, want %d and no error", workers, ahead, stopped, err, n)
+			}
+			for i, c := range order {
+				if c != i {
+					t.Fatalf("workers=%d ahead=%d: commit order %v", workers, ahead, order)
+				}
+			}
+			if len(order) != n {
+				t.Fatalf("workers=%d ahead=%d: %d commits, want %d", workers, ahead, len(order), n)
+			}
+			if h := high.Load(); h > int64(ahead) || workers >= ahead && h < int64(ahead) {
+				t.Fatalf("workers=%d ahead=%d: at most %d items in flight at once, want %d", workers, ahead, h, min(workers, ahead))
+			}
+		}
+	}
+}
+
+// TestWindowStopsAndFails: a false commit and the first failure in
+// index order behave as they do under Ordered at every lookahead, from
+// one item in flight to uncapped: nothing past the stop commits, a
+// failure comes back with its index and error, a panic as a
+// *PanicError, and failures past an earlier stop are not reported.
+func TestWindowStopsAndFails(t *testing.T) {
+	const n, k = 40, 11
+	for _, workers := range []int{1, 4} {
+		for _, ahead := range []int{1, 2, n} {
+			last := -1
+			stopped, err := Window(workers, ahead, n, func(_, i int) error {
+				if i == k+3 {
+					panic("past the stop")
+				}
+				return nil
+			}, func(i int) bool {
+				last = i
+				return i != k
+			})
+			if stopped != k || err != nil || last != k {
+				t.Fatalf("workers=%d ahead=%d: stopped at %d with %v after committing %d, want %d, no error, %d", workers, ahead, stopped, err, last, k, k)
+			}
+
+			last = -1
+			failed, err := Window(workers, ahead, n, func(_, i int) error {
+				switch i {
+				case k:
+					time.Sleep(5 * time.Millisecond) // finish after the later failure
+					return fmt.Errorf("item %d broke", i)
+				case k + 1:
+					panic("later")
+				}
+				return nil
+			}, func(i int) bool {
+				last = i
+				return true
+			})
+			if failed != k || err == nil || err.Error() != fmt.Sprintf("item %d broke", k) || last != k-1 {
+				t.Fatalf("workers=%d ahead=%d: item %d failed with %v after committing %d, want item %d broke after %d", workers, ahead, failed, err, last, k, k-1)
+			}
+
+			failed, err = Window(workers, ahead, n, func(_, i int) error {
+				if i == k {
+					panic("broken model")
+				}
+				return nil
+			}, nil)
+			var pe *PanicError
+			if failed != k || !errors.As(err, &pe) || pe.Index != k || pe.Value != "broken model" {
+				t.Fatalf("workers=%d ahead=%d: item %d failed with %v, want a *PanicError for item %d", workers, ahead, failed, err, k)
+			}
+		}
+	}
+}

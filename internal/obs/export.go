@@ -1,15 +1,18 @@
 package obs
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
+
+	"warehousesim/internal/fanout"
 )
 
 // The exporters write every record kind in a fixed order — manifest,
@@ -47,18 +50,73 @@ type jsonlManifest struct {
 	Manifest
 }
 
-// WriteJSONL exports the sink as JSON Lines: one manifest line, then
-// one line per counter, histogram, series point and event record.
-func (s *Sink) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
+// The sample and event lines of a large export are formatted in chunks
+// of exportChunk lines on up to exportWorkers goroutines, no more than
+// GOMAXPROCS, and written in order from the caller's goroutine. An
+// export of fewer lines than two chunks hold, or one with one CPU to
+// run on, is formatted on the caller's goroutine alone, in chunks of
+// about serialBytes.
+const (
+	exportWorkers = 4
+	exportChunk   = 256
+	serialBytes   = 4096
+)
 
-	if err := enc.Encode(jsonlManifest{Type: "manifest", Manifest: s.manifest}); err != nil {
+// WriteJSONL exports the sink as JSON Lines: one manifest line, then
+// one line per counter, histogram, series point and event record. The
+// bytes are the same at any GOMAXPROCS.
+func (s *Sink) WriteJSONL(w io.Writer) error {
+	return s.writeJSONL(w, min(runtime.GOMAXPROCS(0), exportWorkers), exportChunk)
+}
+
+// writeJSONL is WriteJSONL formatting chunks of chunk lines on up to
+// workers goroutines. Chunk i is formatted into slot i%len(ring) of a
+// ring of buffers and written from there on the caller's goroutine;
+// fanout.Window starts it only once chunk i-len(ring) has been written,
+// so no buffer is touched by two chunks at once, and the ring's
+// buffers, sized once, serve every chunk.
+func (s *Sink) writeJSONL(w io.Writer, workers, chunk int) error {
+	x := newJSONLBody(s)
+	n := x.lines()
+	ring := make([][]byte, workers+1)
+	if workers < 2 || n < 2*chunk {
+		ring, chunk = ring[:1], max(1, serialBytes/x.est)
+	}
+	for i := range ring {
+		ring[i] = make([]byte, 0, chunk*x.est)
+	}
+	head, err := s.writeHead(w, ring[0])
+	if err != nil {
 		return err
+	}
+	ring[0] = head[:0]
+	var werr error
+	_, err = fanout.Window(workers, len(ring), (n+chunk-1)/chunk, func(_, i int) error {
+		b := &ring[i%len(ring)]
+		var err error
+		*b, err = x.appendLines((*b)[:0], i*chunk, min(i*chunk+chunk, n))
+		return err
+	}, func(i int) bool {
+		_, werr = w.Write(ring[i%len(ring)])
+		return werr == nil
+	})
+	if err != nil {
+		return err
+	}
+	return werr
+}
+
+// writeHead writes the manifest, counter and histogram lines to w,
+// encoded into b. It returns b, grown if the lines needed more room.
+func (s *Sink) writeHead(w io.Writer, b []byte) ([]byte, error) {
+	hb := bytes.NewBuffer(b)
+	enc := json.NewEncoder(hb)
+	if err := enc.Encode(jsonlManifest{Type: "manifest", Manifest: s.manifest}); err != nil {
+		return b, err
 	}
 	for _, name := range sortedKeys(s.counters) {
 		if err := enc.Encode(jsonlCounter{Type: "counter", Name: name, Value: s.counters[name].n}); err != nil {
-			return err
+			return b, err
 		}
 	}
 	for _, name := range sortedKeys(s.hists) {
@@ -75,44 +133,11 @@ func (s *Sink) WriteJSONL(w io.Writer) error {
 			}
 		}
 		if err := enc.Encode(rec); err != nil {
-			return err
+			return b, err
 		}
 	}
-	var l jsonlLine
-	var prefix []byte
-	for _, name := range sortedKeys(s.series) {
-		// Every point of a series shares its line up to the time.
-		prefix = appendJSONString(append(prefix[:0], `{"type":"sample","series":`...), name)
-		prefix = append(prefix, `,"t":`...)
-		for _, p := range s.series[name].Points {
-			if err := l.sample(prefix, p); err != nil {
-				return fmt.Errorf("series %q point at t=%v: %w", name, p.T, err)
-			}
-			if _, err := bw.Write(l.buf); err != nil {
-				return err
-			}
-		}
-	}
-	// A run's export holds a few event layouts: whsim's traced runs
-	// and whperf's telemetry and fleet exports hold 2 to 4, with at
-	// most 21 fields and 488 bytes of line pieces. Those fit in buffers
-	// on the stack, which keep three allocations off every export;
-	// encodeLines allocates where they are too small.
-	var small struct {
-		buf     [1024]byte
-		layouts [16]lineLayout
-		fields  [64]lineField
-	}
-	lines := encodeLines(s, eventLines{buf: small.buf[:0], layouts: small.layouts[:0], fields: small.fields[:0]})
-	for _, r := range s.rows {
-		if err := l.event(s, &lines, r); err != nil {
-			return fmt.Errorf("%q event at t=%v: %w", s.layouts[r.layout].stream, r.t, err)
-		}
-		if _, err := bw.Write(l.buf); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	_, err := w.Write(hb.Bytes())
+	return hb.Bytes(), err
 }
 
 // WriteCSV exports the sink as one flat CSV table with the columns

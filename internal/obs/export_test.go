@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 func demoSink() *Sink {
@@ -134,4 +138,190 @@ func TestExportFileErrors(t *testing.T) {
 		t.Errorf("failed write: err = %v, want it to wrap boom and name %s", err, path)
 	}
 	checkFile(t, path, []byte("partial"))
+}
+
+// chunkSink records a sink whose body spans many chunks: 40 series of
+// uneven length (two of them empty, one named with runes JSON escapes)
+// and 2,000 events over five layouts, with string fields, repeated keys
+// and a layout without fields. A NaN goes into series point nanPoint
+// (counted across all series in name order) and into event nanEvent;
+// -1 leaves either out.
+func chunkSink(nanPoint, nanEvent int) *Sink {
+	s := NewSink()
+	s.SetManifest(NewManifest("websearch", "emb1", 3))
+	point := 0
+	for j := 0; j < 40; j++ {
+		name := fmt.Sprintf("util.s%02d", j)
+		if j == 7 {
+			name = "q<&>\"\\ "
+		}
+		sr := s.Series(name)
+		for k := 0; k < (j*37)%61 && j%13 != 5; k++ {
+			v := float64(k*j%11) / 7
+			if point == nanPoint {
+				v = math.NaN()
+			}
+			sr.Add(float64(k)+0.5*float64(j%2), v)
+			point++
+		}
+	}
+	res := []string{"cpu", "disk", "net", "a<b"}
+	for i := 0; i < 2000; i++ {
+		t, v := float64(i)*1.25e-3, 0.01+float64(i%97)*1.3e-7
+		if i == nanEvent {
+			v = math.NaN()
+		}
+		switch i % 5 {
+		case 0:
+			s.Event("request", t, F("latency_sec", v), FB("qos_violation", i%50 == 0), FB("measured", i > 100))
+		case 1:
+			s.Event("span", t, F("id", float64(i)), FS("kind", "service"), FS("res", res[i%4]), F("dur", v))
+		case 2:
+			s.Event("dup", t, F("b", v), FS("a", res[i%3]), F("b", 2), FS("a", "last"))
+		case 3:
+			s.Event("tick", t)
+		default:
+			s.Event("eé<", t, F("x", v*1e25), F("y", -v*1e-9))
+		}
+	}
+	return s
+}
+
+// exportAt writes s's JSONL export through writeJSONL at the given
+// worker count and chunk size, returning the bytes written and the
+// error.
+func exportAt(s *Sink, workers, chunk int) ([]byte, error) {
+	var buf bytes.Buffer
+	err := s.writeJSONL(&buf, workers, chunk)
+	return buf.Bytes(), err
+}
+
+// TestWriteJSONLChunksMatchSerial: the export's bytes are the same at
+// every worker count and chunk size, and match encoding/json's; with
+// counters and histograms in front, still the same as the serial path.
+// A default-size export of this sink takes the chunked path.
+func TestWriteJSONLChunksMatchSerial(t *testing.T) {
+	s := chunkSink(-1, -1)
+	if x := newJSONLBody(s); x.lines() < 2*exportChunk {
+		t.Fatalf("%d lines: too few to take the chunked path", x.lines())
+	}
+	want, err := oracleJSONL(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string) {
+		t.Helper()
+		serial, err := exportAt(s, 1, exportChunk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want != nil && !bytes.Equal(serial, want) {
+			t.Fatalf("%s: serial export differs from encoding/json", what)
+		}
+		for workers := 1; workers <= 4; workers++ {
+			for _, chunk := range []int{1, 3, exportChunk} {
+				got, err := exportAt(s, workers, chunk)
+				if err != nil {
+					t.Fatalf("%s: workers=%d chunk=%d: %v", what, workers, chunk, err)
+				}
+				if !bytes.Equal(got, serial) {
+					t.Fatalf("%s: workers=%d chunk=%d: export differs from the serial one", what, workers, chunk)
+				}
+			}
+		}
+	}
+	check("events and series")
+	s.Count("requests", 2000)
+	s.Observe("latency_sec", 0.02)
+	s.Observe("latency_sec", 0)
+	want = nil // the oracle encodes no counters or histograms
+	check("with counters and histograms")
+}
+
+// TestWriteJSONLChunkErrors: a NaN in a middle chunk fails the chunked
+// export with the serial path's error text, after writing only whole
+// lines that precede the bad one; a writer that fails partway returns
+// its error, and the formatting goroutines are gone by the time
+// writeJSONL returns.
+func TestWriteJSONLChunkErrors(t *testing.T) {
+	clean, err := exportAt(chunkSink(-1, -1), 1, exportChunk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := newJSONLBody(chunkSink(-1, -1))
+	// cutAt returns where line i of the body starts in the clean export.
+	head := bytes.Count(clean, []byte("\n")) - body.lines()
+	cutAt := func(i int) int {
+		off := 0
+		for n := 0; n < head+i; n++ {
+			off += bytes.IndexByte(clean[off:], '\n') + 1
+		}
+		return off
+	}
+	samples := body.nsamples
+	for _, tc := range []struct {
+		name               string
+		nanPoint, nanEvent int
+		line               int
+	}{
+		{"series", samples / 2, -1, samples / 2},
+		{"event", -1, 1005, samples + 1005},
+	} {
+		s := chunkSink(tc.nanPoint, tc.nanEvent)
+		_, serr := exportAt(s, 1, exportChunk)
+		if serr == nil {
+			t.Fatalf("%s: serial export of a NaN succeeded", tc.name)
+		}
+		for workers := 1; workers <= 4; workers++ {
+			for _, chunk := range []int{1, 3, exportChunk} {
+				got, err := exportAt(s, workers, chunk)
+				if err == nil || err.Error() != serr.Error() {
+					t.Fatalf("%s: workers=%d chunk=%d: error %v, want %q", tc.name, workers, chunk, err, serr)
+				}
+				if !bytes.HasPrefix(clean, got) || len(got) > cutAt(tc.line) {
+					t.Fatalf("%s: workers=%d chunk=%d: wrote %d bytes, want a prefix of the export ending by byte %d, before the bad line",
+						tc.name, workers, chunk, len(got), cutAt(tc.line))
+				}
+			}
+		}
+	}
+
+	base := runtime.NumGoroutine()
+	boom := errors.New("boom")
+	for workers := 2; workers <= 4; workers++ {
+		for _, chunk := range []int{1, 3, exportChunk} {
+			w := &failingWriter{left: len(clean) / 2, err: boom}
+			if err := chunkSink(-1, -1).writeJSONL(w, workers, chunk); !errors.Is(err, boom) {
+				t.Fatalf("workers=%d chunk=%d: err = %v, want boom", workers, chunk, err)
+			}
+			if !bytes.HasPrefix(clean, w.buf.Bytes()) {
+				t.Fatalf("workers=%d chunk=%d: the bytes written before the failure are not a prefix of the export", workers, chunk)
+			}
+		}
+	}
+	// A goroutine that has run its deferred wg.Done may still be
+	// exiting, so allow the scheduler a moment to retire it.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the failed exports, want %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// failingWriter accepts left bytes, then fails every write with err.
+type failingWriter struct {
+	buf  bytes.Buffer
+	left int
+	err  error
+}
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if len(p) > w.left {
+		n, _ := w.buf.Write(p[:w.left])
+		w.left = 0
+		return n, w.err
+	}
+	w.left -= len(p)
+	return w.buf.Write(p)
 }

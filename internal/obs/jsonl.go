@@ -5,34 +5,121 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 	"strconv"
 	"strings"
 )
 
 // The bulk of a JSONL export is its series-sample and event lines, so
-// those two record kinds are appended by hand into one reused line
-// buffer, with no reflection and no map per event. The bytes follow
-// encoding/json's rules exactly: FuzzJSONLRecordMatchesEncodingJSON
+// those two record kinds are appended by hand straight into the export's
+// chunk buffers, with no reflection and no map per event. The bytes
+// follow encoding/json's rules exactly: FuzzJSONLRecordMatchesEncodingJSON
 // holds them to what json.Encoder writes for equivalent record structs.
 
-// jsonlLine builds one sample or event line at a time.
-type jsonlLine struct {
-	buf []byte // the line being built, newline included
+// jsonlBody is the sample and event lines of one export, in export
+// order: the points of every series, series sorted by name, then every
+// event row. Formatting a line reads the sink and writes nothing but the
+// buffer it appends to, so any run of lines can be formatted on any
+// goroutine.
+type jsonlBody struct {
+	s        *Sink
+	series   []seriesLines // sorted by name
+	nsamples int           // lines of series points, before the events
+	events   eventLines
+	// est is the mean size of a sample line or of an event line,
+	// whichever is larger, with floatEst bytes per number. A chunk of
+	// est*chunk bytes holds chunk lines of either kind, bar a run of
+	// unusually long ones.
+	est int
 }
 
-// sample builds the line of point p of a series from the series'
-// shared prefix, which runs up to the "t" value.
-func (l *jsonlLine) sample(prefix []byte, p Point) error {
-	b, err := appendJSONFloat(append(l.buf[:0], prefix...), p.T)
+// seriesLines places a series in the body: its points are the lines
+// from first on.
+type seriesLines struct {
+	sr    *Series
+	first int
+}
+
+// floatEst is the bytes a number is taken to need when buffers are
+// sized: a float64's shortest form is at most 17 digits, a point, a
+// sign and an exponent, and many recorded values are shorter.
+const floatEst = 20
+
+// newJSONLBody returns s's body.
+func newJSONLBody(s *Sink) jsonlBody {
+	x := jsonlBody{s: s, series: make([]seriesLines, 0, len(s.series)), events: encodeLines(s)}
+	//whvet:allow maprange the series are sorted by name below, before any line is placed
+	for _, sr := range s.series {
+		x.series = append(x.series, seriesLines{sr: sr})
+	}
+	slices.SortFunc(x.series, func(a, b seriesLines) int { return strings.Compare(a.sr.Name, b.sr.Name) })
+	samples, events := 0, 0
+	for i := range x.series {
+		sl := &x.series[i]
+		sl.first = x.nsamples
+		x.nsamples += len(sl.sr.Points)
+		samples += len(sl.sr.Points) * (len(`{"type":"sample","series":"","t":,"v":}`) + len(sl.sr.Name) + 2*floatEst + 1)
+	}
+	for _, r := range s.rows {
+		events += x.events.layouts[r.layout].est
+	}
+	x.est = max(1, ceilDiv(samples, x.nsamples), ceilDiv(events, len(s.rows)))
+	return x
+}
+
+// ceilDiv returns a/b rounded up, or 0 when b is 0.
+func ceilDiv(a, b int) int {
+	if b == 0 {
+		return 0
+	}
+	return (a + b - 1) / b
+}
+
+// lines returns the number of lines in the body.
+func (x *jsonlBody) lines() int { return x.nsamples + len(x.s.rows) }
+
+// appendLines appends lines [lo, hi) of the body to b. On an error it
+// returns b with the failed line partly appended.
+func (x *jsonlBody) appendLines(b []byte, lo, hi int) ([]byte, error) {
+	var err error
+	if lo < x.nsamples {
+		// The series holding line lo is the last to start at or before it.
+		j := sort.Search(len(x.series), func(j int) bool { return x.series[j].first > lo }) - 1
+		var scratch [128]byte
+		for ; lo < min(hi, x.nsamples); j++ {
+			sl := x.series[j]
+			// Every point of a series shares its line up to the time.
+			prefix := appendJSONString(append(scratch[:0], `{"type":"sample","series":`...), sl.sr.Name)
+			prefix = append(prefix, `,"t":`...)
+			end := min(hi, sl.first+len(sl.sr.Points))
+			for _, p := range sl.sr.Points[lo-sl.first : end-sl.first] {
+				if b, err = appendSample(b, prefix, p); err != nil {
+					return b, fmt.Errorf("series %q point at t=%v: %w", sl.sr.Name, p.T, err)
+				}
+			}
+			lo = end
+		}
+	}
+	for _, r := range x.s.rows[max(lo-x.nsamples, 0):max(hi-x.nsamples, 0)] {
+		if b, err = x.events.appendEvent(b, x.s, r); err != nil {
+			return b, fmt.Errorf("%q event at t=%v: %w", x.s.layouts[r.layout].stream, r.t, err)
+		}
+	}
+	return b, nil
+}
+
+// appendSample appends the line of point p of a series, from the
+// series' shared prefix, which runs up to the "t" value.
+func appendSample(b, prefix []byte, p Point) ([]byte, error) {
+	b, err := appendJSONFloat(append(b, prefix...), p.T)
 	if err != nil {
-		return err
+		return b, err
 	}
 	b, err = appendJSONFloat(append(b, `,"v":`...), p.V)
 	if err != nil {
-		return err
+		return b, err
 	}
-	l.buf = append(b, "}\n"...)
-	return nil
+	return append(b, "}\n"...), nil
 }
 
 // eventLines holds what the event lines of each layout of a sink share,
@@ -47,10 +134,13 @@ type eventLines struct {
 }
 
 // lineLayout locates one layout's line head in buf and its "f" fields
-// in fields.
+// in fields. est is the size of its lines, counting their fixed bytes
+// exactly, floatEst bytes per number and the longest interned string,
+// unescaped, per string.
 type lineLayout struct {
 	head0, head1     int
 	fields0, fields1 int
+	est              int
 }
 
 // lineField is one member of the "f" object: the value at index at of
@@ -61,9 +151,8 @@ type lineField struct {
 	key0, key1 int
 }
 
-// encodeLines returns the line pieces of s's layouts, built in e's
-// buffers where they are large enough.
-func encodeLines(s *Sink, e eventLines) eventLines {
+// encodeLines returns the line pieces of s's layouts.
+func encodeLines(s *Sink) eventLines {
 	size, nfields := 0, 0
 	for i := range s.layouts {
 		l := &s.layouts[i]
@@ -73,16 +162,15 @@ func encodeLines(s *Sink, e eventLines) eventLines {
 		}
 		nfields += len(l.keys)
 	}
-	if cap(e.buf) < size {
-		e.buf = make([]byte, 0, size)
+	e := eventLines{
+		buf:     make([]byte, 0, size),
+		layouts: make([]lineLayout, len(s.layouts)),
+		fields:  make([]lineField, 0, nfields),
 	}
-	if cap(e.layouts) < len(s.layouts) {
-		e.layouts = make([]lineLayout, len(s.layouts))
+	str := 0
+	for _, v := range s.strs {
+		str = max(str, len(v)+2)
 	}
-	if cap(e.fields) < nfields {
-		e.fields = make([]lineField, 0, nfields)
-	}
-	e.buf, e.layouts, e.fields = e.buf[:0], e.layouts[:len(s.layouts)], e.fields[:0]
 	for i := range s.layouts {
 		l := &s.layouts[i]
 		ll := &e.layouts[i]
@@ -109,17 +197,25 @@ func encodeLines(s *Sink, e eventLines) eventLines {
 		}
 		e.fields = e.fields[:kept]
 		ll.fields1 = kept
+		ll.est = len(e.buf) - ll.head0 + floatEst + len(`,"f":{}}`) + 1
+		for _, f := range e.fields[ll.fields0:ll.fields1] {
+			if f.str {
+				ll.est += str + 1
+			} else {
+				ll.est += floatEst + 1
+			}
+		}
 	}
 	return e
 }
 
-// event builds the line of row r of s, with no "f" at all when the
-// event has no fields.
-func (l *jsonlLine) event(s *Sink, e *eventLines, r eventRow) error {
+// appendEvent appends the line of row r of s, with no "f" at all when
+// the event has no fields.
+func (e *eventLines) appendEvent(b []byte, s *Sink, r eventRow) ([]byte, error) {
 	ll := e.layouts[r.layout]
-	b, err := appendJSONFloat(append(l.buf[:0], e.buf[ll.head0:ll.head1]...), r.t)
+	b, err := appendJSONFloat(append(b, e.buf[ll.head0:ll.head1]...), r.t)
 	if err != nil {
-		return err
+		return b, err
 	}
 	if ll.fields0 < ll.fields1 {
 		vals := s.vals[r.off:]
@@ -129,14 +225,13 @@ func (l *jsonlLine) event(s *Sink, e *eventLines, r eventRow) error {
 			if f.str {
 				b = appendJSONString(b, s.strs[int(vals[f.at])])
 			} else if b, err = appendJSONFloat(b, vals[f.at]); err != nil {
-				return err
+				return b, err
 			}
 			b = append(b, ',')
 		}
 		b[len(b)-1] = '}'
 	}
-	l.buf = append(b, "}\n"...)
-	return nil
+	return append(b, "}\n"...), nil
 }
 
 // appendJSONString appends s as encoding/json quotes it with HTML

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"testing"
@@ -173,6 +174,30 @@ func BenchmarkSinkWriteJSONL(b *testing.B) {
 	}
 }
 
+// BenchmarkSinkWriteJSONLChunked times one JSONL export of 20,000
+// span events and 50 series to io.Discard, formatted in chunks on
+// exportWorkers goroutines: the largest ring of buffers an export builds
+// on any machine.
+func BenchmarkSinkWriteJSONLChunked(b *testing.B) {
+	s := benchSink(20000, 0)
+	for j := len(s.series); j < 50; j++ {
+		sr := s.Series(fmt.Sprintf("util.extra%02d", j))
+		for k := 0; k < 100; k++ {
+			sr.Add(float64(k), float64(k%9)/8)
+		}
+	}
+	if err := s.writeJSONL(io.Discard, exportWorkers, exportChunk); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.writeJSONL(io.Discard, exportWorkers, exportChunk); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSinkMergeFrom times folding four 1000-event parts, on
 // interleaved clocks, into a fresh sink.
 func BenchmarkSinkMergeFrom(b *testing.B) {
@@ -218,11 +243,14 @@ func BenchmarkSinkEvent(b *testing.B) {
 // TestAllocBounds gates the recording, export and merge benchmarks'
 // allocation figures (see benchgate for how a bound is set). Each
 // handles hundreds of records or more per op, so one allocation per
-// record fails any row; a histogram observation allocates nothing.
+// record fails any row; a histogram observation allocates nothing. The
+// chunked export's bound is set from its -race figure at GOMAXPROCS 4,
+// the highest it reads.
 func TestAllocBounds(t *testing.T) {
 	benchgate.Check(t, []benchgate.Row{
 		{Name: "HistAdd", Bench: BenchmarkHistAdd, MaxBytes: 0, MaxAllocs: 0},
 		{Name: "SinkWriteJSONL", Bench: BenchmarkSinkWriteJSONL, MaxBytes: 5422, MaxAllocs: 13},
+		{Name: "SinkWriteJSONLChunked", Bench: BenchmarkSinkWriteJSONLChunked, MaxBytes: 296014, MaxAllocs: 43},
 		{Name: "SinkMergeFrom", Bench: BenchmarkSinkMergeFrom, MaxBytes: 324415, MaxAllocs: 29},
 		{Name: "SinkEvent", Bench: BenchmarkSinkEvent, MaxBytes: 330557, MaxAllocs: 29},
 	})

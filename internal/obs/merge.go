@@ -79,12 +79,6 @@ func (s *Sink) MergeFrom(parts ...*Sink) {
 // s's ids once, so a row copies as its time, its remapped layout and
 // its values, with string values renumbered.
 func (s *Sink) mergeEvents(parts []*Sink) {
-	// ids maps each part's layout ids, then its string indices, to s's:
-	// part p's run of them starts at srcs[p].ids.
-	type source struct {
-		p         *Sink
-		next, ids int
-	}
 	rows, vals, nids, nstrs := 0, 0, 0, 0
 	for _, p := range parts {
 		rows += len(p.rows)
@@ -92,12 +86,16 @@ func (s *Sink) mergeEvents(parts []*Sink) {
 		nids += len(p.layouts) + len(p.strs)
 		nstrs = max(nstrs, len(p.strs))
 	}
-	srcs, ids := make([]source, 0, len(parts)), make([]uint32, 0, nids)
+	// ids maps each part's layout ids, then its string indices, to s's:
+	// part k's run of them starts at its source's ids.
+	srcs, ids := make(mergeHeap, 0, len(parts)), make([]uint32, 0, nids)
 	if s.strs == nil {
 		s.strs = make([]string, 0, nstrs)
 	}
-	for _, p := range parts {
-		srcs = append(srcs, source{p: p, ids: len(ids)})
+	for k, p := range parts {
+		if len(p.rows) > 0 {
+			srcs = append(srcs, mergeSource{t: p.rows[0].t, part: k, p: p, ids: len(ids)})
+		}
 		for i := range p.layouts {
 			ids = append(ids, s.adoptLayout(&p.layouts[i]))
 		}
@@ -106,19 +104,10 @@ func (s *Sink) mergeEvents(parts []*Sink) {
 		}
 	}
 	s.reserveEvents(rows, vals)
-	for n := 0; n < rows; n++ {
-		best := -1
-		for i := range srcs {
-			if srcs[i].next >= len(srcs[i].p.rows) {
-				continue
-			}
-			if best < 0 || srcs[i].p.rows[srcs[i].next].t < srcs[best].p.rows[srcs[best].next].t {
-				best = i
-			}
-		}
-		src := &srcs[best]
+	srcs.init()
+	for len(srcs) > 0 {
+		src := &srcs[0]
 		r := src.p.rows[src.next]
-		src.next++
 		id := ids[src.ids+int(r.layout)]
 		l := &s.layouts[id]
 		off := len(s.vals)
@@ -130,6 +119,58 @@ func (s *Sink) mergeEvents(parts []*Sink) {
 				s.vals[off+j] = float64(strIDs[int(s.vals[off+j])])
 			}
 		}
+		if src.next++; src.next < len(src.p.rows) {
+			src.t = src.p.rows[src.next].t
+		} else {
+			srcs[0] = srcs[len(srcs)-1]
+			srcs = srcs[:len(srcs)-1]
+		}
+		srcs.down(0)
+	}
+}
+
+// mergeSource is a part with rows left to merge: t is the time of its
+// next row, the row at next.
+type mergeSource struct {
+	t    float64
+	part int // the part's place in the argument order
+	p    *Sink
+	next int
+	ids  int // where the part's run of ids starts
+}
+
+// mergeHeap is a binary min-heap of merge sources on (t, part), so the
+// earliest next row, ties to the first part, is at the root, and a pick
+// costs O(log parts), not a scan of every part.
+type mergeHeap []mergeSource
+
+// before reports whether source i's next row merges ahead of source j's.
+func (h mergeHeap) before(i, j int) bool {
+	return h[i].t < h[j].t || h[i].t == h[j].t && h[i].part < h[j].part
+}
+
+// init orders the sources into a heap.
+func (h mergeHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+// down sifts source i down to its place.
+func (h mergeHeap) down(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h.before(c+1, c) {
+			c++
+		}
+		if !h.before(c, i) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
 	}
 }
 

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -225,6 +226,48 @@ func TestMergeFromKeepsPriorRecordsAndCap(t *testing.T) {
 		if e.T != float64(i) || e.Fields[0].Num != float64(i%2) {
 			t.Errorf("record %d at t=%g from part %g, want t=%d from part %d",
 				i+1, e.T, e.Fields[0].Num, i, i%2)
+		}
+	}
+}
+
+// TestMergeFromMatchesLinearScan holds MergeFrom's heap to refMerge's
+// scan of every part's head, over random parts: up to 20 of them, some
+// empty, on clocks that stand still often enough to make long runs of
+// equal times within and across parts, so ties must go by part order.
+func TestMergeFromMatchesLinearScan(t *testing.T) {
+	state := uint64(1)
+	next := func(n int) int { // splitmix64, reduced to [0, n)
+		state += 0x9e3779b97f4a7c15
+		z := state
+		z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+		z = (z ^ z>>27) * 0x94d049bb133111eb
+		return int((z ^ z>>31) % uint64(n))
+	}
+	streams := []string{"request", "span", "tick"}
+	for trial := 0; trial < 200; trial++ {
+		nparts := 1 + next(20)
+		parts := make([]*Sink, nparts)
+		records := make([][]EventRecord, nparts)
+		for p := range parts {
+			parts[p] = NewSink()
+			if next(4) == 0 {
+				continue // an empty part
+			}
+			clock := 0.0
+			for k := next(60); k > 0; k-- {
+				clock += float64(next(3)/2) * 0.5 // stands still two times in three
+				rec := EventRecord{Stream: streams[next(len(streams))], T: clock}
+				if rec.Stream != "tick" {
+					rec.Fields = []Field{F("part", float64(p)), FS("tag", fmt.Sprint("s", next(5)))}
+				}
+				parts[p].Event(rec.Stream, rec.T, rec.Fields...)
+				records[p] = append(records[p], rec)
+			}
+		}
+		out := NewSink()
+		out.MergeFrom(parts...)
+		if err := sameRecords(out.Events(), refMerge(records)); err != nil {
+			t.Fatalf("trial %d, %d parts: %v", trial, nparts, err)
 		}
 	}
 }
