@@ -20,7 +20,8 @@
 #                     with every part, /obs counts requests mid-run, and
 #                     the retired /obs/shards answers 404
 #   make cover      — per-package coverage, with an 80% floor on
-#                     internal/obs/...
+#                     internal/obs/..., internal/des/... and
+#                     internal/stats (CI runs it after make check)
 #   make fuzz       — every Fuzz* target in the tree, 10 s each
 
 GO ?= go
@@ -108,12 +109,13 @@ introspect-smoke:
 	kill $$pid 2>/dev/null; \
 	echo "introspect-smoke: /obs/windows and /obs/energy serve their schemas with 5 parts each; /obs counts requests mid-run; /obs/shards is 404"
 
-# Coverage with a floor on the observability packages: the windowed
-# metrics plane is the byte-compared surface, so internal/obs/... must
-# hold at least 80% statement coverage.
+# Coverage with a floor: the observability packages (the windowed
+# metrics plane is the byte-compared surface), the event kernel and the
+# statistics behind every QoS verdict must each hold at least 80%
+# statement coverage.
 cover:
 	@$(GO) test -cover ./... | tee /dev/stderr | \
-	awk '/^ok/ && $$2 ~ /^warehousesim\/internal\/obs/ { \
+	awk '/^FAIL/ { bad = 1 } /^ok/ && $$2 ~ /^warehousesim\/internal\/((obs|des)(\/|$$)|stats$$)/ { \
 		for (i = 1; i <= NF; i++) if ($$i == "coverage:") { \
 			pct = $$(i+1); sub(/%$$/, "", pct); \
 			if (pct + 0 < 80) { printf "cover: %s at %s%% (floor 80%%)\n", $$2, pct; bad = 1 } } } \

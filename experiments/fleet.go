@@ -126,10 +126,6 @@ func runExtFleet() (Report, error) {
 			c.design.Name, c.profile.Name, c.topo.Racks, c.topo.Balancer, err)
 	}
 
-	boards := 0
-	if n := shapes[0].Rack.Enclosures * shapes[0].Rack.BoardsPerEnclosure; n > 0 {
-		boards = n
-	}
 	r.addf("hybrid fleet sweep: hot racks on full rack DES, cold racks on")
 	r.addf("the analytic M/M/m stand-in at the balancer's operating point;")
 	r.addf("Perf/TCO prices every server in every rack over 3 years (seed-11")
@@ -149,17 +145,7 @@ func runExtFleet() (Report, error) {
 				violRacks++
 			}
 		}
-		rackBoards := boards
-		if len(c.topo.Rack.Boards) > 0 || rackBoards == 0 {
-			rackBoards = 0
-			for _, bn := range c.topo.Rack.Boards {
-				rackBoards += bn
-			}
-			if rackBoards == 0 {
-				rackBoards = c.topo.Rack.Enclosures * c.topo.Rack.BoardsPerEnclosure
-			}
-		}
-		fleetTCO := c.tcoUSD * float64(rackBoards) * float64(fb.Racks)
+		fleetTCO := c.tcoUSD * float64(c.topo.Rack.TotalBoards()) * float64(fb.Racks)
 		perfPerMegaUSD := 0.0
 		if fleetTCO > 0 {
 			perfPerMegaUSD = c.res.Throughput / fleetTCO * 1e6

@@ -2,9 +2,10 @@
 // histogram layout without evaluating the layout's formula: a table of
 // bucket boundaries plus a guide indexed by the value's exponent and
 // top mantissa bits narrows the search to a step or two of comparison.
-// The log-spaced histograms (obs.Hist, stats.Histogram) define their
-// layouts by a logarithm and derive a Table from it once, so recording
-// an observation takes no logarithm.
+// The log-spaced histograms each have one layout defined by a
+// logarithm: obs.Hist's, and stats.Histogram's latency layout. Each
+// derives its Table from the formula once, so recording an observation
+// takes no logarithm.
 //
 // Like package obs, this package imports only the standard library.
 package bucket

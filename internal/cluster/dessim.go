@@ -356,7 +356,7 @@ func (c Config) simulateBatch(gen workload.Generator, p workload.Profile, opt Si
 	pop.measuring = true
 
 	concurrency := c.batchSlots()
-	probes := pt.probe(sim, opt.ProbeIntervalSec, true, onTick(opt.OnProbeTick, pt), b.cpu, b.disk, b.net)
+	pt.probe(sim, opt.ProbeIntervalSec, true, onTick(opt.OnProbeTick, pt), b.cpu, b.disk, b.net)
 	var finish des.Time
 	stopAtEnd := func(*board, Demands) {
 		if pop.completed == p.JobRequests {
@@ -369,7 +369,6 @@ func (c Config) simulateBatch(gen workload.Generator, p workload.Profile, opt Si
 	}
 	sim.Run(des.Time(math.MaxFloat64))
 	if pt.rec != nil {
-		probes.Stop()
 		opt.Obs.Count("des.events", int64(sim.Fired()))
 		opt.Obs.Count("trial.clients", int64(concurrency))
 	}
@@ -407,11 +406,12 @@ func outcome(p workload.Profile, hist *stats.Histogram, completed int, window fl
 	return res
 }
 
-// bottleneckOf names the busiest station. The memory blade is compared
-// last, so a tie goes to cpu, disk or net as it always has.
+// bottleneckOf names the busiest station, in fleetUtilKeys order. The
+// memory blade is compared last, so a tie goes to cpu, disk or net as
+// it always has.
 func bottleneckOf(util map[string]float64) string {
 	best, bestU := "", -1.0
-	for _, name := range [...]string{"cpu", "disk", "net", "memblade"} {
+	for _, name := range fleetUtilKeys {
 		if u := util[name]; u > bestU {
 			best, bestU = name, u
 		}

@@ -167,7 +167,7 @@ func FuzzSimOptionsNormalize(f *testing.F) {
 			accepted = &topo.Rack
 		}
 		if accepted != nil {
-			if n := accepted.totalBoards(); n < 1 || n > maxRackBoards {
+			if n := accepted.TotalBoards(); n < 1 || n > maxRackBoards {
 				t.Fatalf("accepted a rack of %d boards, outside [1, %d]: %+v", n, maxRackBoards, accepted)
 			}
 		}

@@ -162,8 +162,8 @@ type FleetRack struct {
 }
 
 // fleetUtilKeys is the fixed station-key order every fleet aggregation
-// iterates — never the maps themselves — so exports cannot pick up Go's
-// randomized map order.
+// and bottleneckOf iterate — never the maps themselves — so exports
+// cannot pick up Go's randomized map order.
 var fleetUtilKeys = [...]string{"cpu", "disk", "net", "memblade"}
 
 // fleetRackSeed derives one rack's root seed from the run seed: a pure
@@ -210,7 +210,7 @@ func (t *FleetTopology) simulate(c Config, gen workload.Generator, p workload.Pr
 	// sustained, or (fully analytic fleets) the QoS-feasible operating
 	// point of the template. Cold racks then absorb the residual demand
 	// under the routing policy.
-	boards := t.Rack.totalBoards()
+	boards := t.Rack.TotalBoards()
 	ana, err := c.Analyze(p)
 	if err != nil {
 		return Result{}, err

@@ -175,8 +175,8 @@ func (t ShardedTopology) boardsIn(e int) int {
 	return t.BoardsPerEnclosure
 }
 
-// totalBoards is the rack's board count across all enclosures.
-func (t ShardedTopology) totalBoards() int {
+// TotalBoards is the rack's board count across all enclosures.
+func (t ShardedTopology) TotalBoards() int {
 	if len(t.Boards) == 0 {
 		return t.Enclosures * t.BoardsPerEnclosure
 	}
@@ -335,7 +335,7 @@ func lookaheadMatrix(shards int, batch bool, laIntra, laSAN, laCross des.Time) [
 // and aggregator live on shard 0.
 func buildRack(c Config, topo *ShardedTopology, gen workload.Generator, p workload.Profile, opt SimOptions, recording bool) (*rackSim, error) {
 	t := *topo
-	nBoards := t.totalBoards()
+	nBoards := t.TotalBoards()
 	nic := c.Server.NIC.BytesPerSec()
 	laIntra := des.Time(fabric.IntraEnclosureLatencySec(nic))
 	laSAN := des.Time(fabric.SANPathLatencySec(nic))

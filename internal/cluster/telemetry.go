@@ -60,13 +60,13 @@ func newPart(rec *obs.Sink, p workload.Profile, opt SimOptions) (part, error) {
 
 // probe starts the part's timeline probes on sim over res, every
 // interval simulated seconds, with the part's collector as their
-// utilization feed and tick as their per-tick hook, and returns them.
-// kernel adds the kernel-wide gauges; rack parts leave them out, since
-// heap depth and event rate are per-shard quantities. A part that
-// records nothing starts none and returns nil.
-func (pt part) probe(sim *des.Sim, interval float64, kernel bool, tick func(float64), res ...*des.Resource) *des.Probes {
+// utilization feed and tick as their per-tick hook. They tick for as
+// long as sim runs. kernel adds the kernel-wide gauges; rack parts
+// leave them out, since heap depth and event rate are per-shard
+// quantities. A part that records nothing starts none.
+func (pt part) probe(sim *des.Sim, interval float64, kernel bool, tick func(float64), res ...*des.Resource) {
 	if pt.rec == nil {
-		return nil
+		return
 	}
 	pr := des.NewProbes(sim, pt.rec, des.Time(interval))
 	pr.OmitKernel = !kernel
@@ -76,7 +76,6 @@ func (pt part) probe(sim *des.Sim, interval float64, kernel bool, tick func(floa
 	}
 	pr.Watch(res...)
 	pr.Start()
-	return pr
 }
 
 // onTick binds SimOptions.OnProbeTick to the run's parts, in part

@@ -68,12 +68,9 @@ func (t *trialCtx) run(gen workload.Generator, p workload.Profile, nClients int,
 		t.sim.Schedule(des.Time(t.rootRNG.Float64()*(p.ThinkTimeSec+0.01)), cl.startFn)
 	}
 
-	// The search's trials record nothing, so only the replay binds the
-	// live hook.
-	var probes *des.Probes
-	if pt.rec != nil {
-		probes = pt.probe(t.sim, opt.ProbeIntervalSec, true, onTick(opt.OnProbeTick, pt), t.b.cpu, t.b.disk, t.b.net)
-	}
+	// The search's trials record nothing, so only the replay starts
+	// probes and binds the live hook.
+	pt.probe(t.sim, opt.ProbeIntervalSec, true, onTick(opt.OnProbeTick, pt), t.b.cpu, t.b.disk, t.b.net)
 
 	t.sim.Run(des.Time(opt.WarmupSec))
 	pop.measuring = true
@@ -82,7 +79,6 @@ func (t *trialCtx) run(gen workload.Generator, p workload.Profile, nClients int,
 	t.b.net.ResetWindow()
 	t.sim.Run(des.Time(opt.WarmupSec + opt.MeasureSec))
 	if pt.rec != nil {
-		probes.Stop()
 		pt.rec.Count("des.events", int64(t.sim.Fired()))
 		pt.rec.Count("trial.clients", int64(nClients))
 	}

@@ -18,9 +18,10 @@
 // events of a flat adaptive search), and the first ScheduleAt of an
 // action writes its event into the root and sifts it down, one sift in
 // place of a pop's and a push's. An action that schedules nothing has
-// its root popped when it returns. Cancel, Pending, PeekNext, Run and
-// RunNext settle a taken root (pop it) before they look at the heap, so
-// no caller ever sees the running event as pending.
+// its root popped when it returns. Pending, PeekNext, Run and RunNext
+// settle a taken root (pop it) before they look at the heap, so no
+// caller ever sees the running event as pending. Events are never
+// cancelled: the heap only ever removes its root.
 //
 // Models are written in continuation-passing style: an event's action
 // schedules the follow-on events. This avoids goroutine-per-entity
@@ -70,32 +71,6 @@ func first(a, b *slot) int {
 	return int(borrow)
 }
 
-// EventHandle allows a scheduled event to be cancelled. The zero value
-// is valid and cancels nothing.
-type EventHandle struct {
-	s   *Sim
-	seq uint64
-}
-
-// Cancel removes the event from the queue immediately. Cancelling an
-// already-fired, already-cancelled, or zero handle is a no-op: seq is
-// never reused, even across Reset. The running event counts as fired,
-// so an action cancelling its own handle changes nothing. The event is
-// found by a linear scan, so the heap tracks no positions; models
-// cancel once per run at most.
-func (h EventHandle) Cancel() {
-	if h.s == nil {
-		return
-	}
-	h.s.settle()
-	for i := range h.s.events {
-		if h.s.events[i].seq == h.seq {
-			h.s.remove(i)
-			return
-		}
-	}
-}
-
 // Sim is a single-threaded discrete-event simulator. The zero value is
 // not usable; call NewSim.
 type Sim struct {
@@ -121,17 +96,17 @@ func (s *Sim) Now() Time { return s.now }
 // runaway detection).
 func (s *Sim) Fired() uint64 { return s.fired }
 
-// Schedule runs act after delay (>= 0) of simulated time and returns a
-// handle for cancellation. It panics on negative or NaN delays: those are
-// always model bugs and silently clamping them corrupts results.
+// Schedule runs act after delay (>= 0) of simulated time. It panics on
+// negative or NaN delays: those are always model bugs and silently
+// clamping them corrupts results.
 //
 //perf:hotpath
-func (s *Sim) Schedule(delay Time, act Action) EventHandle {
+func (s *Sim) Schedule(delay Time, act Action) {
 	if delay < 0 || math.IsNaN(float64(delay)) {
 		//whvet:allow hotpath cold panic path: a negative delay is a model bug, the guard never fires in a correct run
 		panic(fmt.Sprintf("des: negative or NaN delay %v at t=%v", delay, s.now))
 	}
-	return s.ScheduleAt(s.now+delay, act)
+	s.ScheduleAt(s.now+delay, act)
 }
 
 // ScheduleAt runs act at absolute time at (>= Now). It panics when at is
@@ -141,7 +116,7 @@ func (s *Sim) Schedule(delay Time, act Action) EventHandle {
 // other call appends and sifts up.
 //
 //perf:hotpath
-func (s *Sim) ScheduleAt(at Time, act Action) EventHandle {
+func (s *Sim) ScheduleAt(at Time, act Action) {
 	if !(at >= s.now) {
 		//whvet:allow hotpath cold panic path: scheduling into the past (or at NaN) is a model bug, the guard never fires in a correct run
 		panic(fmt.Sprintf("des: event scheduled in the past: %v < now %v", at, s.now))
@@ -155,7 +130,6 @@ func (s *Sim) ScheduleAt(at Time, act Action) EventHandle {
 		s.events = append(s.events, slot{})
 		s.siftUp(len(s.events)-1, e)
 	}
-	return EventHandle{s: s, seq: s.seq}
 }
 
 // siftUp places e in the heap by moving the hole at index i towards
@@ -206,22 +180,18 @@ func (s *Sim) siftDown(i int, e slot) {
 	q[i] = e
 }
 
-// remove deletes the event at heap index i. The last slot is cleared so
-// the backing array never retains a closure.
+// pop deletes the root event. The last slot is cleared so the backing
+// array never retains a closure.
 //
 //perf:hotpath
-func (s *Sim) remove(i int) {
+func (s *Sim) pop() {
 	q := s.events
 	n := len(q) - 1
 	last := q[n]
 	q[n] = slot{}
 	s.events = q[:n]
-	if i < n {
-		if i > 0 && last.before(&q[(i-1)/4]) {
-			s.siftUp(i, last)
-		} else {
-			s.siftDown(i, last)
-		}
+	if n > 0 {
+		s.siftDown(0, last)
 	}
 }
 
@@ -232,7 +202,7 @@ func (s *Sim) remove(i int) {
 func (s *Sim) settle() {
 	if s.taken {
 		s.taken = false
-		s.remove(0)
+		s.pop()
 	}
 }
 
@@ -281,9 +251,8 @@ func (s *Sim) Run(until Time) Time {
 	return s.now
 }
 
-// Pending returns the number of events still queued. Cancelled events
-// are removed eagerly, and the running event has fired, so neither
-// counts here.
+// Pending returns the number of events still queued. The running event
+// has fired, so it does not count here.
 func (s *Sim) Pending() int {
 	s.settle()
 	return len(s.events)
@@ -320,8 +289,8 @@ func (s *Sim) RunNext() bool {
 // Reset rewinds the simulator to time zero for reuse: pending events are
 // dropped, the clock and fired count restart, and the heap's backing
 // array is retained, so trials on one Sim allocate queue space only up
-// to the high-water mark of pending events. seq is not rewound, so old
-// handles stay inert; firing order depends only on relative seq.
+// to the high-water mark of pending events. seq is not rewound; firing
+// order depends only on relative seq.
 func (s *Sim) Reset() {
 	clear(s.events)
 	s.events = s.events[:0]

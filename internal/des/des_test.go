@@ -85,17 +85,6 @@ func TestEventAtHorizonFires(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	s := NewSim()
-	fired := false
-	h := s.Schedule(5, func() { fired = true })
-	h.Cancel()
-	s.Run(10)
-	if fired {
-		t.Error("cancelled event fired")
-	}
-}
-
 func TestStop(t *testing.T) {
 	s := NewSim()
 	count := 0

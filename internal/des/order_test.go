@@ -16,9 +16,8 @@ import (
 // slot past the end holds an action. Each input byte pair is one
 // operation:
 //
-//	op%8 0: Schedule   1: ScheduleAt   2, 7: Cancel (any handle ever
-//	issued: live, cancelled, fired, or from before a Reset)
-//	3: Run(until)   4: RunNext   5: Stop   6: Reset
+//	op%6 0: Schedule   1: ScheduleAt   2: Run(until)   3: RunNext
+//	4: Stop   5: Reset
 //
 // Delays are multiples of 0.25 s, so many events tie. ScheduleAt
 // passes -0 for a time of 0 when arg has bit 5 set; the reference model
@@ -27,37 +26,42 @@ import (
 // Run must panic and change nothing. What a scheduled event does when
 // it fires is set by its arg (see newEvent): nothing, schedule up to
 // three children, call Stop, or observe — read Pending and PeekNext,
-// which must exclude the running event — and cancel its own handle,
-// which must be inert, or another event's.
+// which must exclude the running event — before or after scheduling
+// its children.
 func FuzzSimOrder(f *testing.F) {
-	f.Add([]byte{0, 0, 0, 0, 1, 0, 3, 0})                         // three ties at t=0, then Run
-	f.Add([]byte{0, 1, 0, 2, 2, 0, 2, 0, 3, 7, 2, 1})             // cancel, double cancel, stale after firing
-	f.Add([]byte{0, 3, 0, 3, 6, 0, 0, 3, 2, 0, 2, 1, 4, 0, 4, 0}) // stale handles across Reset
-	f.Add([]byte{0, 8, 0, 8, 0, 12, 0, 24, 3, 4, 4, 0, 3, 7})     // children and Stop from actions
-	f.Add([]byte{0, 2, 5, 0, 3, 1, 0, 1, 4, 0, 4, 0, 7, 0, 3, 7}) // external Stop, RunNext past the horizon
-	// A cancel whose replacement slot precedes the hole's parent: remove
-	// must sift up, not down.
-	f.Add([]byte("0808000020200020000800200800002000202008C101090(092109010100010001$02AC0"))
+	f.Add([]byte{0, 0, 0, 0, 1, 0, 2, 0})                     // three ties at t=0, then Run
+	f.Add([]byte{0, 3, 0, 3, 5, 0, 0, 3, 3, 0, 3, 0})         // Reset with events queued, then reuse
+	f.Add([]byte{0, 8, 0, 8, 0, 12, 0, 24, 2, 4, 3, 0, 2, 7}) // children and Stop from actions
+	f.Add([]byte{0, 2, 4, 0, 2, 1, 0, 1, 3, 0, 3, 0, 2, 7})   // external Stop, RunNext past the horizon
 	// 24 events on four times, -0 among the zeros: past 20 queued, pops
-	// and cancels choose among full four-child groups at depth 2.
+	// choose among full four-child groups at depth 2.
 	var deep []byte
 	for k := 0; k < 24; k++ {
 		deep = append(deep, byte(k%2), byte(k/2%4)|0x20)
 	}
-	f.Add(append(slices.Clip(deep), 3, 7))
-	f.Add(append(slices.Clip(deep), 2, 5, 7, 17, 4, 0, 4, 0, 4, 0, 2, 11, 4, 0, 3, 7))
+	f.Add(append(slices.Clip(deep), 2, 7))
+	// Four pops one at a time while the queue still fills depth 2, then
+	// a Reset at depth and a refilled heap popped the same way.
+	f.Add(append(slices.Clip(deep), 3, 0, 3, 0, 3, 0, 3, 0, 2, 7))
+	f.Add(append(append(append(slices.Clip(deep), 3, 0, 5, 0), deep...), 3, 0, 3, 0, 3, 0, 3, 0, 2, 7))
+	// 88 events on mixed delays and both schedule calls: the first
+	// pops pass full four-child groups at depth 3.
+	var deeper []byte
+	for k := 0; k < 88; k++ {
+		deeper = append(deeper, byte(k%3%2), byte(k*7%4)|byte(k%5/4)<<5)
+	}
+	f.Add(append(slices.Clip(deeper), 3, 0, 3, 0, 3, 0, 3, 0, 3, 0, 2, 7))
 	// Actions scheduling no, two and three children (the settle and
 	// append paths beside the fused one), one of each after a queue of
 	// ties so the fused child sifts down past them.
-	f.Add(append(slices.Clip(deep), 0, 0xc8, 0, 0x48, 0, 0x88, 0, 0x18, 3, 7))
+	f.Add(append(slices.Clip(deep), 0, 0xc8, 0, 0x48, 0, 0x88, 0, 0x18, 2, 7))
 	// Observing actions: Pending and PeekNext on a taken root (first
-	// Pending, then PeekNext), own-handle cancels with zero and three
-	// children, and a cancel of another live event before the root is
-	// settled.
-	f.Add([]byte{0, 2, 0, 0xc4, 0, 0x05, 0, 0x84, 0, 0x14, 0, 0x34, 4, 0, 4, 0, 3, 7})
-	f.Add(append(slices.Clip(deep), 0, 0x04, 0, 0x25, 0, 0x54, 0, 0x34, 0, 0xb5, 3, 7, 4, 0))
+	// Pending, then PeekNext) and after the children took it, with zero
+	// to three children.
+	f.Add([]byte{0, 2, 0, 0xc4, 0, 0x05, 0, 0x84, 0, 0x14, 0, 0x34, 3, 0, 3, 0, 2, 7})
+	f.Add(append(slices.Clip(deep), 0, 0x04, 0, 0x25, 0, 0x54, 0, 0x34, 0, 0xb5, 2, 7, 3, 0))
 	// Run to a past horizon and to NaN, each from a clock past zero.
-	f.Add([]byte{0, 3, 3, 2, 3, 0x41, 0, 1, 3, 0xc0, 4, 0, 3, 0x47, 3, 1})
+	f.Add([]byte{0, 3, 2, 2, 2, 0x41, 0, 1, 2, 0xc0, 3, 0, 2, 0x47, 2, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h := &orderHarness{sim: NewSim()}
 		for i := 0; i+1 < len(data) && i < 1024; i += 2 {
@@ -69,17 +73,16 @@ func FuzzSimOrder(f *testing.F) {
 // spec says what an event does when it fires:
 //
 //	kind 0: nothing
-//	kind 1: observe, schedule its children at once, cancel; with
-//	        cancelFirst, cancel, schedule, observe. Observing reads
-//	        Pending then PeekNext, or the other way round with peekFirst.
+//	kind 1: observe, then schedule its children at once; with
+//	        observeLast, the other way round. Observing reads Pending
+//	        then PeekNext, or the other way round with peekFirst.
 //	kind 2: schedule its children childDelay ahead
 //	kind 3: call Stop
 type spec struct {
 	kind        byte
 	children    []int // ids of the events it schedules, in order
 	childDelay  Time
-	cancel      int // id of the event whose handle kind 1 cancels
-	cancelFirst bool
+	observeLast bool
 	peekFirst   bool
 }
 
@@ -118,12 +121,6 @@ func (r *refSim) schedule(at Time, id int) {
 	})
 }
 
-// cancel drops event id if it is pending. The running event has left
-// the pending set, so cancelling it does nothing.
-func (r *refSim) cancel(id int) {
-	r.pending = slices.DeleteFunc(r.pending, func(e refEvent) bool { return e.id == id })
-}
-
 // observe logs what Pending and PeekNext should read: the events still
 // queued, never the one running.
 func (r *refSim) observe() {
@@ -142,18 +139,14 @@ func (r *refSim) fireNext(specs []spec) {
 	r.log = append(r.log, note{id: e.id})
 	switch sp := specs[e.id]; sp.kind {
 	case 1:
-		if sp.cancelFirst {
-			r.cancel(sp.cancel)
-		} else {
+		if !sp.observeLast {
 			r.observe()
 		}
 		for _, c := range sp.children {
 			r.schedule(r.now, c)
 		}
-		if sp.cancelFirst {
+		if sp.observeLast {
 			r.observe()
-		} else {
-			r.cancel(sp.cancel)
 		}
 	case 2:
 		for _, c := range sp.children {
@@ -180,36 +173,36 @@ func (r *refSim) run(until Time, specs []spec) Time {
 }
 
 type orderHarness struct {
-	sim     *Sim
-	ref     refSim
-	specs   []spec
-	handles []EventHandle // by event id; zero until scheduled
-	log     []note
+	sim   *Sim
+	ref   refSim
+	specs []spec
+	log   []note
+	fires int
 }
+
+// maxFires bounds the events one input can fire: each of its at most
+// 512 operations registers at most four events, and each event fires
+// once. A kernel that fires an event twice fails here, not by growing
+// the log until the process runs out of memory.
+const maxFires = 4 * 512
 
 // newEvent registers an event described by arg, and its children,
 // and returns its id. Bits 2-3 are its kind; kinds 1 and 2 get
 // (1 + arg>>6) mod 4 children, which do nothing when they fire. Bit 4
-// sets a kind 2 event's childDelay to 0.25 s and points a kind 1
-// event's cancel at the event registered before it instead of its own
-// handle. For kind 1, bit 5 sets cancelFirst and bit 0 peekFirst.
+// sets a kind 2 event's childDelay to 0.25 s. For kind 1, bit 5 sets
+// observeLast and bit 0 peekFirst.
 func (h *orderHarness) newEvent(arg byte) int {
 	id := len(h.specs)
-	sp := spec{kind: arg >> 2 & 3, childDelay: Time(arg>>4&1) * 0.25, cancel: id,
-		cancelFirst: arg&0x20 != 0, peekFirst: arg&1 != 0}
-	if sp.kind == 1 && arg&0x10 != 0 && id > 0 {
-		sp.cancel = id - 1
-	}
+	sp := spec{kind: arg >> 2 & 3, childDelay: Time(arg>>4&1) * 0.25,
+		observeLast: arg&0x20 != 0, peekFirst: arg&1 != 0}
 	if sp.kind == 1 || sp.kind == 2 {
 		for c := 0; c < int(1+arg>>6)%4; c++ {
 			sp.children = append(sp.children, id+1+c)
 		}
 	}
 	h.specs = append(h.specs, sp)
-	h.handles = append(h.handles, EventHandle{})
 	for range sp.children {
 		h.specs = append(h.specs, spec{})
-		h.handles = append(h.handles, EventHandle{})
 	}
 	return id
 }
@@ -229,25 +222,24 @@ func (h *orderHarness) observe(peekFirst bool) {
 
 func (h *orderHarness) action(id int) Action {
 	return func() {
+		if h.fires++; h.fires > maxFires {
+			panic("des: more events fired than the input registered")
+		}
 		h.log = append(h.log, note{id: id})
 		switch sp := h.specs[id]; sp.kind {
 		case 1:
-			if sp.cancelFirst {
-				h.handles[sp.cancel].Cancel()
-			} else {
+			if !sp.observeLast {
 				h.observe(sp.peekFirst)
 			}
 			for _, c := range sp.children {
-				h.handles[c] = h.sim.Schedule(0, h.action(c))
+				h.sim.Schedule(0, h.action(c))
 			}
-			if sp.cancelFirst {
+			if sp.observeLast {
 				h.observe(sp.peekFirst)
-			} else {
-				h.handles[sp.cancel].Cancel()
 			}
 		case 2:
 			for _, c := range sp.children {
-				h.handles[c] = h.sim.Schedule(sp.childDelay, h.action(c))
+				h.sim.Schedule(sp.childDelay, h.action(c))
 			}
 		case 3:
 			h.sim.Stop()
@@ -290,10 +282,10 @@ func checkHeap(t *testing.T, s *Sim) {
 func (h *orderHarness) step(t *testing.T, op, arg byte) {
 	t.Helper()
 	delay := Time(arg&3) * 0.25
-	switch op % 8 {
+	switch op % 6 {
 	case 0:
 		id := h.newEvent(arg)
-		h.handles[id] = h.sim.Schedule(delay, h.action(id))
+		h.sim.Schedule(delay, h.action(id))
 		h.ref.schedule(h.ref.now+delay, id)
 	case 1:
 		id := h.newEvent(arg)
@@ -302,15 +294,8 @@ func (h *orderHarness) step(t *testing.T, op, arg byte) {
 		if at == 0 && arg&0x20 != 0 {
 			at = Time(math.Copysign(0, -1))
 		}
-		h.handles[id] = h.sim.ScheduleAt(at, h.action(id))
-	case 2, 7:
-		if len(h.handles) == 0 {
-			return
-		}
-		id := int(arg) % len(h.handles)
-		h.handles[id].Cancel()
-		h.ref.cancel(id)
-	case 3:
+		h.sim.ScheduleAt(at, h.action(id))
+	case 2:
 		until := h.sim.Now() + Time(arg&7)*0.25
 		if arg&0x40 != 0 {
 			until = h.sim.Now() - Time(arg&7+1)*0.25
@@ -324,7 +309,7 @@ func (h *orderHarness) step(t *testing.T, op, arg byte) {
 		if got != want {
 			t.Fatalf("Run(%v) = %v, reference %v", until, got, want)
 		}
-	case 4:
+	case 3:
 		got, want := h.sim.RunNext(), len(h.ref.pending) > 0
 		if want {
 			h.ref.fireNext(h.specs)
@@ -332,19 +317,19 @@ func (h *orderHarness) step(t *testing.T, op, arg byte) {
 		if got != want {
 			t.Fatalf("RunNext = %v, reference %v", got, want)
 		}
-	case 5:
+	case 4:
 		h.sim.Stop()
 		h.ref.stopped = true
-	case 6:
+	case 5:
 		h.sim.Reset()
 		h.ref.now, h.ref.pending, h.ref.fired, h.ref.stopped = 0, nil, 0, false
 	}
 	checkHeap(t, h.sim)
 	if !slices.Equal(h.log, h.ref.log) {
-		t.Fatalf("after op %d: firing log %v, reference %v", op%8, h.log, h.ref.log)
+		t.Fatalf("after op %d: firing log %v, reference %v", op%6, h.log, h.ref.log)
 	}
 	if h.sim.Pending() != len(h.ref.pending) || h.sim.Now() != h.ref.now || h.sim.Fired() != h.ref.fired {
-		t.Fatalf("after op %d: Pending/Now/Fired = %d/%v/%d, reference %d/%v/%d", op%8,
+		t.Fatalf("after op %d: Pending/Now/Fired = %d/%v/%d, reference %d/%v/%d", op%6,
 			h.sim.Pending(), h.sim.Now(), h.sim.Fired(), len(h.ref.pending), h.ref.now, h.ref.fired)
 	}
 }

@@ -20,7 +20,8 @@ import (
 // Each utilization sample also goes to OnUtil, typed, when it is set.
 // The series handles and OnUtil's class ids are resolved at a watched
 // resource's first tick, so a tick looks up no name and a sampler that
-// never ticks adds no series.
+// never ticks adds no series. Once started, a sampler ticks for as
+// long as its Sim runs.
 // Probing only ever schedules its own tick events and reads state, so an
 // instrumented run's model trajectory is identical to an uninstrumented
 // one under the same seed — probes observe, they never perturb.
@@ -28,8 +29,6 @@ type Probes struct {
 	sim      *Sim
 	rec      *obs.Sink
 	interval Time
-	handle   EventHandle
-	running  bool
 	tickFn   Action // p.tick, bound once so rescheduling allocates nothing
 
 	lastFired   uint64
@@ -119,23 +118,17 @@ func resourceClass(name string) string {
 	return class
 }
 
-// Start schedules the first tick one interval from now. Starting an
-// already-running sampler is a no-op.
+// Start schedules the first tick one interval from now. From then on
+// the sampler ticks for as long as its Sim runs: each tick schedules
+// the next, and nothing cancels it, so a run that ends with Stop or a
+// horizon leaves one tick queued until the Sim is Reset or dropped.
+// Call it once.
 func (p *Probes) Start() {
-	if p.running || p.rec == nil {
+	if p.rec == nil {
 		return
 	}
-	p.running = true
 	p.lastFired = p.sim.Fired()
-	p.handle = p.sim.Schedule(p.interval, p.tickFn)
-}
-
-// Stop cancels the pending tick.
-func (p *Probes) Stop() {
-	if p.running {
-		p.handle.Cancel()
-		p.running = false
-	}
+	p.sim.Schedule(p.interval, p.tickFn)
 }
 
 func (p *Probes) tick() {
@@ -177,5 +170,5 @@ func (p *Probes) tick() {
 		p.OnTick(now)
 	}
 
-	p.handle = p.sim.Schedule(p.interval, p.tickFn)
+	p.sim.Schedule(p.interval, p.tickFn)
 }

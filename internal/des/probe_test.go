@@ -118,18 +118,27 @@ func TestProbesDeterministic(t *testing.T) {
 	}
 }
 
-func TestProbesStop(t *testing.T) {
+// TestProbesTickWhileSimRuns: a started sampler ticks for as long as
+// its Sim runs, across a Stop and a later Run, and leaves one tick
+// queued between runs; Reset drops that tick for good.
+func TestProbesTickWhileSimRuns(t *testing.T) {
 	sink := obs.NewSink()
 	sim := NewSim()
-	p := NewProbes(sim, sink, 1)
-	p.Start()
-	sim.Run(3)
-	p.Stop()
-	n := len(sink.SeriesByName("des.heap_depth").Points)
-	sim.ScheduleAt(10, func() {})
+	NewProbes(sim, sink, 1).Start()
+	sim.ScheduleAt(2.5, sim.Stop)
 	sim.Run(10)
-	if got := len(sink.SeriesByName("des.heap_depth").Points); got != n {
-		t.Fatalf("sampler kept ticking after Stop: %d -> %d points", n, got)
+	points := func() int { return len(sink.SeriesByName("des.heap_depth").Points) }
+	if n := points(); n != 2 || sim.Pending() != 1 {
+		t.Fatalf("after a Stop at 2.5 s: %d ticks, %d pending; want 2 and the next tick", n, sim.Pending())
+	}
+	sim.Run(5)
+	if n := points(); n != 5 {
+		t.Fatalf("ticks through a second Run to 5 s = %d, want 5", n)
+	}
+	sim.Reset()
+	sim.Run(10)
+	if n := points(); n != 5 || sim.Fired() != 0 {
+		t.Fatalf("after Reset: %d ticks, %d fired; want 5 and 0", n, sim.Fired())
 	}
 }
 

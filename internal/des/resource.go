@@ -27,7 +27,6 @@ type Resource struct {
 	busyIntegral  float64 // ∫ busy dt
 	queueIntegral float64 // ∫ len(queue) dt
 	completed     uint64
-	totalService  float64
 	windowStart   Time
 
 	// pool of completion records: one is checked out per in-service job
@@ -119,7 +118,6 @@ func (r *Resource) Submit(service Time, done Action) {
 
 func (r *Resource) start(service Time, done Action) {
 	r.busy++
-	r.totalService += float64(service)
 	var c *completion
 	if n := len(r.pool); n > 0 {
 		c = r.pool[n-1]
@@ -170,7 +168,6 @@ func (r *Resource) ResetWindow() {
 	r.busyIntegral = 0
 	r.queueIntegral = 0
 	r.completed = 0
-	r.totalService = 0
 }
 
 // Reset returns the resource to its initial idle state for reuse after
@@ -185,5 +182,5 @@ func (r *Resource) Reset() {
 	r.busy = 0
 	r.lastStamp, r.windowStart = 0, 0
 	r.busyIntegral, r.queueIntegral = 0, 0
-	r.completed, r.totalService = 0, 0
+	r.completed = 0
 }

@@ -5,23 +5,9 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-)
 
-func TestHistogramPanicsOnBadSpec(t *testing.T) {
-	for _, tc := range []struct {
-		min, growth float64
-		n           int
-	}{{0, 1.1, 10}, {1, 1.0, 10}, {1, 1.1, 0}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("no panic for min=%g growth=%g n=%d", tc.min, tc.growth, tc.n)
-				}
-			}()
-			NewHistogram(tc.min, tc.growth, tc.n)
-		}()
-	}
-}
+	"warehousesim/internal/bucket"
+)
 
 func TestHistogramQuantileAgainstExact(t *testing.T) {
 	h := NewLatencyHistogram()
@@ -63,20 +49,24 @@ func TestHistogramMeanAndCount(t *testing.T) {
 }
 
 func TestHistogramUnderflow(t *testing.T) {
-	h := NewHistogram(1, 2, 8)
-	h.Add(0.5) // below min
-	h.Add(2)
-	if h.Count() != 2 {
-		t.Errorf("count = %d", h.Count())
+	h := NewLatencyHistogram()
+	h.Add(5e-6) // below the 10 µs floor
+	h.Add(1e-6)
+	h.Add(0.002)
+	if h.Count() != 3 || h.under != 2 {
+		t.Errorf("count = %d, underflow %d; want 3 and 2", h.Count(), h.under)
 	}
-	if q := h.Quantile(0.25); q >= 1 {
+	if q := h.Quantile(0.5); q >= latMin {
 		t.Errorf("low quantile should fall in underflow region, got %g", q)
 	}
 }
 
 func TestHistogramOverflowClamped(t *testing.T) {
-	h := NewHistogram(1, 2, 4) // top bucket starts at 8
+	h := NewLatencyHistogram() // top bucket starts near 2,850 s
 	h.Add(1e9)
+	if h.buckets[latBuckets-1] != 1 {
+		t.Fatal("1e9 s did not land in the top bucket")
+	}
 	if q := h.Quantile(1); q > 1e9 {
 		t.Errorf("quantile exceeded max seen: %g", q)
 	}
@@ -118,56 +108,54 @@ func TestQuickHistogramQuantileMonotone(t *testing.T) {
 	}
 }
 
-// refBucketOf is the layout's logarithm formula, the per-observation
-// bucket lookup the layout's table replaced. It is a reference where
-// x/min is finite: beyond that its int conversion of +Inf is
+// refBucketOf is the latency layout's logarithm formula, the
+// per-observation bucket lookup its table replaced. It is a reference
+// where x/latMin is finite: beyond that its int conversion of +Inf is
 // implementation-defined.
-func refBucketOf(h *Histogram, x float64) int {
-	if x < h.min {
+func refBucketOf(x float64) int {
+	if x < latMin {
 		return -1
 	}
-	b := int(math.Log(x/h.min) / math.Log(h.growth))
-	if b >= len(h.buckets) {
-		b = len(h.buckets) - 1
+	b := int(math.Log(x/latMin) / math.Log(latGrowth))
+	if b >= latBuckets {
+		b = latBuckets - 1
 	}
 	return b
 }
 
-// checkBucketOf holds h.bucketOf to the reference at x: values whose
-// ratio to min overflows land in the top bucket, NaN in underflow.
-func checkBucketOf(t *testing.T, h *Histogram, x float64) {
+// checkBucketOf holds bucketOf to the reference at x: values whose
+// ratio to latMin overflows land in the top bucket, NaN in underflow.
+func checkBucketOf(t *testing.T, x float64) {
 	t.Helper()
 	var want int
 	switch {
 	case math.IsNaN(x):
 		want = -1
-	case math.IsInf(x/h.min, 1):
-		want = len(h.buckets) - 1
+	case math.IsInf(x/latMin, 1):
+		want = latBuckets - 1
 	default:
-		want = refBucketOf(h, x)
+		want = refBucketOf(x)
 	}
-	if got := h.bucketOf(x); got != want {
-		t.Fatalf("layout (%g, %g, %d): bucketOf(%v) [bits %#x] = %d, want %d",
-			h.min, h.growth, len(h.buckets), x, math.Float64bits(x), got, want)
+	if got := bucketOf(x); got != want {
+		t.Fatalf("bucketOf(%v) [bits %#x] = %d, want %d", x, math.Float64bits(x), got, want)
 	}
 }
 
 // TestHistogramBucketExactAtBoundaries sweeps 4096 ulps either side of
-// every bucket boundary of the latency layout and two others, and
-// checks each value lands where the logarithm puts it, and that each
-// sweep crosses its boundary.
+// every bucket boundary of the latency layout, and checks each value
+// lands where the logarithm puts it, and that each sweep crosses its
+// boundary.
 func TestHistogramBucketExactAtBoundaries(t *testing.T) {
 	const ulps = 4096
-	for _, h := range []*Histogram{NewLatencyHistogram(), NewHistogram(1, 2, 8), NewHistogram(1e-3, 1.5, 50)} {
-		for i := 1; i < len(h.buckets); i++ {
-			b := math.Float64bits(h.min * math.Pow(h.growth, float64(i)))
-			lo, hi := math.Float64frombits(b-ulps), math.Float64frombits(b+ulps)
-			if refBucketOf(h, lo) != i-1 || refBucketOf(h, hi) != i {
-				t.Fatalf("sweep [%v, %v] misses the boundary of bucket %d", lo, hi, i)
-			}
-			for x := b - ulps; x <= b+ulps; x++ {
-				checkBucketOf(t, h, math.Float64frombits(x))
-			}
+	NewLatencyHistogram() // builds the table bucketOf reads
+	for i := 1; i < latBuckets; i++ {
+		b := math.Float64bits(bucketLow(i))
+		lo, hi := math.Float64frombits(b-ulps), math.Float64frombits(b+ulps)
+		if refBucketOf(lo) != i-1 || refBucketOf(hi) != i {
+			t.Fatalf("sweep [%v, %v] misses the boundary of bucket %d", lo, hi, i)
+		}
+		for x := b - ulps; x <= b+ulps; x++ {
+			checkBucketOf(t, math.Float64frombits(x))
 		}
 	}
 }
@@ -177,12 +165,12 @@ var histogramEdges = []float64{
 	math.Nextafter(10e-6, 1), 1e4, 1e303, 1.7e303, 1.8e303, 1e305, math.MaxFloat64, math.Inf(1), math.NaN(),
 }
 
-// TestHistogramHugeValuesClampToTop: values whose ratio to min
+// TestHistogramHugeValuesClampToTop: values whose ratio to latMin
 // overflows, +Inf included, count in the top bucket, not underflow;
 // NaN counts in underflow.
 func TestHistogramHugeValuesClampToTop(t *testing.T) {
 	h := NewLatencyHistogram()
-	top := len(h.buckets) - 1
+	top := latBuckets - 1
 	for _, x := range []float64{1e305, math.MaxFloat64, math.Inf(1)} {
 		h.Add(x)
 	}
@@ -194,49 +182,54 @@ func TestHistogramHugeValuesClampToTop(t *testing.T) {
 		t.Fatalf("NaN: underflow %d, count %d; want 1 and 4", h.under, h.count)
 	}
 	for _, x := range histogramEdges {
-		checkBucketOf(t, h, x)
+		checkBucketOf(t, x)
 	}
 }
 
 // FuzzHistogramBucket holds the latency layout's bucketOf to the
 // logarithm over arbitrary float64 bit patterns.
 func FuzzHistogramBucket(f *testing.F) {
-	h := NewLatencyHistogram()
+	NewLatencyHistogram() // builds the table bucketOf reads
 	for _, x := range histogramEdges {
 		f.Add(math.Float64bits(x))
 	}
-	for i := 1; i < len(h.buckets); i += 23 {
-		b := math.Float64bits(h.min * math.Pow(h.growth, float64(i)))
+	for i := 1; i < latBuckets; i += 23 {
+		b := math.Float64bits(bucketLow(i))
 		f.Add(b - 1)
 		f.Add(b)
 		f.Add(b + 1)
 	}
 	f.Fuzz(func(t *testing.T, bits uint64) {
-		checkBucketOf(t, h, math.Float64frombits(bits))
+		checkBucketOf(t, math.Float64frombits(bits))
 	})
 }
 
-// TestHistogramLayoutTableShared: histograms of one layout share one
-// table, built once even when the layout is first used on several
-// goroutines at once.
+// TestHistogramLayoutTableShared: the latency table is built once even
+// when several goroutines make the first histograms at once, and every
+// histogram records through it. The test forgets the table first, so
+// the first use is really concurrent; under -race a racy build fails.
 func TestHistogramLayoutTableShared(t *testing.T) {
+	latencyOnce, latencyTable = sync.Once{}, nil
 	const workers = 4
+	seen := make([]*bucket.Table, workers)
 	hs := make([]*Histogram, workers)
 	var wg sync.WaitGroup
 	for i := range hs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			hs[i] = NewHistogram(3e-4, 1.25, 60)
+			hs[i] = NewLatencyHistogram()
+			seen[i] = latencyTable
+			hs[i].Add(0.01)
 		}()
 	}
 	wg.Wait()
-	for _, h := range hs[1:] {
-		if h.table != hs[0].table {
-			t.Fatal("two histograms of one layout hold different tables")
+	for i, tab := range seen {
+		if tab == nil || tab != seen[0] {
+			t.Fatalf("worker %d saw table %p, worker 0 %p; want one shared table", i, tab, seen[0])
 		}
-	}
-	if NewLatencyHistogram().table != NewLatencyHistogram().table {
-		t.Fatal("two latency histograms hold different tables")
+		if got := hs[i].buckets[refBucketOf(0.01)]; got != 1 {
+			t.Fatalf("worker %d: 0.01 s counted %d times in its bucket, want 1", i, got)
+		}
 	}
 }

@@ -5,9 +5,9 @@
 // reproducible bit-for-bit from a seed. The package also provides the
 // probability distributions the paper's workload generators need (Zipf
 // keyword popularity, exponential think times, log-normal object sizes,
-// empirical action mixes) and the measurement helpers (histograms,
-// percentile trackers, harmonic means) used to compute QoS-constrained
-// throughput.
+// empirical action mixes) and the measurement helpers (the one-layout
+// latency histogram, percentile trackers, harmonic means) used to
+// compute QoS-constrained throughput.
 package stats
 
 import "math"
